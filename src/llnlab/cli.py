@@ -24,7 +24,7 @@ from .conditions import (
     norming_ratio_bound,
     norming_ratio_bound_sq,
 )
-from .domination import cesaro_tail_sup, dominating_cdf, weighted_tail_sup
+from .domination import cesaro_sup_fn, dominating_cdf, weighted_sup_fn
 from .errors import LlnLabError, SpecError
 from .fixtures import FIXTURE_NAMES, load as load_fixture
 from .model import DEFAULT_N_SUP, uniform_weights
@@ -55,14 +55,14 @@ def _cesaro_source(spec: LoadedSpec, n_sup: int):
     fx = spec.fixture
     if fx is not None and "cesaro_sup" in fx.closed:
         return fx.cesaro_tail()
-    return lambda x: cesaro_tail_sup(spec.arr, x, n_sup=n_sup)
+    return cesaro_sup_fn(spec.arr, n_sup=n_sup)
 
 
 def _weighted_source(spec: LoadedSpec, n_sup: int):
     fx = spec.fixture
     if fx is not None and "weighted_sup" in fx.closed:
         return fx.closed["weighted_sup"]
-    return lambda x: weighted_tail_sup(spec.arr, spec.weights, x, n_sup=n_sup)
+    return weighted_sup_fn(spec.arr, spec.weights, n_sup=n_sup)
 
 
 def _run_condition(name: str, spec: LoadedSpec, n_sup: int, budget: int) -> dict:
@@ -153,6 +153,8 @@ def _parse_rows(text: str) -> tuple[int, ...]:
 
     if ".." in text:
         lo, hi = (one(t) for t in text.split(".."))
+        if not 1 <= lo <= hi:
+            raise SpecError(f"--rows range needs 1 <= lo <= hi, got {text!r}")
         rows = []
         n = lo
         while n <= hi:
@@ -231,13 +233,21 @@ def cmd_simulate(args, argv: list[str]) -> int:
         _log(f"error: {exc}")
         return 2
     _log(f"simulate {spec.label} mode={args.mode} rows={rows} reps={args.reps}")
-    if args.mode == "wlln":
-        report = wlln_estimate(plan, threads=args.threads)
-    elif args.mode == "slln-series":
-        report = slln_series_estimate(plan, spec.sv, spec.p, threads=args.threads)
-    elif args.mode == "slln-path":
-        path_rep = slln_path_diagnostic(plan)
-        out = Path(args.out)
+    out = Path(args.out)
+    try:
+        if args.mode == "wlln":
+            report = wlln_estimate(plan, threads=args.threads)
+        elif args.mode == "slln-series":
+            report = slln_series_estimate(plan, spec.sv, spec.p, threads=args.threads)
+        elif args.mode == "slln-path":
+            path_rep = slln_path_diagnostic(plan)
+        else:
+            _log(f"error: unknown mode {args.mode}")
+            return 2
+    except LlnLabError as exc:
+        _log(f"error: {exc}")
+        return 2
+    if args.mode == "slln-path":
         obj = {
             "mode": "slln-path",
             "rows": list(path_rep.rows),
@@ -252,10 +262,6 @@ def cmd_simulate(args, argv: list[str]) -> int:
         _write_json(out.with_suffix(".json"), obj)
         _write_manifest(out, argv, [str(out.with_suffix(".json"))])
         return 0
-    else:
-        _log(f"error: unknown mode {args.mode}")
-        return 2
-    out = Path(args.out)
     outputs = []
     if args.format in ("csv", "both"):
         out.parent.mkdir(parents=True, exist_ok=True)

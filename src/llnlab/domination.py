@@ -16,7 +16,10 @@ canonical X.
 
 Suprema over n are evaluated over a finite scan range (default 10^4 rows)
 unless the array or weight scheme carries a closed-form sup; reports state
-the range used.
+the range used.  A scan builds one :class:`~llnlab.model.RowTable` per
+(array, weights, scan top) and evaluates it at each x, so callers that need
+S at many points build the table once and close over it
+(:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from .errors import DominationPrecheckError
 from .model import (
     ArraySpec,
+    RowTable,
     TailFunction,
     WeightScheme,
     DEFAULT_N_SUP,
@@ -75,15 +79,32 @@ def _jsonable(v) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tail_cache() -> Callable:
-    cache: dict = {}
+def _closed(fn: Callable) -> Callable[[float], float]:
+    return lambda x: float(fn(x))
 
-    def get(dist):
-        if dist not in cache:
-            cache[dist] = tail_of(dist)
-        return cache[dist]
 
-    return get
+def cesaro_sup_fn(
+    arr: ArraySpec, *, n_sup: int = DEFAULT_N_SUP, use_closed: bool = True
+) -> Callable[[float], float]:
+    """x -> sup_n (1/k_n) sum_i P(|X[n,i]| > x): the closed form or one row table."""
+    if use_closed and arr.closed_cesaro_sup is not None:
+        return _closed(arr.closed_cesaro_sup)
+    return RowTable(arr, n_sup=n_sup).sup
+
+
+def weighted_sup_fn(
+    arr: ArraySpec,
+    w: WeightScheme,
+    *,
+    n_sup: int = DEFAULT_N_SUP,
+    use_closed: bool = True,
+) -> Callable[[float], float]:
+    """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x): the closed form or one row table."""
+    if use_closed and w.closed_weighted_sup is not None:
+        return _closed(w.closed_weighted_sup)
+    if w.kind == "uniform":
+        return cesaro_sup_fn(arr, n_sup=n_sup, use_closed=use_closed)
+    return RowTable(arr, w, n_sup).sup
 
 
 def cesaro_tail_sup(
@@ -94,25 +115,7 @@ def cesaro_tail_sup(
     use_closed: bool = True,
 ) -> float:
     """sup_n (1/k_n) sum_i P(|X[n,i]| > x) over the scan range (or closed form)."""
-    if use_closed and arr.closed_cesaro_sup is not None:
-        return float(arr.closed_cesaro_sup(x))
-    top = min(n_sup, arr.n_max) if arr.n_max is not None else n_sup
-    get_tail = _tail_cache()
-    if arr.is_sequence:
-        best = 0.0
-        acc = 0.0
-        for i in range(1, top + 1):
-            acc += get_tail(arr.sequence_cell(i)).fn(x)
-            best = max(best, acc / i)
-        return best
-    best = 0.0
-    for n in range(1, top + 1):
-        k = arr.k(n)
-        acc = 0.0
-        for g in arr.row_groups(n):
-            acc += g.count * get_tail(g.dist).fn(x)
-        best = max(best, acc / k)
-    return best
+    return cesaro_sup_fn(arr, n_sup=n_sup, use_closed=use_closed)(x)
 
 
 def weighted_tail_sup(
@@ -124,27 +127,7 @@ def weighted_tail_sup(
     use_closed: bool = True,
 ) -> float:
     """sup_n sum_i a(n,i) P(|X[n,i]| > x) over the scan range (or closed form)."""
-    if use_closed:
-        if w.closed_weighted_sup is not None:
-            return float(w.closed_weighted_sup(x))
-        if w.kind == "uniform" and arr.closed_cesaro_sup is not None:
-            return float(arr.closed_cesaro_sup(x))
-    if w.kind == "uniform":
-        return cesaro_tail_sup(arr, x, n_sup=n_sup, use_closed=use_closed)
-    top = n_sup
-    for bound in (arr.n_max, w.n_max):
-        if bound is not None:
-            top = min(top, bound)
-    get_tail = _tail_cache()
-    best = 0.0
-    for n in range(1, top + 1):
-        pos = 0
-        acc = 0.0
-        for g in arr.row_groups(n):
-            acc += w.range_sum(n, pos + 1, pos + g.count) * get_tail(g.dist).fn(x)
-            pos += g.count
-        best = max(best, acc)
-    return best
+    return weighted_sup_fn(arr, w, n_sup=n_sup, use_closed=use_closed)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +157,7 @@ def dominating_cdf(
         or (w.kind == "uniform" and arr.closed_cesaro_sup is not None)
     )
 
-    def sup_fn(x: float) -> float:
-        return weighted_tail_sup(arr, w, x, n_sup=n_sup, use_closed=use_closed)
-
+    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup, use_closed=use_closed)
     values = tuple(sup_fn(x) for x in xs)
     c0, _ = w.c0(n_sup)
     valid = decay_gate(values, eps=eps_lim)
@@ -222,10 +203,11 @@ def equivalence_transfer(
     if not c > 0.0:
         raise ValueError("transfer constant must be positive")
     xs = tuple(grid) if grid is not None else geometric_grid()
+    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup, use_closed=use_closed)
     violations = []
     values = []
     for x in xs:
-        s = weighted_tail_sup(arr, w, x, n_sup=n_sup, use_closed=use_closed)
+        s = sup_fn(x)
         values.append(s)
         bound = c * y_tail.fn(x)
         if s > bound + 1e-12:
@@ -286,8 +268,9 @@ def cesaro_precheck(
 ) -> None:
     """Raise unless the Cesaro tail sup sits below P(|Y| > x) on the grid."""
     xs = tuple(grid) if grid is not None else geometric_grid(0, 40)
+    sup_fn = cesaro_sup_fn(arr, n_sup=n_sup, use_closed=use_closed)
     for x in xs:
-        s = cesaro_tail_sup(arr, x, n_sup=n_sup, use_closed=use_closed)
+        s = sup_fn(x)
         if s > y_tail.fn(x) + 1e-12:
             raise DominationPrecheckError(
                 f"Cesaro sup {s} exceeds candidate tail {y_tail.fn(x)} at x={x}"
@@ -312,8 +295,7 @@ def truncated_moment_bounds(
     """
     if precheck:
         cesaro_precheck(arr, y_tail, n_sup=n_sup, use_closed=use_closed)
-    w = uniform_weights(arr.row_length)
-    from .moments import _row_values  # local import to avoid a cycle at import time
+    table = RowTable(arr, uniform_weights(arr.row_length), n_sup)
 
     def below_val(d):
         return float(truncated_abs_moment(tail_of(d), r, x, "below"))
@@ -321,8 +303,8 @@ def truncated_moment_bounds(
     def above_val(d):
         return float(truncated_abs_moment(tail_of(d), r, x, "above"))
 
-    lhs_below = float(np.max(_row_values(arr, w, below_val, n_sup)))
-    lhs_above = float(np.max(_row_values(arr, w, above_val, n_sup)))
+    lhs_below = float(np.max(table.row_values(below_val)))
+    lhs_above = float(np.max(table.row_values(above_val)))
     rhs_below = float(truncated_abs_moment(y_tail, r, x, "below")) + x**r * y_tail.fn(x)
     rhs_above = float(truncated_abs_moment(y_tail, r, x, "above"))
     return TruncatedMomentBounds(

@@ -483,12 +483,7 @@ def _build_x2m(p: float, nu: int) -> Fixture:
 # Loader
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "example-2.1": (0.5, 1),
-    "example-4.1": (0.5, 1),
-    "wlln-counterexample": (0.5, 1),
-    "x2m-example": (0.5, 1),
-}
+_DEFAULT_P, _DEFAULT_NU = 0.5, 1
 
 _BUILDERS = {
     "example-2.1": _build_example_21,
@@ -504,9 +499,8 @@ def load(name: str, *, p: Optional[float] = None, nu: Optional[int] = None) -> F
         raise SpecError(
             f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
         )
-    dp, dn = _DEFAULTS[name]
-    pp = dp if p is None else float(p)
-    nn = dn if nu is None else int(nu)
+    pp = _DEFAULT_P if p is None else float(p)
+    nn = _DEFAULT_NU if nu is None else int(nu)
     if not (0.0 < pp < 2.0):
         raise SpecError(f"fixture p must lie in (0, 2), got {pp}")
     if nn < 1:

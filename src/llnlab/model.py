@@ -406,13 +406,10 @@ class WeightScheme:
         return self.range_sum(n, 1, self._check_row(n))
 
     def c0(self, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
-        """sup of row sums over the scan range, with the attaining row."""
-        top = min(n_sup, self.n_max) if self.n_max is not None else n_sup
-        best, best_n = -math.inf, 0
-        for n in range(1, top + 1):
-            s = self.row_sum(n)
-            if s > best:
-                best, best_n = s, n
+        """sup of row sums over the scan range, with the first attaining row."""
+        sums = [self.row_sum(n) for n in range(1, scan_top(n_sup, self.n_max) + 1)]
+        best_n = int(np.argmax(sums)) + 1 if sums else 0
+        best = sums[best_n - 1] if sums else -math.inf
         if not (best > 0.0 and math.isfinite(best)):
             raise ValueError(f"row-sum sup {best} violates C0 in (0, inf)")
         return best, best_n
@@ -484,9 +481,125 @@ def c_normalized_weights(
     )
 
 
-def row_weight_sum(w: WeightScheme, n: int) -> float:
-    """Sum of a(n, i) over the row; RowRangeError beyond a declared range."""
-    return w.row_sum(n)
+# ---------------------------------------------------------------------------
+# Row tables: the one layout behind every sup_n scan
+# ---------------------------------------------------------------------------
+
+
+def scan_top(n_sup: int, *bounds: Optional[int]) -> int:
+    """Last row of a sup_n scan: ``n_sup`` capped by every declared row bound."""
+    return min([n_sup, *(b for b in bounds if b is not None)])
+
+
+def step_law(dist: DistSpec) -> Optional[tuple[float, float]]:
+    """(magnitude, prob) of a +-1 or symmetric two-point law; None for others."""
+    if isinstance(dist, SymmetricPM1):
+        return 1.0, 1.0
+    if isinstance(dist, SymmetricTwoPoint):
+        return dist.magnitude, dist.prob
+    return None
+
+
+def _less_than(x, mags: np.ndarray) -> np.ndarray:
+    """Exact elementwise ``x < mags`` for any real x, ints past 2**53 included."""
+    try:
+        xf = float(x)
+    except OverflowError:
+        xf = math.inf if x > 0 else -math.inf
+    lt = xf < mags
+    if xf != x:
+        # x was rounded to xf: a magnitude equal to xf needs the exact compare
+        lt |= (mags == xf) & (x < xf)
+    return lt
+
+
+class RowTable:
+    """Cell groups of rows 1..top laid out once, so a sup_n scan is a few array ops.
+
+    ``weights=None`` gives Cesaro averages (1/k_n) sum_i f(X[n,i]); a weight
+    scheme gives sum_i a(n,i) f(X[n,i]), each group weighted by its
+    ``range_sum``.  A sequence array under Cesaro or uniform weights is one
+    prefix (cell i once, reduced by a cumulative sum over i); every other
+    array holds one entry per (row, cell group), reduced per row by
+    ``np.bincount``.  Both reductions add in row order, exactly as the scalar
+    row loops do, so row values are bitwise equal to theirs.
+
+    Each distinct law is listed once in ``laws``: +-1 and two-point laws
+    first, as (magnitude, prob) columns compared with x in one vector
+    operation; every other law after them, through its scalar tail.
+    """
+
+    def __init__(
+        self,
+        arr: ArraySpec,
+        weights: Optional[WeightScheme] = None,
+        n_sup: int = DEFAULT_N_SUP,
+    ):
+        bounds = (arr.n_max,) if weights is None else (arr.n_max, weights.n_max)
+        self.top = top = max(scan_top(n_sup, *bounds), 0)
+        self._prefix = arr.is_sequence and (weights is None or weights.kind == "uniform")
+        ids: dict[DistSpec, int] = {}
+        rows: list[int] = []
+        factors: list[float] = []
+        if self._prefix:
+            law = [ids.setdefault(arr.sequence_cell(i), len(ids)) for i in range(1, top + 1)]
+            self._div = np.arange(1, top + 1)
+        else:
+            law = []
+            k = np.empty(top)
+            for n in range(1, top + 1):
+                k[n - 1] = arr.k(n)
+                pos = 0
+                for g in arr.row_groups(n):
+                    rows.append(n - 1)
+                    law.append(ids.setdefault(g.dist, len(ids)))
+                    if weights is None:
+                        factors.append(g.count)
+                    else:
+                        factors.append(weights.range_sum(n, pos + 1, pos + g.count))
+                    pos += g.count
+            self._div = k if weights is None else None
+        # renumber the laws so the step laws come first
+        dists = list(ids)
+        steps = [step_law(d) for d in dists]
+        order = sorted(range(len(dists)), key=lambda j: steps[j] is None)
+        n_steps = len(dists) - steps.count(None)
+        rank = np.empty(len(dists), dtype=np.intp)
+        rank[order] = np.arange(len(dists))
+        self.laws: tuple[DistSpec, ...] = tuple(dists[j] for j in order)
+        self._mag = np.array([steps[j][0] for j in order[:n_steps]], dtype=float)
+        self._prob = np.array([steps[j][1] for j in order[:n_steps]], dtype=float)
+        self._tails = tuple(tail_of(d).fn for d in self.laws[n_steps:])
+        self._law = rank[np.array(law, dtype=np.intp)]
+        self._entry_row = np.array(rows, dtype=np.intp)
+        self._factor = np.array(factors, dtype=float)
+
+    def _law_tails(self, x) -> np.ndarray:
+        """P(|X| > x) for every law in ``laws``."""
+        if x < 0.0:
+            step = np.ones(len(self._mag))
+        else:
+            step = np.where(_less_than(x, self._mag), self._prob, 0.0)
+        other = np.fromiter((fn(x) for fn in self._tails), dtype=float, count=len(self._tails))
+        return np.concatenate((step, other))
+
+    def _rows(self, law_values: np.ndarray) -> np.ndarray:
+        """Row values for n = 1..top, given one value per law in ``laws``."""
+        v = law_values[self._law]
+        if self._prefix:
+            out = np.cumsum(v)
+        else:
+            out = np.bincount(self._entry_row, weights=self._factor * v, minlength=self.top)
+        return out if self._div is None else out / self._div
+
+    def row_values(self, cell_value: Callable[[DistSpec], float]) -> np.ndarray:
+        """Row values of ``cell_value``, called once per distinct law."""
+        vals = np.fromiter(map(cell_value, self.laws), dtype=float, count=len(self.laws))
+        return self._rows(vals)
+
+    def sup(self, x) -> float:
+        """sup_n of the row tail sums at x; 0.0 over an empty scan."""
+        return float(np.max(self._rows(self._law_tails(x)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

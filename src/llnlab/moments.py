@@ -34,6 +34,7 @@ from .model import (
     CustomDist,
     DistSpec,
     ParetoTail,
+    RowTable,
     SymmetricPM1,
     SymmetricTwoPoint,
     TailFunction,
@@ -441,43 +442,6 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
 # ---------------------------------------------------------------------------
 
 
-def _scan_top(arr: ArraySpec, w: WeightScheme, n_sup: int) -> int:
-    top = n_sup
-    for bound in (arr.n_max, w.n_max):
-        if bound is not None:
-            top = min(top, bound)
-    return top
-
-
-def _row_values(
-    arr: ArraySpec,
-    w: WeightScheme,
-    cell_value: Callable[[DistSpec], float],
-    n_sup: int,
-) -> np.ndarray:
-    """sum_i a(n,i) * cell_value(dist of cell i) for n = 1..n_sup."""
-    top = _scan_top(arr, w, n_sup)
-    if arr.is_sequence and w.kind == "uniform":
-        vals = np.fromiter(
-            (cell_value(arr.sequence_cell(i)) for i in range(1, top + 1)),
-            dtype=float,
-            count=top,
-        )
-        return np.cumsum(vals) / np.arange(1, top + 1)
-    out = np.empty(top, dtype=float)
-    cache: dict[DistSpec, float] = {}
-    for n in range(1, top + 1):
-        pos = 0
-        acc = 0.0
-        for g in arr.row_groups(n):
-            if g.dist not in cache:
-                cache[g.dist] = cell_value(g.dist)
-            acc += w.range_sum(n, pos + 1, pos + g.count) * cache[g.dist]
-            pos += g.count
-        out[n - 1] = acc
-    return out
-
-
 def _sup_with_growth(values: np.ndarray) -> SupValue:
     if np.any(np.isinf(values)):
         n = int(np.argmax(np.isinf(values))) + 1
@@ -498,7 +462,8 @@ def bounded_moment_condition(
     The float result carries ``attained_at`` and a ``growing`` flag; growth
     across the scan is how divergence shows up (no exception).
     """
-    return _sup_with_growth(_row_values(arr, w, lambda d: cell_moment(d, g), n_sup))
+    table = RowTable(arr, w, n_sup)
+    return _sup_with_growth(table.row_values(lambda d: cell_moment(d, g)))
 
 
 def ui_check(
@@ -518,13 +483,11 @@ def ui_check(
     """
     if closed_sup is not None:
         return [float(closed_sup(a)) for a in a_grid]
-    out = []
-    for a in a_grid:
-        vals = _row_values(
-            arr, w, lambda d: cell_transformed_tail_mass(d, transform, a), n_sup
-        )
-        out.append(float(np.max(vals)))
-    return out
+    table = RowTable(arr, w, n_sup)
+    return [
+        float(np.max(table.row_values(lambda d: cell_transformed_tail_mass(d, transform, a))))
+        for a in a_grid
+    ]
 
 
 def dlvp_witness(

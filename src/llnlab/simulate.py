@@ -24,11 +24,11 @@ from scipy.special import digamma
 
 from .model import (
     ArraySpec,
+    Independent,
     NormalizingSequence,
-    SymmetricPM1,
-    SymmetricTwoPoint,
     rng_for,
     sample_row_with,
+    step_law,
 )
 from .moments import clamped_mean, clamped_square_mean, truncated_mean
 from .svf import SlowlyVaryingSpec
@@ -102,6 +102,8 @@ class SimPlan:
             raise ValueError("epsilon levels must be positive")
         if list(self.rows) != sorted(self.rows) or len(self.rows) == 0:
             raise ValueError("rows must be a nonempty ascending sequence")
+        if self.rows[0] < 1:
+            raise ValueError(f"rows must be >= 1, got {self.rows[0]}")
         if self.truncation == "clamp" and not self.truncation_level > 0.0:
             raise ValueError("clamp truncation needs a positive level")
 
@@ -169,9 +171,13 @@ _profile_cache: dict[tuple[ArraySpec, int], Optional[tuple[np.ndarray, np.ndarra
 
 
 def two_point_profile(arr: ArraySpec, upto: int):
-    """(magnitude, prob) arrays for sequence arrays made of two-point cells."""
-    if not arr.is_sequence:
+    """(magnitude, prob) arrays for independent sequences of two-point cells.
+
+    None for every other array: the generic sampler handles dependence.
+    """
+    if not arr.is_sequence or not isinstance(arr.dependence, Independent):
         return None
+    arr.k(upto)  # RowRangeError beyond the declared cells
     key = (arr, upto)
     if key in _profile_cache:
         return _profile_cache[key]
@@ -181,13 +187,10 @@ def two_point_profile(arr: ArraySpec, upto: int):
     probs = np.empty(upto)
     profile = None
     for i in range(1, upto + 1):
-        d = arr.sequence_cell(i)
-        if isinstance(d, SymmetricPM1):
-            mags[i - 1], probs[i - 1] = 1.0, 1.0
-        elif isinstance(d, SymmetricTwoPoint):
-            mags[i - 1], probs[i - 1] = d.magnitude, d.prob
-        else:
+        law = step_law(arr.sequence_cell(i))
+        if law is None:
             break
+        mags[i - 1], probs[i - 1] = law
     else:
         profile = (mags, probs)
     _profile_cache[key] = profile

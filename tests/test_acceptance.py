@@ -5,6 +5,7 @@ criteria execute.  Every tolerance is pinned here; nothing is deferred to
 runtime calibration.
 """
 
+import json
 import math
 import time
 
@@ -402,3 +403,25 @@ def test_criterion_10_bitwise_determinism(tmp_path):
     ok = runs["a"] == runs["b"] == runs["c"]
     report(10, "simulation outputs bitwise identical across reruns and thread "
                "counts {1, 8}", ok)
+
+
+def test_determinism_outputs_depend_on_draws(tmp_path):
+    # criterion 10 runs at p = 1/2, where every p_hat is 0: at p = 1 the
+    # estimates lie inside (0, 1), so equal bytes mean equal draws
+    base = [
+        "simulate", "--fixture", "x2m-example", "--p", "1", "--mode", "wlln",
+        "--rows", "2^6..2^10", "--reps", "200", "--eps", "0.1,0.5,1.0",
+        "--format", "json",
+    ]
+
+    def run(seed, threads):
+        out = tmp_path / f"s{seed}-t{threads}"
+        assert cli_main(base + ["--seed", str(seed), "--threads", str(threads),
+                                "--out", str(out)]) == 0
+        return out.with_suffix(".json").read_bytes()
+
+    runs = {t: run(31, t) for t in (1, 2, 8)}
+    doc = json.loads(runs[1])
+    assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"])
+    assert runs[1] == runs[2] == runs[8]
+    assert run(999, 1) != runs[1]

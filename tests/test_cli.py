@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,3 +160,40 @@ def test_explicit_spec_through_cli(tmp_path):
     assert rc == 0
     out = json.loads((tmp_path / "o.json").read_text())
     assert out["results"][0]["outcome"] == "holds"
+
+
+def _limit_memory():
+    # a regression back to an endless row loop must fail, not exhaust memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("rows", ["0..8", "-4..8", "8..4"])
+def test_simulate_bad_row_range_exits_2(tmp_path, rows):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "llnlab.cli", "simulate", "--fixture", "x2m-example",
+         f"--rows={rows}", "--reps", "2", "--out", str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("dependence", [
+    {"kind": "independent"},
+    {"kind": "gaussian-na", "correlation": -0.3},
+])
+@pytest.mark.parametrize("mode", ["wlln", "slln-path"])
+def test_simulate_sequence_spec_rows_past_cells_exit_2(tmp_path, dependence, mode):
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in range(1, 5) for i in range(1, n + 1)]
+    spec = tmp_path / "seq.json"
+    spec.write_text(json.dumps({
+        "rows": {"k": "n"}, "p": 1.0, "sequence": True, "cells": cells,
+        "dependence": dependence,
+    }))
+    rc = run(["simulate", "--spec", str(spec), "--mode", mode, "--rows", "1..8",
+              "--reps", "3", "--out", str(tmp_path / "s")])
+    assert rc == 2

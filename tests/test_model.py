@@ -100,8 +100,8 @@ def _two_block_weights():
     return load("example-2.1").weights
 
 
-def test_row_weight_sum_two_block_row2():
-    assert model.row_weight_sum(_two_block_weights(), 2) == pytest.approx(1.25, abs=1e-15)
+def test_row_sum_two_block_row2():
+    assert _two_block_weights().row_sum(2) == pytest.approx(1.25, abs=1e-15)
 
 
 def test_weight_sup_scan_matches_closed_value():
@@ -113,13 +113,13 @@ def test_weight_sup_scan_matches_closed_value():
 def test_uniform_weights_row_sum_is_one():
     w = model.uniform_weights()
     for n in (1, 3, 17, 400):
-        assert model.row_weight_sum(w, n) == pytest.approx(1.0, abs=1e-15)
+        assert w.row_sum(n) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_row_out_of_declared_range():
     w = model.explicit_weights(lambda n, i: 1.0, lambda n: n, n_max=5)
     with pytest.raises(RowRangeError):
-        model.row_weight_sum(w, 6)
+        w.row_sum(6)
 
 
 def test_c_normalized_rows_sum_to_one_exactly():
@@ -127,7 +127,7 @@ def test_c_normalized_rows_sum_to_one_exactly():
         lambda n, i: float(i), lambda n: n, flavor="sum", growth_constant=None
     )
     for n in (1, 2, 7, 100):
-        assert abs(model.row_weight_sum(w, n) - 1.0) < 1e-12
+        assert abs(w.row_sum(n) - 1.0) < 1e-12
 
 
 def test_c_normalized_growth_bound_enforced():

@@ -1,0 +1,260 @@
+"""The row-table scan kernel against the scalar row loops it replaced.
+
+The reference functions below are the per-row Python loops that computed
+the tail sups, the weighted row values and C0 before ``model.RowTable``.
+Both sides add in the same order, so every comparison is exact (``==``).
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from llnlab import domination, model
+from llnlab.fixtures import load
+from llnlab.moments import MomentFunction, cell_moment, cell_transformed_tail_mass
+from llnlab.specio import load_spec_obj
+
+
+# ---------------------------------------------------------------------------
+# scalar reference loops
+# ---------------------------------------------------------------------------
+
+
+def _top(n_sup, *bounds):
+    return min([n_sup, *(b for b in bounds if b is not None)])
+
+
+def ref_cesaro_tail_sup(arr, x, n_sup):
+    top = _top(n_sup, arr.n_max)
+    if arr.is_sequence:
+        best = 0.0
+        acc = 0.0
+        for i in range(1, top + 1):
+            acc += model.tail_of(arr.sequence_cell(i)).fn(x)
+            best = max(best, acc / i)
+        return best
+    best = 0.0
+    for n in range(1, top + 1):
+        k = arr.k(n)
+        acc = 0.0
+        for g in arr.row_groups(n):
+            acc += g.count * model.tail_of(g.dist).fn(x)
+        best = max(best, acc / k)
+    return best
+
+
+def ref_weighted_tail_sup(arr, w, x, n_sup):
+    if w.kind == "uniform":
+        return ref_cesaro_tail_sup(arr, x, n_sup)
+    best = 0.0
+    for n in range(1, _top(n_sup, arr.n_max, w.n_max) + 1):
+        pos = 0
+        acc = 0.0
+        for g in arr.row_groups(n):
+            acc += w.range_sum(n, pos + 1, pos + g.count) * model.tail_of(g.dist).fn(x)
+            pos += g.count
+        best = max(best, acc)
+    return best
+
+
+def ref_row_values(arr, w, cell_value, n_sup):
+    top = _top(n_sup, arr.n_max, w.n_max)
+    if arr.is_sequence and w.kind == "uniform":
+        vals = np.fromiter(
+            (cell_value(arr.sequence_cell(i)) for i in range(1, top + 1)),
+            dtype=float,
+            count=top,
+        )
+        return np.cumsum(vals) / np.arange(1, top + 1)
+    out = np.empty(top, dtype=float)
+    cache = {}
+    for n in range(1, top + 1):
+        pos = 0
+        acc = 0.0
+        for g in arr.row_groups(n):
+            if g.dist not in cache:
+                cache[g.dist] = cell_value(g.dist)
+            acc += w.range_sum(n, pos + 1, pos + g.count) * cache[g.dist]
+            pos += g.count
+        out[n - 1] = acc
+    return out
+
+
+def ref_c0(w, n_sup):
+    top = _top(n_sup, w.n_max)
+    best, best_n = -math.inf, 0
+    for n in range(1, top + 1):
+        s = w.row_sum(n)
+        if s > best:
+            best, best_n = s, n
+    return best, best_n
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+GRID = (-2.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0, 40.0, 1e3, 1e6, 2**60)
+
+
+def _random_spec(seed, *, rows=24, sequence=False, flavor="sum"):
+    """Explicit cells of +-1, two-point and Pareto laws with c-normalized weights."""
+    rng = random.Random(seed)
+    two_point = [
+        {"kind": "symmetric-two-point", "magnitude": rng.uniform(1.5, 4.0),
+         "prob": rng.uniform(0.2, 0.9)}
+        for _ in range(4)
+    ]
+    pareto = [{"kind": "pareto", "alpha": rng.uniform(1.5, 3.5), "cutoff": 1.0}
+              for _ in range(4)]
+    laws = [{"kind": "symmetric-pm1"}] + two_point + pareto
+    column = [rng.choice(laws) for _ in range(rows)]
+    cells, weights = [], []
+    for n in range(1, rows + 1):
+        for i in range(1, n + 1):
+            dist = column[i - 1] if sequence else rng.choice(laws)
+            cells.append({"n": n, "i": i, "dist": dist})
+            weights.append({"n": n, "i": i, "c": rng.uniform(0.5, 1.5)})
+    doc = {
+        "p": 1.0,
+        "rows": {"k": "n"},
+        "cells": cells,
+        "sequence": sequence,
+        "weights": {"kind": "c-normalized", "flavor": flavor, "values": weights},
+    }
+    return load_spec_obj(doc)
+
+
+def _spike_array():
+    """Sequence whose spikes sit at 2**60, where float(2**60 - 1) ties with them."""
+    def cell(i):
+        if i % 3 == 0:
+            return model.SymmetricTwoPoint(2.0**60, 1.0 / i)
+        if i % 3 == 1:
+            return model.ParetoTail(alpha=1.5)
+        return model.SymmetricPM1()
+
+    return model.sequence_array(cell, label="spikes")
+
+
+def _array_cases():
+    cases = [
+        (name, fx.arr, fx.weights, n_sup)
+        for name, n_sup in (("example-4.1", 64), ("example-2.1", 150),
+                            ("wlln-counterexample", 150))
+        for fx in [load(name)]
+    ]
+    specs = {
+        "spec-seed1": _random_spec(1),
+        "spec-seed2": _random_spec(2),
+        "spec-seed3": _random_spec(3),
+        "spec-sequence": _random_spec(4, sequence=True),
+        "spec-sum-sq": _random_spec(5, flavor="sum-sq"),
+    }
+    cases += [(name, sp.arr, sp.weights, 10_000) for name, sp in specs.items()]
+    cases.append(("spikes", _spike_array(), model.uniform_weights(), 90))
+    return cases
+
+
+CASES = _array_cases()
+IDS = [c[0] for c in CASES]
+
+
+# ---------------------------------------------------------------------------
+# exact equality
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
+def test_cesaro_tail_sup_equals_scalar_loop(name, arr, w, n_sup):
+    for x in GRID:
+        got = domination.cesaro_tail_sup(arr, x, n_sup=n_sup, use_closed=False)
+        assert got == ref_cesaro_tail_sup(arr, x, n_sup), x
+
+
+@pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
+def test_weighted_tail_sup_equals_scalar_loop(name, arr, w, n_sup):
+    for x in GRID:
+        got = domination.weighted_tail_sup(arr, w, x, n_sup=n_sup, use_closed=False)
+        assert got == ref_weighted_tail_sup(arr, w, x, n_sup), x
+
+
+@pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
+def test_row_values_equal_scalar_loop(name, arr, w, n_sup):
+    g = MomentFunction(power=1.5, log_factor_nu=1)
+    t = MomentFunction(power=0.5)
+    for weights in (w, model.uniform_weights(arr.row_length)):
+        table = model.RowTable(arr, weights, n_sup)
+        for cell_value in (
+            lambda d: cell_moment(d, g),
+            lambda d: cell_transformed_tail_mass(d, t, 1.5),
+        ):
+            got = table.row_values(cell_value)
+            want = ref_row_values(arr, weights, cell_value, n_sup)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
+def test_c0_equals_scalar_loop(name, arr, w, n_sup):
+    assert w.c0(n_sup) == ref_c0(w, n_sup)
+
+
+def test_example_41_full_scan_range():
+    arr = load("example-4.1").arr
+    for x in (0.5, 3.0, 40.0, 1e3, 2**40):
+        assert domination.cesaro_tail_sup(arr, x, n_sup=10_000) == ref_cesaro_tail_sup(
+            arr, x, 10_000
+        )
+    g = MomentFunction(power=0.5, log_factor_nu=1)
+    w = model.uniform_weights()
+    got = model.RowTable(arr, w, 10_000).row_values(lambda d: cell_moment(d, g))
+    want = ref_row_values(arr, w, lambda d: cell_moment(d, g), 10_000)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_negative_argument_gives_one():
+    for name, arr, w, n_sup in CASES:
+        assert domination.cesaro_tail_sup(arr, -0.5, n_sup=n_sup, use_closed=False) == 1.0
+
+
+def test_int_argument_past_float_precision_compares_exactly():
+    arr = _spike_array()
+    below, above = 2**60 - 1, 2**60 + 1
+    assert float(below) == float(above) == 2.0**60
+    lo = domination.cesaro_tail_sup(arr, below, n_sup=90, use_closed=False)
+    hi = domination.cesaro_tail_sup(arr, above, n_sup=90, use_closed=False)
+    assert lo == ref_cesaro_tail_sup(arr, below, 90)
+    assert hi == ref_cesaro_tail_sup(arr, above, 90)
+    assert lo > hi  # the spikes at 2**60 exceed 2**60 - 1 but not 2**60 + 1
+
+
+# ---------------------------------------------------------------------------
+# table shape
+# ---------------------------------------------------------------------------
+
+
+def test_table_lists_each_law_once_steps_first():
+    sp = _random_spec(1)
+    table = model.RowTable(sp.arr, sp.weights, 10_000)
+    assert len(set(table.laws)) == len(table.laws) <= 9
+    kinds = [model.step_law(d) is not None for d in table.laws]
+    assert kinds == sorted(kinds, reverse=True)
+    assert table.top == 24
+
+
+def test_empty_scan_is_zero():
+    arr = load("example-4.1").arr
+    assert domination.cesaro_tail_sup(arr, 1.0, n_sup=0, use_closed=False) == 0.0
+
+
+def test_tail_of_called_once_per_distinct_law(monkeypatch):
+    calls = []
+    real = model.tail_of
+    monkeypatch.setattr(model, "tail_of", lambda d: calls.append(d) or real(d))
+    sp = _random_spec(2)
+    sup = domination.weighted_sup_fn(sp.arr, sp.weights, use_closed=False)
+    for x in GRID:
+        sup(x)
+    assert len(calls) == len(set(calls)) <= 4  # the Pareto laws only

@@ -231,6 +231,19 @@ def test_path_diagnostic_zero_sequence():
     assert rep.fraction_below(32, 0.01) == 1.0
 
 
+def test_na_sequence_paths_keep_neighbour_correlation():
+    # sign(Z_i) sign(Z_i+1) for Gaussian neighbours with correlation -1/2 has
+    # mean (2/pi) arcsin(-1/2) = -1/3; an independent draw would give 0
+    arr = model.sequence_array(
+        lambda i: model.SymmetricPM1(), dependence=model.GaussianNA(-0.5)
+    )
+    products = [
+        float(np.mean(path[:-1] * path[1:]))
+        for _, path in simulate.sequence_paths(arr, 400, 50, seed=3)
+    ]
+    assert np.mean(products) == pytest.approx(-1.0 / 3.0, abs=0.03)
+
+
 def test_path_diagnostic_needs_sequence_array():
     fx = load("example-2.1")
     plan = SimPlan(arr=fx.arr, b=fx.b, rows=(8,), reps=2, eps=(0.5,), seed=1)
@@ -315,3 +328,5 @@ def test_plan_validation():
         SimPlan(arr=arr, b=power_norming(1.0), rows=(4,), reps=0, eps=(0.5,), seed=0)
     with pytest.raises(ValueError):
         SimPlan(arr=arr, b=power_norming(1.0), rows=(4,), reps=5, eps=(0.0,), seed=0)
+    with pytest.raises(ValueError):
+        SimPlan(arr=arr, b=power_norming(1.0), rows=(0, 4), reps=5, eps=(0.5,), seed=0)
