@@ -219,6 +219,8 @@ def cmd_simulate(args, argv: list[str]) -> int:
         spec = _load(args)
         rows = _parse_rows(args.rows)
         eps = tuple(float(t) for t in args.eps.split(","))
+        if args.threads < 1:
+            raise SpecError(f"--threads must be >= 1, got {args.threads}")
         c_fn = spec.fixture.c_fn if spec.fixture is not None else None
         plan = SimPlan(
             arr=spec.arr,

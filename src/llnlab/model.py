@@ -13,14 +13,17 @@ x = 5.  Purely discrete distributions carry their atom list so expectations
 can be computed exactly downstream.
 
 Sampling is deterministic per (seed, n) via counter-based Philox streams, so
-rows can be drawn concurrently without shared state.
+rows can be drawn concurrently without shared state.  ``RowSampler`` lays a
+row out once and then maps each draw's uniforms to cell values by a sign
+select (+-1 and two-point cells) and one quantile call per other law.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -688,29 +691,95 @@ def rng_for(seed: int, *key: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=seed, spawn_key=tuple(key))))
 
 
-def _row_uniforms(arr: ArraySpec, k: int, rng: Generator) -> np.ndarray:
-    dep = arr.dependence
-    if isinstance(dep, Independent):
-        return rng.random(k)
-    if isinstance(dep, GaussianNA):
-        w = rng.standard_normal(k + 1)
-        th = dep.theta()
-        z = (w[:k] + th * w[1:]) / math.sqrt(1.0 + th * th)
-        return ndtr(z)
-    raise SamplingError(f"unsupported dependence {dep!r}")
+def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w) -> int:
+    """Fill one row of ``u`` per generator and return the count; GaussianNA
+    rows mix neighbours of k + 1 normals drawn into ``w``."""
+    m = 0
+    for m, rng in enumerate(rngs, 1):
+        if w is None:
+            rng.random(out=u[m - 1])
+        else:
+            rng.standard_normal(out=w[m - 1])
+    if w is not None:
+        th, u = dep.theta(), u[:m]
+        np.multiply(w[:m, 1:], th, out=u)
+        u += w[:m, :-1]
+        u /= math.sqrt(1.0 + th * th)
+        ndtr(u, out=u)
+    return m
+
+
+class RowSampler:
+    """Draws of one row, laid out once per (array, n).
+
+    +-1 and two-point cells keep per-cell thresholds ``lo = q/2``,
+    ``hi = 1 - q/2`` and magnitude m, so a uniform u maps to
+    ``m * ((u >= hi) - (u < lo))``: the +-m/0 values of ``quantile_of``, bit
+    for bit.  Every other law keeps the indexes of its cells, and its quantile
+    runs once per draw on them.  Uniforms follow the array's dependence.  For
+    a sequence array, ``prefix`` serves every shorter row from one layout.
+    """
+
+    def __init__(self, arr: ArraySpec, n: int):
+        if not isinstance(arr.dependence, (Independent, GaussianNA)):
+            raise SamplingError(f"unsupported dependence {arr.dependence!r}")
+        self.k = k = arr.k(n)
+        self._arr = arr
+        mag, half = np.zeros(k), np.zeros(k)  # first, so a row too large to hold fails fast
+        spans: dict[DistSpec, list[np.ndarray]] = {}
+        if arr.is_sequence:
+            cells = ((1, arr.sequence_cell(i)) for i in range(1, k + 1))
+        else:
+            cells = ((g.count, g.dist) for g in arr.row_groups(n))
+        pos = 0
+        for count, dist in cells:
+            law = step_law(dist)
+            if law is None:
+                spans.setdefault(dist, []).append(np.arange(pos, pos + count))
+            elif count == 1:  # sequence cells: scalar stores are the cheap ones
+                mag[pos], half[pos] = law[0], law[1] / 2.0
+            else:
+                mag[pos : pos + count], half[pos : pos + count] = law[0], law[1] / 2.0
+            pos += count
+        self._mag, self._lo, self._hi = mag, half, 1.0 - half
+        self._others = tuple((quantile_of(d), np.concatenate(idx)) for d, idx in spans.items())
+
+    def prefix(self, n: int) -> "RowSampler":
+        """Sampler of row n <= this row of a sequence array, sharing its layout."""
+        k = self._arr.k(n)
+        if not self._arr.is_sequence or k > self.k:
+            raise ValueError(f"row {n} is not a prefix of this sampler's row")
+        view = copy.copy(self)
+        view.k, view._mag, view._lo, view._hi = k, self._mag[:k], self._lo[:k], self._hi[:k]
+        view._others = tuple(
+            (q, idx[: np.searchsorted(idx, k)]) for q, idx in self._others if idx[0] < k)
+        return view
+
+    def buffers(self, reps: int = 1) -> tuple:
+        """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows."""
+        w = None if isinstance(self._arr.dependence, Independent) else np.empty((reps, self.k + 1))
+        return np.empty((reps, self.k)), np.empty((reps, self.k)), w
+
+    def draw_rows(self, rngs: Iterable[Generator], bufs: tuple) -> np.ndarray:
+        """One row per generator (at most the buffers' rows), as a view of the draws."""
+        m = _row_uniforms(self._arr.dependence, rngs, bufs[0], bufs[2])
+        u, x = bufs[0][:m], bufs[1][:m]
+        other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
+        np.greater_equal(u, self._hi, out=x)
+        x -= np.less(u, self._lo, out=u)
+        x *= self._mag
+        for (_, idx), vals in zip(self._others, other):
+            x[:, idx] = np.reshape(vals, (m, len(idx)))
+        return x
+
+    def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
+        """One realization of the row, into ``bufs`` when given."""
+        return self.draw_rows((rng,), self.buffers() if bufs is None else bufs)[0]
 
 
 def sample_row_with(arr: ArraySpec, n: int, rng: Generator) -> np.ndarray:
     """Draw one realization of row n using the supplied generator."""
-    k = arr.k(n)
-    u = _row_uniforms(arr, k, rng)
-    out = np.empty(k, dtype=float)
-    pos = 0
-    for g in arr.row_groups(n):
-        q = quantile_of(g.dist)
-        out[pos : pos + g.count] = q(u[pos : pos + g.count])
-        pos += g.count
-    return out
+    return RowSampler(arr, n).draw(rng)
 
 
 def sample_row(arr: ArraySpec, n: int, seed: int) -> np.ndarray:

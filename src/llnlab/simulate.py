@@ -3,8 +3,10 @@
 Replication randomness is addressed, not streamed: the generator for one
 replication derives from (master seed, row n, replication index) through
 counter-based Philox streams, and results land in preallocated slots indexed
-by replication.  Reports are therefore bitwise identical across runs, thread
-counts, and scheduling orders.
+by replication.  Work is scheduled as (row, replication chunk) tasks; each
+task draws its chunk through the row's ``model.RowSampler`` into buffers it
+owns.  Reports are therefore bitwise identical across runs, thread counts,
+and scheduling orders.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
@@ -14,22 +16,17 @@ statistic over a sampled row grid.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import digamma
 
-from .model import (
-    ArraySpec,
-    Independent,
-    NormalizingSequence,
-    rng_for,
-    sample_row_with,
-    step_law,
-)
+from .errors import SamplingError
+from .model import ArraySpec, NormalizingSequence, RowSampler, rng_for
 from .moments import clamped_mean, clamped_square_mean, truncated_mean
 from .svf import SlowlyVaryingSpec
 
@@ -64,15 +61,21 @@ def truncate(values: np.ndarray, flavor: str, level: float) -> np.ndarray:
     raise ValueError(f"unknown truncation flavor {flavor!r}")
 
 
-def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None) -> float:
-    """max over prefixes of |weighted prefix sum|."""
+def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None, out=None):
+    """max over prefixes of |weighted prefix sum|, along the last axis.
+
+    A 1-D row gives a float, a matrix one value per row.  ``out`` (the
+    input's shape, ``row`` itself allowed) receives the prefix sums.
+    """
     r = np.asarray(row, dtype=float)
     if weights is not None:
         w = np.asarray(weights, dtype=float)
-        if w.shape != r.shape:
+        if w.shape != r.shape[-1:]:
             raise ValueError(f"weights shape {w.shape} != row shape {r.shape}")
-        r = w * r
-    return float(np.max(np.abs(np.cumsum(r))))
+        r = np.multiply(w, r, out=out)
+    sums = np.cumsum(r, axis=-1, out=out)
+    best = np.max(np.abs(sums, out=sums), axis=-1)
+    return float(best) if best.ndim == 0 else best
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +101,8 @@ class SimPlan:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if any(e <= 0.0 for e in self.eps):
-            raise ValueError("epsilon levels must be positive")
+        if not all(0.0 < e < math.inf for e in self.eps):
+            raise ValueError(f"epsilon levels must be positive and finite, got {self.eps}")
         if list(self.rows) != sorted(self.rows) or len(self.rows) == 0:
             raise ValueError("rows must be a nonempty ascending sequence")
         if self.rows[0] < 1:
@@ -163,58 +166,39 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# Fast sequence sampling
+# Row sampling and task scheduling
 # ---------------------------------------------------------------------------
 
-# keyed by the array object itself: id()-based keys could be reused after gc
-_profile_cache: dict[tuple[ArraySpec, int], Optional[tuple[np.ndarray, np.ndarray]]] = {}
+TASK_CELLS = 1 << 16  # cells drawn per (row, replication chunk) task
 
 
-def two_point_profile(arr: ArraySpec, upto: int):
-    """(magnitude, prob) arrays for independent sequences of two-point cells.
-
-    None for every other array: the generic sampler handles dependence.
-    """
-    if not arr.is_sequence or not isinstance(arr.dependence, Independent):
-        return None
-    arr.k(upto)  # RowRangeError beyond the declared cells
-    key = (arr, upto)
-    if key in _profile_cache:
-        return _profile_cache[key]
-    if len(_profile_cache) > 128:
-        _profile_cache.clear()
-    mags = np.empty(upto)
-    probs = np.empty(upto)
-    profile = None
-    for i in range(1, upto + 1):
-        law = step_law(arr.sequence_cell(i))
-        if law is None:
-            break
-        mags[i - 1], probs[i - 1] = law
-    else:
-        profile = (mags, probs)
-    _profile_cache[key] = profile
-    return profile
+def _row_samplers(arr: ArraySpec, rows) -> list[RowSampler]:
+    """One sampler per ascending row; a sequence array lays out its longest row once."""
+    if arr.is_sequence:
+        longest = RowSampler(arr, rows[-1])
+        return [longest.prefix(n) for n in rows]
+    return [RowSampler(arr, n) for n in rows]
 
 
-def _draw_row(arr: ArraySpec, n: int, rng, profile) -> np.ndarray:
-    if profile is not None:
-        mags, probs = profile
-        u = rng.random(n)
-        half = probs[:n] / 2.0
-        return np.where(
-            u < half, -mags[:n], np.where(u >= 1.0 - half, mags[:n], 0.0)
-        )
-    return sample_row_with(arr, n, rng)
+def _cell_values(arr: ArraySpec, n: int, fn) -> np.ndarray:
+    """``fn`` of each cell's law in row n, called once per cell group."""
+    groups = arr.row_groups(n)
+    return np.repeat([float(fn(g.dist)) for g in groups], [g.count for g in groups])
+
+
+def _chunks(k: int, reps: int) -> list[tuple[int, int]]:
+    """Replication ranges [lo, hi) of at most TASK_CELLS cells of k-cell rows."""
+    step = max(1, TASK_CELLS // k)
+    return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
 def sequence_paths(arr: ArraySpec, length: int, reps: int, seed: int):
     """Yield (rep, path) realizations X_1..X_length of a sequence array."""
     if not arr.is_sequence:
-        raise ValueError("paths need a sequence-shaped array")
-    profile = two_point_profile(arr, length)
+        raise SamplingError("paths need a sequence-shaped array")
+    sampler = RowSampler(arr, length)
     for rep in range(reps):
-        yield rep, _draw_row(arr, length, rng_for(seed, length, rep), profile)
+        yield rep, sampler.draw(rng_for(seed, length, rep))
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +206,11 @@ def sequence_paths(arr: ArraySpec, length: int, reps: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _row_centers(arr: ArraySpec, n: int, level: float) -> Optional[np.ndarray]:
-    """Exact per-cell E(X 1(|X| <= level)); None when identically zero."""
-    out = np.zeros(arr.k(n))
-    pos = 0
-    nonzero = False
-    for g in arr.row_groups(n):
-        m = truncated_mean(g.dist, level)
-        if m != 0.0:
-            out[pos : pos + g.count] = m
-            nonzero = True
-        pos += g.count
-    return out if nonzero else None
-
-
-def _weights_vector(plan: SimPlan, n: int) -> Optional[np.ndarray]:
-    if plan.c is None:
-        return None
-    k = plan.arr.k(n)
-    return np.fromiter((plan.c(n, i) for i in range(1, k + 1)), dtype=float, count=k)
-
-
-def _estimate_row(plan: SimPlan, n: int, profile) -> tuple[np.ndarray, float]:
-    """Exceedance counts per epsilon and mean normalized max for one row."""
-    bn = float(plan.b(n))
-    eps_arr = np.asarray(plan.eps)
-    cvec = _weights_vector(plan, n)
+def _row_stats(plan: SimPlan, n: int, sampler: RowSampler):
+    """stats(lo, hi): normalized max partial sums of replications lo..hi-1 of row n."""
+    bn, k = float(plan.b(n)), sampler.k
+    cvec = None if plan.c is None else np.fromiter(
+        (plan.c(n, i) for i in range(1, k + 1)), dtype=float, count=k)
     if plan.truncation == "clamp":
         flavor, level = "clamp", plan.truncation_level
     elif plan.truncation == "clamp-at-b":
@@ -256,19 +219,20 @@ def _estimate_row(plan: SimPlan, n: int, profile) -> tuple[np.ndarray, float]:
         flavor, level = "zero", bn
     else:
         flavor, level = "none", 0.0
-    centers = _row_centers(plan.arr, n, bn) if plan.center_truncated else None
-    counts = np.zeros(len(eps_arr), dtype=np.int64)
-    stat_sum = 0.0
-    for rep in range(plan.reps):
-        row = _draw_row(plan.arr, n, rng_for(plan.seed, n, rep), profile)
+    centers = None
+    if plan.center_truncated:  # exact per-cell E(X 1(|X| <= b_n))
+        centers = _cell_values(plan.arr, n, lambda d: truncated_mean(d, bn))
+
+    def stats(lo: int, hi: int) -> np.ndarray:
+        rngs = (rng_for(plan.seed, n, rep) for rep in range(lo, hi))
+        x = sampler.draw_rows(rngs, sampler.buffers(hi - lo))
         if flavor != "none":
-            row = truncate(row, flavor, level)
+            x = truncate(x, flavor, level)
         if centers is not None:
-            row = row - centers
-        stat = max_partial_sums(row, cvec) / bn
-        stat_sum += stat
-        counts += stat > eps_arr
-    return counts, stat_sum / plan.reps
+            x -= centers
+        return max_partial_sums(x, cvec, out=x) / bn
+
+    return stats
 
 
 def _binomial_se(p_hat: float, reps: int) -> float:
@@ -276,22 +240,34 @@ def _binomial_se(p_hat: float, reps: int) -> float:
 
 
 def wlln_estimate(plan: SimPlan, threads: int = 1) -> SimReport:
-    """Exceedance frequencies of the normalized maximal partial sum per row."""
-    profile = two_point_profile(plan.arr, plan.rows[-1])
+    """Exceedance frequencies of the normalized maximal partial sum per row.
 
-    def task(n: int):
-        return _estimate_row(plan, n, profile)
+    Work runs as (row, replication chunk) tasks on up to ``threads`` threads;
+    each replication's statistic lands in its slot, so no byte depends on the
+    schedule.
+    """
+    samplers = _row_samplers(plan.arr, plan.rows)
+    row_stats = [_row_stats(plan, n, smp) for n, smp in zip(plan.rows, samplers)]
+    stats = np.empty((len(plan.rows), plan.reps))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, plan.rows))
+    def task(t):
+        j, lo, hi = t
+        stats[j, lo:hi] = row_stats[j](lo, hi)
+
+    tasks = [(j, lo, hi) for j, smp in enumerate(samplers) for lo, hi in _chunks(smp.k, plan.reps)]
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            list(pool.map(task, tasks))
     else:
-        results = [task(n) for n in plan.rows]
+        for t in tasks:
+            task(t)
+    eps_arr = np.asarray(plan.eps)
     entries = []
     ratio_means = []
-    for n, (counts, mean_stat) in zip(plan.rows, results):
-        ratio_means.append((n, float(mean_stat)))
-        for eps, cnt in zip(plan.eps, counts):
+    for n, row in zip(plan.rows, stats):
+        # cumsum adds one by one in replication order; np.sum adds pairwise
+        ratio_means.append((n, float(np.cumsum(row)[-1] / plan.reps)))
+        for eps, cnt in zip(plan.eps, np.count_nonzero(row[:, None] > eps_arr, axis=0)):
             p_hat = float(cnt) / plan.reps
             entries.append(
                 RowEstimate(n, eps, p_hat, _binomial_se(p_hat, plan.reps), plan.reps)
@@ -330,18 +306,7 @@ def slln_series_estimate(
         return base * conj.eval(base) if conj is not None else base
 
     b = NormalizingSequence(fn=b_fn, tag=f"series:p={p}")
-    base_plan = SimPlan(
-        arr=plan.arr,
-        b=b,
-        rows=plan.rows,
-        reps=plan.reps,
-        eps=plan.eps,
-        seed=plan.seed,
-        c=plan.c,
-        truncation=plan.truncation,
-        truncation_level=plan.truncation_level,
-        center_truncated=plan.center_truncated,
-    )
+    base_plan = dataclasses.replace(plan, b=b)
     rep = wlln_estimate(base_plan, threads=threads)
     rows = list(plan.rows)
     series: dict = {"eps": list(plan.eps), "per_eps": []}
@@ -403,8 +368,6 @@ class PathReport:
 
 def slln_path_diagnostic(plan: SimPlan) -> PathReport:
     """Per-path suffix sup of max_j|S_j|/b_m over the sampled row grid."""
-    if not plan.arr.is_sequence:
-        raise ValueError("path diagnostic needs a sequence-shaped array")
     rows = plan.rows
     nmax = rows[-1]
     bvals = np.array([float(plan.b(m)) for m in rows])
@@ -436,22 +399,17 @@ def condition_h_probe(
     Ratio of E(max_k |sum_{i<=k} (clamped X_i - E clamped X_i)|)^2 to
     sum_i E(clamped X_i)^2 at clamp level ``a``.
     """
-    k = arr.k(n)
+    sampler = RowSampler(arr, n)
     rhs = 0.0
-    centers = np.zeros(k)
-    pos = 0
     for g in arr.row_groups(n):
         rhs += g.count * clamped_square_mean(g.dist, a)
-        m = clamped_mean(g.dist, a)
-        if m != 0.0:
-            centers[pos : pos + g.count] = m
-        pos += g.count
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
-    profile = two_point_profile(arr, n) if arr.is_sequence else None
+    centers = _cell_values(arr, n, lambda d: clamped_mean(d, a))
+    bufs = sampler.buffers()
     acc = 0.0
     for rep in range(reps):
-        row = _draw_row(arr, n, rng_for(seed, n, rep), profile)
+        row = sampler.draw(rng_for(seed, n, rep), bufs)
         clamped = np.clip(row, -a, a) - centers
         acc += max_partial_sums(clamped) ** 2
     return (acc / reps) / rhs

@@ -197,3 +197,18 @@ def test_simulate_sequence_spec_rows_past_cells_exit_2(tmp_path, dependence, mod
     rc = run(["simulate", "--spec", str(spec), "--mode", mode, "--rows", "1..8",
               "--reps", "3", "--out", str(tmp_path / "s")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fixture", "example-2.1", "--mode", "slln-path"],  # grouped rows have no paths
+    ["--fixture", "x2m-example", "--eps", "0.5,nan"],
+    ["--fixture", "x2m-example", "--eps", "inf"],
+    ["--fixture", "x2m-example", "--threads", "0"],
+    ["--fixture", "x2m-example", "--threads", "-3"],
+], ids=["path-on-grouped-rows", "eps-nan", "eps-inf", "threads-0", "threads-negative"])
+def test_simulate_unusable_input_exits_2(tmp_path, capsys, extra):
+    rc = run(["simulate", *extra, "--rows", "8,16", "--reps", "3",
+              "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()

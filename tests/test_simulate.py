@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,34 @@ def test_wlln_estimate_thread_count_invariant():
     rep1 = simulate.wlln_estimate(plan, threads=1)
     rep8 = simulate.wlln_estimate(plan, threads=8)
     assert rep1.to_csv_str() == rep8.to_csv_str()
+
+
+@pytest.mark.parametrize("chunk_offset", [None, -1, 1])
+def test_reports_byte_equal_across_threads_and_chunks(chunk_offset):
+    # rows of 64, 256 and 1024 cells; reps 1 or the largest row's chunk +- 1
+    reps = 1 if chunk_offset is None else simulate.TASK_CELLS // 1024 + chunk_offset
+    fx = load("x2m-example", p=1.0)
+    plan = SimPlan(arr=fx.arr, b=fx.b, rows=(64, 256, 1024), reps=reps,
+                   eps=(0.1, 0.5, 1.0), seed=41)
+    runs = {
+        t: (json.dumps(simulate.wlln_estimate(plan, threads=t).to_json_obj(), sort_keys=True),
+            json.dumps(simulate.slln_series_estimate(plan, None, 1.0, threads=t).to_json_obj(),
+                       sort_keys=True))
+        for t in (1, 2, 8)
+    }
+    assert runs[1] == runs[2] == runs[8]
+    if reps > 1:
+        doc = json.loads(runs[1][0])
+        assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"])
+        assert len({m["mean"] for m in doc["ratio_means"]}) == 3
+
+
+def test_chunks_cover_every_replication_once():
+    for k, reps in ((1, 5), (64, 2000), (1 << 14, 2000), (1 << 17, 3), (3000, 22)):
+        chunks = simulate._chunks(k, reps)
+        assert chunks[0][0] == 0 and chunks[-1][1] == reps
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(0 < (hi - lo) * k <= max(k, simulate.TASK_CELLS) for lo, hi in chunks)
 
 
 def test_replication_doubling_consistency():
@@ -244,6 +273,32 @@ def test_na_sequence_paths_keep_neighbour_correlation():
     assert np.mean(products) == pytest.approx(-1.0 / 3.0, abs=0.03)
 
 
+@given(
+    rho=st.floats(-0.5, -0.2),
+    mag=st.sampled_from([1.0, 2.5]),
+    seed=st.integers(0, 2**20),
+)
+@settings(max_examples=8, deadline=None)
+def test_na_sequences_keep_negative_neighbour_correlation(rho, mag, seed):
+    # for cells m sign(Z_i), E X_i X_i+1 = m^2 (2/pi) arcsin(rho); on two
+    # cells the probe ratio E max(|S_1|, |S_2|)^2 / 2 m^2 is (1 + 3 P(same sign)) / 2
+    cell = model.SymmetricPM1() if mag == 1.0 else model.SymmetricTwoPoint(mag, 1.0)
+    arr = model.sequence_array(lambda i: cell, dependence=model.GaussianNA(rho))
+    sign_corr = 2.0 / math.pi * math.asin(rho)
+    products = np.concatenate(
+        [path[:-1] * path[1:] / mag**2 for _, path in simulate.sequence_paths(arr, 101, 60, seed)]
+    )
+    assert products.mean() == pytest.approx(sign_corr, abs=0.05)
+    assert products.mean() < -0.05
+    reps = 4000
+    probe = simulate.condition_h_probe(arr, mag, 2, reps=reps, seed=seed)
+    same = 0.5 * (1.0 + sign_corr)
+    exact = (1.0 + 3.0 * same) / 2.0
+    se = 1.5 * math.sqrt(same * (1.0 - same) / reps)
+    assert probe == pytest.approx(exact, abs=5 * se)
+    assert probe < 1.25 - 5 * se  # 1.25 is the independent value
+
+
 def test_path_diagnostic_needs_sequence_array():
     fx = load("example-2.1")
     plan = SimPlan(arr=fx.arr, b=fx.b, rows=(8,), reps=2, eps=(0.5,), seed=1)
@@ -330,3 +385,6 @@ def test_plan_validation():
         SimPlan(arr=arr, b=power_norming(1.0), rows=(4,), reps=5, eps=(0.0,), seed=0)
     with pytest.raises(ValueError):
         SimPlan(arr=arr, b=power_norming(1.0), rows=(0, 4), reps=5, eps=(0.5,), seed=0)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimPlan(arr=arr, b=power_norming(1.0), rows=(4,), reps=5, eps=(0.5, eps), seed=0)
