@@ -20,7 +20,6 @@ select (+-1 and two-point cells) and one quantile call per other law.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -716,8 +715,7 @@ class RowSampler:
     ``hi = 1 - q/2`` and magnitude m, so a uniform u maps to
     ``m * ((u >= hi) - (u < lo))``: the +-m/0 values of ``quantile_of``, bit
     for bit.  Every other law keeps the indexes of its cells, and its quantile
-    runs once per draw on them.  Uniforms follow the array's dependence.  For
-    a sequence array, ``prefix`` serves every shorter row from one layout.
+    runs once per draw on them.  Uniforms follow the array's dependence.
     """
 
     def __init__(self, arr: ArraySpec, n: int):
@@ -736,24 +734,11 @@ class RowSampler:
             law = step_law(dist)
             if law is None:
                 spans.setdefault(dist, []).append(np.arange(pos, pos + count))
-            elif count == 1:  # sequence cells: scalar stores are the cheap ones
-                mag[pos], half[pos] = law[0], law[1] / 2.0
             else:
                 mag[pos : pos + count], half[pos : pos + count] = law[0], law[1] / 2.0
             pos += count
         self._mag, self._lo, self._hi = mag, half, 1.0 - half
         self._others = tuple((quantile_of(d), np.concatenate(idx)) for d, idx in spans.items())
-
-    def prefix(self, n: int) -> "RowSampler":
-        """Sampler of row n <= this row of a sequence array, sharing its layout."""
-        k = self._arr.k(n)
-        if not self._arr.is_sequence or k > self.k:
-            raise ValueError(f"row {n} is not a prefix of this sampler's row")
-        view = copy.copy(self)
-        view.k, view._mag, view._lo, view._hi = k, self._mag[:k], self._lo[:k], self._hi[:k]
-        view._others = tuple(
-            (q, idx[: np.searchsorted(idx, k)]) for q, idx in self._others if idx[0] < k)
-        return view
 
     def buffers(self, reps: int = 1) -> tuple:
         """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows."""

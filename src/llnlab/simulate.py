@@ -2,10 +2,9 @@
 
 Replication randomness is addressed, not streamed: the generator for one
 replication derives from (master seed, row n, replication index) through
-counter-based Philox streams, and results land in preallocated slots indexed
-by replication.  Work is scheduled as (row, replication chunk) tasks; each
-task draws its chunk through the row's ``model.RowSampler`` into buffers it
-owns.  Reports are therefore bitwise identical across runs, thread counts,
+counter-based Philox streams, and results land in slots indexed by
+replication.  Work is scheduled as (row, replication chunk) tasks; each task
+draws its chunk through the row's ``model.RowSampler`` into buffers it owns.  Reports are therefore bitwise identical across runs, thread counts,
 and scheduling orders.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
@@ -19,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -169,15 +169,7 @@ class SimReport:
 # Row sampling and task scheduling
 # ---------------------------------------------------------------------------
 
-TASK_CELLS = 1 << 16  # cells drawn per (row, replication chunk) task
-
-
-def _row_samplers(arr: ArraySpec, rows) -> list[RowSampler]:
-    """One sampler per ascending row; a sequence array lays out its longest row once."""
-    if arr.is_sequence:
-        longest = RowSampler(arr, rows[-1])
-        return [longest.prefix(n) for n in rows]
-    return [RowSampler(arr, n) for n in rows]
+TASK_CELLS = 1 << 15  # cells drawn per (row, replication chunk) task
 
 
 def _cell_values(arr: ArraySpec, n: int, fn) -> np.ndarray:
@@ -206,8 +198,9 @@ def sequence_paths(arr: ArraySpec, length: int, reps: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _row_stats(plan: SimPlan, n: int, sampler: RowSampler):
+def _row_stats(plan: SimPlan, n: int):
     """stats(lo, hi): normalized max partial sums of replications lo..hi-1 of row n."""
+    sampler = RowSampler(plan.arr, n)
     bn, k = float(plan.b(n)), sampler.k
     cvec = None if plan.c is None else np.fromiter(
         (plan.c(n, i) for i in range(1, k + 1)), dtype=float, count=k)
@@ -242,25 +235,18 @@ def _binomial_se(p_hat: float, reps: int) -> float:
 def wlln_estimate(plan: SimPlan, threads: int = 1) -> SimReport:
     """Exceedance frequencies of the normalized maximal partial sum per row.
 
-    Work runs as (row, replication chunk) tasks on up to ``threads`` threads;
-    each replication's statistic lands in its slot, so no byte depends on the
+    Work runs as (row, replication chunk) tasks on up to ``threads`` threads,
+    one row after another, so one row's layout is held at a time.  Each
+    replication's statistic lands in its slot, so no byte depends on the
     schedule.
     """
-    samplers = _row_samplers(plan.arr, plan.rows)
-    row_stats = [_row_stats(plan, n, smp) for n, smp in zip(plan.rows, samplers)]
-    stats = np.empty((len(plan.rows), plan.reps))
-
-    def task(t):
-        j, lo, hi = t
-        stats[j, lo:hi] = row_stats[j](lo, hi)
-
-    tasks = [(j, lo, hi) for j, smp in enumerate(samplers) for lo, hi in _chunks(smp.k, plan.reps)]
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            list(pool.map(task, tasks))
-    else:
-        for t in tasks:
-            task(t)
+    chunks = [_chunks(plan.arr.k(n), plan.reps) for n in plan.rows]
+    workers = min(threads, max(map(len, chunks)))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        # chunks run in order and cover 0..reps-1, so they join in slot order
+        stats = [np.concatenate(list(run(_row_stats(plan, n), *zip(*spans))))
+                 for n, spans in zip(plan.rows, chunks)]
     eps_arr = np.asarray(plan.eps)
     entries = []
     ratio_means = []

@@ -125,25 +125,22 @@ def test_independent_step_sequences_match_the_two_point_chain(law):
                                    model.SymmetricTwoPoint(float(i), 1.0 / i))
     else:
         arr = model.sequence_array(lambda i: LAWS[law])
-    longest = RowSampler(arr, 300)
     for n in (1, 64, 299, 300):
+        sampler = RowSampler(arr, n)
         for rep in range(3):
-            want = reference_two_point(arr, n, model.rng_for(4, n, rep))
-            assert_same_bits(longest.prefix(n).draw(model.rng_for(4, n, rep)), want)
-            assert_same_bits(RowSampler(arr, n).draw(model.rng_for(4, n, rep)), want)
+            assert_same_bits(sampler.draw(model.rng_for(4, n, rep)),
+                             reference_two_point(arr, n, model.rng_for(4, n, rep)))
 
 
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
-def test_sequence_prefix_matches_a_sampler_for_that_row(dep):
+def test_sequence_rows_match_the_group_loop(dep):
     arr = mixed_sequence(DEPENDENCE[dep])
-    longest = RowSampler(arr, 257)
     for n in (1, 2, 5, 6, 7, 100, 257):
-        view, alone = longest.prefix(n), RowSampler(arr, n)
-        assert view.k == alone.k == n
+        sampler = RowSampler(arr, n)
+        assert sampler.k == n
         for rep in range(3):
-            got = view.draw(model.rng_for(6, n, rep))
-            assert_same_bits(got, alone.draw(model.rng_for(6, n, rep)))
-            assert_same_bits(got, reference_row(arr, n, model.rng_for(6, n, rep)))
+            assert_same_bits(sampler.draw(model.rng_for(6, n, rep)),
+                             reference_row(arr, n, model.rng_for(6, n, rep)))
 
 
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
@@ -187,14 +184,6 @@ def test_sample_row_with_is_the_sampler():
     for n in (1, 12, 40):
         assert_same_bits(model.sample_row_with(arr, n, model.rng_for(5, n)),
                          reference_row(arr, n, model.rng_for(5, n)))
-
-
-def test_prefix_rejects_longer_rows_and_grouped_arrays():
-    seq = model.sequence_array(lambda i: model.SymmetricPM1())
-    with pytest.raises(ValueError):
-        RowSampler(seq, 8).prefix(9)
-    with pytest.raises(ValueError):
-        RowSampler(model.identical_array(model.SymmetricPM1()), 8).prefix(4)
 
 
 def test_sampler_checks_rows_and_quantiles():

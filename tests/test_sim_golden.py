@@ -4,7 +4,7 @@ The digests were recorded with the per-group quantile sampler and the
 two-point shortcut that ``model.RowSampler`` replaced, on numpy 2.4.6 and
 scipy 1.17.1; any change in the draws, their order or the report formatting
 shows up as a different SHA-256.  The runs cover independent and
-negatively associated sequences (prefix rows), grouped arrays, explicit
+negatively associated sequences, grouped arrays, explicit
 cells with Pareto laws, weights and every simulate mode.
 """
 
