@@ -249,6 +249,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
     except LlnLabError as exc:
         _log(f"error: {exc}")
         return 2
+    except MemoryError as exc:
+        _log(f"error: row too large to hold in memory (rows up to {rows[-1]}): {exc}")
+        return 2
     if args.mode == "slln-path":
         obj = {
             "mode": "slln-path",

@@ -12,20 +12,23 @@ x -> P(|X| > x), with the strict inequality: a unit atom at 5 gives tail 0 at
 x = 5.  Purely discrete distributions carry their atom list so expectations
 can be computed exactly downstream.
 
-Sampling is deterministic per (seed, n) via counter-based Philox streams, so
-rows can be drawn concurrently without shared state.  ``RowSampler`` lays a
-row out once and then maps each draw's uniforms to cell values by a sign
-select (+-1 and two-point cells) and one quantile call per other law.
+Sampling is deterministic per (seed, n, ...) address via counter-based Philox
+streams, so rows can be drawn concurrently without shared state; the keys of
+a row's addresses come from one vectorised pass (``stream_keys``).
+``RowSampler`` lays a row out once and then maps each draw's uniforms to cell
+values by a sign select (+-1 and two-point cells) and one quantile call per
+other law.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 from scipy.special import ndtr
 
 from .errors import RowRangeError, SamplingError
@@ -195,13 +198,6 @@ def quantile_of(spec: DistSpec) -> Callable[[np.ndarray], np.ndarray]:
     raise TypeError(f"not a DistSpec: {spec!r}")
 
 
-def mean_zero_ok(spec: DistSpec) -> bool:
-    """Symmetric built-ins are mean zero by construction; customs must declare."""
-    if isinstance(spec, (SymmetricPM1, SymmetricTwoPoint, ParetoTail)):
-        return True
-    return spec.mean_zero
-
-
 # ---------------------------------------------------------------------------
 # Row dependence
 # ---------------------------------------------------------------------------
@@ -302,17 +298,6 @@ class ArraySpec:
             if i <= pos:
                 return g.dist
         raise RowRangeError(f"cell ({n},{i}) not covered by groups")
-
-    def validate_mean_zero(self) -> None:
-        if not self.mean_zero:
-            return
-        probe_rows = [1, 2, 3] if self.n_max is None else [1, min(2, self.n_max)]
-        for n in probe_rows:
-            for g in self.row_groups(n):
-                if not mean_zero_ok(g.dist):
-                    raise ValueError(
-                        f"row {n} holds a custom cell that does not declare mean 0"
-                    )
 
 
 def identical_array(
@@ -685,9 +670,122 @@ def explicit_norming(values: Sequence[float]) -> NormalizingSequence:
 # ---------------------------------------------------------------------------
 
 
+# numpy's SeedSequence hash: an address (seed, key...) keys the Philox stream
+# that Generator(Philox(SeedSequence(entropy=seed, spawn_key=key))) draws from.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state output
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(x: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int (0 is one word)."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError(f"expected non-negative integer, got {x}")
+    words = [x & _MASK32]
+    while x > _MASK32:
+        x >>= 32
+        words.append(x & _MASK32)
+    return words
+
+
+# Each step takes Python ints or uint32 arrays, so a column of addresses runs
+# the same arithmetic as one address.
+def _hash(value, const: int, mult: int):
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    r = (_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32) & _MASK32
+    return r ^ r >> 16
+
+
+def stream_keys(seed: int, head: Sequence[int], last) -> np.ndarray:
+    """Philox keys of the addresses (seed, *head, r) for each r in ``last``.
+
+    Equals ``SeedSequence(entropy=seed, spawn_key=(*head, r))
+    .generate_state(2, np.uint64)``: the pool absorbs the seed (padded to four
+    words) and ``head`` once as ints, and the last key part as one column.
+    ``last`` is an int, or an array of ints below 2^32; the result has shape
+    ``np.shape(last) + (2,)``.
+    """
+    if np.ndim(last) == 0:
+        tail = _words(last)
+    else:
+        col = np.asarray(last)
+        if col.size and not (col.min() >= 0 and col.max() <= _MASK32):
+            raise ValueError("array key parts must lie in [0, 2^32)")
+        tail = [col.astype(np.uint32)]
+    run = _words(seed)
+    entropy = run + [0] * (4 - len(run)) + [w for h in head for w in _words(h)] + tail
+    const, pool = _INIT_A, []
+    for word in entropy[:4]:
+        value, const = _hash(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const, state = _INIT_B, []
+    for word in pool:
+        value, const = _hash(word, const, _MULT_B)
+        state.append(np.asarray(value, dtype="<u4"))
+    return np.stack(state, axis=-1).view("<u8").astype(np.uint64)
+
+
+class _Rekeyed:
+    """A re-keyed generator, usable until its stream takes the next key."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, gen: Generator):
+        self.gen = gen
+
+    def __getattr__(self, name):
+        if self.gen is None:
+            raise SamplingError("a re-keyed generator was used after the next key "
+                                "was taken; draw from each before taking the next")
+        return getattr(self.gen, name)
+
+
+def rekeyed(keys: np.ndarray) -> Iterator[Generator]:
+    """One generator per Philox key of ``keys`` (shape (m, 2)), all through one
+    ``Generator`` re-keyed at counter 0: each draws as
+    ``Generator(Philox(key=k))``.
+
+    A yielded generator expires when the next one is taken, so a materialised
+    ``list(rekeyed(...))`` raises on use instead of drawing every row from the
+    last key.
+    """
+    gen = Generator(Philox(key=0))
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in np.asarray(keys, dtype=np.uint64):
+        state["state"]["key"] = key.tolist()  # one row at a time: no list of all keys
+        gen.bit_generator.state = state
+        handle = _Rekeyed(gen)
+        yield handle
+        handle.gen = None
+
+
 def rng_for(seed: int, *key: int) -> Generator:
-    """Counter-based generator for a (seed, key...) address, order-independent."""
-    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=tuple(key))))
+    """Counter-based generator for one (seed, key...) address, order-independent.
+
+    The one-address case of ``stream_keys``: it draws exactly as
+    ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))``, though
+    its ``bit_generator.seed_seq`` is not that sequence (do not ``spawn`` it).
+    """
+    if not key:
+        raise ValueError("an address needs at least one key part after the seed")
+    return Generator(Philox(key=stream_keys(seed, key[:-1], key[-1])))
 
 
 def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w) -> int:

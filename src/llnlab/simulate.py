@@ -1,11 +1,14 @@
 """Monte Carlo engine for partial-sum laws of large numbers.
 
-Replication randomness is addressed, not streamed: the generator for one
-replication derives from (master seed, row n, replication index) through
-counter-based Philox streams, and results land in slots indexed by
-replication.  Work is scheduled as (row, replication chunk) tasks; each task
-draws its chunk through the row's ``model.RowSampler`` into buffers it owns.  Reports are therefore bitwise identical across runs, thread counts,
-and scheduling orders.
+Replication randomness is addressed, not streamed: the stream of one
+replication is the counter-based Philox stream keyed by (master seed, row n,
+replication index), and results land in slots indexed by replication.  Each
+row derives the keys of all its replications in one vectorised pass
+(``model.stream_keys``).  Work is scheduled as (row, replication chunk)
+tasks; each task re-keys one generator of its own per replication
+(``model.rekeyed``) and draws its chunk through the row's
+``model.RowSampler`` into buffers it owns.  Reports are therefore bitwise
+identical across runs, thread counts, and scheduling orders.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .errors import SamplingError
-from .model import ArraySpec, NormalizingSequence, RowSampler, rng_for
+from .model import ArraySpec, NormalizingSequence, RowSampler, rekeyed, stream_keys
 from .moments import clamped_mean, clamped_square_mean, truncated_mean
 from .svf import SlowlyVaryingSpec
 
@@ -101,6 +104,8 @@ class SimPlan:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(0.0 < e < math.inf for e in self.eps):
             raise ValueError(f"epsilon levels must be positive and finite, got {self.eps}")
         if list(self.rows) != sorted(self.rows) or len(self.rows) == 0:
@@ -189,8 +194,8 @@ def sequence_paths(arr: ArraySpec, length: int, reps: int, seed: int):
     if not arr.is_sequence:
         raise SamplingError("paths need a sequence-shaped array")
     sampler = RowSampler(arr, length)
-    for rep in range(reps):
-        yield rep, sampler.draw(rng_for(seed, length, rep))
+    for rep, rng in enumerate(rekeyed(stream_keys(seed, (length,), np.arange(reps)))):
+        yield rep, sampler.draw(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +220,10 @@ def _row_stats(plan: SimPlan, n: int):
     centers = None
     if plan.center_truncated:  # exact per-cell E(X 1(|X| <= b_n))
         centers = _cell_values(plan.arr, n, lambda d: truncated_mean(d, bn))
+    keys = stream_keys(plan.seed, (n,), np.arange(plan.reps))
 
     def stats(lo: int, hi: int) -> np.ndarray:
-        rngs = (rng_for(plan.seed, n, rep) for rep in range(lo, hi))
-        x = sampler.draw_rows(rngs, sampler.buffers(hi - lo))
+        x = sampler.draw_rows(rekeyed(keys[lo:hi]), sampler.buffers(hi - lo))
         if flavor != "none":
             x = truncate(x, flavor, level)
         if centers is not None:
@@ -394,8 +399,8 @@ def condition_h_probe(
     centers = _cell_values(arr, n, lambda d: clamped_mean(d, a))
     bufs = sampler.buffers()
     acc = 0.0
-    for rep in range(reps):
-        row = sampler.draw(rng_for(seed, n, rep), bufs)
+    for rng in rekeyed(stream_keys(seed, (n,), np.arange(reps))):
+        row = sampler.draw(rng, bufs)
         clamped = np.clip(row, -a, a) - centers
         acc += max_partial_sums(clamped) ** 2
     return (acc / reps) / rhs

@@ -167,18 +167,38 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("rows", ["0..8", "-4..8", "8..4"])
-def test_simulate_bad_row_range_exits_2(tmp_path, rows):
+def _simulate_capped(tmp_path, rows):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "llnlab.cli", "simulate", "--fixture", "x2m-example",
          f"--rows={rows}", "--reps", "2", "--out", str(tmp_path / "s")],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=_limit_memory,
     )
+
+
+@pytest.mark.parametrize("rows", ["0..8", "-4..8", "8..4"])
+def test_simulate_bad_row_range_exits_2(tmp_path, rows):
+    proc = _simulate_capped(tmp_path, rows)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_simulate_row_too_large_to_hold_exits_2(tmp_path):
+    proc = _simulate_capped(tmp_path, "2^40")
+    assert proc.returncode == 2, proc.stderr
+    assert "error: row too large to hold" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["wlln", "slln-path"])
+def test_simulate_negative_seed_exits_2(tmp_path, capsys, mode):
+    rc = run(["simulate", "--fixture", "x2m-example", "--mode", mode,
+              "--rows", "2^4..2^5", "--reps", "3", "--seed", "-1",
+              "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "error: seed must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dependence", [
