@@ -295,7 +295,11 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
             return 2
         checks = [k for k in fx.expected if k != "c0"]
         for cname in checks:
-            r = _run_condition(cname, spec, args.n_sup, args.n)
+            try:
+                r = _run_condition(cname, spec, args.n_sup, args.n)
+            except (LlnLabError, ValueError) as exc:
+                _log(f"error: {name} :: {cname}: {exc}")
+                return 2
             status = "ok" if r["match"] else "MISMATCH"
             _log(f"{name} :: {cname}: {r['outcome']} vs {r['expected']} [{status}]")
             if not r["match"]:
@@ -328,13 +332,20 @@ def cmd_replay(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--fixture", choices=FIXTURE_NAMES, help="named generator")
     src.add_argument("--spec", help="path to a JSON problem description")
     p.add_argument("--p", type=float, default=None, help="override fixture p")
     p.add_argument("--nu", type=int, default=None, help="override fixture nu")
-    p.add_argument("--n-sup", type=int, default=DEFAULT_N_SUP, dest="n_sup",
+    p.add_argument("--n-sup", type=_positive_int, default=DEFAULT_N_SUP, dest="n_sup",
                    help="row-scan bound for suprema")
 
 
@@ -349,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list: cesaro-domination, weighted-domination, "
                          "chandra-ghosal, series, b-regularity-wlln, "
                          "b-regularity-l2, kG, kG-hat, ui, bounded-moment")
-    pc.add_argument("--n", type=int, default=100_000, help="series/ratio budget")
+    pc.add_argument("--n", type=_positive_int, default=100_000, help="series/ratio budget")
     pc.add_argument("--out", default="llnlab-check")
     pc.add_argument("--format", choices=["json"], default="json")
     pc.set_defaults(fn=cmd_check)
@@ -370,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify-fixtures", help="run the conformance suite")
     pv.add_argument("--only", choices=FIXTURE_NAMES, default=None)
-    pv.add_argument("--n-sup", type=int, default=DEFAULT_N_SUP, dest="n_sup")
-    pv.add_argument("--n", type=int, default=100_000)
+    pv.add_argument("--n-sup", type=_positive_int, default=DEFAULT_N_SUP, dest="n_sup")
+    pv.add_argument("--n", type=_positive_int, default=100_000)
     pv.set_defaults(fn=cmd_verify_fixtures)
 
     pr = sub.add_parser("replay", help="re-run a recorded manifest")

@@ -13,13 +13,14 @@ The rules are deterministic: same inputs, same verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ArraySpec, NormalizingSequence, TailFunction, tail_of
+from .model import ArraySpec, NormalizingSequence, TailFunction, step_law, tail_of
 from .numerics import (
     BLOCK_TOL,
     DECAY_EPS,
@@ -34,6 +35,7 @@ from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
 FLAT_RUN = 10
+SERIES_CHUNK = 2**16  # cells per pass of the series scan; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -157,6 +159,15 @@ def chandra_ghosal_integral(
 def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVerdict:
     """Partial sums of P(|X_n|^p > n) for a sequence-shaped array.
 
+    The cells are walked once, a dyadic block n in [2^j, 2^(j+1)) at a time
+    (in chunks of at most ``SERIES_CHUNK`` cells), into preallocated columns:
+    x_n = n^(1/p), taken with Python's scalar ``**``, and the (magnitude,
+    prob) of each +-1 or two-point cell, whose term is then
+    ``where(x_n < m_n, q_n, 0.0)``.  Only the other cells go through their
+    law's scalar tail.  The running total is a ``np.cumsum`` over each chunk
+    seeded with the total carried so far, so every partial sum adds the terms
+    in n order, bit for bit as a scalar loop does.
+
     Dyadic block increments play the role of the integral blocks: three
     consecutive increments below the block tolerance certify convergence, a
     flat fitted slope over the last windows certifies divergence.
@@ -165,22 +176,42 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
         raise ValueError("series condition needs a sequence-shaped array")
     if arr.n_max is not None:
         N = min(N, arr.n_max)
+    if N < 1:
+        raise ValueError(f"series condition needs N >= 1, got {N}")
     cell = arr.sequence_cell
+    inv = 1.0 / p
+    size = min(SERIES_CHUNK, 1 << (N.bit_length() - 1))
+    # a non-step cell gets x = -inf < m = inf, so its term is the tail in q
+    x, mag, q = np.empty(size), np.empty(size), np.empty(size)
     checkpoints: list[int] = []
     partials: list[float] = []
     increments: list[float] = []
     total = 0.0
-    next_cp = 1
     last_cp_total = 0.0
-    for n in range(1, N + 1):
-        tail = tail_of(cell(n))
-        total += tail.fn(float(n) ** (1.0 / p))
-        if n == next_cp:
-            checkpoints.append(n)
-            partials.append(total)
-            increments.append(total - last_cp_total)
-            last_cp_total = total
-            next_cp *= 2
+    lo = 1
+    while lo <= N:
+        hi = min(lo + min(lo, SERIES_CHUNK), N + 1)
+        for j, n in enumerate(range(lo, hi)):
+            d = cell(n)
+            xn = float(n) ** inv
+            law = step_law(d)
+            if law is None:
+                x[j], mag[j], q[j] = -math.inf, math.inf, tail_of(d).fn(xn)
+            else:
+                x[j] = xn
+                mag[j], q[j] = law
+        k = hi - lo
+        terms = np.where(x[:k] < mag[:k], q[:k], 0.0)
+        terms[0] += total
+        np.cumsum(terms, out=terms)
+        if (lo & (lo - 1)) == 0:  # n = lo is a checkpoint
+            cp_total = float(terms[0])
+            checkpoints.append(lo)
+            partials.append(cp_total)
+            increments.append(cp_total - last_cp_total)
+            last_cp_total = cp_total
+        total = float(terms[-1])
+        lo = hi
     full_blocks = list(increments)
     if checkpoints[-1] != N:
         checkpoints.append(N)
@@ -251,6 +282,8 @@ def _ratio_verdict(name: str, ratio: np.ndarray, N: int) -> ConditionVerdict:
 
 
 def _ratio_sequence(b: NormalizingSequence, N: int, *, squared: bool) -> np.ndarray:
+    if N < 2:  # the verdict compares the first and the last half
+        raise ValueError(f"norming-ratio check needs N >= 2, got {N}")
     idx = np.arange(1, N + 1, dtype=float)
     bv = np.fromiter((float(b(n)) for n in range(1, N + 1)), dtype=float, count=N)
     if np.any(bv <= 0.0):

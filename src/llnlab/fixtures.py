@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import SpecError
 from .model import (
     ArraySpec,
@@ -220,31 +222,43 @@ def _wlln_big_magnitude(n: int, p: float) -> float:
     return (n / clog2(n)) ** (1.0 / p)
 
 
-def _first_row_ratio_exceeding(a: float) -> float:
-    """min{n >= 1 : n / log2(max(2,n)) > a}; exact walk small, fixed point large.
+_SMALL_ROW_RATIO_MAX = max(n / clog2(n) for n in range(1, 9))
 
-    The return value may be a float approximation of the (astronomically
-    large) integer index; the downstream use is only through log2 of it.
-    """
-    for n in range(1, 9):
-        if n / clog2(n) > a:
-            return float(n)
-    if a <= 2.0**40:
-        lo, hi = 8, 16
-        while hi / clog2(hi) <= a:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if mid / clog2(mid) <= a:
-                lo = mid
-            else:
-                hi = mid
-        return float(hi)
-    # n ~ a * log2(n): solve s = log2(a) + log2(s) for s = log2(n)
-    s = math.log2(a) + 1.0
+
+def _log2_root(la: float) -> float:
+    """s = log2(n) at the root of n = 2^la * log2(n): the fixed point of
+    s -> la + log2(s), iterated from la + 1."""
+    s = la + 1.0
     for _ in range(60):
-        s = math.log2(a) + math.log2(s)
-    return 2.0**s
+        nxt = la + math.log2(s)
+        if nxt == s:  # a fixed point: further passes change nothing
+            break
+        s = nxt
+    return s
+
+
+def _first_row_ratio_exceeding(a: float) -> float:
+    """min{n >= 1 : n / log2(max(2,n)) > a}; exact up to a = 2^40, fixed point beyond.
+
+    Rows 1..8 are walked (the ratio dips at n = 3).  From n = 8 on the ratio
+    increases strictly in floating point while n stays below about 2^46, so
+    for a <= 2^40 unit steps on the same predicate, from a fixed-point guess,
+    find the least n exactly.  Past 2^40 the return value is a float
+    approximation of the (astronomically large) integer index; the downstream
+    use is only through log2 of it.
+    """
+    if a < _SMALL_ROW_RATIO_MAX:
+        for n in range(1, 9):
+            if n / clog2(n) > a:
+                return float(n)
+    if a <= 2.0**40:
+        n = max(9, int(2.0 ** _log2_root(math.log2(a))))
+        while n > 9 and (n - 1) / clog2(n - 1) > a:
+            n -= 1
+        while n / clog2(n) <= a:
+            n += 1
+        return float(n)
+    return 2.0 ** _log2_root(math.log2(a))
 
 
 def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
@@ -361,23 +375,41 @@ def _x2m_spike_base(n: int) -> tuple[int, int]:
 
 
 def _first_spike_index_exceeding(a) -> int:
-    """min{m >= 1 : 2^m / m > a}, exact for int a of any size."""
+    """min{m >= 1 : 2^m / m > a}, exact for int a of any size.
+
+    2^m / m is 2 at m = 1 and m = 2 and increases after, so the m where the
+    compare holds form a ray; a guess from the binary exponent of a is moved
+    by unit steps on the same compare (in integers for int a, in floats
+    below 2^1000).  Larger floats use a fixed point.
+    """
     if isinstance(a, int):
-        m, pw = 1, 2
-        while pw <= a * m:
+        def above(m: int) -> bool:
+            return not (1 << m) <= a * m
+
+        e = a.bit_length() if a > 0 else 0
+    elif a < 2.0**1000:
+        def above(m: int) -> bool:
+            return not 2.0**m <= a * m
+
+        e = math.frexp(a)[1] if a >= 1.0 else 0
+    else:
+        return int(math.ceil(_log2_root(math.log2(a))))
+    m = max(1, e + e.bit_length() - 1)  # m is about log2(a) + log2(m)
+    if above(m):
+        while m > 1 and above(m - 1):
+            m -= 1
+    else:
+        m += 1
+        while not above(m):
             m += 1
-            pw *= 2
-        return m
-    if a < 2.0**1000:
-        m, pw = 1, 2.0
-        while pw <= a * m:
-            m += 1
-            pw *= 2.0
-        return m
-    s = math.log2(a) + 1.0
-    for _ in range(60):
-        s = math.log2(a) + math.log2(s)
-    return int(math.ceil(s))
+    return m
+
+
+# ui_cesaro's grid: row i is the cap m_a + i, column d the spike d rows below it
+_UI_CAP = np.arange(81)[:, None]
+_UI_D = np.arange(61)
+_UI_TERM = _UI_D <= _UI_CAP  # the spike lies at or above m_a
+_UI_SCALE = np.ldexp(1.0, -_UI_D)
 
 
 def _build_x2m(p: float, nu: int) -> Fixture:
@@ -411,10 +443,7 @@ def _build_x2m(p: float, nu: int) -> Fixture:
         if xp_log <= 40.0:
             n = first_exponent_for(2.0**xp_log)
         else:
-            s = xp_log + 1.0
-            for _ in range(60):
-                s = xp_log + math.log2(s)
-            n = max(2, int(math.ceil(s)))
+            n = max(2, int(math.ceil(_log2_root(xp_log))))
             while n > 2 and (n - 1) - math.log2(n - 1) > xp_log:
                 n -= 1
             while n - math.log2(n) <= xp_log:
@@ -445,12 +474,11 @@ def _build_x2m(p: float, nu: int) -> Fixture:
         else:
             m_a = _first_spike_index_exceeding(a)
             base = 0.0
-        best = 0.0
-        for cap in range(m_a, m_a + 81):
-            acc = 0.0
-            for d in range(0, min(cap - m_a, 60) + 1):
-                acc += 2.0 ** (-d) / (cap - d)
-            best = max(best, acc)
+        # term 2^-d / (cap - d) for the caps m_a..m_a+80 and d <= min(cap - m_a, 60),
+        # added in d order along each row
+        div = np.where(_UI_TERM, m_a + _UI_CAP - _UI_D, 1)
+        terms = np.where(_UI_TERM, _UI_SCALE / div, 0.0)
+        best = float(np.cumsum(terms, axis=1)[:, -1].max())
         return base + best
 
     arr = sequence_array(cell, label="x2m-example", closed_cesaro_sup=cesaro_sup)

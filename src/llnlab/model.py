@@ -487,7 +487,7 @@ def step_law(dist: DistSpec) -> Optional[tuple[float, float]]:
     return None
 
 
-def _less_than(x, mags: np.ndarray) -> np.ndarray:
+def less_than(x, mags: np.ndarray) -> np.ndarray:
     """Exact elementwise ``x < mags`` for any real x, ints past 2**53 included."""
     try:
         xf = float(x)
@@ -512,8 +512,11 @@ class RowTable:
     row loops do, so row values are bitwise equal to theirs.
 
     Each distinct law is listed once in ``laws``: +-1 and two-point laws
-    first, as (magnitude, prob) columns compared with x in one vector
-    operation; every other law after them, through its scalar tail.
+    first, as the (magnitude, prob) columns ``mag`` and ``prob`` (a +-1 law
+    is (1.0, 1.0)), compared with x in one vector operation; every other law
+    after them, through its scalar tail.  ``split_row_values`` takes a column
+    of per-step-law values worked out from ``mag`` and ``prob`` (for example
+    g(m) * q) and calls a scalar function only on the other laws.
     """
 
     def __init__(
@@ -554,8 +557,8 @@ class RowTable:
         rank = np.empty(len(dists), dtype=np.intp)
         rank[order] = np.arange(len(dists))
         self.laws: tuple[DistSpec, ...] = tuple(dists[j] for j in order)
-        self._mag = np.array([steps[j][0] for j in order[:n_steps]], dtype=float)
-        self._prob = np.array([steps[j][1] for j in order[:n_steps]], dtype=float)
+        self.mag = np.array([steps[j][0] for j in order[:n_steps]], dtype=float)
+        self.prob = np.array([steps[j][1] for j in order[:n_steps]], dtype=float)
         self._tails = tuple(tail_of(d).fn for d in self.laws[n_steps:])
         self._law = rank[np.array(law, dtype=np.intp)]
         self._entry_row = np.array(rows, dtype=np.intp)
@@ -564,9 +567,9 @@ class RowTable:
     def _law_tails(self, x) -> np.ndarray:
         """P(|X| > x) for every law in ``laws``."""
         if x < 0.0:
-            step = np.ones(len(self._mag))
+            step = np.ones(len(self.mag))
         else:
-            step = np.where(_less_than(x, self._mag), self._prob, 0.0)
+            step = np.where(less_than(x, self.mag), self.prob, 0.0)
         other = np.fromiter((fn(x) for fn in self._tails), dtype=float, count=len(self._tails))
         return np.concatenate((step, other))
 
@@ -583,6 +586,15 @@ class RowTable:
         """Row values of ``cell_value``, called once per distinct law."""
         vals = np.fromiter(map(cell_value, self.laws), dtype=float, count=len(self.laws))
         return self._rows(vals)
+
+    def split_row_values(
+        self, step_values: np.ndarray, other_value: Callable[[DistSpec], float]
+    ) -> np.ndarray:
+        """Row values from ``step_values`` (one per step law, aligned with
+        ``mag``) and ``other_value``, called once per other law."""
+        others = self.laws[len(self.mag):]
+        vals = np.fromiter(map(other_value, others), dtype=float, count=len(others))
+        return self._rows(np.concatenate((step_values, vals)))
 
     def sup(self, x) -> float:
         """sup_n of the row tail sums at x; 0.0 over an empty scan."""

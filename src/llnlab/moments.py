@@ -40,6 +40,7 @@ from .model import (
     TailFunction,
     WeightScheme,
     DEFAULT_N_SUP,
+    less_than,
     tail_of,
 )
 from .numerics import BlockIntegral, finite_integral, integrate_tail_blocks
@@ -160,23 +161,8 @@ class MomentFunction:
         return tuple(sorted(pts))
 
     def inverse(self, y: float) -> float:
-        """Inverse on the increasing branch (bisection with geometric bracket)."""
-        if y <= 0.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while self.eval(hi) <= y:
-            hi *= 2.0
-            if hi > 1e300:
-                return hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.eval(mid) <= y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
+        """Inverse on the increasing branch (see :func:`_numeric_inverse`)."""
+        return _numeric_inverse(self.eval, y)
 
 
 def power_function(p: float) -> MomentFunction:
@@ -324,6 +310,8 @@ def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
 
 
 def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
+    """Inverse of an increasing f with f(0) = 0: bisection in a geometric
+    bracket, stopped once the bracket is within 1e-14 relative."""
     if y <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -337,6 +325,8 @@ def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
             lo = mid
         else:
             hi = mid
+        if hi - lo <= 1e-14 * max(1.0, hi):
+            break
     return 0.5 * (lo + hi)
 
 
@@ -442,6 +432,12 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
 # ---------------------------------------------------------------------------
 
 
+def _at_magnitudes(table: RowTable, h) -> np.ndarray:
+    """h(m) for the magnitude m of each step law of ``table``, one scalar call each."""
+    h_eval = h.eval if hasattr(h, "eval") else h
+    return np.fromiter(map(h_eval, table.mag.tolist()), dtype=float, count=len(table.mag))
+
+
 def _sup_with_growth(values: np.ndarray) -> SupValue:
     if np.any(np.isinf(values)):
         n = int(np.argmax(np.isinf(values))) + 1
@@ -463,7 +459,8 @@ def bounded_moment_condition(
     across the scan is how divergence shows up (no exception).
     """
     table = RowTable(arr, w, n_sup)
-    return _sup_with_growth(table.row_values(lambda d: cell_moment(d, g)))
+    steps = _at_magnitudes(table, g) * table.prob
+    return _sup_with_growth(table.split_row_values(steps, lambda d: cell_moment(d, g)))
 
 
 def ui_check(
@@ -479,13 +476,22 @@ def ui_check(
 
     Entry for level a: sup_n sum_i a(n,i) E(t(|X[n,i]|) 1(t(|X[n,i]|) > a)).
     ``closed_sup`` (when a fixture provides the exact sup over all n) replaces
-    the finite row scan.
+    the finite row scan.  Otherwise one row table serves every level: t(m) is
+    evaluated once per +-1 or two-point law, and a level's step values are
+    ``where(t(m) > a, t(m) * q, 0.0)``, the values of
+    :func:`cell_transformed_tail_mass`; only the other laws go through that
+    function, once per level.
     """
     if closed_sup is not None:
         return [float(closed_sup(a)) for a in a_grid]
     table = RowTable(arr, w, n_sup)
+    t_m = _at_magnitudes(table, transform)
+    t_mass = t_m * table.prob
     return [
-        float(np.max(table.row_values(lambda d: cell_transformed_tail_mass(d, transform, a))))
+        float(np.max(table.split_row_values(
+            np.where(less_than(a, t_m), t_mass, 0.0),
+            lambda d: cell_transformed_tail_mass(d, transform, a),
+        )))
         for a in a_grid
     ]
 

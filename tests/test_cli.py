@@ -232,3 +232,23 @@ def test_simulate_unusable_input_exits_2(tmp_path, capsys, extra):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fixture", "example-4.1", "--conditions", "series", "--n", "0"],
+    ["check", "--fixture", "example-4.1", "--conditions", "series", "--n", "-5"],
+    ["check", "--fixture", "example-4.1", "--conditions", "kG", "--n-sup", "0"],
+    ["verify-fixtures", "--n", "0"],
+    ["verify-fixtures", "--only", "example-2.1", "--n-sup", "-1"],
+    ["verify-fixtures", "--only", "example-4.1", "--n", "1"],
+], ids=["check-n-0", "check-n-negative", "check-n-sup-0", "verify-n-0",
+        "verify-n-sup-negative", "verify-n-1-ratio-needs-2"])
+def test_unusable_budgets_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "check":
+        argv = argv + ["--out", str(tmp_path / "c")]
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.json").exists()

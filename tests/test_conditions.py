@@ -114,6 +114,14 @@ def harmonic_exact(n):
     return sum(1.0 / i for i in range(1, n + 1))
 
 
+@pytest.mark.parametrize("check", [conditions.norming_ratio_bound,
+                                   conditions.norming_ratio_bound_sq])
+@pytest.mark.parametrize("N", [1, 0, -3])
+def test_ratio_bound_needs_two_terms(check, N):
+    with pytest.raises(ValueError, match="N >= 2"):
+        check(power_norming(0.5), N=N)
+
+
 def test_ratio_bound_square_norming_is_exactly_one():
     v = conditions.norming_ratio_bound(power_norming(0.5), N=20_000)
     assert v.holds
