@@ -166,11 +166,7 @@ def _parse_rows(text: str) -> tuple[int, ...]:
 
 def _load(args) -> LoadedSpec:
     if args.fixture is not None:
-        fx = load_fixture(args.fixture, p=args.p, nu=args.nu)
-        return LoadedSpec(
-            arr=fx.arr, weights=fx.weights, b=fx.b, sv=None,
-            p=fx.p, nu=fx.nu, fixture=fx, label=fx.name,
-        )
+        return LoadedSpec.of_fixture(load_fixture(args.fixture, p=args.p, nu=args.nu))
     return load_spec(args.spec)
 
 
@@ -195,6 +191,8 @@ def cmd_check(args, argv: list[str]) -> int:
     try:
         spec = _load(args)
         names = [c.strip() for c in args.conditions.split(",") if c.strip()]
+        if not names:
+            raise SpecError(f"--conditions names no condition: {args.conditions!r}")
         results = [
             _run_condition(name, spec, args.n_sup, args.n) for name in names
         ]
@@ -283,16 +281,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
 def cmd_verify_fixtures(args, argv: list[str]) -> int:
     names = [args.only] if args.only else list(FIXTURE_NAMES)
     failures = []
-    for name in names:
-        try:
-            fx = load_fixture(name)
-            spec = LoadedSpec(
-                arr=fx.arr, weights=fx.weights, b=fx.b, sv=None,
-                p=fx.p, nu=fx.nu, fixture=fx, label=fx.name,
-            )
-        except SpecError as exc:
-            _log(f"error: {exc}")
-            return 2
+    for name in names:  # the fixtures' own names and parameters: nothing to reject
+        spec = LoadedSpec.of_fixture(load_fixture(name))
+        fx = spec.fixture
         checks = [k for k in fx.expected if k != "c0"]
         for cname in checks:
             try:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ArraySpec, NormalizingSequence, TailFunction, step_law, tail_of
+from .model import ArraySpec, NormalizingSequence, TailFunction, step_columns, tail_of
 from .numerics import (
     BLOCK_TOL,
     DECAY_EPS,
@@ -35,7 +35,7 @@ from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
 FLAT_RUN = 10
-SERIES_CHUNK = 2**16  # cells per pass of the series scan; bounds its memory
+SERIES_CHUNK = 2**9  # cells per series pass: bounds memory; few enough to be freed before gc runs
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,15 @@ def chandra_ghosal_integral(
 def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVerdict:
     """Partial sums of P(|X_n|^p > n) for a sequence-shaped array.
 
-    The cells are walked once, a dyadic block n in [2^j, 2^(j+1)) at a time
-    (in chunks of at most ``SERIES_CHUNK`` cells), into preallocated columns:
-    x_n = n^(1/p), taken with Python's scalar ``**``, and the (magnitude,
-    prob) of each +-1 or two-point cell, whose term is then
-    ``where(x_n < m_n, q_n, 0.0)``.  Only the other cells go through their
-    law's scalar tail.  The running total is a ``np.cumsum`` over each chunk
-    seeded with the total carried so far, so every partial sum adds the terms
-    in n order, bit for bit as a scalar loop does.
+    The cells are read a dyadic block n in [2^j, 2^(j+1)) at a time (in
+    chunks of at most ``SERIES_CHUNK`` cells) through one ``step_columns``
+    law table per chunk.  With x_n = n^(1/p), taken with Python's scalar
+    ``**``, the term of a +-1 or two-point cell is
+    ``where(x_n < m_n, q_n, 0.0)`` on the table's (magnitude, prob) columns;
+    only the other cells go through a scalar tail, looked up once per law.
+    The running total is a ``np.cumsum`` over each chunk seeded with the
+    total carried so far, so every partial sum adds the terms in n order,
+    bit for bit as a scalar loop does.
 
     Dyadic block increments play the role of the integral blocks: three
     consecutive increments below the block tolerance certify convergence, a
@@ -178,11 +179,7 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
         N = min(N, arr.n_max)
     if N < 1:
         raise ValueError(f"series condition needs N >= 1, got {N}")
-    cell = arr.sequence_cell
     inv = 1.0 / p
-    size = min(SERIES_CHUNK, 1 << (N.bit_length() - 1))
-    # a non-step cell gets x = -inf < m = inf, so its term is the tail in q
-    x, mag, q = np.empty(size), np.empty(size), np.empty(size)
     checkpoints: list[int] = []
     partials: list[float] = []
     increments: list[float] = []
@@ -190,18 +187,16 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     last_cp_total = 0.0
     lo = 1
     while lo <= N:
-        hi = min(lo + min(lo, SERIES_CHUNK), N + 1)
-        for j, n in enumerate(range(lo, hi)):
-            d = cell(n)
-            xn = float(n) ** inv
-            law = step_law(d)
-            if law is None:
-                x[j], mag[j], q[j] = -math.inf, math.inf, tail_of(d).fn(xn)
-            else:
-                x[j] = xn
-                mag[j], q[j] = law
-        k = hi - lo
-        terms = np.where(x[:k] < mag[:k], q[:k], 0.0)
+        hi = min(lo + SERIES_CHUNK, 1 << lo.bit_length(), N + 1)  # inside lo's block
+        law, laws, mag, prob, _ = step_columns(arr, lo, hi - 1)
+        x = [float(n) ** inv for n in range(lo, hi)]
+        # a non-step law has m = inf > x_n and q = 0 here, then its tail at x_n
+        n_steps, pad = len(mag), np.zeros(len(laws) - len(mag))
+        terms = np.where(np.array(x) < np.concatenate((mag, pad + math.inf))[law],
+                         np.concatenate((prob, pad))[law], 0.0)
+        tails = [tail_of(d).fn for d in laws[n_steps:]]
+        for j in np.flatnonzero(law >= n_steps).tolist():
+            terms[j] = tails[law[j] - n_steps](x[j])
         terms[0] += total
         np.cumsum(terms, out=terms)
         if (lo & (lo - 1)) == 0:  # n = lo is a checkpoint

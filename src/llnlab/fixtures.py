@@ -374,27 +374,14 @@ def _x2m_spike_base(n: int) -> tuple[int, int]:
     return (2**m, m)
 
 
-def _first_spike_index_exceeding(a) -> int:
-    """min{m >= 1 : 2^m / m > a}, exact for int a of any size.
+def _first_above(above: Callable[[int], bool], e: int) -> int:
+    """min{m >= 1 : above(m)} for a compare of 2^m / m against a level of
+    binary exponent e, which holds on a ray of m.
 
-    2^m / m is 2 at m = 1 and m = 2 and increases after, so the m where the
-    compare holds form a ray; a guess from the binary exponent of a is moved
-    by unit steps on the same compare (in integers for int a, in floats
-    below 2^1000).  Larger floats use a fixed point.
+    A guess m ~ e + log2(m) is moved by unit steps on the compare itself, so
+    the answer is the compare's, however rough the guess.
     """
-    if isinstance(a, int):
-        def above(m: int) -> bool:
-            return not (1 << m) <= a * m
-
-        e = a.bit_length() if a > 0 else 0
-    elif a < 2.0**1000:
-        def above(m: int) -> bool:
-            return not 2.0**m <= a * m
-
-        e = math.frexp(a)[1] if a >= 1.0 else 0
-    else:
-        return int(math.ceil(_log2_root(math.log2(a))))
-    m = max(1, e + e.bit_length() - 1)  # m is about log2(a) + log2(m)
+    m = max(1, e + e.bit_length() - 1)
     if above(m):
         while m > 1 and above(m - 1):
             m -= 1
@@ -403,6 +390,22 @@ def _first_spike_index_exceeding(a) -> int:
         while not above(m):
             m += 1
     return m
+
+
+def _first_spike_index_exceeding(a) -> int:
+    """min{m >= 1 : 2^m / m > a}, exact for int a of any size.
+
+    2^m / m is 2 at m = 1 and m = 2 and increases after, so the m where the
+    compare holds form a ray; it is searched from the binary exponent of a
+    (in integers for int a, in floats below 2^1000).  Larger floats use a
+    fixed point.
+    """
+    if isinstance(a, int):
+        return _first_above(lambda m: not (1 << m) <= a * m, a.bit_length() if a > 0 else 0)
+    if a < 2.0**1000:
+        return _first_above(lambda m: not 2.0**m <= a * m,
+                            math.frexp(a)[1] if a >= 1.0 else 0)
+    return int(math.ceil(_log2_root(math.log2(a))))
 
 
 # ui_cesaro's grid: row i is the cap m_a + i, column d the spike d rows below it
@@ -422,32 +425,22 @@ def _build_x2m(p: float, nu: int) -> Fixture:
             return SymmetricTwoPoint((base / m) ** (1.0 / p), 1.0)
         return pm1
 
-    def first_exponent_for(xp) -> int:
-        """min{n >= 1 : 2^n / n > x^p} given x^p (exact when xp is an int)."""
-        return _first_spike_index_exceeding(xp)
-
     def cesaro_sup(x):
         if isinstance(x, int):
             if x < 1:
                 return 1
             if half:
                 # 2^n / n > sqrt(x)  <=>  4^n > x * n^2, exactly in integers
-                n, pw4 = 1, 4
-                while pw4 <= x * n * n:
-                    n += 1
-                    pw4 *= 4
+                n = _first_above(lambda n: not (1 << 2 * n) <= x * n * n,
+                                 (x.bit_length() + 1) // 2)
                 return Fraction(1, 2**n)
         elif x < 1.0:
             return 1.0
         xp_log = p * math.log2(x)  # safe for ints of any size
         if xp_log <= 40.0:
-            n = first_exponent_for(2.0**xp_log)
-        else:
-            n = max(2, int(math.ceil(_log2_root(xp_log))))
-            while n > 2 and (n - 1) - math.log2(n - 1) > xp_log:
-                n -= 1
-            while n - math.log2(n) <= xp_log:
-                n += 1
+            n = _first_spike_index_exceeding(2.0**xp_log)
+        else:  # 2^n / n > x^p in logs
+            n = _first_above(lambda n: n - math.log2(n) > xp_log, int(xp_log))
         return 2.0 ** (-n) if n < 1060 else 0.0
 
     def spike_knots(lo: float, hi: float) -> tuple[float, ...]:
@@ -523,7 +516,7 @@ _BUILDERS = {
 
 def load(name: str, *, p: Optional[float] = None, nu: Optional[int] = None) -> Fixture:
     """Build a named fixture; p and nu may override the defaults (p=1/2, nu=1)."""
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise SpecError(
             f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
         )

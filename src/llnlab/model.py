@@ -12,6 +12,10 @@ x -> P(|X| > x), with the strict inequality: a unit atom at 5 gives tail 0 at
 x = 5.  Purely discrete distributions carry their atom list so expectations
 can be computed exactly downstream.
 
+``RowTable`` (the sup_n row scans), ``RowSampler`` and the series check read
+cells through one law table (``step_columns``): +-1 and two-point laws as
+(magnitude, prob) columns, every other law through one tail or quantile.
+
 Sampling is deterministic per (seed, n, ...) address via counter-based Philox
 streams, so rows can be drawn concurrently without shared state; the keys of
 a row's addresses come from one vectorised pass (``stream_keys``).
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -61,9 +66,6 @@ class TailFunction:
         return self.fn(x)
 
     __call__ = eval
-
-    def on_grid(self, xs: Sequence[float]) -> list[float]:
-        return [self.fn(x) for x in xs]
 
     def knots_in(self, lo: float, hi: float) -> tuple[float, ...]:
         if self.atoms is not None:
@@ -360,8 +362,6 @@ class WeightScheme:
     range_sum_fn: Optional[Callable[[int, int, int], float]] = None
     closed_weighted_sup: Optional[Callable[[float], float]] = None
     n_max: Optional[int] = None
-    flavor: str = ""  # for c-normalized: "sum" (A_n = sum c) or "sum-sq" (A_n = sum c^2)
-    growth_constant: Optional[float] = None
 
     def _check_row(self, n: int) -> int:
         if n < 1:
@@ -463,8 +463,6 @@ def c_normalized_weights(
         a_fn=a_fn,
         closed_weighted_sup=closed_weighted_sup,
         n_max=n_max,
-        flavor=flavor,
-        growth_constant=growth_constant,
     )
 
 
@@ -485,6 +483,52 @@ def step_law(dist: DistSpec) -> Optional[tuple[float, float]]:
     if isinstance(dist, SymmetricTwoPoint):
         return dist.magnitude, dist.prob
     return None
+
+
+def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
+    """The one law table: the laws of a run of entries, read once.
+
+    The entries are the cells X_lo..X_hi of a sequence array or, ``by_row``,
+    the cell groups of rows lo..hi.  Returns ``(law, laws, mag, prob,
+    layout)``: ``laws`` lists each distinct law once, +-1 and two-point laws
+    first; ``law[j]`` is the index in ``laws`` of entry j; ``mag``/``prob``
+    are the (magnitude, prob) columns of the step laws ``laws[:len(mag)]``;
+    ``layout`` is None for cells, else one (row, first cell, count) per entry.
+
+    Step laws are told apart by their (magnitude, prob) pairs, sorted, so +-1
+    and the two-point (1.0, 1.0) are one law; each law is listed by its first
+    entry.  A run of cells sizes ``law`` before reading a cell, so a run too
+    long to hold fails at once.
+    """
+    if by_row:
+        dists, layout = [], []
+        for n in range(lo, hi + 1):
+            pos = 0
+            for g in arr.row_groups(n):
+                dists.append(g.dist)
+                layout.append((n, pos + 1, g.count))
+                pos += g.count
+        law = np.empty(len(dists), dtype=np.intp)
+        layout = np.array(layout, dtype=np.int64).reshape(-1, 3)
+    else:
+        law = np.empty(hi - lo + 1, dtype=np.intp)
+        dists = list(map(arr.sequence_cell, range(lo, hi + 1)))
+        layout = None
+    pairs = np.fromiter(chain.from_iterable(step_law(d) or (math.nan, math.nan) for d in dists),
+                        dtype=float, count=2 * len(dists)).reshape(-1, 2)
+    is_step = pairs[:, 0] == pairs[:, 0]
+    step = np.flatnonzero(is_step)
+    step = step[np.lexsort((pairs[step, 1], pairs[step, 0]))]  # stable: first entry first
+    mag, prob = pairs[step, 0], pairs[step, 1]
+    new = np.ones(len(step), dtype=bool)
+    new[1:] = (mag[1:] != mag[:-1]) | (prob[1:] != prob[:-1])
+    law[step] = np.cumsum(new) - 1
+    n_steps = int(np.count_nonzero(new))
+    others: dict[DistSpec, int] = {}
+    for j in np.flatnonzero(~is_step).tolist():
+        law[j] = n_steps + others.setdefault(dists[j], len(others))
+    laws = (*(dists[j] for j in step[new].tolist()), *others)
+    return law, laws, mag[new], prob[new], layout
 
 
 def less_than(x, mags: np.ndarray) -> np.ndarray:
@@ -511,12 +555,13 @@ class RowTable:
     ``np.bincount``.  Both reductions add in row order, exactly as the scalar
     row loops do, so row values are bitwise equal to theirs.
 
-    Each distinct law is listed once in ``laws``: +-1 and two-point laws
-    first, as the (magnitude, prob) columns ``mag`` and ``prob`` (a +-1 law
-    is (1.0, 1.0)), compared with x in one vector operation; every other law
-    after them, through its scalar tail.  ``split_row_values`` takes a column
-    of per-step-law values worked out from ``mag`` and ``prob`` (for example
-    g(m) * q) and calls a scalar function only on the other laws.
+    The entries come from ``step_columns``: each distinct law is listed once
+    in ``laws``, +-1 and two-point laws first, as the (magnitude, prob)
+    columns ``mag`` and ``prob``, compared with x in one vector operation;
+    every other law after them, through its scalar tail.  ``split_row_values``
+    takes a column of per-step-law values worked out from ``mag`` and
+    ``prob`` (for example g(m) * q) and calls a scalar function only on the
+    other laws.
     """
 
     def __init__(
@@ -528,41 +573,21 @@ class RowTable:
         bounds = (arr.n_max,) if weights is None else (arr.n_max, weights.n_max)
         self.top = top = max(scan_top(n_sup, *bounds), 0)
         self._prefix = arr.is_sequence and (weights is None or weights.kind == "uniform")
-        ids: dict[DistSpec, int] = {}
-        rows: list[int] = []
-        factors: list[float] = []
+        self._law, self.laws, self.mag, self.prob, layout = step_columns(
+            arr, 1, top, by_row=not self._prefix)
+        self._tails = tuple(tail_of(d).fn for d in self.laws[len(self.mag):])
         if self._prefix:
-            law = [ids.setdefault(arr.sequence_cell(i), len(ids)) for i in range(1, top + 1)]
             self._div = np.arange(1, top + 1)
+            return
+        self._entry_row = layout[:, 0] - 1
+        counts = layout[:, 2]
+        if weights is None:
+            self._factor = counts.astype(float)
+            self._div = np.bincount(self._entry_row, weights=counts, minlength=top)
         else:
-            law = []
-            k = np.empty(top)
-            for n in range(1, top + 1):
-                k[n - 1] = arr.k(n)
-                pos = 0
-                for g in arr.row_groups(n):
-                    rows.append(n - 1)
-                    law.append(ids.setdefault(g.dist, len(ids)))
-                    if weights is None:
-                        factors.append(g.count)
-                    else:
-                        factors.append(weights.range_sum(n, pos + 1, pos + g.count))
-                    pos += g.count
-            self._div = k if weights is None else None
-        # renumber the laws so the step laws come first
-        dists = list(ids)
-        steps = [step_law(d) for d in dists]
-        order = sorted(range(len(dists)), key=lambda j: steps[j] is None)
-        n_steps = len(dists) - steps.count(None)
-        rank = np.empty(len(dists), dtype=np.intp)
-        rank[order] = np.arange(len(dists))
-        self.laws: tuple[DistSpec, ...] = tuple(dists[j] for j in order)
-        self.mag = np.array([steps[j][0] for j in order[:n_steps]], dtype=float)
-        self.prob = np.array([steps[j][1] for j in order[:n_steps]], dtype=float)
-        self._tails = tuple(tail_of(d).fn for d in self.laws[n_steps:])
-        self._law = rank[np.array(law, dtype=np.intp)]
-        self._entry_row = np.array(rows, dtype=np.intp)
-        self._factor = np.array(factors, dtype=float)
+            self._factor = np.array([weights.range_sum(n, i, i + c - 1)
+                                     for n, i, c in layout.tolist()], dtype=float)
+            self._div = None
 
     def _law_tails(self, x) -> np.ndarray:
         """P(|X| > x) for every law in ``laws``."""
@@ -611,11 +636,10 @@ class NormalizingSequence:
     """Positive nondecreasing b_n with the convention b_0 = 0.
 
     ``fn`` may return exact ints for int input (used by closed-form checks far
-    beyond float range); the tag records a closed form when one applies.
+    beyond float range).
     """
 
     fn: Callable[[int], float]
-    tag: str = ""
 
     def eval(self, n):
         if n == 0:
@@ -625,14 +649,6 @@ class NormalizingSequence:
         return self.fn(n)
 
     __call__ = eval
-
-    def check_nondecreasing(self, upto: int, step: int = 1) -> None:
-        prev = 0
-        for n in range(1, upto + 1, step):
-            cur = self.fn(n)
-            if cur < prev:
-                raise ValueError(f"b_{n} = {cur} decreases below {prev}")
-            prev = cur
 
 
 def power_norming(
@@ -653,7 +669,7 @@ def power_norming(
         def int_fn(n):
             return n**e
 
-        return NormalizingSequence(fn=int_fn, tag=f"power:p={p}")
+        return NormalizingSequence(fn=int_fn)
 
     def fn(n):
         base = float(n) ** inv
@@ -663,7 +679,7 @@ def power_norming(
             return base * conj.eval(base)
         return base * conj.eval(float(n)) ** inv
 
-    return NormalizingSequence(fn=fn, tag=f"power:p={p}")
+    return NormalizingSequence(fn=fn)
 
 
 def explicit_norming(values: Sequence[float]) -> NormalizingSequence:
@@ -674,7 +690,7 @@ def explicit_norming(values: Sequence[float]) -> NormalizingSequence:
             raise RowRangeError(f"b_{n} beyond declared table of {len(vals)}")
         return vals[n - 1]
 
-    return NormalizingSequence(fn=fn, tag="explicit")
+    return NormalizingSequence(fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +835,7 @@ def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w) 
 
 
 class RowSampler:
-    """Draws of one row, laid out once per (array, n).
+    """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
     +-1 and two-point cells keep per-cell thresholds ``lo = q/2``,
     ``hi = 1 - q/2`` and magnitude m, so a uniform u maps to
@@ -833,22 +849,21 @@ class RowSampler:
             raise SamplingError(f"unsupported dependence {arr.dependence!r}")
         self.k = k = arr.k(n)
         self._arr = arr
-        mag, half = np.zeros(k), np.zeros(k)  # first, so a row too large to hold fails fast
-        spans: dict[DistSpec, list[np.ndarray]] = {}
         if arr.is_sequence:
-            cells = ((1, arr.sequence_cell(i)) for i in range(1, k + 1))
+            law, laws, mag, prob, _ = step_columns(arr, 1, k)
         else:
-            cells = ((g.count, g.dist) for g in arr.row_groups(n))
-        pos = 0
-        for count, dist in cells:
-            law = step_law(dist)
-            if law is None:
-                spans.setdefault(dist, []).append(np.arange(pos, pos + count))
-            else:
-                mag[pos : pos + count], half[pos : pos + count] = law[0], law[1] / 2.0
-            pos += count
-        self._mag, self._lo, self._hi = mag, half, 1.0 - half
-        self._others = tuple((quantile_of(d), np.concatenate(idx)) for d, idx in spans.items())
+            law, laws, mag, prob, layout = step_columns(arr, n, n, by_row=True)
+            law = np.repeat(law, layout[:, 2])  # one entry per cell
+        n_steps = len(mag)
+        pad = np.zeros(len(laws) - n_steps)
+        self._mag = np.concatenate((mag, pad))[law]
+        half = np.concatenate((prob / 2.0, pad))[law]
+        self._lo, self._hi = half, 1.0 - half
+        # the cells of each other law, in cell order
+        other = np.flatnonzero(law >= n_steps)
+        other = other[np.argsort(law[other], kind="stable")]
+        cuts = np.searchsorted(law[other], np.arange(n_steps + 1, len(laws)))
+        self._others = tuple(zip(map(quantile_of, laws[n_steps:]), np.split(other, cuts)))
 
     def buffers(self, reps: int = 1) -> tuple:
         """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows."""

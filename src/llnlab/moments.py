@@ -165,10 +165,6 @@ class MomentFunction:
         return _numeric_inverse(self.eval, y)
 
 
-def power_function(p: float) -> MomentFunction:
-    return MomentFunction(power=p)
-
-
 # ---------------------------------------------------------------------------
 # Core expectation via the tail decomposition
 # ---------------------------------------------------------------------------

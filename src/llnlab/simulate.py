@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .errors import SamplingError
-from .model import ArraySpec, NormalizingSequence, RowSampler, rekeyed, stream_keys
+from .model import ArraySpec, NormalizingSequence, RowSampler, rekeyed, step_columns, stream_keys
 from .moments import clamped_mean, clamped_square_mean, truncated_mean
 from .svf import SlowlyVaryingSpec
 
@@ -177,10 +177,10 @@ class SimReport:
 TASK_CELLS = 1 << 15  # cells drawn per (row, replication chunk) task
 
 
-def _cell_values(arr: ArraySpec, n: int, fn) -> np.ndarray:
-    """``fn`` of each cell's law in row n, called once per cell group."""
-    groups = arr.row_groups(n)
-    return np.repeat([float(fn(g.dist)) for g in groups], [g.count for g in groups])
+def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
+    """``fn`` of each cell group's law in row n (once per law), and the groups' sizes."""
+    law, laws, _, _, layout = step_columns(arr, n, n, by_row=True)
+    return np.array([float(fn(d)) for d in laws])[law], layout[:, 2]
 
 
 def _chunks(k: int, reps: int) -> list[tuple[int, int]]:
@@ -219,7 +219,7 @@ def _row_stats(plan: SimPlan, n: int):
         flavor, level = "none", 0.0
     centers = None
     if plan.center_truncated:  # exact per-cell E(X 1(|X| <= b_n))
-        centers = _cell_values(plan.arr, n, lambda d: truncated_mean(d, bn))
+        centers = np.repeat(*_group_values(plan.arr, n, lambda d: truncated_mean(d, bn)))
     keys = stream_keys(plan.seed, (n,), np.arange(plan.reps))
 
     def stats(lo: int, hi: int) -> np.ndarray:
@@ -296,7 +296,7 @@ def slln_series_estimate(
         base = float(n) ** inv
         return base * conj.eval(base) if conj is not None else base
 
-    b = NormalizingSequence(fn=b_fn, tag=f"series:p={p}")
+    b = NormalizingSequence(fn=b_fn)
     base_plan = dataclasses.replace(plan, b=b)
     rep = wlln_estimate(base_plan, threads=threads)
     rows = list(plan.rows)
@@ -391,12 +391,11 @@ def condition_h_probe(
     sum_i E(clamped X_i)^2 at clamp level ``a``.
     """
     sampler = RowSampler(arr, n)
-    rhs = 0.0
-    for g in arr.row_groups(n):
-        rhs += g.count * clamped_square_mean(g.dist, a)
+    squares, counts = _group_values(arr, n, lambda d: clamped_square_mean(d, a))
+    rhs = float(np.cumsum(counts * squares)[-1])  # in group order, as a scalar loop adds
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
-    centers = _cell_values(arr, n, lambda d: clamped_mean(d, a))
+    centers = np.repeat(*_group_values(arr, n, lambda d: clamped_mean(d, a)))
     bufs = sampler.buffers()
     acc = 0.0
     for rng in rekeyed(stream_keys(seed, (n,), np.arange(reps))):

@@ -70,6 +70,30 @@ class LoadedSpec:
     fixture: Optional[fixtures_mod.Fixture] = None
     label: str = ""
 
+    @classmethod
+    def of_fixture(cls, fx: fixtures_mod.Fixture, sv: Optional[SlowlyVaryingSpec] = None):
+        """The problem a fixture describes, with the svf a spec gives, if any."""
+        return cls(arr=fx.arr, weights=fx.weights, b=fx.b, sv=sv, p=fx.p, nu=fx.nu,
+                   fixture=fx, label=fx.name)
+
+
+def _section(doc: dict, key: str) -> Optional[dict]:
+    """The JSON object under ``key``; None when the key is absent."""
+    obj = doc.get(key)
+    if obj is not None and not isinstance(obj, dict):
+        raise SpecError(f"'{key}' must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _number(doc: dict, key: str, default=None):
+    """The number under ``key``; ``default`` when the key is absent."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"'{key}' must be a number, got {value!r}")
+    return value
+
 
 def parse_dist(obj: dict) -> DistSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -98,9 +122,9 @@ def parse_svf(obj: Optional[dict]) -> Optional[SlowlyVaryingSpec]:
     if fam == "constant":
         return constant_one()
     if fam == "log-power":
-        return log_power(float(obj.get("gamma", 1.0)))
+        return log_power(float(_number(obj, "gamma", 1.0)))
     if fam == "loglog-power":
-        return loglog_power(float(obj.get("gamma", 1.0)))
+        return loglog_power(float(_number(obj, "gamma", 1.0)))
     raise SpecError(f"unknown svf family {fam!r}")
 
 
@@ -139,13 +163,16 @@ def _array_from_cells(doc: dict) -> ArraySpec:
         except (KeyError, TypeError) as exc:
             raise SpecError(f"bad cell entry {c!r}: {exc}") from exc
     n_max = max(n for n, _ in table)
-    row_length, _ = _parse_rows(doc.get("rows"), n_max)
+    row_length, _ = _parse_rows(_section(doc, "rows"), n_max)
     for n in range(1, n_max + 1):
         for i in range(1, row_length(n) + 1):
             if (n, i) not in table:
                 raise SpecError(f"cell (n={n}, i={i}) missing from 'cells'")
 
+    sequence_cell = groups = None
     if doc.get("sequence"):
+        if any(row_length(n) != n for n in range(1, n_max + 1)):
+            raise SpecError("'sequence': true needs rows of k_n = n cells (rows.k = 'n')")
         # X[n,i] = X_i: every column must be constant below the diagonal
         for n in range(1, n_max + 1):
             for i in range(1, row_length(n) + 1):
@@ -154,26 +181,36 @@ def _array_from_cells(doc: dict) -> ArraySpec:
                         f"'sequence': true but cell (n={n}, i={i}) differs from "
                         f"(n={n_max}, i={i})"
                     )
-        return ArraySpec(
-            row_length=row_length,
-            sequence_cell=lambda i: table[(n_max, i)],
-            mean_zero=bool(doc.get("mean_zero", True)),
-            dependence=_parse_dependence(doc.get("dependence")),
-            n_max=n_max,
-            label=doc.get("label", "explicit"),
-        )
 
-    def groups(n: int) -> tuple[CellGroup, ...]:
-        return tuple(CellGroup(1, table[(n, i)]) for i in range(1, row_length(n) + 1))
+        def sequence_cell(i: int) -> DistSpec:
+            return table[(n_max, i)]
+    else:
+        def groups(n: int) -> tuple[CellGroup, ...]:
+            return tuple(CellGroup(1, table[(n, i)]) for i in range(1, row_length(n) + 1))
 
     return ArraySpec(
         row_length=row_length,
         groups_fn=groups,
+        sequence_cell=sequence_cell,
         mean_zero=bool(doc.get("mean_zero", True)),
-        dependence=_parse_dependence(doc.get("dependence")),
+        dependence=_parse_dependence(_section(doc, "dependence")),
         n_max=n_max,
         label=doc.get("label", "explicit"),
     )
+
+
+def _value_table(doc: dict, field: str) -> tuple[dict[tuple[int, int], float], int]:
+    """The {(n, i): value} table of a weights section's 'values' list, and its last row."""
+    values = doc.get("values")
+    if not isinstance(values, list) or not values:
+        raise SpecError(f"{doc['kind']} weights need a nonempty 'values' list")
+    table = {}
+    for v in values:
+        try:
+            table[(int(v["n"]), int(v["i"]))] = float(v[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"bad weight entry {v!r}: {exc}") from exc
+    return table, max(n for n, _ in table)
 
 
 def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
@@ -181,15 +218,7 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
         return uniform_weights(arr.row_length)
     kind = doc.get("kind")
     if kind == "explicit":
-        table = {}
-        for v in doc.get("values", []):
-            try:
-                table[(int(v["n"]), int(v["i"]))] = float(v["a"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecError(f"bad weight entry {v!r}: {exc}") from exc
-        if not table:
-            raise SpecError("explicit weights need a nonempty 'values' list")
-        n_max = max(n for n, _ in table)
+        table, n_max = _value_table(doc, "a")
 
         def a_fn(n: int, i: int) -> float:
             try:
@@ -199,21 +228,13 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
 
         return explicit_weights(a_fn, arr.row_length, n_max=n_max)
     if kind == "c-normalized":
-        table = {}
-        for v in doc.get("values", []):
-            try:
-                table[(int(v["n"]), int(v["i"]))] = float(v["c"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecError(f"bad c entry {v!r}: {exc}") from exc
-        if not table:
-            raise SpecError("c-normalized weights need a nonempty 'values' list")
-        n_max = max(n for n, _ in table)
-        gc = doc.get("growth_constant")
+        table, n_max = _value_table(doc, "c")
+        gc = _number(doc, "growth_constant")
         return c_normalized_weights(
             lambda n, i: table.get((n, i), 0.0),
             arr.row_length,
             flavor=doc.get("flavor", "sum"),
-            growth_constant=float(gc) if gc is not None else None,
+            growth_constant=None if gc is None else float(gc),
             n_max=n_max,
         )
     raise SpecError(f"unknown weights kind {kind!r}")
@@ -224,7 +245,7 @@ def _norming_from_doc(doc: Optional[dict], p: float) -> Optional[NormalizingSequ
         return power_norming(p)
     kind = doc.get("kind", "power")
     if kind == "power":
-        return power_norming(float(doc.get("p", p)))
+        return power_norming(float(_number(doc, "p", p)))
     if kind == "explicit":
         vals = doc.get("values")
         if not isinstance(vals, list) or not vals:
@@ -237,29 +258,18 @@ def load_spec_obj(doc: dict) -> LoadedSpec:
     if not isinstance(doc, dict):
         raise SpecError("top-level spec must be a JSON object")
     if "fixture" in doc:
-        fx = fixtures_mod.load(
-            doc["fixture"], p=doc.get("p"), nu=doc.get("nu")
-        )
-        return LoadedSpec(
-            arr=fx.arr,
-            weights=fx.weights,
-            b=fx.b,
-            sv=parse_svf(doc.get("svf")),
-            p=fx.p,
-            nu=fx.nu,
-            fixture=fx,
-            label=fx.name,
-        )
+        fx = fixtures_mod.load(doc["fixture"], p=_number(doc, "p"), nu=_number(doc, "nu"))
+        return LoadedSpec.of_fixture(fx, parse_svf(_section(doc, "svf")))
     if "cells" not in doc:
         raise SpecError("spec needs a 'fixture' name or explicit 'cells'")
-    p = float(doc.get("p", 1.0))
-    nu = int(doc.get("nu", 1))
+    p = float(_number(doc, "p", 1.0))
+    nu = int(_number(doc, "nu", 1))
     arr = _array_from_cells(doc)
     return LoadedSpec(
         arr=arr,
-        weights=_weights_from_doc(doc.get("weights"), arr),
-        b=_norming_from_doc(doc.get("b"), p),
-        sv=parse_svf(doc.get("svf")),
+        weights=_weights_from_doc(_section(doc, "weights"), arr),
+        b=_norming_from_doc(_section(doc, "b"), p),
+        sv=parse_svf(_section(doc, "svf")),
         p=p,
         nu=nu,
         label=doc.get("label", "explicit"),

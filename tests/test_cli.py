@@ -252,3 +252,40 @@ def test_unusable_budgets_exit_2(tmp_path, capsys, argv):
     assert "error:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c.json").exists()
+
+
+SPEC_CASES = {
+    "p-null": {"p": None},
+    "nu-null": {"nu": None},
+    "rows-int": {"rows": 5},
+    "dependence-string": {"dependence": "independent"},
+    "weights-string": {"weights": "uniform"},
+    "b-int": {"b": 3},
+    "svf-string": {"svf": "constant"},
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--conditions", "cesaro-domination"],
+    ["simulate", "--rows", "1", "--reps", "2"],
+], ids=["check", "simulate"])
+@pytest.mark.parametrize("extra", SPEC_CASES.values(), ids=SPEC_CASES.keys())
+def test_malformed_spec_sections_exit_2(tmp_path, capsys, command, extra):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"cells": [{"n": 1, "i": 1, "dist": {"kind": "symmetric-pm1"}}], **extra}))
+    rc = run([command[0], "--spec", str(spec), *command[1:], "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("conditions", [",", " , ,", ""], ids=["comma", "blanks", "empty"])
+def test_check_without_conditions_exits_2(tmp_path, capsys, conditions):
+    rc = run(["check", "--fixture", "x2m-example", "--conditions", conditions,
+              "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "error:" in err
+    assert not (tmp_path / "c.json").exists()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from llnlab import domination, model
+from llnlab import domination, fixtures, model
 from llnlab.errors import SpecError
 from llnlab.fixtures import FIXTURE_NAMES, load
 
@@ -102,6 +102,55 @@ def test_power_spikes_closed_form_integer_exactness():
         n += 1
     assert g(2**100) == Fraction(1, 2**n)
     assert float(g(4.0)) == g(4)
+
+
+def _unit_walk(xs):
+    """The unit walk the p = 1/2 closed form used for int x: min{n >= 1 :
+    4^n > x n^2}, resumed across ascending x (the answer never decreases)."""
+    out, n, pw4 = [], 1, 4
+    for x in xs:
+        while pw4 <= x * n * n:
+            n += 1
+            pw4 *= 4
+        out.append(Fraction(1, 2**n))
+    return out
+
+
+def test_power_spikes_int_cesaro_search_equals_the_unit_walk():
+    fx = load("x2m-example")
+    g = fx.closed["cesaro_sup"]
+    kg = sorted({fx.b(k) for k in fx.kg_grid})
+    changes = [-(-4**n // (n * n)) for n in range(1, 1301)]  # smallest x with 4^n <= x n^2
+    xs = sorted({x + d for x in changes for d in (-1, 0, 1)} | set(kg))
+    assert [g(x) for x in xs] == _unit_walk(xs)
+    assert g(0) == g(-3) == 1
+
+
+def _old_log_search(xp_log):
+    """The fixed-point guess and unit steps the closed form used past x^p = 2^40."""
+    n = max(2, int(math.ceil(fixtures._log2_root(xp_log))))
+    while n > 2 and (n - 1) - math.log2(n - 1) > xp_log:
+        n -= 1
+    while n - math.log2(n) <= xp_log:
+        n += 1
+    return 2.0 ** (-n) if n < 1060 else 0.0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+def test_power_spikes_large_cesaro_search_equals_the_old_steps(p):
+    g = load("x2m-example", p=p).closed["cesaro_sup"]
+    xs = [2.0**k * f for k in range(27, 1024, 7) for f in (1.0, 1.37)]
+    xs += [2**k + d for k in (81, 500, 2000, 10**5) for d in (-1, 0, 1)]
+    checked = 0
+    for x in xs:
+        xp_log = p * math.log2(x)
+        if xp_log > 40.0 and not (p == 0.5 and isinstance(x, int)):
+            assert g(x) == _old_log_search(xp_log)
+            checked += 1
+    assert checked > 100
+    for bad, exc in ((math.inf, OverflowError), (math.nan, ValueError)):
+        with pytest.raises(exc):
+            g(bad)
 
 
 def test_two_block_ui_closed_matches_scan():

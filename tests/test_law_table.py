@@ -1,0 +1,191 @@
+"""``model.step_columns``, the one law table behind the scans and the sampler.
+
+``ref_renumbering`` is the law numbering ``RowTable`` built before the table
+was shared: each distinct law in entry order, then a stable sort that puts
+the +-1 and two-point laws first.  The shared table tells step laws apart by
+their (magnitude, prob) pair and orders them by it, so the checks compare
+each entry's law, not the raw index: the law an entry points at must be the
+reference's law of that entry, step laws first, each listed once, and
+``mag``/``prob`` must be the reference's step columns.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from llnlab import conditions, model
+from llnlab.fixtures import FIXTURE_NAMES, load
+from test_step_columns import _tie_array, ref_series_evidence
+
+
+def ref_renumbering(dists):
+    ids = {}
+    law = [ids.setdefault(d, len(ids)) for d in dists]
+    found = list(ids)
+    steps = [model.step_law(d) for d in found]
+    order = sorted(range(len(found)), key=lambda j: steps[j] is None)
+    n_steps = len(found) - steps.count(None)
+    rank = np.empty(len(found), dtype=np.intp)
+    rank[order] = np.arange(len(found))
+    laws = tuple(found[j] for j in order)
+    mag = [steps[j][0] for j in order[:n_steps]]
+    prob = [steps[j][1] for j in order[:n_steps]]
+    return rank[np.array(law, dtype=np.intp)], laws, mag, prob
+
+
+def entries(arr, lo, hi, by_row):
+    """(dist, (row, first cell, count)) of each entry, read cell by cell."""
+    if not by_row:
+        return [(arr.sequence_cell(i), None) for i in range(lo, hi + 1)]
+    out = []
+    for n in range(lo, hi + 1):
+        pos = 0
+        for g in arr.row_groups(n):
+            out.append((g.dist, (n, pos + 1, g.count)))
+            pos += g.count
+    return out
+
+
+def check_table(arr, lo, hi, by_row=False):
+    law, laws, mag, prob, layout = model.step_columns(arr, lo, hi, by_row=by_row)
+    want = entries(arr, lo, hi, by_row)
+    dists = [d for d, _ in want]
+    ref_law, ref_laws, ref_mag, ref_prob = ref_renumbering(dists)
+    n_steps = len(mag)
+    assert law.shape == (len(dists),) and law.dtype == np.intp
+    assert [model.step_law(d) is not None for d in laws] == [j < n_steps for j in range(len(laws))]
+    keys = [model.step_law(d) or d for d in laws]
+    assert len(set(keys)) == len(keys)  # each law once
+    assert mag.dtype == prob.dtype == np.float64
+    for j, d in enumerate(dists):
+        assert ref_laws[ref_law[j]] == d
+        step = model.step_law(d)
+        if step is None:
+            assert law[j] >= n_steps and laws[law[j]] == d
+        else:
+            assert law[j] < n_steps and (mag[law[j]], prob[law[j]]) == step
+    assert sorted(zip(mag.tolist(), prob.tolist())) == sorted(set(zip(ref_mag, ref_prob)))
+    assert len(laws) - n_steps == len(ref_laws) - len(ref_mag)
+    # every law is listed by the first entry that has it
+    for i, d in enumerate(laws):
+        assert dists[int(np.argmax(law == i))] == d
+    if by_row:
+        assert layout.tolist() == [list(span) for _, span in want]
+    else:
+        assert layout is None
+    return law, laws, mag, prob
+
+
+CAUCHY = model.CustomDist(
+    tail=model.TailFunction(fn=lambda x: 1.0 - 2.0 * math.atan(max(x, 0.0)) / math.pi),
+    quantile=lambda u: np.tan(np.pi * (np.asarray(u) - 0.5)),
+    mean_zero=True,
+)
+PALETTE = (
+    model.SymmetricPM1(),
+    model.SymmetricTwoPoint(1.0, 1.0),  # the +-1 law written as a two-point law
+    model.SymmetricTwoPoint(2.5, 0.4),
+    model.SymmetricTwoPoint(2.5, 0.7),
+    model.SymmetricTwoPoint(4.0, 0.4),
+    model.ParetoTail(2.5),
+    model.ParetoTail(3.0, 1.5),
+    CAUCHY,
+)
+
+
+def mixed_rows(n_max=30):
+    """Grouped rows whose groups repeat laws across rows, equal laws built as
+    fresh objects, with a group of several cells now and then."""
+    def groups(n):
+        out = []
+        for i in range(1 + n % 4):
+            d = PALETTE[(n * 3 + i * 5) % len(PALETTE)]
+            if isinstance(d, model.SymmetricTwoPoint):
+                d = model.SymmetricTwoPoint(d.magnitude, d.prob)
+            out.append(model.CellGroup(1 + (n + i) % 3, d))
+        return tuple(out)
+
+    return model.ArraySpec(row_length=lambda n: sum(g.count for g in groups(n)),
+                           groups_fn=groups, n_max=n_max)
+
+
+def mixed_sequence():
+    return model.sequence_array(lambda i: PALETTE[(i * i + i // 3) % len(PALETTE)])
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_tables_match_the_old_renumbering(name):
+    fx = load(name)
+    for weights in (None, fx.weights):
+        table = model.RowTable(fx.arr, weights, 300)
+        law, laws, mag, prob = check_table(fx.arr, 1, table.top, by_row=not table._prefix)
+        assert table.laws == laws
+        assert np.array_equal(table.mag, mag) and np.array_equal(table.prob, prob)
+        assert np.array_equal(table._law, law)
+
+
+def test_fixture_samplers_and_series_runs_match_the_old_renumbering():
+    for name in FIXTURE_NAMES:
+        arr = load(name).arr
+        for n in (1, 7, 64):
+            if arr.is_sequence:
+                check_table(arr, 1, arr.k(n))
+            check_table(arr, n, n, by_row=True)
+    ex41 = load("example-4.1").arr
+    for lo, hi in ((1, 1), (2, 3), (512, 1023), (70_000, 70_100)):
+        check_table(ex41, lo, hi)
+
+
+def test_mixed_laws_match_the_old_renumbering():
+    rows, seq = mixed_rows(), mixed_sequence()
+    law, laws, mag, _ = check_table(rows, 1, 30, by_row=True)
+    assert len(laws) < len(law)  # laws repeat across rows
+    assert set(laws[len(mag):]) == {model.ParetoTail(2.5), model.ParetoTail(3.0, 1.5), CAUCHY}
+    # +-1 and the two-point (1.0, 1.0) are one law
+    assert sum(model.step_law(d) == (1.0, 1.0) for d in laws) == 1
+    check_table(seq, 1, 200)
+    check_table(seq, 1, 12, by_row=True)
+    check_table(seq, 57, 57)
+    for n in (1, 2, 9, 30):
+        check_table(rows, n, n, by_row=True)
+
+
+def test_empty_run():
+    law, laws, mag, prob, layout = model.step_columns(mixed_sequence(), 1, 0)
+    assert len(law) == len(laws) == len(mag) == len(prob) == 0 and layout is None
+    law, laws, mag, prob, layout = model.step_columns(mixed_rows(), 1, 0, by_row=True)
+    assert len(law) == len(laws) == len(mag) == 0 and layout.shape == (0, 3)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_series_runs_of_any_length_keep_the_evidence(monkeypatch, chunk):
+    monkeypatch.setattr(conditions, "SERIES_CHUNK", chunk)
+    cases = ((_tie_array(1.0), 1.0, 1000), (load("example-4.1").arr, 0.5, 777),
+             (load("x2m-example").arr, 0.5, 1025), (mixed_sequence(), 1.0, 300))
+    for arr, p, N in cases:
+        assert repr(conditions.exceedance_series(arr, p, N).evidence) == \
+            repr(ref_series_evidence(arr, p, N))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(model, name)
+    monkeypatch.setattr(model, name, lambda d: calls.append(d) or real(d))
+    return calls
+
+
+def test_each_other_law_is_looked_up_once_per_table_and_sampler(monkeypatch):
+    tails = _counting(monkeypatch, "tail_of")
+    quantiles = _counting(monkeypatch, "quantile_of")
+    others = {model.ParetoTail(2.5), model.ParetoTail(3.0, 1.5), CAUCHY}
+    for arr, by_weights in ((mixed_rows(), False), (mixed_rows(), True), (mixed_sequence(), False)):
+        weights = model.uniform_weights(arr.row_length) if by_weights else None
+        model.RowTable(arr, weights, 30)
+        assert sorted(map(repr, tails)) == sorted(map(repr, others))
+        tails.clear()
+    for arr, n in ((mixed_rows(), 27), (mixed_sequence(), 40)):
+        sampler = model.RowSampler(arr, n)
+        assert len(quantiles) == len(set(quantiles)) == len(sampler._others) <= 3
+        quantiles.clear()
+    assert tails == []

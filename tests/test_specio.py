@@ -130,3 +130,46 @@ def test_top_level_validation():
         specio.load_spec_obj(["not", "an", "object"])
     with pytest.raises(SpecError):
         specio.load_spec_obj({"p": 1.0})
+
+
+SECTION_AND_NUMBER_CASES = {
+    "p-null": {"p": None},
+    "nu-null": {"nu": None},
+    "p-string": {"p": "1.0"},
+    "p-bool": {"p": True},
+    "rows-int": {"rows": 5},
+    "dependence-string": {"dependence": "independent"},
+    "weights-string": {"weights": "uniform"},
+    "b-int": {"b": 3},
+    "svf-string": {"svf": "constant"},
+    "svf-gamma-null": {"svf": {"family": "log-power", "gamma": None}},
+    "b-p-null": {"b": {"kind": "power", "p": None}},
+}
+
+
+@pytest.mark.parametrize("extra", SECTION_AND_NUMBER_CASES.values(),
+                         ids=SECTION_AND_NUMBER_CASES.keys())
+def test_sections_and_numbers_are_checked(extra):
+    doc = {"cells": [{"n": 1, "i": 1, "dist": {"kind": "symmetric-pm1"}}], **extra}
+    with pytest.raises(SpecError, match="must be a"):
+        specio.load_spec_obj(doc)
+
+
+@pytest.mark.parametrize("extra", [{"p": None}, {"nu": "2"}, {"svf": "constant"}],
+                         ids=["p-null", "nu-string", "svf-string"])
+def test_fixture_reference_checks_its_numbers_and_svf(extra):
+    with pytest.raises(SpecError, match="must be a"):
+        specio.load_spec_obj({"fixture": "example-2.1", **extra})
+
+
+def test_fixture_reference_keeps_its_svf():
+    spec = specio.load_spec_obj({"fixture": "example-2.1", "svf": {"family": "constant"}})
+    assert spec.sv is not None and spec.fixture is not None and spec.label == "example-2.1"
+    assert specio.LoadedSpec.of_fixture(spec.fixture).sv is None
+
+
+def test_sequence_needs_rows_of_n_cells():
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in (1, 2, 3) for i in (1, 2)]
+    with pytest.raises(SpecError, match="k_n = n"):
+        specio.load_spec_obj({"sequence": True, "rows": {"k": 2}, "cells": cells})
