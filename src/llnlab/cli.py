@@ -17,19 +17,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .conditions import (
-    chandra_ghosal_integral,
-    count_tail_vanishes,
-    exceedance_series,
-    norming_ratio_bound,
-    norming_ratio_bound_sq,
-)
-from .domination import cesaro_sup_fn, dominating_cdf, weighted_sup_fn
+from .conditions import CONDITIONS, run_condition
 from .errors import LlnLabError, SpecError
 from .fixtures import FIXTURE_NAMES, load as load_fixture
-from .model import DEFAULT_N_SUP, uniform_weights
-from .moments import MomentFunction, bounded_moment_condition, ui_check
-from .numerics import decay_gate, growth_gate, slope_certified_decay
+from .model import DEFAULT_N_SUP
 from .simulate import (
     SimPlan,
     slln_path_diagnostic,
@@ -38,104 +29,9 @@ from .simulate import (
 )
 from .specio import LoadedSpec, load_spec
 
-_DEFAULT_KG_GRID = tuple(2**j for j in range(0, 41))
-_DEFAULT_UI_GRID = tuple(2.0**j for j in range(0, 41, 2))
-
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# Condition runners
-# ---------------------------------------------------------------------------
-
-
-def _cesaro_source(spec: LoadedSpec, n_sup: int):
-    fx = spec.fixture
-    if fx is not None and "cesaro_sup" in fx.closed:
-        return fx.cesaro_tail()
-    return cesaro_sup_fn(spec.arr, n_sup=n_sup)
-
-
-def _weighted_source(spec: LoadedSpec, n_sup: int):
-    fx = spec.fixture
-    if fx is not None and "weighted_sup" in fx.closed:
-        return fx.closed["weighted_sup"]
-    return weighted_sup_fn(spec.arr, spec.weights, n_sup=n_sup)
-
-
-def _run_condition(name: str, spec: LoadedSpec, n_sup: int, budget: int) -> dict:
-    fx = spec.fixture
-    if name == "cesaro-domination":
-        rep = dominating_cdf(spec.arr, uniform_weights(spec.arr.row_length), n_sup=n_sup)
-        outcome = "valid" if rep.valid else "invalid"
-        detail = rep.to_json_obj()
-    elif name == "weighted-domination":
-        rep = dominating_cdf(spec.arr, spec.weights, n_sup=n_sup)
-        outcome = "valid" if rep.valid else "invalid"
-        detail = rep.to_json_obj()
-    elif name == "chandra-ghosal":
-        verdict = chandra_ghosal_integral(_cesaro_source(spec, n_sup), spec.p, spec.sv)
-        outcome = verdict.verdict
-        detail = verdict.to_json_obj()
-    elif name == "series":
-        verdict = exceedance_series(spec.arr, spec.p, N=budget)
-        outcome = verdict.verdict
-        detail = verdict.to_json_obj()
-    elif name == "b-regularity-wlln":
-        verdict = norming_ratio_bound(spec.b, N=budget)
-        outcome = verdict.verdict
-        detail = verdict.to_json_obj()
-    elif name == "b-regularity-l2":
-        verdict = norming_ratio_bound_sq(spec.b, N=budget)
-        outcome = verdict.verdict
-        detail = verdict.to_json_obj()
-    elif name == "kG":
-        grid = fx.kg_grid if fx is not None and fx.kg_grid else _DEFAULT_KG_GRID
-        verdict = count_tail_vanishes(_cesaro_source(spec, n_sup), spec.b, grid)
-        outcome = verdict.verdict
-        detail = {"rule": verdict.rule, "last_value": verdict.value}
-    elif name == "kG-hat":
-        grid = fx.kg_grid if fx is not None and fx.kg_grid else _DEFAULT_KG_GRID
-        verdict = count_tail_vanishes(_weighted_source(spec, n_sup), spec.b, grid)
-        outcome = verdict.verdict
-        detail = {"rule": verdict.rule, "last_value": verdict.value}
-    elif name == "ui":
-        closed = fx.closed.get("ui_cesaro_pow_p") if fx is not None else None
-        grid = fx.ui_grid if fx is not None and fx.ui_grid else _DEFAULT_UI_GRID
-        values = ui_check(
-            spec.arr,
-            uniform_weights(spec.arr.row_length),
-            MomentFunction(power=spec.p),
-            grid,
-            n_sup=n_sup,
-            closed_sup=closed,
-        )
-        if decay_gate(values) or slope_certified_decay(values):
-            outcome = "decays"
-        elif growth_gate(values):
-            outcome = "diverges"
-        else:
-            outcome = "inconclusive"
-        detail = {"values_head": values[:5], "values_tail": values[-5:]}
-    elif name == "bounded-moment":
-        g = MomentFunction(power=spec.p, log_factor_nu=spec.nu)
-        sup = bounded_moment_condition(
-            spec.arr, uniform_weights(spec.arr.row_length), g, n_sup=n_sup
-        )
-        outcome = "growing" if sup.growing else "finite"
-        detail = {"sup": float(sup), "attained_at": sup.attained_at}
-    else:
-        raise SpecError(f"unknown condition {name!r}")
-    expected = fx.expected.get(name) if fx is not None else None
-    return {
-        "condition": name,
-        "outcome": outcome,
-        "expected": expected,
-        "match": (expected is None) or (outcome == expected),
-        "detail": detail,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +89,7 @@ def cmd_check(args, argv: list[str]) -> int:
         names = [c.strip() for c in args.conditions.split(",") if c.strip()]
         if not names:
             raise SpecError(f"--conditions names no condition: {args.conditions!r}")
-        results = [
-            _run_condition(name, spec, args.n_sup, args.n) for name in names
-        ]
+        results = [run_condition(name, spec, args.n_sup, args.n) for name in names]
     except (SpecError, LlnLabError, ValueError) as exc:
         _log(f"error: {exc}")
         return 2
@@ -287,7 +181,7 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
         checks = [k for k in fx.expected if k != "c0"]
         for cname in checks:
             try:
-                r = _run_condition(cname, spec, args.n_sup, args.n)
+                r = run_condition(cname, spec, args.n_sup, args.n)
             except (LlnLabError, ValueError) as exc:
                 _log(f"error: {name} :: {cname}: {exc}")
                 return 2
@@ -348,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run condition checkers")
     _add_input_args(pc)
     pc.add_argument("--conditions", required=True,
-                    help="comma list: cesaro-domination, weighted-domination, "
-                         "chandra-ghosal, series, b-regularity-wlln, "
-                         "b-regularity-l2, kG, kG-hat, ui, bounded-moment")
+                    help="comma list: " + ", ".join(CONDITIONS))
     pc.add_argument("--n", type=_positive_int, default=100_000, help="series/ratio budget")
     pc.add_argument("--out", default="llnlab-check")
     pc.add_argument("--format", choices=["json"], default="json")

@@ -9,6 +9,11 @@ and the exact rule that fired:
 * ``inconclusive`` - neither rule fired within the scan budget.
 
 The rules are deterministic: same inputs, same verdict.
+
+``CONDITIONS`` is the one table of the ten named hypotheses that ``check``
+and ``verify-fixtures`` run: each name maps to a runner returning its
+outcome and JSON detail, and :func:`run_condition` adds the fixture's
+expectation.
 """
 
 from __future__ import annotations
@@ -20,7 +25,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import ArraySpec, NormalizingSequence, TailFunction, step_columns, tail_of
+from .domination import cesaro_sup_fn, dominating_cdf, weighted_sup_fn
+from .errors import SpecError
+from .model import (
+    ArraySpec,
+    NormalizingSequence,
+    TailFunction,
+    step_columns,
+    tail_of,
+    uniform_weights,
+)
+from .moments import MomentFunction, bounded_moment_condition, ui_check
 from .numerics import (
     BLOCK_TOL,
     DECAY_EPS,
@@ -28,7 +43,6 @@ from .numerics import (
     finite_integral,
     fitted_block_slope,
     growth_gate,
-    nonincreasing,
     slope_certified_decay,
 )
 from .svf import SlowlyVaryingSpec
@@ -71,11 +85,9 @@ class ConditionVerdict:
 
 
 def _as_tail_callable(source) -> tuple[Callable[[float], float], Callable]:
-    """Accept a TailFunction, a DominationReport, or a plain callable."""
+    """Accept a TailFunction or a plain callable."""
     if isinstance(source, TailFunction):
         return source.fn, source.knots_in
-    if hasattr(source, "sup_fn") and source.sup_fn is not None:
-        return source.sup_fn, lambda lo, hi: ()
     if callable(source):
         return source, lambda lo, hi: ()
     raise TypeError(f"cannot interpret {source!r} as a tail-like map")
@@ -98,8 +110,8 @@ def chandra_ghosal_integral(
 ) -> ConditionVerdict:
     """Convergence verdict for the moment integral of x^(p-1) L^p(x) G(x).
 
-    ``source`` supplies the nonincreasing map G (a tail function, a domination
-    report, or a callable).  Dyadic blocks certify convergence via the block
+    ``source`` supplies the nonincreasing map G (a tail function or a
+    callable).  Dyadic blocks certify convergence via the block
     tolerance; a fitted local exponent of x^p L^p(x) G(x) at or above flat
     (block log-slope >= -flat_tol) over ``flat_run`` consecutive blocks
     certifies a divergent lower envelope.
@@ -306,6 +318,23 @@ def norming_ratio_bound_sq(b: NormalizingSequence, N: int = 100_000) -> Conditio
 # ---------------------------------------------------------------------------
 
 
+def limit_verdict(values: Sequence[float], *, eps: float = DECAY_EPS) -> tuple[str, str]:
+    """(verdict, rule) of "the grid sequence tends to 0": the one limit gate.
+
+    ``holds`` fires on the eps decay gate, or on the power-law decay
+    certificate for positive nonincreasing sequences whose true rate (e.g.
+    1/log k) cannot cross eps on any float-feasible grid; ``fails`` fires on
+    the growth gate.
+    """
+    if decay_gate(values, eps=eps):
+        return "holds", f"last 5 grid values below {eps} and nonincreasing"
+    if slope_certified_decay(values):
+        return "holds", "power-law decay certificate (slope <= -1/2 in grid index)"
+    if growth_gate(values, eps=eps):
+        return "fails", "sequence grows over the last half and ends above eps"
+    return "inconclusive", "no decay or growth certificate fired"
+
+
 def count_tail_vanishes(
     source,
     b: NormalizingSequence,
@@ -316,33 +345,124 @@ def count_tail_vanishes(
     """Verdict for lim_k k * G(b_k) = 0 along the given k grid.
 
     Exact integer grids are honoured: when ``b`` maps ints to ints and G
-    returns a Fraction, the products stay exact far beyond float range.
-    ``holds`` fires on the eps decay gate, or on the power-law decay
-    certificate for positive nonincreasing sequences whose true rate (e.g.
-    1/log k) cannot cross eps on any float-feasible grid.
+    returns a Fraction, the products stay exact far beyond float range.  The
+    grid stops at the first k where b_k, G(b_k) or their product overflows a
+    float (``grid_stop`` in the evidence); :func:`limit_verdict` reads the
+    points before it.
     """
     g, _ = _as_tail_callable(source)
     values = []
+    stop = {}
     for k in k_grid:
-        bk = b(k)
-        t = g(bk)
-        if isinstance(t, Fraction) or (isinstance(k, int) and k > 2**53):
-            values.append(float(Fraction(k) * (t if isinstance(t, Fraction) else Fraction(t))))
-        else:
-            values.append(float(k) * float(t))
-    if decay_gate(values, eps=eps):
-        verdict, rule = "holds", f"last 5 grid values below {eps} and nonincreasing"
-    elif slope_certified_decay(values):
-        verdict, rule = "holds", "power-law decay certificate (slope <= -1/2 in grid index)"
-    elif growth_gate(values, eps=eps):
-        verdict, rule = "fails", "sequence grows over the last half and ends above eps"
-    else:
-        verdict, rule = "inconclusive", "no decay or growth certificate fired"
+        try:
+            t = g(b(k))
+            if isinstance(t, Fraction) or (isinstance(k, int) and k > 2**53):
+                v = float(Fraction(k) * (t if isinstance(t, Fraction) else Fraction(t)))
+            else:
+                v = float(k) * float(t)
+        except OverflowError:
+            stop = {"grid_stop": int(k) if isinstance(k, int) else float(k)}
+            break
+        values.append(v)
+    verdict, rule = limit_verdict(values, eps=eps)
     return ConditionVerdict(
         name="count-tail-limit",
         verdict=verdict,
         rule=rule,
-        value=values[-1],
-        evidence={"k_grid": [int(k) if isinstance(k, int) else float(k) for k in k_grid],
-                  "values": values},
+        value=values[-1] if values else None,
+        evidence={"k_grid": [int(k) if isinstance(k, int) else float(k)
+                             for k in k_grid[:len(values)]],
+                  "values": values, **stop},
     )
+
+
+# ---------------------------------------------------------------------------
+# The condition table shared by ``check`` and ``verify-fixtures``
+# ---------------------------------------------------------------------------
+
+_KG_GRID = tuple(2**j for j in range(0, 41))  # for inputs that bring no grid
+_UI_GRID = tuple(2.0**j for j in range(0, 41, 2))
+
+
+def _cesaro_source(spec, n_sup: int):
+    """The fixture's exact Cesaro sup with its knots, else the scan's sup."""
+    fx = spec.fixture
+    if fx is not None and fx.arr.closed_cesaro_sup is not None:
+        return fx.cesaro_tail()
+    return cesaro_sup_fn(spec.arr, n_sup=n_sup)
+
+
+def _verdict(v: ConditionVerdict) -> tuple[str, dict]:
+    return v.verdict, v.to_json_obj()
+
+
+def _domination(spec, weights, n_sup: int) -> tuple[str, dict]:
+    rep = dominating_cdf(spec.arr, weights, n_sup=n_sup)
+    return ("valid" if rep.valid else "invalid"), rep.to_json_obj()
+
+
+def _count_tail(spec, source) -> tuple[str, dict]:
+    v = count_tail_vanishes(source, spec.b, getattr(spec.fixture, "kg_grid", None) or _KG_GRID)
+    return v.verdict, {"rule": v.rule, "last_value": v.value}
+
+
+def _ui(spec, n_sup: int, n: int) -> tuple[str, dict]:
+    fx = spec.fixture
+    values = ui_check(
+        spec.arr,
+        uniform_weights(spec.arr.row_length),
+        MomentFunction(power=spec.p),
+        getattr(fx, "ui_grid", None) or _UI_GRID,
+        n_sup=n_sup,
+        closed_sup=fx.closed.get("ui_cesaro_pow_p") if fx is not None else None,
+    )
+    verdict, _ = limit_verdict(values)
+    outcome = {"holds": "decays", "fails": "diverges"}.get(verdict, verdict)
+    return outcome, {"values_head": values[:5], "values_tail": values[-5:]}
+
+
+def _bounded_moment(spec, n_sup: int, n: int) -> tuple[str, dict]:
+    g = MomentFunction(power=spec.p, log_factor_nu=spec.nu)
+    sup = bounded_moment_condition(
+        spec.arr, uniform_weights(spec.arr.row_length), g, n_sup=n_sup
+    )
+    return ("growing" if sup.growing else "finite"), {
+        "sup": float(sup), "attained_at": sup.attained_at}
+
+
+# name -> runner(spec, n_sup, n) -> (outcome, detail); runners look library
+# functions up as module globals when called, so wrappers installed there apply
+CONDITIONS: dict[str, Callable] = {
+    "cesaro-domination": lambda spec, n_sup, n: _domination(
+        spec, uniform_weights(spec.arr.row_length), n_sup),
+    "weighted-domination": lambda spec, n_sup, n: _domination(spec, spec.weights, n_sup),
+    "chandra-ghosal": lambda spec, n_sup, n: _verdict(
+        chandra_ghosal_integral(_cesaro_source(spec, n_sup), spec.p, spec.sv)),
+    "series": lambda spec, n_sup, n: _verdict(exceedance_series(spec.arr, spec.p, N=n)),
+    "b-regularity-wlln": lambda spec, n_sup, n: _verdict(norming_ratio_bound(spec.b, N=n)),
+    "b-regularity-l2": lambda spec, n_sup, n: _verdict(norming_ratio_bound_sq(spec.b, N=n)),
+    "kG": lambda spec, n_sup, n: _count_tail(spec, _cesaro_source(spec, n_sup)),
+    "kG-hat": lambda spec, n_sup, n: _count_tail(
+        spec, weighted_sup_fn(spec.arr, spec.weights, n_sup=n_sup)),
+    "ui": _ui,
+    "bounded-moment": _bounded_moment,
+}
+
+
+def run_condition(name: str, spec, n_sup: int, n: int) -> dict:
+    """One named condition on a loaded problem, with the fixture's expectation.
+
+    ``n_sup`` bounds the row scans, ``n`` is the series and ratio budget.
+    """
+    if name not in CONDITIONS:
+        raise SpecError(f"unknown condition {name!r}")
+    outcome, detail = CONDITIONS[name](spec, n_sup, n)
+    fx = spec.fixture
+    expected = fx.expected.get(name) if fx is not None else None
+    return {
+        "condition": name,
+        "outcome": outcome,
+        "expected": expected,
+        "match": (expected is None) or (outcome == expected),
+        "detail": detail,
+    }

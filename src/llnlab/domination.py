@@ -54,7 +54,6 @@ class DominationReport:
     valid: bool
     limit_estimate: float
     cdf: Optional[TailFunction] = None  # tail of the constructed X, when valid
-    sup_fn: Optional[Callable[[float], float]] = None
     closed_form: bool = False
     details: dict = field(default_factory=dict)
 
@@ -178,7 +177,6 @@ def dominating_cdf(
         valid=valid,
         limit_estimate=values[-1],
         cdf=cdf,
-        sup_fn=sup_fn,
         closed_form=closed,
         details={"eps_lim": eps_lim},
     )
@@ -237,7 +235,6 @@ def equivalence_transfer(
         valid=rep.valid,
         limit_estimate=rep.limit_estimate,
         cdf=rep.cdf,
-        sup_fn=rep.sup_fn,
         closed_form=rep.closed_form,
         details={
             "hypothesis_holds": True,

@@ -72,10 +72,8 @@ class Fixture:
 
     def cesaro_tail(self) -> TailFunction:
         """Tail of the canonical Cesaro dominating variable (closed form)."""
-        fn = self.closed["cesaro_sup"]
-        return TailFunction(
-            fn=fn, kind="piecewise", knot_fn=self.closed.get("cesaro_knots")
-        )
+        return TailFunction(fn=self.arr.closed_cesaro_sup, kind="piecewise",
+                            knot_fn=self.closed.get("cesaro_knots"))
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +162,6 @@ def _build_example_21(p: float, nu: int) -> Fixture:
         b=power_norming(p),
         description="two-block array: Cesaro domination impossible, weighted possible",
         closed={
-            "cesaro_sup": cesaro_sup,
-            "weighted_sup": weighted_sup,
             "cesaro_knots": odd_knots,
             "weighted_knots": odd_knots,
             "ui_weighted_pow_p": ui_weighted,
@@ -242,8 +238,8 @@ def _first_row_ratio_exceeding(a: float) -> float:
 
     Rows 1..8 are walked (the ratio dips at n = 3).  From n = 8 on the ratio
     increases strictly in floating point while n stays below about 2^46, so
-    for a <= 2^40 unit steps on the same predicate, from a fixed-point guess,
-    find the least n exactly.  Past 2^40 the return value is a float
+    for a <= 2^40 :func:`_first_above` steps on the same predicate, from a
+    fixed-point guess, to the least n exactly.  Past 2^40 the return value is a float
     approximation of the (astronomically large) integer index; the downstream
     use is only through log2 of it.
     """
@@ -251,13 +247,9 @@ def _first_row_ratio_exceeding(a: float) -> float:
         for n in range(1, 9):
             if n / clog2(n) > a:
                 return float(n)
-    if a <= 2.0**40:
-        n = max(9, int(2.0 ** _log2_root(math.log2(a))))
-        while n > 9 and (n - 1) / clog2(n - 1) > a:
-            n -= 1
-        while n / clog2(n) <= a:
-            n += 1
-        return float(n)
+    if a <= 2.0**40:  # a >= 8/3 here, so the compare is false on rows 1..8
+        return float(_first_above(lambda n: n / clog2(n) > a,
+                                  max(9, int(2.0 ** _log2_root(math.log2(a))))))
     return 2.0 ** _log2_root(math.log2(a))
 
 
@@ -277,11 +269,8 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
         n = _first_row_ratio_exceeding(x**p)
         return 1.0 / n
 
-    def weighted_sup(x):
-        # magnitudes are unbounded, so some row's dominant cell always exceeds x
-        if isinstance(x, int):
-            return 1
-        return 1.0
+    def weighted_sup(x) -> float:
+        return 1.0  # magnitudes are unbounded: some row's dominant cell exceeds x
 
     def a_fn(n: int, i: int) -> float:
         return 1.0 if i == n else 0.0
@@ -296,12 +285,9 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
         a = float(a)
         if a < 1.0:
             xi2 = 2.0 / clog2(2)
-            return max(1.0, 0.5 + xi2 / 2.0, 2.0 / 3.0 + _row_spike_term(3, p))
+            return max(1.0, 0.5 + xi2 / 2.0, 2.0 / 3.0 + (3 / clog2(3)) / 3)
         n = _first_row_ratio_exceeding(a)
         return 1.0 / clog2(n)
-
-    def _row_spike_term(n: int, pp: float) -> float:
-        return (n / clog2(n)) / n
 
     def mag_knots(lo: float, hi: float) -> tuple[float, ...]:
         start = _first_row_ratio_exceeding(max(lo, 1.0) ** p)
@@ -343,8 +329,6 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
         description="dominant single-cell rows: Cesaro UI holds, weighted count-tail fails",
         c_fn=c_fn,
         closed={
-            "cesaro_sup": cesaro_sup,
-            "weighted_sup": weighted_sup,
             "cesaro_knots": mag_knots,
             "ui_cesaro_pow_p": ui_cesaro,
         },
@@ -365,23 +349,13 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+def _first_above(above: Callable[[int], bool], guess: int) -> int:
+    """min{m >= 1 : above(m)} for a compare that holds on a ray of m.
 
-
-def _x2m_spike_base(n: int) -> tuple[int, int]:
-    m = n.bit_length() - 1
-    return (2**m, m)
-
-
-def _first_above(above: Callable[[int], bool], e: int) -> int:
-    """min{m >= 1 : above(m)} for a compare of 2^m / m against a level of
-    binary exponent e, which holds on a ray of m.
-
-    A guess m ~ e + log2(m) is moved by unit steps on the compare itself, so
-    the answer is the compare's, however rough the guess.
+    The guess is moved by unit steps on the compare itself, so the answer is
+    the compare's, however rough the guess.
     """
-    m = max(1, e + e.bit_length() - 1)
+    m = max(1, guess)
     if above(m):
         while m > 1 and above(m - 1):
             m -= 1
@@ -390,6 +364,11 @@ def _first_above(above: Callable[[int], bool], e: int) -> int:
         while not above(m):
             m += 1
     return m
+
+
+def _spike_guess(e: int) -> int:
+    """m ~ e + log2(m): a guess at where 2^m / m passes a level of binary exponent e."""
+    return e + e.bit_length() - 1
 
 
 def _first_spike_index_exceeding(a) -> int:
@@ -401,10 +380,11 @@ def _first_spike_index_exceeding(a) -> int:
     fixed point.
     """
     if isinstance(a, int):
-        return _first_above(lambda m: not (1 << m) <= a * m, a.bit_length() if a > 0 else 0)
+        return _first_above(lambda m: not (1 << m) <= a * m,
+                            _spike_guess(a.bit_length() if a > 0 else 0))
     if a < 2.0**1000:
         return _first_above(lambda m: not 2.0**m <= a * m,
-                            math.frexp(a)[1] if a >= 1.0 else 0)
+                            _spike_guess(math.frexp(a)[1] if a >= 1.0 else 0))
     return int(math.ceil(_log2_root(math.log2(a))))
 
 
@@ -420,9 +400,8 @@ def _build_x2m(p: float, nu: int) -> Fixture:
     half = p == 0.5
 
     def cell(i: int) -> object:
-        if _is_power_of_two(i):
-            base, m = _x2m_spike_base(i)
-            return SymmetricTwoPoint((base / m) ** (1.0 / p), 1.0)
+        if i >= 2 and (i & (i - 1)) == 0:  # i = 2^m
+            return SymmetricTwoPoint((i / (i.bit_length() - 1)) ** (1.0 / p), 1.0)
         return pm1
 
     def cesaro_sup(x):
@@ -432,7 +411,7 @@ def _build_x2m(p: float, nu: int) -> Fixture:
             if half:
                 # 2^n / n > sqrt(x)  <=>  4^n > x * n^2, exactly in integers
                 n = _first_above(lambda n: not (1 << 2 * n) <= x * n * n,
-                                 (x.bit_length() + 1) // 2)
+                                 _spike_guess((x.bit_length() + 1) // 2))
                 return Fraction(1, 2**n)
         elif x < 1.0:
             return 1.0
@@ -440,7 +419,7 @@ def _build_x2m(p: float, nu: int) -> Fixture:
         if xp_log <= 40.0:
             n = _first_spike_index_exceeding(2.0**xp_log)
         else:  # 2^n / n > x^p in logs
-            n = _first_above(lambda n: n - math.log2(n) > xp_log, int(xp_log))
+            n = _first_above(lambda n: n - math.log2(n) > xp_log, _spike_guess(int(xp_log)))
         return 2.0 ** (-n) if n < 1060 else 0.0
 
     def spike_knots(lo: float, hi: float) -> tuple[float, ...]:
@@ -484,7 +463,6 @@ def _build_x2m(p: float, nu: int) -> Fixture:
         b=power_norming(p),
         description="power-of-two spikes: no dominating variable, Cesaro works, WLLN holds",
         closed={
-            "cesaro_sup": cesaro_sup,
             "cesaro_knots": spike_knots,
             "ui_cesaro_pow_p": ui_cesaro,
         },

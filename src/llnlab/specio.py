@@ -33,6 +33,7 @@ rows; the largest declared n becomes the array's row bound.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -85,14 +86,23 @@ def _section(doc: dict, key: str) -> Optional[dict]:
     return obj
 
 
+def _as_number(value, what: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _number(doc: dict, key: str, default=None):
     """The number under ``key``; ``default`` when the key is absent."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"'{key}' must be a number, got {value!r}")
-    return value
+    return _as_number(doc[key], f"'{key}'") if key in doc else default
+
+
+def _exponent(doc: dict, key: str, default: float) -> float:
+    """The finite positive number under ``key`` (an exponent p), as a float."""
+    value = _number(doc, key, default)
+    if not 0 < value <= sys.float_info.max:  # false for nan, inf and ints past float range
+        raise SpecError(f"'{key}' must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def parse_dist(obj: dict) -> DistSpec:
@@ -245,12 +255,12 @@ def _norming_from_doc(doc: Optional[dict], p: float) -> Optional[NormalizingSequ
         return power_norming(p)
     kind = doc.get("kind", "power")
     if kind == "power":
-        return power_norming(float(_number(doc, "p", p)))
+        return power_norming(_exponent(doc, "p", p))
     if kind == "explicit":
         vals = doc.get("values")
         if not isinstance(vals, list) or not vals:
             raise SpecError("explicit norming needs a nonempty 'values' list")
-        return explicit_norming([float(v) for v in vals])
+        return explicit_norming([float(_as_number(v, "'b.values' entry")) for v in vals])
     raise SpecError(f"unknown norming kind {kind!r}")
 
 
@@ -262,7 +272,7 @@ def load_spec_obj(doc: dict) -> LoadedSpec:
         return LoadedSpec.of_fixture(fx, parse_svf(_section(doc, "svf")))
     if "cells" not in doc:
         raise SpecError("spec needs a 'fixture' name or explicit 'cells'")
-    p = float(_number(doc, "p", 1.0))
+    p = _exponent(doc, "p", 1.0)
     nu = int(_number(doc, "nu", 1))
     arr = _array_from_cells(doc)
     return LoadedSpec(

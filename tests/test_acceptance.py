@@ -66,7 +66,7 @@ def test_criterion_02_dominant_cell_exactness():
         closed_sup=fx.closed["ui_cesaro_pow_p"],
     )
     ui_ok = decay_gate(ui_vals)
-    kg = conditions.count_tail_vanishes(fx.closed["weighted_sup"], fx.b, fx.kg_grid)
+    kg = conditions.count_tail_vanishes(fx.weights.closed_weighted_sup, fx.b, fx.kg_grid)
     kg_exact = kg.evidence["values"] == [float(k) for k in fx.kg_grid]
     stats = []
     for n in (16, 256):
@@ -288,7 +288,7 @@ def test_criterion_08_round_trip():
     # implies the transformed cells are weighted uniformly integrable
     fx21 = load("example-2.1")
     x21 = model.TailFunction(
-        fn=lambda x: min(1.0, fx21.closed["weighted_sup"](x) / 1.25),
+        fn=lambda x: min(1.0, fx21.weights.closed_weighted_sup(x) / 1.25),
         kind="piecewise",
         knot_fn=fx21.closed["weighted_knots"],
     )

@@ -254,6 +254,19 @@ def test_unusable_budgets_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("condition", ["kG", "kG-hat"])
+@pytest.mark.parametrize("p", ["0.7", "1.5", "1.9"])
+def test_x2m_count_tail_past_float_range_keeps_exit_contract(tmp_path, capsys, p, condition):
+    # the kG grid reaches 2^1300, where b_k = k^(1/p) leaves float range
+    rc = run(["check", "--fixture", "x2m-example", "--p", p, "--conditions", condition,
+              "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1), err
+    assert "Traceback" not in err
+    doc = json.loads((tmp_path / "c.json").read_text())
+    assert doc["results"][0]["outcome"] in ("holds", "fails", "inconclusive")
+
+
 SPEC_CASES = {
     "p-null": {"p": None},
     "nu-null": {"nu": None},
@@ -262,6 +275,13 @@ SPEC_CASES = {
     "weights-string": {"weights": "uniform"},
     "b-int": {"b": 3},
     "svf-string": {"svf": "constant"},
+    "b-values-null": {"b": {"kind": "explicit", "values": [1, None]}},
+    "b-values-string": {"b": {"kind": "explicit", "values": [1, "2"]}},
+    "p-zero": {"p": 0},
+    "p-negative": {"p": -1.0},
+    "p-nan": {"p": float("nan")},
+    "p-infinite": {"p": float("inf")},
+    "b-p-zero": {"b": {"kind": "power", "p": 0}},
 }
 
 

@@ -201,7 +201,7 @@ def test_count_tail_trivial_inverse_law_holds():
 def test_count_tail_counterexample_fails_exactly():
     fx = load("wlln-counterexample")
     v = conditions.count_tail_vanishes(
-        fx.closed["weighted_sup"], fx.b, [2**j for j in range(0, 41)]
+        fx.weights.closed_weighted_sup, fx.b, [2**j for j in range(0, 41)]
     )
     assert v.fails
     assert v.evidence["values"] == [float(2**j) for j in range(0, 41)]
@@ -213,6 +213,17 @@ def test_count_tail_power_spikes_holds_via_eps_gate():
     assert v.holds
     assert "below" in v.rule  # the exact integer grid really crosses eps
     assert v.value < 1e-3
+
+
+def test_count_tail_stops_where_the_norming_leaves_float_range():
+    fx = load("x2m-example", p=1.5)  # b_k = k^(2/3): float(k) overflows past 2^1023
+    v = conditions.count_tail_vanishes(fx.cesaro_tail(), fx.b, fx.kg_grid)
+    assert v.evidence["grid_stop"] == 2**1030
+    assert v.evidence["k_grid"] == [2**j for j in range(0, 1030, 10)]
+    assert len(v.evidence["values"]) == 103 and v.value == v.evidence["values"][-1]
+    assert v.holds
+    assert "grid_stop" not in conditions.count_tail_vanishes(
+        load("x2m-example").cesaro_tail(), load("x2m-example").b, fx.kg_grid).evidence
 
 
 def test_count_tail_slow_decay_certified_by_slope():

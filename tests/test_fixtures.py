@@ -82,19 +82,19 @@ def test_counterexample_closed_cesaro_matches_scan():
     fx = load("wlln-counterexample")
     for x in (0.5, 1.0, 2.0, 4.0, 17.0, 300.0):
         scan = domination.cesaro_tail_sup(fx.arr, x, use_closed=False, n_sup=5000)
-        assert fx.closed["cesaro_sup"](x) == pytest.approx(scan, rel=1e-12)
+        assert fx.arr.closed_cesaro_sup(x) == pytest.approx(scan, rel=1e-12)
 
 
 def test_power_spikes_closed_cesaro_matches_scan():
     fx = load("x2m-example")
     for x in (0.5, 1.0, 2.0, 5.0, 16.0, 250.0):
         scan = domination.cesaro_tail_sup(fx.arr, x, use_closed=False, n_sup=8192)
-        assert float(fx.closed["cesaro_sup"](x)) == pytest.approx(scan, rel=1e-12)
+        assert float(fx.arr.closed_cesaro_sup(x)) == pytest.approx(scan, rel=1e-12)
 
 
 def test_power_spikes_closed_form_integer_exactness():
     fx = load("x2m-example")
-    g = fx.closed["cesaro_sup"]
+    g = fx.arr.closed_cesaro_sup
     assert g(1) == Fraction(1, 2)
     # oracle: smallest n with 2^n / n > sqrt(x), found by brute walk
     n = 1
@@ -118,7 +118,7 @@ def _unit_walk(xs):
 
 def test_power_spikes_int_cesaro_search_equals_the_unit_walk():
     fx = load("x2m-example")
-    g = fx.closed["cesaro_sup"]
+    g = fx.arr.closed_cesaro_sup
     kg = sorted({fx.b(k) for k in fx.kg_grid})
     changes = [-(-4**n // (n * n)) for n in range(1, 1301)]  # smallest x with 4^n <= x n^2
     xs = sorted({x + d for x in changes for d in (-1, 0, 1)} | set(kg))
@@ -138,7 +138,7 @@ def _old_log_search(xp_log):
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
 def test_power_spikes_large_cesaro_search_equals_the_old_steps(p):
-    g = load("x2m-example", p=p).closed["cesaro_sup"]
+    g = load("x2m-example", p=p).arr.closed_cesaro_sup
     xs = [2.0**k * f for k in range(27, 1024, 7) for f in (1.0, 1.37)]
     xs += [2**k + d for k in (81, 500, 2000, 10**5) for d in (-1, 0, 1)]
     checked = 0

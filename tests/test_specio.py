@@ -144,6 +144,14 @@ SECTION_AND_NUMBER_CASES = {
     "svf-string": {"svf": "constant"},
     "svf-gamma-null": {"svf": {"family": "log-power", "gamma": None}},
     "b-p-null": {"b": {"kind": "power", "p": None}},
+    "b-values-null": {"b": {"kind": "explicit", "values": [1, None]}},
+    "b-values-bool": {"b": {"kind": "explicit", "values": [1, True]}},
+    "p-zero": {"p": 0},
+    "p-negative": {"p": -0.5},
+    "p-nan": {"p": float("nan")},
+    "p-infinite": {"p": float("inf")},
+    "b-p-zero": {"b": {"kind": "power", "p": 0.0}},
+    "b-p-infinite": {"b": {"kind": "power", "p": float("-inf")}},
 }
 
 

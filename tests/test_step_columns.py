@@ -412,7 +412,7 @@ def test_x2m_ui_cesaro_equals_loops():
 
 def test_wlln_closed_forms_equal_bisection():
     fx = load("wlln-counterexample")
-    ui, sup = fx.closed["ui_cesaro_pow_p"], fx.closed["cesaro_sup"]
+    ui, sup = fx.closed["ui_cesaro_pow_p"], fx.arr.closed_cesaro_sup
     for a in list(fx.ui_grid) + [0.5, 3.0, 2.0**40, math.nextafter(2.0**40, math.inf)]:
         want = 1.0 / clog2(ref_first_row_ratio_exceeding(float(a))) if a >= 1.0 else None
         if want is not None:
