@@ -190,7 +190,19 @@ def _build_example_41(p: float, nu: int) -> Fixture:
             magnitude=float(i + 1) ** (1.0 / p), prob=1.0 / (i * _log_nu(i, nu))
         )
 
-    arr = sequence_array(cell, label="example-4.1")
+    def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
+        # cell's two expressions, one column at a time: the log_nu product
+        # gains one clamped log2 factor per pass, in log_nu's order
+        inv = 1.0 / p
+        mags = [float(i + 1) ** inv for i in range(lo, hi + 1)]
+        f = [float(i) for i in range(lo, hi + 1)]
+        prod = [1.0] * len(f)
+        for _ in range(nu):
+            f = [math.log2(x) if x > 2.0 else 1.0 for x in f]
+            prod = [a * b for a, b in zip(prod, f)]
+        return mags, [1.0 / (i * d) for i, d in zip(range(lo, hi + 1), prod)]
+
+    arr = sequence_array(cell, label="example-4.1", cell_steps=cell_steps)
     return Fixture(
         name="example-4.1",
         arr=arr,
@@ -404,6 +416,14 @@ def _build_x2m(p: float, nu: int) -> Fixture:
             return SymmetricTwoPoint((i / (i.bit_length() - 1)) ** (1.0 / p), 1.0)
         return pm1
 
+    def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
+        mags = [1.0] * (hi - lo + 1)
+        i = 1 << (max(lo, 2) - 1).bit_length()  # the first 2^m >= max(lo, 2)
+        while i <= hi:
+            mags[i - lo] = (i / (i.bit_length() - 1)) ** (1.0 / p)
+            i <<= 1
+        return mags, [1.0] * len(mags)
+
     def cesaro_sup(x):
         if isinstance(x, int):
             if x < 1:
@@ -453,7 +473,8 @@ def _build_x2m(p: float, nu: int) -> Fixture:
         best = float(np.cumsum(terms, axis=1)[:, -1].max())
         return base + best
 
-    arr = sequence_array(cell, label="x2m-example", closed_cesaro_sup=cesaro_sup)
+    arr = sequence_array(cell, label="x2m-example", closed_cesaro_sup=cesaro_sup,
+                         cell_steps=cell_steps)
     return Fixture(
         name="x2m-example",
         arr=arr,
@@ -499,9 +520,15 @@ def load(name: str, *, p: Optional[float] = None, nu: Optional[int] = None) -> F
             f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
         )
     pp = _DEFAULT_P if p is None else float(p)
-    nn = _DEFAULT_NU if nu is None else int(nu)
     if not (0.0 < pp < 2.0):
         raise SpecError(f"fixture p must lie in (0, 2), got {pp}")
-    if nn < 1:
-        raise SpecError(f"fixture nu must be a positive integer, got {nn}")
-    return _BUILDERS[name](pp, nn)
+    return _BUILDERS[name](pp, _DEFAULT_NU if nu is None else iterated_log_order(nu))
+
+
+def iterated_log_order(nu) -> int:
+    """``nu`` as an int: an integral, finite, non-bool number >= 1, else SpecError."""
+    ok = not isinstance(nu, bool) and (
+        isinstance(nu, int) or isinstance(nu, float) and nu.is_integer())
+    if not (ok and nu >= 1):  # is_integer() is false for nan and inf
+        raise SpecError(f"nu must be an integer >= 1, got {nu!r}")
+    return int(nu)

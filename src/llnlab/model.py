@@ -14,7 +14,10 @@ can be computed exactly downstream.
 
 ``RowTable`` (the sup_n row scans), ``RowSampler`` and the series check read
 cells through one law table (``step_columns``): +-1 and two-point laws as
-(magnitude, prob) columns, every other law through one tail or quantile.
+(magnitude, prob) columns, every other law through one tail or quantile.  A
+sequence array may supply those columns from its formula (``cell_steps``);
+a run of its cells then builds no cell object, and a step law's object is
+built from its first cell only when a caller reads it.
 
 Sampling is deterministic per (seed, n, ...) address via counter-based Philox
 streams, so rows can be drawn concurrently without shared state; the keys of
@@ -252,7 +255,14 @@ class CellGroup:
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """Triangular array of cells given per-row as groups of identical cells."""
+    """Triangular array of cells given per-row as groups of identical cells.
+
+    ``cell_steps(lo, hi)``, optional on a sequence array whose every cell is a
+    +-1 or symmetric two-point law, returns the (magnitude, prob) of cells
+    lo..hi as two lists of floats, bitwise those of ``sequence_cell`` (a +-1
+    cell is (1.0, 1.0)); ``step_columns`` then reads a run of cells from it
+    without building a cell object per cell.
+    """
 
     row_length: Callable[[int], int]
     groups_fn: Optional[Callable[[int], tuple[CellGroup, ...]]] = None
@@ -262,6 +272,7 @@ class ArraySpec:
     label: str = ""
     n_max: Optional[int] = None
     closed_cesaro_sup: Optional[Callable[[float], float]] = None
+    cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None
 
     def __post_init__(self):
         if self.groups_fn is None and self.sequence_cell is None:
@@ -329,6 +340,7 @@ def sequence_array(
     dependence: Dependence = INDEPENDENT,
     label: str = "",
     closed_cesaro_sup: Optional[Callable[[float], float]] = None,
+    cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None,
 ) -> ArraySpec:
     """Array with X[n,i] = X_i and k_n = n."""
     return ArraySpec(
@@ -338,6 +350,7 @@ def sequence_array(
         dependence=dependence,
         label=label,
         closed_cesaro_sup=closed_cesaro_sup,
+        cell_steps=cell_steps,
     )
 
 
@@ -393,10 +406,20 @@ class WeightScheme:
         return self.range_sum(n, 1, self._check_row(n))
 
     def c0(self, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
-        """sup of row sums over the scan range, with the first attaining row."""
-        sums = [self.row_sum(n) for n in range(1, scan_top(n_sup, self.n_max) + 1)]
-        best_n = int(np.argmax(sums)) + 1 if sums else 0
-        best = sums[best_n - 1] if sums else -math.inf
+        """sup of row sums over the scan range, with the first attaining row.
+
+        A uniform row sums to k/k = 1.0 when it has k >= 1 cells and to 0.0
+        when it has none, so only the rows up to the first nonempty one are
+        read.
+        """
+        rows = range(1, scan_top(n_sup, self.n_max) + 1)
+        if self.kind == "uniform":
+            best_n = next((n for n in rows if self.row_length(n) >= 1), 0)
+            best = (1.0 if best_n else 0.0) if rows else -math.inf
+        else:
+            sums = [self.row_sum(n) for n in rows]
+            best_n = int(np.argmax(sums)) + 1 if sums else 0
+            best = sums[best_n - 1] if sums else -math.inf
         if not (best > 0.0 and math.isfinite(best)):
             raise ValueError(f"row-sum sup {best} violates C0 in (0, inf)")
         return best, best_n
@@ -485,20 +508,48 @@ def step_law(dist: DistSpec) -> Optional[tuple[float, float]]:
     return None
 
 
+class LawList(Sequence):
+    """The distinct laws of a ``step_columns`` table, step laws first.
+
+    A step law is built only when it is read: ``step_at(j)`` gives step law j
+    (from its first entry), and the other laws are held as they are.  Slices
+    are tuples.
+    """
+
+    def __init__(self, n_steps: int, step_at: Callable[[int], DistSpec], others: tuple):
+        self._n_steps, self._step_at, self._others = n_steps, step_at, others
+
+    def __len__(self) -> int:
+        return self._n_steps + len(self._others)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(map(self.__getitem__, range(*j.indices(len(self)))))
+        j = operator.index(j)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError("law index out of range")
+        return self._step_at(j) if j < self._n_steps else self._others[j - self._n_steps]
+
+
 def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
     """The one law table: the laws of a run of entries, read once.
 
     The entries are the cells X_lo..X_hi of a sequence array or, ``by_row``,
     the cell groups of rows lo..hi.  Returns ``(law, laws, mag, prob,
-    layout)``: ``laws`` lists each distinct law once, +-1 and two-point laws
-    first; ``law[j]`` is the index in ``laws`` of entry j; ``mag``/``prob``
-    are the (magnitude, prob) columns of the step laws ``laws[:len(mag)]``;
-    ``layout`` is None for cells, else one (row, first cell, count) per entry.
+    layout)``: ``laws`` (a ``LawList``) lists each distinct law once, +-1 and
+    two-point laws first; ``law[j]`` is the index in ``laws`` of entry j;
+    ``mag``/``prob`` are the (magnitude, prob) columns of the step laws
+    ``laws[:len(mag)]``; ``layout`` is None for cells, else one (row, first
+    cell, count) per entry.
 
     Step laws are told apart by their (magnitude, prob) pairs, sorted, so +-1
     and the two-point (1.0, 1.0) are one law; each law is listed by its first
-    entry.  A run of cells sizes ``law`` before reading a cell, so a run too
-    long to hold fails at once.
+    entry.  A run of cells of an array with ``cell_steps`` takes its pairs
+    from that formula and builds no cell object; its step laws are built
+    through ``sequence_cell`` only when read.  A run of cells sizes ``law``
+    before reading a cell, so a run too long to hold fails at once.
     """
     if by_row:
         dists, layout = [], []
@@ -512,10 +563,14 @@ def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
         layout = np.array(layout, dtype=np.int64).reshape(-1, 3)
     else:
         law = np.empty(hi - lo + 1, dtype=np.intp)
-        dists = list(map(arr.sequence_cell, range(lo, hi + 1)))
+        dists = None if arr.cell_steps else list(map(arr.sequence_cell, range(lo, hi + 1)))
         layout = None
-    pairs = np.fromiter(chain.from_iterable(step_law(d) or (math.nan, math.nan) for d in dists),
-                        dtype=float, count=2 * len(dists)).reshape(-1, 2)
+    if dists is None:  # every cell is a step law, read from the formula
+        pairs = np.array(arr.cell_steps(lo, hi), dtype=float).T
+    else:
+        pairs = np.fromiter(chain.from_iterable(step_law(d) or (math.nan, math.nan)
+                                                for d in dists),
+                            dtype=float, count=2 * len(dists)).reshape(-1, 2)
     is_step = pairs[:, 0] == pairs[:, 0]
     step = np.flatnonzero(is_step)
     step = step[np.lexsort((pairs[step, 1], pairs[step, 0]))]  # stable: first entry first
@@ -524,10 +579,14 @@ def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
     new[1:] = (mag[1:] != mag[:-1]) | (prob[1:] != prob[:-1])
     law[step] = np.cumsum(new) - 1
     n_steps = int(np.count_nonzero(new))
-    others: dict[DistSpec, int] = {}
-    for j in np.flatnonzero(~is_step).tolist():
-        law[j] = n_steps + others.setdefault(dists[j], len(others))
-    laws = (*(dists[j] for j in step[new].tolist()), *others)
+    first = step[new]
+    if dists is None:
+        laws = LawList(n_steps, lambda j: arr.sequence_cell(lo + int(first[j])), ())
+    else:
+        others: dict[DistSpec, int] = {}
+        for j in np.flatnonzero(~is_step).tolist():
+            law[j] = n_steps + others.setdefault(dists[j], len(others))
+        laws = LawList(n_steps, [dists[j] for j in first.tolist()].__getitem__, tuple(others))
     return law, laws, mag[new], prob[new], layout
 
 
@@ -841,7 +900,8 @@ class RowSampler:
     ``hi = 1 - q/2`` and magnitude m, so a uniform u maps to
     ``m * ((u >= hi) - (u < lo))``: the +-m/0 values of ``quantile_of``, bit
     for bit.  Every other law keeps the indexes of its cells, and its quantile
-    runs once per draw on them.  Uniforms follow the array's dependence.
+    runs once per draw on them, and a row with no step law skips the sign
+    select.  Uniforms follow the array's dependence.
     """
 
     def __init__(self, arr: ArraySpec, n: int):
@@ -855,10 +915,12 @@ class RowSampler:
             law, laws, mag, prob, layout = step_columns(arr, n, n, by_row=True)
             law = np.repeat(law, layout[:, 2])  # one entry per cell
         n_steps = len(mag)
-        pad = np.zeros(len(laws) - n_steps)
-        self._mag = np.concatenate((mag, pad))[law]
-        half = np.concatenate((prob / 2.0, pad))[law]
-        self._lo, self._hi = half, 1.0 - half
+        self._mag = None  # a row with no step law keeps no per-cell step arrays
+        if n_steps:
+            pad = np.zeros(len(laws) - n_steps)
+            self._mag = np.concatenate((mag, pad))[law]
+            half = np.concatenate((prob / 2.0, pad))[law]
+            self._lo, self._hi = half, 1.0 - half
         # the cells of each other law, in cell order
         other = np.flatnonzero(law >= n_steps)
         other = other[np.argsort(law[other], kind="stable")]
@@ -875,9 +937,10 @@ class RowSampler:
         m = _row_uniforms(self._arr.dependence, rngs, bufs[0], bufs[2])
         u, x = bufs[0][:m], bufs[1][:m]
         other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
-        np.greater_equal(u, self._hi, out=x)
-        x -= np.less(u, self._lo, out=u)
-        x *= self._mag
+        if self._mag is not None:
+            np.greater_equal(u, self._hi, out=x)
+            x -= np.less(u, self._lo, out=u)
+            x *= self._mag
         for (_, idx), vals in zip(self._others, other):
             x[:, idx] = np.reshape(vals, (m, len(idx)))
         return x

@@ -273,7 +273,7 @@ def load_spec_obj(doc: dict) -> LoadedSpec:
     if "cells" not in doc:
         raise SpecError("spec needs a 'fixture' name or explicit 'cells'")
     p = _exponent(doc, "p", 1.0)
-    nu = int(_number(doc, "nu", 1))
+    nu = fixtures_mod.iterated_log_order(_number(doc, "nu", 1))
     arr = _array_from_cells(doc)
     return LoadedSpec(
         arr=arr,

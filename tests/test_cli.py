@@ -282,6 +282,11 @@ SPEC_CASES = {
     "p-nan": {"p": float("nan")},
     "p-infinite": {"p": float("inf")},
     "b-p-zero": {"b": {"kind": "power", "p": 0}},
+    "nu-half": {"nu": 1.5},
+    "nu-zero": {"nu": 0},
+    "nu-infinite": {"nu": float("inf")},
+    "fixture-nu-half": {"fixture": "example-4.1", "nu": 1.5},
+    "fixture-nu-infinite": {"fixture": "x2m-example", "nu": float("inf")},
 }
 
 

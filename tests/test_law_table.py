@@ -120,7 +120,7 @@ def test_fixture_tables_match_the_old_renumbering(name):
     for weights in (None, fx.weights):
         table = model.RowTable(fx.arr, weights, 300)
         law, laws, mag, prob = check_table(fx.arr, 1, table.top, by_row=not table._prefix)
-        assert table.laws == laws
+        assert tuple(table.laws) == tuple(laws)
         assert np.array_equal(table.mag, mag) and np.array_equal(table.prob, prob)
         assert np.array_equal(table._law, law)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,41 @@ def test_uniform_weights_row_sum_is_one():
     w = model.uniform_weights()
     for n in (1, 3, 17, 400):
         assert w.row_sum(n) == pytest.approx(1.0, abs=1e-15)
+
+
+def ref_c0(w, n_sup):
+    """The per-row loop ``WeightScheme.c0`` ran for every weight scheme."""
+    sums = [w.row_sum(n) for n in range(1, model.scan_top(n_sup, w.n_max) + 1)]
+    best_n = int(np.argmax(sums)) + 1 if sums else 0
+    best = sums[best_n - 1] if sums else -math.inf
+    if not (best > 0.0 and math.isfinite(best)):
+        raise ValueError(f"row-sum sup {best} violates C0 in (0, inf)")
+    return best, best_n
+
+
+@pytest.mark.parametrize("n_max", [None, 3, 100])
+@pytest.mark.parametrize("row_length", [lambda n: n, lambda n: 2 * n, lambda n: max(n - 5, 0)],
+                         ids=["n", "2n", "n-5"])
+@pytest.mark.parametrize("n_sup", [1, 64, 10_000])
+def test_uniform_c0_matches_the_row_loop(row_length, n_max, n_sup):
+    w = model.WeightScheme(kind="uniform", row_length=row_length, n_max=n_max)
+    try:
+        want = ref_c0(w, n_sup)
+    except ValueError as exc:  # no nonempty row in the scan
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            w.c0(n_sup)
+    else:
+        got = w.c0(n_sup)
+        assert got == want and type(got[0]) is float and type(got[1]) is int
+
+
+@pytest.mark.parametrize("n_sup", [0, -3])
+def test_uniform_c0_of_an_empty_scan_raises_as_the_row_loop(n_sup):
+    w = model.uniform_weights()
+    with pytest.raises(ValueError, match="-inf"):
+        ref_c0(w, n_sup)
+    with pytest.raises(ValueError, match="-inf"):
+        w.c0(n_sup)
 
 
 def test_row_out_of_declared_range():

@@ -143,6 +143,33 @@ def test_sequence_rows_match_the_group_loop(dep):
                              reference_row(arr, n, model.rng_for(6, n, rep)))
 
 
+def no_step_rows(dependence):
+    """Rows of Pareto and custom cells only: one law, or several in groups."""
+    groups = {n: (model.CellGroup(n // 2, LAWS["pareto"]), model.CellGroup(1, CAUCHY),
+                  model.CellGroup(n - n // 2 - 1, model.ParetoTail(3.0)))
+              for n in range(1, 41)}
+    return (model.identical_array(LAWS["pareto"], dependence=dependence),
+            model.identical_array(CAUCHY, dependence=dependence),
+            model.sequence_array(lambda i: (CAUCHY, LAWS["pareto"])[i % 2],
+                                 dependence=dependence),
+            model.ArraySpec(row_length=lambda n: n, dependence=dependence, n_max=40,
+                            groups_fn=lambda n: tuple(g for g in groups[n] if g.count)))
+
+
+@pytest.mark.parametrize("dep", sorted(DEPENDENCE))
+def test_rows_without_step_laws_keep_no_step_arrays(dep):
+    for arr in no_step_rows(DEPENDENCE[dep]):
+        for n in (1, 2, 3, 40):
+            sampler = RowSampler(arr, n)
+            assert sampler._mag is None
+            assert not hasattr(sampler, "_lo") and not hasattr(sampler, "_hi")
+            bufs = sampler.buffers(4)
+            bufs[1][:] = np.nan  # every draw must be written by a quantile
+            rows = sampler.draw_rows((model.rng_for(3, n, rep) for rep in range(4)), bufs)
+            for rep in range(4):
+                assert_same_bits(rows[rep], reference_row(arr, n, model.rng_for(3, n, rep)))
+
+
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
 def test_draw_rows_matches_single_draws(dep):
     for arr, n in ((mixed_array(DEPENDENCE[dep]), 33), (mixed_sequence(DEPENDENCE[dep]), 90)):

@@ -152,6 +152,12 @@ SECTION_AND_NUMBER_CASES = {
     "p-infinite": {"p": float("inf")},
     "b-p-zero": {"b": {"kind": "power", "p": 0.0}},
     "b-p-infinite": {"b": {"kind": "power", "p": float("-inf")}},
+    "nu-half": {"nu": 1.5},
+    "nu-zero": {"nu": 0},
+    "nu-negative": {"nu": -2},
+    "nu-bool": {"nu": True},
+    "nu-nan": {"nu": float("nan")},
+    "nu-infinite": {"nu": float("inf")},
 }
 
 
@@ -168,6 +174,31 @@ def test_sections_and_numbers_are_checked(extra):
 def test_fixture_reference_checks_its_numbers_and_svf(extra):
     with pytest.raises(SpecError, match="must be a"):
         specio.load_spec_obj({"fixture": "example-2.1", **extra})
+
+
+@pytest.mark.parametrize("fixture", ["example-4.1", "x2m-example"])
+@pytest.mark.parametrize("nu", [1.5, 0, 0.0, -1, float("nan"), float("inf"), True],
+                         ids=["half", "zero", "zero-float", "negative", "nan", "inf", "bool"])
+def test_fixture_reference_checks_its_nu(fixture, nu):
+    with pytest.raises(SpecError, match="must be a"):
+        specio.load_spec_obj({"fixture": fixture, "nu": nu})
+
+
+def test_nu_literal_past_float_range_is_a_spec_error(tmp_path):
+    for doc in ('{"fixture": "x2m-example", "nu": 1e999}',
+                '{"cells": [{"n": 1, "i": 1, "dist": {"kind": "symmetric-pm1"}}], "nu": 1e999}'):
+        (tmp_path / "s.json").write_text(doc)
+        with pytest.raises(SpecError, match="nu must be an integer >= 1"):
+            specio.load_spec(tmp_path / "s.json")
+
+
+def test_integral_nu_is_kept_as_an_int():
+    for nu in (2, 2.0):
+        spec = specio.load_spec_obj({"fixture": "example-4.1", "nu": nu})
+        assert spec.nu == 2 and type(spec.nu) is int and spec.fixture.nu == 2
+        cells = [{"n": 1, "i": 1, "dist": {"kind": "symmetric-pm1"}}]
+        spec = specio.load_spec_obj({"cells": cells, "nu": nu})
+        assert spec.nu == 2 and type(spec.nu) is int
 
 
 def test_fixture_reference_keeps_its_svf():
