@@ -174,7 +174,7 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     The cells are read a dyadic block n in [2^j, 2^(j+1)) at a time (in
     chunks of at most ``SERIES_CHUNK`` cells) through one ``step_columns``
     law table per chunk.  With x_n = n^(1/p), taken with Python's scalar
-    ``**``, the term of a +-1 or two-point cell is
+    ``**``, the term of a step cell is
     ``where(x_n < m_n, q_n, 0.0)`` on the table's (magnitude, prob) columns;
     only the other cells go through a scalar tail, looked up once per law.
     The running total is a ``np.cumsum`` over each chunk seeded with the
@@ -200,13 +200,13 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     lo = 1
     while lo <= N:
         hi = min(lo + SERIES_CHUNK, 1 << lo.bit_length(), N + 1)  # inside lo's block
-        law, laws, mag, prob, _ = step_columns(arr, lo, hi - 1)
+        law, others, mag, prob, _ = step_columns(arr, lo, hi - 1)
         x = [float(n) ** inv for n in range(lo, hi)]
         # a non-step law has m = inf > x_n and q = 0 here, then its tail at x_n
-        n_steps, pad = len(mag), np.zeros(len(laws) - len(mag))
+        n_steps, pad = len(mag), np.zeros(len(others))
         terms = np.where(np.array(x) < np.concatenate((mag, pad + math.inf))[law],
                          np.concatenate((prob, pad))[law], 0.0)
-        tails = [tail_of(d).fn for d in laws[n_steps:]]
+        tails = [tail_of(d).fn for d in others]
         for j in np.flatnonzero(law >= n_steps).tolist():
             terms[j] = tails[law[j] - n_steps](x[j])
         terms[0] += total

@@ -168,7 +168,7 @@ def dominating_cdf(
                 return 1.0
             return min(1.0, sup_fn(x) / c0)
 
-        cdf = TailFunction(fn=constructed_tail, kind="piecewise")
+        cdf = TailFunction(fn=constructed_tail)
     return DominationReport(
         grid=xs,
         values=values,
@@ -282,7 +282,6 @@ def truncated_moment_bounds(
     *,
     n_sup: int = DEFAULT_N_SUP,
     use_closed: bool = True,
-    precheck: bool = True,
 ) -> TruncatedMomentBounds:
     """Row-averaged truncated r-th moments against their dominating bounds.
 
@@ -290,8 +289,7 @@ def truncated_moment_bounds(
            vs E(|Y|^r 1(|Y| <= x)) + x^r P(|Y| > x)
     above: the same with the truncation reversed vs E(|Y|^r 1(|Y| > x)).
     """
-    if precheck:
-        cesaro_precheck(arr, y_tail, n_sup=n_sup, use_closed=use_closed)
+    cesaro_precheck(arr, y_tail, n_sup=n_sup, use_closed=use_closed)
     table = RowTable(arr, uniform_weights(arr.row_length), n_sup)
 
     def below_val(d):

@@ -36,7 +36,6 @@ from .model import (
     ArraySpec,
     CellGroup,
     NormalizingSequence,
-    SymmetricPM1,
     SymmetricTwoPoint,
     TailFunction,
     WeightScheme,
@@ -72,7 +71,7 @@ class Fixture:
 
     def cesaro_tail(self) -> TailFunction:
         """Tail of the canonical Cesaro dominating variable (closed form)."""
-        return TailFunction(fn=self.arr.closed_cesaro_sup, kind="piecewise",
+        return TailFunction(fn=self.arr.closed_cesaro_sup,
                             knot_fn=self.closed.get("cesaro_knots"))
 
 
@@ -82,11 +81,11 @@ class Fixture:
 
 
 def _build_example_21(p: float, nu: int) -> Fixture:
-    pm1 = SymmetricPM1()
+    pm1 = SymmetricTwoPoint(1.0)
 
     def groups(n: int) -> tuple[CellGroup, ...]:
         if n == 1:
-            return (CellGroup(1, SymmetricTwoPoint(1.0, 1.0)),)
+            return (CellGroup(1, pm1),)
         m = n // 2
         return (
             CellGroup(m, pm1),
@@ -143,7 +142,6 @@ def _build_example_21(p: float, nu: int) -> Fixture:
     arr = ArraySpec(
         row_length=lambda n: n,
         groups_fn=groups,
-        mean_zero=True,
         label="example-2.1",
         closed_cesaro_sup=cesaro_sup,
     )
@@ -183,26 +181,22 @@ def _build_example_21(p: float, nu: int) -> Fixture:
 
 
 def _build_example_41(p: float, nu: int) -> Fixture:
-    from .svf import log_nu as _log_nu
-
-    def cell(i: int) -> SymmetricTwoPoint:
-        return SymmetricTwoPoint(
-            magnitude=float(i + 1) ** (1.0 / p), prob=1.0 / (i * _log_nu(i, nu))
-        )
-
     def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
-        # cell's two expressions, one column at a time: the log_nu product
-        # gains one clamped log2 factor per pass, in log_nu's order
+        # X_i = +-(i+1)^(1/p) with probability 1/(i log_nu(i)), one column at a
+        # time: the log_nu product gains one clamped log2 factor per pass, in
+        # svf.log_nu's order, until every factor left is the clamped 1.0
         inv = 1.0 / p
         mags = [float(i + 1) ** inv for i in range(lo, hi + 1)]
         f = [float(i) for i in range(lo, hi + 1)]
         prod = [1.0] * len(f)
         for _ in range(nu):
+            if not f or f[-1] <= 2.0:  # f rises with i: every factor from here is 1.0
+                break
             f = [math.log2(x) if x > 2.0 else 1.0 for x in f]
             prod = [a * b for a, b in zip(prod, f)]
         return mags, [1.0 / (i * d) for i, d in zip(range(lo, hi + 1), prod)]
 
-    arr = sequence_array(cell, label="example-4.1", cell_steps=cell_steps)
+    arr = sequence_array(label="example-4.1", cell_steps=cell_steps)
     return Fixture(
         name="example-4.1",
         arr=arr,
@@ -266,7 +260,7 @@ def _first_row_ratio_exceeding(a: float) -> float:
 
 
 def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
-    pm1 = SymmetricPM1()
+    pm1 = SymmetricTwoPoint(1.0)
 
     def groups(n: int) -> tuple[CellGroup, ...]:
         big = SymmetricTwoPoint(_wlln_big_magnitude(n, p), 1.0)
@@ -321,7 +315,6 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
     arr = ArraySpec(
         row_length=lambda n: n,
         groups_fn=groups,
-        mean_zero=True,
         label="wlln-counterexample",
         closed_cesaro_sup=cesaro_sup,
     )
@@ -408,15 +401,10 @@ _UI_SCALE = np.ldexp(1.0, -_UI_D)
 
 
 def _build_x2m(p: float, nu: int) -> Fixture:
-    pm1 = SymmetricPM1()
     half = p == 0.5
 
-    def cell(i: int) -> object:
-        if i >= 2 and (i & (i - 1)) == 0:  # i = 2^m
-            return SymmetricTwoPoint((i / (i.bit_length() - 1)) ** (1.0 / p), 1.0)
-        return pm1
-
     def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
+        # X_i = +-(2^m / m)^(1/p) at i = 2^m (m >= 1), +-1 elsewhere
         mags = [1.0] * (hi - lo + 1)
         i = 1 << (max(lo, 2) - 1).bit_length()  # the first 2^m >= max(lo, 2)
         while i <= hi:
@@ -473,7 +461,7 @@ def _build_x2m(p: float, nu: int) -> Fixture:
         best = float(np.cumsum(terms, axis=1)[:, -1].max())
         return base + best
 
-    arr = sequence_array(cell, label="x2m-example", closed_cesaro_sup=cesaro_sup,
+    arr = sequence_array(label="x2m-example", closed_cesaro_sup=cesaro_sup,
                          cell_steps=cell_steps)
     return Fixture(
         name="x2m-example",

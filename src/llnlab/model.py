@@ -12,19 +12,19 @@ x -> P(|X| > x), with the strict inequality: a unit atom at 5 gives tail 0 at
 x = 5.  Purely discrete distributions carry their atom list so expectations
 can be computed exactly downstream.
 
-``RowTable`` (the sup_n row scans), ``RowSampler`` and the series check read
-cells through one law table (``step_columns``): +-1 and two-point laws as
-(magnitude, prob) columns, every other law through one tail or quantile.  A
-sequence array may supply those columns from its formula (``cell_steps``);
-a run of its cells then builds no cell object, and a step law's object is
-built from its first cell only when a caller reads it.
+A step law, the symmetric two-point law (+-1 is magnitude 1, prob 1), is
+its (magnitude, prob) pair.  ``RowTable`` (the sup_n row scans),
+``RowSampler`` and the series check read cells through one law table
+(``step_columns``): step laws as (magnitude, prob) columns, every other law
+through one tail or quantile.  A sequence array of step laws may give only
+its formula (``cell_steps``); its cells are then read from the formula, a run
+of them as columns, one cell as a ``SymmetricTwoPoint``.
 
 Sampling is deterministic per (seed, n, ...) address via counter-based Philox
 streams, so rows can be drawn concurrently without shared state; the keys of
 a row's addresses come from one vectorised pass (``stream_keys``).
 ``RowSampler`` lays a row out once and then maps each draw's uniforms to cell
-values by a sign select (+-1 and two-point cells) and one quantile call per
-other law.
+values by a sign select (step cells) and one quantile call per other law.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class TailFunction:
     """
 
     fn: Callable[[float], float]
-    kind: str = "analytic"  # analytic | piecewise | empirical
     support_hint: Optional[float] = None
     atoms: Optional[tuple[tuple[float, float], ...]] = None
     knot_fn: Optional[Callable[[float, float], tuple[float, ...]]] = None
@@ -86,7 +85,7 @@ def empirical_tail(samples: np.ndarray) -> TailFunction:
     def fn(x: float) -> float:
         return float(n - np.searchsorted(mags, x, side="right")) / n
 
-    return TailFunction(fn=fn, kind="empirical", support_hint=float(mags[-1]))
+    return TailFunction(fn=fn, support_hint=float(mags[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def empirical_tail(samples: np.ndarray) -> TailFunction:
 
 @dataclass(frozen=True)
 class SymmetricTwoPoint:
-    """P(X = +-magnitude) = prob/2 each, rest of the mass at 0."""
+    """P(X = +-magnitude) = prob/2 each, rest of the mass at 0; +-1 is (1.0, 1.0)."""
 
     magnitude: float
     prob: float = 1.0
@@ -106,11 +105,6 @@ class SymmetricTwoPoint:
             raise ValueError("magnitude must be positive")
         if not (0.0 < self.prob <= 1.0):
             raise ValueError("prob must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class SymmetricPM1:
-    """X = +-1 with probability 1/2 each."""
 
 
 @dataclass(frozen=True)
@@ -133,21 +127,13 @@ class CustomDist:
 
     tail: TailFunction
     quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    mean_zero: bool = False
 
 
-DistSpec = Union[SymmetricTwoPoint, SymmetricPM1, ParetoTail, CustomDist]
+DistSpec = Union[SymmetricTwoPoint, ParetoTail, CustomDist]
 
 
 def tail_of(spec: DistSpec) -> TailFunction:
     """Exact survival function of |X| for the given spec."""
-    if isinstance(spec, SymmetricPM1):
-        return TailFunction(
-            fn=lambda x: 1.0 if x < 1.0 else 0.0,
-            kind="piecewise",
-            support_hint=1.0,
-            atoms=((1.0, 1.0),),
-        )
     if isinstance(spec, SymmetricTwoPoint):
         m, q = spec.magnitude, spec.prob
 
@@ -157,9 +143,7 @@ def tail_of(spec: DistSpec) -> TailFunction:
             return q if x < m else 0.0
 
         atoms = ((m, q),) if q == 1.0 else ((0.0, 1.0 - q), (m, q))
-        return TailFunction(
-            fn=two_point_tail, kind="piecewise", support_hint=m, atoms=atoms
-        )
+        return TailFunction(fn=two_point_tail, support_hint=m, atoms=atoms)
     if isinstance(spec, ParetoTail):
         a, c = spec.alpha, spec.cutoff
 
@@ -168,7 +152,7 @@ def tail_of(spec: DistSpec) -> TailFunction:
                 return 1.0
             return (x / c) ** (-a)
 
-        return TailFunction(fn=pareto_tail, kind="analytic")
+        return TailFunction(fn=pareto_tail)
     if isinstance(spec, CustomDist):
         return spec.tail
     raise TypeError(f"not a DistSpec: {spec!r}")
@@ -176,8 +160,6 @@ def tail_of(spec: DistSpec) -> TailFunction:
 
 def quantile_of(spec: DistSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized inverse-transform sampler u in [0,1) -> X."""
-    if isinstance(spec, SymmetricPM1):
-        return lambda u: np.where(np.asarray(u) < 0.5, -1.0, 1.0)
     if isinstance(spec, SymmetricTwoPoint):
         m, q = spec.magnitude, spec.prob
 
@@ -257,17 +239,17 @@ class CellGroup:
 class ArraySpec:
     """Triangular array of cells given per-row as groups of identical cells.
 
-    ``cell_steps(lo, hi)``, optional on a sequence array whose every cell is a
-    +-1 or symmetric two-point law, returns the (magnitude, prob) of cells
-    lo..hi as two lists of floats, bitwise those of ``sequence_cell`` (a +-1
-    cell is (1.0, 1.0)); ``step_columns`` then reads a run of cells from it
-    without building a cell object per cell.
+    ``cell_steps(lo, hi)``, set on a sequence array whose every cell is a step
+    law, is the array's formula: the (magnitude, prob) of cells lo..hi as two
+    lists of floats.  ``sequence_cell(i)`` is then the ``SymmetricTwoPoint``
+    of the one-cell run i..i (``sequence_array`` builds it), and
+    ``step_columns`` reads a run of cells from the formula without building
+    a cell object per cell.
     """
 
     row_length: Callable[[int], int]
     groups_fn: Optional[Callable[[int], tuple[CellGroup, ...]]] = None
     sequence_cell: Optional[Callable[[int], DistSpec]] = None
-    mean_zero: bool = True
     dependence: Dependence = INDEPENDENT
     label: str = ""
     n_max: Optional[int] = None
@@ -317,7 +299,6 @@ def identical_array(
     dist: DistSpec,
     *,
     row_length: Callable[[int], int] = lambda n: n,
-    mean_zero: bool = True,
     dependence: Dependence = INDEPENDENT,
     label: str = "",
 ) -> ArraySpec:
@@ -326,7 +307,6 @@ def identical_array(
     return ArraySpec(
         row_length=row_length,
         groups_fn=lambda n: (CellGroup(row_length(n), dist),),
-        mean_zero=mean_zero,
         dependence=dependence,
         label=label,
         closed_cesaro_sup=tail.fn,
@@ -334,19 +314,25 @@ def identical_array(
 
 
 def sequence_array(
-    cell: Callable[[int], DistSpec],
+    cell: Optional[Callable[[int], DistSpec]] = None,
     *,
-    mean_zero: bool = True,
     dependence: Dependence = INDEPENDENT,
     label: str = "",
     closed_cesaro_sup: Optional[Callable[[float], float]] = None,
     cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None,
 ) -> ArraySpec:
-    """Array with X[n,i] = X_i and k_n = n."""
+    """Array with X[n,i] = X_i and k_n = n, given by ``cell(i)`` or, for a
+    sequence of step laws, by its formula ``cell_steps`` alone."""
+    if (cell is None) == (cell_steps is None):
+        raise ValueError("sequence_array needs one of cell and cell_steps")
+    if cell is None:
+        def cell(i: int) -> SymmetricTwoPoint:
+            (m,), (q,) = cell_steps(i, i)
+            return SymmetricTwoPoint(m, q)
+
     return ArraySpec(
         row_length=lambda n: n,
         sequence_cell=cell,
-        mean_zero=mean_zero,
         dependence=dependence,
         label=label,
         closed_cesaro_sup=closed_cesaro_sup,
@@ -500,56 +486,28 @@ def scan_top(n_sup: int, *bounds: Optional[int]) -> int:
 
 
 def step_law(dist: DistSpec) -> Optional[tuple[float, float]]:
-    """(magnitude, prob) of a +-1 or symmetric two-point law; None for others."""
-    if isinstance(dist, SymmetricPM1):
-        return 1.0, 1.0
+    """(magnitude, prob) of a step law (symmetric two-point); None for others."""
     if isinstance(dist, SymmetricTwoPoint):
         return dist.magnitude, dist.prob
     return None
-
-
-class LawList(Sequence):
-    """The distinct laws of a ``step_columns`` table, step laws first.
-
-    A step law is built only when it is read: ``step_at(j)`` gives step law j
-    (from its first entry), and the other laws are held as they are.  Slices
-    are tuples.
-    """
-
-    def __init__(self, n_steps: int, step_at: Callable[[int], DistSpec], others: tuple):
-        self._n_steps, self._step_at, self._others = n_steps, step_at, others
-
-    def __len__(self) -> int:
-        return self._n_steps + len(self._others)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(map(self.__getitem__, range(*j.indices(len(self)))))
-        j = operator.index(j)
-        if j < 0:
-            j += len(self)
-        if not 0 <= j < len(self):
-            raise IndexError("law index out of range")
-        return self._step_at(j) if j < self._n_steps else self._others[j - self._n_steps]
 
 
 def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
     """The one law table: the laws of a run of entries, read once.
 
     The entries are the cells X_lo..X_hi of a sequence array or, ``by_row``,
-    the cell groups of rows lo..hi.  Returns ``(law, laws, mag, prob,
-    layout)``: ``laws`` (a ``LawList``) lists each distinct law once, +-1 and
-    two-point laws first; ``law[j]`` is the index in ``laws`` of entry j;
-    ``mag``/``prob`` are the (magnitude, prob) columns of the step laws
-    ``laws[:len(mag)]``; ``layout`` is None for cells, else one (row, first
-    cell, count) per entry.
+    the cell groups of rows lo..hi.  Returns ``(law, others, mag, prob,
+    layout)``.  A step law is its (magnitude, prob) pair: ``mag``/``prob``
+    hold each distinct pair once, sorted, and are the only record of the
+    step laws.  ``others`` lists every other distinct law once, by its first
+    entry.  ``law[j]`` numbers the law of entry j, step laws first: below
+    ``len(mag)`` it indexes the columns, from there ``others`` (less
+    ``len(mag)``).  ``layout`` is None for cells, else one (row, first cell,
+    count) per entry.
 
-    Step laws are told apart by their (magnitude, prob) pairs, sorted, so +-1
-    and the two-point (1.0, 1.0) are one law; each law is listed by its first
-    entry.  A run of cells of an array with ``cell_steps`` takes its pairs
-    from that formula and builds no cell object; its step laws are built
-    through ``sequence_cell`` only when read.  A run of cells sizes ``law``
-    before reading a cell, so a run too long to hold fails at once.
+    A run of cells of an array with ``cell_steps`` takes its pairs from that
+    formula and builds no cell object.  A run of cells sizes ``law`` before
+    reading a cell, so a run too long to hold fails at once.
     """
     if by_row:
         dists, layout = [], []
@@ -573,21 +531,16 @@ def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
                             dtype=float, count=2 * len(dists)).reshape(-1, 2)
     is_step = pairs[:, 0] == pairs[:, 0]
     step = np.flatnonzero(is_step)
-    step = step[np.lexsort((pairs[step, 1], pairs[step, 0]))]  # stable: first entry first
+    step = step[np.lexsort((pairs[step, 1], pairs[step, 0]))]
     mag, prob = pairs[step, 0], pairs[step, 1]
     new = np.ones(len(step), dtype=bool)
     new[1:] = (mag[1:] != mag[:-1]) | (prob[1:] != prob[:-1])
     law[step] = np.cumsum(new) - 1
     n_steps = int(np.count_nonzero(new))
-    first = step[new]
-    if dists is None:
-        laws = LawList(n_steps, lambda j: arr.sequence_cell(lo + int(first[j])), ())
-    else:
-        others: dict[DistSpec, int] = {}
-        for j in np.flatnonzero(~is_step).tolist():
-            law[j] = n_steps + others.setdefault(dists[j], len(others))
-        laws = LawList(n_steps, [dists[j] for j in first.tolist()].__getitem__, tuple(others))
-    return law, laws, mag[new], prob[new], layout
+    others: dict[DistSpec, int] = {}
+    for j in np.flatnonzero(~is_step).tolist():  # none on a formula's run
+        law[j] = n_steps + others.setdefault(dists[j], len(others))
+    return law, tuple(others), mag[new], prob[new], layout
 
 
 def less_than(x, mags: np.ndarray) -> np.ndarray:
@@ -614,13 +567,12 @@ class RowTable:
     ``np.bincount``.  Both reductions add in row order, exactly as the scalar
     row loops do, so row values are bitwise equal to theirs.
 
-    The entries come from ``step_columns``: each distinct law is listed once
-    in ``laws``, +-1 and two-point laws first, as the (magnitude, prob)
-    columns ``mag`` and ``prob``, compared with x in one vector operation;
-    every other law after them, through its scalar tail.  ``split_row_values``
-    takes a column of per-step-law values worked out from ``mag`` and
-    ``prob`` (for example g(m) * q) and calls a scalar function only on the
-    other laws.
+    The entries come from ``step_columns``: each distinct step law is a row
+    of the (magnitude, prob) columns ``mag`` and ``prob``, compared with x in
+    one vector operation; each other law is listed once in ``others``, read
+    through its scalar tail.  ``split_row_values`` takes a column of
+    per-step-law values worked out from ``mag`` and ``prob`` (for example
+    g(m) * q) and calls a scalar function only on ``others``.
     """
 
     def __init__(
@@ -632,9 +584,9 @@ class RowTable:
         bounds = (arr.n_max,) if weights is None else (arr.n_max, weights.n_max)
         self.top = top = max(scan_top(n_sup, *bounds), 0)
         self._prefix = arr.is_sequence and (weights is None or weights.kind == "uniform")
-        self._law, self.laws, self.mag, self.prob, layout = step_columns(
+        self._law, self.others, self.mag, self.prob, layout = step_columns(
             arr, 1, top, by_row=not self._prefix)
-        self._tails = tuple(tail_of(d).fn for d in self.laws[len(self.mag):])
+        self._tails = tuple(tail_of(d).fn for d in self.others)
         if self._prefix:
             self._div = np.arange(1, top + 1)
             return
@@ -649,7 +601,7 @@ class RowTable:
             self._div = None
 
     def _law_tails(self, x) -> np.ndarray:
-        """P(|X| > x) for every law in ``laws``."""
+        """P(|X| > x) for every law, step laws first."""
         if x < 0.0:
             step = np.ones(len(self.mag))
         else:
@@ -658,7 +610,7 @@ class RowTable:
         return np.concatenate((step, other))
 
     def _rows(self, law_values: np.ndarray) -> np.ndarray:
-        """Row values for n = 1..top, given one value per law in ``laws``."""
+        """Row values for n = 1..top, given one value per law, step laws first."""
         v = law_values[self._law]
         if self._prefix:
             out = np.cumsum(v)
@@ -667,17 +619,18 @@ class RowTable:
         return out if self._div is None else out / self._div
 
     def row_values(self, cell_value: Callable[[DistSpec], float]) -> np.ndarray:
-        """Row values of ``cell_value``, called once per distinct law."""
-        vals = np.fromiter(map(cell_value, self.laws), dtype=float, count=len(self.laws))
-        return self._rows(vals)
+        """Row values of ``cell_value``, called once per distinct law (a step
+        law as the ``SymmetricTwoPoint`` of its columns)."""
+        steps = map(SymmetricTwoPoint, self.mag.tolist(), self.prob.tolist())
+        vals = np.fromiter(map(cell_value, steps), dtype=float, count=len(self.mag))
+        return self.split_row_values(vals, cell_value)
 
     def split_row_values(
         self, step_values: np.ndarray, other_value: Callable[[DistSpec], float]
     ) -> np.ndarray:
         """Row values from ``step_values`` (one per step law, aligned with
         ``mag``) and ``other_value``, called once per other law."""
-        others = self.laws[len(self.mag):]
-        vals = np.fromiter(map(other_value, others), dtype=float, count=len(others))
+        vals = np.fromiter(map(other_value, self.others), dtype=float, count=len(self.others))
         return self._rows(np.concatenate((step_values, vals)))
 
     def sup(self, x) -> float:
@@ -710,13 +663,8 @@ class NormalizingSequence:
     __call__ = eval
 
 
-def power_norming(
-    p: float,
-    conj=None,
-    *,
-    conj_of_power: bool = True,
-) -> NormalizingSequence:
-    """b_n = n^(1/p) * Lt(n^(1/p)) (default) or n^(1/p) * Lt(n)^(1/p).
+def power_norming(p: float, conj=None) -> NormalizingSequence:
+    """b_n = n^(1/p) * Lt(n^(1/p)), Lt the conjugate ``conj`` (None for 1).
 
     With a trivial conjugate and integral 1/p the map is integer-exact.
     """
@@ -732,11 +680,7 @@ def power_norming(
 
     def fn(n):
         base = float(n) ** inv
-        if trivial:
-            return base
-        if conj_of_power:
-            return base * conj.eval(base)
-        return base * conj.eval(float(n)) ** inv
+        return base if trivial else base * conj.eval(base)
 
     return NormalizingSequence(fn=fn)
 
@@ -896,10 +840,9 @@ def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w) 
 class RowSampler:
     """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
-    +-1 and two-point cells keep per-cell thresholds ``lo = q/2``,
-    ``hi = 1 - q/2`` and magnitude m, so a uniform u maps to
-    ``m * ((u >= hi) - (u < lo))``: the +-m/0 values of ``quantile_of``, bit
-    for bit.  Every other law keeps the indexes of its cells, and its quantile
+    Step cells keep per-cell thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
+    magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``: the
+    +-m/0 values of ``quantile_of``, bit for bit.  Every other law keeps the indexes of its cells, and its quantile
     runs once per draw on them, and a row with no step law skips the sign
     select.  Uniforms follow the array's dependence.
     """
@@ -910,22 +853,22 @@ class RowSampler:
         self.k = k = arr.k(n)
         self._arr = arr
         if arr.is_sequence:
-            law, laws, mag, prob, _ = step_columns(arr, 1, k)
+            law, others, mag, prob, _ = step_columns(arr, 1, k)
         else:
-            law, laws, mag, prob, layout = step_columns(arr, n, n, by_row=True)
+            law, others, mag, prob, layout = step_columns(arr, n, n, by_row=True)
             law = np.repeat(law, layout[:, 2])  # one entry per cell
         n_steps = len(mag)
         self._mag = None  # a row with no step law keeps no per-cell step arrays
         if n_steps:
-            pad = np.zeros(len(laws) - n_steps)
+            pad = np.zeros(len(others))
             self._mag = np.concatenate((mag, pad))[law]
             half = np.concatenate((prob / 2.0, pad))[law]
             self._lo, self._hi = half, 1.0 - half
         # the cells of each other law, in cell order
         other = np.flatnonzero(law >= n_steps)
         other = other[np.argsort(law[other], kind="stable")]
-        cuts = np.searchsorted(law[other], np.arange(n_steps + 1, len(laws)))
-        self._others = tuple(zip(map(quantile_of, laws[n_steps:]), np.split(other, cuts)))
+        cuts = np.searchsorted(law[other], np.arange(n_steps + 1, n_steps + len(others)))
+        self._others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
 
     def buffers(self, reps: int = 1) -> tuple:
         """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows."""

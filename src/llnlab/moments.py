@@ -35,7 +35,6 @@ from .model import (
     DistSpec,
     ParetoTail,
     RowTable,
-    SymmetricPM1,
     SymmetricTwoPoint,
     TailFunction,
     WeightScheme,
@@ -84,7 +83,7 @@ class SupValue(float):
 
 @dataclass(frozen=True)
 class MomentFunction:
-    """Composite x^power * sv(x^sv_arg_power) * log-product factor.
+    """Composite x^power * sv(x) * log-product factor.
 
     ``log_factor_nu`` multiplies by log_nu(x); ``log_sq_factor_nu`` by
     log_nu_sq(x) (last factor squared).  Either may be None.
@@ -92,7 +91,6 @@ class MomentFunction:
 
     power: float
     sv: Optional[SlowlyVaryingSpec] = None
-    sv_arg_power: float = 1.0
     log_factor_nu: Optional[int] = None
     log_sq_factor_nu: Optional[int] = None
 
@@ -106,7 +104,7 @@ class MomentFunction:
             return 0.0
         out = x**self.power
         if self.sv is not None:
-            out *= self.sv.eval(x**self.sv_arg_power)
+            out *= self.sv.eval(x)
         if self.log_factor_nu is not None:
             out *= _svf.log_nu(x, self.log_factor_nu)
         if self.log_sq_factor_nu is not None:
@@ -122,11 +120,8 @@ class MomentFunction:
         parts = [x**self.power]
         dparts = [self.power * x ** (self.power - 1.0)]
         if self.sv is not None:
-            arg = x**self.sv_arg_power
-            parts.append(self.sv.eval(arg))
-            dparts.append(
-                self.sv.derivative(arg) * self.sv_arg_power * x ** (self.sv_arg_power - 1.0)
-            )
+            parts.append(self.sv.eval(x))
+            dparts.append(self.sv.derivative(x))
         if self.log_factor_nu is not None:
             parts.append(_svf.log_nu(x, self.log_factor_nu))
             dparts.append(_svf.log_nu_derivative(x, self.log_factor_nu))
@@ -147,7 +142,7 @@ class MomentFunction:
     @property
     def anchor(self) -> float:
         if self.sv is not None and self.sv.anchor > 0.0:
-            return self.sv.anchor ** (1.0 / self.sv_arg_power)
+            return self.sv.anchor
         return 0.0
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -155,9 +150,7 @@ class MomentFunction:
         if self.log_factor_nu is not None or self.log_sq_factor_nu is not None:
             pts.update(_svf.LOG_CHAIN_KINKS)
         if self.sv is not None:
-            for k in self.sv.kinks():
-                if k > 0.0:
-                    pts.add(k ** (1.0 / self.sv_arg_power))
+            pts.update(k for k in self.sv.kinks() if k > 0.0)
         return tuple(sorted(pts))
 
     def inverse(self, y: float) -> float:
@@ -273,8 +266,6 @@ def truncated_abs_moment(
 def cell_moment(dist: DistSpec, g) -> float:
     """E g(|X|) for a single cell; closed form for the discrete built-ins."""
     g_eval = g.eval if hasattr(g, "eval") else g
-    if isinstance(dist, SymmetricPM1):
-        return g_eval(1.0)
     if isinstance(dist, SymmetricTwoPoint):
         return g_eval(dist.magnitude) * dist.prob
     return float(moment_g(tail_of(dist), g))
@@ -283,9 +274,6 @@ def cell_moment(dist: DistSpec, g) -> float:
 def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
     """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0."""
     t_eval = t.eval if hasattr(t, "eval") else t
-    if isinstance(dist, SymmetricPM1):
-        v = t_eval(1.0)
-        return v if v > a else 0.0
     if isinstance(dist, SymmetricTwoPoint):
         v = t_eval(dist.magnitude)
         return v * dist.prob if v > a else 0.0
@@ -328,7 +316,7 @@ def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
 
 def clamped_mean(dist: DistSpec, a: float) -> float:
     """E of X clamped to [-a, a]; zero for the symmetric built-ins."""
-    if isinstance(dist, (SymmetricPM1, SymmetricTwoPoint, ParetoTail)):
+    if isinstance(dist, (SymmetricTwoPoint, ParetoTail)):
         return 0.0
     if isinstance(dist, CustomDist):
         if dist.quantile is None:
@@ -353,7 +341,7 @@ def clamped_square_mean(dist: DistSpec, a: float) -> float:
 
 def truncated_mean(dist: DistSpec, b: float) -> float:
     """E(X 1(|X| <= b)); exactly zero for the symmetric built-ins."""
-    if isinstance(dist, (SymmetricPM1, SymmetricTwoPoint, ParetoTail)):
+    if isinstance(dist, (SymmetricTwoPoint, ParetoTail)):
         return 0.0
     if isinstance(dist, CustomDist):
         if dist.quantile is None:
@@ -383,8 +371,6 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
     t_eval = t.eval if hasattr(t, "eval") else t
 
     def map_dist(d: DistSpec) -> DistSpec:
-        if isinstance(d, SymmetricPM1):
-            return SymmetricTwoPoint(magnitude=t_eval(1.0), prob=1.0)
         if isinstance(d, SymmetricTwoPoint):
             return SymmetricTwoPoint(magnitude=t_eval(d.magnitude), prob=d.prob)
         base = tail_of(d)
@@ -400,24 +386,19 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
         sup = None
         if base.support_hint is not None:
             sup = t_eval(base.support_hint)
-        return CustomDist(
-            tail=TailFunction(fn=composed, kind="piecewise", support_hint=sup),
-            mean_zero=False,
-        )
+        return CustomDist(tail=TailFunction(fn=composed, support_hint=sup))
 
     if arr.is_sequence:
         cell = arr.sequence_cell
         return ArraySpec(
             row_length=arr.row_length,
             sequence_cell=lambda i: map_dist(cell(i)),
-            mean_zero=False,
             label=f"{arr.label}|transformed",
         )
     groups = arr.groups_fn
     return ArraySpec(
         row_length=arr.row_length,
         groups_fn=lambda n: tuple(CellGroup(g.count, map_dist(g.dist)) for g in groups(n)),
-        mean_zero=False,
         n_max=arr.n_max,
         label=f"{arr.label}|transformed",
     )
@@ -473,7 +454,7 @@ def ui_check(
     Entry for level a: sup_n sum_i a(n,i) E(t(|X[n,i]|) 1(t(|X[n,i]|) > a)).
     ``closed_sup`` (when a fixture provides the exact sup over all n) replaces
     the finite row scan.  Otherwise one row table serves every level: t(m) is
-    evaluated once per +-1 or two-point law, and a level's step values are
+    evaluated once per step law, and a level's step values are
     ``where(t(m) > a, t(m) * q, 0.0)``, the values of
     :func:`cell_transformed_tail_mass`; only the other laws go through that
     function, once per level.

@@ -29,7 +29,8 @@ import numpy as np
 from scipy.special import digamma
 
 from .errors import SamplingError
-from .model import ArraySpec, NormalizingSequence, RowSampler, rekeyed, step_columns, stream_keys
+from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint, rekeyed,
+                    step_columns, stream_keys)
 from .moments import clamped_mean, clamped_square_mean, truncated_mean
 from .svf import SlowlyVaryingSpec
 
@@ -179,7 +180,8 @@ TASK_CELLS = 1 << 15  # cells drawn per (row, replication chunk) task
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
     """``fn`` of each cell group's law in row n (once per law), and the groups' sizes."""
-    law, laws, _, _, layout = step_columns(arr, n, n, by_row=True)
+    law, others, mag, prob, layout = step_columns(arr, n, n, by_row=True)
+    laws = [*map(SymmetricTwoPoint, mag.tolist(), prob.tolist()), *others]
     return np.array([float(fn(d)) for d in laws])[law], layout[:, 2]
 
 

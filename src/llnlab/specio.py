@@ -14,7 +14,6 @@ Schema sketch (full documentation in the repository README):
       ],
       "dependence": {"kind": "independent"}
                     | {"kind": "gaussian-na", "correlation": -0.1},
-      "mean_zero": true,
       "weights": {"kind": "uniform"}
                  | {"kind": "explicit", "values": [{"n":1,"i":1,"a":1.0}, ...]}
                  | {"kind": "c-normalized", "flavor": "sum" | "sum-sq",
@@ -48,7 +47,6 @@ from .model import (
     INDEPENDENT,
     NormalizingSequence,
     ParetoTail,
-    SymmetricPM1,
     SymmetricTwoPoint,
     WeightScheme,
     c_normalized_weights,
@@ -105,13 +103,16 @@ def _exponent(doc: dict, key: str, default: float) -> float:
     return float(value)
 
 
+_PM1 = SymmetricTwoPoint(1.0)  # frozen, so one object serves every +-1 cell
+
+
 def parse_dist(obj: dict) -> DistSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecError(f"distribution spec needs a 'kind': {obj!r}")
     kind = obj["kind"]
     try:
-        if kind == "symmetric-pm1":
-            return SymmetricPM1()
+        if kind == "symmetric-pm1":  # shorthand for the two-point law (1, 1)
+            return _PM1
         if kind == "symmetric-two-point":
             return SymmetricTwoPoint(
                 magnitude=float(obj["magnitude"]), prob=float(obj.get("prob", 1.0))
@@ -202,7 +203,6 @@ def _array_from_cells(doc: dict) -> ArraySpec:
         row_length=row_length,
         groups_fn=groups,
         sequence_cell=sequence_cell,
-        mean_zero=bool(doc.get("mean_zero", True)),
         dependence=_parse_dependence(_section(doc, "dependence")),
         n_max=n_max,
         label=doc.get("label", "explicit"),

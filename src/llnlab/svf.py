@@ -38,20 +38,20 @@ def clog2(x: float) -> float:
 
 
 def _log_chain(x: float, nu: int) -> tuple[list[float], list[float]]:
-    """Iterated clamped-log factors and their derivatives w.r.t. x."""
+    """Iterated clamped-log factors and their derivatives w.r.t. x, up to the
+    first clamped factor (1.0, derivative 0.0): all later ones are the same."""
     factors: list[float] = []
     derivs: list[float] = []
     f = float(x)
     df = 1.0
     for _ in range(nu):
-        if f > 2.0:
-            nf = math.log2(f)
-            ndf = df / (f * _LN2)
-        else:
-            nf, ndf = 1.0, 0.0
-        factors.append(nf)
-        derivs.append(ndf)
-        f, df = nf, ndf
+        if not f > 2.0:
+            factors.append(1.0)
+            derivs.append(0.0)
+            break
+        f, df = math.log2(f), df / (f * _LN2)
+        factors.append(f)
+        derivs.append(df)
     return factors, derivs
 
 
@@ -64,6 +64,8 @@ def log_nu(x: float, nu: int) -> float:
     for _ in range(nu):
         f = clog2(f)
         out *= f
+        if f == 1.0:  # clamped: every later factor is clog2(1.0) = 1.0
+            break
     return out
 
 
@@ -75,12 +77,16 @@ def log_nu_sq(x: float, nu: int) -> float:
     f = float(x)
     for i in range(nu):
         f = clog2(f)
-        out *= f * f if i == nu - 1 else f
-    return out
+        if i == nu - 1 or f == 1.0:  # the nu-th factor is f, or 1.0 once clamped
+            return out * (f * f)
+        out *= f
 
 
 def log_nu_derivative(x: float, nu: int, *, last_squared: bool = False) -> float:
-    """d/dx of the log_nu (or log_nu_sq) product; zero inside clamp plateaus."""
+    """d/dx of the log_nu (or log_nu_sq) product; zero inside clamp plateaus.
+
+    The chain stops at its first clamped factor; the nu-th factor, squared
+    for ``last_squared``, is then that factor's (1.0, 0.0)."""
     factors, derivs = _log_chain(x, nu)
     if last_squared:
         factors = factors + [factors[-1]]

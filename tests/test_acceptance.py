@@ -220,7 +220,7 @@ def test_criterion_06_truncated_moment_sweep():
     x2m = load("x2m-example")
     wlln = load("wlln-counterexample")
     cases = [
-        (model.identical_array(model.SymmetricPM1()), model.tail_of(model.SymmetricPM1())),
+        (model.identical_array(model.SymmetricTwoPoint(1.0)), model.tail_of(model.SymmetricTwoPoint(1.0))),
         (model.identical_array(model.ParetoTail(alpha=3.0)),
          model.tail_of(model.ParetoTail(alpha=3.0))),
         (x2m.arr, x2m.cesaro_tail()),
@@ -289,7 +289,6 @@ def test_criterion_08_round_trip():
     fx21 = load("example-2.1")
     x21 = model.TailFunction(
         fn=lambda x: min(1.0, fx21.weights.closed_weighted_sup(x) / 1.25),
-        kind="piecewise",
         knot_fn=fx21.closed["weighted_knots"],
     )
     half = MomentFunction(power=0.5)
@@ -322,7 +321,6 @@ def test_criterion_08_round_trip():
     e41 = load("example-4.1")
     g41 = model.TailFunction(
         fn=lambda y: domination.cesaro_tail_sup(e41.arr, y, n_sup=10_000),
-        kind="piecewise",
     )
     direction_two = [
         ("two-block", x21, fx21.p, [2**j for j in range(0, 41, 2)],

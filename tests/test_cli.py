@@ -162,6 +162,47 @@ def test_explicit_spec_through_cli(tmp_path):
     assert out["results"][0]["outcome"] == "holds"
 
 
+def test_sequence_spec_mixing_pm1_and_its_two_point_form_runs(tmp_path):
+    # symmetric-pm1 is shorthand for the two-point law (1, 1), so a column
+    # that spells the same law both ways is one constant column
+    pm1 = {"kind": "symmetric-pm1"}
+    two_point = {"kind": "symmetric-two-point", "magnitude": 1.0, "prob": 1.0}
+    cells = [{"n": n, "i": i, "dist": pm1 if n == 3 else two_point}
+             for n in range(1, 4) for i in range(1, n + 1)]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "p": 1.0, "sequence": True,
+                                "cells": cells}))
+    assert run(["check", "--spec", str(spec), "--conditions", "series",
+                "--n", "1000", "--out", str(tmp_path / "o")]) == 0
+    out = json.loads((tmp_path / "o.json").read_text())
+    assert out["results"][0]["outcome"] == "holds"
+    assert run(["simulate", "--spec", str(spec), "--mode", "slln-path", "--rows", "1..3",
+                "--reps", "3", "--out", str(tmp_path / "s")]) == 0
+
+
+def _check_example_41(tmp_path, nu):
+    """``check`` of example-4.1 at ``nu`` in a subprocess: (process, JSON bytes)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / f"nu{nu}"
+    proc = subprocess.run(
+        [sys.executable, "-m", "llnlab.cli", "check", "--fixture", "example-4.1",
+         "--nu", str(nu), "--conditions", "kG,bounded-moment", "--n-sup", "64",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc, out.with_suffix(".json").read_bytes()
+
+
+def test_example_41_huge_nu_finishes_with_the_bytes_of_nu_8(tmp_path):
+    # the log_nu chain of every cell is clamped after a few factors, so nu = 10^9
+    # must not loop 10^9 times per value
+    big, big_json = _check_example_41(tmp_path, 10**9)
+    small, small_json = _check_example_41(tmp_path, 8)
+    assert big.returncode == small.returncode == 0, big.stderr
+    assert big_json == small_json
+
+
 def _limit_memory():
     # a regression back to an endless row loop must fail, not exhaust memory
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

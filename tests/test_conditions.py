@@ -77,7 +77,7 @@ def test_series_power_spikes_sums_to_zero():
 
 
 def test_series_bounded_cells_zero():
-    arr = model.sequence_array(lambda i: model.SymmetricPM1())
+    arr = model.sequence_array(lambda i: model.SymmetricTwoPoint(1.0))
     v = conditions.exceedance_series(arr, 1.0, N=1024)
     assert v.holds
     assert v.evidence["partial_sum"] == 0.0

@@ -101,7 +101,7 @@ def test_constructed_cdf_basic_shape():
 
 
 def test_single_distribution_cdf_right_continuous():
-    arr = model.identical_array(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
     rep = domination.dominating_cdf(arr, model.uniform_weights())
     assert rep.valid
     F = lambda x: 1.0 - rep.cdf.fn(x)
@@ -166,8 +166,8 @@ def test_transfer_hypothesis_failure_is_reported_not_raised():
 
 
 def test_truncated_bounds_equality_for_single_distribution():
-    arr = model.identical_array(model.SymmetricPM1())
-    y = model.tail_of(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    y = model.tail_of(model.SymmetricTwoPoint(1.0))
     tb = domination.truncated_moment_bounds(arr, y, 2.0, 2.0, n_sup=50)
     assert tb.below == (1.0, 1.0)
     assert tb.above == (0.0, 0.0)
@@ -193,7 +193,7 @@ def test_truncated_bounds_refuses_undominated_array():
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_truncated_bounds_sweep_no_violations(r):
     cases = [
-        (model.identical_array(model.SymmetricPM1()), model.tail_of(model.SymmetricPM1())),
+        (model.identical_array(model.SymmetricTwoPoint(1.0)), model.tail_of(model.SymmetricTwoPoint(1.0))),
         (
             model.identical_array(model.ParetoTail(alpha=3.0)),
             model.tail_of(model.ParetoTail(alpha=3.0)),

@@ -1,11 +1,12 @@
-"""Step columns read from a fixture's formula (``ArraySpec.cell_steps``).
+"""Sequence fixtures given by their formula alone (``ArraySpec.cell_steps``).
 
-example-4.1 and x2m-example give the (magnitude, prob) of a run of cells
-from their formulas, so ``step_columns`` builds no cell object per cell.  The
-reference is the same array with the hook removed, which walks
-``sequence_cell``: the law numbering, the columns, the representatives of the
-step laws and everything built on them (``RowTable``, ``exceedance_series``)
-must be bitwise equal.
+example-4.1 and x2m-example state their cells once, as a formula for the
+(magnitude, prob) of a run of cells; ``step_columns`` reads runs from it and
+``sequence_cell(i)`` is built from the one-cell run.  The reference is the
+same array with the formula removed and ``sequence_cell`` set to the paper's
+scalar expression for X_i, so ``step_columns`` walks cell objects: the law
+numbering, the columns and everything built on them (``RowTable``,
+``exceedance_series``) must be bitwise equal.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 
 from llnlab import conditions, model
 from llnlab.fixtures import load
+from llnlab.svf import log_nu
 
 EX41_P = (0.5, 0.7, 1.0, 1.5, 1.9)
 NU = (1, 2, 3)
@@ -26,37 +28,58 @@ EX41_RUNS = ((1, 10_000), (1, 1), (1, 3), (2, 3), (3, 5), (4, 4), (15, 17), (16,
              (65_530, 65_540), (65_536, 65_536), (60_000, 66_000), (70_000, 70_100))
 
 
-def walked(arr):
-    """The array with its formula removed: ``step_columns`` walks its cells."""
-    assert arr.cell_steps is not None
-    return dataclasses.replace(arr, cell_steps=None)
+PM1 = model.SymmetricTwoPoint(1.0)
 
 
-def assert_same_table(arr, lo, hi):
-    law, laws, mag, prob, layout = model.step_columns(arr, lo, hi)
-    ref_law, ref_laws, ref_mag, ref_prob, ref_layout = model.step_columns(walked(arr), lo, hi)
+def paper_cell(fx):
+    """X_i of the fixture as one scalar expression of i."""
+    p, nu = fx.p, fx.nu
+    if fx.name == "example-4.1":
+        # +-(i+1)^(1/p) with probability 1/(i log_nu(i)), else 0
+        return lambda i: model.SymmetricTwoPoint(
+            magnitude=float(i + 1) ** (1.0 / p), prob=1.0 / (i * log_nu(i, nu)))
+
+    def x2m_cell(i):
+        if i >= 2 and (i & (i - 1)) == 0:  # i = 2^m
+            return model.SymmetricTwoPoint((i / (i.bit_length() - 1)) ** (1.0 / p), 1.0)
+        return PM1
+
+    return x2m_cell
+
+
+def walked(fx):
+    """The fixture's array with its formula removed: ``step_columns`` walks
+    the paper's cells."""
+    assert fx.arr.cell_steps is not None
+    return dataclasses.replace(fx.arr, cell_steps=None, sequence_cell=paper_cell(fx))
+
+
+def assert_same_table(fx, lo, hi):
+    law, others, mag, prob, layout = model.step_columns(fx.arr, lo, hi)
+    ref_law, ref_others, ref_mag, ref_prob, ref_layout = model.step_columns(walked(fx), lo, hi)
     assert np.array_equal(law, ref_law) and law.dtype == ref_law.dtype
     assert np.array_equal(mag, ref_mag) and np.array_equal(prob, ref_prob)
     assert mag.dtype == prob.dtype == np.float64
     assert layout is ref_layout is None
-    assert len(laws) == len(ref_laws) == len(mag)  # every cell is a step law
-    assert tuple(laws) == tuple(ref_laws)
+    assert others == ref_others == ()  # every cell is a step law
 
 
-def assert_formula_is_the_cell(arr, lo, hi):
-    cells = [model.step_law(arr.sequence_cell(i)) for i in range(lo, hi + 1)]
-    mags, probs = arr.cell_steps(lo, hi)
+def assert_formula_is_the_cell(fx, lo, hi):
+    cell = paper_cell(fx)
+    want = [cell(i) for i in range(lo, hi + 1)]
+    mags, probs = fx.arr.cell_steps(lo, hi)
     assert all(type(v) is float for v in (*mags, *probs))
-    assert mags == [m for m, _ in cells] and probs == [q for _, q in cells]
+    assert mags == [d.magnitude for d in want] and probs == [d.prob for d in want]
+    assert [fx.arr.sequence_cell(i) for i in (lo, hi)] == [cell(lo), cell(hi)]
 
 
 @pytest.mark.parametrize("nu", NU)
 @pytest.mark.parametrize("p", EX41_P)
 def test_example_41_formula_columns_match_the_cell_walk(p, nu):
-    arr = load("example-4.1", p=p, nu=nu).arr
+    fx = load("example-4.1", p=p, nu=nu)
     for lo, hi in EX41_RUNS:
-        assert_same_table(arr, lo, hi)
-        assert_formula_is_the_cell(arr, lo, hi)
+        assert_same_table(fx, lo, hi)
+        assert_formula_is_the_cell(fx, lo, hi)
 
 
 def x2m_runs():
@@ -67,45 +90,19 @@ def x2m_runs():
 
 @pytest.mark.parametrize("p", X2M_P)
 def test_x2m_formula_columns_match_the_cell_walk(p):
-    arr = load("x2m-example", p=p).arr
+    fx = load("x2m-example", p=p)
     for lo, hi in x2m_runs():
-        assert_same_table(arr, lo, hi)
-        assert_formula_is_the_cell(arr, lo, hi)
-    assert_same_table(arr, 1, 70_000)
+        assert_same_table(fx, lo, hi)
+        assert_formula_is_the_cell(fx, lo, hi)
+    assert_same_table(fx, 1, 70_000)
 
 
 @pytest.mark.parametrize("name", ["example-4.1", "x2m-example"])
 def test_empty_run(name):
     arr = load(name).arr
     assert arr.cell_steps(5, 4) == ([], [])
-    law, laws, mag, prob, layout = model.step_columns(arr, 5, 4)
-    assert len(law) == len(laws) == len(mag) == len(prob) == 0 and layout is None
-
-
-def test_step_laws_are_built_only_when_read():
-    arr = load("example-4.1", nu=2).arr
-    built = []
-
-    def cell(i):
-        built.append(i)
-        return arr.sequence_cell(i)
-
-    counted = dataclasses.replace(arr, sequence_cell=cell)
-    law, laws, mag, _, _ = model.step_columns(counted, 100, 5_099)
-    assert built == [] and len(laws) == len(mag) == 5_000
-    assert laws[7] == arr.sequence_cell(107) and laws[-1] == arr.sequence_cell(5_099)
-    assert built == [107, 5_099]
-    assert laws[2:4] == (arr.sequence_cell(102), arr.sequence_cell(103))
-    with pytest.raises(IndexError):
-        laws[5_000]
-    # x2m: the +-1 law, listed by cell 1, then one law per spike size (at
-    # p = 1/2 the spikes at 2 and 4 are both 4.0)
-    x2m = load("x2m-example").arr
-    law, laws, mag, _, _ = model.step_columns(x2m, 1, 1_000)
-    assert isinstance(laws[0], model.SymmetricPM1) and len(laws) == 9
-    assert law[1] == law[3] and laws[law[3]] == x2m.sequence_cell(2)
-    assert [laws[law[(1 << m) - 1]] for m in range(1, 10)] == [
-        x2m.sequence_cell(1 << m) for m in range(1, 10)]
+    law, others, mag, prob, layout = model.step_columns(arr, 5, 4)
+    assert len(law) == len(others) == len(mag) == len(prob) == 0 and layout is None
 
 
 def cases():
@@ -118,12 +115,13 @@ def cases():
 
 @pytest.mark.parametrize("fx", list(cases()), ids=lambda fx: f"{fx.name}-p{fx.p}-nu{fx.nu}")
 def test_row_table_matches_the_cell_walk(fx):
-    ref_arr = walked(fx.arr)
+    ref_arr = walked(fx)
     for weights in (None, fx.weights):
         for n_sup in (1, 64, 3_000):
             table = model.RowTable(fx.arr, weights, n_sup)
             ref = model.RowTable(ref_arr, weights, n_sup)
-            assert tuple(table.laws) == tuple(ref.laws)
+            assert table.others == ref.others == ()
+            assert np.array_equal(table.mag, ref.mag) and np.array_equal(table.prob, ref.prob)
             for x in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 17.25, 1e3, 2**40, 2**60 + 1):
                 assert table.sup(x) == ref.sup(x)
 
@@ -142,5 +140,5 @@ def test_row_table_matches_the_cell_walk(fx):
 def test_series_evidence_matches_the_cell_walk(fx):
     for N in (1, 2, 1_000, 70_000):
         got = conditions.exceedance_series(fx.arr, fx.p, N)
-        want = conditions.exceedance_series(walked(fx.arr), fx.p, N)
+        want = conditions.exceedance_series(walked(fx), fx.p, N)
         assert got == want

@@ -2,11 +2,11 @@
 
 ``ref_renumbering`` is the law numbering ``RowTable`` built before the table
 was shared: each distinct law in entry order, then a stable sort that puts
-the +-1 and two-point laws first.  The shared table tells step laws apart by
-their (magnitude, prob) pair and orders them by it, so the checks compare
-each entry's law, not the raw index: the law an entry points at must be the
-reference's law of that entry, step laws first, each listed once, and
-``mag``/``prob`` must be the reference's step columns.
+the +-1 and two-point laws first.  The shared table keeps a step law only as
+its (magnitude, prob) pair and orders the pairs, so the checks compare each
+entry's law, not the raw index: a step entry must point at its pair in the
+``mag``/``prob`` columns, which hold the reference's pairs once each, sorted;
+any other entry at its law in ``others``, listed once by its first entry.
 """
 
 import math
@@ -48,43 +48,42 @@ def entries(arr, lo, hi, by_row):
 
 
 def check_table(arr, lo, hi, by_row=False):
-    law, laws, mag, prob, layout = model.step_columns(arr, lo, hi, by_row=by_row)
+    law, others, mag, prob, layout = model.step_columns(arr, lo, hi, by_row=by_row)
     want = entries(arr, lo, hi, by_row)
     dists = [d for d, _ in want]
     ref_law, ref_laws, ref_mag, ref_prob = ref_renumbering(dists)
     n_steps = len(mag)
     assert law.shape == (len(dists),) and law.dtype == np.intp
-    assert [model.step_law(d) is not None for d in laws] == [j < n_steps for j in range(len(laws))]
-    keys = [model.step_law(d) or d for d in laws]
-    assert len(set(keys)) == len(keys)  # each law once
+    assert all(model.step_law(d) is None for d in others)
+    assert len(set(others)) == len(others)  # each other law once
     assert mag.dtype == prob.dtype == np.float64
     for j, d in enumerate(dists):
         assert ref_laws[ref_law[j]] == d
         step = model.step_law(d)
         if step is None:
-            assert law[j] >= n_steps and laws[law[j]] == d
+            assert law[j] >= n_steps and others[law[j] - n_steps] == d
         else:
             assert law[j] < n_steps and (mag[law[j]], prob[law[j]]) == step
-    assert sorted(zip(mag.tolist(), prob.tolist())) == sorted(set(zip(ref_mag, ref_prob)))
-    assert len(laws) - n_steps == len(ref_laws) - len(ref_mag)
-    # every law is listed by the first entry that has it
-    for i, d in enumerate(laws):
-        assert dists[int(np.argmax(law == i))] == d
+    # each step law once, sorted by its pair
+    assert list(zip(mag.tolist(), prob.tolist())) == sorted(set(zip(ref_mag, ref_prob)))
+    assert len(others) == len(ref_laws) - len(ref_mag)
+    # every other law is listed by the first entry that has it
+    for i, d in enumerate(others):
+        assert dists[int(np.argmax(law == n_steps + i))] == d
     if by_row:
         assert layout.tolist() == [list(span) for _, span in want]
     else:
         assert layout is None
-    return law, laws, mag, prob
+    return law, others, mag, prob
 
 
 CAUCHY = model.CustomDist(
     tail=model.TailFunction(fn=lambda x: 1.0 - 2.0 * math.atan(max(x, 0.0)) / math.pi),
     quantile=lambda u: np.tan(np.pi * (np.asarray(u) - 0.5)),
-    mean_zero=True,
 )
 PALETTE = (
-    model.SymmetricPM1(),
-    model.SymmetricTwoPoint(1.0, 1.0),  # the +-1 law written as a two-point law
+    model.SymmetricTwoPoint(1.0),
+    model.SymmetricTwoPoint(1.0, 1.0),  # the +-1 law again, its prob spelled out
     model.SymmetricTwoPoint(2.5, 0.4),
     model.SymmetricTwoPoint(2.5, 0.7),
     model.SymmetricTwoPoint(4.0, 0.4),
@@ -119,8 +118,8 @@ def test_fixture_tables_match_the_old_renumbering(name):
     fx = load(name)
     for weights in (None, fx.weights):
         table = model.RowTable(fx.arr, weights, 300)
-        law, laws, mag, prob = check_table(fx.arr, 1, table.top, by_row=not table._prefix)
-        assert tuple(table.laws) == tuple(laws)
+        law, others, mag, prob = check_table(fx.arr, 1, table.top, by_row=not table._prefix)
+        assert table.others == others
         assert np.array_equal(table.mag, mag) and np.array_equal(table.prob, prob)
         assert np.array_equal(table._law, law)
 
@@ -139,11 +138,11 @@ def test_fixture_samplers_and_series_runs_match_the_old_renumbering():
 
 def test_mixed_laws_match_the_old_renumbering():
     rows, seq = mixed_rows(), mixed_sequence()
-    law, laws, mag, _ = check_table(rows, 1, 30, by_row=True)
-    assert len(laws) < len(law)  # laws repeat across rows
-    assert set(laws[len(mag):]) == {model.ParetoTail(2.5), model.ParetoTail(3.0, 1.5), CAUCHY}
+    law, others, mag, prob = check_table(rows, 1, 30, by_row=True)
+    assert len(mag) + len(others) < len(law)  # laws repeat across rows
+    assert set(others) == {model.ParetoTail(2.5), model.ParetoTail(3.0, 1.5), CAUCHY}
     # +-1 and the two-point (1.0, 1.0) are one law
-    assert sum(model.step_law(d) == (1.0, 1.0) for d in laws) == 1
+    assert list(zip(mag.tolist(), prob.tolist())).count((1.0, 1.0)) == 1
     check_table(seq, 1, 200)
     check_table(seq, 1, 12, by_row=True)
     check_table(seq, 57, 57)
@@ -152,10 +151,10 @@ def test_mixed_laws_match_the_old_renumbering():
 
 
 def test_empty_run():
-    law, laws, mag, prob, layout = model.step_columns(mixed_sequence(), 1, 0)
-    assert len(law) == len(laws) == len(mag) == len(prob) == 0 and layout is None
-    law, laws, mag, prob, layout = model.step_columns(mixed_rows(), 1, 0, by_row=True)
-    assert len(law) == len(laws) == len(mag) == 0 and layout.shape == (0, 3)
+    law, others, mag, prob, layout = model.step_columns(mixed_sequence(), 1, 0)
+    assert len(law) == len(others) == len(mag) == len(prob) == 0 and layout is None
+    law, others, mag, prob, layout = model.step_columns(mixed_rows(), 1, 0, by_row=True)
+    assert len(law) == len(others) == len(mag) == 0 and layout.shape == (0, 3)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64])

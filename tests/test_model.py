@@ -16,7 +16,7 @@ from llnlab.errors import RowRangeError, SamplingError
 
 
 def test_tail_of_pm1_below_support():
-    assert model.tail_of(model.SymmetricPM1()).fn(0.5) == 1.0
+    assert model.tail_of(model.SymmetricTwoPoint(1.0)).fn(0.5) == 1.0
 
 
 def test_tail_of_two_point_strict_at_atom():
@@ -30,7 +30,7 @@ def test_tail_of_pareto_value():
 
 
 def test_tail_negative_argument_is_one():
-    for d in (model.SymmetricPM1(), model.SymmetricTwoPoint(2.0, 0.3), model.ParetoTail(3.0)):
+    for d in (model.SymmetricTwoPoint(1.0), model.SymmetricTwoPoint(2.0, 0.3), model.ParetoTail(3.0)):
         assert model.tail_of(d).fn(-1.0) == 1.0
 
 
@@ -42,7 +42,7 @@ def test_tail_negative_argument_is_one():
             prob=st.floats(0.01, 1.0),
         ),
         st.builds(model.ParetoTail, alpha=st.floats(0.2, 5.0), cutoff=st.floats(1.0, 4.0)),
-        st.just(model.SymmetricPM1()),
+        st.just(model.SymmetricTwoPoint(1.0)),
     )
 )
 @settings(max_examples=60, deadline=None)
@@ -57,7 +57,7 @@ def test_tail_monotone_on_grid(dist):
 @pytest.mark.parametrize(
     "dist",
     [
-        model.SymmetricPM1(),
+        model.SymmetricTwoPoint(1.0),
         model.SymmetricTwoPoint(3.0, 0.4),
         model.ParetoTail(alpha=2.5, cutoff=1.0),
     ],
@@ -85,7 +85,7 @@ def test_empirical_tail_right_continuous_step():
 
 def test_custom_dist_requires_quantile_for_sampling():
     tail = model.TailFunction(fn=lambda x: max(0.0, 1.0 - x) if x >= 0 else 1.0)
-    spec = model.CustomDist(tail=tail, quantile=None, mean_zero=True)
+    spec = model.CustomDist(tail=tail, quantile=None)
     with pytest.raises(SamplingError):
         model.quantile_of(spec)
 
@@ -175,8 +175,8 @@ def test_c_normalized_growth_bound_enforced():
 
 
 def test_array_cell_lookup_and_bounds():
-    arr = model.identical_array(model.SymmetricPM1())
-    assert isinstance(arr.cell(4, 2), model.SymmetricPM1)
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    assert arr.cell(4, 2) == model.SymmetricTwoPoint(1.0)
     with pytest.raises(RowRangeError):
         arr.cell(3, 4)
     with pytest.raises(RowRangeError):
@@ -210,7 +210,7 @@ def test_norming_with_conjugate_factor():
 
 
 def test_sample_row_support_and_determinism():
-    arr = model.identical_array(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
     r1 = model.sample_row(arr, 64, seed=9)
     r2 = model.sample_row(arr, 64, seed=9)
     assert np.array_equal(r1, r2)
@@ -229,7 +229,7 @@ def test_sample_mean_zero_clt_width():
 def test_gaussian_na_rows_negative_neighbour_correlation():
     arr = model.ArraySpec(
         row_length=lambda n: n,
-        groups_fn=lambda n: (model.CellGroup(n, model.SymmetricPM1()),),
+        groups_fn=lambda n: (model.CellGroup(n, model.SymmetricTwoPoint(1.0)),),
         dependence=model.GaussianNA(-0.3),
     )
     reps, n = 4000, 8

@@ -12,7 +12,6 @@ from llnlab.moments import MomentFunction
 def uniform01_tail() -> model.TailFunction:
     return model.TailFunction(
         fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x),
-        kind="analytic",
         support_hint=1.0,
     )
 
@@ -36,7 +35,7 @@ def test_a_invariance_continuous():
 
 
 def test_point_mass_any_power():
-    tail = model.tail_of(model.SymmetricPM1())
+    tail = model.tail_of(model.SymmetricTwoPoint(1.0))
     for p in (0.5, 1.0, 2.0, 3.7):
         assert float(moments.expectation_via_tail(tail, MomentFunction(power=p))) == 1.0
 
@@ -79,7 +78,7 @@ def test_moment_g_divergence_marker():
 
 
 def test_moment_g_log_factors_collapse_at_one():
-    tail = model.tail_of(model.SymmetricPM1())
+    tail = model.tail_of(model.SymmetricTwoPoint(1.0))
     g = MomentFunction(power=1.5, log_sq_factor_nu=3)
     assert float(moments.moment_g(tail, g)) == 1.0
 
@@ -150,7 +149,7 @@ def test_bounded_moment_rare_spikes_finite():
 
 
 def test_ui_check_bounded_cells_truncation_empties():
-    arr = model.identical_array(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
     vals = moments.ui_check(
         arr, model.uniform_weights(), MomentFunction(power=1.0), [2.0, 4.0], n_sup=50
     )
@@ -187,7 +186,7 @@ def test_ui_closed_forms_match_scan_at_small_levels():
 
 
 def test_dlvp_witness_requires_superlinear_growth():
-    arr = model.identical_array(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
     with pytest.raises(SuperlinearityError):
         moments.dlvp_witness(arr, model.uniform_weights(), MomentFunction(power=1.0), n_sup=10)
 

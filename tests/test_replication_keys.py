@@ -92,7 +92,7 @@ def test_materialised_rekeyed_generators_raise_instead_of_aliasing():
     for rng in rngs:
         with pytest.raises(SamplingError):
             rng.random()
-    sampler = model.RowSampler(model.identical_array(model.SymmetricPM1()), 8)
+    sampler = model.RowSampler(model.identical_array(model.SymmetricTwoPoint(1.0)), 8)
     with pytest.raises(SamplingError):
         sampler.draw_rows(list(model.rekeyed(keys)), sampler.buffers(3))
 

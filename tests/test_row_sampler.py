@@ -54,11 +54,10 @@ def assert_same_bits(a, b):
 CAUCHY = model.CustomDist(
     tail=model.TailFunction(fn=lambda x: 1.0 - 2.0 * math.atan(max(x, 0.0)) / math.pi),
     quantile=lambda u: np.tan(np.pi * (np.asarray(u) - 0.5)),
-    mean_zero=True,
 )
 
 LAWS = {
-    "pm1": model.SymmetricPM1(),
+    "pm1": model.SymmetricTwoPoint(1.0),
     "two-point": model.SymmetricTwoPoint(3.5, 0.4),
     "two-point-prob-1": model.SymmetricTwoPoint(2.0, 1.0),
     "pareto": model.ParetoTail(2.5, 1.5),
@@ -78,7 +77,7 @@ def mixed_array(dependence, seed=3, n_max=40):
         kinds = [i % 3 for i in range(n)]
         rng.shuffle(kinds)
         rows[n] = tuple(
-            model.CellGroup(1, model.SymmetricPM1() if kind == 0
+            model.CellGroup(1, model.SymmetricTwoPoint(1.0) if kind == 0
                             else rng.choice(two_point if kind == 1 else pareto))
             for kind in kinds
         )
@@ -87,7 +86,7 @@ def mixed_array(dependence, seed=3, n_max=40):
 
 
 def mixed_sequence(dependence):
-    cycle = [model.SymmetricPM1(), model.ParetoTail(3.0), model.SymmetricTwoPoint(2.0, 0.3),
+    cycle = [model.SymmetricTwoPoint(1.0), model.ParetoTail(3.0), model.SymmetricTwoPoint(2.0, 0.3),
              CAUCHY, model.ParetoTail(2.2), model.SymmetricTwoPoint(5.0, 1.0)]
     return model.sequence_array(lambda i: cycle[(i * i) % len(cycle)], dependence=dependence)
 
@@ -217,7 +216,7 @@ def test_sampler_checks_rows_and_quantiles():
     arr = mixed_array(model.INDEPENDENT, n_max=5)
     with pytest.raises(model.RowRangeError):
         RowSampler(arr, 6)
-    no_quantile = model.CustomDist(tail=CAUCHY.tail, quantile=None, mean_zero=True)
+    no_quantile = model.CustomDist(tail=CAUCHY.tail, quantile=None)
     with pytest.raises(model.SamplingError):
         RowSampler(model.identical_array(no_quantile), 4)
 

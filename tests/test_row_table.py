@@ -134,7 +134,7 @@ def _spike_array():
             return model.SymmetricTwoPoint(2.0**60, 1.0 / i)
         if i % 3 == 1:
             return model.ParetoTail(alpha=1.5)
-        return model.SymmetricPM1()
+        return model.SymmetricTwoPoint(1.0)
 
     return model.sequence_array(cell, label="spikes")
 
@@ -238,9 +238,11 @@ def test_int_argument_past_float_precision_compares_exactly():
 def test_table_lists_each_law_once_steps_first():
     sp = _random_spec(1)
     table = model.RowTable(sp.arr, sp.weights, 10_000)
-    assert len(set(table.laws)) == len(table.laws) <= 9
-    kinds = [model.step_law(d) is not None for d in table.laws]
-    assert kinds == sorted(kinds, reverse=True)
+    pairs = list(zip(table.mag.tolist(), table.prob.tolist()))
+    assert pairs == sorted(set(pairs))  # each step law once, as a row of the columns
+    assert all(model.step_law(d) is None for d in table.others)
+    assert len(set(table.others)) == len(table.others)
+    assert len(pairs) + len(table.others) <= 9
     assert table.top == 24
 
 

@@ -114,12 +114,12 @@ def test_simulate_golden_digest(tmp_path, name):
 def test_condition_h_probe_golden_values():
     na_rows = model.ArraySpec(
         row_length=lambda n: n,
-        groups_fn=lambda n: (model.CellGroup(n - n // 3, model.SymmetricPM1()),
+        groups_fn=lambda n: (model.CellGroup(n - n // 3, model.SymmetricTwoPoint(1.0)),
                              model.CellGroup(n // 3, model.ParetoTail(3.0))),
         dependence=model.GaussianNA(-0.2),
     )
     na_seq = model.sequence_array(
-        lambda i: model.SymmetricTwoPoint(2.0, 0.5) if i % 2 else model.SymmetricPM1(),
+        lambda i: model.SymmetricTwoPoint(2.0, 0.5) if i % 2 else model.SymmetricTwoPoint(1.0),
         dependence=model.GaussianNA(-0.4),
     )
     got = (simulate.condition_h_probe(na_rows, 2.0, 30, reps=200, seed=4),

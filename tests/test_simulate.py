@@ -71,7 +71,7 @@ def test_counterexample_statistic_exact_values():
 
 
 def _pm1_plan(**kw):
-    arr = model.sequence_array(lambda i: model.SymmetricPM1())
+    arr = model.sequence_array(lambda i: model.SymmetricTwoPoint(1.0))
     defaults = dict(
         arr=arr, b=power_norming(1.0), rows=(64, 128, 256), reps=200,
         eps=(0.5,), seed=11,
@@ -237,7 +237,7 @@ def test_series_estimate_degenerate_cells_zero():
 
 
 def test_path_diagnostic_iid_walk_converges():
-    arr = model.sequence_array(lambda i: model.SymmetricPM1())
+    arr = model.sequence_array(lambda i: model.SymmetricTwoPoint(1.0))
     plan = SimPlan(
         arr=arr, b=power_norming(1.0), rows=tuple(2**j for j in range(10, 17)),
         reps=50, eps=(0.1,), seed=6,
@@ -264,7 +264,7 @@ def test_na_sequence_paths_keep_neighbour_correlation():
     # sign(Z_i) sign(Z_i+1) for Gaussian neighbours with correlation -1/2 has
     # mean (2/pi) arcsin(-1/2) = -1/3; an independent draw would give 0
     arr = model.sequence_array(
-        lambda i: model.SymmetricPM1(), dependence=model.GaussianNA(-0.5)
+        lambda i: model.SymmetricTwoPoint(1.0), dependence=model.GaussianNA(-0.5)
     )
     products = [
         float(np.mean(path[:-1] * path[1:]))
@@ -282,7 +282,7 @@ def test_na_sequence_paths_keep_neighbour_correlation():
 def test_na_sequences_keep_negative_neighbour_correlation(rho, mag, seed):
     # for cells m sign(Z_i), E X_i X_i+1 = m^2 (2/pi) arcsin(rho); on two
     # cells the probe ratio E max(|S_1|, |S_2|)^2 / 2 m^2 is (1 + 3 P(same sign)) / 2
-    cell = model.SymmetricPM1() if mag == 1.0 else model.SymmetricTwoPoint(mag, 1.0)
+    cell = model.SymmetricTwoPoint(mag)
     arr = model.sequence_array(lambda i: cell, dependence=model.GaussianNA(rho))
     sign_corr = 2.0 / math.pi * math.asin(rho)
     products = np.concatenate(
@@ -324,7 +324,7 @@ def exact_probe_ratio_pm1(n: int) -> float:
 
 
 def test_condition_h_probe_matches_enumeration():
-    arr = model.identical_array(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
     exact = exact_probe_ratio_pm1(8)
     est = simulate.condition_h_probe(arr, 1.0, 8, reps=3000, seed=17)
     assert est == pytest.approx(exact, rel=0.1)
@@ -340,7 +340,7 @@ def test_condition_h_probe_single_cell_bounded_by_one():
 
 
 def test_condition_h_probe_iid_doob_range():
-    arr = model.identical_array(model.SymmetricPM1())
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
     est = simulate.condition_h_probe(arr, 1.0, 100, reps=800, seed=23)
     assert 0.5 <= est <= 4.5
 
@@ -348,7 +348,7 @@ def test_condition_h_probe_iid_doob_range():
 def test_condition_h_probe_negatively_associated_rows():
     arr = model.ArraySpec(
         row_length=lambda n: n,
-        groups_fn=lambda n: (model.CellGroup(n, model.SymmetricPM1()),),
+        groups_fn=lambda n: (model.CellGroup(n, model.SymmetricTwoPoint(1.0)),),
         dependence=model.GaussianNA(-0.1),
     )
     est = simulate.condition_h_probe(arr, 1.0, 100, reps=400, seed=29)
@@ -361,9 +361,8 @@ def test_condition_h_probe_degenerate_cells_rejected():
             fn=lambda x: 1.0 if x < 0 else 0.0, atoms=((0.0, 1.0),), support_hint=0.0
         ),
         quantile=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        mean_zero=True,
     )
-    arr = model.identical_array(zero, mean_zero=False)
+    arr = model.identical_array(zero)
     with pytest.raises(ValueError):
         simulate.condition_h_probe(arr, 2.0, 4, reps=10, seed=1)
 
@@ -374,7 +373,7 @@ def test_condition_h_probe_degenerate_cells_rejected():
 
 
 def test_plan_validation():
-    arr = model.sequence_array(lambda i: model.SymmetricPM1())
+    arr = model.sequence_array(lambda i: model.SymmetricTwoPoint(1.0))
     with pytest.raises(ValueError):
         SimPlan(arr=arr, b=power_norming(1.0), rows=(), reps=5, eps=(0.5,), seed=0)
     with pytest.raises(ValueError):

@@ -207,6 +207,18 @@ def test_fixture_reference_keeps_its_svf():
     assert specio.LoadedSpec.of_fixture(spec.fixture).sv is None
 
 
+def test_pm1_is_the_two_point_law_one_one():
+    pm1 = {"kind": "symmetric-pm1"}
+    two_point = {"kind": "symmetric-two-point", "magnitude": 1.0, "prob": 1.0}
+    assert specio.parse_dist(pm1) == specio.parse_dist(two_point) == \
+        model.SymmetricTwoPoint(1.0)
+    # a sequence column may spell the one law both ways
+    cells = [{"n": n, "i": i, "dist": two_point if (n + i) % 2 else pm1}
+             for n in (1, 2, 3) for i in range(1, n + 1)]
+    arr = specio.load_spec_obj({"sequence": True, "cells": cells}).arr
+    assert [arr.sequence_cell(i) for i in (1, 2, 3)] == [model.SymmetricTwoPoint(1.0)] * 3
+
+
 def test_sequence_needs_rows_of_n_cells():
     cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
              for n in (1, 2, 3) for i in (1, 2)]

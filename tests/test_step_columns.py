@@ -155,7 +155,7 @@ def _tie_array(p):
             return model.ParetoTail(alpha=2.0 + (i % 5) / 4.0)
         if i % 7 == 2:
             return model.SymmetricTwoPoint(float(i + 1) ** (1.0 / p), 1.0 / i)
-        return model.SymmetricPM1()
+        return model.SymmetricTwoPoint(1.0)
 
     return model.sequence_array(cell, label="ties")
 
@@ -267,7 +267,7 @@ def _spike_array():
             return model.SymmetricTwoPoint(2.0**60, 1.0 / i)
         if i % 3 == 1:
             return model.ParetoTail(alpha=2.5)
-        return model.SymmetricPM1()
+        return model.SymmetricTwoPoint(1.0)
 
     return model.sequence_array(cell, label="spikes")
 

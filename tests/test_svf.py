@@ -57,6 +57,18 @@ def test_log_nu_derivative_matches_finite_differences():
             )
 
 
+@pytest.mark.parametrize("x", [0.5, 3.0, 17.0, 2.0**1000, 1e308])
+def test_log_chains_stop_at_the_clamp(x):
+    # every factor after the first clamped 1.0 is 1.0, so a huge nu gives the
+    # bits of nu = 8 (at most 6 factors are above 1.0 for any float) at once
+    big = 10**9
+    assert svf.log_nu(x, big) == svf.log_nu(x, 8)
+    assert svf.log_nu_sq(x, big) == svf.log_nu_sq(x, 8)
+    assert svf.log_nu_derivative(x, big) == svf.log_nu_derivative(x, 8)
+    assert svf.log_nu_derivative(x, big, last_squared=True) == \
+        svf.log_nu_derivative(x, 8, last_squared=True)
+
+
 # ---------------------------------------------------------------------------
 # conjugates
 # ---------------------------------------------------------------------------
