@@ -30,8 +30,22 @@ from .simulate import (
 from .specio import LoadedSpec, load_spec
 
 
+# a run that raises one of these cannot use its input: "error: ..." and exit 2
+UNUSABLE = (LlnLabError, ValueError, MemoryError, OverflowError)
+
+
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _unusable(exc: Exception, where: str = "") -> int:
+    """Report an input the run cannot use (one of ``UNUSABLE``); exit code 2."""
+    if isinstance(exc, MemoryError):  # a scan or row too large to hold
+        where += "too large to hold in memory: "
+    elif isinstance(exc, OverflowError):  # e.g. spikes (i+1)^(1/p) at a tiny p
+        where += "a value leaves float range: "
+    _log(f"error: {where}{exc}")
+    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +104,8 @@ def cmd_check(args, argv: list[str]) -> int:
         if not names:
             raise SpecError(f"--conditions names no condition: {args.conditions!r}")
         results = [run_condition(name, spec, args.n_sup, args.n) for name in names]
-    except (SpecError, LlnLabError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return 2
+    except UNUSABLE as exc:
+        return _unusable(exc)
     ok = all(r["match"] for r in results)
     for r in results:
         exp = "" if r["expected"] is None else f" (expected {r['expected']})"
@@ -123,9 +136,8 @@ def cmd_simulate(args, argv: list[str]) -> int:
             seed=args.seed,
             c=c_fn,
         )
-    except (SpecError, LlnLabError, ValueError) as exc:
-        _log(f"error: {exc}")
-        return 2
+    except UNUSABLE as exc:
+        return _unusable(exc)
     _log(f"simulate {spec.label} mode={args.mode} rows={rows} reps={args.reps}")
     out = Path(args.out)
     try:
@@ -138,12 +150,11 @@ def cmd_simulate(args, argv: list[str]) -> int:
         else:
             _log(f"error: unknown mode {args.mode}")
             return 2
-    except LlnLabError as exc:
-        _log(f"error: {exc}")
-        return 2
     except MemoryError as exc:
         _log(f"error: row too large to hold in memory (rows up to {rows[-1]}): {exc}")
         return 2
+    except UNUSABLE as exc:
+        return _unusable(exc)
     if args.mode == "slln-path":
         obj = {
             "mode": "slln-path",
@@ -182,9 +193,8 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
         for cname in checks:
             try:
                 r = run_condition(cname, spec, args.n_sup, args.n)
-            except (LlnLabError, ValueError) as exc:
-                _log(f"error: {name} :: {cname}: {exc}")
-                return 2
+            except UNUSABLE as exc:
+                return _unusable(exc, f"{name} :: {cname}: ")
             status = "ok" if r["match"] else "MISMATCH"
             _log(f"{name} :: {cname}: {r['outcome']} vs {r['expected']} [{status}]")
             if not r["match"]:

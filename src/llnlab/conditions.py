@@ -39,6 +39,9 @@ from .moments import MomentFunction, bounded_moment_condition, ui_check
 from .numerics import (
     BLOCK_TOL,
     DECAY_EPS,
+    DECAY_WINDOW,
+    FLAT_RUN,
+    MAX_BLOCKS,
     decay_gate,
     finite_integral,
     fitted_block_slope,
@@ -48,7 +51,6 @@ from .numerics import (
 from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
-FLAT_RUN = 10
 SERIES_CHUNK = 2**9  # cells per series pass: bounds memory; few enough to be freed before gc runs
 
 
@@ -99,22 +101,16 @@ def _as_tail_callable(source) -> tuple[Callable[[float], float], Callable]:
 
 
 def chandra_ghosal_integral(
-    source,
-    p: float,
-    sv: Optional[SlowlyVaryingSpec] = None,
-    *,
-    max_blocks: int = 60,
-    block_tol: float = BLOCK_TOL,
-    flat_tol: float = FLAT_SLOPE_TOL,
-    flat_run: int = FLAT_RUN,
+    source, p: float, sv: Optional[SlowlyVaryingSpec] = None
 ) -> ConditionVerdict:
     """Convergence verdict for the moment integral of x^(p-1) L^p(x) G(x).
 
     ``source`` supplies the nonincreasing map G (a tail function or a
-    callable).  Dyadic blocks certify convergence via the block
-    tolerance; a fitted local exponent of x^p L^p(x) G(x) at or above flat
-    (block log-slope >= -flat_tol) over ``flat_run`` consecutive blocks
-    certifies a divergent lower envelope.
+    callable).  A dyadic block below ``BLOCK_TOL`` certifies convergence; a
+    fitted local exponent of x^p L^p(x) G(x) at or above flat (block
+    log-slope >= -``FLAT_SLOPE_TOL``) over ``FLAT_RUN`` consecutive blocks
+    certifies a divergent lower envelope; ``MAX_BLOCKS`` blocks without
+    either is inconclusive.
     """
     g, knots_in = _as_tail_callable(source)
     notes = []
@@ -137,20 +133,20 @@ def chandra_ghosal_integral(
     total = head
     lo = 1.0
     verdict, rule = "inconclusive", "budget exhausted without certificate"
-    for _ in range(max_blocks):
+    for _ in range(MAX_BLOCKS):
         hi = 2.0 * lo
         b = finite_integral(integrand, lo, hi, breakpoints=knots_in(lo, hi))
         blocks.append(b)
         total += b
         lo = hi
-        if abs(b) < block_tol:
-            verdict, rule = "holds", f"block below {block_tol}"
+        if abs(b) < BLOCK_TOL:
+            verdict, rule = "holds", f"block below {BLOCK_TOL}"
             break
-        slope = fitted_block_slope(blocks, run=flat_run)
-        if slope is not None and slope >= -flat_tol:
+        slope = fitted_block_slope(blocks)
+        if slope is not None and slope >= -FLAT_SLOPE_TOL:
             verdict, rule = (
                 "fails",
-                f"fitted block slope {slope:.3f} >= -{flat_tol} over {flat_run} blocks",
+                f"fitted block slope {slope:.3f} >= -{FLAT_SLOPE_TOL} over {FLAT_RUN} blocks",
             )
             break
     return ConditionVerdict(
@@ -230,7 +226,7 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
         verdict, rule = "holds", f"last 3 block increments below {BLOCK_TOL}"
     else:
         # the slope fit uses only full dyadic blocks
-        slope = fitted_block_slope(full_blocks, run=FLAT_RUN)
+        slope = fitted_block_slope(full_blocks)
         if slope is not None and slope >= -FLAT_SLOPE_TOL:
             verdict, rule = (
                 "fails",
@@ -318,7 +314,7 @@ def norming_ratio_bound_sq(b: NormalizingSequence, N: int = 100_000) -> Conditio
 # ---------------------------------------------------------------------------
 
 
-def limit_verdict(values: Sequence[float], *, eps: float = DECAY_EPS) -> tuple[str, str]:
+def limit_verdict(values: Sequence[float]) -> tuple[str, str]:
     """(verdict, rule) of "the grid sequence tends to 0": the one limit gate.
 
     ``holds`` fires on the eps decay gate, or on the power-law decay
@@ -326,22 +322,16 @@ def limit_verdict(values: Sequence[float], *, eps: float = DECAY_EPS) -> tuple[s
     1/log k) cannot cross eps on any float-feasible grid; ``fails`` fires on
     the growth gate.
     """
-    if decay_gate(values, eps=eps):
-        return "holds", f"last 5 grid values below {eps} and nonincreasing"
+    if decay_gate(values):
+        return "holds", f"last {DECAY_WINDOW} grid values below {DECAY_EPS} and nonincreasing"
     if slope_certified_decay(values):
         return "holds", "power-law decay certificate (slope <= -1/2 in grid index)"
-    if growth_gate(values, eps=eps):
+    if growth_gate(values):
         return "fails", "sequence grows over the last half and ends above eps"
     return "inconclusive", "no decay or growth certificate fired"
 
 
-def count_tail_vanishes(
-    source,
-    b: NormalizingSequence,
-    k_grid: Sequence,
-    *,
-    eps: float = DECAY_EPS,
-) -> ConditionVerdict:
+def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> ConditionVerdict:
     """Verdict for lim_k k * G(b_k) = 0 along the given k grid.
 
     Exact integer grids are honoured: when ``b`` maps ints to ints and G
@@ -364,7 +354,7 @@ def count_tail_vanishes(
             stop = {"grid_stop": int(k) if isinstance(k, int) else float(k)}
             break
         values.append(v)
-    verdict, rule = limit_verdict(values, eps=eps)
+    verdict, rule = limit_verdict(values)
     return ConditionVerdict(
         name="count-tail-limit",
         verdict=verdict,

@@ -15,8 +15,8 @@ which is also why an (S <= C * Y-tail) hypothesis for any Y transfers to the
 canonical X.
 
 Suprema over n are evaluated over a finite scan range (default 10^4 rows)
-unless the array or weight scheme carries a closed-form sup; reports state
-the range used.  A scan builds one :class:`~llnlab.model.RowTable` per
+unless the array or weight scheme carries a closed-form sup, which is then
+always used; reports state the range used.  A scan builds one :class:`~llnlab.model.RowTable` per
 (array, weights, scan top) and evaluates it at each x, so callers that need
 S at many points build the table once and close over it
 (:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`).
@@ -24,8 +24,8 @@ S at many points build the table once and close over it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,51 +82,39 @@ def _closed(fn: Callable) -> Callable[[float], float]:
     return lambda x: float(fn(x))
 
 
-def cesaro_sup_fn(
-    arr: ArraySpec, *, n_sup: int = DEFAULT_N_SUP, use_closed: bool = True
-) -> Callable[[float], float]:
+def _closed_sup(arr: ArraySpec, w: WeightScheme) -> Optional[Callable]:
+    """The closed form that serves sup_n sum_i a(n,i) P(|X[n,i]| > x), if any:
+    the scheme's own, else under uniform weights the array's Cesaro sup."""
+    if w.closed_weighted_sup is not None:
+        return w.closed_weighted_sup
+    return arr.closed_cesaro_sup if w.kind == "uniform" else None
+
+
+def cesaro_sup_fn(arr: ArraySpec, *, n_sup: int = DEFAULT_N_SUP) -> Callable[[float], float]:
     """x -> sup_n (1/k_n) sum_i P(|X[n,i]| > x): the closed form or one row table."""
-    if use_closed and arr.closed_cesaro_sup is not None:
-        return _closed(arr.closed_cesaro_sup)
-    return RowTable(arr, n_sup=n_sup).sup
+    return weighted_sup_fn(arr, uniform_weights(arr.row_length), n_sup=n_sup)
 
 
 def weighted_sup_fn(
-    arr: ArraySpec,
-    w: WeightScheme,
-    *,
-    n_sup: int = DEFAULT_N_SUP,
-    use_closed: bool = True,
+    arr: ArraySpec, w: WeightScheme, *, n_sup: int = DEFAULT_N_SUP
 ) -> Callable[[float], float]:
     """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x): the closed form or one row table."""
-    if use_closed and w.closed_weighted_sup is not None:
-        return _closed(w.closed_weighted_sup)
-    if w.kind == "uniform":
-        return cesaro_sup_fn(arr, n_sup=n_sup, use_closed=use_closed)
-    return RowTable(arr, w, n_sup).sup
+    closed = _closed_sup(arr, w)
+    if closed is not None:
+        return _closed(closed)
+    return RowTable(arr, None if w.kind == "uniform" else w, n_sup).sup
 
 
-def cesaro_tail_sup(
-    arr: ArraySpec,
-    x: float,
-    *,
-    n_sup: int = DEFAULT_N_SUP,
-    use_closed: bool = True,
-) -> float:
+def cesaro_tail_sup(arr: ArraySpec, x: float, *, n_sup: int = DEFAULT_N_SUP) -> float:
     """sup_n (1/k_n) sum_i P(|X[n,i]| > x) over the scan range (or closed form)."""
-    return cesaro_sup_fn(arr, n_sup=n_sup, use_closed=use_closed)(x)
+    return cesaro_sup_fn(arr, n_sup=n_sup)(x)
 
 
 def weighted_tail_sup(
-    arr: ArraySpec,
-    w: WeightScheme,
-    x: float,
-    *,
-    n_sup: int = DEFAULT_N_SUP,
-    use_closed: bool = True,
+    arr: ArraySpec, w: WeightScheme, x: float, *, n_sup: int = DEFAULT_N_SUP
 ) -> float:
     """sup_n sum_i a(n,i) P(|X[n,i]| > x) over the scan range (or closed form)."""
-    return weighted_sup_fn(arr, w, n_sup=n_sup, use_closed=use_closed)(x)
+    return weighted_sup_fn(arr, w, n_sup=n_sup)(x)
 
 
 # ---------------------------------------------------------------------------
@@ -135,31 +123,21 @@ def weighted_tail_sup(
 
 
 def dominating_cdf(
-    arr: ArraySpec,
-    w: WeightScheme,
-    *,
-    grid: Optional[Sequence[float]] = None,
-    n_sup: int = DEFAULT_N_SUP,
-    eps_lim: float = DECAY_EPS,
-    use_closed: bool = True,
+    arr: ArraySpec, w: WeightScheme, *, n_sup: int = DEFAULT_N_SUP
 ) -> DominationReport:
     """Build F(x) = 1 - S(x)/C0 from the weighted sup S and gate its validity.
 
-    valid means the grid certifies S -> 0 (last five values below ``eps_lim``
-    and nonincreasing); the report then carries the tail of the constructed X,
-    P(X > x) = S(x)/C0, which attains the weighted domination bound with
+    S is evaluated on ``geometric_grid()``; valid means ``decay_gate``
+    certifies S -> 0 there (last ``DECAY_WINDOW`` values below ``DECAY_EPS``
+    and nonincreasing).  The report then carries the tail of the constructed
+    X, P(X > x) = S(x)/C0, which attains the weighted domination bound with
     equality.  An invalid limit is an outcome, not an exception.
     """
-    xs = tuple(grid) if grid is not None else geometric_grid()
-    closed = use_closed and (
-        w.closed_weighted_sup is not None
-        or (w.kind == "uniform" and arr.closed_cesaro_sup is not None)
-    )
-
-    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup, use_closed=use_closed)
+    xs = geometric_grid()
+    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup)
     values = tuple(sup_fn(x) for x in xs)
     c0, _ = w.c0(n_sup)
-    valid = decay_gate(values, eps=eps_lim)
+    valid = decay_gate(values)
     cdf = None
     if valid:
 
@@ -177,8 +155,8 @@ def dominating_cdf(
         valid=valid,
         limit_estimate=values[-1],
         cdf=cdf,
-        closed_form=closed,
-        details={"eps_lim": eps_lim},
+        closed_form=_closed_sup(arr, w) is not None,
+        details={"eps_lim": DECAY_EPS},
     )
 
 
@@ -188,9 +166,7 @@ def equivalence_transfer(
     y_tail: TailFunction,
     c: float,
     *,
-    grid: Optional[Sequence[float]] = None,
     n_sup: int = DEFAULT_N_SUP,
-    use_closed: bool = True,
 ) -> DominationReport:
     """Check S(x) <= C * P(|Y| > x) on the grid and transfer to the canonical X.
 
@@ -200,48 +176,21 @@ def equivalence_transfer(
     """
     if not c > 0.0:
         raise ValueError("transfer constant must be positive")
-    xs = tuple(grid) if grid is not None else geometric_grid()
-    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup, use_closed=use_closed)
-    violations = []
-    values = []
-    for x in xs:
-        s = sup_fn(x)
-        values.append(s)
-        bound = c * y_tail.fn(x)
-        if s > bound + 1e-12:
-            violations.append((x, s, bound))
-    c0, _ = w.c0(n_sup)
+    rep = dominating_cdf(arr, w, n_sup=n_sup)
+    bounds = [c * y_tail.fn(x) for x in rep.grid]
+    violations = [(x, s, b) for x, s, b in zip(rep.grid, rep.values, bounds) if s > b + 1e-12]
     if violations:
-        return DominationReport(
-            grid=xs,
-            values=tuple(values),
-            scan_n=n_sup,
-            c0=c0,
-            valid=False,
-            limit_estimate=values[-1],
-            details={"hypothesis_holds": False, "violations": violations[:5]},
-        )
-    rep = dominating_cdf(arr, w, grid=xs, n_sup=n_sup, use_closed=use_closed)
+        return replace(rep, valid=False, cdf=None, closed_form=False, details={
+            "hypothesis_holds": False, "violations": violations[:5]})
     identity_err = 0.0
     if rep.cdf is not None:
         identity_err = max(
-            abs(s - c0 * rep.cdf.fn(x)) for x, s in zip(xs, values)
-        )
-    return DominationReport(
-        grid=xs,
-        values=tuple(values),
-        scan_n=n_sup,
-        c0=c0,
-        valid=rep.valid,
-        limit_estimate=rep.limit_estimate,
-        cdf=rep.cdf,
-        closed_form=rep.closed_form,
-        details={
-            "hypothesis_holds": True,
-            "transfer_constant": c,
-            "identity_max_error": identity_err,
-        },
-    )
+            abs(s - rep.c0 * rep.cdf.fn(x)) for x, s in zip(rep.grid, rep.values))
+    return replace(rep, details={
+        "hypothesis_holds": True,
+        "transfer_constant": c,
+        "identity_max_error": identity_err,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +205,11 @@ class TruncatedMomentBounds:
 
 
 def cesaro_precheck(
-    arr: ArraySpec,
-    y_tail: TailFunction,
-    *,
-    grid: Optional[Sequence[float]] = None,
-    n_sup: int = DEFAULT_N_SUP,
-    use_closed: bool = True,
+    arr: ArraySpec, y_tail: TailFunction, *, n_sup: int = DEFAULT_N_SUP
 ) -> None:
-    """Raise unless the Cesaro tail sup sits below P(|Y| > x) on the grid."""
-    xs = tuple(grid) if grid is not None else geometric_grid(0, 40)
-    sup_fn = cesaro_sup_fn(arr, n_sup=n_sup, use_closed=use_closed)
-    for x in xs:
+    """Raise unless the Cesaro tail sup sits below P(|Y| > x) on ``geometric_grid(0, 40)``."""
+    sup_fn = cesaro_sup_fn(arr, n_sup=n_sup)
+    for x in geometric_grid(0, 40):
         s = sup_fn(x)
         if s > y_tail.fn(x) + 1e-12:
             raise DominationPrecheckError(
@@ -281,7 +224,6 @@ def truncated_moment_bounds(
     x: float,
     *,
     n_sup: int = DEFAULT_N_SUP,
-    use_closed: bool = True,
 ) -> TruncatedMomentBounds:
     """Row-averaged truncated r-th moments against their dominating bounds.
 
@@ -289,7 +231,7 @@ def truncated_moment_bounds(
            vs E(|Y|^r 1(|Y| <= x)) + x^r P(|Y| > x)
     above: the same with the truncation reversed vs E(|Y|^r 1(|Y| > x)).
     """
-    cesaro_precheck(arr, y_tail, n_sup=n_sup, use_closed=use_closed)
+    cesaro_precheck(arr, y_tail, n_sup=n_sup)
     table = RowTable(arr, uniform_weights(arr.row_length), n_sup)
 
     def below_val(d):

@@ -439,7 +439,6 @@ def c_normalized_weights(
     *,
     flavor: str = "sum",
     growth_constant: Optional[float] = None,
-    closed_weighted_sup: Optional[Callable[[float], float]] = None,
     n_max: Optional[int] = None,
 ) -> WeightScheme:
     """a(n,i) = c(n,i)/A_n with A_n = sum c, or c(n,i)^2/A_n with A_n = sum c^2."""
@@ -466,13 +465,7 @@ def c_normalized_weights(
         c = c_fn(n, i)
         return (c if flavor == "sum" else c * c) / a_norm(n)
 
-    return WeightScheme(
-        kind="c-normalized",
-        row_length=row_length,
-        a_fn=a_fn,
-        closed_weighted_sup=closed_weighted_sup,
-        n_max=n_max,
-    )
+    return WeightScheme(kind="c-normalized", row_length=row_length, a_fn=a_fn, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .model import (
     less_than,
     tail_of,
 )
-from .numerics import BlockIntegral, finite_integral, integrate_tail_blocks
+from .numerics import MAX_BLOCKS, BlockIntegral, finite_integral, integrate_tail_blocks
 from .svf import SlowlyVaryingSpec
 
 
@@ -181,14 +181,14 @@ def _discrete_expectation(
 
 
 def expectation_via_tail(
-    tail: TailFunction, h, A: float = 0.0, *, max_blocks: int = 60
+    tail: TailFunction, h, A: float = 0.0, *, max_blocks: int = MAX_BLOCKS
 ) -> ExpectationValue:
     """E h(|X|) by the tail-integral decomposition split at A.
 
     ``h`` is a :class:`MomentFunction` or any object with eval/derivative/
     breakpoints.  The result is A-invariant for h differentiable on [0, inf).
     ``max_blocks`` extends the dyadic budget for tails that converge too
-    slowly for the default 60 blocks.
+    slowly for the default ``MAX_BLOCKS``.
     """
     h_eval = h.eval if hasattr(h, "eval") else h
     if tail.atoms is not None:
@@ -221,7 +221,7 @@ def expectation_via_tail(
 
 
 def moment_g(
-    tail: TailFunction, g: MomentFunction, *, max_blocks: int = 60
+    tail: TailFunction, g: MomentFunction, *, max_blocks: int = MAX_BLOCKS
 ) -> ExpectationValue:
     """E g(|X|), splitting at the anchor of g's slowly varying factor."""
     return expectation_via_tail(tail, g, A=g.anchor, max_blocks=max_blocks)

@@ -1,16 +1,26 @@
 """Shared numeric machinery: improper-integral block sums and limit gates.
 
-The symbol "infinity" is replaced everywhere by two stated stopping rules:
+The symbol "infinity" is replaced everywhere by stated stopping rules, each
+reading its thresholds from one named constant:
 
-* Integrals over [A, inf) are summed over dyadic blocks [2^j, 2^(j+1)].
-  A block below ``block_tol`` (1e-12) certifies convergence for nonincreasing
-  integrands; 60 blocks without that certificate yield a divergence marker
-  carrying the partial value.
-* "Decays to 0" for a sequence on a geometric grid means: last ``window``
-  values below ``eps`` (1e-3) and nonincreasing.  A second certificate accepts
-  sequences that are positive, nonincreasing, and fit a power law in the grid
-  index with slope <= -1/2 (this covers exact-closed-form sequences that reach
-  0 at a 1/log rate, far too slowly for any float-feasible grid to cross eps).
+* Integrals over [A, inf) are summed over dyadic blocks [2^j, 2^(j+1)], each
+  by adaptive quadrature to ``QUAD_ABS_TOL`` (1e-9).  A block below
+  ``BLOCK_TOL`` (1e-12) certifies convergence for nonincreasing integrands;
+  ``MAX_BLOCKS`` (60) blocks without that certificate yield a divergence
+  marker carrying the partial value.
+* A fitted log2-slope of the last ``FLAT_RUN`` (10) positive blocks at or
+  above -``conditions.FLAT_SLOPE_TOL`` (-0.15) certifies a divergent integral
+  or series (:func:`fitted_block_slope`).
+* "Decays to 0" for a sequence on a geometric grid means: last
+  ``DECAY_WINDOW`` (5) values below ``DECAY_EPS`` (1e-3) and nonincreasing.
+  A second certificate accepts sequences of at least ``SLOPE_MIN_POINTS`` (8)
+  values that are positive, nonincreasing, and fit a power law in the grid
+  index with slope <= ``SLOPE_MAX`` (-1/2) and residuals at most
+  ``SLOPE_MAX_RESIDUAL`` (1) over the second half (this covers
+  exact-closed-form sequences that reach 0 at a 1/log rate, far too slowly for
+  any float-feasible grid to cross the eps threshold).
+* "Grows" means weakly growing over the second half and ending above
+  ``DECAY_EPS``.
 """
 
 from __future__ import annotations
@@ -24,9 +34,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 DECAY_EPS = 1e-3
+DECAY_WINDOW = 5
 BLOCK_TOL = 1e-12
 MAX_BLOCKS = 60
 QUAD_ABS_TOL = 1e-9
+FLAT_RUN = 10
+SLOPE_MAX = -0.5
+SLOPE_MAX_RESIDUAL = 1.0
+SLOPE_MIN_POINTS = 8
 
 
 def geometric_grid(j0: int = 0, j1: int = 60) -> tuple[float, ...]:
@@ -34,12 +49,7 @@ def geometric_grid(j0: int = 0, j1: int = 60) -> tuple[float, ...]:
 
 
 def finite_integral(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    breakpoints: Sequence[float] = (),
-    abs_tol: float = QUAD_ABS_TOL,
+    f: Callable[[float], float], a: float, b: float, *, breakpoints: Sequence[float] = ()
 ) -> float:
     """Adaptive quadrature on [a, b], split at interior breakpoints."""
     if b <= a:
@@ -51,7 +61,7 @@ def finite_integral(
         # accuracy is still far inside our tolerances on these piecewise pieces
         warnings.simplefilter("ignore", IntegrationWarning)
         for lo, hi in zip(pts[:-1], pts[1:]):
-            val, _ = quad(f, lo, hi, epsabs=abs_tol, epsrel=1e-10, limit=200)
+            val, _ = quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200)
             total += val
     return total
 
@@ -70,9 +80,7 @@ def integrate_tail_blocks(
     *,
     breakpoints_in: Callable[[float, float], Sequence[float]] = lambda lo, hi: (),
     upper: float | None = None,
-    block_tol: float = BLOCK_TOL,
     max_blocks: int = MAX_BLOCKS,
-    abs_tol: float = QUAD_ABS_TOL,
 ) -> BlockIntegral:
     """Sum integral(f) over dyadic blocks from ``start`` toward infinity.
 
@@ -92,9 +100,7 @@ def integrate_tail_blocks(
     if upper is not None:
         first_hi = min(first_hi, upper)
     if first_hi > lo:
-        total += finite_integral(
-            f, lo, first_hi, breakpoints=breakpoints_in(lo, first_hi), abs_tol=abs_tol
-        )
+        total += finite_integral(f, lo, first_hi, breakpoints=breakpoints_in(lo, first_hi))
     lo = first_hi
     for _ in range(max_blocks):
         if upper is not None and lo >= upper:
@@ -102,13 +108,11 @@ def integrate_tail_blocks(
         hi = 2.0 * lo
         if upper is not None:
             hi = min(hi, upper)
-        b = finite_integral(
-            f, lo, hi, breakpoints=breakpoints_in(lo, hi), abs_tol=abs_tol
-        )
+        b = finite_integral(f, lo, hi, breakpoints=breakpoints_in(lo, hi))
         blocks.append(b)
         total += b
         lo = hi
-        if abs(b) < block_tol:
+        if abs(b) < BLOCK_TOL:
             return BlockIntegral(total, total, True, tuple(blocks))
     return BlockIntegral(math.inf, total, False, tuple(blocks))
 
@@ -123,32 +127,25 @@ def nonincreasing(values: Sequence[float], tol: float = 1e-12) -> bool:
     return all(b <= a + tol for a, b in zip(v[:-1], v[1:]))
 
 
-def decay_gate(
-    values: Sequence[float], *, eps: float = DECAY_EPS, window: int = 5
-) -> bool:
-    """Last ``window`` values below eps and nonincreasing."""
+def decay_gate(values: Sequence[float]) -> bool:
+    """Last ``DECAY_WINDOW`` values below ``DECAY_EPS`` and nonincreasing."""
     v = list(values)
-    if len(v) < window:
+    if len(v) < DECAY_WINDOW:
         return False
-    tail = v[-window:]
-    return all(t < eps for t in tail) and nonincreasing(tail)
+    tail = v[-DECAY_WINDOW:]
+    return all(t < DECAY_EPS for t in tail) and nonincreasing(tail)
 
 
-def slope_certified_decay(
-    values: Sequence[float],
-    *,
-    min_slope: float = -0.5,
-    max_residual: float = 1.0,
-    min_points: int = 8,
-) -> bool:
+def slope_certified_decay(values: Sequence[float]) -> bool:
     """Power-law-in-index decay certificate for positive nonincreasing sequences.
 
     Fits log(v_j) against log(j) over the second half of the grid; a fitted
-    slope <= min_slope with small residuals certifies v_j -> 0 even when the
-    values never cross the eps threshold on a feasible grid.
+    slope <= ``SLOPE_MAX`` with residuals at most ``SLOPE_MAX_RESIDUAL``
+    certifies v_j -> 0 even when the values never cross the eps threshold on
+    a feasible grid.
     """
     v = np.asarray([float(x) for x in values])
-    if len(v) < min_points or np.any(v <= 0.0):
+    if len(v) < SLOPE_MIN_POINTS or np.any(v <= 0.0):
         return False
     if not nonincreasing(v, tol=1e-12 * max(1.0, float(v[0]))):
         return False
@@ -160,30 +157,30 @@ def slope_certified_decay(
         return False
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
-    return slope <= min_slope and float(np.max(np.abs(resid))) <= max_residual
+    return slope <= SLOPE_MAX and float(np.max(np.abs(resid))) <= SLOPE_MAX_RESIDUAL
 
 
-def growth_gate(values: Sequence[float], *, eps: float = DECAY_EPS) -> bool:
-    """Sequence is (weakly) growing over its second half and ends above eps."""
+def growth_gate(values: Sequence[float]) -> bool:
+    """Sequence is (weakly) growing over its second half and ends above ``DECAY_EPS``."""
     v = [float(x) for x in values]
     if len(v) < 4:
         return False
     half = len(v) // 2
     tail = v[half:]
     growing = all(b >= a - 1e-12 * max(1.0, abs(a)) for a, b in zip(tail[:-1], tail[1:]))
-    return growing and tail[-1] > eps and tail[-1] >= v[0] - 1e-12
+    return growing and tail[-1] > DECAY_EPS and tail[-1] >= v[0] - 1e-12
 
 
-def fitted_block_slope(blocks: Sequence[float], run: int = 10) -> float | None:
-    """Least-squares slope of log2(block) over the last ``run`` positive blocks.
+def fitted_block_slope(blocks: Sequence[float]) -> float | None:
+    """Least-squares slope of log2(block) over the last ``FLAT_RUN`` positive blocks.
 
     For integrands ~ x^s on dyadic blocks the slope equals s + 1, so a slope
     near 0 or above means the underlying integral/series diverges.
     """
     b = [x for x in blocks if x > 0.0]
-    if len(b) < run:
+    if len(b) < FLAT_RUN:
         return None
-    window = np.log2(np.asarray(b[-run:]))
-    xs = np.arange(run, dtype=float)
+    window = np.log2(np.asarray(b[-FLAT_RUN:]))
+    xs = np.arange(FLAT_RUN, dtype=float)
     slope, _ = np.polyfit(xs, window, 1)
     return float(slope)

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import digamma
 
 from .errors import SamplingError
-from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint, rekeyed,
-                    step_columns, stream_keys)
+from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
+                    power_norming, rekeyed, step_columns, stream_keys)
 from .moments import clamped_mean, clamped_square_mean, truncated_mean
 from .svf import SlowlyVaryingSpec
 
@@ -291,14 +291,7 @@ def slln_series_estimate(
     trapezoid of neighbouring estimates.  The head below the first sampled row
     uses the first estimate, flat.
     """
-    conj = sv.conjugate() if sv is not None else None
-    inv = 1.0 / p
-
-    def b_fn(n):
-        base = float(n) ** inv
-        return base * conj.eval(base) if conj is not None else base
-
-    b = NormalizingSequence(fn=b_fn)
+    b = power_norming(p, sv.conjugate() if sv is not None else None)
     base_plan = dataclasses.replace(plan, b=b)
     rep = wlln_estimate(base_plan, threads=threads)
     rows = list(plan.rows)

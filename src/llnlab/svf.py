@@ -30,6 +30,8 @@ _LN2 = math.log(2.0)
 # x-values where successive clamped-log factors switch on: log x leaves its
 # clamp at 2, log log x at 4, log log log x at 16, then 2^16.
 LOG_CHAIN_KINKS = (2.0, 4.0, 16.0, 65536.0)
+# ``regularize`` scans for its anchor below 2^ANCHOR_MAX_EXPONENT
+ANCHOR_MAX_EXPONENT = 60
 
 
 def clog2(x: float) -> float:
@@ -263,21 +265,20 @@ def conjugate_residual(
     return out
 
 
-def regularize(
-    spec: SlowlyVaryingSpec, alpha: float, *, max_exponent: int = 60
-) -> SlowlyVaryingSpec:
+def regularize(spec: SlowlyVaryingSpec, alpha: float) -> SlowlyVaryingSpec:
     """Splice a linear ramp below an anchor so x^alpha * L(x) increases strictly.
 
-    The anchor is the smallest candidate in {0} U {2^k} that is at least the
-    spec's differentiability threshold and beyond which the log-derivative
-    condition alpha + x L'(x)/L(x) > 0 holds on a geometric scan grid.
+    The anchor is the smallest candidate in {0} U {2^k : k <= ANCHOR_MAX_EXPONENT}
+    that is at least the spec's differentiability threshold and beyond which
+    the log-derivative condition alpha + x L'(x)/L(x) > 0 holds on a geometric
+    scan grid.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
 
     def condition_holds_from(a: float) -> bool:
         lo = math.log2(a) if a > 1.0 else 0.0
-        steps = int((max_exponent - lo) * 4) + 1
+        steps = int((ANCHOR_MAX_EXPONENT - lo) * 4) + 1
         for t in range(steps):
             x = 2.0 ** (lo + t / 4.0)
             if x < a:
@@ -286,7 +287,7 @@ def regularize(
                 return False
         return True
 
-    candidates = [0.0] + [2.0**k for k in range(0, max_exponent + 1)]
+    candidates = [0.0] + [2.0**k for k in range(0, ANCHOR_MAX_EXPONENT + 1)]
     for a in candidates:
         if a < spec.smooth_from:
             continue
@@ -294,5 +295,5 @@ def regularize(
         if condition_holds_from(probe):
             return replace(spec, anchor=a)
     raise AnchorNotFoundError(
-        f"x^{alpha} * L(x) not eventually increasing below 2^{max_exponent}"
+        f"x^{alpha} * L(x) not eventually increasing below 2^{ANCHOR_MAX_EXPONENT}"
     )

@@ -102,6 +102,21 @@ def test_simulate_slln_series_mode(tmp_path):
     assert doc["series"]["per_eps"][0]["diagnostic"] == "bounded"
 
 
+def test_simulate_slln_series_norms_rows_as_wlln_does(tmp_path):
+    # both modes take b_n from model.power_norming: at integral 1/p >= 3 that is
+    # the exact int n**3, which float(n) ** 3.0 misses in the last bit here
+    docs = []
+    for mode in ("slln-series", "wlln"):
+        out = tmp_path / mode
+        assert run(["simulate", "--fixture", "x2m-example", "--p", "0.3333333333333333",
+                    "--mode", mode, "--rows", "416142", "--reps", "3", "--seed", "1",
+                    "--format", "json", "--out", str(out)]) == 0
+        docs.append(json.loads(out.with_suffix(".json").read_text()))
+    series, wlln = docs
+    assert series["entries"] == wlln["entries"]
+    assert series["ratio_means"] == wlln["ratio_means"]
+
+
 def test_simulate_slln_path_mode(tmp_path):
     out = tmp_path / "path"
     rc = run([
@@ -208,15 +223,19 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _simulate_capped(tmp_path, rows):
+def _cli_capped(argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "llnlab.cli", "simulate", "--fixture", "x2m-example",
-         f"--rows={rows}", "--reps", "2", "--out", str(tmp_path / "s")],
+        [sys.executable, "-m", "llnlab.cli", *argv],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=_limit_memory,
     )
+
+
+def _simulate_capped(tmp_path, rows):
+    return _cli_capped(["simulate", "--fixture", "x2m-example", f"--rows={rows}",
+                        "--reps", "2", "--out", str(tmp_path / "s")])
 
 
 @pytest.mark.parametrize("rows", ["0..8", "-4..8", "8..4"])
@@ -231,6 +250,30 @@ def test_simulate_row_too_large_to_hold_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "error: row too large to hold" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--fixture", "example-4.1", "--conditions", "kG",
+      "--n-sup", "100000000000"], "too large to hold in memory"),
+    (["verify-fixtures", "--only", "example-4.1", "--n-sup", "100000000000",
+      "--n", "1000"], "too large to hold in memory"),
+    (["check", "--fixture", "example-4.1", "--p", "1e-300", "--conditions", "kG",
+      "--n-sup", "64"], "leaves float range"),
+    (["check", "--fixture", "x2m-example", "--p", "0.001", "--conditions", "series",
+      "--n", "100"], "leaves float range"),
+    (["simulate", "--fixture", "example-4.1", "--p", "0.001", "--rows", "4",
+      "--reps", "2"], "leaves float range"),
+], ids=["check-scan-too-large", "verify-scan-too-large", "check-kG-spikes-overflow",
+        "check-series-spikes-overflow", "simulate-spikes-overflow"])
+def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
+    # the spike magnitudes (i+1)^(1/p) leave float range at these p
+    if argv[0] != "verify-fixtures":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    proc = _cli_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: " in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["wlln", "slln-path"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,28 +41,33 @@ def test_weighted_sup_two_block_value():
     )
 
 
+def _scanned(arr, w=None):
+    """The array (and weights) with their closed-form sups stripped."""
+    arr = dataclasses.replace(arr, closed_cesaro_sup=None)
+    if w is None:
+        return arr
+    return arr, dataclasses.replace(w, closed_weighted_sup=None)
+
+
 def test_closed_forms_match_scans():
     fx = load("example-2.1")
+    arr, w = _scanned(fx.arr, fx.weights)
     for x in (-1.0, 0.3, 1.0, 1.5, 2.5, 7.0, 40.0):
         assert domination.cesaro_tail_sup(fx.arr, x) == pytest.approx(
-            domination.cesaro_tail_sup(fx.arr, x, use_closed=False, n_sup=200),
-            abs=1e-12,
+            domination.cesaro_tail_sup(arr, x, n_sup=200), abs=1e-12
         )
         assert domination.weighted_tail_sup(fx.arr, fx.weights, x) == pytest.approx(
-            domination.weighted_tail_sup(
-                fx.arr, fx.weights, x, use_closed=False, n_sup=200
-            ),
-            abs=1e-12,
+            domination.weighted_tail_sup(arr, w, x, n_sup=200), abs=1e-12
         )
 
 
 def test_uniform_weights_reduce_to_cesaro():
-    arr = model.identical_array(model.ParetoTail(alpha=2.0), row_length=lambda n: 2 * n)
+    arr = _scanned(
+        model.identical_array(model.ParetoTail(alpha=2.0), row_length=lambda n: 2 * n))
     w = model.uniform_weights(arr.row_length)
     for x in (0.5, 1.0, 3.0, 10.0):
-        assert domination.weighted_tail_sup(
-            arr, w, x, use_closed=False, n_sup=40
-        ) == domination.cesaro_tail_sup(arr, x, use_closed=False, n_sup=40)
+        assert (domination.weighted_tail_sup(arr, w, x, n_sup=40)
+                == domination.cesaro_tail_sup(arr, x, n_sup=40))
 
 
 def test_counterexample_weighted_sup_is_one_everywhere():
@@ -147,6 +153,22 @@ def test_transfer_with_heavy_tail_bound():
     assert tr.details["hypothesis_holds"]
     assert tr.valid
     assert tr.details["identity_max_error"] <= 1e-9
+
+
+def test_transfer_evaluates_the_sup_once(monkeypatch):
+    # one row table and one C0 scan serve both the Y bound and the constructed X
+    builds, c0_calls = [], []
+    table, c0 = domination.RowTable, model.WeightScheme.c0
+    monkeypatch.setattr(domination, "RowTable",
+                        lambda *a, **k: builds.append(a) or table(*a, **k))
+    monkeypatch.setattr(model.WeightScheme, "c0",
+                        lambda self, *a: c0_calls.append(a) or c0(self, *a))
+    fx = load("example-2.1")
+    arr, w = _scanned(fx.arr, fx.weights)
+    y = model.tail_of(model.ParetoTail(alpha=1.0))
+    tr = domination.equivalence_transfer(arr, w, y, 1.0, n_sup=200)
+    assert tr.details["hypothesis_holds"] and tr.valid and not tr.closed_form
+    assert len(builds) == len(c0_calls) == 1
 
 
 def test_transfer_hypothesis_failure_is_reported_not_raised():

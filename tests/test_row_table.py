@@ -5,6 +5,7 @@ the tail sups, the weighted row values and C0 before ``model.RowTable``.
 Both sides add in the same order, so every comparison is exact (``==``).
 """
 
+import dataclasses
 import math
 import random
 
@@ -43,6 +44,14 @@ def ref_cesaro_tail_sup(arr, x, n_sup):
             acc += g.count * model.tail_of(g.dist).fn(x)
         best = max(best, acc / k)
     return best
+
+
+def _scanned(arr, w=None):
+    """The array (and weights) with their closed-form sups stripped: the scan path."""
+    arr = dataclasses.replace(arr, closed_cesaro_sup=None)
+    if w is None:
+        return arr
+    return arr, dataclasses.replace(w, closed_weighted_sup=None)
 
 
 def ref_weighted_tail_sup(arr, w, x, n_sup):
@@ -170,14 +179,14 @@ IDS = [c[0] for c in CASES]
 @pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
 def test_cesaro_tail_sup_equals_scalar_loop(name, arr, w, n_sup):
     for x in GRID:
-        got = domination.cesaro_tail_sup(arr, x, n_sup=n_sup, use_closed=False)
+        got = domination.cesaro_tail_sup(_scanned(arr), x, n_sup=n_sup)
         assert got == ref_cesaro_tail_sup(arr, x, n_sup), x
 
 
 @pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
 def test_weighted_tail_sup_equals_scalar_loop(name, arr, w, n_sup):
     for x in GRID:
-        got = domination.weighted_tail_sup(arr, w, x, n_sup=n_sup, use_closed=False)
+        got = domination.weighted_tail_sup(*_scanned(arr, w), x, n_sup=n_sup)
         assert got == ref_weighted_tail_sup(arr, w, x, n_sup), x
 
 
@@ -216,15 +225,15 @@ def test_example_41_full_scan_range():
 
 def test_negative_argument_gives_one():
     for name, arr, w, n_sup in CASES:
-        assert domination.cesaro_tail_sup(arr, -0.5, n_sup=n_sup, use_closed=False) == 1.0
+        assert domination.cesaro_tail_sup(_scanned(arr), -0.5, n_sup=n_sup) == 1.0
 
 
 def test_int_argument_past_float_precision_compares_exactly():
     arr = _spike_array()
     below, above = 2**60 - 1, 2**60 + 1
     assert float(below) == float(above) == 2.0**60
-    lo = domination.cesaro_tail_sup(arr, below, n_sup=90, use_closed=False)
-    hi = domination.cesaro_tail_sup(arr, above, n_sup=90, use_closed=False)
+    lo = domination.cesaro_tail_sup(_scanned(arr), below, n_sup=90)
+    hi = domination.cesaro_tail_sup(_scanned(arr), above, n_sup=90)
     assert lo == ref_cesaro_tail_sup(arr, below, 90)
     assert hi == ref_cesaro_tail_sup(arr, above, 90)
     assert lo > hi  # the spikes at 2**60 exceed 2**60 - 1 but not 2**60 + 1
@@ -248,7 +257,7 @@ def test_table_lists_each_law_once_steps_first():
 
 def test_empty_scan_is_zero():
     arr = load("example-4.1").arr
-    assert domination.cesaro_tail_sup(arr, 1.0, n_sup=0, use_closed=False) == 0.0
+    assert domination.cesaro_tail_sup(_scanned(arr), 1.0, n_sup=0) == 0.0
 
 
 def test_tail_of_called_once_per_distinct_law(monkeypatch):
@@ -256,7 +265,7 @@ def test_tail_of_called_once_per_distinct_law(monkeypatch):
     real = model.tail_of
     monkeypatch.setattr(model, "tail_of", lambda d: calls.append(d) or real(d))
     sp = _random_spec(2)
-    sup = domination.weighted_sup_fn(sp.arr, sp.weights, use_closed=False)
+    sup = domination.weighted_sup_fn(*_scanned(sp.arr, sp.weights))
     for x in GRID:
         sup(x)
     assert len(calls) == len(set(calls)) <= 4  # the Pareto laws only
