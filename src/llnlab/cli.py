@@ -80,16 +80,31 @@ def _load(args) -> LoadedSpec:
     return load_spec(args.spec)
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out_base: Path, argv: list[str], outputs: list[str]) -> None:
-    _write_json(
-        out_base.with_suffix(".manifest.json"),
-        {"tool": "llnlab", "version": __version__, "argv": argv, "outputs": outputs},
-    )
+def _write_outputs(out: str, argv: list[str], texts: dict[str, str]) -> int:
+    """Write ``<out><suffix>`` for each (suffix, text), then the manifest
+    listing them; 2 with ``error: ...`` when the base cannot be written.
+
+    The suffix is appended to the whole base: ``--out run.v2`` writes
+    ``run.v2.json``.
+    """
+    base = Path(out)
+    try:
+        base.parent.mkdir(parents=True, exist_ok=True)
+        outputs = []
+        for suffix, text in texts.items():
+            path = base.with_name(base.name + suffix)
+            path.write_text(text)
+            outputs.append(str(path))
+        manifest = {"tool": "llnlab", "version": __version__, "argv": argv, "outputs": outputs}
+        base.with_name(base.name + ".manifest.json").write_text(_json_text(manifest))
+    except (OSError, ValueError) as exc:  # ValueError: a base with an empty name
+        _log(f"error: cannot write outputs to --out {out!r}: {exc}")
+        return 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +125,8 @@ def cmd_check(args, argv: list[str]) -> int:
     for r in results:
         exp = "" if r["expected"] is None else f" (expected {r['expected']})"
         _log(f"check {spec.label} {r['condition']}: {r['outcome']}{exp}")
-    out = Path(args.out)
-    _write_json(
-        out.with_suffix(".json"),
-        {"input": spec.label, "results": results},
-    )
-    _write_manifest(out, argv, [str(out.with_suffix(".json"))])
-    return 0 if ok else 1
+    doc = {"input": spec.label, "results": results}
+    return _write_outputs(args.out, argv, {".json": _json_text(doc)}) or (0 if ok else 1)
 
 
 def cmd_simulate(args, argv: list[str]) -> int:
@@ -139,7 +149,6 @@ def cmd_simulate(args, argv: list[str]) -> int:
     except UNUSABLE as exc:
         return _unusable(exc)
     _log(f"simulate {spec.label} mode={args.mode} rows={rows} reps={args.reps}")
-    out = Path(args.out)
     try:
         if args.mode == "wlln":
             report = wlln_estimate(plan, threads=args.threads)
@@ -167,20 +176,13 @@ def cmd_simulate(args, argv: list[str]) -> int:
                 for eps in path_rep.eps
             },
         }
-        _write_json(out.with_suffix(".json"), obj)
-        _write_manifest(out, argv, [str(out.with_suffix(".json"))])
-        return 0
-    outputs = []
+        return _write_outputs(args.out, argv, {".json": _json_text(obj)})
+    texts = {}
     if args.format in ("csv", "both"):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        csv_path = out.with_suffix(".csv")
-        csv_path.write_text(report.to_csv_str())
-        outputs.append(str(csv_path))
+        texts[".csv"] = report.to_csv_str()
     if args.format in ("json", "both"):
-        _write_json(out.with_suffix(".json"), report.to_json_obj())
-        outputs.append(str(out.with_suffix(".json")))
-    _write_manifest(out, argv, outputs)
-    return 0
+        texts[".json"] = _json_text(report.to_json_obj())
+    return _write_outputs(args.out, argv, texts)
 
 
 def cmd_verify_fixtures(args, argv: list[str]) -> int:

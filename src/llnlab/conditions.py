@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ from .numerics import (
     DECAY_WINDOW,
     FLAT_RUN,
     MAX_BLOCKS,
+    _exact_product,
     decay_gate,
     finite_integral,
     fitted_block_slope,
@@ -345,11 +345,7 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
     stop = {}
     for k in k_grid:
         try:
-            t = g(b(k))
-            if isinstance(t, Fraction) or (isinstance(k, int) and k > 2**53):
-                v = float(Fraction(k) * (t if isinstance(t, Fraction) else Fraction(t)))
-            else:
-                v = float(k) * float(t)
+            v = _exact_product(k, g(b(k)))
         except OverflowError:
             stop = {"grid_stop": int(k) if isinstance(k, int) else float(k)}
             break

@@ -229,6 +229,15 @@ INDEPENDENT = Independent()
 # ---------------------------------------------------------------------------
 
 
+def _row_length(rows, n: int) -> int:
+    """k_n of an array or weight scheme, after checking 1 <= n <= its ``n_max``."""
+    if n < 1:
+        raise RowRangeError(f"row index must be >= 1, got {n}")
+    if rows.n_max is not None and n > rows.n_max:
+        raise RowRangeError(f"row {n} beyond declared n_max={rows.n_max}")
+    return rows.row_length(n)
+
+
 @dataclass(frozen=True)
 class CellGroup:
     count: int
@@ -265,11 +274,7 @@ class ArraySpec:
         return self.sequence_cell is not None
 
     def k(self, n: int) -> int:
-        if n < 1:
-            raise RowRangeError(f"row index must be >= 1, got {n}")
-        if self.n_max is not None and n > self.n_max:
-            raise RowRangeError(f"row {n} beyond declared n_max={self.n_max}")
-        return self.row_length(n)
+        return _row_length(self, n)
 
     def row_groups(self, n: int) -> tuple[CellGroup, ...]:
         k = self.k(n)
@@ -362,15 +367,8 @@ class WeightScheme:
     closed_weighted_sup: Optional[Callable[[float], float]] = None
     n_max: Optional[int] = None
 
-    def _check_row(self, n: int) -> int:
-        if n < 1:
-            raise RowRangeError(f"row index must be >= 1, got {n}")
-        if self.n_max is not None and n > self.n_max:
-            raise RowRangeError(f"row {n} beyond declared n_max={self.n_max}")
-        return self.row_length(n)
-
     def a(self, n: int, i: int) -> float:
-        k = self._check_row(n)
+        k = _row_length(self, n)
         if not (1 <= i <= k):
             raise RowRangeError(f"weight index {i} outside 1..{k} in row {n}")
         if self.kind == "uniform":
@@ -378,7 +376,7 @@ class WeightScheme:
         return self.a_fn(n, i)  # type: ignore[misc]
 
     def range_sum(self, n: int, lo: int, hi: int) -> float:
-        k = self._check_row(n)
+        k = _row_length(self, n)
         lo, hi = max(lo, 1), min(hi, k)
         if hi < lo:
             return 0.0
@@ -389,7 +387,7 @@ class WeightScheme:
         return math.fsum(self.a_fn(n, i) for i in range(lo, hi + 1))  # type: ignore[misc]
 
     def row_sum(self, n: int) -> float:
-        return self.range_sum(n, 1, self._check_row(n))
+        return self.range_sum(n, 1, _row_length(self, n))
 
     def c0(self, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
         """sup of row sums over the scan range, with the first attaining row.

@@ -1,15 +1,19 @@
-"""Expectation machinery built on the tail-integral decomposition.
+"""Expectation machinery built on the tail-integral identity.
 
 For a nonnegative variable xi with tail T(x) = P(xi > x) and a function h with
-h(0) = 0, bounded on [0, A] and differentiable beyond A,
+h(0) = 0, differentiable off a finite set of breakpoints,
 
-    E h(xi) = E(h(xi) 1(xi <= A)) + h(A) P(xi > A) + int_A^inf h'(x) T(x) dx.
+    E h(xi) = int_0^inf h'(t) T(t) dt,
+    E(h(xi) 1(xi <= x)) = int_0^x h'(t) T(t) dt - h(x) T(x),
+    E(h(xi) 1(xi > x)) = h(x) T(x) + int_x^inf h'(t) T(t) dt.
 
-Discrete distributions are evaluated by atom enumeration (the integral
-telescopes exactly through the step tail); continuous ones by adaptive
-quadrature with the dyadic block rule of :mod:`llnlab.numerics` standing in
-for the upper limit.  Divergent integrals return an inf marker that still
-carries the partial value at the cutoff.
+Every expectation of a law goes through one kernel.  A law with atoms sums
+h(m) p over its atoms m in the range, correctly rounded (``math.fsum``); any
+other law integrates the caller's integrand h'(t) T(t) by adaptive quadrature
+split at the tail's knots, with the dyadic block rule of
+:mod:`llnlab.numerics` standing in for an infinite upper limit.  Divergent
+integrals return an inf marker that still carries the partial value at the
+cutoff.
 
 The module also houses the weighted moment scans used by the domination and
 condition checks: bounded weighted moments, weighted uniform integrability,
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +45,7 @@ from .model import (
     less_than,
     tail_of,
 )
-from .numerics import MAX_BLOCKS, BlockIntegral, finite_integral, integrate_tail_blocks
+from .numerics import MAX_BLOCKS, _exact_product, finite_integral, integrate_tail_blocks
 from .svf import SlowlyVaryingSpec
 
 
@@ -163,21 +166,41 @@ class MomentFunction:
 # ---------------------------------------------------------------------------
 
 
-def _discrete_expectation(
-    atoms: Sequence[tuple[float, float]], h: Callable[[float], float], A: float
-) -> float:
-    """Exact decomposition for purely discrete |X|: atom sums + telescoped tail."""
-    srt = sorted(atoms)
-    below = math.fsum(h(m) * p for m, p in srt if m <= A and m > 0.0)
-    above = [(m, p) for m, p in srt if m > A]
-    tail_at_a = math.fsum(p for _, p in above)
-    integral = 0.0
-    cur, t_cur = A, tail_at_a
-    for m, p in above:
-        integral += t_cur * (h(m) - h(cur))
-        t_cur -= p
-        cur = m
-    return below + h(A) * tail_at_a + integral
+def _eval(h) -> Callable[[float], float]:
+    return h.eval if hasattr(h, "eval") else h
+
+
+def _inverse(t, y: float) -> float:
+    """t^-1(y) for an increasing t with t(0) = 0: t's own inverse, else bisection."""
+    return t.inverse(y) if hasattr(t, "inverse") else _numeric_inverse(_eval(t), y)
+
+
+def _atom_sum(atoms, h, lo: float = 0.0, hi: float = math.inf) -> float:
+    """Sum of h(m) p over the atoms (m, p) with lo < m <= hi, correctly rounded."""
+    return math.fsum(h(m) * p for m, p in atoms if lo < m <= hi)
+
+
+def _tail_integral(
+    tail: TailFunction, f, lo: float, hi=math.inf, *, head=0.0, extra=(), max_blocks=MAX_BLOCKS
+) -> ExpectationValue:
+    """head + int_lo^hi f for the caller's integrand f(t) = h'(t) P(|X| > t).
+
+    Pieces split at the tail's knots and at ``extra``.  A finite ``hi`` is one
+    adaptive quadrature; hi = inf walks dyadic blocks up to the tail's support
+    and gives the inf marker when they never certify convergence.
+    """
+
+    def breaks(a: float, b: float) -> tuple[float, ...]:
+        return tuple(p for p in extra if a < p < b) + tail.knots_in(a, b)
+
+    if not math.isinf(hi):
+        return ExpectationValue(head + finite_integral(f, lo, hi, breakpoints=breaks(lo, hi)))
+    res = integrate_tail_blocks(
+        f, lo, breakpoints_in=breaks, upper=tail.support_hint, max_blocks=max_blocks
+    )
+    if not res.converged:
+        return ExpectationValue(math.inf, partial=head + res.partial, converged=False)
+    return ExpectationValue(head + res.value)
 
 
 def expectation_via_tail(
@@ -190,9 +213,8 @@ def expectation_via_tail(
     ``max_blocks`` extends the dyadic budget for tails that converge too
     slowly for the default ``MAX_BLOCKS``.
     """
-    h_eval = h.eval if hasattr(h, "eval") else h
     if tail.atoms is not None:
-        return ExpectationValue(_discrete_expectation(tail.atoms, h_eval, A))
+        return ExpectationValue(_atom_sum(tail.atoms, _eval(h)))
 
     h_deriv = h.derivative
     brk = tuple(h.breakpoints()) if hasattr(h, "breakpoints") else ()
@@ -200,24 +222,8 @@ def expectation_via_tail(
     def integrand(t: float) -> float:
         return h_deriv(t) * tail.fn(t)
 
-    below = 0.0
-    if A > 0.0:
-        pts = list(brk) + list(tail.knots_in(0.0, A))
-        below = finite_integral(integrand, 0.0, A, breakpoints=pts)
-
-    def block_breaks(lo: float, hi: float):
-        return tuple(p for p in brk if lo < p < hi) + tail.knots_in(lo, hi)
-
-    res: BlockIntegral = integrate_tail_blocks(
-        integrand,
-        A,
-        breakpoints_in=block_breaks,
-        upper=tail.support_hint,
-        max_blocks=max_blocks,
-    )
-    if not res.converged:
-        return ExpectationValue(math.inf, partial=below + res.partial, converged=False)
-    return ExpectationValue(below + res.value)
+    below = float(_tail_integral(tail, integrand, 0.0, A, extra=brk)) if A > 0.0 else 0.0
+    return _tail_integral(tail, integrand, A, head=below, extra=brk, max_blocks=max_blocks)
 
 
 def moment_g(
@@ -230,32 +236,20 @@ def moment_g(
 def truncated_abs_moment(
     tail: TailFunction, r: float, x: float, side: str
 ) -> ExpectationValue:
-    """E(|X|^r 1(|X| <= x)) for side='below', E(|X|^r 1(|X| > x)) for 'above'."""
+    """E(|X|^r 1(|X| <= x)) for side='below', E(|X|^r 1(|X| > x)) for 'above'; r > 0."""
+    if not (r > 0):
+        raise ValueError("r must be positive")
     if side not in ("below", "above"):
         raise ValueError("side must be 'below' or 'above'")
+    lo, hi = (0.0, x) if side == "below" else (x, math.inf)
     if tail.atoms is not None:
-        if side == "below":
-            val = math.fsum(m**r * p for m, p in tail.atoms if 0.0 < m <= x)
-        else:
-            val = math.fsum(m**r * p for m, p in tail.atoms if m > x)
-        return ExpectationValue(val)
+        return ExpectationValue(_atom_sum(tail.atoms, lambda m: m**r, lo, hi))
 
     def integrand(t: float) -> float:
         return r * t ** (r - 1.0) * tail.fn(t)
 
-    if side == "below":
-        val = finite_integral(integrand, 0.0, x, breakpoints=tail.knots_in(0.0, x))
-        return ExpectationValue(val - x**r * tail.fn(x))
-    res = integrate_tail_blocks(
-        integrand,
-        x,
-        breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi),
-        upper=tail.support_hint,
-    )
-    head = x**r * tail.fn(x)
-    if not res.converged:
-        return ExpectationValue(math.inf, partial=head + res.partial, converged=False)
-    return ExpectationValue(head + res.value)
+    head = x**r * tail.fn(x)  # below: int_0^x integrand - head; above: head + int_x^inf
+    return _tail_integral(tail, integrand, lo, hi, head=-head if side == "below" else head)
 
 
 # ---------------------------------------------------------------------------
@@ -265,32 +259,24 @@ def truncated_abs_moment(
 
 def cell_moment(dist: DistSpec, g) -> float:
     """E g(|X|) for a single cell; closed form for the discrete built-ins."""
-    g_eval = g.eval if hasattr(g, "eval") else g
     if isinstance(dist, SymmetricTwoPoint):
-        return g_eval(dist.magnitude) * dist.prob
+        return _eval(g)(dist.magnitude) * dist.prob
     return float(moment_g(tail_of(dist), g))
 
 
 def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
     """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0."""
-    t_eval = t.eval if hasattr(t, "eval") else t
+    t_eval = _eval(t)
     if isinstance(dist, SymmetricTwoPoint):
         v = t_eval(dist.magnitude)
         return v * dist.prob if v > a else 0.0
     tail = tail_of(dist)
-    x_a = t.inverse(a) if hasattr(t, "inverse") else _numeric_inverse(t_eval, a)
+    x_a = _inverse(t, a)
 
     def integrand(x: float) -> float:
         return t.derivative(x) * tail.fn(x)
 
-    res = integrate_tail_blocks(
-        integrand,
-        x_a,
-        breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi),
-        upper=tail.support_hint,
-    )
-    head = t_eval(x_a) * tail.fn(x_a)
-    return head + (res.value if res.converged else math.inf)
+    return float(_tail_integral(tail, integrand, x_a, head=t_eval(x_a) * tail.fn(x_a)))
 
 
 def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
@@ -314,22 +300,27 @@ def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def clamped_mean(dist: DistSpec, a: float) -> float:
-    """E of X clamped to [-a, a]; zero for the symmetric built-ins."""
+def _quantile_mean(dist: DistSpec, clip: Callable[[float], float], what: str) -> float:
+    """E clip(X) as the integral of clip(Q(u)) over u in [0, 1], Q the quantile;
+    exactly zero for the symmetric built-ins (clip is odd)."""
     if isinstance(dist, (SymmetricTwoPoint, ParetoTail)):
         return 0.0
     if isinstance(dist, CustomDist):
         if dist.quantile is None:
-            raise ValueError("custom distribution has no quantile for clamped mean")
+            raise ValueError(f"custom distribution has no quantile for {what}")
         q = dist.quantile
 
         def f(u: float) -> float:
-            v = float(np.asarray(q(np.array([u])))[0])
-            return max(-a, min(a, v))
+            return clip(float(np.asarray(q(np.array([u])))[0]))
 
         val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
         return val
     raise TypeError(f"not a DistSpec: {dist!r}")
+
+
+def clamped_mean(dist: DistSpec, a: float) -> float:
+    """E of X clamped to [-a, a]; zero for the symmetric built-ins."""
+    return _quantile_mean(dist, lambda v: max(-a, min(a, v)), "clamped mean")
 
 
 def clamped_square_mean(dist: DistSpec, a: float) -> float:
@@ -341,20 +332,7 @@ def clamped_square_mean(dist: DistSpec, a: float) -> float:
 
 def truncated_mean(dist: DistSpec, b: float) -> float:
     """E(X 1(|X| <= b)); exactly zero for the symmetric built-ins."""
-    if isinstance(dist, (SymmetricTwoPoint, ParetoTail)):
-        return 0.0
-    if isinstance(dist, CustomDist):
-        if dist.quantile is None:
-            raise ValueError("custom distribution has no quantile for truncated mean")
-        q = dist.quantile
-
-        def f(u: float) -> float:
-            v = float(np.asarray(q(np.array([u])))[0])
-            return v if abs(v) <= b else 0.0
-
-        val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
-        return val
-    raise TypeError(f"not a DistSpec: {dist!r}")
+    return _quantile_mean(dist, lambda v: v if abs(v) <= b else 0.0, "truncated mean")
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +346,17 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
     Discrete cells map exactly (atom at t(m)); others become custom tail cells
     with the composed survival function.
     """
-    t_eval = t.eval if hasattr(t, "eval") else t
+    t_eval = _eval(t)
 
     def map_dist(d: DistSpec) -> DistSpec:
         if isinstance(d, SymmetricTwoPoint):
             return SymmetricTwoPoint(magnitude=t_eval(d.magnitude), prob=d.prob)
         base = tail_of(d)
-        inv = t.inverse if hasattr(t, "inverse") else (
-            lambda y: _numeric_inverse(t_eval, y)
-        )
 
         def composed(x: float) -> float:
             if x < 0.0:
                 return 1.0
-            return base.fn(inv(x))
+            return base.fn(_inverse(t, x))
 
         sup = None
         if base.support_hint is not None:
@@ -411,8 +386,7 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
 
 def _at_magnitudes(table: RowTable, h) -> np.ndarray:
     """h(m) for the magnitude m of each step law of ``table``, one scalar call each."""
-    h_eval = h.eval if hasattr(h, "eval") else h
-    return np.fromiter(map(h_eval, table.mag.tolist()), dtype=float, count=len(table.mag))
+    return np.fromiter(map(_eval(h), table.mag.tolist()), dtype=float, count=len(table.mag))
 
 
 def _sup_with_growth(values: np.ndarray) -> SupValue:
@@ -482,7 +456,7 @@ def dlvp_witness(
     the de La Vallee Poussin criterion; g must satisfy g(x)/x -> inf, checked
     on a geometric grid before any scanning.
     """
-    g_eval = g.eval if hasattr(g, "eval") else g
+    g_eval = _eval(g)
     ratios = [g_eval(2.0**j) / 2.0**j for j in range(0, 41)]
     half = ratios[len(ratios) // 2 :]
     increasing_tail = all(b >= a - 1e-12 for a, b in zip(half[:-1], half[1:]))
@@ -513,9 +487,5 @@ def tail_along_norming(
             arg = float(x) ** inv
             if not trivial:
                 arg *= conj.eval(float(x)) ** inv
-        t = tail.fn(arg)
-        if isinstance(t, Fraction) or (isinstance(x, int) and x > 2**53):
-            out.append(float(Fraction(x) * (t if isinstance(t, Fraction) else Fraction(t))))
-        else:
-            out.append(float(x) * float(t))
+        out.append(_exact_product(x, tail.fn(arg)))
     return out

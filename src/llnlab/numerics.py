@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +47,14 @@ SLOPE_MIN_POINTS = 8
 
 def geometric_grid(j0: int = 0, j1: int = 60) -> tuple[float, ...]:
     return tuple(2.0**j for j in range(j0, j1 + 1))
+
+
+def _exact_product(k, t) -> float:
+    """float(k * t), exact when t is a Fraction or k an int past 2^53 (where
+    float(k) rounds); a float product otherwise."""
+    if isinstance(t, Fraction) or (isinstance(k, int) and k > 2**53):
+        return float(Fraction(k) * Fraction(t))
+    return float(k) * float(t)
 
 
 def finite_integral(

@@ -90,6 +90,42 @@ def test_simulate_writes_manifest_and_replay_reproduces(tmp_path):
     assert out.with_suffix(".csv").read_bytes() == first
 
 
+OUT_COMMANDS = {
+    "check": ["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64"],
+    "simulate": ["simulate", "--fixture", "x2m-example", "--rows", "64,128", "--reps", "20",
+                 "--eps", "0.5", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("name", list(OUT_COMMANDS))
+def test_out_keeps_a_dotted_base_whole(tmp_path, name):
+    # --out run.v2 writes run.v2.json (and .csv), not run.json
+    base = tmp_path / "run.v2"
+    rc = run(OUT_COMMANDS[name] + ["--out", str(base)])
+    assert rc in (0, 1)
+    paths = [Path(f"{base}{s}") for s in ((".json",) if name == "check" else (".csv", ".json"))]
+    first = [p.read_bytes() for p in paths]
+    manifest = Path(f"{base}.manifest.json")
+    assert json.loads(manifest.read_text())["outputs"] == [str(p) for p in paths]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [p.name for p in paths] + [manifest.name])
+    for p in paths:
+        p.unlink()
+    assert run(["replay", str(manifest)]) == rc
+    assert [p.read_bytes() for p in paths] == first
+
+
+@pytest.mark.parametrize("name", list(OUT_COMMANDS))
+def test_unwritable_out_exits_2(tmp_path, capsys, name):
+    blocker = tmp_path / "file"  # a file where --out needs a directory
+    blocker.write_text("")
+    for base in (str(blocker / "x"), ""):  # "" names no file at all
+        assert run(OUT_COMMANDS[name] + ["--out", base]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write outputs" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
 def test_simulate_slln_series_mode(tmp_path):
     out = tmp_path / "ser"
     rc = run([

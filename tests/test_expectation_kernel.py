@@ -1,0 +1,292 @@
+"""The one tail-expectation kernel of ``llnlab.moments`` against the code it replaced.
+
+Before the kernel, ``expectation_via_tail``, ``truncated_abs_moment`` and
+``cell_transformed_tail_mass`` each wrote out the tail-integral identity
+E h(|X|) = int h'(t) P(|X| > t) dt themselves, atoms went through a
+telescoped walk (``_discrete_expectation``), and ``clamped_mean`` and
+``truncated_mean`` each carried a quantile quadrature.  The ``ref_*``
+functions below are those bodies.  On every law without atoms the kernel must
+give the same bits, ``partial`` and ``converged``; on step laws it gives the
+correctly rounded atom sum, which the telescoped walk missed in the last bit.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from llnlab import model, moments
+from llnlab.fixtures import load
+from llnlab.moments import ExpectationValue, MomentFunction, _numeric_inverse
+from llnlab.numerics import MAX_BLOCKS, finite_integral, integrate_tail_blocks
+
+# ---------------------------------------------------------------------------
+# references: the bodies the kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_discrete_expectation(atoms, h, A):
+    """Exact decomposition for purely discrete |X|: atom sums + telescoped tail."""
+    srt = sorted(atoms)
+    below = math.fsum(h(m) * p for m, p in srt if m <= A and m > 0.0)
+    above = [(m, p) for m, p in srt if m > A]
+    tail_at_a = math.fsum(p for _, p in above)
+    integral = 0.0
+    cur, t_cur = A, tail_at_a
+    for m, p in above:
+        integral += t_cur * (h(m) - h(cur))
+        t_cur -= p
+        cur = m
+    return below + h(A) * tail_at_a + integral
+
+
+def ref_expectation_via_tail(tail, h, A=0.0, *, max_blocks=MAX_BLOCKS):
+    h_eval = h.eval if hasattr(h, "eval") else h
+    if tail.atoms is not None:
+        return ExpectationValue(ref_discrete_expectation(tail.atoms, h_eval, A))
+
+    h_deriv = h.derivative
+    brk = tuple(h.breakpoints()) if hasattr(h, "breakpoints") else ()
+
+    def integrand(t):
+        return h_deriv(t) * tail.fn(t)
+
+    below = 0.0
+    if A > 0.0:
+        pts = list(brk) + list(tail.knots_in(0.0, A))
+        below = finite_integral(integrand, 0.0, A, breakpoints=pts)
+
+    def block_breaks(lo, hi):
+        return tuple(p for p in brk if lo < p < hi) + tail.knots_in(lo, hi)
+
+    res = integrate_tail_blocks(
+        integrand, A, breakpoints_in=block_breaks, upper=tail.support_hint,
+        max_blocks=max_blocks,
+    )
+    if not res.converged:
+        return ExpectationValue(math.inf, partial=below + res.partial, converged=False)
+    return ExpectationValue(below + res.value)
+
+
+def ref_truncated_abs_moment(tail, r, x, side):
+    if side not in ("below", "above"):
+        raise ValueError("side must be 'below' or 'above'")
+    if tail.atoms is not None:
+        if side == "below":
+            val = math.fsum(m**r * p for m, p in tail.atoms if 0.0 < m <= x)
+        else:
+            val = math.fsum(m**r * p for m, p in tail.atoms if m > x)
+        return ExpectationValue(val)
+
+    def integrand(t):
+        return r * t ** (r - 1.0) * tail.fn(t)
+
+    if side == "below":
+        val = finite_integral(integrand, 0.0, x, breakpoints=tail.knots_in(0.0, x))
+        return ExpectationValue(val - x**r * tail.fn(x))
+    res = integrate_tail_blocks(
+        integrand, x, breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi),
+        upper=tail.support_hint,
+    )
+    head = x**r * tail.fn(x)
+    if not res.converged:
+        return ExpectationValue(math.inf, partial=head + res.partial, converged=False)
+    return ExpectationValue(head + res.value)
+
+
+def ref_cell_transformed_tail_mass(dist, t, a):
+    t_eval = t.eval if hasattr(t, "eval") else t
+    if isinstance(dist, model.SymmetricTwoPoint):
+        v = t_eval(dist.magnitude)
+        return v * dist.prob if v > a else 0.0
+    tail = model.tail_of(dist)
+    x_a = t.inverse(a) if hasattr(t, "inverse") else _numeric_inverse(t_eval, a)
+
+    def integrand(x):
+        return t.derivative(x) * tail.fn(x)
+
+    res = integrate_tail_blocks(
+        integrand, x_a, breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi),
+        upper=tail.support_hint,
+    )
+    head = t_eval(x_a) * tail.fn(x_a)
+    return head + (res.value if res.converged else math.inf)
+
+
+def ref_clamped_mean(dist, a):
+    if isinstance(dist, (model.SymmetricTwoPoint, model.ParetoTail)):
+        return 0.0
+    if isinstance(dist, model.CustomDist):
+        if dist.quantile is None:
+            raise ValueError("custom distribution has no quantile for clamped mean")
+        q = dist.quantile
+
+        def f(u):
+            v = float(np.asarray(q(np.array([u])))[0])
+            return max(-a, min(a, v))
+
+        val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
+        return val
+    raise TypeError(f"not a DistSpec: {dist!r}")
+
+
+def ref_truncated_mean(dist, b):
+    if isinstance(dist, (model.SymmetricTwoPoint, model.ParetoTail)):
+        return 0.0
+    if isinstance(dist, model.CustomDist):
+        if dist.quantile is None:
+            raise ValueError("custom distribution has no quantile for truncated mean")
+        q = dist.quantile
+
+        def f(u):
+            v = float(np.asarray(q(np.array([u])))[0])
+            return v if abs(v) <= b else 0.0
+
+        val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
+        return val
+    raise TypeError(f"not a DistSpec: {dist!r}")
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+XS = (0.0, 0.5, 1.0, 2.0, 10.0, 2.0**20)  # split points A, truncation points x, levels a
+RS = (0.5, 1.0, 2.0, 3.5)
+
+U01 = model.TailFunction(fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x), support_hint=1.0)
+
+
+def _tails():
+    """Laws without atoms: uniform(0,1), Paretos, and the knotted Cesaro tails."""
+    return {
+        "uniform": U01,
+        **{f"pareto-{a}": model.tail_of(model.ParetoTail(alpha=a)) for a in (1.0, 2.5, 3.0)},
+        "x2m": load("x2m-example").cesaro_tail(),
+        "wlln": load("wlln-counterexample").cesaro_tail(),
+    }
+
+
+TAILS = _tails()
+
+
+def _cases(name):
+    """(r, x) pairs.  The wlln tail's upper integrals diverge and each walks all
+    MAX_BLOCKS blocks of a slow closed form, so they run only at the last x."""
+    if name == "wlln":
+        return [(r, XS[-1]) for r in (0.5, 2.0)]
+    return list(itertools.product(RS, XS))
+
+
+def same(got, want):
+    """Equal bits, and for expectations equal ``partial`` and ``converged``."""
+    assert type(got) is type(want)
+    assert float(got).hex() == float(want).hex()
+    if isinstance(want, ExpectationValue):
+        assert float(got.partial).hex() == float(want.partial).hex()
+        assert got.converged == want.converged
+
+
+# ---------------------------------------------------------------------------
+# bitwise agreement on laws without atoms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(TAILS))
+def test_expectation_via_tail_matches_reference(name):
+    tail = TAILS[name]
+    for r, A in _cases(name):
+        h = MomentFunction(power=r)
+        same(moments.expectation_via_tail(tail, h, A=A), ref_expectation_via_tail(tail, h, A=A))
+    # an h with breakpoints: the log factor's kinks split the pieces too
+    h = MomentFunction(power=1.0, log_factor_nu=1)
+    same(moments.expectation_via_tail(tail, h, A=XS[-1]),
+         ref_expectation_via_tail(tail, h, A=XS[-1]))
+
+
+@pytest.mark.parametrize("name", list(TAILS))
+def test_truncated_abs_moment_matches_reference(name):
+    tail = TAILS[name]
+    for r, x in _cases(name):
+        same(moments.truncated_abs_moment(tail, r, x, "above"),
+             ref_truncated_abs_moment(tail, r, x, "above"))
+    for r, x in itertools.product(RS, XS):  # the lower side is cheap on every tail
+        same(moments.truncated_abs_moment(tail, r, x, "below"),
+             ref_truncated_abs_moment(tail, r, x, "below"))
+
+
+def test_divergent_upper_mass_keeps_its_partial():
+    tail = TAILS["pareto-1.0"]
+    got = moments.truncated_abs_moment(tail, 1.0, 2.0, "above")
+    assert math.isinf(got) and not got.converged and 0.0 < got.partial < math.inf
+    same(got, ref_truncated_abs_moment(tail, 1.0, 2.0, "above"))
+
+
+@pytest.mark.parametrize("step", [(2.0, 0.5), (4.0, 0.25), (10.0, 1.0), (1.0, 1.0)])
+def test_truncated_abs_moment_on_steps_matches_reference(step):
+    # x runs through the atom itself: m = x is below, not above
+    tail = model.tail_of(model.SymmetricTwoPoint(*step))
+    for r, x in itertools.product(RS, XS + step[:1]):
+        for side in ("below", "above"):
+            same(moments.truncated_abs_moment(tail, r, x, side),
+                 ref_truncated_abs_moment(tail, r, x, side))
+
+
+@pytest.mark.parametrize("dist", [
+    model.ParetoTail(alpha=1.0),
+    model.ParetoTail(alpha=2.5),
+    model.CustomDist(tail=U01),
+    model.CustomDist(tail=TAILS["x2m"]),
+    model.SymmetricTwoPoint(3.0, 0.5),
+], ids=["pareto-1", "pareto-2.5", "uniform", "x2m", "step"])
+def test_cell_transformed_tail_mass_matches_reference(dist):
+    transforms = (MomentFunction(power=0.5), MomentFunction(power=2.0),
+                  MomentFunction(power=1.0, log_factor_nu=1))
+    for t, a in itertools.product(transforms, XS):
+        same(moments.cell_transformed_tail_mass(dist, t, a),
+             ref_cell_transformed_tail_mass(dist, t, a))
+
+
+def test_quantile_means_match_reference():
+    # an asymmetric custom law: X = Exp(1) - 1/2
+    law = model.CustomDist(
+        tail=U01, quantile=lambda u: -np.log1p(-np.asarray(u, dtype=float)) - 0.5
+    )
+    for a in (0.25, 0.5, 1.0, 2.0, 10.0):
+        same(moments.clamped_mean(law, a), ref_clamped_mean(law, a))
+        same(moments.truncated_mean(law, a), ref_truncated_mean(law, a))
+    for fn, what in ((moments.clamped_mean, "clamped mean"),
+                     (moments.truncated_mean, "truncated mean")):
+        with pytest.raises(ValueError, match=what):
+            fn(model.CustomDist(tail=U01), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# step laws: the correctly rounded atom sum
+# ---------------------------------------------------------------------------
+
+HS = (
+    MomentFunction(power=0.5),
+    MomentFunction(power=1.0, log_factor_nu=1),
+    MomentFunction(power=1.3, log_factor_nu=1),
+    MomentFunction(power=2.0),
+    MomentFunction(power=1.5, log_sq_factor_nu=2),
+    MomentFunction(power=3.7),
+)
+STEPS = list(itertools.product((2.5, 3.0, 8.0 / 3.0, 7.0, 10.5, 100.0 / 3.0),
+                               (1.0, 0.5, 0.1, 1.0 / 3.0, 0.7)))
+
+
+def test_step_expectation_is_the_exact_atom_sum():
+    # the telescoped walk h(A) T(A) + sum T (h(m) - h(prev)) rounds differently
+    # for A below the atom; the atom sum is h(m) q correctly rounded
+    for h, (m, q), A in itertools.product(HS, STEPS, (0.0, 0.5, 2.0, 3.0, 10.0)):
+        tail = model.tail_of(model.SymmetricTwoPoint(m, q))
+        want = math.fsum(h.eval(mm) * p for mm, p in tail.atoms if mm > 0.0)
+        got = moments.expectation_via_tail(tail, h, A=A)
+        assert float(got).hex() == want.hex(), (h, m, q, A)
+        # the same sum as the telescoped walk, up to its rounding
+        assert got == pytest.approx(ref_discrete_expectation(tail.atoms, h.eval, A),
+                                    rel=1e-14)

@@ -109,6 +109,15 @@ def test_truncated_moments_pareto_closed_forms():
     assert above == pytest.approx(0.015, abs=1e-9)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_truncated_moments_reject_nonpositive_power(r):
+    # r = 0 would give P(|X| <= x) - 1 below x, r < 0 a meaningless integral
+    tail = model.tail_of(model.ParetoTail(alpha=3.0))
+    for side in ("below", "above"):
+        with pytest.raises(ValueError, match="r must be positive"):
+            moments.truncated_abs_moment(tail, r, 10.0, side)
+
+
 def test_truncated_moments_discrete_exact():
     tail = model.tail_of(model.SymmetricTwoPoint(4.0, 0.25))
     assert float(moments.truncated_abs_moment(tail, 2.0, 4.0, "below")) == 4.0
