@@ -8,7 +8,7 @@ Submodules:
 * ``domination`` - tail-sup functionals and the dominating-cdf construction
 * ``conditions`` - verdicts for integral/series/ratio/limit hypotheses
 * ``simulate``   - deterministic Monte Carlo for partial-sum laws
-* ``fixtures``   - worked examples with exact closed forms
+* ``fixtures``   - the problem record; worked examples with exact closed forms
 * ``specio``     - JSON problem descriptions
 * ``cli``        - batch front end (`llnlab check|simulate|verify-fixtures`)
 """

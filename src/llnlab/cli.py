@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .conditions import CONDITIONS, run_condition
 from .errors import LlnLabError, SpecError
-from .fixtures import FIXTURE_NAMES, load as load_fixture
+from .fixtures import FIXTURE_NAMES, Problem, load as load_fixture
 from .model import DEFAULT_N_SUP
 from .simulate import (
     SimPlan,
@@ -27,7 +27,7 @@ from .simulate import (
     slln_series_estimate,
     wlln_estimate,
 )
-from .specio import LoadedSpec, load_spec
+from .specio import load_spec
 
 
 # a run that raises one of these cannot use its input: "error: ..." and exit 2
@@ -74,10 +74,10 @@ def _parse_rows(text: str) -> tuple[int, ...]:
     return tuple(sorted(one(t) for t in text.split(",")))
 
 
-def _load(args) -> LoadedSpec:
-    if args.fixture is not None:
-        return LoadedSpec.of_fixture(load_fixture(args.fixture, p=args.p, nu=args.nu))
-    return load_spec(args.spec)
+def _load(args) -> Problem:
+    if args.spec is not None:
+        return load_spec(args.spec)
+    return load_fixture(args.fixture, p=args.p, nu=args.nu)
 
 
 def _json_text(obj) -> str:
@@ -136,7 +136,6 @@ def cmd_simulate(args, argv: list[str]) -> int:
         eps = tuple(float(t) for t in args.eps.split(","))
         if args.threads < 1:
             raise SpecError(f"--threads must be >= 1, got {args.threads}")
-        c_fn = spec.fixture.c_fn if spec.fixture is not None else None
         plan = SimPlan(
             arr=spec.arr,
             b=spec.b,
@@ -144,7 +143,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
             reps=args.reps,
             eps=eps,
             seed=args.seed,
-            c=c_fn,
+            c=spec.c_fn,
         )
     except UNUSABLE as exc:
         return _unusable(exc)
@@ -189,12 +188,11 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
     names = [args.only] if args.only else list(FIXTURE_NAMES)
     failures = []
     for name in names:  # the fixtures' own names and parameters: nothing to reject
-        spec = LoadedSpec.of_fixture(load_fixture(name))
-        fx = spec.fixture
+        fx = load_fixture(name)
         checks = [k for k in fx.expected if k != "c0"]
         for cname in checks:
             try:
-                r = run_condition(cname, spec, args.n_sup, args.n)
+                r = run_condition(cname, fx, args.n_sup, args.n)
             except UNUSABLE as exc:
                 return _unusable(exc, f"{name} :: {cname}: ")
             status = "ok" if r["match"] else "MISMATCH"
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list: " + ", ".join(CONDITIONS))
     pc.add_argument("--n", type=_positive_int, default=100_000, help="series/ratio budget")
     pc.add_argument("--out", default="llnlab-check")
-    pc.add_argument("--format", choices=["json"], default="json")
     pc.set_defaults(fn=cmd_check)
 
     ps = sub.add_parser("simulate", help="run Monte Carlo estimates")

@@ -11,9 +11,10 @@ and the exact rule that fired:
 The rules are deterministic: same inputs, same verdict.
 
 ``CONDITIONS`` is the one table of the ten named hypotheses that ``check``
-and ``verify-fixtures`` run: each name maps to a runner returning its
-outcome and JSON detail, and :func:`run_condition` adds the fixture's
-expectation.
+and ``verify-fixtures`` run on a ``fixtures.Problem``: each name maps to a
+runner returning its outcome and JSON detail, and :func:`run_condition` adds
+the problem's expectation.  A runner reads the problem's closed forms and
+grids the same way whether it came from a fixture or a spec.
 """
 
 from __future__ import annotations
@@ -366,15 +367,11 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
 # The condition table shared by ``check`` and ``verify-fixtures``
 # ---------------------------------------------------------------------------
 
-_KG_GRID = tuple(2**j for j in range(0, 41))  # for inputs that bring no grid
-_UI_GRID = tuple(2.0**j for j in range(0, 41, 2))
-
 
 def _cesaro_source(spec, n_sup: int):
-    """The fixture's exact Cesaro sup with its knots, else the scan's sup."""
-    fx = spec.fixture
-    if fx is not None and fx.arr.closed_cesaro_sup is not None:
-        return fx.cesaro_tail()
+    """The closed Cesaro sup with its knots where the array has one, else a scan's sup."""
+    if spec.arr.closed_cesaro_sup is not None:
+        return spec.cesaro_tail()
     return cesaro_sup_fn(spec.arr, n_sup=n_sup)
 
 
@@ -388,19 +385,18 @@ def _domination(spec, weights, n_sup: int) -> tuple[str, dict]:
 
 
 def _count_tail(spec, source) -> tuple[str, dict]:
-    v = count_tail_vanishes(source, spec.b, getattr(spec.fixture, "kg_grid", None) or _KG_GRID)
+    v = count_tail_vanishes(source, spec.b, spec.kg_grid)
     return v.verdict, {"rule": v.rule, "last_value": v.value}
 
 
 def _ui(spec, n_sup: int, n: int) -> tuple[str, dict]:
-    fx = spec.fixture
     values = ui_check(
         spec.arr,
         uniform_weights(spec.arr.row_length),
         MomentFunction(power=spec.p),
-        getattr(fx, "ui_grid", None) or _UI_GRID,
+        spec.ui_grid,
         n_sup=n_sup,
-        closed_sup=fx.closed.get("ui_cesaro_pow_p") if fx is not None else None,
+        closed_sup=spec.closed.get("ui_cesaro_pow_p"),
     )
     verdict, _ = limit_verdict(values)
     outcome = {"holds": "decays", "fails": "diverges"}.get(verdict, verdict)
@@ -436,15 +432,14 @@ CONDITIONS: dict[str, Callable] = {
 
 
 def run_condition(name: str, spec, n_sup: int, n: int) -> dict:
-    """One named condition on a loaded problem, with the fixture's expectation.
+    """One named condition on a problem, with the problem's expectation.
 
     ``n_sup`` bounds the row scans, ``n`` is the series and ratio budget.
     """
     if name not in CONDITIONS:
         raise SpecError(f"unknown condition {name!r}")
     outcome, detail = CONDITIONS[name](spec, n_sup, n)
-    fx = spec.fixture
-    expected = fx.expected.get(name) if fx is not None else None
+    expected = spec.expected.get(name)
     return {
         "condition": name,
         "outcome": outcome,

@@ -1,11 +1,12 @@
-"""Named worked examples with exact closed forms and expected verdicts.
+"""The problem record, and the named worked examples with exact closed forms.
 
-Each fixture packages an array, its weight scheme(s), a norming sequence, and
-closed-form row sups where they exist, so every other module can be checked
-against exact values.  The closed forms accept Python ints and then stay
-exact (returning ``Fraction`` tails where needed), which lets the limit gates
-run on grids far beyond float range when a condition decays only at a 1/log
-rate.
+A :class:`Problem` is the tuple every hypothesis is about: array, weights, p,
+nu, norming b_n and slowly varying L.  A fixture is a problem that also
+carries closed-form row sups, expected verdicts and limit grids, so every
+other module can be checked against exact values.  The closed forms accept
+Python ints and then stay exact (returning ``Fraction`` tails where needed),
+which lets the limit gates run on grids far beyond float range when a
+condition decays only at a 1/log rate.
 
 The four names:
 
@@ -44,7 +45,7 @@ from .model import (
     sequence_array,
     uniform_weights,
 )
-from .svf import clog2
+from .svf import SlowlyVaryingSpec, clog2
 
 FIXTURE_NAMES = (
     "example-2.1",
@@ -55,19 +56,21 @@ FIXTURE_NAMES = (
 
 
 @dataclass(frozen=True)
-class Fixture:
-    name: str
+class Problem:
+    """One problem, from :func:`load` or a spec; ``label`` names it in reports."""
+
+    label: str
     arr: ArraySpec
     weights: WeightScheme
     p: float
     nu: int
     b: NormalizingSequence
-    description: str
+    sv: Optional[SlowlyVaryingSpec] = None
     c_fn: Optional[Callable[[int, int], float]] = None
     closed: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
-    ui_grid: tuple = ()
-    kg_grid: tuple = ()
+    ui_grid: tuple = tuple(2.0**j for j in range(0, 41, 2))
+    kg_grid: tuple = tuple(2**j for j in range(0, 41))
 
     def cesaro_tail(self) -> TailFunction:
         """Tail of the canonical Cesaro dominating variable (closed form)."""
@@ -80,7 +83,7 @@ class Fixture:
 # ---------------------------------------------------------------------------
 
 
-def _build_example_21(p: float, nu: int) -> Fixture:
+def _build_example_21(p: float, nu: int) -> Problem:
     pm1 = SymmetricTwoPoint(1.0)
 
     def groups(n: int) -> tuple[CellGroup, ...]:
@@ -151,14 +154,13 @@ def _build_example_21(p: float, nu: int) -> Fixture:
         range_sum_fn=range_sum,
         closed_weighted_sup=weighted_sup,
     )
-    return Fixture(
-        name="example-2.1",
+    return Problem(
+        label="example-2.1",
         arr=arr,
         weights=weights,
         p=p,
         nu=nu,
         b=power_norming(p),
-        description="two-block array: Cesaro domination impossible, weighted possible",
         closed={
             "cesaro_knots": odd_knots,
             "weighted_knots": odd_knots,
@@ -170,7 +172,6 @@ def _build_example_21(p: float, nu: int) -> Fixture:
             "c0": 1.25,
             "chandra-ghosal": "fails",
         },
-        ui_grid=tuple(2.0**j for j in range(0, 41, 2)),
         kg_grid=tuple(2**j for j in range(0, 41, 2)),
     )
 
@@ -180,7 +181,7 @@ def _build_example_21(p: float, nu: int) -> Fixture:
 # ---------------------------------------------------------------------------
 
 
-def _build_example_41(p: float, nu: int) -> Fixture:
+def _build_example_41(p: float, nu: int) -> Problem:
     def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
         # X_i = +-(i+1)^(1/p) with probability 1/(i log_nu(i)), one column at a
         # time: the log_nu product gains one clamped log2 factor per pass, in
@@ -197,20 +198,18 @@ def _build_example_41(p: float, nu: int) -> Fixture:
         return mags, [1.0 / (i * d) for i, d in zip(range(lo, hi + 1), prod)]
 
     arr = sequence_array(label="example-4.1", cell_steps=cell_steps)
-    return Fixture(
-        name="example-4.1",
+    return Problem(
+        label="example-4.1",
         arr=arr,
         weights=uniform_weights(),
         p=p,
         nu=nu,
         b=power_norming(p),
-        description="rare-spike sequence: bounded weighted moments, divergent series",
         expected={
             "bounded-moment": "finite",
             "series": "fails",
             "b-regularity-wlln": "holds" if p < 1.0 else "fails",
         },
-        ui_grid=tuple(2.0**j for j in range(0, 41, 2)),
         kg_grid=tuple(2**j for j in range(0, 41, 2)),
     )
 
@@ -259,7 +258,7 @@ def _first_row_ratio_exceeding(a: float) -> float:
     return 2.0 ** _log2_root(math.log2(a))
 
 
-def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
+def _build_wlln_counterexample(p: float, nu: int) -> Problem:
     pm1 = SymmetricTwoPoint(1.0)
 
     def groups(n: int) -> tuple[CellGroup, ...]:
@@ -324,14 +323,13 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
         range_sum_fn=range_sum,
         closed_weighted_sup=weighted_sup,
     )
-    return Fixture(
-        name="wlln-counterexample",
+    return Problem(
+        label="wlln-counterexample",
         arr=arr,
         weights=weights,
         p=p,
         nu=nu,
         b=power_norming(p),
-        description="dominant single-cell rows: Cesaro UI holds, weighted count-tail fails",
         c_fn=c_fn,
         closed={
             "cesaro_knots": mag_knots,
@@ -345,7 +343,6 @@ def _build_wlln_counterexample(p: float, nu: int) -> Fixture:
             "kG-hat": "fails",
         },
         ui_grid=tuple(2.0**j for j in range(0, 1014, 4)),
-        kg_grid=tuple(2**j for j in range(0, 41, 1)),
     )
 
 
@@ -400,7 +397,7 @@ _UI_TERM = _UI_D <= _UI_CAP  # the spike lies at or above m_a
 _UI_SCALE = np.ldexp(1.0, -_UI_D)
 
 
-def _build_x2m(p: float, nu: int) -> Fixture:
+def _build_x2m(p: float, nu: int) -> Problem:
     half = p == 0.5
 
     def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
@@ -463,14 +460,13 @@ def _build_x2m(p: float, nu: int) -> Fixture:
 
     arr = sequence_array(label="x2m-example", closed_cesaro_sup=cesaro_sup,
                          cell_steps=cell_steps)
-    return Fixture(
-        name="x2m-example",
+    return Problem(
+        label="x2m-example",
         arr=arr,
         weights=uniform_weights(),
         p=p,
         nu=nu,
         b=power_norming(p),
-        description="power-of-two spikes: no dominating variable, Cesaro works, WLLN holds",
         closed={
             "cesaro_knots": spike_knots,
             "ui_cesaro_pow_p": ui_cesaro,
@@ -501,7 +497,7 @@ _BUILDERS = {
 }
 
 
-def load(name: str, *, p: Optional[float] = None, nu: Optional[int] = None) -> Fixture:
+def load(name: str, *, p: Optional[float] = None, nu: Optional[int] = None) -> Problem:
     """Build a named fixture; p and nu may override the defaults (p=1/2, nu=1)."""
     if not isinstance(name, str) or name not in _BUILDERS:
         raise SpecError(

@@ -77,17 +77,6 @@ class TailFunction:
         return ()
 
 
-def empirical_tail(samples: np.ndarray) -> TailFunction:
-    """Right-continuous empirical tail P(|X| > x) = #{|sample| > x} / N."""
-    mags = np.sort(np.abs(np.asarray(samples, dtype=float)))
-    n = len(mags)
-
-    def fn(x: float) -> float:
-        return float(n - np.searchsorted(mags, x, side="right")) / n
-
-    return TailFunction(fn=fn, support_hint=float(mags[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Distribution specs
 # ---------------------------------------------------------------------------
@@ -401,9 +390,10 @@ class WeightScheme:
             best_n = next((n for n in rows if self.row_length(n) >= 1), 0)
             best = (1.0 if best_n else 0.0) if rows else -math.inf
         else:
-            sums = [self.row_sum(n) for n in rows]
-            best_n = int(np.argmax(sums)) + 1 if sums else 0
-            best = sums[best_n - 1] if sums else -math.inf
+            # sized before the first row is read: a scan too large to hold fails at once
+            sums = np.fromiter(map(self.row_sum, rows), dtype=float, count=len(rows))
+            best_n = int(np.argmax(sums)) + 1 if len(sums) else 0
+            best = float(sums[best_n - 1]) if len(sums) else -math.inf
         if not (best > 0.0 and math.isfinite(best)):
             raise ValueError(f"row-sum sup {best} violates C0 in (0, inf)")
         return best, best_n

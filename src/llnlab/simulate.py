@@ -22,7 +22,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,7 +133,6 @@ class SimReport:
     entries: tuple[RowEstimate, ...]
     ratio_means: tuple[tuple[int, float], ...]
     series: Optional[dict] = None
-    extras: dict = field(default_factory=dict)
 
     def p_hat(self, n: int, epsilon: float) -> float:
         for e in self.entries:
@@ -167,7 +166,6 @@ class SimReport:
         }
         if self.series is not None:
             out["series"] = self.series
-        out.update(self.extras)
         return out
 
 
@@ -344,7 +342,6 @@ class PathReport:
     eps: tuple[float, ...]
     seed: int
     reps: int
-    stats: np.ndarray  # (reps, len(rows)) normalized max partial sums
     suffix_sups: np.ndarray  # (reps, len(rows)) sup over sampled m >= rows[j]
 
     def fraction_below(self, n: int, epsilon: float) -> float:
@@ -367,7 +364,6 @@ def slln_path_diagnostic(plan: SimPlan) -> PathReport:
         eps=tuple(plan.eps),
         seed=plan.seed,
         reps=plan.reps,
-        stats=stats,
         suffix_sups=suffix,
     )
 

@@ -1,5 +1,8 @@
 """Loading problem descriptions (arrays, weights, norming, svf) from JSON.
 
+Every spec loads as a ``fixtures.Problem``; one that names a fixture is that
+fixture's problem (closed forms, expectations, grids) with the spec's ``svf``.
+
 Schema sketch (full documentation in the repository README):
 
     {
@@ -31,9 +34,9 @@ rows; the largest declared n becomes the array's row bound.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -56,24 +59,6 @@ from .model import (
     uniform_weights,
 )
 from .svf import SlowlyVaryingSpec, constant_one, log_power, loglog_power
-
-
-@dataclass(frozen=True)
-class LoadedSpec:
-    arr: ArraySpec
-    weights: WeightScheme
-    b: Optional[NormalizingSequence]
-    sv: Optional[SlowlyVaryingSpec]
-    p: float
-    nu: int
-    fixture: Optional[fixtures_mod.Fixture] = None
-    label: str = ""
-
-    @classmethod
-    def of_fixture(cls, fx: fixtures_mod.Fixture, sv: Optional[SlowlyVaryingSpec] = None):
-        """The problem a fixture describes, with the svf a spec gives, if any."""
-        return cls(arr=fx.arr, weights=fx.weights, b=fx.b, sv=sv, p=fx.p, nu=fx.nu,
-                   fixture=fx, label=fx.name)
 
 
 def _section(doc: dict, key: str) -> Optional[dict]:
@@ -264,29 +249,29 @@ def _norming_from_doc(doc: Optional[dict], p: float) -> Optional[NormalizingSequ
     raise SpecError(f"unknown norming kind {kind!r}")
 
 
-def load_spec_obj(doc: dict) -> LoadedSpec:
+def load_spec_obj(doc: dict) -> fixtures_mod.Problem:
     if not isinstance(doc, dict):
         raise SpecError("top-level spec must be a JSON object")
     if "fixture" in doc:
         fx = fixtures_mod.load(doc["fixture"], p=_number(doc, "p"), nu=_number(doc, "nu"))
-        return LoadedSpec.of_fixture(fx, parse_svf(_section(doc, "svf")))
+        return dataclasses.replace(fx, sv=parse_svf(_section(doc, "svf")))
     if "cells" not in doc:
         raise SpecError("spec needs a 'fixture' name or explicit 'cells'")
     p = _exponent(doc, "p", 1.0)
     nu = fixtures_mod.iterated_log_order(_number(doc, "nu", 1))
     arr = _array_from_cells(doc)
-    return LoadedSpec(
+    return fixtures_mod.Problem(
+        label=doc.get("label", "explicit"),
         arr=arr,
         weights=_weights_from_doc(_section(doc, "weights"), arr),
-        b=_norming_from_doc(_section(doc, "b"), p),
-        sv=parse_svf(_section(doc, "svf")),
         p=p,
         nu=nu,
-        label=doc.get("label", "explicit"),
+        b=_norming_from_doc(_section(doc, "b"), p),
+        sv=parse_svf(_section(doc, "svf")),
     )
 
 
-def load_spec(path: str | Path) -> LoadedSpec:
+def load_spec(path: str | Path) -> fixtures_mod.Problem:
     """Parse a JSON problem description; SpecError on any malformation."""
     try:
         text = Path(path).read_text()

@@ -6,7 +6,8 @@ line front end into one table in ``llnlab.conditions`` (numpy 2.4.6, scipy
 1.17.1).  Any change to an outcome, an expectation, the evidence or the
 progress lines shows up as a different digest.  The inputs are the four
 fixtures and one sequence spec of mixed +-1, two-point and Pareto cells
-under explicit weights.
+under explicit weights.  Each fixture is also checked through a spec file
+that names it, against the same digest: both routes load one problem.
 """
 
 import hashlib
@@ -152,10 +153,10 @@ def digest(rc: int, err: str, report=None) -> str:
     return h.hexdigest()
 
 
-def check_digest(tmp_path, capsys, source: str, condition: str) -> str:
-    if source == "mixed":
-        spec = tmp_path / "mixed.json"
-        spec.write_text(json.dumps(mixed_spec()))
+def check_digest(tmp_path, capsys, source: str, condition: str, via_spec: bool) -> str:
+    if source == "mixed" or via_spec:
+        spec = tmp_path / f"{source}.json"
+        spec.write_text(json.dumps(mixed_spec() if source == "mixed" else {"fixture": source}))
         args = ["--spec", str(spec)]
     else:
         args = ["--fixture", source]
@@ -164,9 +165,14 @@ def check_digest(tmp_path, capsys, source: str, condition: str) -> str:
     return digest(rc, capsys.readouterr().err, out.with_suffix(".json"))
 
 
-@pytest.mark.parametrize("source,condition", sorted(CHECK_DIGESTS))
-def test_check_golden_digest(tmp_path, capsys, source, condition):
-    assert check_digest(tmp_path, capsys, source, condition) == CHECK_DIGESTS[source, condition]
+ROUTES = [pytest.param(s, c, False, id=f"{s}-{c}") for s, c in sorted(CHECK_DIGESTS)] + [
+    pytest.param(s, c, True, id=f"{s}-{c}-spec") for s, c in sorted(CHECK_DIGESTS) if s != "mixed"]
+
+
+@pytest.mark.parametrize("source,condition,via_spec", ROUTES)
+def test_check_golden_digest(tmp_path, capsys, source, condition, via_spec):
+    got = check_digest(tmp_path, capsys, source, condition, via_spec)
+    assert got == CHECK_DIGESTS[source, condition]
 
 
 def test_check_golden_covers_every_condition_and_input():

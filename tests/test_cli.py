@@ -293,14 +293,17 @@ def test_simulate_row_too_large_to_hold_exits_2(tmp_path):
       "--n-sup", "100000000000"], "too large to hold in memory"),
     (["verify-fixtures", "--only", "example-4.1", "--n-sup", "100000000000",
       "--n", "1000"], "too large to hold in memory"),
+    (["check", "--fixture", "example-2.1", "--conditions", "weighted-domination",
+      "--n-sup", "100000000000"], "too large to hold in memory"),
     (["check", "--fixture", "example-4.1", "--p", "1e-300", "--conditions", "kG",
       "--n-sup", "64"], "leaves float range"),
     (["check", "--fixture", "x2m-example", "--p", "0.001", "--conditions", "series",
       "--n", "100"], "leaves float range"),
     (["simulate", "--fixture", "example-4.1", "--p", "0.001", "--rows", "4",
       "--reps", "2"], "leaves float range"),
-], ids=["check-scan-too-large", "verify-scan-too-large", "check-kG-spikes-overflow",
-        "check-series-spikes-overflow", "simulate-spikes-overflow"])
+], ids=["check-scan-too-large", "verify-scan-too-large", "check-c0-too-large",
+        "check-kG-spikes-overflow", "check-series-spikes-overflow",
+        "simulate-spikes-overflow"])
 def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     # the spike magnitudes (i+1)^(1/p) leave float range at these p
     if argv[0] != "verify-fixtures":

@@ -34,7 +34,7 @@ PM1 = model.SymmetricTwoPoint(1.0)
 def paper_cell(fx):
     """X_i of the fixture as one scalar expression of i."""
     p, nu = fx.p, fx.nu
-    if fx.name == "example-4.1":
+    if fx.label == "example-4.1":
         # +-(i+1)^(1/p) with probability 1/(i log_nu(i)), else 0
         return lambda i: model.SymmetricTwoPoint(
             magnitude=float(i + 1) ** (1.0 / p), prob=1.0 / (i * log_nu(i, nu)))
@@ -113,7 +113,7 @@ def cases():
         yield load("x2m-example", p=p)
 
 
-@pytest.mark.parametrize("fx", list(cases()), ids=lambda fx: f"{fx.name}-p{fx.p}-nu{fx.nu}")
+@pytest.mark.parametrize("fx", list(cases()), ids=lambda fx: f"{fx.label}-p{fx.p}-nu{fx.nu}")
 def test_row_table_matches_the_cell_walk(fx):
     ref_arr = walked(fx)
     for weights in (None, fx.weights):

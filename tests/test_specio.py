@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from llnlab import model, specio
+from llnlab import fixtures, model, specio
 from llnlab.errors import SpecError
 
 
@@ -23,7 +23,10 @@ def explicit_doc():
 
 def test_fixture_reference_loads():
     spec = specio.load_spec_obj({"fixture": "example-2.1"})
-    assert spec.fixture is not None
+    fx = fixtures.load("example-2.1")  # the fixture's closed forms, grids and answers
+    assert (spec.label, spec.expected, spec.kg_grid, spec.ui_grid, spec.closed.keys()) == \
+        (fx.label, fx.expected, fx.kg_grid, fx.ui_grid, fx.closed.keys())
+    assert spec.sv is None and spec.expected["c0"] == 1.25
     assert spec.p == 0.5
     assert spec.arr.k(3) == 3
 
@@ -195,7 +198,7 @@ def test_nu_literal_past_float_range_is_a_spec_error(tmp_path):
 def test_integral_nu_is_kept_as_an_int():
     for nu in (2, 2.0):
         spec = specio.load_spec_obj({"fixture": "example-4.1", "nu": nu})
-        assert spec.nu == 2 and type(spec.nu) is int and spec.fixture.nu == 2
+        assert spec.nu == 2 and type(spec.nu) is int and spec.label == "example-4.1"
         cells = [{"n": 1, "i": 1, "dist": {"kind": "symmetric-pm1"}}]
         spec = specio.load_spec_obj({"cells": cells, "nu": nu})
         assert spec.nu == 2 and type(spec.nu) is int
@@ -203,8 +206,9 @@ def test_integral_nu_is_kept_as_an_int():
 
 def test_fixture_reference_keeps_its_svf():
     spec = specio.load_spec_obj({"fixture": "example-2.1", "svf": {"family": "constant"}})
-    assert spec.sv is not None and spec.fixture is not None and spec.label == "example-2.1"
-    assert specio.LoadedSpec.of_fixture(spec.fixture).sv is None
+    assert spec.sv is not None and spec.label == "example-2.1"
+    assert spec.expected == fixtures.load("example-2.1").expected
+    assert fixtures.load("example-2.1").sv is None
 
 
 def test_pm1_is_the_two_point_law_one_one():
