@@ -75,9 +75,11 @@ def _parse_rows(text: str) -> tuple[int, ...]:
 
 
 def _load(args) -> Problem:
-    if args.spec is not None:
-        return load_spec(args.spec)
-    return load_fixture(args.fixture, p=args.p, nu=args.nu)
+    if args.spec is None:
+        return load_fixture(args.fixture, p=args.p, nu=args.nu)
+    if args.p is not None or args.nu is not None:
+        raise SpecError("--p/--nu apply to --fixture only; set p and nu in the spec")
+    return load_spec(args.spec)
 
 
 def _json_text(obj) -> str:

@@ -52,7 +52,6 @@ class DominationReport:
     scan_n: int
     c0: float
     valid: bool
-    limit_estimate: float
     cdf: Optional[TailFunction] = None  # tail of the constructed X, when valid
     closed_form: bool = False
     details: dict = field(default_factory=dict)
@@ -78,10 +77,6 @@ def _jsonable(v) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _closed(fn: Callable) -> Callable[[float], float]:
-    return lambda x: float(fn(x))
-
-
 def _closed_sup(arr: ArraySpec, w: WeightScheme) -> Optional[Callable]:
     """The closed form that serves sup_n sum_i a(n,i) P(|X[n,i]| > x), if any:
     the scheme's own, else under uniform weights the array's Cesaro sup."""
@@ -101,7 +96,7 @@ def weighted_sup_fn(
     """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x): the closed form or one row table."""
     closed = _closed_sup(arr, w)
     if closed is not None:
-        return _closed(closed)
+        return closed
     return RowTable(arr, None if w.kind == "uniform" else w, n_sup).sup
 
 
@@ -153,7 +148,6 @@ def dominating_cdf(
         scan_n=n_sup,
         c0=c0,
         valid=valid,
-        limit_estimate=values[-1],
         cdf=cdf,
         closed_form=_closed_sup(arr, w) is not None,
         details={"eps_lim": DECAY_EPS},

@@ -145,7 +145,6 @@ def _build_example_21(p: float, nu: int) -> Problem:
     arr = ArraySpec(
         row_length=lambda n: n,
         groups_fn=groups,
-        label="example-2.1",
         closed_cesaro_sup=cesaro_sup,
     )
     weights = explicit_weights(
@@ -197,7 +196,7 @@ def _build_example_41(p: float, nu: int) -> Problem:
             prod = [a * b for a, b in zip(prod, f)]
         return mags, [1.0 / (i * d) for i, d in zip(range(lo, hi + 1), prod)]
 
-    arr = sequence_array(label="example-4.1", cell_steps=cell_steps)
+    arr = sequence_array(cell_steps=cell_steps)
     return Problem(
         label="example-4.1",
         arr=arr,
@@ -314,7 +313,6 @@ def _build_wlln_counterexample(p: float, nu: int) -> Problem:
     arr = ArraySpec(
         row_length=lambda n: n,
         groups_fn=groups,
-        label="wlln-counterexample",
         closed_cesaro_sup=cesaro_sup,
     )
     weights = explicit_weights(
@@ -458,8 +456,7 @@ def _build_x2m(p: float, nu: int) -> Problem:
         best = float(np.cumsum(terms, axis=1)[:, -1].max())
         return base + best
 
-    arr = sequence_array(label="x2m-example", closed_cesaro_sup=cesaro_sup,
-                         cell_steps=cell_steps)
+    arr = sequence_array(closed_cesaro_sup=cesaro_sup, cell_steps=cell_steps)
     return Problem(
         label="x2m-example",
         arr=arr,

@@ -249,7 +249,6 @@ class ArraySpec:
     groups_fn: Optional[Callable[[int], tuple[CellGroup, ...]]] = None
     sequence_cell: Optional[Callable[[int], DistSpec]] = None
     dependence: Dependence = INDEPENDENT
-    label: str = ""
     n_max: Optional[int] = None
     closed_cesaro_sup: Optional[Callable[[float], float]] = None
     cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None
@@ -294,7 +293,6 @@ def identical_array(
     *,
     row_length: Callable[[int], int] = lambda n: n,
     dependence: Dependence = INDEPENDENT,
-    label: str = "",
 ) -> ArraySpec:
     """All cells share one distribution; the Cesaro sup reduces to its tail."""
     tail = tail_of(dist)
@@ -302,7 +300,6 @@ def identical_array(
         row_length=row_length,
         groups_fn=lambda n: (CellGroup(row_length(n), dist),),
         dependence=dependence,
-        label=label,
         closed_cesaro_sup=tail.fn,
     )
 
@@ -311,7 +308,6 @@ def sequence_array(
     cell: Optional[Callable[[int], DistSpec]] = None,
     *,
     dependence: Dependence = INDEPENDENT,
-    label: str = "",
     closed_cesaro_sup: Optional[Callable[[float], float]] = None,
     cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None,
 ) -> ArraySpec:
@@ -328,7 +324,6 @@ def sequence_array(
         row_length=lambda n: n,
         sequence_cell=cell,
         dependence=dependence,
-        label=label,
         closed_cesaro_sup=closed_cesaro_sup,
         cell_steps=cell_steps,
     )

@@ -15,6 +15,10 @@ split at the tail's knots, with the dyadic block rule of
 integrals return an inf marker that still carries the partial value at the
 cutoff.
 
+Every h, g and t passed in is called directly: a :class:`MomentFunction` or
+any other callable, which also needs a ``derivative`` where a law without
+atoms is integrated (and may list its kinks in ``breakpoints()``).
+
 The module also houses the weighted moment scans used by the domination and
 condition checks: bounded weighted moments, weighted uniform integrability,
 superlinear witness functions, and the rescaled tail-decay sequence.
@@ -80,20 +84,19 @@ class SupValue(float):
 
 
 # ---------------------------------------------------------------------------
-# Moment functions g(x) = x^p * L(x^c) * [iterated-log factor]
+# Moment functions g(x) = x^p * [iterated-log factor]
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MomentFunction:
-    """Composite x^power * sv(x) * log-product factor.
+    """Composite x^power * log-product factor.
 
     ``log_factor_nu`` multiplies by log_nu(x); ``log_sq_factor_nu`` by
     log_nu_sq(x) (last factor squared).  Either may be None.
     """
 
     power: float
-    sv: Optional[SlowlyVaryingSpec] = None
     log_factor_nu: Optional[int] = None
     log_sq_factor_nu: Optional[int] = None
 
@@ -106,8 +109,6 @@ class MomentFunction:
         if x <= 0.0:
             return 0.0
         out = x**self.power
-        if self.sv is not None:
-            out *= self.sv.eval(x)
         if self.log_factor_nu is not None:
             out *= _svf.log_nu(x, self.log_factor_nu)
         if self.log_sq_factor_nu is not None:
@@ -122,9 +123,6 @@ class MomentFunction:
             return 0.0
         parts = [x**self.power]
         dparts = [self.power * x ** (self.power - 1.0)]
-        if self.sv is not None:
-            parts.append(self.sv.eval(x))
-            dparts.append(self.sv.derivative(x))
         if self.log_factor_nu is not None:
             parts.append(_svf.log_nu(x, self.log_factor_nu))
             dparts.append(_svf.log_nu_derivative(x, self.log_factor_nu))
@@ -142,37 +140,15 @@ class MomentFunction:
             total += prod
         return total
 
-    @property
-    def anchor(self) -> float:
-        if self.sv is not None and self.sv.anchor > 0.0:
-            return self.sv.anchor
-        return 0.0
-
     def breakpoints(self) -> tuple[float, ...]:
-        pts: set[float] = set()
         if self.log_factor_nu is not None or self.log_sq_factor_nu is not None:
-            pts.update(_svf.LOG_CHAIN_KINKS)
-        if self.sv is not None:
-            pts.update(k for k in self.sv.kinks() if k > 0.0)
-        return tuple(sorted(pts))
-
-    def inverse(self, y: float) -> float:
-        """Inverse on the increasing branch (see :func:`_numeric_inverse`)."""
-        return _numeric_inverse(self.eval, y)
+            return _svf.LOG_CHAIN_KINKS
+        return ()
 
 
 # ---------------------------------------------------------------------------
 # Core expectation via the tail decomposition
 # ---------------------------------------------------------------------------
-
-
-def _eval(h) -> Callable[[float], float]:
-    return h.eval if hasattr(h, "eval") else h
-
-
-def _inverse(t, y: float) -> float:
-    """t^-1(y) for an increasing t with t(0) = 0: t's own inverse, else bisection."""
-    return t.inverse(y) if hasattr(t, "inverse") else _numeric_inverse(_eval(t), y)
 
 
 def _atom_sum(atoms, h, lo: float = 0.0, hi: float = math.inf) -> float:
@@ -208,13 +184,13 @@ def expectation_via_tail(
 ) -> ExpectationValue:
     """E h(|X|) by the tail-integral decomposition split at A.
 
-    ``h`` is a :class:`MomentFunction` or any object with eval/derivative/
-    breakpoints.  The result is A-invariant for h differentiable on [0, inf).
-    ``max_blocks`` extends the dyadic budget for tails that converge too
-    slowly for the default ``MAX_BLOCKS``.
+    ``h`` is a :class:`MomentFunction` or any callable with ``derivative``
+    (``breakpoints`` optional).  The result is A-invariant for h
+    differentiable on [0, inf).  ``max_blocks`` extends the dyadic budget for
+    tails that converge too slowly for the default ``MAX_BLOCKS``.
     """
     if tail.atoms is not None:
-        return ExpectationValue(_atom_sum(tail.atoms, _eval(h)))
+        return ExpectationValue(_atom_sum(tail.atoms, h))
 
     h_deriv = h.derivative
     brk = tuple(h.breakpoints()) if hasattr(h, "breakpoints") else ()
@@ -224,13 +200,6 @@ def expectation_via_tail(
 
     below = float(_tail_integral(tail, integrand, 0.0, A, extra=brk)) if A > 0.0 else 0.0
     return _tail_integral(tail, integrand, A, head=below, extra=brk, max_blocks=max_blocks)
-
-
-def moment_g(
-    tail: TailFunction, g: MomentFunction, *, max_blocks: int = MAX_BLOCKS
-) -> ExpectationValue:
-    """E g(|X|), splitting at the anchor of g's slowly varying factor."""
-    return expectation_via_tail(tail, g, A=g.anchor, max_blocks=max_blocks)
 
 
 def truncated_abs_moment(
@@ -260,23 +229,22 @@ def truncated_abs_moment(
 def cell_moment(dist: DistSpec, g) -> float:
     """E g(|X|) for a single cell; closed form for the discrete built-ins."""
     if isinstance(dist, SymmetricTwoPoint):
-        return _eval(g)(dist.magnitude) * dist.prob
-    return float(moment_g(tail_of(dist), g))
+        return g(dist.magnitude) * dist.prob
+    return float(expectation_via_tail(tail_of(dist), g))
 
 
 def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
     """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0."""
-    t_eval = _eval(t)
     if isinstance(dist, SymmetricTwoPoint):
-        v = t_eval(dist.magnitude)
+        v = t(dist.magnitude)
         return v * dist.prob if v > a else 0.0
     tail = tail_of(dist)
-    x_a = _inverse(t, a)
+    x_a = _numeric_inverse(t, a)
 
     def integrand(x: float) -> float:
         return t.derivative(x) * tail.fn(x)
 
-    return float(_tail_integral(tail, integrand, x_a, head=t_eval(x_a) * tail.fn(x_a)))
+    return float(_tail_integral(tail, integrand, x_a, head=t(x_a) * tail.fn(x_a)))
 
 
 def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
@@ -346,21 +314,19 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
     Discrete cells map exactly (atom at t(m)); others become custom tail cells
     with the composed survival function.
     """
-    t_eval = _eval(t)
-
     def map_dist(d: DistSpec) -> DistSpec:
         if isinstance(d, SymmetricTwoPoint):
-            return SymmetricTwoPoint(magnitude=t_eval(d.magnitude), prob=d.prob)
+            return SymmetricTwoPoint(magnitude=t(d.magnitude), prob=d.prob)
         base = tail_of(d)
 
         def composed(x: float) -> float:
             if x < 0.0:
                 return 1.0
-            return base.fn(_inverse(t, x))
+            return base.fn(_numeric_inverse(t, x))
 
         sup = None
         if base.support_hint is not None:
-            sup = t_eval(base.support_hint)
+            sup = t(base.support_hint)
         return CustomDist(tail=TailFunction(fn=composed, support_hint=sup))
 
     if arr.is_sequence:
@@ -368,14 +334,12 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
         return ArraySpec(
             row_length=arr.row_length,
             sequence_cell=lambda i: map_dist(cell(i)),
-            label=f"{arr.label}|transformed",
         )
     groups = arr.groups_fn
     return ArraySpec(
         row_length=arr.row_length,
         groups_fn=lambda n: tuple(CellGroup(g.count, map_dist(g.dist)) for g in groups(n)),
         n_max=arr.n_max,
-        label=f"{arr.label}|transformed",
     )
 
 
@@ -386,7 +350,7 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
 
 def _at_magnitudes(table: RowTable, h) -> np.ndarray:
     """h(m) for the magnitude m of each step law of ``table``, one scalar call each."""
-    return np.fromiter(map(_eval(h), table.mag.tolist()), dtype=float, count=len(table.mag))
+    return np.fromiter(map(h, table.mag.tolist()), dtype=float, count=len(table.mag))
 
 
 def _sup_with_growth(values: np.ndarray) -> SupValue:
@@ -456,8 +420,7 @@ def dlvp_witness(
     the de La Vallee Poussin criterion; g must satisfy g(x)/x -> inf, checked
     on a geometric grid before any scanning.
     """
-    g_eval = _eval(g)
-    ratios = [g_eval(2.0**j) / 2.0**j for j in range(0, 41)]
+    ratios = [g(2.0**j) / 2.0**j for j in range(0, 41)]
     half = ratios[len(ratios) // 2 :]
     increasing_tail = all(b >= a - 1e-12 for a, b in zip(half[:-1], half[1:]))
     if not (increasing_tail and ratios[-1] > 10.0 * max(ratios[0], 1e-300)):

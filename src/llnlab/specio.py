@@ -190,7 +190,6 @@ def _array_from_cells(doc: dict) -> ArraySpec:
         sequence_cell=sequence_cell,
         dependence=_parse_dependence(_section(doc, "dependence")),
         n_max=n_max,
-        label=doc.get("label", "explicit"),
     )
 
 

@@ -437,3 +437,20 @@ def test_check_without_conditions_exits_2(tmp_path, capsys, conditions):
     assert rc == 2, err
     assert "error:" in err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--conditions", "b-regularity-wlln"],
+    ["simulate", "--rows", "1", "--reps", "2"],
+], ids=["check", "simulate"])
+@pytest.mark.parametrize("flag", [["--p", "1.5"], ["--nu", "2"]], ids=["p", "nu"])
+def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
+    # --p/--nu override --fixture parameters only; a spec states its own
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"fixture": "example-4.1"}))
+    rc = run([command[0], "--spec", str(spec), *flag, *command[1:],
+              "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "error: --p/--nu apply to --fixture only" in err
+    assert not (tmp_path / "o.json").exists()

@@ -240,6 +240,14 @@ def test_count_tail_constant_sequence_fails():
     assert v.fails
 
 
+def test_kg_hat_equals_kg_under_uniform_weights():
+    # uniform weights make the weighted sup the Cesaro sup, exact values included
+    for name in ("x2m-example", "example-4.1"):
+        fx = load(name)
+        kg, kg_hat = (conditions.run_condition(c, fx, 300, 1000) for c in ("kG", "kG-hat"))
+        assert (kg_hat["outcome"], kg_hat["detail"]) == (kg["outcome"], kg["detail"]), name
+
+
 def test_verdicts_are_deterministic():
     fx = load("x2m-example")
     a = conditions.count_tail_vanishes(fx.cesaro_tail(), fx.b, fx.kg_grid)

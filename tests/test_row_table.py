@@ -145,7 +145,7 @@ def _spike_array():
             return model.ParetoTail(alpha=1.5)
         return model.SymmetricTwoPoint(1.0)
 
-    return model.sequence_array(cell, label="spikes")
+    return model.sequence_array(cell)
 
 
 def _array_cases():

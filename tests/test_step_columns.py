@@ -157,7 +157,7 @@ def _tie_array(p):
             return model.SymmetricTwoPoint(float(i + 1) ** (1.0 / p), 1.0 / i)
         return model.SymmetricTwoPoint(1.0)
 
-    return model.sequence_array(cell, label="ties")
+    return model.sequence_array(cell)
 
 
 def _generated_spec(seed, rows=40, sequence=False):
@@ -269,7 +269,7 @@ def _spike_array():
             return model.ParetoTail(alpha=2.5)
         return model.SymmetricTwoPoint(1.0)
 
-    return model.sequence_array(cell, label="spikes")
+    return model.sequence_array(cell)
 
 
 def _scan_cases():
