@@ -17,14 +17,6 @@ class SamplingError(LlnLabError, ValueError):
     """A distribution/dependence combination cannot be sampled (e.g. missing quantile)."""
 
 
-class ConjugateUndeclaredError(LlnLabError, ValueError):
-    """A slowly varying spec has no usable conjugate (custom family without declaration)."""
-
-
-class AnchorNotFoundError(LlnLabError, ValueError):
-    """No splice point found below the scan bound that makes x^alpha * L(x) increasing."""
-
-
 class DominationPrecheckError(LlnLabError, ValueError):
     """A truncated-moment bound was requested for an array the given tail does not dominate."""
 

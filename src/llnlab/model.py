@@ -645,7 +645,7 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
     With a trivial conjugate and integral 1/p the map is integer-exact.
     """
     inv = 1.0 / p
-    trivial = conj is None or getattr(conj, "family", None) == "constant"
+    trivial = conj is None or conj.family == "constant"
     if trivial and float(inv).is_integer():
         e = int(inv)
 

@@ -111,6 +111,14 @@ def parse_dist(obj: dict) -> DistSpec:
     raise SpecError(f"unknown distribution kind {kind!r}")
 
 
+def _gamma(obj: dict) -> float:
+    """The finite number under ``gamma`` (an svf exponent), as a float."""
+    value = _number(obj, "gamma", 1.0)
+    if not abs(value) <= sys.float_info.max:  # false for nan, inf and ints past float range
+        raise SpecError(f"'gamma' must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_svf(obj: Optional[dict]) -> Optional[SlowlyVaryingSpec]:
     if obj is None:
         return None
@@ -118,9 +126,9 @@ def parse_svf(obj: Optional[dict]) -> Optional[SlowlyVaryingSpec]:
     if fam == "constant":
         return constant_one()
     if fam == "log-power":
-        return log_power(float(_number(obj, "gamma", 1.0)))
+        return log_power(_gamma(obj))
     if fam == "loglog-power":
-        return loglog_power(float(_number(obj, "gamma", 1.0)))
+        return loglog_power(_gamma(obj))
     raise SpecError(f"unknown svf family {fam!r}")
 
 

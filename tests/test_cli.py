@@ -398,6 +398,7 @@ SPEC_CASES = {
     "weights-string": {"weights": "uniform"},
     "b-int": {"b": 3},
     "svf-string": {"svf": "constant"},
+    "svf-gamma-infinite": {"svf": {"family": "log-power", "gamma": float("inf")}},
     "b-values-null": {"b": {"kind": "explicit", "values": [1, None]}},
     "b-values-string": {"b": {"kind": "explicit", "values": [1, "2"]}},
     "p-zero": {"p": 0},

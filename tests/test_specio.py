@@ -146,6 +146,10 @@ SECTION_AND_NUMBER_CASES = {
     "b-int": {"b": 3},
     "svf-string": {"svf": "constant"},
     "svf-gamma-null": {"svf": {"family": "log-power", "gamma": None}},
+    # json reads 1e999 as inf and -1e999 as -inf
+    "svf-gamma-infinite": {"svf": {"family": "log-power", "gamma": float("inf")}},
+    "svf-gamma-negative-infinite": {"svf": {"family": "loglog-power", "gamma": float("-inf")}},
+    "svf-gamma-nan": {"svf": {"family": "log-power", "gamma": float("nan")}},
     "b-p-null": {"b": {"kind": "power", "p": None}},
     "b-values-null": {"b": {"kind": "explicit", "values": [1, None]}},
     "b-values-bool": {"b": {"kind": "explicit", "values": [1, True]}},

@@ -3,9 +3,6 @@ import math
 import pytest
 
 from llnlab import svf
-from llnlab.errors import AnchorNotFoundError, ConjugateUndeclaredError
-
-LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,80 +103,6 @@ def test_conjugate_residual_eventually_decreasing(spec):
     res = svf.conjugate_residual(spec, xs)
     tail = res[2:]
     assert all(b <= a + 1e-15 for a, b in zip(tail[:-1], tail[1:]))
-
-
-def test_custom_without_conjugate_raises():
-    L = svf.custom(fn=lambda x: 1.0 + 1.0 / max(x, 1.0))
-    with pytest.raises(ConjugateUndeclaredError):
-        svf.conjugate_residual(L, [4.0])
-
-
-# ---------------------------------------------------------------------------
-# derivative ratio x L'(x) / L(x)
-# ---------------------------------------------------------------------------
-
-
-def test_derivative_ratio_constant():
-    assert svf.derivative_ratio(svf.constant_one(), 17.0) == 0.0
-
-
-def test_derivative_ratio_log_power_closed_form():
-    L = svf.log_power(1.0)
-    assert svf.derivative_ratio(L, 2.0**10) == pytest.approx(1.0 / (10 * LN2), rel=1e-12)
-    # decreasing toward zero, below 1/2 from x = 8 on
-    ratios = [svf.derivative_ratio(L, 2.0**k) for k in range(3, 30)]
-    assert all(b < a for a, b in zip(ratios[:-1], ratios[1:]))
-    assert all(r < 0.5 for r in ratios)
-    assert svf.derivative_ratio(L, 4.0) > 0.5
-
-
-# ---------------------------------------------------------------------------
-# regularization
-# ---------------------------------------------------------------------------
-
-
-def test_regularize_constant_is_identity():
-    r = svf.regularize(svf.constant_one(), 1.0)
-    assert r.anchor == 0.0
-    assert r.eval(0.5) == 1.0
-
-
-def test_regularize_log_power_positive_gamma():
-    r = svf.regularize(svf.log_power(1.0), 1.0)
-    assert r.anchor == 2.0
-    assert r.eval(2.0) == 1.0  # continuity at the anchor
-    assert r.eval(1.0) == 0.5  # linear ramp below
-
-
-def test_regularize_negative_gamma_locates_turning_point():
-    # x^0.5 / log2(x) starts increasing once 1/2 > 1/(ln2 * log2 x)
-    r = svf.regularize(svf.log_power(-1.0), 0.5)
-    turning = 2.0 ** (1.0 / (0.5 * LN2))
-    assert r.anchor >= turning
-    assert r.anchor <= 2.0 * turning
-
-
-@pytest.mark.parametrize(
-    "spec,alpha",
-    [
-        (svf.constant_one(), 1.0),
-        (svf.log_power(1.0), 1.0),
-        (svf.log_power(-1.0), 0.5),
-        (svf.loglog_power(-2.0), 0.25),
-        (svf.product(svf.log_power(1.0), svf.loglog_power(1.0)), 0.75),
-    ],
-)
-def test_regularized_power_product_strictly_increasing(spec, alpha):
-    r = svf.regularize(spec, alpha)
-    pts = [1e-6 * (1e18) ** (k / 999.0) for k in range(1000)]  # [1e-6, 1e12]
-    vals = [x**alpha * r.eval(x) for x in pts]
-    assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
-
-
-def test_regularize_rejects_fast_decay():
-    bad = svf.custom(fn=lambda x: 1.0 / max(x, 1e-12), derivative=lambda x: -1.0 / max(x, 1e-12) ** 2)
-    with pytest.raises(AnchorNotFoundError):
-        svf.regularize(bad, 0.5)
 
 
 # ---------------------------------------------------------------------------
