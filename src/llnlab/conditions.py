@@ -107,28 +107,66 @@ def chandra_ghosal_integral(
     """Convergence verdict for the moment integral of x^(p-1) L^p(x) G(x).
 
     ``source`` supplies the nonincreasing map G (a tail function or a
-    callable).  A dyadic block below ``BLOCK_TOL`` certifies convergence; a
-    fitted local exponent of x^p L^p(x) G(x) at or above flat (block
-    log-slope >= -``FLAT_SLOPE_TOL``) over ``FLAT_RUN`` consecutive blocks
-    certifies a divergent lower envelope; ``MAX_BLOCKS`` blocks without
-    either is inconclusive.
+    callable), integrated as a head on [0, 1] and dyadic blocks from 1 on.
+
+    A step source -- an atom tail, or a step envelope such as a scanned
+    ``weighted_sup_fn`` -- is summed piece by piece with no quadrature of G:
+    the head and each block are cut at G's knots, G is read once per piece
+    at its midpoint, and the piece weights int_a^b x^(p-1) L^p(x) dx are
+    (b^p - a^p)/p, or with a non-constant L a quadrature of that smooth
+    factor alone (in u = x^p).  A block is the ``math.fsum`` of G times the
+    weights, exact up to rounding.  Any other source is integrated by
+    adaptive quadrature to ``QUAD_ABS_TOL``, the blocks split at its knots.
+
+    A block below ``BLOCK_TOL`` certifies convergence; a fitted local
+    exponent of x^p L^p(x) G(x) at or above flat (block log-slope >=
+    -``FLAT_SLOPE_TOL``) over ``FLAT_RUN`` consecutive blocks certifies a
+    divergent lower envelope; ``MAX_BLOCKS`` blocks without either is
+    inconclusive.
     """
     g, knots_in = _as_tail_callable(source)
     notes = []
     if not (1.0 <= p < 2.0):
         notes.append(f"p={p} outside [1,2); checked anyway")
+    inv = 1.0 / p
 
-    def rest(t: float) -> float:
-        out = g(t)
-        if sv is not None:
-            out *= sv.eval(t) ** p
-        return float(out)
+    if isinstance(source, TailFunction) and (source.step or source.atoms is not None):
+        if sv is None or sv.family == "constant":
 
-    # head on [0,1] with the substitution t = u^(1/p) removing the x^(p-1) factor
-    head = finite_integral(lambda u: rest(u ** (1.0 / p)) / p, 0.0, 1.0)
+            def weight(a: float, b: float) -> float:
+                return (b**p - a**p) / p
 
-    def integrand(t: float) -> float:
-        return t ** (p - 1.0) * rest(t)
+        else:
+
+            def weight(a: float, b: float) -> float:
+                return finite_integral(lambda u: sv.eval(u**inv) ** p / p, a**p, b**p)
+
+        def block(lo: float, hi: float) -> float:
+            pts = (lo, *knots_in(lo, hi), hi)
+            terms = []
+            for a, b in zip(pts[:-1], pts[1:]):
+                level = float(g(0.5 * (a + b)))
+                if level != 0.0:
+                    terms.append(level * weight(a, b))
+            return math.fsum(terms)
+
+        head = block(0.0, 1.0)
+    else:
+
+        def rest(t: float) -> float:
+            out = g(t)
+            if sv is not None:
+                out *= sv.eval(t) ** p
+            return float(out)
+
+        # head on [0,1] with the substitution t = u^(1/p) removing the x^(p-1) factor
+        head = finite_integral(lambda u: rest(u**inv) / p, 0.0, 1.0)
+
+        def integrand(t: float) -> float:
+            return t ** (p - 1.0) * rest(t)
+
+        def block(lo: float, hi: float) -> float:
+            return finite_integral(integrand, lo, hi, breakpoints=knots_in(lo, hi))
 
     blocks: list[float] = []
     total = head
@@ -136,7 +174,7 @@ def chandra_ghosal_integral(
     verdict, rule = "inconclusive", "budget exhausted without certificate"
     for _ in range(MAX_BLOCKS):
         hi = 2.0 * lo
-        b = finite_integral(integrand, lo, hi, breakpoints=knots_in(lo, hi))
+        b = block(lo, hi)
         blocks.append(b)
         total += b
         lo = hi

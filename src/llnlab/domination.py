@@ -93,11 +93,19 @@ def cesaro_sup_fn(arr: ArraySpec, *, n_sup: int = DEFAULT_N_SUP) -> Callable[[fl
 def weighted_sup_fn(
     arr: ArraySpec, w: WeightScheme, *, n_sup: int = DEFAULT_N_SUP
 ) -> Callable[[float], float]:
-    """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x): the closed form or one row table."""
+    """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x): the closed form or one row table.
+
+    A scan is a ``TailFunction`` over ``RowTable.sup`` carrying the table's
+    step magnitudes as knots.  When every scanned law is a step law it is
+    marked ``step``: the sup is constant between those knots, and
+    ``chandra_ghosal_integral`` sums it piece by piece.  A table that also
+    holds other laws stays a plain tail whose knots only split quadrature.
+    """
     closed = _closed_sup(arr, w)
     if closed is not None:
         return closed
-    return RowTable(arr, None if w.kind == "uniform" else w, n_sup).sup
+    table = RowTable(arr, None if w.kind == "uniform" else w, n_sup)
+    return TailFunction(fn=table.sup, knot_fn=table.knots_in, step=not table.others)
 
 
 def cesaro_tail_sup(arr: ArraySpec, x: float, *, n_sup: int = DEFAULT_N_SUP) -> float:

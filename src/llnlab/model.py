@@ -57,12 +57,16 @@ class TailFunction:
     ``support_hint`` is an upper endpoint beyond which the tail is exactly 0;
     ``knot_fn(lo, hi)`` enumerates discontinuities inside (lo, hi) for step
     tails whose atom list is unbounded (used to split quadrature segments).
+    ``step`` marks a step envelope: ``fn`` is constant between consecutive
+    ``knots_in``, so an integral of it is a sum over those pieces.  An atom
+    list is a step function by construction; knots alone mark nothing.
     """
 
     fn: Callable[[float], float]
     support_hint: Optional[float] = None
     atoms: Optional[tuple[tuple[float, float], ...]] = None
     knot_fn: Optional[Callable[[float, float], tuple[float, ...]]] = None
+    step: bool = False
 
     def eval(self, x) -> float:
         return self.fn(x)
@@ -90,8 +94,8 @@ class SymmetricTwoPoint:
     prob: float = 1.0
 
     def __post_init__(self):
-        if not (self.magnitude > 0):
-            raise ValueError("magnitude must be positive")
+        if not (0 < self.magnitude < math.inf):
+            raise ValueError("magnitude must be finite and positive")
         if not (0.0 < self.prob <= 1.0):
             raise ValueError("prob must lie in (0, 1]")
 
@@ -612,6 +616,14 @@ class RowTable:
     def sup(self, x) -> float:
         """sup_n of the row tail sums at x; 0.0 over an empty scan."""
         return float(np.max(self._rows(self._law_tails(x)), initial=0.0))
+
+    def knots_in(self, lo: float, hi: float) -> tuple[float, ...]:
+        """The sorted distinct step magnitudes in (lo, hi).  With no ``others``
+        every row value, and so ``sup``, is constant between them."""
+        mag = self.mag  # sorted, a magnitude repeated once per prob
+        a, b = np.searchsorted(mag, lo, side="right"), np.searchsorted(mag, hi, side="left")
+        run = mag[a:b]
+        return tuple(run[np.diff(run, prepend=-math.inf) > 0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,11 @@ SPEC_CASES = {
     "nu-infinite": {"nu": float("inf")},
     "fixture-nu-half": {"fixture": "example-4.1", "nu": 1.5},
     "fixture-nu-infinite": {"fixture": "x2m-example", "nu": float("inf")},
+    # JSON reads a magnitude of 1e999 as inf, which a step law must not carry
+    "two-point-magnitude-infinite": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "symmetric-two-point", "magnitude": float("inf")}}]},
+    "two-point-magnitude-nan": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "symmetric-two-point", "magnitude": float("nan"), "prob": 0.5}}]},
 }
 
 
