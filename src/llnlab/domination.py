@@ -104,7 +104,7 @@ def weighted_sup_fn(
     closed = _closed_sup(arr, w)
     if closed is not None:
         return closed
-    table = RowTable(arr, None if w.kind == "uniform" else w, n_sup)
+    table = RowTable(arr, w, n_sup)
     return TailFunction(fn=table.sup, knot_fn=table.knots_in, step=not table.others)
 
 

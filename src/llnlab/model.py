@@ -539,13 +539,14 @@ def less_than(x, mags: np.ndarray) -> np.ndarray:
 class RowTable:
     """Cell groups of rows 1..top laid out once, so a sup_n scan is a few array ops.
 
-    ``weights=None`` gives Cesaro averages (1/k_n) sum_i f(X[n,i]); a weight
-    scheme gives sum_i a(n,i) f(X[n,i]), each group weighted by its
-    ``range_sum``.  A sequence array under Cesaro or uniform weights is one
-    prefix (cell i once, reduced by a cumulative sum over i); every other
-    array holds one entry per (row, cell group), reduced per row by
-    ``np.bincount``.  Both reductions add in row order, exactly as the scalar
-    row loops do, so row values are bitwise equal to theirs.
+    A weight scheme gives sum_i a(n,i) f(X[n,i]), each group weighted by its
+    ``range_sum``; uniform weights give Cesaro averages (1/k_n) sum_i f(X[n,i]),
+    each group weighted by its count and the row sum divided by k_n.  A
+    sequence array under uniform weights is one prefix (cell i once, reduced
+    by a cumulative sum over i); every other array holds one entry per (row,
+    cell group), reduced per row by ``np.bincount``.  Both reductions add in
+    row order, exactly as the scalar row loops do, so row values are bitwise
+    equal to theirs.
 
     The entries come from ``step_columns``: each distinct step law is a row
     of the (magnitude, prob) columns ``mag`` and ``prob``, compared with x in
@@ -555,24 +556,19 @@ class RowTable:
     g(m) * q) and calls a scalar function only on ``others``.
     """
 
-    def __init__(
-        self,
-        arr: ArraySpec,
-        weights: Optional[WeightScheme] = None,
-        n_sup: int = DEFAULT_N_SUP,
-    ):
-        bounds = (arr.n_max,) if weights is None else (arr.n_max, weights.n_max)
-        self.top = top = max(scan_top(n_sup, *bounds), 0)
-        self._prefix = arr.is_sequence and (weights is None or weights.kind == "uniform")
+    def __init__(self, arr: ArraySpec, weights: WeightScheme, n_sup: int = DEFAULT_N_SUP):
+        self.top = top = max(scan_top(n_sup, arr.n_max, weights.n_max), 0)
+        uniform = weights.kind == "uniform"
+        self._prefix = arr.is_sequence and uniform
         self._law, self.others, self.mag, self.prob, layout = step_columns(
             arr, 1, top, by_row=not self._prefix)
         self._tails = tuple(tail_of(d).fn for d in self.others)
         if self._prefix:
-            self._div = np.arange(1, top + 1)
+            self._div = np.arange(1, top + 1, dtype=float)
             return
         self._entry_row = layout[:, 0] - 1
         counts = layout[:, 2]
-        if weights is None:
+        if uniform:
             self._factor = counts.astype(float)
             self._div = np.bincount(self._entry_row, weights=counts, minlength=top)
         else:

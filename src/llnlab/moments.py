@@ -92,13 +92,11 @@ class SupValue(float):
 class MomentFunction:
     """Composite x^power * log-product factor.
 
-    ``log_factor_nu`` multiplies by log_nu(x); ``log_sq_factor_nu`` by
-    log_nu_sq(x) (last factor squared).  Either may be None.
+    ``log_factor_nu``, if not None, multiplies by log_nu(x).
     """
 
     power: float
     log_factor_nu: Optional[int] = None
-    log_sq_factor_nu: Optional[int] = None
 
     def __post_init__(self):
         if not (self.power > 0):
@@ -111,8 +109,6 @@ class MomentFunction:
         out = x**self.power
         if self.log_factor_nu is not None:
             out *= _svf.log_nu(x, self.log_factor_nu)
-        if self.log_sq_factor_nu is not None:
-            out *= _svf.log_nu_sq(x, self.log_sq_factor_nu)
         return out
 
     __call__ = eval
@@ -121,27 +117,14 @@ class MomentFunction:
         x = float(x)
         if x <= 0.0:
             return 0.0
-        parts = [x**self.power]
-        dparts = [self.power * x ** (self.power - 1.0)]
-        if self.log_factor_nu is not None:
-            parts.append(_svf.log_nu(x, self.log_factor_nu))
-            dparts.append(_svf.log_nu_derivative(x, self.log_factor_nu))
-        if self.log_sq_factor_nu is not None:
-            parts.append(_svf.log_nu_sq(x, self.log_sq_factor_nu))
-            dparts.append(
-                _svf.log_nu_derivative(x, self.log_sq_factor_nu, last_squared=True)
-            )
-        total = 0.0
-        for j in range(len(parts)):
-            prod = dparts[j]
-            for i, v in enumerate(parts):
-                if i != j:
-                    prod *= v
-            total += prod
-        return total
+        d = self.power * x ** (self.power - 1.0)
+        nu = self.log_factor_nu
+        if nu is None:
+            return d
+        return d * _svf.log_nu(x, nu) + _svf.log_nu_derivative(x, nu) * x**self.power
 
     def breakpoints(self) -> tuple[float, ...]:
-        if self.log_factor_nu is not None or self.log_sq_factor_nu is not None:
+        if self.log_factor_nu is not None:
             return _svf.LOG_CHAIN_KINKS
         return ()
 
@@ -268,27 +251,22 @@ def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _quantile_mean(dist: DistSpec, clip: Callable[[float], float], what: str) -> float:
-    """E clip(X) as the integral of clip(Q(u)) over u in [0, 1], Q the quantile;
-    exactly zero for the symmetric built-ins (clip is odd)."""
+def clamped_mean(dist: DistSpec, a: float) -> float:
+    """E of X clamped to [-a, a], as the integral of the clamped quantile
+    over u in [0, 1]; exactly zero for the symmetric built-ins."""
     if isinstance(dist, (SymmetricTwoPoint, ParetoTail)):
         return 0.0
     if isinstance(dist, CustomDist):
         if dist.quantile is None:
-            raise ValueError(f"custom distribution has no quantile for {what}")
+            raise ValueError("custom distribution has no quantile for clamped mean")
         q = dist.quantile
 
         def f(u: float) -> float:
-            return clip(float(np.asarray(q(np.array([u])))[0]))
+            return max(-a, min(a, float(np.asarray(q(np.array([u])))[0])))
 
         val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
         return val
     raise TypeError(f"not a DistSpec: {dist!r}")
-
-
-def clamped_mean(dist: DistSpec, a: float) -> float:
-    """E of X clamped to [-a, a]; zero for the symmetric built-ins."""
-    return _quantile_mean(dist, lambda v: max(-a, min(a, v)), "clamped mean")
 
 
 def clamped_square_mean(dist: DistSpec, a: float) -> float:
@@ -296,11 +274,6 @@ def clamped_square_mean(dist: DistSpec, a: float) -> float:
     tail = tail_of(dist)
     below = truncated_abs_moment(tail, 2.0, a, "below")
     return float(below) + a * a * tail.fn(a)
-
-
-def truncated_mean(dist: DistSpec, b: float) -> float:
-    """E(X 1(|X| <= b)); exactly zero for the symmetric built-ins."""
-    return _quantile_mean(dist, lambda v: v if abs(v) <= b else 0.0, "truncated mean")
 
 
 # ---------------------------------------------------------------------------

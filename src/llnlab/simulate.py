@@ -31,7 +31,7 @@ from scipy.special import digamma
 from .errors import SamplingError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
                     power_norming, rekeyed, step_columns, stream_keys)
-from .moments import clamped_mean, clamped_square_mean, truncated_mean
+from .moments import clamped_mean, clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
 EULER_GAMMA = 0.5772156649015328606
@@ -40,29 +40,6 @@ EULER_GAMMA = 0.5772156649015328606
 def harmonic(n: int) -> float:
     """H_n = sum_{i<=n} 1/i via the digamma identity (float-exact for our use)."""
     return float(digamma(n + 1)) + EULER_GAMMA
-
-
-# ---------------------------------------------------------------------------
-# Elementwise truncation schemes
-# ---------------------------------------------------------------------------
-
-
-def truncate(values: np.ndarray, flavor: str, level: float) -> np.ndarray:
-    """Apply one truncation flavor at the given positive level.
-
-    ``clamp`` caps magnitudes preserving sign; ``zero`` empties exceedances;
-    ``none`` returns the input unchanged.
-    """
-    if flavor == "none":
-        return np.asarray(values, dtype=float)
-    if not level > 0.0:
-        raise ValueError("truncation level must be positive")
-    v = np.asarray(values, dtype=float)
-    if flavor == "clamp":
-        return np.clip(v, -level, level)
-    if flavor == "zero":
-        return np.where(np.abs(v) <= level, v, 0.0)
-    raise ValueError(f"unknown truncation flavor {flavor!r}")
 
 
 def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None, out=None):
@@ -98,9 +75,6 @@ class SimPlan:
     eps: tuple[float, ...] = (0.1, 0.5, 1.0)
     seed: int = 0
     c: Optional[Callable[[int, int], float]] = None
-    truncation: str = "none"  # none | clamp | clamp-at-b | zero-beyond-b
-    truncation_level: float = 0.0
-    center_truncated: bool = False
 
     def __post_init__(self):
         if self.reps < 1:
@@ -113,8 +87,6 @@ class SimPlan:
             raise ValueError("rows must be a nonempty ascending sequence")
         if self.rows[0] < 1:
             raise ValueError(f"rows must be >= 1, got {self.rows[0]}")
-        if self.truncation == "clamp" and not self.truncation_level > 0.0:
-            raise ValueError("clamp truncation needs a positive level")
 
 
 @dataclass(frozen=True)
@@ -209,25 +181,10 @@ def _row_stats(plan: SimPlan, n: int):
     bn, k = float(plan.b(n)), sampler.k
     cvec = None if plan.c is None else np.fromiter(
         (plan.c(n, i) for i in range(1, k + 1)), dtype=float, count=k)
-    if plan.truncation == "clamp":
-        flavor, level = "clamp", plan.truncation_level
-    elif plan.truncation == "clamp-at-b":
-        flavor, level = "clamp", bn
-    elif plan.truncation == "zero-beyond-b":
-        flavor, level = "zero", bn
-    else:
-        flavor, level = "none", 0.0
-    centers = None
-    if plan.center_truncated:  # exact per-cell E(X 1(|X| <= b_n))
-        centers = np.repeat(*_group_values(plan.arr, n, lambda d: truncated_mean(d, bn)))
     keys = stream_keys(plan.seed, (n,), np.arange(plan.reps))
 
     def stats(lo: int, hi: int) -> np.ndarray:
         x = sampler.draw_rows(rekeyed(keys[lo:hi]), sampler.buffers(hi - lo))
-        if flavor != "none":
-            x = truncate(x, flavor, level)
-        if centers is not None:
-            x -= centers
         return max_partial_sums(x, cvec, out=x) / bn
 
     return stats

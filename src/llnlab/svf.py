@@ -6,7 +6,7 @@ Conventions used throughout the package:
   log factor >= 1 and defined for all real inputs, so iterated-log products
   never need domain guards.
 * ``log_nu(x)`` is the product of the first ``nu`` iterated clamped logs,
-  ``(log x)(log log x)...``; ``log_nu_sq`` squares the last factor.
+  ``(log x)(log log x)...``.
 * A slowly varying function L satisfies L(lam*x)/L(x) -> 1 for every lam > 0.
   Its conjugate Lt is the (asymptotically unique) slowly varying function with
   L(x) * Lt(x * L(x)) -> 1.  For each of the three families here (constant,
@@ -63,28 +63,12 @@ def log_nu(x: float, nu: int) -> float:
     return out
 
 
-def log_nu_sq(x: float, nu: int) -> float:
-    """Same product as :func:`log_nu` but with the last factor squared."""
-    if nu < 1:
-        raise ValueError("nu must be a positive integer")
-    out = 1.0
-    f = float(x)
-    for i in range(nu):
-        f = clog2(f)
-        if i == nu - 1 or f == 1.0:  # the nu-th factor is f, or 1.0 once clamped
-            return out * (f * f)
-        out *= f
+def log_nu_derivative(x: float, nu: int) -> float:
+    """d/dx of the log_nu product; zero inside clamp plateaus.
 
-
-def log_nu_derivative(x: float, nu: int, *, last_squared: bool = False) -> float:
-    """d/dx of the log_nu (or log_nu_sq) product; zero inside clamp plateaus.
-
-    The chain stops at its first clamped factor; the nu-th factor, squared
-    for ``last_squared``, is then that factor's (1.0, 0.0)."""
+    The chain stops at its first clamped factor, (1.0, 0.0): every later
+    factor is the same."""
     factors, derivs = _log_chain(x, nu)
-    if last_squared:
-        factors = factors + [factors[-1]]
-        derivs = derivs + [derivs[-1]]
     total = 0.0
     for j in range(len(factors)):
         prod = 1.0

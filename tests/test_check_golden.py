@@ -59,8 +59,11 @@ CHECK_DIGESTS = {
         "100040922b9930ae11dc1a209315deb41e576a5b46f952fb36d7ac85f8402538",
     ("example-2.1", "ui"):
         "8ac341a3083f67903ffab74a8b5def47486dda7a72ebfa4d1e1177f49db80631",
+    # re-recorded when uniform weights began to take the Cesaro row average
+    # (sum of count * value, divided by k_n): sup 54.632084069259 became
+    # 54.63208406925901 at the same row, with the same outcome
     ("example-2.1", "bounded-moment"):
-        "456e1087e39d64bf3ed24461da73629d13471ad54c7bfc20806d739689f93df5",
+        "c51c0cbf1b36a4131b6c1617dabd62c1ddd88091024a971c062cf2b101386d2d",
     ("example-4.1", "cesaro-domination"):
         "f3fabe146e049a1ad176bc7a689e0232f208dc6c74d5b51b07e6a10762e4f228",
     ("example-4.1", "weighted-domination"):

@@ -80,14 +80,14 @@ def test_rare_spike_probabilities():
 def test_counterexample_closed_cesaro_matches_scan():
     fx = load("wlln-counterexample")
     for x in (0.5, 1.0, 2.0, 4.0, 17.0, 300.0):
-        scan = model.RowTable(fx.arr, n_sup=5000).sup(x)
+        scan = model.RowTable(fx.arr, model.uniform_weights(fx.arr.row_length), n_sup=5000).sup(x)
         assert fx.arr.closed_cesaro_sup(x) == pytest.approx(scan, rel=1e-12)
 
 
 def test_power_spikes_closed_cesaro_matches_scan():
     fx = load("x2m-example")
     for x in (0.5, 1.0, 2.0, 5.0, 16.0, 250.0):
-        scan = model.RowTable(fx.arr, n_sup=8192).sup(x)
+        scan = model.RowTable(fx.arr, model.uniform_weights(fx.arr.row_length), n_sup=8192).sup(x)
         assert float(fx.arr.closed_cesaro_sup(x)) == pytest.approx(scan, rel=1e-12)
 
 

@@ -116,7 +116,7 @@ def cases():
 @pytest.mark.parametrize("fx", list(cases()), ids=lambda fx: f"{fx.label}-p{fx.p}-nu{fx.nu}")
 def test_row_table_matches_the_cell_walk(fx):
     ref_arr = walked(fx)
-    for weights in (None, fx.weights):
+    for weights in (model.uniform_weights(fx.arr.row_length), fx.weights):
         for n_sup in (1, 64, 3_000):
             table = model.RowTable(fx.arr, weights, n_sup)
             ref = model.RowTable(ref_arr, weights, n_sup)

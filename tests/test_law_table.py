@@ -116,7 +116,7 @@ def mixed_sequence():
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_tables_match_the_old_renumbering(name):
     fx = load(name)
-    for weights in (None, fx.weights):
+    for weights in (model.uniform_weights(fx.arr.row_length), fx.weights):
         table = model.RowTable(fx.arr, weights, 300)
         law, others, mag, prob = check_table(fx.arr, 1, table.top, by_row=not table._prefix)
         assert table.others == others
@@ -178,9 +178,8 @@ def test_each_other_law_is_looked_up_once_per_table_and_sampler(monkeypatch):
     tails = _counting(monkeypatch, "tail_of")
     quantiles = _counting(monkeypatch, "quantile_of")
     others = {model.ParetoTail(2.5), model.ParetoTail(3.0, 1.5), CAUCHY}
-    for arr, by_weights in ((mixed_rows(), False), (mixed_rows(), True), (mixed_sequence(), False)):
-        weights = model.uniform_weights(arr.row_length) if by_weights else None
-        model.RowTable(arr, weights, 30)
+    for arr in (mixed_rows(), mixed_sequence()):
+        model.RowTable(arr, model.uniform_weights(arr.row_length), 30)
         assert sorted(map(repr, tails)) == sorted(map(repr, others))
         tails.clear()
     for arr, n in ((mixed_rows(), 27), (mixed_sequence(), 40)):

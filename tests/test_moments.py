@@ -79,7 +79,7 @@ def test_moment_g_divergence_marker():
 
 def test_moment_g_log_factors_collapse_at_one():
     tail = model.tail_of(model.SymmetricTwoPoint(1.0))
-    g = MomentFunction(power=1.5, log_sq_factor_nu=3)
+    g = MomentFunction(power=1.5, log_factor_nu=3)
     assert float(moments.expectation_via_tail(tail, g)) == 1.0
 
 

@@ -1,8 +1,8 @@
 """+-1 is the two-point law (1.0, 1.0).
 
 ``tail_of``, ``quantile_of``, ``step_law``, ``cell_moment``,
-``cell_transformed_tail_mass``, ``transformed_array``, ``clamped_mean`` and
-``truncated_mean`` once had a branch of their own for a +-1 law.  Those
+``cell_transformed_tail_mass``, ``transformed_array`` and ``clamped_mean``
+once had a branch of their own for a +-1 law.  Those
 branches are kept here as the reference: ``SymmetricTwoPoint(1.0)`` must give
 their bits through each function.
 """
@@ -85,4 +85,3 @@ def test_moments(g):
 def test_centering_terms_vanish():
     for a in (0.5, 1.0, 2.0, 2**60):
         assert same_bits(moments.clamped_mean(PM1, a), 0.0)
-        assert same_bits(moments.truncated_mean(PM1, a), 0.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from llnlab import model, moments, simulate
+from llnlab import model, simulate
 from llnlab.model import RowSampler
 
 
@@ -226,21 +226,10 @@ def reference_wlln_row(plan, n):
     bn = float(plan.b(n))
     k = plan.arr.k(n)
     cvec = None if plan.c is None else np.array([plan.c(n, i) for i in range(1, k + 1)])
-    flavor, level = {"clamp": ("clamp", plan.truncation_level), "clamp-at-b": ("clamp", bn),
-                     "zero-beyond-b": ("zero", bn)}.get(plan.truncation, ("none", 0.0))
-    centers = np.zeros(k)
-    pos = 0
-    for g in plan.arr.row_groups(n):
-        centers[pos : pos + g.count] = moments.truncated_mean(g.dist, bn)
-        pos += g.count
     counts = np.zeros(len(plan.eps), dtype=np.int64)
     stat_sum = 0.0
     for rep in range(plan.reps):
         row = reference_row(plan.arr, n, model.rng_for(plan.seed, n, rep))
-        if flavor != "none":
-            row = simulate.truncate(row, flavor, level)
-        if plan.center_truncated:
-            row = row - centers
         r = row if cvec is None else cvec * row
         stat = float(np.max(np.abs(np.cumsum(r)))) / bn
         stat_sum += stat
@@ -248,20 +237,15 @@ def reference_wlln_row(plan, n):
     return [float(c) / plan.reps for c in counts], stat_sum / plan.reps
 
 
-@pytest.mark.parametrize("truncation,center", [
-    ("none", False), ("clamp", False), ("clamp-at-b", True), ("zero-beyond-b", True),
-])
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
 @pytest.mark.parametrize("task_cells", [None, 64])
-def test_wlln_estimate_matches_the_replication_loop(monkeypatch, task_cells, truncation,
-                                                    center, dep):
+def test_wlln_estimate_matches_the_replication_loop(monkeypatch, task_cells, dep):
     if task_cells is not None:  # many small chunks per row, some of one replication
         monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
     arr = mixed_array(DEPENDENCE[dep], n_max=40)
     plan = simulate.SimPlan(
         arr=arr, b=model.power_norming(0.8), rows=(3, 10, 40), reps=150, eps=(0.3, 0.9),
-        seed=12, c=lambda n, i: 1.0 + (i % 3) / n, truncation=truncation,
-        truncation_level=2.0, center_truncated=center,
+        seed=12, c=lambda n, i: 1.0 + (i % 3) / n,
     )
     report = simulate.wlln_estimate(plan, threads=2)
     for n in plan.rows:

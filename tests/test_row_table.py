@@ -70,7 +70,8 @@ def ref_weighted_tail_sup(arr, w, x, n_sup):
 
 def ref_row_values(arr, w, cell_value, n_sup):
     top = _top(n_sup, arr.n_max, w.n_max)
-    if arr.is_sequence and w.kind == "uniform":
+    uniform = w.kind == "uniform"
+    if arr.is_sequence and uniform:
         vals = np.fromiter(
             (cell_value(arr.sequence_cell(i)) for i in range(1, top + 1)),
             dtype=float,
@@ -85,9 +86,10 @@ def ref_row_values(arr, w, cell_value, n_sup):
         for g in arr.row_groups(n):
             if g.dist not in cache:
                 cache[g.dist] = cell_value(g.dist)
-            acc += w.range_sum(n, pos + 1, pos + g.count) * cache[g.dist]
+            weight = g.count if uniform else w.range_sum(n, pos + 1, pos + g.count)
+            acc += weight * cache[g.dist]
             pos += g.count
-        out[n - 1] = acc
+        out[n - 1] = acc / arr.k(n) if uniform else acc
     return out
 
 
@@ -203,6 +205,13 @@ def test_row_values_equal_scalar_loop(name, arr, w, n_sup):
             got = table.row_values(cell_value)
             want = ref_row_values(arr, weights, cell_value, n_sup)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
+def test_uniform_row_mean_of_one_is_one(name, arr, w, n_sup):
+    # Cesaro rows are (sum of counts) / k_n: exactly 1.0, with no rounding of 1/k_n
+    table = model.RowTable(arr, model.uniform_weights(arr.row_length), n_sup)
+    assert np.all(table.row_values(lambda d: 1.0) == 1.0)
 
 
 @pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)

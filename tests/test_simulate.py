@@ -14,36 +14,8 @@ from llnlab.simulate import SimPlan
 
 
 # ---------------------------------------------------------------------------
-# truncation and prefix maxima
+# prefix maxima
 # ---------------------------------------------------------------------------
-
-
-def test_truncate_clamp():
-    out = simulate.truncate(np.array([-3.0, 1.0, 5.0]), "clamp", 2.0)
-    assert list(out) == [-2.0, 1.0, 2.0]
-
-
-def test_truncate_zero():
-    out = simulate.truncate(np.array([-3.0, 1.0, 5.0]), "zero", 2.0)
-    assert list(out) == [0.0, 1.0, 0.0]
-
-
-@pytest.mark.parametrize("flavor", ["clamp", "zero"])
-def test_truncate_identity_above_range(flavor):
-    v = np.array([-3.0, 1.0, 5.0])
-    assert list(simulate.truncate(v, flavor, 5.0)) == list(v)
-
-
-@given(
-    st.lists(st.floats(-50, 50), min_size=1, max_size=30),
-    st.floats(0.1, 100.0),
-)
-@settings(max_examples=60, deadline=None)
-def test_truncate_clamp_never_grows_magnitudes(vals, level):
-    v = np.asarray(vals)
-    out = simulate.truncate(v, "clamp", level)
-    assert np.all(np.abs(out) <= np.abs(v) + 1e-12)
-    assert np.all(np.abs(out) <= level)
 
 
 def test_max_partial_sums_basic():
@@ -186,17 +158,6 @@ def test_wlln_counterexample_exceeds_always():
     for n in (64, 256, 1024):
         for eps in (0.1, 0.5, 1.0):
             assert rep.p_hat(n, eps) == 1.0
-
-
-def test_centering_is_exact_zero_for_symmetric_cells():
-    plan_plain = _pm1_plan(rows=(128,), reps=50, seed=9)
-    plan_centered = _pm1_plan(
-        rows=(128,), reps=50, seed=9, truncation="clamp-at-b", center_truncated=True
-    )
-    rep_a = simulate.wlln_estimate(plan_plain)
-    rep_b = simulate.wlln_estimate(plan_centered)
-    # clamping at b_n = 128 never binds for +-1 cells and centering terms vanish
-    assert rep_a.entries == rep_b.entries
 
 
 def test_series_estimate_iid_walk_bounded():

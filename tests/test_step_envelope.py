@@ -135,7 +135,7 @@ def two_point(m, q=1.0):
 def test_row_table_knots_are_the_distinct_magnitudes_in_the_open_interval():
     sp = _sequence_spec([two_point(3.0, 0.5), two_point(3.0), {"kind": "symmetric-pm1"},
                          two_point(6.5, 0.25), two_point(2.5)])
-    table = model.RowTable(sp.arr)
+    table = model.RowTable(sp.arr, model.uniform_weights())
     assert table.knots_in(0.0, 10.0) == (1.0, 2.5, 3.0, 6.5)
     assert table.knots_in(1.0, 3.0) == (2.5,)
     assert table.knots_in(7.0, 8.0) == ()

@@ -24,19 +24,6 @@ def test_log_nu(x, nu, expected):
     assert svf.log_nu(x, nu) == expected
 
 
-@pytest.mark.parametrize(
-    "x,nu,expected",
-    [
-        (16.0, 2, 16.0),  # 4 * 2^2
-        (16.0, 1, 16.0),  # (log2 16)^2
-        (2.0, 3, 1.0),
-        (1.5, 1, 1.0),
-    ],
-)
-def test_log_nu_sq(x, nu, expected):
-    assert svf.log_nu_sq(x, nu) == expected
-
-
 def test_log_nu_rejects_bad_nu():
     with pytest.raises(ValueError):
         svf.log_nu(4.0, 0)
@@ -48,10 +35,6 @@ def test_log_nu_derivative_matches_finite_differences():
             h = x * 1e-7
             fd = (svf.log_nu(x + h, nu) - svf.log_nu(x - h, nu)) / (2 * h)
             assert svf.log_nu_derivative(x, nu) == pytest.approx(fd, rel=1e-5)
-            fd2 = (svf.log_nu_sq(x + h, nu) - svf.log_nu_sq(x - h, nu)) / (2 * h)
-            assert svf.log_nu_derivative(x, nu, last_squared=True) == pytest.approx(
-                fd2, rel=1e-5
-            )
 
 
 @pytest.mark.parametrize("x", [0.5, 3.0, 17.0, 2.0**1000, 1e308])
@@ -60,10 +43,7 @@ def test_log_chains_stop_at_the_clamp(x):
     # bits of nu = 8 (at most 6 factors are above 1.0 for any float) at once
     big = 10**9
     assert svf.log_nu(x, big) == svf.log_nu(x, 8)
-    assert svf.log_nu_sq(x, big) == svf.log_nu_sq(x, 8)
     assert svf.log_nu_derivative(x, big) == svf.log_nu_derivative(x, 8)
-    assert svf.log_nu_derivative(x, big, last_squared=True) == \
-        svf.log_nu_derivative(x, 8, last_squared=True)
 
 
 # ---------------------------------------------------------------------------
