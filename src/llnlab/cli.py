@@ -1,9 +1,10 @@
 """Batch front end: run condition checks and simulations, emit reports.
 
 Outputs are JSON (verdicts, reports) and CSV (simulation tables); progress
-goes to stderr.  Every run writes a manifest next to its outputs; ``replay``
-re-executes a manifest's command line and reproduces the outputs bitwise
-(seeds are explicit everywhere).
+goes to stderr.  Every run writes a manifest next to its outputs, with the
+argv and the Python, numpy and scipy versions; ``replay`` re-executes a
+manifest's command line and reproduces the outputs bitwise (seeds are
+explicit everywhere).
 
 Exit codes: 0 = ran and matched attached expectations (fixtures), 1 = some
 expectation failed, 2 = unusable input (parse error).
@@ -12,6 +13,7 @@ expectation failed, 2 = unusable input (parse error).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -86,6 +88,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@functools.cache
+def _versions() -> dict:
+    """Python, numpy and scipy versions, read from the installed distributions'
+    metadata: recording them imports no scipy module.  Read once per process,
+    as each lookup scans ``sys.path`` (about 3 ms)."""
+    from importlib.metadata import PackageNotFoundError, version
+
+    found = {"python": sys.version.split()[0]}
+    for name in ("numpy", "scipy"):
+        try:
+            found[name] = version(name)
+        except PackageNotFoundError:
+            found[name] = None
+    return found
+
+
 def _write_outputs(out: str, argv: list[str], texts: dict[str, str]) -> int:
     """Write ``<out><suffix>`` for each (suffix, text), then the manifest
     listing them; 2 with ``error: ...`` when the base cannot be written.
@@ -101,7 +119,8 @@ def _write_outputs(out: str, argv: list[str], texts: dict[str, str]) -> int:
             path = base.with_name(base.name + suffix)
             path.write_text(text)
             outputs.append(str(path))
-        manifest = {"tool": "llnlab", "version": __version__, "argv": argv, "outputs": outputs}
+        manifest = {"tool": "llnlab", "version": __version__, "argv": argv, "outputs": outputs,
+                    **_versions()}
         base.with_name(base.name + ".manifest.json").write_text(_json_text(manifest))
     except (OSError, ValueError) as exc:  # ValueError: a base with an empty name
         _log(f"error: cannot write outputs to --out {out!r}: {exc}")

@@ -37,7 +37,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr
 
 from .errors import RowRangeError, SamplingError
 
@@ -803,9 +802,11 @@ def rng_for(seed: int, *key: int) -> Generator:
     return Generator(Philox(key=stream_keys(seed, key[:-1], key[-1])))
 
 
-def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w) -> int:
+def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w,
+                  ndtr) -> int:
     """Fill one row of ``u`` per generator and return the count; GaussianNA
-    rows mix neighbours of k + 1 normals drawn into ``w``."""
+    rows mix neighbours of k + 1 normals drawn into ``w`` and map them
+    through the normal cdf ``ndtr``."""
     m = 0
     for m, rng in enumerate(rngs, 1):
         if w is None:
@@ -836,6 +837,11 @@ class RowSampler:
             raise SamplingError(f"unsupported dependence {arr.dependence!r}")
         self.k = k = arr.k(n)
         self._arr = arr
+        self._ndtr = None
+        if isinstance(arr.dependence, GaussianNA):
+            # imported here, on the caller's thread, not by a sampling worker
+            from scipy.special import ndtr
+            self._ndtr = ndtr
         if arr.is_sequence:
             law, others, mag, prob, _ = step_columns(arr, 1, k)
         else:
@@ -861,7 +867,7 @@ class RowSampler:
 
     def draw_rows(self, rngs: Iterable[Generator], bufs: tuple) -> np.ndarray:
         """One row per generator (at most the buffers' rows), as a view of the draws."""
-        m = _row_uniforms(self._arr.dependence, rngs, bufs[0], bufs[2])
+        m = _row_uniforms(self._arr.dependence, rngs, bufs[0], bufs[2], self._ndtr)
         u, x = bufs[0][:m], bufs[1][:m]
         other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
         if self._mag is not None:

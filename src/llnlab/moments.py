@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import numerics as _numerics
 from . import svf as _svf
 from .errors import SuperlinearityError
 from .model import (
@@ -264,7 +264,7 @@ def clamped_mean(dist: DistSpec, a: float) -> float:
         def f(u: float) -> float:
             return max(-a, min(a, float(np.asarray(q(np.array([u])))[0])))
 
-        val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
+        val, _ = _numerics.quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
         return val
     raise TypeError(f"not a DistSpec: {dist!r}")
 

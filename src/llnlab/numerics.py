@@ -22,6 +22,11 @@ reading its thresholds from one named constant:
   any float-feasible grid to cross the eps threshold).
 * "Grows" means weakly growing over the second half and ending above
   ``DECAY_EPS``.
+
+:func:`quad` is the single quadrature entry of the package: every adaptive
+integral, here and in ``moments``, calls it, and it imports
+``scipy.integrate`` on its first call, so a run that integrates nothing
+never loads scipy.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 DECAY_EPS = 1e-3
 DECAY_WINDOW = 5
@@ -44,6 +48,13 @@ FLAT_RUN = 10
 SLOPE_MAX = -0.5
 SLOPE_MAX_RESIDUAL = 1.0
 SLOPE_MIN_POINTS = 8
+
+
+def quad(f: Callable[[float], float], a: float, b: float, **options) -> tuple[float, float]:
+    """``scipy.integrate.quad(f, a, b, **options)``, imported on the first call."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, a, b, **options)
 
 
 def geometric_grid(j0: int = 0, j1: int = 60) -> tuple[float, ...]:
@@ -74,6 +85,8 @@ def finite_integral(
     if b <= a:
         return 0.0
     pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    from scipy.integrate import IntegrationWarning
+
     total = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import digamma
 
 from .errors import SamplingError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
@@ -35,11 +34,38 @@ from .moments import clamped_mean, clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
 EULER_GAMMA = 0.5772156649015328606
+# cephes psi's asymptotic coefficients, highest power of 1/x^2 first
+_PSI_ASYMPTOTIC = (8.33333333333333333333e-2, -2.10927960927960927961e-2,
+                   7.57575757575757575758e-3, -4.16666666666666666667e-3,
+                   3.96825396825396825397e-3, -8.33333333333333333333e-3,
+                   8.33333333333333333333e-2)
 
 
 def harmonic(n: int) -> float:
-    """H_n = sum_{i<=n} 1/i via the digamma identity (float-exact for our use)."""
-    return float(digamma(n + 1)) + EULER_GAMMA
+    """H_n = sum_{i<=n} 1/i as psi(n + 1) + gamma, psi computed as cephes
+    computes it at an integer x: the float sum of 1/i for i < x when
+    x <= 10, otherwise log x - 1/(2x) - z P(z) with z = 1/x^2 and P the
+    degree-6 polynomial ``_PSI_ASYMPTOTIC`` in Horner form (z P(z) is dropped
+    once x >= 1e17).
+
+    It equals ``float(scipy.special.digamma(n + 1)) + EULER_GAMMA`` bit for bit
+    (``tests/test_simulate.py::test_harmonic_is_digamma_bitwise``).
+    """
+    x = float(n + 1)
+    if x <= 10.0:
+        psi = 0.0
+        for i in range(1, int(x)):
+            psi += 1.0 / i
+        psi -= EULER_GAMMA
+    else:
+        y = 0.0
+        if x < 1e17:
+            z = 1.0 / (x * x)
+            for c in _PSI_ASYMPTOTIC:
+                y = y * z + c
+            y *= z
+        psi = math.log(x) - 0.5 / x - y
+    return psi + EULER_GAMMA
 
 
 def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None, out=None):

@@ -90,6 +90,18 @@ def test_simulate_writes_manifest_and_replay_reproduces(tmp_path):
     assert out.with_suffix(".csv").read_bytes() == first
 
 
+def test_manifest_records_versions(tmp_path):
+    import numpy
+    import scipy
+
+    out = tmp_path / "chk"
+    assert run(["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64",
+                "--out", str(out)]) in (0, 1)
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["python"] == sys.version.split()[0]
+    assert (manifest["numpy"], manifest["scipy"]) == (numpy.__version__, scipy.__version__)
+
+
 OUT_COMMANDS = {
     "check": ["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64"],
     "simulate": ["simulate", "--fixture", "x2m-example", "--rows", "64,128", "--reps", "20",
@@ -460,3 +472,53 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
     assert rc == 2, err
     assert "error: --p/--nu apply to --fixture only" in err
     assert not (tmp_path / "o.json").exists()
+
+
+# a fresh interpreter runs ``cli.main(argv)`` (or only imports the CLI when argv
+# is empty) and prints the scipy modules it loaded; the test process itself has
+# imported scipy already
+SCIPY_PROBE = """
+import json, sys
+from llnlab import cli
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+sys.exit(rc)
+"""
+
+
+def _scipy_loaded_by(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 1), proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _scipy_loaded_by([]) == set()
+
+
+SCIPY_FREE = {
+    "chandra-ghosal": ["check", "--fixture", "example-4.1", "--conditions", "chandra-ghosal",
+                       "--n-sup", "64"],
+    "wlln": ["simulate", "--fixture", "x2m-example", "--mode", "wlln"],
+    "slln-path": ["simulate", "--fixture", "x2m-example", "--mode", "slln-path"],
+    "slln-series": ["simulate", "--fixture", "example-4.1", "--mode", "slln-series"],
+}
+
+
+@pytest.mark.parametrize("name", list(SCIPY_FREE))
+def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
+    argv = SCIPY_FREE[name]
+    if argv[0] == "simulate":
+        argv = argv + ["--rows", "2^4..2^5", "--reps", "4", "--eps", "0.5"]
+    loaded = _scipy_loaded_by(argv + ["--out", str(tmp_path / "o")])
+    assert not loaded & {"scipy.integrate", "scipy.special"}, sorted(loaded)
+
+
+def test_quadrature_loads_scipy_integrate_on_first_use(tmp_path):
+    # the probe sees a deferred import: closed forms of example-2.1 integrate
+    loaded = _scipy_loaded_by(["verify-fixtures", "--only", "example-2.1", "--n-sup", "64",
+                               "--n", "1000"])
+    assert "scipy.integrate" in loaded

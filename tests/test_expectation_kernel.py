@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from llnlab import model, moments
+from llnlab import model, moments, numerics
 from llnlab.fixtures import load
 from llnlab.moments import ExpectationValue, MomentFunction, _numeric_inverse
 from llnlab.numerics import MAX_BLOCKS, finite_integral, integrate_tail_blocks
@@ -240,6 +240,17 @@ def test_quantile_means_match_reference():
         same(moments.clamped_mean(law, a), ref_clamped_mean(law, a))
     with pytest.raises(ValueError, match="clamped mean"):
         moments.clamped_mean(model.CustomDist(tail=U01), 1.0)
+
+
+def test_every_quadrature_goes_through_numerics_quad(monkeypatch):
+    # numerics.quad is the one patch point: the quantile quadrature of moments and
+    # the block quadrature of numerics both fail once it is gone
+    monkeypatch.setattr(numerics, "quad", None)
+    law = model.CustomDist(tail=U01, quantile=lambda u: np.asarray(u, dtype=float))
+    with pytest.raises(TypeError):
+        moments.clamped_mean(law, 0.5)
+    with pytest.raises(TypeError):
+        moments.expectation_via_tail(U01, MomentFunction(power=2.0))
 
 
 # ---------------------------------------------------------------------------

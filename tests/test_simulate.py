@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from llnlab import model, simulate
 from llnlab.fixtures import load
@@ -26,6 +27,16 @@ def test_max_partial_sums_basic():
 def test_max_partial_sums_shape_mismatch():
     with pytest.raises(ValueError):
         simulate.max_partial_sums(np.ones(3), np.ones(2))
+
+
+def test_harmonic_is_digamma_bitwise():
+    # the cephes psi port must give scipy's digamma bits: every n to 3e5, every
+    # power of two to 2^52 and seeded random n below 2^53
+    rng = np.random.default_rng(7)
+    ns = itertools.chain(range(1, 300_001), (2**k for k in range(53)),
+                         rng.integers(1, 2**53, size=20_000).tolist())
+    bad = [n for n in ns if simulate.harmonic(n) != float(digamma(n + 1)) + simulate.EULER_GAMMA]
+    assert bad == []
 
 
 def test_counterexample_statistic_exact_values():
