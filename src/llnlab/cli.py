@@ -7,7 +7,8 @@ manifest's command line and reproduces the outputs bitwise (seeds are
 explicit everywhere).
 
 Exit codes: 0 = ran and matched attached expectations (fixtures), 1 = some
-expectation failed, 2 = unusable input (parse error).
+expectation failed, 2 = unusable input (parse error), a row too large to
+hold, or a simulation worker process that died.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
         elif args.mode == "slln-series":
             report = slln_series_estimate(plan, spec.sv, spec.p, threads=args.threads)
         elif args.mode == "slln-path":
-            path_rep = slln_path_diagnostic(plan)
+            path_rep = slln_path_diagnostic(plan, threads=args.threads)
         else:
             _log(f"error: unknown mode {args.mode}")
             return 2
@@ -287,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--reps", type=int, default=2000)
     ps.add_argument("--eps", default="0.1,0.5,1.0")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=int, default=1,
+                    help="up to this many worker processes (one per usable CPU at "
+                         "most); every count gives the same bytes")
     ps.add_argument("--out", default="llnlab-sim")
     ps.add_argument("--format", choices=["csv", "json", "both"], default="both")
     ps.set_defaults(fn=cmd_simulate)

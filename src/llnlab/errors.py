@@ -23,3 +23,7 @@ class DominationPrecheckError(LlnLabError, ValueError):
 
 class SuperlinearityError(LlnLabError, ValueError):
     """A witness function fails the required g(x)/x -> infinity growth."""
+
+
+class WorkerError(LlnLabError, RuntimeError):
+    """A simulation worker process died before returning its replications."""

@@ -770,16 +770,19 @@ class _Rekeyed:
         return getattr(self.gen, name)
 
 
-def rekeyed(keys: np.ndarray) -> Iterator[Generator]:
+def rekeyed(keys: np.ndarray, gen: Optional[Generator] = None) -> Iterator[Generator]:
     """One generator per Philox key of ``keys`` (shape (m, 2)), all through one
     ``Generator`` re-keyed at counter 0: each draws as
     ``Generator(Philox(key=k))``.
 
-    A yielded generator expires when the next one is taken, so a materialised
-    ``list(rekeyed(...))`` raises on use instead of drawing every row from the
-    last key.
+    ``gen``, a Philox ``Generator`` the caller keeps, is the one re-keyed (its
+    whole state is reset, so earlier draws leave no trace); without it a new
+    one is built.  A yielded generator expires when the next one is taken, so
+    a materialised ``list(rekeyed(...))`` raises on use instead of drawing
+    every row from the last key.
     """
-    gen = Generator(Philox(key=0))
+    if gen is None:
+        gen = Generator(Philox(key=0))
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for key in np.asarray(keys, dtype=np.uint64):
@@ -839,7 +842,7 @@ class RowSampler:
         self._arr = arr
         self._ndtr = None
         if isinstance(arr.dependence, GaussianNA):
-            # imported here, on the caller's thread, not by a sampling worker
+            # imported on first use: importing the package loads no scipy module
             from scipy.special import ndtr
             self._ndtr = ndtr
         if arr.is_sequence:
@@ -860,10 +863,22 @@ class RowSampler:
         cuts = np.searchsorted(law[other], np.arange(n_steps + 1, n_steps + len(others)))
         self._others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
 
-    def buffers(self, reps: int = 1) -> tuple:
-        """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows."""
-        w = None if isinstance(self._arr.dependence, Independent) else np.empty((reps, self.k + 1))
-        return np.empty((reps, self.k)), np.empty((reps, self.k)), w
+    def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
+        """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows.
+
+        With ``store``, a list of flat arrays the caller keeps (start with
+        ``[]``), they are views of its arrays, grown in place when short, so
+        one store serves the rows of every length.
+        """
+        widths = (self.k, self.k, None if isinstance(self._arr.dependence, Independent)
+                  else self.k + 1)
+        store = [] if store is None else store
+        store.extend(np.empty(0) for _ in range(len(widths) - len(store)))
+        for i, w in enumerate(widths):
+            if w is not None and store[i].size < reps * w:
+                store[i] = np.empty(reps * w)
+        return tuple(None if w is None else a[:reps * w].reshape(reps, w)
+                     for a, w in zip(store, widths))
 
     def draw_rows(self, rngs: Iterable[Generator], bufs: tuple) -> np.ndarray:
         """One row per generator (at most the buffers' rows), as a view of the draws."""

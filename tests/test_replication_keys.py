@@ -70,6 +70,20 @@ def test_rekeyed_draws_equal_seed_sequence_generators():
         assert np.array_equal(rng.random(3), ref.random(3))
 
 
+def test_rekeyed_through_a_reused_generator_draws_as_a_fresh_one():
+    gen = Generator(Philox(key=0))
+    gen.standard_normal(5)
+    gen.integers(0, 7, dtype=np.uint32)  # leaves half a 64-bit word buffered
+    keys = model.stream_keys(5, (40,), np.arange(4))
+    for _ in range(2):  # the second pass re-keys the generator the first one used
+        for key, rng in zip(keys, model.rekeyed(keys, gen)):
+            ref = Generator(Philox(key=key))
+            assert np.array_equal(rng.integers(0, 7, 3, dtype=np.uint32),
+                                  ref.integers(0, 7, 3, dtype=np.uint32))
+            assert np.array_equal(rng.random(17), ref.random(17))
+            assert np.array_equal(rng.standard_normal(33), ref.standard_normal(33))
+
+
 def test_rng_for_draws_equal_seed_sequence_generator():
     for key in [(0,), (5, 3), (2**33, 2**40, 1)]:
         assert np.array_equal(model.rng_for(7, *key).random(9),

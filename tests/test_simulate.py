@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma
 
-from llnlab import model, simulate
+from llnlab import model, simulate, specio
 from llnlab.fixtures import load
 from llnlab.model import power_norming
 from llnlab.simulate import SimPlan
+from sim_reference import reference_suffix_sups, sequence_paths
+from test_sim_golden import NA, mixed_spec
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +123,85 @@ def test_replication_doubling_consistency():
         se = math.sqrt(max(p1 * (1 - p1), 1e-6) / 500)
         ok += abs(p1 - p2) <= 4 * se
     assert ok >= 0.95 * len(cells)
+
+
+# ---------------------------------------------------------------------------
+# the replication-span kernel and its worker processes
+# ---------------------------------------------------------------------------
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_worker_count_is_bounded_without_starting_workers(monkeypatch):
+    # the rule alone: nothing here builds a pool
+    _usable_cpus(monkeypatch, 4)
+    assert simulate._workers(10**20, 2000) == 4
+    assert simulate._workers(10**20, 3) == 3
+    assert simulate._workers(2, 2000) == 2
+    assert simulate._workers(1, 2000) == 1
+    _usable_cpus(monkeypatch, 1)
+    assert simulate._workers(10**20, 10**20) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity call
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert simulate._workers(10**20, 2000) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._workers(10**20, 2000) == 1
+
+
+def _x2m_plan():
+    fx = load("x2m-example", p=1.0)
+    return SimPlan(arr=fx.arr, b=fx.b, rows=(16, 64, 256), reps=37,
+                   eps=(0.1, 0.5, 1.0), seed=41)
+
+
+def _ex41_plan():
+    fx = load("example-4.1")
+    return SimPlan(arr=fx.arr, b=fx.b, rows=(8, 32, 128), reps=37, eps=(0.5, 1.0), seed=5)
+
+
+def _na_spec_plan():
+    spec = specio.load_spec_obj(mixed_spec(seed=7, n_rows=40, sequence=True, dependence=NA))
+    return SimPlan(arr=spec.arr, b=spec.b, rows=(3, 10, 40), reps=37, eps=(0.2, 0.5),
+                   seed=17, c=lambda n, i: 1.0 + (i % 3) / n)
+
+
+KERNEL_PLANS = {"x2m-example": _x2m_plan, "example-4.1": _ex41_plan,
+                "gaussian-na-spec": _na_spec_plan}
+
+
+def _mode_bytes(plan, threads):
+    wlln = simulate.wlln_estimate(plan, threads=threads)
+    series = simulate.slln_series_estimate(plan, None, 1.0, threads=threads)
+    path = simulate.slln_path_diagnostic(plan, threads=threads)
+    return (json.dumps(wlln.to_json_obj(), sort_keys=True),
+            json.dumps(series.to_json_obj(), sort_keys=True), path.suffix_sups.tobytes())
+
+
+@pytest.mark.skipif(not FORK, reason="worker processes need the fork start method")
+@pytest.mark.parametrize("task_cells", [None, 48])
+@pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
+def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, task_cells):
+    # three workers even on a two-CPU host; 48 cells cut every span into chunks
+    # of one to three replications, forked workers inheriting the patch
+    _usable_cpus(monkeypatch, 4)
+    if task_cells is not None:
+        monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
+    plan = KERNEL_PLANS[case]()
+    runs = {k: _mode_bytes(plan, k) for k in (1, 2, 3)}
+    assert runs[1] == runs[2] == runs[3]
+    assert runs[1][2] == reference_suffix_sups(plan).tobytes()
+    doc = json.loads(runs[1][0])
+    assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"])
+
+
+def test_path_rows_may_repeat():
+    plan = dataclasses.replace(_na_spec_plan(), rows=(2, 8, 8, 9, 40, 40))
+    rep = simulate.slln_path_diagnostic(plan)
+    assert rep.suffix_sups.tobytes() == reference_suffix_sups(plan).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +324,7 @@ def test_na_sequence_paths_keep_neighbour_correlation():
     )
     products = [
         float(np.mean(path[:-1] * path[1:]))
-        for _, path in simulate.sequence_paths(arr, 400, 50, seed=3)
+        for _, path in sequence_paths(arr, 400, 50, seed=3)
     ]
     assert np.mean(products) == pytest.approx(-1.0 / 3.0, abs=0.03)
 
@@ -258,7 +342,7 @@ def test_na_sequences_keep_negative_neighbour_correlation(rho, mag, seed):
     arr = model.sequence_array(lambda i: cell, dependence=model.GaussianNA(rho))
     sign_corr = 2.0 / math.pi * math.asin(rho)
     products = np.concatenate(
-        [path[:-1] * path[1:] / mag**2 for _, path in simulate.sequence_paths(arr, 101, 60, seed)]
+        [path[:-1] * path[1:] / mag**2 for _, path in sequence_paths(arr, 101, 60, seed)]
     )
     assert products.mean() == pytest.approx(sign_corr, abs=0.05)
     assert products.mean() < -0.05
