@@ -21,9 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .conditions import CONDITIONS, run_condition
-from .errors import LlnLabError, SpecError
+from .errors import LlnLabError, RepsError, SpecError
 from .fixtures import FIXTURE_NAMES, Problem, load as load_fixture
-from .model import DEFAULT_N_SUP
+from .model import DEFAULT_N_SUP, shared_row_tables
 from .simulate import (
     SimPlan,
     slln_path_diagnostic,
@@ -180,6 +180,9 @@ def cmd_simulate(args, argv: list[str]) -> int:
         else:
             _log(f"error: unknown mode {args.mode}")
             return 2
+    except RepsError as exc:
+        _log(f"error: {exc}")
+        return 2
     except MemoryError as exc:
         _log(f"error: row too large to hold in memory (rows up to {rows[-1]}): {exc}")
         return 2
@@ -314,7 +317,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.fn(args, argv)
+    with shared_row_tables():  # a row scan repeated within the command is laid out once
+        return args.fn(args, argv)
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ from .numerics import (
 from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
+MAX_PIECES = 2**20  # pieces (between knots) the chandra-ghosal blocks may take in all
 SERIES_CHUNK = 2**9  # cells per series pass: bounds memory; few enough to be freed before gc runs
 
 
@@ -110,19 +111,24 @@ def chandra_ghosal_integral(
     callable), integrated as a head on [0, 1] and dyadic blocks from 1 on.
 
     A step source -- an atom tail, or a step envelope such as a scanned
-    ``weighted_sup_fn`` -- is summed piece by piece with no quadrature of G:
-    the head and each block are cut at G's knots, G is read once per piece
-    at its midpoint, and the piece weights int_a^b x^(p-1) L^p(x) dx are
-    (b^p - a^p)/p, or with a non-constant L a quadrature of that smooth
-    factor alone (in u = x^p).  A block is the ``math.fsum`` of G times the
-    weights, exact up to rounding.  Any other source is integrated by
-    adaptive quadrature to ``QUAD_ABS_TOL``, the blocks split at its knots.
+    ``weighted_sup_fn`` or a fixture's closed Cesaro sup -- is summed piece
+    by piece with no quadrature of G: the head and each block are cut at G's
+    knots, G is read once per piece at its midpoint, and the piece weights
+    int_a^b x^(p-1) L^p(x) dx are (b^p - a^p)/p, or with a non-constant L a
+    quadrature of that smooth factor alone (in u = x^p).  A block is the
+    ``math.fsum`` of G times the weights, exact up to rounding.  Any other
+    source is integrated by adaptive quadrature to ``QUAD_ABS_TOL``, the
+    blocks split at its knots.
 
     A block below ``BLOCK_TOL`` certifies convergence; a fitted local
     exponent of x^p L^p(x) G(x) at or above flat (block log-slope >=
     -``FLAT_SLOPE_TOL``) over ``FLAT_RUN`` consecutive blocks certifies a
-    divergent lower envelope; ``MAX_BLOCKS`` blocks without either is
-    inconclusive.
+    divergent lower envelope; ``MAX_BLOCKS`` blocks without either, or a
+    next block that would bring the blocks' pieces past ``MAX_PIECES``
+    (2^20), is inconclusive.  It binds on a source with ever more knots per
+    block, such as example-2.1's closed sup under a slowly varying L that
+    keeps the block slope from going flat; a scan has at most one knot per
+    scanned cell.
     """
     g, knots_in = _as_tail_callable(source)
     notes = []
@@ -141,8 +147,8 @@ def chandra_ghosal_integral(
             def weight(a: float, b: float) -> float:
                 return finite_integral(lambda u: sv.eval(u**inv) ** p / p, a**p, b**p)
 
-        def block(lo: float, hi: float) -> float:
-            pts = (lo, *knots_in(lo, hi), hi)
+        def block(lo: float, hi: float, knots) -> float:
+            pts = (lo, *knots, hi)
             terms = []
             for a, b in zip(pts[:-1], pts[1:]):
                 level = float(g(0.5 * (a + b)))
@@ -150,7 +156,7 @@ def chandra_ghosal_integral(
                     terms.append(level * weight(a, b))
             return math.fsum(terms)
 
-        head = block(0.0, 1.0)
+        head = block(0.0, 1.0, knots_in(0.0, 1.0))
     else:
 
         def rest(t: float) -> float:
@@ -165,16 +171,22 @@ def chandra_ghosal_integral(
         def integrand(t: float) -> float:
             return t ** (p - 1.0) * rest(t)
 
-        def block(lo: float, hi: float) -> float:
-            return finite_integral(integrand, lo, hi, breakpoints=knots_in(lo, hi))
+        def block(lo: float, hi: float, knots) -> float:
+            return finite_integral(integrand, lo, hi, breakpoints=knots)
 
     blocks: list[float] = []
     total = head
     lo = 1.0
+    pieces = 0
     verdict, rule = "inconclusive", "budget exhausted without certificate"
     for _ in range(MAX_BLOCKS):
         hi = 2.0 * lo
-        b = block(lo, hi)
+        knots = knots_in(lo, hi)
+        pieces += len(knots) + 1
+        if pieces > MAX_PIECES:
+            rule = f"pieces past {MAX_PIECES} in block [{lo:g}, {hi:g}]"
+            break
+        b = block(lo, hi, knots)
         blocks.append(b)
         total += b
         lo = hi

@@ -27,3 +27,7 @@ class SuperlinearityError(LlnLabError, ValueError):
 
 class WorkerError(LlnLabError, RuntimeError):
     """A simulation worker process died before returning its replications."""
+
+
+class RepsError(LlnLabError, MemoryError):
+    """The per-replication results of a simulation do not fit in memory."""

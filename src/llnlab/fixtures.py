@@ -73,9 +73,14 @@ class Problem:
     kg_grid: tuple = tuple(2**j for j in range(0, 41))
 
     def cesaro_tail(self) -> TailFunction:
-        """Tail of the canonical Cesaro dominating variable (closed form)."""
+        """Tail of the canonical Cesaro dominating variable (closed form).
+
+        ``closed["cesaro_step"]`` marks it a step envelope: its
+        ``cesaro_knots`` then list every point where it steps, in any range.
+        """
         return TailFunction(fn=self.arr.closed_cesaro_sup,
-                            knot_fn=self.closed.get("cesaro_knots"))
+                            knot_fn=self.closed.get("cesaro_knots"),
+                            step=self.closed.get("cesaro_step", False))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +130,13 @@ def _build_example_21(p: float, nu: int) -> Problem:
         return c1 / m + c2 / (n * n)
 
     def odd_knots(lo: float, hi: float) -> tuple[float, ...]:
+        # every step of cesaro_sup in (lo, hi): at 1 and where nstar moves on
+        start = int(math.floor(lo)) + 1  # the first integer above lo
+        return tuple(map(float, range(start | 1, int(math.ceil(hi)), 2)))
+
+    def integer_knots(lo: float, hi: float) -> tuple[float, ...]:
+        # quadrature breakpoints of weighted_sup, which steps at every integer;
+        # none past 130 of them
         start = int(math.floor(lo)) + 1
         if hi - lo > 130:
             return ()
@@ -162,7 +174,8 @@ def _build_example_21(p: float, nu: int) -> Problem:
         b=power_norming(p),
         closed={
             "cesaro_knots": odd_knots,
-            "weighted_knots": odd_knots,
+            "cesaro_step": True,
+            "weighted_knots": integer_knots,
             "ui_weighted_pow_p": ui_weighted,
         },
         expected={
@@ -426,17 +439,21 @@ def _build_x2m(p: float, nu: int) -> Problem:
         return 2.0 ** (-n) if n < 1060 else 0.0
 
     def spike_knots(lo: float, hi: float) -> tuple[float, ...]:
-        out = []
+        # every step of cesaro_sup in (lo, hi): at 1 and at each spike
+        # (2^m / m)^(1/p), the one of m = 1 and 2 listed once
+        out = [1.0] if lo < 1.0 < hi else []
         m = 1
         while True:
-            v = (2.0**m / m) ** (1.0 / p)
+            try:  # 2^m / m rounded once while it is a float (to m = 1034), then in logs
+                v = (math.ldexp(1.0 / m, m) ** (1.0 / p) if m < 1030
+                     else 2.0 ** ((m - math.log2(m)) / p))
+            except OverflowError:  # this spike and every later one lie past float range
+                break
             if v >= hi:
                 break
-            if v > lo:
+            if v > lo and (not out or v > out[-1]):
                 out.append(v)
             m += 1
-            if m > 4000 or len(out) > 130:
-                return ()
         return tuple(out)
 
     def ui_cesaro(a) -> float:
@@ -466,6 +483,7 @@ def _build_x2m(p: float, nu: int) -> Problem:
         b=power_norming(p),
         closed={
             "cesaro_knots": spike_knots,
+            "cesaro_step": True,
             "ui_cesaro_pow_p": ui_cesaro,
         },
         expected={

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -535,6 +537,24 @@ def less_than(x, mags: np.ndarray) -> np.ndarray:
     return lt
 
 
+SHARED_TABLES = 4  # row tables one command keeps (``shared_row_tables``)
+# (array, weights, top) -> RowTable inside ``shared_row_tables``, else None
+_shared_tables: ContextVar[Optional[dict]] = ContextVar("shared_row_tables", default=None)
+
+
+@contextmanager
+def shared_row_tables():
+    """Inside the block, ``RowTable`` of an (array, weights, scan top) seen
+    before is the table built then: the ``SHARED_TABLES`` last built are
+    kept, and all are dropped on leaving the outermost block."""
+    token = None if _shared_tables.get() is not None else _shared_tables.set({})
+    try:
+        yield
+    finally:
+        if token is not None:
+            _shared_tables.reset(token)
+
+
 class RowTable:
     """Cell groups of rows 1..top laid out once, so a sup_n scan is a few array ops.
 
@@ -553,10 +573,27 @@ class RowTable:
     through its scalar tail.  ``split_row_values`` takes a column of
     per-step-law values worked out from ``mag`` and ``prob`` (for example
     g(m) * q) and calls a scalar function only on ``others``.
+
+    Inside ``shared_row_tables`` a table is built once per (array, weights,
+    scan top); it is never changed after it is laid out.
     """
 
-    def __init__(self, arr: ArraySpec, weights: WeightScheme, n_sup: int = DEFAULT_N_SUP):
-        self.top = top = max(scan_top(n_sup, arr.n_max, weights.n_max), 0)
+    def __new__(cls, arr: ArraySpec, weights: WeightScheme, n_sup: int = DEFAULT_N_SUP):
+        top = max(scan_top(n_sup, arr.n_max, weights.n_max), 0)
+        shared = _shared_tables.get()
+        key = (arr, weights, top)
+        if shared is not None and key in shared:
+            return shared[key]
+        self = super().__new__(cls)
+        self._lay_out(arr, weights, top)
+        if shared is not None:
+            shared[key] = self
+            if len(shared) > SHARED_TABLES:
+                del shared[next(iter(shared))]  # the oldest
+        return self
+
+    def _lay_out(self, arr: ArraySpec, weights: WeightScheme, top: int) -> None:
+        self.top = top
         uniform = weights.kind == "uniform"
         self._prefix = arr.is_sequence and uniform
         self._law, self.others, self.mag, self.prob, layout = step_columns(

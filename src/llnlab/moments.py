@@ -13,7 +13,9 @@ other law integrates the caller's integrand h'(t) T(t) by adaptive quadrature
 split at the tail's knots, with the dyadic block rule of
 :mod:`llnlab.numerics` standing in for an infinite upper limit.  Divergent
 integrals return an inf marker that still carries the partial value at the
-cutoff.
+cutoff.  The one closed form is a Pareto cell's power moment, x^s or
+x^s log x (:func:`pareto_power_mass`), which :func:`cell_moment` and
+:func:`cell_transformed_tail_mass` take in place of the quadrature.
 
 Every h, g and t passed in is called directly: a :class:`MomentFunction` or
 any other callable, which also needs a ``derivative`` where a law without
@@ -209,20 +211,65 @@ def truncated_abs_moment(
 # ---------------------------------------------------------------------------
 
 
+def _pareto_power(dist: DistSpec, h) -> bool:
+    """Whether E h(|X|) of ``dist`` has the closed form of :func:`pareto_power_mass`:
+    a Pareto law and h = x^s or x^s log x (a ``MomentFunction`` with nu <= 1)."""
+    return (isinstance(dist, ParetoTail) and isinstance(h, MomentFunction)
+            and h.log_factor_nu in (None, 1))
+
+
+def pareto_power_mass(law: ParetoTail, h: MomentFunction, x: float) -> float:
+    """E(|X|^s L(|X|) 1(|X| > x)) for a Pareto law, exactly; inf when alpha <= s.
+
+    h is x^s L(x) with L = 1, or L = log x (``log_factor_nu`` 1, the clamped
+    base-2 log).  |X| has density alpha c^alpha u^(-alpha-1) on (c, inf), so
+    with t = max(c, x) and sigma = s - alpha < 0,
+
+        int_t^inf u^s alpha c^alpha u^(-alpha-1) du = alpha c^s (t/c)^sigma / (-sigma).
+
+    The log factor is 1 up to K = max(t, 2), which leaves the same form on
+    (t, K), and above K the antiderivative
+    int_K^inf u^(sigma-1) ln u du = K^sigma (1/sigma^2 - ln K / sigma),
+    divided by ln 2.
+    """
+    alpha, c, s = law.alpha, law.cutoff, h.power
+    sigma = s - alpha
+    if not sigma < 0.0:
+        return math.inf
+    t = max(c, x)
+    scale = alpha * c**s  # alpha c^alpha u^sigma = scale (u/c)^sigma
+    if h.log_factor_nu is None:
+        return scale * (t / c) ** sigma / -sigma
+    k = max(t, 2.0)
+    flat = scale * ((t / c) ** sigma - (k / c) ** sigma) / -sigma
+    logged = scale * (k / c) ** sigma * (1.0 / (sigma * sigma * math.log(2.0))
+                                         - math.log2(k) / sigma)
+    return flat + logged
+
+
 def cell_moment(dist: DistSpec, g) -> float:
-    """E g(|X|) for a single cell; closed form for the discrete built-ins."""
+    """E g(|X|) for a single cell; closed form for the step laws and for the
+    Pareto power moments (:func:`pareto_power_mass`)."""
     if isinstance(dist, SymmetricTwoPoint):
         return g(dist.magnitude) * dist.prob
+    if _pareto_power(dist, g):
+        return pareto_power_mass(dist, g, 0.0)
     return float(expectation_via_tail(tail_of(dist), g))
 
 
 def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
-    """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0."""
+    """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0.
+
+    The mass lies above x_a = t^-1(a) (bisection); a Pareto power t takes it
+    from :func:`pareto_power_mass`, any other law from the tail kernel.
+    """
     if isinstance(dist, SymmetricTwoPoint):
         v = t(dist.magnitude)
         return v * dist.prob if v > a else 0.0
-    tail = tail_of(dist)
     x_a = _numeric_inverse(t, a)
+    if _pareto_power(dist, t):
+        return pareto_power_mass(dist, t, x_a)
+    tail = tail_of(dist)
 
     def integrand(x: float) -> float:
         return t.derivative(x) * tail.fn(x)

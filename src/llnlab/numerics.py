@@ -4,8 +4,10 @@ The symbol "infinity" is replaced everywhere by stated stopping rules, each
 reading its thresholds from one named constant:
 
 * Integrals over [A, inf) are summed over dyadic blocks [2^j, 2^(j+1)], each
-  by adaptive quadrature to ``QUAD_ABS_TOL`` (1e-9); the chandra-ghosal
-  blocks of a step source are exact sums over its pieces instead.  A block
+  by adaptive quadrature to ``QUAD_ABS_TOL`` (1e-9), where no closed form
+  serves: the chandra-ghosal blocks of a step source are exact sums over its
+  pieces, and a Pareto law's power moments one antiderivative
+  (``moments.pareto_power_mass``).  A block
   below ``BLOCK_TOL`` (1e-12) certifies convergence for nonincreasing integrands;
   ``MAX_BLOCKS`` (60) blocks without that certificate yield a divergence
   marker carrying the partial value.
@@ -26,7 +28,8 @@ reading its thresholds from one named constant:
 :func:`quad` is the single quadrature entry of the package: every adaptive
 integral, here and in ``moments``, calls it, and it imports
 ``scipy.integrate`` on its first call, so a run that integrates nothing
-never loads scipy.
+never loads scipy: ``verify-fixtures`` and the checks of step and Pareto
+cells at nu <= 1 do not.
 """
 
 from __future__ import annotations
@@ -77,10 +80,12 @@ def finite_integral(
     scipy's ``IntegrationWarning`` is silenced.  It fires on integrands with
     jumps that are not among the breakpoints, and there the result can miss
     by far more than the tolerance: quad over the knotless scanned sup of
-    example-4.1 missed a chandra-ghosal block by 5.5e-8.  A step source is
-    therefore summed exactly by ``conditions.chandra_ghosal_integral``, its G
-    never read at quadrature nodes; any other step integrand passes the jumps
-    it knows as breakpoints.
+    example-4.1 missed a chandra-ghosal block by 5.5e-8, and over
+    example-2.1's closed sup, whose knots it was not given past 130 a block,
+    by 1.5e-8 relative.  A step source, those two among them, is therefore
+    summed exactly by ``conditions.chandra_ghosal_integral``, its G never read
+    at quadrature nodes; any other step integrand passes the jumps it knows as
+    breakpoints.
     """
     if b <= a:
         return 0.0

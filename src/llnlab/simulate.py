@@ -5,11 +5,11 @@ replication is the counter-based Philox stream keyed by (master seed, row n,
 replication index), and results land in slots indexed by replication.
 
 Every mode runs through one replication-span kernel (``_Spans``): a span is
-a contiguous range of one row's replications, whose keys are derived in one
-vectorised pass (``model.stream_keys``) and drawn in chunks of
-``TASK_CELLS`` cells through the row's ``model.RowSampler``, one generator
-re-keyed per replication (``model.rekeyed``) and one buffer store, both kept
-for the whole command.  For each replication it returns max_j |S_j| at each
+a contiguous range of one row's replications, whose keys are derived
+``KEY_REPS`` replications at a time in one vectorised pass
+(``model.stream_keys``) and drawn in chunks of ``TASK_CELLS`` cells through
+the row's ``model.RowSampler``, one generator re-keyed per replication
+(``model.rekeyed``) and one buffer store, both kept for the whole command.  For each replication it returns max_j |S_j| at each
 segment end of the row: a WLLN row is one weighted segment ending at k_n, a
 path one segment per sampled row.  ``threads`` > 1 cuts each row into one
 span per forked worker process (``_replication_maxima``).  Reports are
@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import SamplingError, WorkerError
+from .errors import RepsError, SamplingError, WorkerError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
                     power_norming, rekeyed, step_columns, stream_keys)
 from .moments import clamped_mean, clamped_square_mean
@@ -183,6 +183,7 @@ class SimReport:
 # ---------------------------------------------------------------------------
 
 TASK_CELLS = 1 << 15  # cells drawn per replication chunk of a span
+KEY_REPS = 1 << 12  # replications of a span whose keys are derived in one pass (64 KiB)
 
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +191,15 @@ def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
     law, others, mag, prob, layout = step_columns(arr, n, n, by_row=True)
     laws = [*map(SymmetricTwoPoint, mag.tolist(), prob.tolist()), *others]
     return np.array([float(fn(d)) for d in laws])[law], layout[:, 2]
+
+
+def _maxima(reps: int, count: int, segments: int) -> np.ndarray:
+    """An empty (count, segments) array for per-replication maxima; a
+    ``RepsError`` names ``--reps`` when it cannot be held."""
+    try:
+        return np.empty((count, segments))
+    except MemoryError as exc:
+        raise RepsError(f"--reps {reps} too large to hold in memory: {exc}") from None
 
 
 def _chunks(k: int, reps: int) -> list[tuple[int, int]]:
@@ -232,15 +242,18 @@ class _Spans:
 
     def __call__(self, i: int, lo: int, hi: int) -> np.ndarray:
         _, sampler, weights, starts = self.layout(i)
-        keys = stream_keys(self.plan.seed, (self.rows[i],), np.arange(lo, hi))
-        out = np.empty((hi - lo, len(starts)))
-        for a, b in _chunks(sampler.k, hi - lo):
-            x = sampler.draw_rows(rekeyed(keys[a:b], self._gen),
-                                  sampler.buffers(b - a, self._store))
-            if weights is not None:
-                np.multiply(weights, x, out=x)
-            np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
-            np.maximum.reduceat(np.abs(x, out=x), starts, axis=1, out=out[a:b])
+        out = _maxima(self.plan.reps, hi - lo, len(starts))
+        for r in range(lo, hi, KEY_REPS):
+            keys = stream_keys(self.plan.seed, (self.rows[i],),
+                               np.arange(r, min(r + KEY_REPS, hi)))
+            for a, b in _chunks(sampler.k, len(keys)):
+                x = sampler.draw_rows(rekeyed(keys[a:b], self._gen),
+                                      sampler.buffers(b - a, self._store))
+                if weights is not None:
+                    np.multiply(weights, x, out=x)
+                np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+                np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
+                                    out=out[r - lo + a:r - lo + b])
         return out
 
 
@@ -292,12 +305,15 @@ def _pooled(spans: _Spans, reps: int, workers: int, ctx) -> list[np.ndarray]:
     # executor forks every worker before it starts its own manager thread.
     spans.layout(0)  # errors of the first row surface here; the workers inherit it
     cuts = [reps * w // workers for w in range(workers + 1)]
+    segments = 1 if spans.ends is None else len(spans.ends)
     pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install,
                                initargs=(spans,))
     try:
         parts = [[pool.submit(_worker_span, i, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
                  for i in range(len(spans.rows))]
-        return [np.concatenate([f.result() for f in row]) for row in parts]
+        return [np.concatenate([f.result() for f in row],
+                               out=_maxima(reps, reps, segments))
+                for row in parts]
     except BrokenProcessPool as exc:
         raise WorkerError(f"a simulation worker process died: {exc}") from None
     finally:

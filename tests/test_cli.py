@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from llnlab import cli
+from llnlab.fixtures import FIXTURE_NAMES
 
 
 def run(args):
@@ -322,6 +323,16 @@ def test_simulate_reps_past_the_key_word_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_simulate_reps_too_large_to_hold_exits_2(tmp_path):
+    # 2^32 replications are allowed, but not their 32 GiB of maxima under the cap;
+    # their keys are derived a chunk at a time, so the maxima are what fails
+    proc = _cli_capped(["simulate", "--fixture", "x2m-example", "--rows", "1",
+                        "--reps", str(2**32), "--out", str(tmp_path / "s")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: --reps {2**32} too large to hold in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # run with two usable CPUs; the span starting past replication 0 only ever
 # runs in a worker process, which the patch makes die or run out of memory
 _WORKER_FAULT = """
@@ -542,6 +553,7 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
 MODULE_PROBE = """
 import json, sys
 from llnlab import cli
+from llnlab.fixtures import FIXTURE_NAMES
 packages = sys.argv[1].split(",")
 rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
 print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in packages)))
@@ -571,26 +583,43 @@ def test_no_process_pool_without_workers(tmp_path, argv):
     assert _modules_loaded_by(argv, "multiprocessing,concurrent") == set()
 
 
+# a sequence of +-1 and Pareto cells (alpha 3, p = 1, nu = 1): its moments are closed forms
+PARETO_SPEC = {"rows": {"k": "n"}, "p": 1.0, "nu": 1, "sequence": True, "cells": [
+    {"n": n, "i": i, "dist": {"kind": "pareto", "alpha": 3.0, "cutoff": 1.5} if i % 2
+     else {"kind": "symmetric-pm1"}} for n in range(1, 9) for i in range(1, n + 1)]}
+
 SCIPY_FREE = {
     "chandra-ghosal": ["check", "--fixture", "example-4.1", "--conditions", "chandra-ghosal",
                        "--n-sup", "64"],
     "wlln": ["simulate", "--fixture", "x2m-example", "--mode", "wlln"],
     "slln-path": ["simulate", "--fixture", "x2m-example", "--mode", "slln-path"],
     "slln-series": ["simulate", "--fixture", "example-4.1", "--mode", "slln-series"],
+    **{f"verify-fixtures-{name}": ["verify-fixtures", "--only", name, "--n-sup", "64",
+                                   "--n", "1000"] for name in FIXTURE_NAMES},
+    **{f"chandra-ghosal-{name}": ["check", "--fixture", name, "--conditions", "chandra-ghosal",
+                                  "--n-sup", "64"] for name in ("example-2.1", "x2m-example")},
+    "pareto-spec-ui-bounded-moment": ["check", "--spec", "{spec}", "--conditions",
+                                      "ui,bounded-moment", "--n-sup", "64"],
 }
 
 
 @pytest.mark.parametrize("name", list(SCIPY_FREE))
 def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
-    argv = SCIPY_FREE[name]
+    spec = tmp_path / "pareto.json"
+    spec.write_text(json.dumps(PARETO_SPEC))
+    argv = [str(spec) if a == "{spec}" else a for a in SCIPY_FREE[name]]
     if argv[0] == "simulate":
         argv = argv + ["--rows", "2^4..2^5", "--reps", "4", "--eps", "0.5"]
-    loaded = _modules_loaded_by(argv + ["--out", str(tmp_path / "o")])
+    if argv[0] != "verify-fixtures":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    loaded = _modules_loaded_by(argv)
     assert not loaded & {"scipy.integrate", "scipy.special"}, sorted(loaded)
 
 
 def test_quadrature_loads_scipy_integrate_on_first_use(tmp_path):
-    # the probe sees a deferred import: closed forms of example-2.1 integrate
-    loaded = _modules_loaded_by(["verify-fixtures", "--only", "example-2.1", "--n-sup", "64",
-                               "--n", "1000"])
+    # the probe sees a deferred import: wlln-counterexample's closed sup is no
+    # step source, so its chandra-ghosal integral goes through quadrature
+    loaded = _modules_loaded_by(["check", "--fixture", "wlln-counterexample", "--conditions",
+                                 "chandra-ghosal", "--n-sup", "64",
+                                 "--out", str(tmp_path / "o")])
     assert "scipy.integrate" in loaded

@@ -6,13 +6,14 @@ Both sides add in the same order, so every comparison is exact (``==``).
 """
 
 import dataclasses
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from llnlab import domination, model
+from llnlab import cli, domination, model
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction, cell_moment, cell_transformed_tail_mass
 from llnlab.specio import load_spec_obj
@@ -112,6 +113,11 @@ GRID = (-2.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0, 40.0, 1e3, 1e6, 2**60)
 
 def _random_spec(seed, *, rows=24, sequence=False, flavor="sum"):
     """Explicit cells of +-1, two-point and Pareto laws with c-normalized weights."""
+    return load_spec_obj(_random_doc(seed, rows=rows, sequence=sequence, flavor=flavor))
+
+
+def _random_doc(seed, *, rows=24, sequence=False, flavor="sum"):
+    """The spec document of ``_random_spec``."""
     rng = random.Random(seed)
     two_point = [
         {"kind": "symmetric-two-point", "magnitude": rng.uniform(1.5, 4.0),
@@ -135,7 +141,7 @@ def _random_spec(seed, *, rows=24, sequence=False, flavor="sum"):
         "sequence": sequence,
         "weights": {"kind": "c-normalized", "flavor": flavor, "values": weights},
     }
-    return load_spec_obj(doc)
+    return doc
 
 
 def _spike_array():
@@ -278,3 +284,48 @@ def test_tail_of_called_once_per_distinct_law(monkeypatch):
     for x in GRID:
         sup(x)
     assert len(calls) == len(set(calls)) <= 4  # the Pareto laws only
+
+
+# ---------------------------------------------------------------------------
+# one table per (array, weights, scan top) in a command
+# ---------------------------------------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    lay_out = model.RowTable._lay_out
+    monkeypatch.setattr(model.RowTable, "_lay_out",
+                        lambda self, *a: builds.append(a[2]) or lay_out(self, *a))
+    return builds
+
+
+def test_a_command_lays_each_table_out_once(tmp_path, monkeypatch, capsys):
+    builds = _count_builds(monkeypatch)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_random_doc(3)))
+    # five scans: the two weighted ones share the c-normalized table, the three
+    # Cesaro ones the uniform table
+    rc = cli.main(["check", "--spec", str(spec), "--conditions",
+                   "weighted-domination,cesaro-domination,ui,bounded-moment,kG-hat",
+                   "--n-sup", "200", "--out", str(tmp_path / "a")])
+    assert rc == 0 and len(builds) == 2
+    builds.clear()
+    rc = cli.main(["check", "--fixture", "example-4.1", "--conditions", "ui,bounded-moment",
+                   "--n-sup", "200", "--out", str(tmp_path / "b")])
+    assert rc == 0 and len(builds) == 1
+    assert model._shared_tables.get() is None  # nothing outlives the command
+
+
+def test_tables_are_shared_only_inside_the_block_and_up_to_its_bound(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    sp = _random_spec(4)  # 24 rows: a scan top is min(n_sup, 24)
+    assert model.RowTable(sp.arr, sp.weights, 10) is not model.RowTable(sp.arr, sp.weights, 10)
+    assert len(builds) == 2
+    with model.shared_row_tables():
+        first = model.RowTable(sp.arr, sp.weights, 30)
+        assert model.RowTable(sp.arr, sp.weights, 24) is first  # the same scan top
+        assert model.RowTable(sp.arr, sp.weights, 12) is not first
+        for top in range(1, model.SHARED_TABLES):
+            model.RowTable(sp.arr, sp.weights, top)
+        assert model.RowTable(sp.arr, sp.weights, 30) is not first  # the oldest went
+    assert len(builds) == 4 + model.SHARED_TABLES

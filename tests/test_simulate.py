@@ -198,6 +198,16 @@ def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, t
     assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"])
 
 
+@pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
+def test_key_blocks_do_not_move_the_bytes(monkeypatch, case):
+    # keys derived five replications at a time, in chunks cut at 48 cells
+    plan = KERNEL_PLANS[case]()
+    whole = _mode_bytes(plan, 1)
+    monkeypatch.setattr(simulate, "KEY_REPS", 5)
+    monkeypatch.setattr(simulate, "TASK_CELLS", 48)
+    assert _mode_bytes(plan, 1) == whole
+
+
 def test_path_rows_may_repeat():
     plan = dataclasses.replace(_na_spec_plan(), rows=(2, 8, 8, 9, 40, 40))
     rep = simulate.slln_path_diagnostic(plan)
