@@ -19,11 +19,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, model
 from .conditions import CONDITIONS, run_condition
 from .errors import LlnLabError, RepsError, SpecError
 from .fixtures import FIXTURE_NAMES, Problem, load as load_fixture
-from .model import DEFAULT_N_SUP, shared_row_tables
+from .model import DEFAULT_N_SUP
 from .simulate import (
     SimPlan,
     slln_path_diagnostic,
@@ -317,8 +317,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    with shared_row_tables():  # a row scan repeated within the command is laid out once
+    model.shared_tables = {}  # a row scan repeated within the command is laid out once
+    try:
         return args.fn(args, argv)
+    finally:
+        model.shared_tables = None
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from .numerics import (
 from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
-MAX_PIECES = 2**20  # pieces (between knots) the chandra-ghosal blocks may take in all
 SERIES_CHUNK = 2**9  # cells per series pass: bounds memory; few enough to be freed before gc runs
 
 
@@ -123,12 +122,8 @@ def chandra_ghosal_integral(
     A block below ``BLOCK_TOL`` certifies convergence; a fitted local
     exponent of x^p L^p(x) G(x) at or above flat (block log-slope >=
     -``FLAT_SLOPE_TOL``) over ``FLAT_RUN`` consecutive blocks certifies a
-    divergent lower envelope; ``MAX_BLOCKS`` blocks without either, or a
-    next block that would bring the blocks' pieces past ``MAX_PIECES``
-    (2^20), is inconclusive.  It binds on a source with ever more knots per
-    block, such as example-2.1's closed sup under a slowly varying L that
-    keeps the block slope from going flat; a scan has at most one knot per
-    scanned cell.
+    divergent lower envelope; ``MAX_BLOCKS`` blocks without either is
+    inconclusive.
     """
     g, knots_in = _as_tail_callable(source)
     notes = []
@@ -147,8 +142,8 @@ def chandra_ghosal_integral(
             def weight(a: float, b: float) -> float:
                 return finite_integral(lambda u: sv.eval(u**inv) ** p / p, a**p, b**p)
 
-        def block(lo: float, hi: float, knots) -> float:
-            pts = (lo, *knots, hi)
+        def block(lo: float, hi: float) -> float:
+            pts = (lo, *knots_in(lo, hi), hi)
             terms = []
             for a, b in zip(pts[:-1], pts[1:]):
                 level = float(g(0.5 * (a + b)))
@@ -156,7 +151,7 @@ def chandra_ghosal_integral(
                     terms.append(level * weight(a, b))
             return math.fsum(terms)
 
-        head = block(0.0, 1.0, knots_in(0.0, 1.0))
+        head = block(0.0, 1.0)
     else:
 
         def rest(t: float) -> float:
@@ -171,22 +166,16 @@ def chandra_ghosal_integral(
         def integrand(t: float) -> float:
             return t ** (p - 1.0) * rest(t)
 
-        def block(lo: float, hi: float, knots) -> float:
-            return finite_integral(integrand, lo, hi, breakpoints=knots)
+        def block(lo: float, hi: float) -> float:
+            return finite_integral(integrand, lo, hi, breakpoints=knots_in(lo, hi))
 
     blocks: list[float] = []
     total = head
     lo = 1.0
-    pieces = 0
     verdict, rule = "inconclusive", "budget exhausted without certificate"
     for _ in range(MAX_BLOCKS):
         hi = 2.0 * lo
-        knots = knots_in(lo, hi)
-        pieces += len(knots) + 1
-        if pieces > MAX_PIECES:
-            rule = f"pieces past {MAX_PIECES} in block [{lo:g}, {hi:g}]"
-            break
-        b = block(lo, hi, knots)
+        b = block(lo, hi)
         blocks.append(b)
         total += b
         lo = hi
@@ -419,9 +408,14 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
 
 
 def _cesaro_source(spec, n_sup: int):
-    """The closed Cesaro sup with its knots where the array has one, else a scan's sup."""
+    """The closed Cesaro sup with its knots where the array has one, else a scan's sup.
+
+    A closed sup is a step source only under a constant L.  A slowly varying
+    L would cost one quadrature per piece, and example-2.1's sup has 2^(j-1)
+    pieces in block j, so there it is integrated by quadrature.
+    """
     if spec.arr.closed_cesaro_sup is not None:
-        return spec.cesaro_tail()
+        return spec.cesaro_tail(step=spec.sv is None or spec.sv.family == "constant")
     return cesaro_sup_fn(spec.arr, n_sup=n_sup)
 
 

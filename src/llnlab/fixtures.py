@@ -72,15 +72,20 @@ class Problem:
     ui_grid: tuple = tuple(2.0**j for j in range(0, 41, 2))
     kg_grid: tuple = tuple(2**j for j in range(0, 41))
 
-    def cesaro_tail(self) -> TailFunction:
+    def cesaro_tail(self, step: bool = True) -> TailFunction:
         """Tail of the canonical Cesaro dominating variable (closed form).
 
-        ``closed["cesaro_step"]`` marks it a step envelope: its
-        ``cesaro_knots`` then list every point where it steps, in any range.
+        Where ``closed["cesaro_steps"]`` lists every point at which it steps,
+        in any range, it is a step envelope with those knots.  With
+        ``step=False``, or without that list, its knots are
+        ``closed["cesaro_knots"]``: quadrature breakpoints, which may leave
+        out the steps of a wide range.
         """
+        steps = self.closed.get("cesaro_steps") if step else None
+        if steps is not None:
+            return TailFunction(fn=self.arr.closed_cesaro_sup, knot_fn=steps, step=True)
         return TailFunction(fn=self.arr.closed_cesaro_sup,
-                            knot_fn=self.closed.get("cesaro_knots"),
-                            step=self.closed.get("cesaro_step", False))
+                            knot_fn=self.closed.get("cesaro_knots"))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +140,8 @@ def _build_example_21(p: float, nu: int) -> Problem:
         return tuple(map(float, range(start | 1, int(math.ceil(hi)), 2)))
 
     def integer_knots(lo: float, hi: float) -> tuple[float, ...]:
-        # quadrature breakpoints of weighted_sup, which steps at every integer;
-        # none past 130 of them
+        # quadrature breakpoints of weighted_sup, which steps at every integer,
+        # and of cesaro_sup; none past 130 of them
         start = int(math.floor(lo)) + 1
         if hi - lo > 130:
             return ()
@@ -173,8 +178,8 @@ def _build_example_21(p: float, nu: int) -> Problem:
         nu=nu,
         b=power_norming(p),
         closed={
-            "cesaro_knots": odd_knots,
-            "cesaro_step": True,
+            "cesaro_knots": integer_knots,
+            "cesaro_steps": odd_knots,
             "weighted_knots": integer_knots,
             "ui_weighted_pow_p": ui_weighted,
         },
@@ -483,7 +488,7 @@ def _build_x2m(p: float, nu: int) -> Problem:
         b=power_norming(p),
         closed={
             "cesaro_knots": spike_knots,
-            "cesaro_step": True,
+            "cesaro_steps": spike_knots,
             "ui_cesaro_pow_p": ui_cesaro,
         },
         expected={

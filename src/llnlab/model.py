@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
-from contextvars import ContextVar
 from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -537,22 +535,12 @@ def less_than(x, mags: np.ndarray) -> np.ndarray:
     return lt
 
 
-SHARED_TABLES = 4  # row tables one command keeps (``shared_row_tables``)
-# (array, weights, top) -> RowTable inside ``shared_row_tables``, else None
-_shared_tables: ContextVar[Optional[dict]] = ContextVar("shared_row_tables", default=None)
-
-
-@contextmanager
-def shared_row_tables():
-    """Inside the block, ``RowTable`` of an (array, weights, scan top) seen
-    before is the table built then: the ``SHARED_TABLES`` last built are
-    kept, and all are dropped on leaving the outermost block."""
-    token = None if _shared_tables.get() is not None else _shared_tables.set({})
-    try:
-        yield
-    finally:
-        if token is not None:
-            _shared_tables.reset(token)
+# (array, weights, scan top) -> RowTable: a dict while ``cli.main`` runs one
+# command, else None.  A command checks one array under at most two weight
+# schemes (uniform and its own), and verify-fixtures one fixture at a time, so
+# the SHARED_TABLES last built are all a command reuses.
+shared_tables: Optional[dict] = None
+SHARED_TABLES = 2
 
 
 class RowTable:
@@ -574,13 +562,13 @@ class RowTable:
     per-step-law values worked out from ``mag`` and ``prob`` (for example
     g(m) * q) and calls a scalar function only on ``others``.
 
-    Inside ``shared_row_tables`` a table is built once per (array, weights,
-    scan top); it is never changed after it is laid out.
+    While ``shared_tables`` is a dict, a table is built once per (array,
+    weights, scan top); it is never changed after it is laid out.
     """
 
     def __new__(cls, arr: ArraySpec, weights: WeightScheme, n_sup: int = DEFAULT_N_SUP):
         top = max(scan_top(n_sup, arr.n_max, weights.n_max), 0)
-        shared = _shared_tables.get()
+        shared = shared_tables
         key = (arr, weights, top)
         if shared is not None and key in shared:
             return shared[key]

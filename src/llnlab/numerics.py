@@ -82,10 +82,10 @@ def finite_integral(
     by far more than the tolerance: quad over the knotless scanned sup of
     example-4.1 missed a chandra-ghosal block by 5.5e-8, and over
     example-2.1's closed sup, whose knots it was not given past 130 a block,
-    by 1.5e-8 relative.  A step source, those two among them, is therefore
-    summed exactly by ``conditions.chandra_ghosal_integral``, its G never read
-    at quadrature nodes; any other step integrand passes the jumps it knows as
-    breakpoints.
+    by 1.5e-8 relative.  A step source, those two among them (example-2.1's
+    under a constant L only), is therefore summed exactly by
+    ``conditions.chandra_ghosal_integral``, its G never read at quadrature
+    nodes; any other step integrand passes the jumps it knows as breakpoints.
     """
     if b <= a:
         return 0.0

@@ -1,17 +1,19 @@
 """Exact kernels in place of quadrature where a law has a closed form.
 
 * The closed Cesaro sups of example-2.1 and x2m-example are step sources:
-  their knot lists name every step in any range, and the chandra-ghosal
-  integral sums them piece by piece.  The reference is the quadrature path
-  they went through before, with the knot lists it had then: breakpoints
-  only in blocks of at most 130 knots.
+  their knot lists name every step in any range, and under a constant L the
+  chandra-ghosal integral sums them piece by piece.  The reference is the
+  quadrature path they still take under a slowly varying L, with its
+  breakpoints: in example-2.1 only in blocks of at most 130 knots.
 * A Pareto law's power moments E(|X|^s L(|X|) 1(|X| > x)), L = 1 or the
   clamped log2, are one antiderivative (``moments.pareto_power_mass``); the
   reference is the tail-integral quadrature of h'(t) P(|X| > t).
 """
 
+import dataclasses
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,10 +23,11 @@ from llnlab import conditions, model, moments, numerics
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction, pareto_power_mass
 from llnlab.numerics import QUAD_ABS_TOL, integrate_tail_blocks
+from llnlab.svf import log_power
 
 PS = (0.5, 1.0, 1.5)
-STEP_SOURCES = {(name, p): load(name, p=p).cesaro_tail()
-                for name in ("example-2.1", "x2m-example") for p in PS}
+FIXTURES = {(name, p): load(name, p=p) for name in ("example-2.1", "x2m-example") for p in PS}
+STEP_SOURCES = {key: fx.cesaro_tail() for key, fx in FIXTURES.items()}
 IDS = [f"{name}-p{p}" for name, p in STEP_SOURCES]
 
 # ---------------------------------------------------------------------------
@@ -75,21 +78,12 @@ def test_x2m_knots_reach_past_where_two_to_the_m_overflows():
     assert all(a > b for a, b in zip(values, values[1:])) and values[-1] == 0.0
 
 
-def _as_quadrature_read_it(tail):
-    """The closed sup as the quadrature path read it: a plain tail whose
-    knots split quadrature, none in a block holding more than 130."""
-
-    def knots(lo, hi):
-        k = tail.knots_in(lo, hi)
-        return k if len(k) <= 130 else ()
-
-    return model.TailFunction(fn=tail.fn, knot_fn=knots)
-
-
 @pytest.mark.parametrize("key", list(STEP_SOURCES), ids=IDS)
 def test_exact_blocks_keep_the_quadrature_verdicts(key, monkeypatch):
     tail, p = STEP_SOURCES[key], key[1]
-    before = conditions.chandra_ghosal_integral(_as_quadrature_read_it(tail), p)
+    quadrature = FIXTURES[key].cesaro_tail(step=False)
+    assert not quadrature.step and tail.step
+    before = conditions.chandra_ghosal_integral(quadrature, p)
     monkeypatch.setattr(numerics, "quad", None)  # the step sums integrate nothing
     after = conditions.chandra_ghosal_integral(tail, p)
     assert (after.verdict, after.rule) == (before.verdict, before.rule) == ("fails", after.rule)
@@ -98,13 +92,16 @@ def test_exact_blocks_keep_the_quadrature_verdicts(key, monkeypatch):
     assert after.evidence["blocks"] == pytest.approx(before.evidence["blocks"], rel=1e-7)
 
 
-def test_step_pieces_past_the_budget_are_inconclusive(monkeypatch):
-    # example-2.1 steps at every odd integer: 2^(j-1) knots in block j >= 1,
-    # so blocks 0..8 take 264 pieces and block 9 would take 257 more
-    monkeypatch.setattr(conditions, "MAX_PIECES", 300)
-    v = conditions.chandra_ghosal_integral(STEP_SOURCES["example-2.1", 1.0], 1.0)
-    assert v.verdict == "inconclusive" and v.rule == "pieces past 300 in block [512, 1024]"
-    assert len(v.evidence["blocks"]) == 9
+def test_closed_sup_under_a_slowly_varying_l_is_integrated_by_quadrature():
+    # summed as steps, L = (log x)^-20 would cost one quadrature per piece, and
+    # example-2.1's sup has 2^(j-1) of them in block j; at p = 1/2 the verdict
+    # comes at block 28, in about a second
+    spec = dataclasses.replace(FIXTURES["example-2.1", 0.5], sv=log_power(-20.0))
+    start = time.perf_counter()
+    got = conditions.run_condition("chandra-ghosal", spec, 64, 1000)
+    assert time.perf_counter() - start < 10.0
+    assert got["outcome"] == "fails" and len(got["detail"]["blocks"]) == 28
+    assert got["detail"]["rule"].startswith("fitted block slope")
 
 
 # ---------------------------------------------------------------------------

@@ -313,19 +313,19 @@ def test_a_command_lays_each_table_out_once(tmp_path, monkeypatch, capsys):
     rc = cli.main(["check", "--fixture", "example-4.1", "--conditions", "ui,bounded-moment",
                    "--n-sup", "200", "--out", str(tmp_path / "b")])
     assert rc == 0 and len(builds) == 1
-    assert model._shared_tables.get() is None  # nothing outlives the command
+    assert model.shared_tables is None  # nothing outlives the command
 
 
-def test_tables_are_shared_only_inside_the_block_and_up_to_its_bound(monkeypatch):
+def test_tables_are_shared_only_within_a_command_and_up_to_its_bound(monkeypatch):
     builds = _count_builds(monkeypatch)
     sp = _random_spec(4)  # 24 rows: a scan top is min(n_sup, 24)
     assert model.RowTable(sp.arr, sp.weights, 10) is not model.RowTable(sp.arr, sp.weights, 10)
     assert len(builds) == 2
-    with model.shared_row_tables():
-        first = model.RowTable(sp.arr, sp.weights, 30)
-        assert model.RowTable(sp.arr, sp.weights, 24) is first  # the same scan top
-        assert model.RowTable(sp.arr, sp.weights, 12) is not first
-        for top in range(1, model.SHARED_TABLES):
-            model.RowTable(sp.arr, sp.weights, top)
-        assert model.RowTable(sp.arr, sp.weights, 30) is not first  # the oldest went
+    monkeypatch.setattr(model, "shared_tables", {})
+    first = model.RowTable(sp.arr, sp.weights, 30)
+    assert model.RowTable(sp.arr, sp.weights, 24) is first  # the same scan top
+    assert model.RowTable(sp.arr, sp.weights, 12) is not first
+    for top in range(1, model.SHARED_TABLES):
+        model.RowTable(sp.arr, sp.weights, top)
+    assert model.RowTable(sp.arr, sp.weights, 30) is not first  # the oldest went
     assert len(builds) == 4 + model.SHARED_TABLES
