@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, model
-from .conditions import CONDITIONS, run_condition
+from .conditions import CONDITIONS, MAX_N, run_condition
 from .errors import LlnLabError, RepsError, SpecError
 from .fixtures import FIXTURE_NAMES, Problem, load as load_fixture
 from .model import DEFAULT_N_SUP
@@ -225,7 +225,7 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
             if not r["match"]:
                 failures.append(f"{name}:{cname}")
         if "c0" in fx.expected:
-            c0, at = fx.weights.c0(args.n_sup)
+            c0, at = model.command_c0(fx.weights, args.n_sup)
             ok = abs(c0 - fx.expected["c0"]) < 1e-12
             _log(f"{name} :: c0: {c0} (row {at}) [{'ok' if ok else 'MISMATCH'}]")
             if not ok:
@@ -259,6 +259,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget(text: str) -> int:
+    """``--n``: at least 1 and at most ``MAX_N``, so a series scan cannot run for days."""
+    value = _positive_int(text)
+    if value > MAX_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_N}, got {value}")
+    return value
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--fixture", choices=FIXTURE_NAMES, help="named generator")
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(pc)
     pc.add_argument("--conditions", required=True,
                     help="comma list: " + ", ".join(CONDITIONS))
-    pc.add_argument("--n", type=_positive_int, default=100_000, help="series/ratio budget")
+    pc.add_argument("--n", type=_budget, default=100_000, help="series/ratio budget")
     pc.add_argument("--out", default="llnlab-check")
     pc.set_defaults(fn=cmd_check)
 
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-fixtures", help="run the conformance suite")
     pv.add_argument("--only", choices=FIXTURE_NAMES, default=None)
     pv.add_argument("--n-sup", type=_positive_int, default=DEFAULT_N_SUP, dest="n_sup")
-    pv.add_argument("--n", type=_positive_int, default=100_000)
+    pv.add_argument("--n", type=_budget, default=100_000)
     pv.set_defaults(fn=cmd_verify_fixtures)
 
     pr = sub.add_parser("replay", help="re-run a recorded manifest")
@@ -317,11 +325,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    model.shared_tables = {}  # a row scan repeated within the command is laid out once
+    # a row scan or C0 repeated within the command is worked out once
+    model.shared_tables, model.shared_c0 = {}, {}
     try:
         return args.fn(args, argv)
     finally:
-        model.shared_tables = None
+        model.shared_tables = model.shared_c0 = None
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .model import (
     ArraySpec,
     NormalizingSequence,
     TailFunction,
+    float_powers,
     step_columns,
     tail_of,
     uniform_weights,
@@ -52,7 +53,8 @@ from .numerics import (
 from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
-SERIES_CHUNK = 2**9  # cells per series pass: bounds memory; few enough to be freed before gc runs
+SERIES_CHUNK = 2**13  # cells per series pass: bounds memory; the bytes do not depend on it
+MAX_N = 1 << 26  # largest series/ratio budget N: the chunked series scan grows linearly in it
 
 
 @dataclass(frozen=True)
@@ -209,10 +211,11 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
 
     The cells are read a dyadic block n in [2^j, 2^(j+1)) at a time (in
     chunks of at most ``SERIES_CHUNK`` cells) through one ``step_columns``
-    law table per chunk.  With x_n = n^(1/p), taken with Python's scalar
-    ``**``, the term of a step cell is
+    law table per chunk.  With x_n = n^(1/p) from ``float_powers`` (bitwise
+    Python's scalar ``**``), the term of a step cell is
     ``where(x_n < m_n, q_n, 0.0)`` on the table's (magnitude, prob) columns;
-    only the other cells go through a scalar tail, looked up once per law.
+    only the other cells go through a scalar tail, looked up once per law
+    and called with x_n as a Python float.
     The running total is a ``np.cumsum`` over each chunk seeded with the
     total carried so far, so every partial sum adds the terms in n order,
     bit for bit as a scalar loop does.
@@ -237,14 +240,14 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     while lo <= N:
         hi = min(lo + SERIES_CHUNK, 1 << lo.bit_length(), N + 1)  # inside lo's block
         law, others, mag, prob, _ = step_columns(arr, lo, hi - 1)
-        x = [float(n) ** inv for n in range(lo, hi)]
+        x = float_powers(lo, hi - 1, inv)
         # a non-step law has m = inf > x_n and q = 0 here, then its tail at x_n
         n_steps, pad = len(mag), np.zeros(len(others))
-        terms = np.where(np.array(x) < np.concatenate((mag, pad + math.inf))[law],
+        terms = np.where(x < np.concatenate((mag, pad + math.inf))[law],
                          np.concatenate((prob, pad))[law], 0.0)
         tails = [tail_of(d).fn for d in others]
         for j in np.flatnonzero(law >= n_steps).tolist():
-            terms[j] = tails[law[j] - n_steps](x[j])
+            terms[j] = tails[law[j] - n_steps](float(x[j]))
         terms[0] += total
         np.cumsum(terms, out=terms)
         if (lo & (lo - 1)) == 0:  # n = lo is a checkpoint
@@ -328,7 +331,7 @@ def _ratio_sequence(b: NormalizingSequence, N: int, *, squared: bool) -> np.ndar
     if N < 2:  # the verdict compares the first and the last half
         raise ValueError(f"norming-ratio check needs N >= 2, got {N}")
     idx = np.arange(1, N + 1, dtype=float)
-    bv = np.fromiter((float(b(n)) for n in range(1, N + 1)), dtype=float, count=N)
+    bv = b.float_values(N)
     if np.any(bv <= 0.0):
         raise ValueError("normalizing sequence must be positive")
     if np.any(np.diff(bv) < 0.0):

@@ -36,6 +36,7 @@ from .model import (
     TailFunction,
     WeightScheme,
     DEFAULT_N_SUP,
+    command_c0,
     tail_of,
     uniform_weights,
 )
@@ -139,7 +140,7 @@ def dominating_cdf(
     xs = geometric_grid()
     sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup)
     values = tuple(sup_fn(x) for x in xs)
-    c0, _ = w.c0(n_sup)
+    c0, _ = command_c0(w, n_sup)
     valid = decay_gate(values)
     cdf = None
     if valid:

@@ -41,6 +41,7 @@ from .model import (
     TailFunction,
     WeightScheme,
     explicit_weights,
+    float_powers,
     power_norming,
     sequence_array,
     uniform_weights,
@@ -202,17 +203,22 @@ def _build_example_41(p: float, nu: int) -> Problem:
     def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
         # X_i = +-(i+1)^(1/p) with probability 1/(i log_nu(i)), one column at a
         # time: the log_nu product gains one clamped log2 factor per pass, in
-        # svf.log_nu's order, until every factor left is the clamped 1.0
-        inv = 1.0 / p
-        mags = [float(i + 1) ** inv for i in range(lo, hi + 1)]
-        f = [float(i) for i in range(lo, hi + 1)]
-        prod = [1.0] * len(f)
+        # svf.log_nu's order, until every factor left is the clamped 1.0.
+        # Array +, * and / round as the scalar operations do; the powers come
+        # from float_powers and each log2 is math.log2 of one float, taken
+        # only above the clamp (numpy's log2 differs from it in the last bit)
+        mags = float_powers(lo + 1, hi + 1, 1.0 / p)
+        i = np.arange(lo, hi + 1, dtype=float)
+        f, prod = i, np.ones(len(i))
         for _ in range(nu):
-            if not f or f[-1] <= 2.0:  # f rises with i: every factor from here is 1.0
+            if not len(f) or f[-1] <= 2.0:  # f rises with i: every factor from here is 1.0
                 break
-            f = [math.log2(x) if x > 2.0 else 1.0 for x in f]
-            prod = [a * b for a, b in zip(prod, f)]
-        return mags, [1.0 / (i * d) for i, d in zip(range(lo, hi + 1), prod)]
+            above = np.flatnonzero(f > 2.0)
+            logs = np.ones(len(f))
+            logs[above] = np.fromiter(map(math.log2, f[above].tolist()), dtype=float,
+                                      count=len(above))
+            f, prod = logs, prod * logs
+        return mags.tolist(), (1.0 / (i * prod)).tolist()
 
     arr = sequence_array(cell_steps=cell_steps)
     return Problem(

@@ -381,15 +381,27 @@ class WeightScheme:
 
         A uniform row sums to k/k = 1.0 when it has k >= 1 cells and to 0.0
         when it has none, so only the rows up to the first nonempty one are
-        read.
+        read.  Any other row is summed as ``row_sum`` sums it, the row bound
+        checked once for the whole scan: ``range_sum_fn(n, 1, k)``, else the
+        ``math.fsum`` of its weights, and 0.0 for a row with no cells.
         """
-        rows = range(1, scan_top(n_sup, self.n_max) + 1)
+        rows = range(1, scan_top(n_sup, self.n_max) + 1)  # inside 1..n_max
         if self.kind == "uniform":
             best_n = next((n for n in rows if self.row_length(n) >= 1), 0)
             best = (1.0 if best_n else 0.0) if rows else -math.inf
         else:
+            k_of, closed, a = self.row_length, self.range_sum_fn, self.a_fn
+
+            def row_sum(n: int) -> float:
+                k = k_of(n)
+                if k < 1:
+                    return 0.0
+                if closed is not None:
+                    return closed(n, 1, k)
+                return math.fsum(a(n, i) for i in range(1, k + 1))
+
             # sized before the first row is read: a scan too large to hold fails at once
-            sums = np.fromiter(map(self.row_sum, rows), dtype=float, count=len(rows))
+            sums = np.fromiter(map(row_sum, rows), dtype=float, count=len(rows))
             best_n = int(np.argmax(sums)) + 1 if len(sums) else 0
             best = float(sums[best_n - 1]) if len(sums) else -math.inf
         if not (best > 0.0 and math.isfinite(best)):
@@ -541,6 +553,21 @@ def less_than(x, mags: np.ndarray) -> np.ndarray:
 # the SHARED_TABLES last built are all a command reuses.
 shared_tables: Optional[dict] = None
 SHARED_TABLES = 2
+# (weights, scan top) -> (C0, first attaining row), the same while a command
+# runs: example-2.1's weighted-domination check and verify-fixtures' c0 line
+# read one C0
+shared_c0: Optional[dict] = None
+
+
+def command_c0(weights: WeightScheme, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
+    """``weights.c0(n_sup)``, read once per command while ``shared_c0`` is a dict."""
+    shared = shared_c0
+    if shared is None:
+        return weights.c0(n_sup)
+    key = (weights, scan_top(n_sup, weights.n_max))
+    if key not in shared:
+        shared[key] = weights.c0(n_sup)
+    return shared[key]
 
 
 class RowTable:
@@ -656,10 +683,12 @@ class NormalizingSequence:
     """Positive nondecreasing b_n with the convention b_0 = 0.
 
     ``fn`` may return exact ints for int input (used by closed-form checks far
-    beyond float range).
+    beyond float range).  ``floats(N)``, when set, gives float(b_n) for
+    n = 1..N as one array, bitwise equal to those scalar values.
     """
 
     fn: Callable[[int], float]
+    floats: Optional[Callable[[int], np.ndarray]] = None
 
     def eval(self, n):
         if n == 0:
@@ -670,11 +699,41 @@ class NormalizingSequence:
 
     __call__ = eval
 
+    def float_values(self, N: int) -> np.ndarray:
+        """float(b_n) for n = 1..N: ``floats`` or, without it, one ``fn`` call
+        per n into an array sized before the first call."""
+        if self.floats is not None:
+            return self.floats(N)
+        return np.fromiter(map(float, map(self.fn, range(1, N + 1))), dtype=float, count=N)
+
+
+EXACT_SQUARES = 1 << 26  # n * n is exact in float below this: n^2 < 2^52
+
+
+def float_powers(lo: int, hi: int, inv: float) -> np.ndarray:
+    """float(n) ** inv for n = lo..hi, bitwise equal to Python's scalar ``**``.
+
+    Array arithmetic where it rounds as the scalar does: inv = 1.0 is n
+    itself and inv = 2.0 is n * n, both exact for n below ``EXACT_SQUARES``
+    (p = 1 and p = 1/2).  Any other exponent is the scalar ``**`` one n at a
+    time: numpy's vector power differs from it in the last bit for some n,
+    and gives inf where the scalar raises ``OverflowError``.
+    """
+    if inv in (1.0, 2.0) and hi < EXACT_SQUARES:
+        n = np.arange(lo, hi + 1, dtype=float)
+        return n if inv == 1.0 else n * n
+    return np.fromiter(map(float(inv).__rpow__, map(float, range(lo, hi + 1))),
+                       dtype=float, count=max(hi - lo + 1, 0))
+
 
 def power_norming(p: float, conj=None) -> NormalizingSequence:
     """b_n = n^(1/p) * Lt(n^(1/p)), Lt the conjugate ``conj`` (None for 1).
 
-    With a trivial conjugate and integral 1/p the map is integer-exact.
+    With a trivial conjugate and integral 1/p = e the map is integer-exact,
+    n**e; its float values are one int64 power while N^e < 2^53, where the
+    ints and their floats agree exactly.  Otherwise the bases are
+    :func:`float_powers`, each times Lt of itself under a nontrivial
+    conjugate.
     """
     inv = 1.0 / p
     trivial = conj is None or conj.family == "constant"
@@ -684,13 +743,24 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
         def int_fn(n):
             return n**e
 
-        return NormalizingSequence(fn=int_fn)
+        def int_floats(N):
+            if N**e < 2**53:
+                return (np.arange(1, N + 1, dtype=np.int64) ** e).astype(float)
+            return np.fromiter((float(n**e) for n in range(1, N + 1)), dtype=float, count=N)
+
+        return NormalizingSequence(fn=int_fn, floats=int_floats)
 
     def fn(n):
         base = float(n) ** inv
         return base if trivial else base * conj.eval(base)
 
-    return NormalizingSequence(fn=fn)
+    def floats(N):
+        bases = float_powers(1, N, inv)
+        if trivial:
+            return bases
+        return np.fromiter((b * conj.eval(b) for b in bases.tolist()), dtype=float, count=N)
+
+    return NormalizingSequence(fn=fn, floats=floats)
 
 
 def explicit_norming(values: Sequence[float]) -> NormalizingSequence:
@@ -701,7 +771,12 @@ def explicit_norming(values: Sequence[float]) -> NormalizingSequence:
             raise RowRangeError(f"b_{n} beyond declared table of {len(vals)}")
         return vals[n - 1]
 
-    return NormalizingSequence(fn=fn)
+    def floats(N):
+        if N > len(vals):
+            raise RowRangeError(f"b_{len(vals) + 1} beyond declared table of {len(vals)}")
+        return np.array(vals[:N], dtype=float)
+
+    return NormalizingSequence(fn=fn, floats=floats)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from llnlab import cli
+from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 
 
@@ -386,9 +387,11 @@ def test_simulate_worker_fault_exits_2(tmp_path, fault, message, mode):
       "--n", "100"], "leaves float range"),
     (["simulate", "--fixture", "example-4.1", "--p", "0.001", "--rows", "4",
       "--reps", "2"], "leaves float range"),
+    (["check", "--fixture", "example-4.1", "--p", "0.01", "--conditions",
+      "b-regularity-wlln,b-regularity-l2", "--n", "100000"], "leaves float range"),
 ], ids=["check-scan-too-large", "verify-scan-too-large", "check-c0-too-large",
         "check-kG-spikes-overflow", "check-series-spikes-overflow",
-        "simulate-spikes-overflow"])
+        "simulate-spikes-overflow", "check-norming-overflow"])
 def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     # the spike magnitudes (i+1)^(1/p) leave float range at these p
     if argv[0] != "verify-fixtures":
@@ -396,6 +399,23 @@ def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     proc = _cli_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert "error: " in proc.stderr and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--fixture", "example-4.1", "--conditions", "series", "--n", "1000000000000"],
+    ["check", "--fixture", "example-4.1", "--conditions", "b-regularity-wlln",
+     "--n", str(MAX_N + 1)],
+    ["verify-fixtures", "--n", "1000000000000"],
+], ids=["check-series", "check-ratio-past-the-bound", "verify-fixtures"])
+def test_budget_past_max_n_exits_2_before_reading(tmp_path, argv):
+    # a series scan of 10^12 cells would run for days in bounded memory
+    if argv[0] == "check":
+        argv = argv + ["--out", str(tmp_path / "o")]
+    proc = _cli_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument --n: must be at most {MAX_N}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o.json").exists()
 
@@ -553,6 +573,7 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
 MODULE_PROBE = """
 import json, sys
 from llnlab import cli
+from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 packages = sys.argv[1].split(",")
 rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0

@@ -1,0 +1,212 @@
+"""Array kernels behind verify-fixtures against the scalar loops they replace.
+
+Each kernel must give the bytes of its scalar reference, compared with
+``==``: a last-bit difference (numpy's ``np.power`` and ``np.log2`` differ
+from Python's ``**`` and ``math.log2`` for some integers) fails here.
+
+* ``model.float_powers``: float(n) ** inv over a range of n.
+* ``NormalizingSequence.float_values``: float(b(n)) for n = 1..N, for
+  ``power_norming`` with and without a slowly varying conjugate and for
+  ``explicit_norming``.
+* example-4.1's formula ``cell_steps``: the paper's scalar cell expression.
+* ``WeightScheme.c0``: the per-row ``row_sum`` loop, rows with no cells
+  included; ``model.command_c0`` reads it once per command.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from llnlab import cli, model
+from llnlab.errors import RowRangeError
+from llnlab.fixtures import load
+from llnlab.svf import constant_one, log_nu, log_power, loglog_power
+
+PS = (0.5, 1.0, 0.7, 1.5, 1.0 / 3.0)
+TOP = 200_000  # np.power differs from ** on 10,436 of 1..TOP at 1/p = 2/3
+
+
+def scalar_powers(lo, hi, inv):
+    return [float(n) ** inv for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("p", PS)
+def test_float_powers_equal_the_scalar_power(p):
+    inv = 1.0 / p
+    got = model.float_powers(1, TOP, inv)
+    assert got.dtype == np.float64 and got.tolist() == scalar_powers(1, TOP, inv)
+
+
+@pytest.mark.parametrize("inv", [1.0, 2.0, 1.0 / 0.7])
+@pytest.mark.parametrize("lo,hi", [
+    (model.EXACT_SQUARES - 9, model.EXACT_SQUARES - 1),  # all below: array arithmetic
+    (model.EXACT_SQUARES - 4, model.EXACT_SQUARES + 4),  # across: the scalar power
+    (model.EXACT_SQUARES, model.EXACT_SQUARES + 9),
+    (2**53 - 3, 2**53 + 3),  # float(n) rounds here
+    (7, 6),  # empty
+])
+def test_float_powers_on_both_sides_of_the_exact_range(inv, lo, hi):
+    assert model.float_powers(lo, hi, inv).tolist() == scalar_powers(lo, hi, inv)
+
+
+def test_float_powers_overflow_raises_as_the_scalar_power():
+    # a vector power would give inf; the scalar ** raises, and the CLI exits 2 on it
+    with pytest.raises(OverflowError):
+        float(2000) ** 100.0
+    with pytest.raises(OverflowError):
+        model.float_powers(1000, 2000, 100.0)
+
+
+def scalar_floats(b, N):
+    return [float(b(n)) for n in range(1, N + 1)]
+
+
+@pytest.mark.parametrize("conj", [None, log_power(-1.5).conjugate(),
+                                  loglog_power(2.0).conjugate()],
+                         ids=["none", "log-power", "loglog-power"])
+@pytest.mark.parametrize("p", PS)
+def test_power_norming_floats_equal_the_scalar_values(p, conj):
+    b = model.power_norming(p, conj)
+    N = 50_000
+    got = b.float_values(N)
+    assert got.dtype == np.float64 and got.tolist() == scalar_floats(b, N)
+
+
+def test_power_norming_constant_conjugate_is_the_trivial_one():
+    for p in PS:
+        b, ref = model.power_norming(p, constant_one()), model.power_norming(p)
+        assert b.float_values(5000).tolist() == ref.float_values(5000).tolist() \
+            == scalar_floats(ref, 5000)
+
+
+# n^3 < 2^53 up to n = 208,063: the int path's array power is exact up to there
+CUBE_EDGE = 208_063
+
+
+@pytest.mark.parametrize("N", [CUBE_EDGE, CUBE_EDGE + 1])
+def test_int_norming_floats_on_both_sides_of_2_to_the_53(N):
+    assert CUBE_EDGE**3 < 2**53 <= (CUBE_EDGE + 1) ** 3
+    b = model.power_norming(1.0 / 3.0)
+    assert b(N) == N**3  # the exact-int path
+    assert b.float_values(N).tolist() == scalar_floats(b, N)
+
+
+def test_int_norming_past_float_range_raises_as_the_scalar_values():
+    b = model.power_norming(0.01)  # b_n = n^100 leaves float range past n = 1202
+    with pytest.raises(OverflowError):
+        scalar_floats(b, 2000)
+    with pytest.raises(OverflowError):
+        b.float_values(2000)
+
+
+def test_explicit_norming_floats():
+    vals = [0.5 * k + 1.0 / 3.0 for k in range(1, 101)]
+    b = model.explicit_norming(vals)
+    for N in (1, 57, 100):
+        assert b.float_values(N).tolist() == scalar_floats(b, N)
+    with pytest.raises(RowRangeError) as scalar:
+        scalar_floats(b, 101)
+    with pytest.raises(RowRangeError, match=re.escape(str(scalar.value))):
+        b.float_values(101)
+
+
+def test_a_plain_norming_sequence_is_read_one_value_at_a_time():
+    b = model.NormalizingSequence(fn=lambda n: float(n) ** (2.0 / 3.0))
+    assert b.float_values(TOP).tolist() == scalar_powers(1, TOP, 2.0 / 3.0)
+
+
+# ---------------------------------------------------------------------------
+# example-4.1's formula
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.5])
+def test_example_41_formula_equals_the_scalar_cells(p, nu):
+    # np.log2 differs from math.log2 on 21 of the integers 1..2*10^5
+    inv = 1.0 / p
+    mags, probs = load("example-4.1", p=p, nu=nu).arr.cell_steps(1, TOP)
+    assert all(type(v) is float for v in (mags[0], mags[-1], probs[0], probs[-1]))
+    assert mags == [float(i + 1) ** inv for i in range(1, TOP + 1)]
+    assert probs == [1.0 / (i * log_nu(i, nu)) for i in range(1, TOP + 1)]
+
+
+# ---------------------------------------------------------------------------
+# C0
+# ---------------------------------------------------------------------------
+
+
+def ref_c0(w, n_sup):
+    """The per-row loop C0 ran before: ``row_sum`` for every row of the scan."""
+    sums = [w.row_sum(n) for n in range(1, model.scan_top(n_sup, w.n_max) + 1)]
+    best_n = int(np.argmax(sums)) + 1 if sums else 0
+    best = sums[best_n - 1] if sums else -math.inf
+    if not (best > 0.0 and math.isfinite(best)):
+        raise ValueError(f"row-sum sup {best} violates C0 in (0, inf)")
+    return best, best_n
+
+
+def _schemes():
+    def a_fn(n, i):
+        return 1.0 / (i * (n % 7 + 1)) + 1.0 / (n * n)
+
+    def range_sum(n, lo, hi):
+        return math.fsum(a_fn(n, i) for i in range(lo, hi + 1))
+
+    lengths = {"n": lambda n: n, "n-5": lambda n: max(n - 5, 0), "empty": lambda n: 0}
+    for name, k in lengths.items():
+        for n_max in (None, 3, 40):
+            tag = f"{name}-nmax{n_max}"
+            yield f"closed-{tag}", model.explicit_weights(a_fn, k, range_sum_fn=range_sum,
+                                                          n_max=n_max)
+            yield f"loop-{tag}", model.explicit_weights(a_fn, k, n_max=n_max)
+            yield f"c-normalized-{tag}", model.c_normalized_weights(
+                lambda n, i: 1.0 + (i % 3), k, n_max=n_max)
+    yield "example-2.1", load("example-2.1").weights
+
+
+SCHEMES = dict(_schemes())
+
+
+@pytest.mark.parametrize("n_sup", [1, 6, 64, 500])
+@pytest.mark.parametrize("name", list(SCHEMES))
+def test_c0_equals_the_row_sum_loop(name, n_sup):
+    w = SCHEMES[name]
+    try:
+        want = ref_c0(w, n_sup)
+    except ValueError as exc:  # no row with a positive sum in the scan
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            w.c0(n_sup)
+    else:
+        got = w.c0(n_sup)
+        assert got == want and type(got[0]) is float and type(got[1]) is int
+
+
+def _counting_c0(monkeypatch):
+    calls = []
+    real = model.WeightScheme.c0
+    monkeypatch.setattr(model.WeightScheme, "c0",
+                        lambda self, *a: calls.append(self.kind) or real(self, *a))
+    return calls
+
+
+def test_a_command_reads_each_c0_once(monkeypatch, capsys):
+    calls = _counting_c0(monkeypatch)
+    argv = ["verify-fixtures", "--only", "example-2.1", "--n-sup", "64", "--n", "1000"]
+    assert cli.main(argv) == 0
+    # weighted-domination and the c0 line share one explicit C0
+    assert sorted(calls) == ["explicit", "uniform"]
+    assert "c0: 1.25 (row 2) [ok]" in capsys.readouterr().err
+    assert model.shared_c0 is None  # nothing is kept past the command
+    calls.clear()
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["explicit", "uniform"]
+
+
+def test_c0_outside_a_command_is_read_each_time(monkeypatch):
+    calls = _counting_c0(monkeypatch)
+    w = load("example-2.1").weights
+    assert model.command_c0(w, 64) == model.command_c0(w, 64) == (1.25, 2)
+    assert calls == ["explicit", "explicit"]
