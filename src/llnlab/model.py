@@ -33,7 +33,7 @@ import math
 import operator
 from itertools import chain
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -855,44 +855,6 @@ def stream_keys(seed: int, head: Sequence[int], last) -> np.ndarray:
     return np.stack(state, axis=-1).view("<u8").astype(np.uint64)
 
 
-class _Rekeyed:
-    """A re-keyed generator, usable until its stream takes the next key."""
-
-    __slots__ = ("gen",)
-
-    def __init__(self, gen: Generator):
-        self.gen = gen
-
-    def __getattr__(self, name):
-        if self.gen is None:
-            raise SamplingError("a re-keyed generator was used after the next key "
-                                "was taken; draw from each before taking the next")
-        return getattr(self.gen, name)
-
-
-def rekeyed(keys: np.ndarray, gen: Optional[Generator] = None) -> Iterator[Generator]:
-    """One generator per Philox key of ``keys`` (shape (m, 2)), all through one
-    ``Generator`` re-keyed at counter 0: each draws as
-    ``Generator(Philox(key=k))``.
-
-    ``gen``, a Philox ``Generator`` the caller keeps, is the one re-keyed (its
-    whole state is reset, so earlier draws leave no trace); without it a new
-    one is built.  A yielded generator expires when the next one is taken, so
-    a materialised ``list(rekeyed(...))`` raises on use instead of drawing
-    every row from the last key.
-    """
-    if gen is None:
-        gen = Generator(Philox(key=0))
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in np.asarray(keys, dtype=np.uint64):
-        state["state"]["key"] = key.tolist()  # one row at a time: no list of all keys
-        gen.bit_generator.state = state
-        handle = _Rekeyed(gen)
-        yield handle
-        handle.gen = None
-
-
 def rng_for(seed: int, *key: int) -> Generator:
     """Counter-based generator for one (seed, key...) address, order-independent.
 
@@ -903,26 +865,6 @@ def rng_for(seed: int, *key: int) -> Generator:
     if not key:
         raise ValueError("an address needs at least one key part after the seed")
     return Generator(Philox(key=stream_keys(seed, key[:-1], key[-1])))
-
-
-def _row_uniforms(dep: Dependence, rngs: Iterable[Generator], u: np.ndarray, w,
-                  ndtr) -> int:
-    """Fill one row of ``u`` per generator and return the count; GaussianNA
-    rows mix neighbours of k + 1 normals drawn into ``w`` and map them
-    through the normal cdf ``ndtr``."""
-    m = 0
-    for m, rng in enumerate(rngs, 1):
-        if w is None:
-            rng.random(out=u[m - 1])
-        else:
-            rng.standard_normal(out=w[m - 1])
-    if w is not None:
-        th, u = dep.theta(), u[:m]
-        np.multiply(w[:m, 1:], th, out=u)
-        u += w[:m, :-1]
-        u /= math.sqrt(1.0 + th * th)
-        ndtr(u, out=u)
-    return m
 
 
 class RowSampler:
@@ -980,10 +922,48 @@ class RowSampler:
         return tuple(None if w is None else a[:reps * w].reshape(reps, w)
                      for a, w in zip(store, widths))
 
-    def draw_rows(self, rngs: Iterable[Generator], bufs: tuple) -> np.ndarray:
-        """One row per generator (at most the buffers' rows), as a view of the draws."""
-        m = _row_uniforms(self._arr.dependence, rngs, bufs[0], bufs[2], self._ndtr)
+    def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple) -> np.ndarray:
+        """Row i as ``Generator(Philox(key=keys[i]))`` draws it, as a view of the draws.
+
+        ``keys`` is a block of Philox keys, shape (m, 2) with m at most the
+        buffers' rows.  ``gen``, a Philox ``Generator`` the caller keeps, is
+        re-keyed at counter 0 for each row with its buffered words dropped,
+        so earlier draws from it leave no trace.
+        """
+        raw = bufs[0] if bufs[2] is None else bufs[2]
+        keys = np.asarray(keys, dtype=np.uint64).tolist()
+        if len(keys) > len(raw):
+            raise ValueError(f"{len(keys)} keys for {len(raw)} buffer rows")
+        fill = gen.random if bufs[2] is None else gen.standard_normal
+        bit = gen.bit_generator
+        state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i, key in enumerate(keys):
+            state["state"]["key"] = key
+            bit.state = state
+            fill(out=raw[i])
+        return self._values(len(keys), bufs)
+
+    def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
+        """One realization of the row from ``rng``, into ``bufs`` when given."""
+        bufs = self.buffers() if bufs is None else bufs
+        if bufs[2] is None:
+            rng.random(out=bufs[0][0])
+        else:
+            rng.standard_normal(out=bufs[2][0])
+        return self._values(1, bufs)[0]
+
+    def _values(self, m: int, bufs: tuple) -> np.ndarray:
+        """The first m rows of draws, from the uniforms (or, for GaussianNA
+        rows, the k + 1 normals, whose neighbours are mixed and mapped
+        through the normal cdf) the caller filled."""
         u, x = bufs[0][:m], bufs[1][:m]
+        if bufs[2] is not None:
+            w, th = bufs[2][:m], self._arr.dependence.theta()
+            np.multiply(w[:, 1:], th, out=u)
+            u += w[:, :-1]
+            u /= math.sqrt(1.0 + th * th)
+            self._ndtr(u, out=u)
         other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
         if self._mag is not None:
             np.greater_equal(u, self._hi, out=x)
@@ -992,10 +972,6 @@ class RowSampler:
         for (_, idx), vals in zip(self._others, other):
             x[:, idx] = np.reshape(vals, (m, len(idx)))
         return x
-
-    def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
-        """One realization of the row, into ``bufs`` when given."""
-        return self.draw_rows((rng,), self.buffers() if bufs is None else bufs)[0]
 
 
 def sample_row_with(arr: ArraySpec, n: int, rng: Generator) -> np.ndarray:

@@ -7,9 +7,10 @@ replication index), and results land in slots indexed by replication.
 Every mode runs through one replication-span kernel (``_Spans``): a span is
 a contiguous range of one row's replications, whose keys are derived
 ``KEY_REPS`` replications at a time in one vectorised pass
-(``model.stream_keys``) and drawn in chunks of ``TASK_CELLS`` cells through
-the row's ``model.RowSampler``, one generator re-keyed per replication
-(``model.rekeyed``) and one buffer store, both kept for the whole command.  For each replication it returns max_j |S_j| at each
+(``model.stream_keys``).  Each chunk of at most ``TASK_CELLS`` cells is one
+key block, drawn by ``model.RowSampler.draw_rows`` through one Philox
+generator re-keyed per replication into one buffer store, both kept for the
+whole command.  For each replication the kernel returns max_j |S_j| at each
 segment end of the row: a WLLN row is one weighted segment ending at k_n, a
 path one segment per sampled row.  ``threads`` > 1 cuts each row into one
 span per forked worker process (``_replication_maxima``).  Reports are
@@ -34,7 +35,7 @@ from numpy.random import Generator, Philox
 
 from .errors import RepsError, SamplingError, WorkerError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
-                    power_norming, rekeyed, step_columns, stream_keys)
+                    power_norming, step_columns, stream_keys)
 from .moments import clamped_mean, clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
@@ -208,6 +209,16 @@ def _chunks(k: int, reps: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
 
 
+def _key_chunks(seed: int, n: int, k: int, lo: int, hi: int):
+    """(first replication, Philox keys) of each ``_chunks`` range of
+    replications lo..hi-1 of row n (k cells), keys derived KEY_REPS
+    replications at a time."""
+    for r in range(lo, hi, KEY_REPS):
+        keys = stream_keys(seed, (n,), np.arange(r, min(r + KEY_REPS, hi)))
+        for a, b in _chunks(k, len(keys)):
+            yield r + a, keys[a:b]
+
+
 class _Spans:
     """Maxima of |S_j| over each segment of a row, for replications lo..hi-1.
 
@@ -216,9 +227,10 @@ class _Spans:
     ``ends`` (distinct, ascending, the last k_n) segment s is the j in
     (ends[s-1], ends[s]], unweighted, so a running maximum over the segments
     gives max_{j <= e} |S_j| at each end e.  A span is drawn in chunks of
-    ``TASK_CELLS`` cells through one re-keyed generator and one buffer
-    store, kept for the whole command (a forked worker draws through its own
-    copies); the row in use is laid out once per process.
+    ``TASK_CELLS`` cells, each one key block passed to ``RowSampler.draw_rows``
+    with one Philox generator and one buffer store, kept for the whole
+    command (a forked worker draws through its own copies); the row in use
+    is laid out once per process.
     """
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
@@ -243,17 +255,13 @@ class _Spans:
     def __call__(self, i: int, lo: int, hi: int) -> np.ndarray:
         _, sampler, weights, starts = self.layout(i)
         out = _maxima(self.plan.reps, hi - lo, len(starts))
-        for r in range(lo, hi, KEY_REPS):
-            keys = stream_keys(self.plan.seed, (self.rows[i],),
-                               np.arange(r, min(r + KEY_REPS, hi)))
-            for a, b in _chunks(sampler.k, len(keys)):
-                x = sampler.draw_rows(rekeyed(keys[a:b], self._gen),
-                                      sampler.buffers(b - a, self._store))
-                if weights is not None:
-                    np.multiply(weights, x, out=x)
-                np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
-                np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
-                                    out=out[r - lo + a:r - lo + b])
+        for r, keys in _key_chunks(self.plan.seed, self.rows[i], sampler.k, lo, hi):
+            x = sampler.draw_rows(keys, self._gen, sampler.buffers(len(keys), self._store))
+            if weights is not None:
+                np.multiply(weights, x, out=x)
+            np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+            np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
+                                out=out[r - lo:r - lo + len(keys)])
         return out
 
 
@@ -479,10 +487,12 @@ def condition_h_probe(
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
     centers = np.repeat(*_group_values(arr, n, lambda d: clamped_mean(d, a)))
-    bufs = sampler.buffers()
+    gen, store = Generator(Philox(key=0)), []
     acc = 0.0
-    for rng in rekeyed(stream_keys(seed, (n,), np.arange(reps))):
-        row = sampler.draw(rng, bufs)
-        clamped = np.clip(row, -a, a) - centers
-        acc += max_partial_sums(clamped) ** 2
+    for _, keys in _key_chunks(seed, n, sampler.k, 0, reps):
+        x = sampler.draw_rows(keys, gen, sampler.buffers(len(keys), store))
+        np.clip(x, -a, a, out=x)
+        x -= centers
+        for m in max_partial_sums(x).tolist():  # Python floats, in replication order
+            acc += m ** 2
     return (acc / reps) / rhs

@@ -1,15 +1,26 @@
-"""Per-path reference loops for the simulation tests.
+"""Per-replication reference loops for the simulation tests.
 
-``sequence_paths`` draws one path at a time through its own ``RowSampler``
-and generators; ``reference_suffix_sups`` is the per-path loop that
+Each loop draws one replication at a time through its own ``RowSampler`` and
+a generator built from numpy's ``SeedSequence`` at the replication's address
+(seed, n, rep), so it shares no keying code with the kernels it checks.
+``reference_suffix_sups`` is the per-path loop that
 ``simulate.slln_path_diagnostic`` ran before paths were drawn in batches
-through the replication-span kernel, kept to check the kernel bit for bit.
+through the replication-span kernel; ``reference_condition_h_probe`` is the
+per-replication loop ``simulate.condition_h_probe`` ran before it drew key
+blocks.  Both are kept to check the kernels bit for bit.
 """
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from llnlab.errors import SamplingError
-from llnlab.model import RowSampler, rekeyed, stream_keys
+from llnlab.model import RowSampler
+from llnlab.moments import clamped_mean, clamped_square_mean
+from llnlab.simulate import _group_values, max_partial_sums
+
+
+def reference_rng(seed, *key):
+    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def sequence_paths(arr, length: int, reps: int, seed: int):
@@ -17,8 +28,8 @@ def sequence_paths(arr, length: int, reps: int, seed: int):
     if not arr.is_sequence:
         raise SamplingError("paths need a sequence-shaped array")
     sampler = RowSampler(arr, length)
-    for rep, rng in enumerate(rekeyed(stream_keys(seed, (length,), np.arange(reps)))):
-        yield rep, sampler.draw(rng)
+    for rep in range(reps):
+        yield rep, sampler.draw(reference_rng(seed, length, rep))
 
 
 def reference_suffix_sups(plan) -> np.ndarray:
@@ -30,3 +41,18 @@ def reference_suffix_sups(plan) -> np.ndarray:
         run_max = np.maximum.accumulate(np.abs(np.cumsum(path)))
         stats[rep] = run_max[np.asarray(rows) - 1] / bvals
     return np.flip(np.maximum.accumulate(np.flip(stats, axis=1), axis=1), axis=1)
+
+
+def reference_condition_h_probe(arr, a: float, n: int, reps: int, seed: int) -> float:
+    """``simulate.condition_h_probe``, one replication at a time."""
+    sampler = RowSampler(arr, n)
+    squares, counts = _group_values(arr, n, lambda d: clamped_square_mean(d, a))
+    rhs = float(np.cumsum(counts * squares)[-1])
+    centers = np.repeat(*_group_values(arr, n, lambda d: clamped_mean(d, a)))
+    bufs = sampler.buffers()
+    acc = 0.0
+    for rep in range(reps):
+        row = sampler.draw(reference_rng(seed, n, rep), bufs)
+        clamped = np.clip(row, -a, a) - centers
+        acc += max_partial_sums(clamped) ** 2
+    return (acc / reps) / rhs

@@ -1,8 +1,8 @@
 """Replication keys against numpy's SeedSequence, kept here as the reference.
 
 ``model.stream_keys`` derives the Philox key of every address (seed, n, rep)
-of a row in one pass, and ``model.rekeyed`` draws through one generator
-re-keyed per address.  Both must reproduce
+of a row in one pass, and ``model.RowSampler.draw_rows`` draws a block of
+keys through one generator re-keyed per key.  Both must reproduce
 ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(n, rep))))`` bit for
 bit, so output bytes do not depend on which path addressed a replication.
 """
@@ -13,16 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
-from llnlab import model
-from llnlab.errors import SamplingError
+from llnlab import model, simulate
+from sim_reference import reference_rng
 
 
 def reference_key(seed, *key):
     return SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64)
-
-
-def reference_rng(seed, *key):
-    return Generator(Philox(SeedSequence(entropy=seed, spawn_key=key)))
 
 
 SEEDS = st.one_of(
@@ -60,55 +56,97 @@ def test_many_reps_of_one_row():
         assert np.array_equal(keys[rep], reference_key(31, 2**16, rep))
 
 
-def test_rekeyed_draws_equal_seed_sequence_generators():
-    seed, n = 2**64 + 9, 40
-    for rep, rng in enumerate(model.rekeyed(model.stream_keys(seed, (n,), np.arange(6)))):
-        ref = reference_rng(seed, n, rep)
-        assert np.array_equal(rng.random(17), ref.random(17))
-        # GaussianNA rows draw normals instead of uniforms
-        assert np.array_equal(rng.standard_normal(33), ref.standard_normal(33))
-        assert np.array_equal(rng.random(3), ref.random(3))
+def keyed_arrays():
+    """Step-only, Pareto-only and mixed rows, per dependence, by label."""
+    mixed = (model.SymmetricTwoPoint(1.0), model.SymmetricTwoPoint(2.0, 0.5),
+             model.ParetoTail(3.0))
+    arrays = {}
+    for dep in (model.Independent(), model.GaussianNA(-0.4)):
+        name = type(dep).__name__
+        arrays[f"{name} step"] = model.identical_array(model.SymmetricTwoPoint(2.0, 0.5),
+                                                       dependence=dep)
+        arrays[f"{name} pareto"] = model.identical_array(model.ParetoTail(1.5), dependence=dep)
+        arrays[f"{name} mixed"] = model.sequence_array(lambda i: mixed[i % 3], dependence=dep)
+    return arrays
 
 
-def test_rekeyed_through_a_reused_generator_draws_as_a_fresh_one():
+KEYED = keyed_arrays()
+
+
+def test_keyed_rows_equal_seed_sequence_rows():
+    seed, n = 2**64 + 9, 12
     gen = Generator(Philox(key=0))
-    gen.standard_normal(5)
-    gen.integers(0, 7, dtype=np.uint32)  # leaves half a 64-bit word buffered
-    keys = model.stream_keys(5, (40,), np.arange(4))
-    for _ in range(2):  # the second pass re-keys the generator the first one used
-        for key, rng in zip(keys, model.rekeyed(keys, gen)):
-            ref = Generator(Philox(key=key))
-            assert np.array_equal(rng.integers(0, 7, 3, dtype=np.uint32),
-                                  ref.integers(0, 7, 3, dtype=np.uint32))
-            assert np.array_equal(rng.random(17), ref.random(17))
-            assert np.array_equal(rng.standard_normal(33), ref.standard_normal(33))
+    for label, arr in KEYED.items():
+        sampler = model.RowSampler(arr, n)
+        bufs = sampler.buffers(8)  # more rows than keys: the block draws only its own
+        rows = sampler.draw_rows(model.stream_keys(seed, (n,), np.arange(6)), gen, bufs)
+        assert rows.shape == (6, n), label
+        for rep in range(6):
+            assert np.array_equal(rows[rep], sampler.draw(reference_rng(seed, n, rep))), label
+        assert len({r.tobytes() for r in rows}) == 6, label
+
+
+def test_keyed_rows_across_chunk_and_key_boundaries_equal_seed_sequence_rows():
+    seed, n, reps = 5, 12, simulate.KEY_REPS + 1
+    starts = [r for r, _ in simulate._key_chunks(seed, n, n, 0, reps)]
+    assert simulate.TASK_CELLS // n in starts and simulate.KEY_REPS in starts
+    gen, store = Generator(Philox(key=0)), []
+    for label in ("Independent mixed", "GaussianNA mixed"):
+        arr = KEYED[label]
+        sampler = model.RowSampler(arr, n)
+        rows = np.empty((reps, n))
+        for r, keys in simulate._key_chunks(seed, n, n, 0, reps):
+            rows[r:r + len(keys)] = sampler.draw_rows(
+                keys, gen, sampler.buffers(len(keys), store))
+        bufs = sampler.buffers()
+        for rep in range(reps):
+            assert np.array_equal(rows[rep], sampler.draw(reference_rng(seed, n, rep), bufs)), \
+                (label, rep)
+
+
+MID_BUFFER = {
+    "random(3)": (lambda g: g.random(3), {"buffer_pos": 3}),
+    "random(3), integers(2**32)": (lambda g: (g.random(3), g.integers(2**32)),
+                                   {"has_uint32": 1}),
+}
+
+
+def test_keyed_rows_through_a_mid_buffer_generator_draw_as_fresh_ones():
+    seed, n = 7, 10
+    keys = model.stream_keys(seed, (n,), np.arange(3))
+    for label, arr in KEYED.items():
+        sampler = model.RowSampler(arr, n)
+        for name, (spend, left) in MID_BUFFER.items():
+            gen = Generator(Philox(key=0))
+            spend(gen)
+            state = gen.bit_generator.state
+            assert {k: state[k] for k in left} == left, name  # the words a re-key must drop
+            rows = sampler.draw_rows(keys, gen, sampler.buffers(3))
+            for rep in range(3):
+                assert np.array_equal(rows[rep], sampler.draw(reference_rng(seed, n, rep))), \
+                    (label, name, rep)
+            # the generator goes on as a fresh one that drew the last row
+            ref = reference_rng(seed, n, 2)
+            sampler.draw(ref)
+            assert np.array_equal(gen.integers(2**32, size=3, dtype=np.uint32),
+                                  ref.integers(2**32, size=3, dtype=np.uint32)), (label, name)
+            assert np.array_equal(gen.random(5), ref.random(5)), (label, name)
+
+
+def test_a_key_block_longer_than_the_buffers_raises():
+    keys = model.stream_keys(1, (8,), np.arange(4))
+    gen = Generator(Philox(key=0))
+    for label, arr in KEYED.items():
+        sampler = model.RowSampler(arr, 8)
+        with pytest.raises(ValueError):
+            sampler.draw_rows(keys, gen, sampler.buffers(3))
+        assert sampler.draw_rows(keys, gen, sampler.buffers(4)).shape == (4, 8), label
 
 
 def test_rng_for_draws_equal_seed_sequence_generator():
     for key in [(0,), (5, 3), (2**33, 2**40, 1)]:
         assert np.array_equal(model.rng_for(7, *key).random(9),
                               reference_rng(7, *key).random(9))
-
-
-def test_rows_through_rekeyed_generators_equal_seed_sequence_rows():
-    arr = model.identical_array(model.ParetoTail(1.5), dependence=model.GaussianNA(-0.4))
-    sampler = model.RowSampler(arr, 12)
-    bufs = sampler.buffers(4)
-    rows = sampler.draw_rows(model.rekeyed(model.stream_keys(3, (12,), np.arange(4))), bufs)
-    for rep in range(4):
-        assert np.array_equal(rows[rep], sampler.draw(reference_rng(3, 12, rep)))
-    assert len({r.tobytes() for r in rows}) == 4
-
-
-def test_materialised_rekeyed_generators_raise_instead_of_aliasing():
-    keys = model.stream_keys(1, (8,), np.arange(3))
-    rngs = list(model.rekeyed(keys))
-    for rng in rngs:
-        with pytest.raises(SamplingError):
-            rng.random()
-    sampler = model.RowSampler(model.identical_array(model.SymmetricTwoPoint(1.0)), 8)
-    with pytest.raises(SamplingError):
-        sampler.draw_rows(list(model.rekeyed(keys)), sampler.buffers(3))
 
 
 def test_bad_addresses_are_rejected():

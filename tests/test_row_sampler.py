@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.special import ndtr
 
 from llnlab import model, simulate
@@ -43,6 +44,9 @@ def reference_two_point(arr, n, rng):
     u = rng.random(n)
     half = probs / 2.0
     return np.where(u < half, -mags, np.where(u >= 1.0 - half, mags, 0.0))
+
+
+GEN = Generator(Philox(key=0))  # re-keyed by every draw_rows call
 
 
 def assert_same_bits(a, b):
@@ -164,7 +168,7 @@ def test_rows_without_step_laws_keep_no_step_arrays(dep):
             assert not hasattr(sampler, "_lo") and not hasattr(sampler, "_hi")
             bufs = sampler.buffers(4)
             bufs[1][:] = np.nan  # every draw must be written by a quantile
-            rows = sampler.draw_rows((model.rng_for(3, n, rep) for rep in range(4)), bufs)
+            rows = sampler.draw_rows(model.stream_keys(3, (n,), np.arange(4)), GEN, bufs)
             for rep in range(4):
                 assert_same_bits(rows[rep], reference_row(arr, n, model.rng_for(3, n, rep)))
 
@@ -174,12 +178,12 @@ def test_draw_rows_matches_single_draws(dep):
     for arr, n in ((mixed_array(DEPENDENCE[dep]), 33), (mixed_sequence(DEPENDENCE[dep]), 90)):
         sampler = RowSampler(arr, n)
         bufs = sampler.buffers(7)
-        rows = sampler.draw_rows((model.rng_for(1, n, rep) for rep in range(5)), bufs)
+        rows = sampler.draw_rows(model.stream_keys(1, (n,), np.arange(5)), GEN, bufs)
         assert rows.shape == (5, n)
         for rep in range(5):
             assert_same_bits(rows[rep], reference_row(arr, n, model.rng_for(1, n, rep)))
         # buffers are reused: a second, shorter batch overwrites the first rows
-        again = sampler.draw_rows([model.rng_for(1, n, 9)], bufs)
+        again = sampler.draw_rows(model.stream_keys(1, (n,), np.arange(9, 10)), GEN, bufs)
         assert_same_bits(again[0], reference_row(arr, n, model.rng_for(1, n, 9)))
 
 

@@ -15,7 +15,7 @@ from llnlab import model, simulate, specio
 from llnlab.fixtures import load
 from llnlab.model import power_norming
 from llnlab.simulate import SimPlan
-from sim_reference import reference_suffix_sups, sequence_paths
+from sim_reference import reference_condition_h_probe, reference_suffix_sups, sequence_paths
 from test_sim_golden import NA, mixed_spec
 
 
@@ -419,6 +419,29 @@ def test_condition_h_probe_negatively_associated_rows():
     )
     est = simulate.condition_h_probe(arr, 1.0, 100, reps=400, seed=29)
     assert math.isfinite(est) and est > 0.0
+
+
+PROBE_ARRAYS = {
+    dep: model.ArraySpec(
+        row_length=lambda n: n,
+        groups_fn=lambda n: (model.CellGroup(n - n // 3, model.SymmetricTwoPoint(1.0)),
+                             model.CellGroup(n // 3, model.ParetoTail(3.0))),
+        dependence=model.GaussianNA(-0.3) if dep == "gaussian-na" else model.Independent(),
+    )
+    for dep in ("independent", "gaussian-na")
+}
+
+
+@pytest.mark.parametrize("task_cells", [None, 48])
+@pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("dep", sorted(PROBE_ARRAYS))
+def test_condition_h_probe_equals_the_per_replication_loop(monkeypatch, dep, a, task_cells):
+    # 48 cells cut the 21-cell row's replications into chunks of two
+    if task_cells is not None:
+        monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
+    arr = PROBE_ARRAYS[dep]
+    got = simulate.condition_h_probe(arr, a, 21, reps=301, seed=12)
+    assert got == reference_condition_h_probe(arr, a, 21, reps=301, seed=12)
 
 
 def test_condition_h_probe_degenerate_cells_rejected():
