@@ -134,6 +134,15 @@ def _write_outputs(out: str, argv: list[str], texts: dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+# simulate --mode -> its run, given the plan, the problem and --threads
+MODES = {
+    "wlln": lambda plan, spec, threads: wlln_estimate(plan, threads=threads),
+    "slln-series": lambda plan, spec, threads: slln_series_estimate(
+        plan, spec.sv, spec.p, threads=threads),
+    "slln-path": lambda plan, spec, threads: slln_path_diagnostic(plan, threads=threads),
+}
+
+
 def cmd_check(args, argv: list[str]) -> int:
     try:
         spec = _load(args)
@@ -171,15 +180,7 @@ def cmd_simulate(args, argv: list[str]) -> int:
         return _unusable(exc)
     _log(f"simulate {spec.label} mode={args.mode} rows={rows} reps={args.reps}")
     try:
-        if args.mode == "wlln":
-            report = wlln_estimate(plan, threads=args.threads)
-        elif args.mode == "slln-series":
-            report = slln_series_estimate(plan, spec.sv, spec.p, threads=args.threads)
-        elif args.mode == "slln-path":
-            path_rep = slln_path_diagnostic(plan, threads=args.threads)
-        else:
-            _log(f"error: unknown mode {args.mode}")
-            return 2
+        report = MODES[args.mode](plan, spec, args.threads)
     except RepsError as exc:
         _log(f"error: {exc}")
         return 2
@@ -188,23 +189,11 @@ def cmd_simulate(args, argv: list[str]) -> int:
         return 2
     except UNUSABLE as exc:
         return _unusable(exc)
-    if args.mode == "slln-path":
-        obj = {
-            "mode": "slln-path",
-            "rows": list(path_rep.rows),
-            "eps": list(path_rep.eps),
-            "seed": path_rep.seed,
-            "reps": path_rep.reps,
-            "fraction_below": {
-                f"{eps}": [path_rep.fraction_below(n, eps) for n in path_rep.rows]
-                for eps in path_rep.eps
-            },
-        }
-        return _write_outputs(args.out, argv, {".json": _json_text(obj)})
+    path = args.mode == "slln-path"  # a path report is JSON only
     texts = {}
-    if args.format in ("csv", "both"):
+    if args.format in ("csv", "both") and not path:
         texts[".csv"] = report.to_csv_str()
-    if args.format in ("json", "both"):
+    if args.format in ("json", "both") or path:
         texts[".json"] = _json_text(report.to_json_obj())
     return _write_outputs(args.out, argv, texts)
 
@@ -292,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("simulate", help="run Monte Carlo estimates")
     _add_input_args(ps)
-    ps.add_argument("--mode", choices=["wlln", "slln-series", "slln-path"],
-                    default="wlln")
+    ps.add_argument("--mode", choices=list(MODES), default="wlln")
     ps.add_argument("--rows", default="2^6..2^16",
                     help="'a..b' doubling range (2^j syntax ok) or comma list")
     ps.add_argument("--reps", type=int, default=2000)
@@ -325,12 +313,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # a row scan or C0 repeated within the command is worked out once
-    model.shared_tables, model.shared_c0 = {}, {}
-    try:
-        return args.fn(args, argv)
-    finally:
-        model.shared_tables = model.shared_c0 = None
+    # a row table or C0 read again within the command comes from the memos of
+    # model.row_table and model.command_c0, as in any library call
+    return args.fn(args, argv)
 
 
 if __name__ == "__main__":

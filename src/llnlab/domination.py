@@ -16,10 +16,11 @@ canonical X.
 
 Suprema over n are evaluated over a finite scan range (default 10^4 rows)
 unless the array or weight scheme carries a closed-form sup, which is then
-always used; reports state the range used.  A scan builds one :class:`~llnlab.model.RowTable` per
-(array, weights, scan top) and evaluates it at each x, so callers that need
-S at many points build the table once and close over it
-(:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`).
+always used; reports state the range used.  A scan reads one
+:class:`~llnlab.model.RowTable` per (array, weights, n_sup) from
+:func:`~llnlab.model.row_table`, which keeps the two last built, and
+evaluates it at each x, so callers that need S at many points read the table
+once and close over it (:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`).
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import numpy as np
 from .errors import DominationPrecheckError
 from .model import (
     ArraySpec,
-    RowTable,
     TailFunction,
     WeightScheme,
     DEFAULT_N_SUP,
     command_c0,
+    row_table,
     tail_of,
     uniform_weights,
 )
@@ -105,7 +106,7 @@ def weighted_sup_fn(
     closed = _closed_sup(arr, w)
     if closed is not None:
         return closed
-    table = RowTable(arr, w, n_sup)
+    table = row_table(arr, w, n_sup)
     return TailFunction(fn=table.sup, knot_fn=table.knots_in, step=not table.others)
 
 
@@ -235,7 +236,7 @@ def truncated_moment_bounds(
     above: the same with the truncation reversed vs E(|Y|^r 1(|Y| > x)).
     """
     cesaro_precheck(arr, y_tail, n_sup=n_sup)
-    table = RowTable(arr, uniform_weights(arr.row_length), n_sup)
+    table = row_table(arr, uniform_weights(arr.row_length), n_sup)
 
     def below_val(d):
         return float(truncated_abs_moment(tail_of(d), r, x, "below"))

@@ -29,6 +29,7 @@ values by a sign select (step cells) and one quantile call per other law.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import chain
@@ -442,22 +443,19 @@ def c_normalized_weights(
     """a(n,i) = c(n,i)/A_n with A_n = sum c, or c(n,i)^2/A_n with A_n = sum c^2."""
     if flavor not in ("sum", "sum-sq"):
         raise ValueError("flavor must be 'sum' or 'sum-sq'")
-    norms: dict[int, float] = {}
 
+    @functools.cache
     def a_norm(n: int) -> float:
-        if n not in norms:
-            k = row_length(n)
-            if flavor == "sum":
-                norms[n] = math.fsum(c_fn(n, i) for i in range(1, k + 1))
-            else:
-                norms[n] = math.fsum(c_fn(n, i) ** 2 for i in range(1, k + 1))
-            if not norms[n] > 0.0:
-                raise ValueError(f"A_{n} = {norms[n]} must be positive")
-            if growth_constant is not None and norms[n] > growth_constant * n:
-                raise ValueError(
-                    f"A_{n} = {norms[n]} exceeds declared bound {growth_constant}*n"
-                )
-        return norms[n]
+        k = row_length(n)
+        if flavor == "sum":
+            norm = math.fsum(c_fn(n, i) for i in range(1, k + 1))
+        else:
+            norm = math.fsum(c_fn(n, i) ** 2 for i in range(1, k + 1))
+        if not norm > 0.0:
+            raise ValueError(f"A_{n} = {norm} must be positive")
+        if growth_constant is not None and norm > growth_constant * n:
+            raise ValueError(f"A_{n} = {norm} exceeds declared bound {growth_constant}*n")
+        return norm
 
     def a_fn(n: int, i: int) -> float:
         c = c_fn(n, i)
@@ -547,27 +545,20 @@ def less_than(x, mags: np.ndarray) -> np.ndarray:
     return lt
 
 
-# (array, weights, scan top) -> RowTable: a dict while ``cli.main`` runs one
-# command, else None.  A command checks one array under at most two weight
-# schemes (uniform and its own), and verify-fixtures one fixture at a time, so
-# the SHARED_TABLES last built are all a command reuses.
-shared_tables: Optional[dict] = None
-SHARED_TABLES = 2
-# (weights, scan top) -> (C0, first attaining row), the same while a command
-# runs: example-2.1's weighted-domination check and verify-fixtures' c0 line
-# read one C0
-shared_c0: Optional[dict] = None
+@functools.lru_cache(maxsize=2)
+def command_c0(weights: WeightScheme, n_sup: int) -> tuple[float, int]:
+    """``weights.c0(n_sup)``, memoised: example-2.1's weighted-domination check
+    and verify-fixtures' c0 line read one C0.  The two last read are kept."""
+    return weights.c0(n_sup)
 
 
-def command_c0(weights: WeightScheme, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
-    """``weights.c0(n_sup)``, read once per command while ``shared_c0`` is a dict."""
-    shared = shared_c0
-    if shared is None:
-        return weights.c0(n_sup)
-    key = (weights, scan_top(n_sup, weights.n_max))
-    if key not in shared:
-        shared[key] = weights.c0(n_sup)
-    return shared[key]
+@functools.lru_cache(maxsize=2)
+def row_table(arr: ArraySpec, weights: WeightScheme, n_sup: int) -> RowTable:
+    """The ``RowTable`` of (arr, weights, n_sup), memoised.  A command checks
+    one array under at most two weight schemes (uniform and its own), and
+    verify-fixtures one fixture at a time, so the two last built are all a
+    command reuses; they are never changed after they are laid out."""
+    return RowTable(arr, weights, n_sup)
 
 
 class RowTable:
@@ -589,26 +580,12 @@ class RowTable:
     per-step-law values worked out from ``mag`` and ``prob`` (for example
     g(m) * q) and calls a scalar function only on ``others``.
 
-    While ``shared_tables`` is a dict, a table is built once per (array,
-    weights, scan top); it is never changed after it is laid out.
+    Each call lays a new table out; the scans read theirs through
+    :func:`row_table`, which keeps the two last built.
     """
 
-    def __new__(cls, arr: ArraySpec, weights: WeightScheme, n_sup: int = DEFAULT_N_SUP):
-        top = max(scan_top(n_sup, arr.n_max, weights.n_max), 0)
-        shared = shared_tables
-        key = (arr, weights, top)
-        if shared is not None and key in shared:
-            return shared[key]
-        self = super().__new__(cls)
-        self._lay_out(arr, weights, top)
-        if shared is not None:
-            shared[key] = self
-            if len(shared) > SHARED_TABLES:
-                del shared[next(iter(shared))]  # the oldest
-        return self
-
-    def _lay_out(self, arr: ArraySpec, weights: WeightScheme, top: int) -> None:
-        self.top = top
+    def __init__(self, arr: ArraySpec, weights: WeightScheme, n_sup: int = DEFAULT_N_SUP):
+        self.top = top = max(scan_top(n_sup, arr.n_max, weights.n_max), 0)
         uniform = weights.kind == "uniform"
         self._prefix = arr.is_sequence and uniform
         self._law, self.others, self.mag, self.prob, layout = step_columns(
@@ -708,6 +685,10 @@ class NormalizingSequence:
 
 
 EXACT_SQUARES = 1 << 26  # n * n is exact in float below this: n^2 < 2^52
+# an exact power n**e is worked out only up to this many bits (x2m-example's kG
+# grid reaches 2^1300, at 1/p = 1024 a power of 1.3M bits); past it (1/p = 2^16
+# from n = 2^33, 1/p = 1e300 from n = 2) it raises OverflowError, not running for hours
+EXACT_POWER_BITS = 1 << 21
 
 
 def float_powers(lo: int, hi: int, inv: float) -> np.ndarray:
@@ -731,7 +712,8 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
 
     With a trivial conjugate and integral 1/p = e the map is integer-exact,
     n**e; its float values are one int64 power while N^e < 2^53, where the
-    ints and their floats agree exactly.  Otherwise the bases are
+    ints and their floats agree exactly.  A power of more than
+    ``EXACT_POWER_BITS`` bits raises ``OverflowError``.  Otherwise the bases are
     :func:`float_powers`, each times Lt of itself under a nontrivial
     conjugate.
     """
@@ -741,12 +723,14 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
         e = int(inv)
 
         def int_fn(n):
+            if e * (int(n).bit_length() - 1) > EXACT_POWER_BITS:  # n**e >= 2^that
+                raise OverflowError(f"b_{n} = {n}^(1/p) has over {EXACT_POWER_BITS} bits")
             return n**e
 
         def int_floats(N):
-            if N**e < 2**53:
+            if int_fn(N) < 2**53:
                 return (np.arange(1, N + 1, dtype=np.int64) ** e).astype(float)
-            return np.fromiter((float(n**e) for n in range(1, N + 1)), dtype=float, count=N)
+            return np.fromiter(map(float, map(int_fn, range(1, N + 1))), dtype=float, count=N)
 
         return NormalizingSequence(fn=int_fn, floats=int_floats)
 

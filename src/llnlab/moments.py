@@ -49,6 +49,7 @@ from .model import (
     WeightScheme,
     DEFAULT_N_SUP,
     less_than,
+    row_table,
     tail_of,
 )
 from .numerics import MAX_BLOCKS, _exact_product, finite_integral, integrate_tail_blocks
@@ -393,7 +394,7 @@ def bounded_moment_condition(
     The float result carries ``attained_at`` and a ``growing`` flag; growth
     across the scan is how divergence shows up (no exception).
     """
-    table = RowTable(arr, w, n_sup)
+    table = row_table(arr, w, n_sup)
     steps = _at_magnitudes(table, g) * table.prob
     return _sup_with_growth(table.split_row_values(steps, lambda d: cell_moment(d, g)))
 
@@ -419,7 +420,7 @@ def ui_check(
     """
     if closed_sup is not None:
         return [float(closed_sup(a)) for a in a_grid]
-    table = RowTable(arr, w, n_sup)
+    table = row_table(arr, w, n_sup)
     t_m = _at_magnitudes(table, transform)
     t_mass = t_m * table.prob
     return [

@@ -443,6 +443,18 @@ class PathReport:
         j = self.rows.index(n)
         return float(np.mean(self.suffix_sups[:, j] < epsilon))
 
+    def to_json_obj(self) -> dict:
+        return {
+            "mode": "slln-path",
+            "rows": list(self.rows),
+            "eps": list(self.eps),
+            "seed": self.seed,
+            "reps": self.reps,
+            "fraction_below": {
+                f"{eps}": [self.fraction_below(n, eps) for n in self.rows] for eps in self.eps
+            },
+        }
+
 
 def slln_path_diagnostic(plan: SimPlan, threads: int = 1) -> PathReport:
     """Per-path suffix sup of max_j|S_j|/b_m over the sampled row grid.

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,42 @@ def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     assert "error: " in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o.json").exists()
+
+
+def _tiny_p_spec(tmp_path):
+    """p = 1e-300 (1/p an integral float) over +-1 cells in rows 1..2."""
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in (1, 2) for i in range(1, n + 1)]
+    path = tmp_path / "tiny-p.json"
+    path.write_text(json.dumps({"rows": {"k": "n"}, "p": 1e-300, "nu": 1, "cells": cells}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,rc", [
+    (["check", "--fixture", "x2m-example", "--p", "1.52587890625e-05", "--conditions", "kG",
+      "--n-sup", "64"], 1),
+    (["check", "--spec", "{spec}", "--conditions", "b-regularity-wlln", "--n", "100"], 2),
+    (["simulate", "--spec", "{spec}", "--rows", "1..2", "--reps", "3"], 2),
+], ids=["check-kG-fixture", "check-ratio-spec", "simulate-spec"])
+def test_an_integral_huge_1_over_p_ends_at_once(tmp_path, argv, rc):
+    # b_n = n^(1/p) is an exact int power when 1/p is an integral float, 2^16 or 1e300
+    # here: the kG grid stops where the power has too many bits, b_2 leaves float range
+    spec = _tiny_p_spec(tmp_path)
+    argv = [a.format(spec=spec) for a in argv] + ["--out", str(tmp_path / "o")]
+    start = time.perf_counter()
+    proc = _cli_capped(argv)
+    assert time.perf_counter() - start < 20.0
+    assert proc.returncode == rc, proc.stderr
+    assert rc == 1 or "error: a value leaves float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_an_exact_power_within_the_bit_bound_still_decides_kG(tmp_path):
+    # 1/p = 1024: x2m-example's kG grid up to 2^1300 takes powers of 1.3M bits
+    proc = _cli_capped(["check", "--fixture", "x2m-example", "--p", "0.0009765625",
+                        "--conditions", "kG", "--n-sup", "64", "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    assert "check x2m-example kG: holds" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -157,10 +157,12 @@ def test_transfer_with_heavy_tail_bound():
 
 def test_transfer_evaluates_the_sup_once(monkeypatch):
     # one row table and one C0 scan serve both the Y bound and the constructed X
+    model.row_table.cache_clear()  # the memos outlive a test
+    model.command_c0.cache_clear()
     builds, c0_calls = [], []
-    table, c0 = domination.RowTable, model.WeightScheme.c0
-    monkeypatch.setattr(domination, "RowTable",
-                        lambda *a, **k: builds.append(a) or table(*a, **k))
+    init, c0 = model.RowTable.__init__, model.WeightScheme.c0
+    monkeypatch.setattr(model.RowTable, "__init__",
+                        lambda self, *a: builds.append(a) or init(self, *a))
     monkeypatch.setattr(model.WeightScheme, "c0",
                         lambda self, *a: c0_calls.append(a) or c0(self, *a))
     fx = load("example-2.1")

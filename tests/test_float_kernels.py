@@ -10,7 +10,7 @@ from Python's ``**`` and ``math.log2`` for some integers) fails here.
   ``explicit_norming``.
 * example-4.1's formula ``cell_steps``: the paper's scalar cell expression.
 * ``WeightScheme.c0``: the per-row ``row_sum`` loop, rows with no cells
-  included; ``model.command_c0`` reads it once per command.
+  included; ``model.command_c0`` keeps the two last read.
 """
 
 import math
@@ -185,6 +185,9 @@ def test_c0_equals_the_row_sum_loop(name, n_sup):
 
 
 def _counting_c0(monkeypatch):
+    """The C0 scans from here on, by weight kind.  The memo outlives a test, so it
+    starts empty."""
+    model.command_c0.cache_clear()
     calls = []
     real = model.WeightScheme.c0
     monkeypatch.setattr(model.WeightScheme, "c0",
@@ -199,14 +202,17 @@ def test_a_command_reads_each_c0_once(monkeypatch, capsys):
     # weighted-domination and the c0 line share one explicit C0
     assert sorted(calls) == ["explicit", "uniform"]
     assert "c0: 1.25 (row 2) [ok]" in capsys.readouterr().err
-    assert model.shared_c0 is None  # nothing is kept past the command
     calls.clear()
+    # the next command loads the fixture anew: its weights are new keys
     assert cli.main(argv) == 0
     assert sorted(calls) == ["explicit", "uniform"]
+    assert model.command_c0.cache_info().currsize == 2  # all that outlives the commands
 
 
-def test_c0_outside_a_command_is_read_each_time(monkeypatch):
+def test_c0_outside_a_command_is_read_once(monkeypatch):
     calls = _counting_c0(monkeypatch)
     w = load("example-2.1").weights
     assert model.command_c0(w, 64) == model.command_c0(w, 64) == (1.25, 2)
+    assert calls == ["explicit"]
+    assert model.command_c0(w, 65) == (1.25, 2)  # another n_sup is another entry
     assert calls == ["explicit", "explicit"]

@@ -8,7 +8,11 @@ Both sides add in the same order, so every comparison is exact (``==``).
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,15 +291,18 @@ def test_tail_of_called_once_per_distinct_law(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one table per (array, weights, scan top) in a command
+# the row_table memo: one table per (array, weights, n_sup), the two last kept
 # ---------------------------------------------------------------------------
 
 
 def _count_builds(monkeypatch):
+    """The tables laid out from here on, each as its (arr, weights, n_sup).  The
+    memo outlives a test, so it starts empty."""
+    model.row_table.cache_clear()
     builds = []
-    lay_out = model.RowTable._lay_out
-    monkeypatch.setattr(model.RowTable, "_lay_out",
-                        lambda self, *a: builds.append(a[2]) or lay_out(self, *a))
+    init = model.RowTable.__init__
+    monkeypatch.setattr(model.RowTable, "__init__",
+                        lambda self, *a: builds.append(a) or init(self, *a))
     return builds
 
 
@@ -313,19 +320,62 @@ def test_a_command_lays_each_table_out_once(tmp_path, monkeypatch, capsys):
     rc = cli.main(["check", "--fixture", "example-4.1", "--conditions", "ui,bounded-moment",
                    "--n-sup", "200", "--out", str(tmp_path / "b")])
     assert rc == 0 and len(builds) == 1
-    assert model.shared_tables is None  # nothing outlives the command
+    assert model.row_table.cache_info().currsize == 2  # all that outlives the commands
 
 
-def test_tables_are_shared_only_within_a_command_and_up_to_its_bound(monkeypatch):
+def test_tables_are_shared_by_n_sup_up_to_the_memo_bound(monkeypatch):
     builds = _count_builds(monkeypatch)
     sp = _random_spec(4)  # 24 rows: a scan top is min(n_sup, 24)
-    assert model.RowTable(sp.arr, sp.weights, 10) is not model.RowTable(sp.arr, sp.weights, 10)
-    assert len(builds) == 2
-    monkeypatch.setattr(model, "shared_tables", {})
-    first = model.RowTable(sp.arr, sp.weights, 30)
-    assert model.RowTable(sp.arr, sp.weights, 24) is first  # the same scan top
-    assert model.RowTable(sp.arr, sp.weights, 12) is not first
-    for top in range(1, model.SHARED_TABLES):
-        model.RowTable(sp.arr, sp.weights, top)
-    assert model.RowTable(sp.arr, sp.weights, 30) is not first  # the oldest went
-    assert len(builds) == 4 + model.SHARED_TABLES
+    first = model.row_table(sp.arr, sp.weights, 30)
+    assert model.row_table(sp.arr, sp.weights, 30) is first
+    assert model.row_table(sp.arr, sp.weights, 24) is not first  # keyed by n_sup
+    assert model.RowTable(sp.arr, sp.weights, 30) is not first  # the class lays out anew
+    model.row_table(sp.arr, sp.weights, 12)
+    assert model.row_table(sp.arr, sp.weights, 30) is not first  # the oldest went
+    assert len(builds) == 5
+
+
+def test_the_memo_keeps_the_tables_of_the_two_last_problems(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    for seed in (5, 6, 7):
+        sp = _random_spec(seed)
+        domination.weighted_sup_fn(sp.arr, sp.weights, n_sup=30)(1.0)
+    assert len(builds) == 3
+    assert model.row_table.cache_info().currsize == 2
+
+
+def _files(d):
+    return {f.name: f.read_bytes() for f in sorted(d.iterdir())}
+
+
+def test_commands_in_one_process_write_what_fresh_processes_write(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the memos outlive a command: none may hand a later command another's tables or
+    # C0.  One --n-sup throughout, so a memo keyed by less than the problem would.
+    spec = tmp_path / "mixed.json"
+    spec.write_text(json.dumps(_random_doc(3)))
+    first = ["check", "--spec", str(spec), "--conditions", "weighted-domination,kG-hat",
+             "--n-sup", "200", "--out", "run"]
+    runs = [
+        first,
+        ["check", "--fixture", "example-4.1", "--conditions", "ui,bounded-moment",
+         "--n-sup", "200", "--out", "run"],
+        ["verify-fixtures", "--only", "example-2.1", "--n-sup", "200", "--n", "1000"],
+        first,
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    fresh = {}
+    for j, argv in enumerate(runs[:3]):
+        cwd = tmp_path / f"fresh{j}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "llnlab.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        fresh[j] = (proc.returncode, proc.stdout, proc.stderr, _files(cwd))
+        assert proc.returncode == 0 and len(fresh[j][3]) == (0 if j == 2 else 2), proc.stderr
+    for j, argv in enumerate(runs):
+        cwd = tmp_path / f"in{j}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out, err, _files(cwd)) == fresh[j % 3], argv
