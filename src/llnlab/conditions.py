@@ -432,8 +432,13 @@ def _domination(spec, weights, n_sup: int) -> tuple[str, dict]:
 
 
 def _count_tail(spec, source) -> tuple[str, dict]:
+    """The verdict, its rule and last value, and ``grid_stop`` when the grid
+    left float range."""
     v = count_tail_vanishes(source, spec.b, spec.kg_grid)
-    return v.verdict, {"rule": v.rule, "last_value": v.value}
+    detail = {"rule": v.rule, "last_value": v.value}
+    if "grid_stop" in v.evidence:
+        detail["grid_stop"] = v.evidence["grid_stop"]
+    return v.verdict, detail
 
 
 def _ui(spec, n_sup: int, n: int) -> tuple[str, dict]:

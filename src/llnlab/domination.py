@@ -37,6 +37,7 @@ from .model import (
     WeightScheme,
     DEFAULT_N_SUP,
     command_c0,
+    less_than,
     row_table,
     tail_of,
     uniform_weights,
@@ -237,15 +238,17 @@ def truncated_moment_bounds(
     """
     cesaro_precheck(arr, y_tail, n_sup=n_sup)
     table = row_table(arr, uniform_weights(arr.row_length), n_sup)
+    # a step law's truncated moment is m^r q on the side of x where m lies, 0 on the other
+    mass = np.fromiter((m**r for m in table.mag.tolist()), dtype=float,
+                       count=len(table.mag)) * table.prob
+    above = less_than(x, table.mag)
 
-    def below_val(d):
-        return float(truncated_abs_moment(tail_of(d), r, x, "below"))
+    def lhs(side: str, steps: np.ndarray) -> float:
+        return float(np.max(table.split_row_values(
+            steps, lambda d: float(truncated_abs_moment(tail_of(d), r, x, side)))))
 
-    def above_val(d):
-        return float(truncated_abs_moment(tail_of(d), r, x, "above"))
-
-    lhs_below = float(np.max(table.row_values(below_val)))
-    lhs_above = float(np.max(table.row_values(above_val)))
+    lhs_below = lhs("below", np.where(above, 0.0, mass))
+    lhs_above = lhs("above", np.where(above, mass, 0.0))
     rhs_below = float(truncated_abs_moment(y_tail, r, x, "below")) + x**r * y_tail.fn(x)
     rhs_above = float(truncated_abs_moment(y_tail, r, x, "above"))
     return TruncatedMomentBounds(

@@ -311,7 +311,6 @@ def identical_array(
 def sequence_array(
     cell: Optional[Callable[[int], DistSpec]] = None,
     *,
-    dependence: Dependence = INDEPENDENT,
     closed_cesaro_sup: Optional[Callable[[float], float]] = None,
     cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None,
 ) -> ArraySpec:
@@ -327,7 +326,6 @@ def sequence_array(
     return ArraySpec(
         row_length=lambda n: n,
         sequence_cell=cell,
-        dependence=dependence,
         closed_cesaro_sup=closed_cesaro_sup,
         cell_steps=cell_steps,
     )
@@ -355,14 +353,6 @@ class WeightScheme:
     closed_weighted_sup: Optional[Callable[[float], float]] = None
     n_max: Optional[int] = None
 
-    def a(self, n: int, i: int) -> float:
-        k = _row_length(self, n)
-        if not (1 <= i <= k):
-            raise RowRangeError(f"weight index {i} outside 1..{k} in row {n}")
-        if self.kind == "uniform":
-            return 1.0 / k
-        return self.a_fn(n, i)  # type: ignore[misc]
-
     def range_sum(self, n: int, lo: int, hi: int) -> float:
         k = _row_length(self, n)
         lo, hi = max(lo, 1), min(hi, k)
@@ -374,17 +364,14 @@ class WeightScheme:
             return self.range_sum_fn(n, lo, hi)
         return math.fsum(self.a_fn(n, i) for i in range(lo, hi + 1))  # type: ignore[misc]
 
-    def row_sum(self, n: int) -> float:
-        return self.range_sum(n, 1, _row_length(self, n))
-
     def c0(self, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
         """sup of row sums over the scan range, with the first attaining row.
 
         A uniform row sums to k/k = 1.0 when it has k >= 1 cells and to 0.0
         when it has none, so only the rows up to the first nonempty one are
-        read.  Any other row is summed as ``row_sum`` sums it, the row bound
-        checked once for the whole scan: ``range_sum_fn(n, 1, k)``, else the
-        ``math.fsum`` of its weights, and 0.0 for a row with no cells.
+        read.  Any other row is summed as ``range_sum(n, 1, k)`` sums it, the
+        row bound checked once for the whole scan: ``range_sum_fn(n, 1, k)``,
+        else the ``math.fsum`` of its weights, and 0.0 for a row with no cells.
         """
         rows = range(1, scan_top(n_sup, self.n_max) + 1)  # inside 1..n_max
         if self.kind == "uniform":
@@ -576,9 +563,10 @@ class RowTable:
     The entries come from ``step_columns``: each distinct step law is a row
     of the (magnitude, prob) columns ``mag`` and ``prob``, compared with x in
     one vector operation; each other law is listed once in ``others``, read
-    through its scalar tail.  ``split_row_values`` takes a column of
-    per-step-law values worked out from ``mag`` and ``prob`` (for example
-    g(m) * q) and calls a scalar function only on ``others``.
+    through its scalar tail.  Any other per-law value reaches the rows through
+    ``split_row_values``: the caller works out one value per step law from
+    ``mag`` and ``prob`` (for example g(m) * q), and a scalar function runs
+    only on ``others``.
 
     Each call lays a new table out; the scans read theirs through
     :func:`row_table`, which keeps the two last built.
@@ -621,13 +609,6 @@ class RowTable:
         else:
             out = np.bincount(self._entry_row, weights=self._factor * v, minlength=self.top)
         return out if self._div is None else out / self._div
-
-    def row_values(self, cell_value: Callable[[DistSpec], float]) -> np.ndarray:
-        """Row values of ``cell_value``, called once per distinct law (a step
-        law as the ``SymmetricTwoPoint`` of its columns)."""
-        steps = map(SymmetricTwoPoint, self.mag.tolist(), self.prob.tolist())
-        vals = np.fromiter(map(cell_value, steps), dtype=float, count=len(self.mag))
-        return self.split_row_values(vals, cell_value)
 
     def split_row_values(
         self, step_values: np.ndarray, other_value: Callable[[DistSpec], float]

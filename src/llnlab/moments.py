@@ -29,7 +29,7 @@ superlinear witness functions, and the rescaled tail-decay sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -333,7 +333,9 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
     """Array of t(|X[n,i]|) cells for strictly increasing t with t(0) = 0.
 
     Discrete cells map exactly (atom at t(m)); others become custom tail cells
-    with the composed survival function.
+    with the composed survival function.  The array keeps its rows, row bound
+    and dependence; its closed Cesaro sup and its formula (``cell_steps``)
+    describe the untransformed laws, so they are dropped.
     """
     def map_dist(d: DistSpec) -> DistSpec:
         if isinstance(d, SymmetricTwoPoint):
@@ -350,17 +352,14 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
             sup = t(base.support_hint)
         return CustomDist(tail=TailFunction(fn=composed, support_hint=sup))
 
-    if arr.is_sequence:
-        cell = arr.sequence_cell
-        return ArraySpec(
-            row_length=arr.row_length,
-            sequence_cell=lambda i: map_dist(cell(i)),
-        )
-    groups = arr.groups_fn
-    return ArraySpec(
-        row_length=arr.row_length,
-        groups_fn=lambda n: tuple(CellGroup(g.count, map_dist(g.dist)) for g in groups(n)),
-        n_max=arr.n_max,
+    cell, groups = arr.sequence_cell, arr.groups_fn
+    return replace(
+        arr,
+        sequence_cell=None if cell is None else lambda i: map_dist(cell(i)),
+        groups_fn=None if groups is None else lambda n: tuple(
+            CellGroup(g.count, map_dist(g.dist)) for g in groups(n)),
+        closed_cesaro_sup=None,
+        cell_steps=None,
     )
 
 

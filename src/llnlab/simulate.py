@@ -7,14 +7,16 @@ replication index), and results land in slots indexed by replication.
 Every mode runs through one replication-span kernel (``_Spans``): a span is
 a contiguous range of one row's replications, whose keys are derived
 ``KEY_REPS`` replications at a time in one vectorised pass
-(``model.stream_keys``).  Each chunk of at most ``TASK_CELLS`` cells is one
-key block, drawn by ``model.RowSampler.draw_rows`` through one Philox
-generator re-keyed per replication into one buffer store, both kept for the
-whole command.  For each replication the kernel returns max_j |S_j| at each
-segment end of the row: a WLLN row is one weighted segment ending at k_n, a
-path one segment per sampled row.  ``threads`` > 1 cuts each row into one
-span per forked worker process (``_replication_maxima``).  Reports are
-therefore bitwise identical across runs, worker counts and schedules.
+(``model.stream_keys``).  A span lays its row out (``model.RowSampler``)
+when it starts, in whichever process draws it.  Each chunk of at most
+``TASK_CELLS`` cells is one key block, drawn by
+``model.RowSampler.draw_rows`` through one Philox generator re-keyed per
+replication into one buffer store, both kept for the whole command.  For
+each replication the kernel returns max_j |S_j| at each segment end of the
+row: a WLLN row is one weighted segment ending at k_n, a path one segment
+per sampled row.  ``threads`` > 1 cuts each row into one span per forked
+worker process (``_replication_maxima``).  Reports are therefore bitwise
+identical across runs, worker counts and schedules.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
@@ -74,19 +76,19 @@ def harmonic(n: int) -> float:
     return psi + EULER_GAMMA
 
 
-def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None, out=None):
+def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None):
     """max over prefixes of |weighted prefix sum|, along the last axis.
 
-    A 1-D row gives a float, a matrix one value per row.  ``out`` (the
-    input's shape, ``row`` itself allowed) receives the prefix sums.
+    A 1-D row gives a float, a matrix one value per row; ``row`` is left as
+    it is.
     """
     r = np.asarray(row, dtype=float)
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         if w.shape != r.shape[-1:]:
             raise ValueError(f"weights shape {w.shape} != row shape {r.shape}")
-        r = np.multiply(w, r, out=out)
-    sums = np.cumsum(r, axis=-1, out=out)
+        r = w * r
+    sums = np.cumsum(r, axis=-1)
     best = np.max(np.abs(sums, out=sums), axis=-1)
     return float(best) if best.ndim == 0 else best
 
@@ -229,33 +231,23 @@ class _Spans:
     gives max_{j <= e} |S_j| at each end e.  A span is drawn in chunks of
     ``TASK_CELLS`` cells, each one key block passed to ``RowSampler.draw_rows``
     with one Philox generator and one buffer store, kept for the whole
-    command (a forked worker draws through its own copies); the row in use
-    is laid out once per process.
+    command (a forked worker draws through its own copies).  Each call lays
+    its row out itself.
     """
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
         self.plan, self.rows, self.ends = plan, rows, ends
         self._gen = Generator(Philox(key=0))
         self._store: list = []
-        self._row = None  # (index, sampler, weights, segment starts)
-
-    def layout(self, i: int):
-        """(i, sampler, weights, segment starts) of row i, laid out unless in use."""
-        if self._row is None or self._row[0] != i:
-            self._row = None  # the previous row's layout goes before the next is built
-            n = self.rows[i]
-            sampler = RowSampler(self.plan.arr, n)
-            k, c = sampler.k, self.plan.c
-            weights = None if c is None or self.ends is not None else np.fromiter(
-                (c(n, j) for j in range(1, k + 1)), dtype=float, count=k)
-            starts = np.array([0, *(() if self.ends is None else self.ends[:-1])])
-            self._row = (i, sampler, weights, starts)
-        return self._row
 
     def __call__(self, i: int, lo: int, hi: int) -> np.ndarray:
-        _, sampler, weights, starts = self.layout(i)
+        n, c = self.rows[i], self.plan.c
+        sampler = RowSampler(self.plan.arr, n)
+        weights = None if c is None or self.ends is not None else np.fromiter(
+            (c(n, j) for j in range(1, sampler.k + 1)), dtype=float, count=sampler.k)
+        starts = np.array([0, *(() if self.ends is None else self.ends[:-1])])
         out = _maxima(self.plan.reps, hi - lo, len(starts))
-        for r, keys in _key_chunks(self.plan.seed, self.rows[i], sampler.k, lo, hi):
+        for r, keys in _key_chunks(self.plan.seed, n, sampler.k, lo, hi):
             x = sampler.draw_rows(keys, self._gen, sampler.buffers(len(keys), self._store))
             if weights is not None:
                 np.multiply(weights, x, out=x)
@@ -311,7 +303,6 @@ def _pooled(spans: _Spans, reps: int, workers: int, ctx) -> list[np.ndarray]:
 
     # fork, not spawn: a spawned worker would need the plan pickled.  The
     # executor forks every worker before it starts its own manager thread.
-    spans.layout(0)  # errors of the first row surface here; the workers inherit it
     cuts = [reps * w // workers for w in range(workers + 1)]
     segments = 1 if spans.ends is None else len(spans.ends)
     pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install,
@@ -340,17 +331,19 @@ def _binomial_se(p_hat: float, reps: int) -> float:
 def wlln_estimate(plan: SimPlan, threads: int = 1) -> SimReport:
     """Exceedance frequencies of the normalized maximal partial sum per row.
 
-    Rows run one after another, each as replication spans on up to
-    ``threads`` worker processes (``_replication_maxima``).  Each
-    replication's statistic lands in its slot, so no byte depends on the
-    schedule.
+    Every row's b_n is read before any row is drawn, so a norming sequence
+    that ends early stops the command first.  Rows run one after another,
+    each as replication spans on up to ``threads`` worker processes
+    (``_replication_maxima``).  Each replication's statistic lands in its
+    slot, so no byte depends on the schedule.
     """
+    bvals = [float(plan.b(n)) for n in plan.rows]
     maxima = _replication_maxima(_Spans(plan, plan.rows), plan.reps, threads)
     eps_arr = np.asarray(plan.eps)
     entries = []
     ratio_means = []
-    for n, m in zip(plan.rows, maxima):
-        row = m[:, 0] / float(plan.b(n))
+    for n, m, b in zip(plan.rows, maxima, bvals):
+        row = m[:, 0] / b
         # cumsum adds one by one in replication order; np.sum adds pairwise
         ratio_means.append((n, float(np.cumsum(row)[-1] / plan.reps)))
         for eps, cnt in zip(plan.eps, np.count_nonzero(row[:, None] > eps_arr, axis=0)):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from llnlab import cli
+from llnlab import cli, simulate
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 
@@ -78,7 +78,7 @@ def test_simulate_thread_count_invariance(tmp_path):
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["wlln", "slln-path"])
+@pytest.mark.parametrize("mode", ["wlln", "slln-path", "slln-series"])
 def test_simulate_modes_are_worker_count_invariant(tmp_path, mode):
     base = ["simulate", "--fixture", "x2m-example", "--p", "1", "--mode", mode,
             "--rows", "2^4..2^8", "--reps", "50", "--seed", "3", "--format", "json"]
@@ -86,8 +86,27 @@ def test_simulate_modes_are_worker_count_invariant(tmp_path, mode):
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         assert run(base + ["--threads", threads, "--out", str(out)]) == 0
-        outs.append(out.with_suffix(".json").read_bytes())
+        outs.append(json.loads(out.with_suffix(".json").read_bytes()))
     assert outs[0] == outs[1]
+    assert ("series" in outs[0]) == (mode == "slln-series")
+
+
+def test_wlln_reads_every_b_before_drawing(tmp_path, monkeypatch, capsys):
+    # a b table of 2 ends before row 16: the command stops before any row is drawn
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in range(1, 17) for i in range(1, n + 1)]
+    spec = tmp_path / "short-b.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "sequence": True, "cells": cells,
+                                "b": {"kind": "explicit", "values": [1.0, 2.0]}}))
+
+    def drawn(*args):
+        raise AssertionError("rows drawn before b_n was read")
+
+    monkeypatch.setattr(simulate, "_replication_maxima", drawn)
+    rc = run(["simulate", "--spec", str(spec), "--mode", "wlln", "--rows", "2^4..2^4",
+              "--reps", "20", "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "b_16 beyond declared table of 2" in capsys.readouterr().err
 
 
 def test_simulate_writes_manifest_and_replay_reproduces(tmp_path):
@@ -609,7 +628,7 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
 # process itself has imported them already
 MODULE_PROBE = """
 import json, sys
-from llnlab import cli
+from llnlab import cli, simulate
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 packages = sys.argv[1].split(",")

@@ -228,6 +228,18 @@ def test_count_tail_stops_where_the_norming_leaves_float_range():
         load("x2m-example").cesaro_tail(), load("x2m-example").b, fx.kg_grid).evidence
 
 
+@pytest.mark.parametrize("name", ["kG", "kG-hat"])
+def test_count_tail_reports_name_the_grid_stop(name):
+    # at 1/p = 2^16, b_k = k^(2^16) leaves float range from k = 2^16; the
+    # report says so instead of only "no decay or growth certificate fired"
+    far = conditions.run_condition(name, load("x2m-example", p=2.0**-16), 64, 64)
+    assert far["outcome"] == "inconclusive"
+    assert far["detail"]["grid_stop"] == 2**40
+    near = conditions.run_condition(name, load("x2m-example"), 64, 64)
+    assert "grid_stop" not in near["detail"]
+    assert set(near["detail"]) == {"rule", "last_value"}
+
+
 def test_count_tail_slow_decay_certified_by_slope():
     fx = load("wlln-counterexample")
     grid = tuple(2**j for j in range(0, 501, 5))

@@ -32,9 +32,9 @@ def test_two_block_row_five_cells():
 def test_two_block_first_row_weight_reading():
     # row 1 has no small-cell block; its single weight comes from the 1/n^2 clause
     fx = load("example-2.1")
-    assert fx.weights.a(1, 1) == 1.0
-    assert fx.weights.a(2, 1) == 1.0  # 1/m_2 with m_2 = 1
-    assert fx.weights.a(2, 2) == 0.25
+    assert fx.weights.range_sum(1, 1, 1) == 1.0
+    assert fx.weights.range_sum(2, 1, 1) == 1.0  # 1/m_2 with m_2 = 1
+    assert fx.weights.range_sum(2, 2, 2) == 0.25
 
 
 def test_power_spike_magnitude_at_p_one():

@@ -9,7 +9,7 @@ from Python's ``**`` and ``math.log2`` for some integers) fails here.
   ``power_norming`` with and without a slowly varying conjugate and for
   ``explicit_norming``.
 * example-4.1's formula ``cell_steps``: the paper's scalar cell expression.
-* ``WeightScheme.c0``: the per-row ``row_sum`` loop, rows with no cells
+* ``WeightScheme.c0``: the per-row ``range_sum(n, 1, k)`` loop, rows with no cells
   included; ``model.command_c0`` keeps the two last read.
 """
 
@@ -139,8 +139,9 @@ def test_example_41_formula_equals_the_scalar_cells(p, nu):
 
 
 def ref_c0(w, n_sup):
-    """The per-row loop C0 ran before: ``row_sum`` for every row of the scan."""
-    sums = [w.row_sum(n) for n in range(1, model.scan_top(n_sup, w.n_max) + 1)]
+    """The per-row loop C0 ran before: each row's ``range_sum`` over the scan."""
+    sums = [w.range_sum(n, 1, w.row_length(n))
+            for n in range(1, model.scan_top(n_sup, w.n_max) + 1)]
     best_n = int(np.argmax(sums)) + 1 if sums else 0
     best = sums[best_n - 1] if sums else -math.inf
     if not (best > 0.0 and math.isfinite(best)):

@@ -128,10 +128,10 @@ def test_row_table_matches_the_cell_walk(fx):
             def value(d):
                 return model.tail_of(d).fn(2.5) + 1.0
 
-            assert np.array_equal(table.row_values(value), ref.row_values(value))
-            step = table.mag ** fx.p * table.prob
-            assert np.array_equal(table.split_row_values(step, value),
-                                  ref.split_row_values(step, value))
+            for step in (np.where(2.5 < table.mag, table.prob, 0.0) + 1.0,  # value's column
+                         table.mag ** fx.p * table.prob):
+                assert np.array_equal(table.split_row_values(step, value),
+                                      ref.split_row_values(step, value))
 
 
 @pytest.mark.parametrize("fx", [load("example-4.1"), load("example-4.1", p=1.5, nu=2),

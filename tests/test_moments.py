@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from llnlab import model, moments, svf
+from llnlab import model, moments, specio, svf
 from llnlab.errors import SuperlinearityError
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
@@ -245,6 +245,49 @@ def test_transformed_array_maps_two_point_exactly():
     transformed = moments.transformed_array(fx.arr, t)
     cell = transformed.cell(16, 16)
     assert cell.magnitude == pytest.approx(16.0 / math.log2(16.0) , rel=1e-12)
+
+
+def _two_point_spec(sequence: bool, dependence=None):
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-two-point",
+                                       "magnitude": float(1 + i % 3), "prob": 0.5}}
+             for n in range(1, 9) for i in range(1, n + 1)]
+    doc = {"rows": {"k": "n"}, "p": 1.0, "sequence": sequence, "cells": cells}
+    if dependence is not None:
+        doc["dependence"] = dependence
+    return specio.load_spec_obj(doc).arr
+
+
+def test_transformed_sequence_array_keeps_its_row_bound():
+    # the spec declares 8 rows; a scan to n_sup = 100 stops there, before and
+    # after the transform (a transform that dropped n_max read cell (8, 9))
+    arr = _two_point_spec(sequence=True)
+    transformed = moments.transformed_array(arr, MomentFunction(power=2.0))
+    got = moments.bounded_moment_condition(
+        transformed, model.uniform_weights(), MomentFunction(power=1.0), n_sup=100)
+    want = moments.bounded_moment_condition(
+        arr, model.uniform_weights(), MomentFunction(power=2.0), n_sup=100)
+    assert float(got) == float(want) and got.attained_at == want.attained_at
+    assert transformed.n_max == 8
+
+
+@pytest.mark.parametrize("sequence", [True, False])
+def test_transformed_array_keeps_dependence(sequence):
+    na = {"kind": "gaussian-na", "correlation": -0.3}
+    arr = _two_point_spec(sequence, dependence=na)
+    transformed = moments.transformed_array(arr, MomentFunction(power=2.0))
+    assert transformed.dependence == model.GaussianNA(-0.3)
+    assert (transformed.n_max, transformed.is_sequence) == (8, sequence)
+    assert transformed.cell(8, 4).magnitude == 4.0  # |X[8,4]| = 2, squared
+
+
+def test_transformed_array_drops_the_untransformed_closed_forms():
+    fx = load("x2m-example")
+    assert fx.arr.cell_steps is not None and fx.arr.closed_cesaro_sup is not None
+    t = MomentFunction(power=2.0)
+    transformed = moments.transformed_array(fx.arr, t)
+    assert transformed.cell_steps is None and transformed.closed_cesaro_sup is None
+    cell = fx.arr.cell(40, 40)
+    assert transformed.cell(40, 40) == model.SymmetricTwoPoint(t(cell.magnitude), cell.prob)
 
 
 def test_transformed_array_composes_continuous_tails():

@@ -7,6 +7,8 @@ keys through one generator re-keyed per key.  Both must reproduce
 bit, so output bytes do not depend on which path addressed a replication.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,7 +68,8 @@ def keyed_arrays():
         arrays[f"{name} step"] = model.identical_array(model.SymmetricTwoPoint(2.0, 0.5),
                                                        dependence=dep)
         arrays[f"{name} pareto"] = model.identical_array(model.ParetoTail(1.5), dependence=dep)
-        arrays[f"{name} mixed"] = model.sequence_array(lambda i: mixed[i % 3], dependence=dep)
+        arrays[f"{name} mixed"] = dataclasses.replace(
+            model.sequence_array(lambda i: mixed[i % 3]), dependence=dep)
     return arrays
 
 

@@ -6,6 +6,7 @@ shortcut for independent sequences of +-1 and two-point cells.  Draws must
 agree bit for bit, signs of zeros included.
 """
 
+import dataclasses
 import math
 import random
 
@@ -92,7 +93,8 @@ def mixed_array(dependence, seed=3, n_max=40):
 def mixed_sequence(dependence):
     cycle = [model.SymmetricTwoPoint(1.0), model.ParetoTail(3.0), model.SymmetricTwoPoint(2.0, 0.3),
              CAUCHY, model.ParetoTail(2.2), model.SymmetricTwoPoint(5.0, 1.0)]
-    return model.sequence_array(lambda i: cycle[(i * i) % len(cycle)], dependence=dependence)
+    return dataclasses.replace(model.sequence_array(lambda i: cycle[(i * i) % len(cycle)]),
+                               dependence=dependence)
 
 
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
@@ -100,7 +102,8 @@ def mixed_sequence(dependence):
 def test_each_law_matches_the_group_loop(law, dep):
     arrays = (
         model.identical_array(LAWS[law], dependence=DEPENDENCE[dep]),
-        model.sequence_array(lambda i: LAWS[law], dependence=DEPENDENCE[dep]),
+        dataclasses.replace(model.sequence_array(lambda i: LAWS[law]),
+                            dependence=DEPENDENCE[dep]),
     )
     for arr in arrays:
         for n in (1, 2, 37, 500):
@@ -153,8 +156,8 @@ def no_step_rows(dependence):
               for n in range(1, 41)}
     return (model.identical_array(LAWS["pareto"], dependence=dependence),
             model.identical_array(CAUCHY, dependence=dependence),
-            model.sequence_array(lambda i: (CAUCHY, LAWS["pareto"])[i % 2],
-                                 dependence=dependence),
+            dataclasses.replace(model.sequence_array(lambda i: (CAUCHY, LAWS["pareto"])[i % 2]),
+                                dependence=dependence),
             model.ArraySpec(row_length=lambda n: n, dependence=dependence, n_max=40,
                             groups_fn=lambda n: tuple(g for g in groups[n] if g.count)))
 

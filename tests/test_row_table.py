@@ -19,7 +19,8 @@ import pytest
 
 from llnlab import cli, domination, model
 from llnlab.fixtures import load
-from llnlab.moments import MomentFunction, cell_moment, cell_transformed_tail_mass
+from llnlab.moments import (MomentFunction, cell_moment, cell_transformed_tail_mass,
+                            truncated_abs_moment)
 from llnlab.specio import load_spec_obj
 
 
@@ -73,6 +74,14 @@ def ref_weighted_tail_sup(arr, w, x, n_sup):
     return best
 
 
+def law_row_values(table, cell_value):
+    """Row values of ``cell_value``, called once per law: a step column as its
+    ``SymmetricTwoPoint``, through ``RowTable.split_row_values``."""
+    steps = [cell_value(model.SymmetricTwoPoint(m, q))
+             for m, q in zip(table.mag.tolist(), table.prob.tolist())]
+    return table.split_row_values(np.array(steps, dtype=float), cell_value)
+
+
 def ref_row_values(arr, w, cell_value, n_sup):
     top = _top(n_sup, arr.n_max, w.n_max)
     uniform = w.kind == "uniform"
@@ -102,7 +111,7 @@ def ref_c0(w, n_sup):
     top = _top(n_sup, w.n_max)
     best, best_n = -math.inf, 0
     for n in range(1, top + 1):
-        s = w.row_sum(n)
+        s = w.range_sum(n, 1, w.row_length(n))
         if s > best:
             best, best_n = s, n
     return best, best_n
@@ -212,16 +221,31 @@ def test_row_values_equal_scalar_loop(name, arr, w, n_sup):
             lambda d: cell_moment(d, g),
             lambda d: cell_transformed_tail_mass(d, t, 1.5),
         ):
-            got = table.row_values(cell_value)
+            got = law_row_values(table, cell_value)
             want = ref_row_values(arr, weights, cell_value, n_sup)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
+def test_truncated_moment_columns_equal_the_per_law_moments(name, arr, w, n_sup):
+    # a step law's truncated moment is its atom's m^r q on one side of x: the
+    # columns give the bytes of truncated_abs_moment called on each step law
+    y = model.tail_of(model.SymmetricTwoPoint(2.0**70))  # 1 wherever the scan looks
+    table = model.RowTable(arr, model.uniform_weights(arr.row_length), n_sup)
+    for r in (0.5, 1.25):
+        for x in (0.0, 1.0, 2.5, 1e3, 2**60 - 1, 2**60):
+            tb = domination.truncated_moment_bounds(arr, y, r, x, n_sup=n_sup)
+            for side, (lhs, _) in (("below", tb.below), ("above", tb.above)):
+                want = law_row_values(table, lambda d: float(
+                    truncated_abs_moment(model.tail_of(d), r, x, side)))
+                assert lhs == float(np.max(want)), (r, x, side)
 
 
 @pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
 def test_uniform_row_mean_of_one_is_one(name, arr, w, n_sup):
     # Cesaro rows are (sum of counts) / k_n: exactly 1.0, with no rounding of 1/k_n
     table = model.RowTable(arr, model.uniform_weights(arr.row_length), n_sup)
-    assert np.all(table.row_values(lambda d: 1.0) == 1.0)
+    assert np.all(table.split_row_values(np.ones(len(table.mag)), lambda d: 1.0) == 1.0)
 
 
 @pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
@@ -237,7 +261,7 @@ def test_example_41_full_scan_range():
         )
     g = MomentFunction(power=0.5, log_factor_nu=1)
     w = model.uniform_weights()
-    got = model.RowTable(arr, w, 10_000).row_values(lambda d: cell_moment(d, g))
+    got = law_row_values(model.RowTable(arr, w, 10_000), lambda d: cell_moment(d, g))
     want = ref_row_values(arr, w, lambda d: cell_moment(d, g), 10_000)
     assert got.tobytes() == want.tobytes()
 

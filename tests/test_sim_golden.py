@@ -8,6 +8,7 @@ negatively associated sequences, grouped arrays, explicit
 cells with Pareto laws, weights and every simulate mode.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -118,10 +119,9 @@ def test_condition_h_probe_golden_values():
                              model.CellGroup(n // 3, model.ParetoTail(3.0))),
         dependence=model.GaussianNA(-0.2),
     )
-    na_seq = model.sequence_array(
+    na_seq = dataclasses.replace(model.sequence_array(
         lambda i: model.SymmetricTwoPoint(2.0, 0.5) if i % 2 else model.SymmetricTwoPoint(1.0),
-        dependence=model.GaussianNA(-0.4),
-    )
+    ), dependence=model.GaussianNA(-0.4))
     got = (simulate.condition_h_probe(na_rows, 2.0, 30, reps=200, seed=4),
            simulate.condition_h_probe(na_seq, 1.5, 33, reps=200, seed=8))
     assert got == (float.fromhex("0x1.442d36bc8e07fp+0"),

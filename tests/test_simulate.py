@@ -329,9 +329,8 @@ def test_path_diagnostic_zero_sequence():
 def test_na_sequence_paths_keep_neighbour_correlation():
     # sign(Z_i) sign(Z_i+1) for Gaussian neighbours with correlation -1/2 has
     # mean (2/pi) arcsin(-1/2) = -1/3; an independent draw would give 0
-    arr = model.sequence_array(
-        lambda i: model.SymmetricTwoPoint(1.0), dependence=model.GaussianNA(-0.5)
-    )
+    arr = dataclasses.replace(model.sequence_array(lambda i: model.SymmetricTwoPoint(1.0)),
+                              dependence=model.GaussianNA(-0.5))
     products = [
         float(np.mean(path[:-1] * path[1:]))
         for _, path in sequence_paths(arr, 400, 50, seed=3)
@@ -349,7 +348,8 @@ def test_na_sequences_keep_negative_neighbour_correlation(rho, mag, seed):
     # for cells m sign(Z_i), E X_i X_i+1 = m^2 (2/pi) arcsin(rho); on two
     # cells the probe ratio E max(|S_1|, |S_2|)^2 / 2 m^2 is (1 + 3 P(same sign)) / 2
     cell = model.SymmetricTwoPoint(mag)
-    arr = model.sequence_array(lambda i: cell, dependence=model.GaussianNA(rho))
+    arr = dataclasses.replace(model.sequence_array(lambda i: cell),
+                              dependence=model.GaussianNA(rho))
     sign_corr = 2.0 / math.pi * math.asin(rho)
     products = np.concatenate(
         [path[:-1] * path[1:] / mag**2 for _, path in sequence_paths(arr, 101, 60, seed)]

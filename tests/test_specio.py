@@ -41,7 +41,7 @@ def test_explicit_cells_document():
     spec = specio.load_spec_obj(explicit_doc())
     assert spec.arr.n_max == 2
     assert isinstance(spec.arr.cell(2, 2), model.SymmetricTwoPoint)
-    assert spec.weights.row_sum(2) == pytest.approx(1.0)
+    assert spec.weights.range_sum(2, 1, 2) == pytest.approx(1.0)
     assert spec.b(4) == pytest.approx(4.0)
 
 
@@ -86,8 +86,8 @@ def test_explicit_weights_parsing():
         ],
     }
     spec = specio.load_spec_obj(doc)
-    assert spec.weights.a(2, 1) == 0.25
-    assert spec.weights.row_sum(2) == pytest.approx(1.0)
+    assert spec.weights.range_sum(2, 1, 1) == 0.25
+    assert spec.weights.range_sum(2, 1, 2) == pytest.approx(1.0)
 
 
 def test_c_normalized_weights_parsing():
@@ -102,8 +102,8 @@ def test_c_normalized_weights_parsing():
         ],
     }
     spec = specio.load_spec_obj(doc)
-    assert spec.weights.a(2, 2) == pytest.approx(0.75)
-    assert spec.weights.row_sum(2) == pytest.approx(1.0, abs=1e-12)
+    assert spec.weights.range_sum(2, 2, 2) == pytest.approx(0.75)
+    assert spec.weights.range_sum(2, 1, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_svf_parsing():

@@ -26,6 +26,7 @@ from llnlab.moments import (
 from llnlab.numerics import BLOCK_TOL
 from llnlab.specio import load_spec_obj
 from llnlab.svf import clog2
+from test_row_table import law_row_values
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +63,15 @@ def ref_series_evidence(arr, p, N):
 def ref_ui_check(arr, w, transform, a_grid, n_sup):
     table = model.RowTable(arr, w, n_sup)
     return [
-        float(np.max(table.row_values(lambda d: cell_transformed_tail_mass(d, transform, a))))
+        float(np.max(law_row_values(
+            table, lambda d: cell_transformed_tail_mass(d, transform, a))))
         for a in a_grid
     ]
 
 
 def ref_bounded_moment(arr, w, g, n_sup):
     table = model.RowTable(arr, w, n_sup)
-    return _sup_with_growth(table.row_values(lambda d: cell_moment(d, g)))
+    return _sup_with_growth(law_row_values(table, lambda d: cell_moment(d, g)))
 
 
 def ref_first_row_ratio_exceeding(a):
