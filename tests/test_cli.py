@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from llnlab import cli, simulate
+from llnlab import cli
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 
@@ -86,9 +86,9 @@ def test_simulate_modes_are_worker_count_invariant(tmp_path, mode):
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         assert run(base + ["--threads", threads, "--out", str(out)]) == 0
-        outs.append(json.loads(out.with_suffix(".json").read_bytes()))
+        outs.append(out.with_suffix(".json").read_bytes())
     assert outs[0] == outs[1]
-    assert ("series" in outs[0]) == (mode == "slln-series")
+    assert ("series" in json.loads(outs[0])) == (mode == "slln-series")
 
 
 def test_wlln_reads_every_b_before_drawing(tmp_path, monkeypatch, capsys):
@@ -102,7 +102,7 @@ def test_wlln_reads_every_b_before_drawing(tmp_path, monkeypatch, capsys):
     def drawn(*args):
         raise AssertionError("rows drawn before b_n was read")
 
-    monkeypatch.setattr(simulate, "_replication_maxima", drawn)
+    monkeypatch.setattr("llnlab.simulate._replication_maxima", drawn)
     rc = run(["simulate", "--spec", str(spec), "--mode", "wlln", "--rows", "2^4..2^4",
               "--reps", "20", "--out", str(tmp_path / "s")])
     assert rc == 2
@@ -628,7 +628,7 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
 # process itself has imported them already
 MODULE_PROBE = """
 import json, sys
-from llnlab import cli, simulate
+from llnlab import cli
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 packages = sys.argv[1].split(",")

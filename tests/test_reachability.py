@@ -75,9 +75,11 @@ def _decorators(fn) -> set:
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
-    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id",
-                       getattr(d.func if isinstance(d, ast.Call) else d, "attr", None))
-               == "dataclass" for d in cls.decorator_list)
+    for dec in cls.decorator_list:
+        fn = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+            return True
+    return False
 
 
 def _walk(node, owner, visit):
