@@ -228,8 +228,14 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
 def cmd_replay(args, argv: list[str]) -> int:
     try:
         manifest = json.loads(Path(args.manifest).read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError("a manifest is a JSON object")
         recorded = manifest["argv"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        if not (isinstance(recorded, list) and all(isinstance(a, str) for a in recorded)):
+            raise ValueError(f"'argv' must be a list of strings, got {recorded!r}")
+        if recorded[:1] == ["replay"]:
+            raise ValueError("a recorded replay command is not replayed")
+    except (OSError, ValueError, KeyError) as exc:  # ValueError: bad JSON too
         _log(f"error: cannot replay manifest {args.manifest}: {exc}")
         return 2
     _log(f"replaying: {' '.join(recorded)}")

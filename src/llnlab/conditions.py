@@ -331,7 +331,7 @@ def _ratio_sequence(b: NormalizingSequence, N: int, *, squared: bool) -> np.ndar
     if N < 2:  # the verdict compares the first and the last half
         raise ValueError(f"norming-ratio check needs N >= 2, got {N}")
     idx = np.arange(1, N + 1, dtype=float)
-    bv = b.float_values(N)
+    bv = b.floats(N)
     if np.any(bv <= 0.0):
         raise ValueError("normalizing sequence must be positive")
     if np.any(np.diff(bv) < 0.0):

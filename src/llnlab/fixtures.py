@@ -121,12 +121,6 @@ def _build_example_21(p: float, nu: int) -> Problem:
         n0 = int(math.floor(x)) + 1
         return math.ceil(n0 / 2) / (n0 * n0)
 
-    def a_fn(n: int, i: int) -> float:
-        if n == 1:
-            return 1.0
-        m = n // 2
-        return 1.0 / m if i <= m else 1.0 / (n * n)
-
     def range_sum(n: int, lo: int, hi: int) -> float:
         if n == 1:
             return 1.0 if lo <= 1 <= hi else 0.0
@@ -165,12 +159,7 @@ def _build_example_21(p: float, nu: int) -> Problem:
         groups_fn=groups,
         closed_cesaro_sup=cesaro_sup,
     )
-    weights = explicit_weights(
-        a_fn,
-        lambda n: n,
-        range_sum_fn=range_sum,
-        closed_weighted_sup=weighted_sup,
-    )
+    weights = explicit_weights(range_sum, lambda n: n, closed_weighted_sup=weighted_sup)
     return Problem(
         label="example-2.1",
         arr=arr,
@@ -300,9 +289,6 @@ def _build_wlln_counterexample(p: float, nu: int) -> Problem:
     def weighted_sup(x) -> float:
         return 1.0  # magnitudes are unbounded: some row's dominant cell exceeds x
 
-    def a_fn(n: int, i: int) -> float:
-        return 1.0 if i == n else 0.0
-
     def range_sum(n: int, lo: int, hi: int) -> float:
         return 1.0 if lo <= n <= hi else 0.0
 
@@ -339,12 +325,7 @@ def _build_wlln_counterexample(p: float, nu: int) -> Problem:
         groups_fn=groups,
         closed_cesaro_sup=cesaro_sup,
     )
-    weights = explicit_weights(
-        a_fn,
-        lambda n: n,
-        range_sum_fn=range_sum,
-        closed_weighted_sup=weighted_sup,
-    )
+    weights = explicit_weights(range_sum, lambda n: n, closed_weighted_sup=weighted_sup)
     return Problem(
         label="wlln-counterexample",
         arr=arr,

@@ -338,17 +338,16 @@ def sequence_array(
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Nonnegative weights a(n, i) tied to a row-length map.
+    """Nonnegative weights a(n, i) tied to a row-length map, given by their sums.
 
-    ``range_sum_fn`` gives the closed sum of a(n, i) over lo <= i <= hi when
-    the scheme has block structure; otherwise sums fall back to a loop.
+    ``range_sum_fn(n, lo, hi)`` is the sum of a(n, i) over lo <= i <= hi, for
+    1 <= lo <= hi <= k_n; uniform weights (a = 1/k_n) have none.
     ``closed_weighted_sup`` is an exact sup_n sum_i a(n,i) P(|X[n,i]| > x) for
     the array this scheme was built for (fixtures attach it).
     """
 
-    kind: str  # uniform | explicit | c-normalized
+    kind: str  # uniform | explicit
     row_length: Callable[[int], int]
-    a_fn: Optional[Callable[[int, int], float]] = None
     range_sum_fn: Optional[Callable[[int, int, int], float]] = None
     closed_weighted_sup: Optional[Callable[[float], float]] = None
     n_max: Optional[int] = None
@@ -360,9 +359,7 @@ class WeightScheme:
             return 0.0
         if self.kind == "uniform":
             return (hi - lo + 1) / k
-        if self.range_sum_fn is not None:
-            return self.range_sum_fn(n, lo, hi)
-        return math.fsum(self.a_fn(n, i) for i in range(lo, hi + 1))  # type: ignore[misc]
+        return self.range_sum_fn(n, lo, hi)  # type: ignore[misc]
 
     def c0(self, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
         """sup of row sums over the scan range, with the first attaining row.
@@ -371,22 +368,18 @@ class WeightScheme:
         when it has none, so only the rows up to the first nonempty one are
         read.  Any other row is summed as ``range_sum(n, 1, k)`` sums it, the
         row bound checked once for the whole scan: ``range_sum_fn(n, 1, k)``,
-        else the ``math.fsum`` of its weights, and 0.0 for a row with no cells.
+        and 0.0 for a row with no cells.
         """
         rows = range(1, scan_top(n_sup, self.n_max) + 1)  # inside 1..n_max
         if self.kind == "uniform":
             best_n = next((n for n in rows if self.row_length(n) >= 1), 0)
             best = (1.0 if best_n else 0.0) if rows else -math.inf
         else:
-            k_of, closed, a = self.row_length, self.range_sum_fn, self.a_fn
+            k_of, closed = self.row_length, self.range_sum_fn
 
             def row_sum(n: int) -> float:
                 k = k_of(n)
-                if k < 1:
-                    return 0.0
-                if closed is not None:
-                    return closed(n, 1, k)
-                return math.fsum(a(n, i) for i in range(1, k + 1))
+                return closed(n, 1, k) if k >= 1 else 0.0
 
             # sized before the first row is read: a scan too large to hold fails at once
             sums = np.fromiter(map(row_sum, rows), dtype=float, count=len(rows))
@@ -402,17 +395,15 @@ def uniform_weights(row_length: Callable[[int], int] = lambda n: n) -> WeightSch
 
 
 def explicit_weights(
-    a_fn: Callable[[int, int], float],
+    range_sum_fn: Callable[[int, int, int], float],
     row_length: Callable[[int], int],
     *,
-    range_sum_fn: Optional[Callable[[int, int, int], float]] = None,
     closed_weighted_sup: Optional[Callable[[float], float]] = None,
     n_max: Optional[int] = None,
 ) -> WeightScheme:
     return WeightScheme(
         kind="explicit",
         row_length=row_length,
-        a_fn=a_fn,
         range_sum_fn=range_sum_fn,
         closed_weighted_sup=closed_weighted_sup,
         n_max=n_max,
@@ -427,7 +418,8 @@ def c_normalized_weights(
     growth_constant: Optional[float] = None,
     n_max: Optional[int] = None,
 ) -> WeightScheme:
-    """a(n,i) = c(n,i)/A_n with A_n = sum c, or c(n,i)^2/A_n with A_n = sum c^2."""
+    """a(n,i) = c(n,i)/A_n with A_n = sum c, or c(n,i)^2/A_n with A_n = sum c^2;
+    a range sum is the ``math.fsum`` of its cells' a(n, i)."""
     if flavor not in ("sum", "sum-sq"):
         raise ValueError("flavor must be 'sum' or 'sum-sq'")
 
@@ -444,11 +436,12 @@ def c_normalized_weights(
             raise ValueError(f"A_{n} = {norm} exceeds declared bound {growth_constant}*n")
         return norm
 
-    def a_fn(n: int, i: int) -> float:
-        c = c_fn(n, i)
-        return (c if flavor == "sum" else c * c) / a_norm(n)
+    def range_sum(n: int, lo: int, hi: int) -> float:
+        norm = a_norm(n)
+        cs = (c_fn(n, i) for i in range(lo, hi + 1))
+        return math.fsum((c if flavor == "sum" else c * c) / norm for c in cs)
 
-    return WeightScheme(kind="c-normalized", row_length=row_length, a_fn=a_fn, n_max=n_max)
+    return explicit_weights(range_sum, row_length, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +634,12 @@ class NormalizingSequence:
     """Positive nondecreasing b_n with the convention b_0 = 0.
 
     ``fn`` may return exact ints for int input (used by closed-form checks far
-    beyond float range).  ``floats(N)``, when set, gives float(b_n) for
-    n = 1..N as one array, bitwise equal to those scalar values.
+    beyond float range).  ``floats(N)`` gives float(b_n) for n = 1..N as one
+    array, bitwise equal to those scalar values.
     """
 
     fn: Callable[[int], float]
-    floats: Optional[Callable[[int], np.ndarray]] = None
+    floats: Callable[[int], np.ndarray]
 
     def eval(self, n):
         if n == 0:
@@ -656,13 +649,6 @@ class NormalizingSequence:
         return self.fn(n)
 
     __call__ = eval
-
-    def float_values(self, N: int) -> np.ndarray:
-        """float(b_n) for n = 1..N: ``floats`` or, without it, one ``fn`` call
-        per n into an array sized before the first call."""
-        if self.floats is not None:
-            return self.floats(N)
-        return np.fromiter(map(float, map(self.fn, range(1, N + 1))), dtype=float, count=N)
 
 
 EXACT_SQUARES = 1 << 26  # n * n is exact in float below this: n^2 < 2^52

@@ -191,9 +191,11 @@ def expectation_via_tail(
 def truncated_abs_moment(
     tail: TailFunction, r: float, x: float, side: str
 ) -> ExpectationValue:
-    """E(|X|^r 1(|X| <= x)) for side='below', E(|X|^r 1(|X| > x)) for 'above'; r > 0."""
+    """E(|X|^r 1(|X| <= x)) for side='below', E(|X|^r 1(|X| > x)) for 'above'; r > 0, x >= 0."""
     if not (r > 0):
         raise ValueError("r must be positive")
+    if x < 0:
+        raise ValueError(f"truncation level x must be >= 0, got {x}")
     if side not in ("below", "above"):
         raise ValueError("side must be 'below' or 'above'")
     lo, hi = (0.0, x) if side == "below" else (x, math.inf)

@@ -29,13 +29,15 @@ Schema sketch (full documentation in the repository README):
     }
 
 Explicit cells must cover every (n, i) with 1 <= i <= k_n for the declared
-rows; the largest declared n becomes the array's row bound.
+rows; the largest declared n becomes the array's row bound.  A cell or weight
+entry outside those rows, or a second entry for one (n, i), is a SpecError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -132,17 +134,39 @@ def parse_svf(obj: Optional[dict]) -> Optional[SlowlyVaryingSpec]:
     raise SpecError(f"unknown svf family {fam!r}")
 
 
-def _parse_rows(obj, cells_max_n: Optional[int]):
-    if obj is None:
-        if cells_max_n is None:
-            raise SpecError("spec needs 'rows' or explicit 'cells'")
-        obj = {"k": "n"}
-    k = obj.get("k", "n")
+def _parse_rows(obj: Optional[dict]):
+    k = "n" if obj is None else obj.get("k", "n")
     if k == "n":
-        return (lambda n: n), cells_max_n
+        return lambda n: n
     if isinstance(k, int) and k >= 1:
-        return (lambda n: k), cells_max_n
+        return lambda n: k
     raise SpecError(f"rows.k must be 'n' or a positive integer, got {k!r}")
+
+
+def _entries(entries, what: str, field: str, parse, row_length,
+             n_max: float = math.inf) -> tuple[dict, int]:
+    """The {(n, i): parse(entry[field])} table of a nonempty list of cell or
+    weight entries, and its last row.
+
+    Each entry names one cell of the spec's rows, 1 <= n <= ``n_max`` and
+    1 <= i <= k_n.  An entry that lies outside them, or names a cell an
+    earlier entry named, is a SpecError.
+    """
+    if not isinstance(entries, list) or not entries:
+        raise SpecError(f"{what} entries must be a nonempty list")
+    table = {}
+    for e in entries:
+        try:
+            key = n, i = int(e["n"]), int(e["i"])
+            value = parse(e[field])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"bad {what} entry {e!r}: {exc}") from exc
+        if not (1 <= n <= n_max and 1 <= i <= row_length(n)):
+            raise SpecError(f"{what} entry {e!r} lies outside the rows")
+        if key in table:
+            raise SpecError(f"{what} entry {e!r} repeats (n={n}, i={i})")
+        table[key] = value
+    return table, max(n for n, _ in table)
 
 
 def _parse_dependence(obj):
@@ -157,17 +181,8 @@ def _parse_dependence(obj):
 
 
 def _array_from_cells(doc: dict) -> ArraySpec:
-    cells = doc["cells"]
-    if not isinstance(cells, list) or not cells:
-        raise SpecError("'cells' must be a nonempty list")
-    table: dict[tuple[int, int], DistSpec] = {}
-    for c in cells:
-        try:
-            table[(int(c["n"]), int(c["i"]))] = parse_dist(c["dist"])
-        except (KeyError, TypeError) as exc:
-            raise SpecError(f"bad cell entry {c!r}: {exc}") from exc
-    n_max = max(n for n, _ in table)
-    row_length, _ = _parse_rows(_section(doc, "rows"), n_max)
+    row_length = _parse_rows(_section(doc, "rows"))
+    table, n_max = _entries(doc["cells"], "cell", "dist", parse_dist, row_length)
     for n in range(1, n_max + 1):
         for i in range(1, row_length(n) + 1):
             if (n, i) not in table:
@@ -201,36 +216,15 @@ def _array_from_cells(doc: dict) -> ArraySpec:
     )
 
 
-def _value_table(doc: dict, field: str) -> tuple[dict[tuple[int, int], float], int]:
-    """The {(n, i): value} table of a weights section's 'values' list, and its last row."""
-    values = doc.get("values")
-    if not isinstance(values, list) or not values:
-        raise SpecError(f"{doc['kind']} weights need a nonempty 'values' list")
-    table = {}
-    for v in values:
-        try:
-            table[(int(v["n"]), int(v["i"]))] = float(v[field])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad weight entry {v!r}: {exc}") from exc
-    return table, max(n for n, _ in table)
-
-
 def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
     if doc is None or doc.get("kind", "uniform") == "uniform":
         return uniform_weights(arr.row_length)
     kind = doc.get("kind")
-    if kind == "explicit":
-        table, n_max = _value_table(doc, "a")
-
-        def a_fn(n: int, i: int) -> float:
-            try:
-                return table[(n, i)]
-            except KeyError:
-                raise SpecError(f"weight (n={n}, i={i}) missing") from None
-
-        return explicit_weights(a_fn, arr.row_length, n_max=n_max)
+    if kind not in ("explicit", "c-normalized"):
+        raise SpecError(f"unknown weights kind {kind!r}")
+    table, n_max = _entries(doc.get("values"), "weight", "a" if kind == "explicit" else "c",
+                            float, arr.row_length, arr.n_max)
     if kind == "c-normalized":
-        table, n_max = _value_table(doc, "c")
         gc = _number(doc, "growth_constant")
         return c_normalized_weights(
             lambda n, i: table.get((n, i), 0.0),
@@ -239,7 +233,15 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
             growth_constant=None if gc is None else float(gc),
             n_max=n_max,
         )
-    raise SpecError(f"unknown weights kind {kind!r}")
+
+    def range_sum(n: int, lo: int, hi: int) -> float:
+        try:
+            return math.fsum(table[(n, i)] for i in range(lo, hi + 1))
+        except KeyError as exc:
+            _, i = exc.args[0]
+            raise SpecError(f"weight (n={n}, i={i}) missing") from None
+
+    return explicit_weights(range_sum, arr.row_length, n_max=n_max)
 
 
 def _norming_from_doc(doc: Optional[dict], p: float) -> Optional[NormalizingSequence]:

@@ -335,6 +335,43 @@ def test_simulate_row_too_large_to_hold_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+BAD_MANIFESTS = {
+    "argv-int": {"argv": 5},
+    "argv-null": {"argv": None},
+    "argv-ints": {"argv": [1, 2]},
+    "argv-string": {"argv": "check"},  # not to be split into characters
+    "list": [],
+    "replay-itself": None,  # argv: replay of this manifest
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_MANIFESTS))
+def test_replay_of_a_malformed_manifest_exits_2(tmp_path, name):
+    manifest = tmp_path / "m.manifest.json"
+    doc = BAD_MANIFESTS[name]
+    if doc is None:
+        doc = {"argv": ["replay", str(manifest)]}
+    manifest.write_text(json.dumps(doc))
+    proc = _cli_capped(["replay", str(manifest)])
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: cannot replay manifest {manifest}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_of_a_spec_with_a_cell_outside_its_rows_exits_2(tmp_path):
+    # the +-100 cell at (2, 7) lies past row 2's two cells: it is no cell of the array
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in range(1, 5) for i in range(1, n + 1)]
+    spike = {"n": 2, "i": 7, "dist": {"kind": "symmetric-two-point", "magnitude": 100.0}}
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "cells": cells + [spike]}))
+    proc = _cli_capped(["check", "--spec", str(spec), "--conditions", "cesaro-domination",
+                        "--n-sup", "64", "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: cell entry {spike!r} lies outside the rows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_reps_past_the_key_word_exits_2(tmp_path):
     # a replication index is one 32-bit key word: 2^32 replications at most
     proc = _cli_capped(["simulate", "--fixture", "x2m-example", "--rows", "1..8",

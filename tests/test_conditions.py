@@ -5,7 +5,7 @@ import pytest
 
 from llnlab import conditions, model, numerics, svf
 from llnlab.fixtures import load
-from llnlab.model import NormalizingSequence, power_norming
+from llnlab.model import explicit_norming, power_norming
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_ratio_bound_linear_norming_fails_like_harmonic():
 
 
 def test_ratio_bound_cubic_norming_holds():
-    b = NormalizingSequence(fn=lambda n: float(n) ** 3)
+    b = power_norming(1.0 / 3.0)  # b_n = n**3
     v = conditions.norming_ratio_bound(b, N=20_000)
     assert v.holds
     assert v.evidence["max_ratio"] <= 1.0 + 1e-12
@@ -161,7 +161,7 @@ def test_ratio_sq_sqrt_fails_like_harmonic():
 def test_ratio_sq_two_thirds_power_approaches_three():
     from scipy.special import zeta
 
-    b = NormalizingSequence(fn=lambda n: float(n) ** (2.0 / 3.0))
+    b = power_norming(1.5)  # b_n = float(n) ** (2/3)
     N = 50_000
     v = conditions.norming_ratio_bound_sq(b, N=N)
     assert v.holds
@@ -181,10 +181,11 @@ def test_ratio_bound_holds_implies_norming_outruns_n():
 
 
 def test_ratio_machinery_rejects_bad_sequences():
-    with pytest.raises(ValueError):
-        conditions.norming_ratio_bound(NormalizingSequence(fn=lambda n: -1.0), N=100)
-    with pytest.raises(ValueError):
-        conditions.norming_ratio_bound(NormalizingSequence(fn=lambda n: 1.0 / n), N=100)
+    with pytest.raises(ValueError, match="positive"):
+        conditions.norming_ratio_bound(explicit_norming([-1.0] * 100), N=100)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        conditions.norming_ratio_bound(
+            explicit_norming([1.0 / n for n in range(1, 101)]), N=100)
 
 
 # ---------------------------------------------------------------------------

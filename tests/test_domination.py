@@ -214,6 +214,16 @@ def test_truncated_bounds_refuses_undominated_array():
         domination.truncated_moment_bounds(fx.arr, y, 1.0, 4.0, n_sup=100)
 
 
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_truncated_bounds_refuse_a_negative_level(r):
+    # E(|X|^r 1(|X| <= x)) at x < 0 is no truncation: at r = 0.5 the Pareto
+    # integrand went complex, at r = 2 it read below = -4.0 and above = 7.0
+    arr = model.identical_array(model.ParetoTail(alpha=3.0))
+    y = model.tail_of(model.ParetoTail(alpha=3.0))
+    with pytest.raises(ValueError, match="x must be >= 0, got -2.0"):
+        domination.truncated_moment_bounds(arr, y, r, -2.0, n_sup=50)
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_truncated_bounds_sweep_no_violations(r):
     cases = [

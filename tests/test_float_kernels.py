@@ -5,7 +5,7 @@ Each kernel must give the bytes of its scalar reference, compared with
 from Python's ``**`` and ``math.log2`` for some integers) fails here.
 
 * ``model.float_powers``: float(n) ** inv over a range of n.
-* ``NormalizingSequence.float_values``: float(b(n)) for n = 1..N, for
+* ``NormalizingSequence.floats``: float(b(n)) for n = 1..N, for
   ``power_norming`` with and without a slowly varying conjugate and for
   ``explicit_norming``.
 * example-4.1's formula ``cell_steps``: the paper's scalar cell expression.
@@ -70,14 +70,14 @@ def scalar_floats(b, N):
 def test_power_norming_floats_equal_the_scalar_values(p, conj):
     b = model.power_norming(p, conj)
     N = 50_000
-    got = b.float_values(N)
+    got = b.floats(N)
     assert got.dtype == np.float64 and got.tolist() == scalar_floats(b, N)
 
 
 def test_power_norming_constant_conjugate_is_the_trivial_one():
     for p in PS:
         b, ref = model.power_norming(p, constant_one()), model.power_norming(p)
-        assert b.float_values(5000).tolist() == ref.float_values(5000).tolist() \
+        assert b.floats(5000).tolist() == ref.floats(5000).tolist() \
             == scalar_floats(ref, 5000)
 
 
@@ -90,7 +90,7 @@ def test_int_norming_floats_on_both_sides_of_2_to_the_53(N):
     assert CUBE_EDGE**3 < 2**53 <= (CUBE_EDGE + 1) ** 3
     b = model.power_norming(1.0 / 3.0)
     assert b(N) == N**3  # the exact-int path
-    assert b.float_values(N).tolist() == scalar_floats(b, N)
+    assert b.floats(N).tolist() == scalar_floats(b, N)
 
 
 def test_int_norming_past_float_range_raises_as_the_scalar_values():
@@ -98,23 +98,18 @@ def test_int_norming_past_float_range_raises_as_the_scalar_values():
     with pytest.raises(OverflowError):
         scalar_floats(b, 2000)
     with pytest.raises(OverflowError):
-        b.float_values(2000)
+        b.floats(2000)
 
 
 def test_explicit_norming_floats():
     vals = [0.5 * k + 1.0 / 3.0 for k in range(1, 101)]
     b = model.explicit_norming(vals)
     for N in (1, 57, 100):
-        assert b.float_values(N).tolist() == scalar_floats(b, N)
+        assert b.floats(N).tolist() == scalar_floats(b, N)
     with pytest.raises(RowRangeError) as scalar:
         scalar_floats(b, 101)
     with pytest.raises(RowRangeError, match=re.escape(str(scalar.value))):
-        b.float_values(101)
-
-
-def test_a_plain_norming_sequence_is_read_one_value_at_a_time():
-    b = model.NormalizingSequence(fn=lambda n: float(n) ** (2.0 / 3.0))
-    assert b.float_values(TOP).tolist() == scalar_powers(1, TOP, 2.0 / 3.0)
+        b.floats(101)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +153,16 @@ def _schemes():
 
     lengths = {"n": lambda n: n, "n-5": lambda n: max(n - 5, 0), "empty": lambda n: 0}
     for name, k in lengths.items():
+        # a spec's explicit table: one weight per cell, a range summed by math.fsum
+        table = {(n, i): a_fn(n, i) for n in range(1, 501) for i in range(1, k(n) + 1)}
+
+        def table_sum(n, lo, hi, table=table):
+            return math.fsum(table[n, i] for i in range(lo, hi + 1))
+
         for n_max in (None, 3, 40):
             tag = f"{name}-nmax{n_max}"
-            yield f"closed-{tag}", model.explicit_weights(a_fn, k, range_sum_fn=range_sum,
-                                                          n_max=n_max)
-            yield f"loop-{tag}", model.explicit_weights(a_fn, k, n_max=n_max)
+            yield f"closed-{tag}", model.explicit_weights(range_sum, k, n_max=n_max)
+            yield f"loop-{tag}", model.explicit_weights(table_sum, k, n_max=n_max)
             yield f"c-normalized-{tag}", model.c_normalized_weights(
                 lambda n, i: 1.0 + (i % 3), k, n_max=n_max)
     yield "example-2.1", load("example-2.1").weights

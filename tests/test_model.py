@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llnlab import model
+from llnlab import model, specio
 from llnlab.errors import RowRangeError, SamplingError
 
 
@@ -149,9 +150,27 @@ def test_uniform_c0_of_an_empty_scan_raises_as_the_row_loop(n_sup):
 
 
 def test_row_out_of_declared_range():
-    w = model.explicit_weights(lambda n, i: 1.0, lambda n: n, n_max=5)
+    w = model.explicit_weights(lambda n, lo, hi: hi - lo + 1.0, lambda n: n, n_max=5)
     with pytest.raises(RowRangeError):
         row_sum(w, 6)
+
+
+def test_a_weight_scheme_is_its_range_sums():
+    from llnlab.fixtures import load
+
+    assert [f.name for f in dataclasses.fields(model.WeightScheme)] == [
+        "kind", "row_length", "range_sum_fn", "closed_weighted_sup", "n_max"]
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in (1, 2) for i in range(1, n + 1)]
+    values = [{"n": c["n"], "i": c["i"], "c": 1.0} for c in cells]
+    spec = specio.load_spec_obj({"cells": cells,
+                                 "weights": {"kind": "c-normalized", "values": values}})
+    c_norm = model.c_normalized_weights(lambda n, i: float(i), lambda n: n)
+    for w in (spec.weights, load("example-2.1").weights, load("wlln-counterexample").weights,
+              c_norm):
+        assert w.kind == "explicit" and w.range_sum_fn is not None
+        assert not hasattr(w, "a_fn")
+    assert spec.weights.range_sum(2, 2, 2) == 0.5
 
 
 def test_c_normalized_rows_sum_to_one_exactly():

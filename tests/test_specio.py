@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -104,6 +105,51 @@ def test_c_normalized_weights_parsing():
     spec = specio.load_spec_obj(doc)
     assert spec.weights.range_sum(2, 2, 2) == pytest.approx(0.75)
     assert spec.weights.range_sum(2, 1, 2) == pytest.approx(1.0, abs=1e-12)
+
+
+PM1 = {"kind": "symmetric-pm1"}
+
+
+def _rows_to_4(cells=(), values=None, kind="explicit"):
+    """Complete rows 1..4 of +-1 cells (k_n = n), then ``cells``; with ``values``
+    appended to complete weights of that kind."""
+    full = [{"n": n, "i": i} for n in range(1, 5) for i in range(1, n + 1)]
+    doc = {"rows": {"k": "n"}, "cells": [{**c, "dist": PM1} for c in full] + list(cells)}
+    if values is not None:
+        field = "a" if kind == "explicit" else "c"
+        doc["weights"] = {"kind": kind, "values": [{**c, field: 0.25} for c in full] + values}
+    return doc
+
+
+# each doc and the one entry of it that lies outside the rows or repeats a cell
+BAD_ENTRY_CASES = {
+    "cell-row-negative": ({"cells": [{"n": -1, "i": 1, "dist": PM1}]}, "cell"),
+    "cell-row-zero": ({"cells": [{"n": 0, "i": 1, "dist": PM1}]}, "cell"),
+    "cell-index-zero": (_rows_to_4([{"n": 3, "i": 0, "dist": PM1}]), "cell"),
+    "cell-past-its-row": (_rows_to_4([{"n": 2, "i": 7, "dist": {
+        "kind": "symmetric-two-point", "magnitude": 100.0}}]), "cell"),
+    "cell-repeated": (_rows_to_4([{"n": 2, "i": 1, "dist": {
+        "kind": "symmetric-two-point", "magnitude": 100.0}}]), "cell"),
+    "weight-past-its-row": (_rows_to_4(values=[{"n": 2, "i": 9, "a": 1.0}]), "weight"),
+    "weight-past-the-rows": (_rows_to_4(values=[{"n": 5, "i": 1, "a": 1.0}]), "weight"),
+    "weight-repeated": (_rows_to_4(values=[{"n": 3, "i": 2, "a": 1.0}]), "weight"),
+    "c-weight-past-its-row": (
+        _rows_to_4(values=[{"n": 2, "i": 9, "c": 1.0}], kind="c-normalized"), "weight"),
+}
+
+
+@pytest.mark.parametrize("doc,what", BAD_ENTRY_CASES.values(), ids=BAD_ENTRY_CASES.keys())
+def test_entries_outside_the_rows_or_repeated_are_errors(doc, what):
+    entries = doc["cells"] if what == "cell" else doc["weights"]["values"]
+    bad = entries[-1]
+    with pytest.raises(SpecError, match=f"^{what} entry {re.escape(repr(bad))} "):
+        specio.load_spec_obj(doc)
+
+
+def test_complete_entry_tables_load():
+    for kind in ("explicit", "c-normalized"):
+        spec = specio.load_spec_obj(_rows_to_4(values=[], kind=kind))
+        assert spec.arr.n_max == 4 and spec.weights.n_max == 4
 
 
 def test_svf_parsing():
