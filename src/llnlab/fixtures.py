@@ -46,7 +46,7 @@ from .model import (
     sequence_array,
     uniform_weights,
 )
-from .svf import SlowlyVaryingSpec, clog2
+from .svf import SlowlyVaryingSpec, clog2, log_nu_at
 
 FIXTURE_NAMES = (
     "example-2.1",
@@ -129,6 +129,10 @@ def _build_example_21(p: float, nu: int) -> Problem:
         c2 = max(0, hi - max(lo, m + 1) + 1)
         return c1 / m + c2 / (n * n)
 
+    def c0(top: int) -> tuple[float, int]:
+        # row 1 sums to 1.0, row 2 to 1 + 1/4, and row n >= 3 to 1 + ceil(n/2)/n^2 < 5/4
+        return (1.0, 1) if top == 1 else (1.25, 2)
+
     def odd_knots(lo: float, hi: float) -> tuple[float, ...]:
         # every step of cesaro_sup in (lo, hi): at 1 and where nstar moves on
         start = int(math.floor(lo)) + 1  # the first integer above lo
@@ -159,7 +163,8 @@ def _build_example_21(p: float, nu: int) -> Problem:
         groups_fn=groups,
         closed_cesaro_sup=cesaro_sup,
     )
-    weights = explicit_weights(range_sum, lambda n: n, closed_weighted_sup=weighted_sup)
+    weights = explicit_weights(range_sum, lambda n: n, closed_weighted_sup=weighted_sup,
+                               closed_c0=c0)
     return Problem(
         label="example-2.1",
         arr=arr,
@@ -189,25 +194,12 @@ def _build_example_21(p: float, nu: int) -> Problem:
 
 
 def _build_example_41(p: float, nu: int) -> Problem:
-    def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
-        # X_i = +-(i+1)^(1/p) with probability 1/(i log_nu(i)), one column at a
-        # time: the log_nu product gains one clamped log2 factor per pass, in
-        # svf.log_nu's order, until every factor left is the clamped 1.0.
-        # Array +, * and / round as the scalar operations do; the powers come
-        # from float_powers and each log2 is math.log2 of one float, taken
-        # only above the clamp (numpy's log2 differs from it in the last bit)
-        mags = float_powers(lo + 1, hi + 1, 1.0 / p)
+    def cell_steps(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # X_i = +-(i+1)^(1/p) with probability 1/(i log_nu(i)).  Array * and /
+        # round as the scalar operations do; the powers come from float_powers
+        # and the log_nu products from svf.log_nu_at
         i = np.arange(lo, hi + 1, dtype=float)
-        f, prod = i, np.ones(len(i))
-        for _ in range(nu):
-            if not len(f) or f[-1] <= 2.0:  # f rises with i: every factor from here is 1.0
-                break
-            above = np.flatnonzero(f > 2.0)
-            logs = np.ones(len(f))
-            logs[above] = np.fromiter(map(math.log2, f[above].tolist()), dtype=float,
-                                      count=len(above))
-            f, prod = logs, prod * logs
-        return mags.tolist(), (1.0 / (i * prod)).tolist()
+        return float_powers(lo + 1, hi + 1, 1.0 / p), 1.0 / (i * log_nu_at(i, nu))
 
     arr = sequence_array(cell_steps=cell_steps)
     return Problem(
@@ -325,7 +317,8 @@ def _build_wlln_counterexample(p: float, nu: int) -> Problem:
         groups_fn=groups,
         closed_cesaro_sup=cesaro_sup,
     )
-    weights = explicit_weights(range_sum, lambda n: n, closed_weighted_sup=weighted_sup)
+    weights = explicit_weights(range_sum, lambda n: n, closed_weighted_sup=weighted_sup,
+                               closed_c0=lambda top: (1.0, 1))  # every row sums to 1.0
     return Problem(
         label="wlln-counterexample",
         arr=arr,
@@ -403,14 +396,14 @@ _UI_SCALE = np.ldexp(1.0, -_UI_D)
 def _build_x2m(p: float, nu: int) -> Problem:
     half = p == 0.5
 
-    def cell_steps(lo: int, hi: int) -> tuple[list[float], list[float]]:
+    def cell_steps(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # X_i = +-(2^m / m)^(1/p) at i = 2^m (m >= 1), +-1 elsewhere
-        mags = [1.0] * (hi - lo + 1)
+        mags = np.ones(hi - lo + 1)
         i = 1 << (max(lo, 2) - 1).bit_length()  # the first 2^m >= max(lo, 2)
         while i <= hi:
             mags[i - lo] = (i / (i.bit_length() - 1)) ** (1.0 / p)
             i <<= 1
-        return mags, [1.0] * len(mags)
+        return mags, np.ones(len(mags))
 
     def cesaro_sup(x):
         if isinstance(x, int):

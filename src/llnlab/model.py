@@ -243,7 +243,7 @@ class ArraySpec:
 
     ``cell_steps(lo, hi)``, set on a sequence array whose every cell is a step
     law, is the array's formula: the (magnitude, prob) of cells lo..hi as two
-    lists of floats.  ``sequence_cell(i)`` is then the ``SymmetricTwoPoint``
+    float64 arrays.  ``sequence_cell(i)`` is then the ``SymmetricTwoPoint``
     of the one-cell run i..i (``sequence_array`` builds it), and
     ``step_columns`` reads a run of cells from the formula without building
     a cell object per cell.
@@ -255,7 +255,7 @@ class ArraySpec:
     dependence: Dependence = INDEPENDENT
     n_max: Optional[int] = None
     closed_cesaro_sup: Optional[Callable[[float], float]] = None
-    cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None
+    cell_steps: Optional[Callable[[int, int], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.groups_fn is None and self.sequence_cell is None:
@@ -312,7 +312,7 @@ def sequence_array(
     cell: Optional[Callable[[int], DistSpec]] = None,
     *,
     closed_cesaro_sup: Optional[Callable[[float], float]] = None,
-    cell_steps: Optional[Callable[[int, int], tuple[list[float], list[float]]]] = None,
+    cell_steps: Optional[Callable[[int, int], tuple[np.ndarray, np.ndarray]]] = None,
 ) -> ArraySpec:
     """Array with X[n,i] = X_i and k_n = n, given by ``cell(i)`` or, for a
     sequence of step laws, by its formula ``cell_steps`` alone."""
@@ -320,7 +320,7 @@ def sequence_array(
         raise ValueError("sequence_array needs one of cell and cell_steps")
     if cell is None:
         def cell(i: int) -> SymmetricTwoPoint:
-            (m,), (q,) = cell_steps(i, i)
+            (m,), (q,) = (col.tolist() for col in cell_steps(i, i))
             return SymmetricTwoPoint(m, q)
 
     return ArraySpec(
@@ -343,13 +343,16 @@ class WeightScheme:
     ``range_sum_fn(n, lo, hi)`` is the sum of a(n, i) over lo <= i <= hi, for
     1 <= lo <= hi <= k_n; uniform weights (a = 1/k_n) have none.
     ``closed_weighted_sup`` is an exact sup_n sum_i a(n,i) P(|X[n,i]| > x) for
-    the array this scheme was built for (fixtures attach it).
+    the array this scheme was built for, and ``closed_c0(top)`` the exact
+    (sup, first attaining row) of the row sums over rows 1..top (fixtures
+    attach both).
     """
 
     kind: str  # uniform | explicit
     row_length: Callable[[int], int]
     range_sum_fn: Optional[Callable[[int, int, int], float]] = None
     closed_weighted_sup: Optional[Callable[[float], float]] = None
+    closed_c0: Optional[Callable[[int], tuple[float, int]]] = None
     n_max: Optional[int] = None
 
     def range_sum(self, n: int, lo: int, hi: int) -> float:
@@ -364,14 +367,17 @@ class WeightScheme:
     def c0(self, n_sup: int = DEFAULT_N_SUP) -> tuple[float, int]:
         """sup of row sums over the scan range, with the first attaining row.
 
-        A uniform row sums to k/k = 1.0 when it has k >= 1 cells and to 0.0
-        when it has none, so only the rows up to the first nonempty one are
-        read.  Any other row is summed as ``range_sum(n, 1, k)`` sums it, the
-        row bound checked once for the whole scan: ``range_sum_fn(n, 1, k)``,
-        and 0.0 for a row with no cells.
+        A nonempty scan of a scheme with ``closed_c0`` reads no row.  A uniform
+        row sums to k/k = 1.0 when it has k >= 1 cells and to 0.0 when it has
+        none, so only the rows up to the first nonempty one are read.  Any
+        other row is summed as ``range_sum(n, 1, k)`` sums it, the row bound
+        checked once for the whole scan: ``range_sum_fn(n, 1, k)``, and 0.0 for
+        a row with no cells.
         """
         rows = range(1, scan_top(n_sup, self.n_max) + 1)  # inside 1..n_max
-        if self.kind == "uniform":
+        if rows and self.closed_c0 is not None:
+            best, best_n = self.closed_c0(len(rows))
+        elif self.kind == "uniform":
             best_n = next((n for n in rows if self.row_length(n) >= 1), 0)
             best = (1.0 if best_n else 0.0) if rows else -math.inf
         else:
@@ -399,6 +405,7 @@ def explicit_weights(
     row_length: Callable[[int], int],
     *,
     closed_weighted_sup: Optional[Callable[[float], float]] = None,
+    closed_c0: Optional[Callable[[int], tuple[float, int]]] = None,
     n_max: Optional[int] = None,
 ) -> WeightScheme:
     return WeightScheme(
@@ -406,6 +413,7 @@ def explicit_weights(
         row_length=row_length,
         range_sum_fn=range_sum_fn,
         closed_weighted_sup=closed_weighted_sup,
+        closed_c0=closed_c0,
         n_max=n_max,
     )
 
@@ -493,7 +501,7 @@ def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
         dists = None if arr.cell_steps else list(map(arr.sequence_cell, range(lo, hi + 1)))
         layout = None
     if dists is None:  # every cell is a step law, read from the formula
-        pairs = np.array(arr.cell_steps(lo, hi), dtype=float).T
+        pairs = np.column_stack(arr.cell_steps(lo, hi))
     else:
         pairs = np.fromiter(chain.from_iterable(step_law(d) or (math.nan, math.nan)
                                                 for d in dists),

@@ -23,11 +23,14 @@ atoms is integrated (and may list its kinks in ``breakpoints()``).
 
 The module also houses the weighted moment scans used by the domination and
 condition checks: bounded weighted moments, weighted uniform integrability,
-superlinear witness functions, and the rescaled tail-decay sequence.
+superlinear witness functions, and the rescaled tail-decay sequence.  The
+scans take a :class:`MomentFunction`, evaluated at every step magnitude of a
+row table in one array pass (:meth:`MomentFunction.at`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -43,7 +46,6 @@ from .model import (
     CustomDist,
     DistSpec,
     ParetoTail,
-    RowTable,
     SymmetricTwoPoint,
     TailFunction,
     WeightScheme,
@@ -115,6 +117,19 @@ class MomentFunction:
         return out
 
     __call__ = eval
+
+    def at(self, xs: np.ndarray) -> np.ndarray:
+        """``eval`` of each element of ``xs``, bitwise: the scalar ``**`` of each
+        element above 0, times ``svf.log_nu_at``; 0.0 elsewhere."""
+        xs = np.asarray(xs, dtype=float)
+        pos = np.flatnonzero(xs > 0.0)
+        x = xs[pos]
+        out = np.zeros_like(xs)
+        out[pos] = np.fromiter(map(pow, x.tolist(), itertools.repeat(self.power)),
+                               dtype=float, count=len(pos))
+        if self.log_factor_nu is not None:
+            out[pos] *= _svf.log_nu_at(x, self.log_factor_nu)
+        return out
 
     def derivative(self, x: float) -> float:
         x = float(x)
@@ -370,11 +385,6 @@ def transformed_array(arr: ArraySpec, t) -> ArraySpec:
 # ---------------------------------------------------------------------------
 
 
-def _at_magnitudes(table: RowTable, h) -> np.ndarray:
-    """h(m) for the magnitude m of each step law of ``table``, one scalar call each."""
-    return np.fromiter(map(h, table.mag.tolist()), dtype=float, count=len(table.mag))
-
-
 def _sup_with_growth(values: np.ndarray) -> SupValue:
     if np.any(np.isinf(values)):
         n = int(np.argmax(np.isinf(values))) + 1
@@ -388,7 +398,7 @@ def _sup_with_growth(values: np.ndarray) -> SupValue:
 
 
 def bounded_moment_condition(
-    arr: ArraySpec, w: WeightScheme, g, *, n_sup: int = DEFAULT_N_SUP
+    arr: ArraySpec, w: WeightScheme, g: MomentFunction, *, n_sup: int = DEFAULT_N_SUP
 ) -> SupValue:
     """sup_n sum_i a(n,i) E g(|X[n,i]|) over the scan range.
 
@@ -396,14 +406,14 @@ def bounded_moment_condition(
     across the scan is how divergence shows up (no exception).
     """
     table = row_table(arr, w, n_sup)
-    steps = _at_magnitudes(table, g) * table.prob
+    steps = g.at(table.mag) * table.prob
     return _sup_with_growth(table.split_row_values(steps, lambda d: cell_moment(d, g)))
 
 
 def ui_check(
     arr: ArraySpec,
     w: WeightScheme,
-    transform,
+    transform: MomentFunction,
     a_grid: Sequence[float],
     *,
     n_sup: int = DEFAULT_N_SUP,
@@ -414,7 +424,8 @@ def ui_check(
     Entry for level a: sup_n sum_i a(n,i) E(t(|X[n,i]|) 1(t(|X[n,i]|) > a)).
     ``closed_sup`` (when a fixture provides the exact sup over all n) replaces
     the finite row scan.  Otherwise one row table serves every level: t(m) is
-    evaluated once per step law, and a level's step values are
+    evaluated once per step law, in one array pass (``MomentFunction.at``),
+    and a level's step values are
     ``where(t(m) > a, t(m) * q, 0.0)``, the values of
     :func:`cell_transformed_tail_mass`; only the other laws go through that
     function, once per level.
@@ -422,7 +433,7 @@ def ui_check(
     if closed_sup is not None:
         return [float(closed_sup(a)) for a in a_grid]
     table = row_table(arr, w, n_sup)
-    t_m = _at_magnitudes(table, transform)
+    t_m = transform.at(table.mag)
     t_mass = t_m * table.prob
     return [
         float(np.max(table.split_row_values(
@@ -434,7 +445,7 @@ def ui_check(
 
 
 def dlvp_witness(
-    arr: ArraySpec, w: WeightScheme, g, *, n_sup: int = DEFAULT_N_SUP
+    arr: ArraySpec, w: WeightScheme, g: MomentFunction, *, n_sup: int = DEFAULT_N_SUP
 ) -> SupValue:
     """sup_n sum_i a(n,i) E g(|X[n,i]|) for a superlinear witness g.
 

@@ -30,7 +30,10 @@ Schema sketch (full documentation in the repository README):
 
 Explicit cells must cover every (n, i) with 1 <= i <= k_n for the declared
 rows; the largest declared n becomes the array's row bound.  A cell or weight
-entry outside those rows, or a second entry for one (n, i), is a SpecError.
+entry outside those rows, a second entry for one (n, i), an ``n`` or ``i``
+that is not a JSON integer, and a weight that is not a finite JSON number or
+(an ``a``, or a ``c`` of flavor ``sum``) is negative are each a SpecError
+naming the entry.
 """
 
 from __future__ import annotations
@@ -148,16 +151,19 @@ def _entries(entries, what: str, field: str, parse, row_length,
     """The {(n, i): parse(entry[field])} table of a nonempty list of cell or
     weight entries, and its last row.
 
-    Each entry names one cell of the spec's rows, 1 <= n <= ``n_max`` and
-    1 <= i <= k_n.  An entry that lies outside them, or names a cell an
-    earlier entry named, is a SpecError.
+    Each entry names one cell of the spec's rows by integers, 1 <= n <=
+    ``n_max`` and 1 <= i <= k_n.  An entry that lies outside them, names a
+    cell an earlier entry named, or whose value ``parse`` refuses, is a
+    SpecError.
     """
     if not isinstance(entries, list) or not entries:
         raise SpecError(f"{what} entries must be a nonempty list")
     table = {}
     for e in entries:
         try:
-            key = n, i = int(e["n"]), int(e["i"])
+            key = n, i = e["n"], e["i"]
+            if type(n) is not int or type(i) is not int:  # a bool, float or str is no index
+                raise TypeError("'n' and 'i' must be integers")
             value = parse(e[field])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad {what} entry {e!r}: {exc}") from exc
@@ -222,14 +228,27 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
     kind = doc.get("kind")
     if kind not in ("explicit", "c-normalized"):
         raise SpecError(f"unknown weights kind {kind!r}")
-    table, n_max = _entries(doc.get("values"), "weight", "a" if kind == "explicit" else "c",
-                            float, arr.row_length, arr.n_max)
+    flavor = doc.get("flavor", "sum")
+    field = "a" if kind == "explicit" else "c"
+    signed = flavor == "sum-sq" and kind == "c-normalized"  # a(n, i) = c^2 / A_n
+
+    def weight(value) -> float:
+        if type(value) not in (int, float):  # a bool or str is no weight
+            raise TypeError(f"'{field}' must be a number, got {value!r}")
+        w = float(value)
+        if not (math.isfinite(w) and (signed or w >= 0.0)):
+            bound = "" if signed else " >= 0"
+            raise ValueError(f"'{field}' must be a finite number{bound}, got {value!r}")
+        return w
+
+    table, n_max = _entries(doc.get("values"), "weight", field, weight, arr.row_length,
+                            arr.n_max)
     if kind == "c-normalized":
         gc = _number(doc, "growth_constant")
         return c_normalized_weights(
             lambda n, i: table.get((n, i), 0.0),
             arr.row_length,
-            flavor=doc.get("flavor", "sum"),
+            flavor=flavor,
             growth_constant=None if gc is None else float(gc),
             n_max=n_max,
         )

@@ -6,7 +6,7 @@ Conventions used throughout the package:
   log factor >= 1 and defined for all real inputs, so iterated-log products
   never need domain guards.
 * ``log_nu(x)`` is the product of the first ``nu`` iterated clamped logs,
-  ``(log x)(log log x)...``.
+  ``(log x)(log log x)...``; ``log_nu_at`` gives its bytes for an array of x.
 * A slowly varying function L satisfies L(lam*x)/L(x) -> 1 for every lam > 0.
   Its conjugate Lt is the (asymptotically unique) slowly varying function with
   L(x) * Lt(x * L(x)) -> 1.  For each of the three families here (constant,
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 _LN2 = math.log(2.0)
 
@@ -60,6 +62,30 @@ def log_nu(x: float, nu: int) -> float:
         out *= f
         if f == 1.0:  # clamped: every later factor is clog2(1.0) = 1.0
             break
+    return out
+
+
+def log_nu_at(xs: np.ndarray, nu: int) -> np.ndarray:
+    """``log_nu`` of each element of ``xs``, bitwise.
+
+    One pass per factor: each factor is ``math.log2`` of the elements above
+    the clamp at 2 (numpy's log2 differs from it in the last bit) and 1.0
+    elsewhere, multiplied in ``log_nu``'s order.  A product times the clamped
+    1.0 is unchanged, so the passes stop once no element is above the clamp.
+    """
+    if nu < 1:
+        raise ValueError("nu must be a positive integer")
+    f = np.asarray(xs, dtype=float)
+    out = np.ones_like(f)
+    for _ in range(nu):
+        above = np.flatnonzero(f > 2.0)
+        if not len(above):  # every factor from here is 1.0
+            break
+        logs = np.ones_like(f)
+        logs[above] = np.fromiter(map(math.log2, f[above].tolist()), dtype=float,
+                                  count=len(above))
+        f = logs
+        out *= f
     return out
 
 

@@ -436,8 +436,6 @@ def test_simulate_worker_fault_exits_2(tmp_path, fault, message, mode):
       "--n-sup", "100000000000"], "too large to hold in memory"),
     (["verify-fixtures", "--only", "example-4.1", "--n-sup", "100000000000",
       "--n", "1000"], "too large to hold in memory"),
-    (["check", "--fixture", "example-2.1", "--conditions", "weighted-domination",
-      "--n-sup", "100000000000"], "too large to hold in memory"),
     (["check", "--fixture", "example-4.1", "--p", "1e-300", "--conditions", "kG",
       "--n-sup", "64"], "leaves float range"),
     (["check", "--fixture", "x2m-example", "--p", "0.001", "--conditions", "series",
@@ -446,9 +444,8 @@ def test_simulate_worker_fault_exits_2(tmp_path, fault, message, mode):
       "--reps", "2"], "leaves float range"),
     (["check", "--fixture", "example-4.1", "--p", "0.01", "--conditions",
       "b-regularity-wlln,b-regularity-l2", "--n", "100000"], "leaves float range"),
-], ids=["check-scan-too-large", "verify-scan-too-large", "check-c0-too-large",
-        "check-kG-spikes-overflow", "check-series-spikes-overflow",
-        "simulate-spikes-overflow", "check-norming-overflow"])
+], ids=["check-scan-too-large", "verify-scan-too-large", "check-kG-spikes-overflow",
+        "check-series-spikes-overflow", "simulate-spikes-overflow", "check-norming-overflow"])
 def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     # the spike magnitudes (i+1)^(1/p) leave float range at these p
     if argv[0] != "verify-fixtures":
@@ -458,6 +455,17 @@ def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     assert "error: " in proc.stderr and message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o.json").exists()
+
+
+def test_check_c0_past_any_scan_ends_valid(tmp_path):
+    # example-2.1's C0 and weighted sup are closed: 10^11 rows are never read
+    proc = _cli_capped(["check", "--fixture", "example-2.1", "--conditions",
+                        "weighted-domination", "--n-sup", "100000000000",
+                        "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    assert "weighted-domination: valid (expected valid)" in proc.stderr
+    detail = json.loads((tmp_path / "o.json").read_text())["results"][0]["detail"]
+    assert detail["c0"] == 1.25 and detail["closed_form"] is True
 
 
 def _tiny_p_spec(tmp_path):
@@ -614,6 +622,20 @@ SPEC_CASES = {
         "kind": "symmetric-two-point", "magnitude": float("inf")}}]},
     "two-point-magnitude-nan": {"cells": [{"n": 1, "i": 1, "dist": {
         "kind": "symmetric-two-point", "magnitude": float("nan"), "prob": 0.5}}]},
+    # a(n, i) >= 0 and finite; so is c, but for its sign under flavor sum-sq
+    "weight-a-negative": {"weights": {"kind": "explicit",
+                                      "values": [{"n": 1, "i": 1, "a": -1.0}]}},
+    "weight-a-infinite": {"weights": {"kind": "explicit",
+                                      "values": [{"n": 1, "i": 1, "a": float("inf")}]}},
+    "weight-c-nan": {"weights": {"kind": "c-normalized",
+                                 "values": [{"n": 1, "i": 1, "c": float("nan")}]}},
+    "weight-c-negative": {"cells": [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+                                    for n in (1, 2) for i in range(1, n + 1)],
+                          "weights": {"kind": "c-normalized", "values": [
+                              {"n": 1, "i": 1, "c": 1.0}, {"n": 2, "i": 1, "c": -1.0},
+                              {"n": 2, "i": 2, "c": 3.0}]}},
+    "cell-row-fraction": {"cells": [{"n": 1.7, "i": 1, "dist": {"kind": "symmetric-pm1"}}]},
+    "cell-index-string": {"cells": [{"n": 1, "i": "1", "dist": {"kind": "symmetric-pm1"}}]},
 }
 
 

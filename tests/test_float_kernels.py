@@ -9,12 +9,22 @@ from Python's ``**`` and ``math.log2`` for some integers) fails here.
   ``power_norming`` with and without a slowly varying conjugate and for
   ``explicit_norming``.
 * example-4.1's formula ``cell_steps``: the paper's scalar cell expression.
+* ``svf.log_nu_at`` and ``MomentFunction.at``: ``log_nu`` and
+  ``MomentFunction.eval`` at each element.
 * ``WeightScheme.c0``: the per-row ``range_sum(n, 1, k)`` loop, rows with no cells
-  included; ``model.command_c0`` keeps the two last read.
+  included; ``model.command_c0`` keeps the two last read.  A fixture's
+  ``closed_c0`` is that loop's answer at every scan top, and a scheme without
+  one sizes the loop before its first row.
 """
 
+import dataclasses
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +32,8 @@ import pytest
 from llnlab import cli, model
 from llnlab.errors import RowRangeError
 from llnlab.fixtures import load
-from llnlab.svf import constant_one, log_nu, log_power, loglog_power
+from llnlab.moments import MomentFunction
+from llnlab.svf import constant_one, log_nu, log_nu_at, log_power, loglog_power
 
 PS = (0.5, 1.0, 0.7, 1.5, 1.0 / 3.0)
 TOP = 200_000  # np.power differs from ** on 10,436 of 1..TOP at 1/p = 2/3
@@ -123,9 +134,58 @@ def test_example_41_formula_equals_the_scalar_cells(p, nu):
     # np.log2 differs from math.log2 on 21 of the integers 1..2*10^5
     inv = 1.0 / p
     mags, probs = load("example-4.1", p=p, nu=nu).arr.cell_steps(1, TOP)
-    assert all(type(v) is float for v in (mags[0], mags[-1], probs[0], probs[-1]))
-    assert mags == [float(i + 1) ** inv for i in range(1, TOP + 1)]
-    assert probs == [1.0 / (i * log_nu(i, nu)) for i in range(1, TOP + 1)]
+    assert mags.dtype == probs.dtype == np.float64
+    assert mags.tolist() == [float(i + 1) ** inv for i in range(1, TOP + 1)]
+    assert probs.tolist() == [1.0 / (i * log_nu(i, nu)) for i in range(1, TOP + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Moment factors: log_nu_at and MomentFunction.at
+# ---------------------------------------------------------------------------
+
+
+def moment_points():
+    """1..TOP, the log_nu kinks and the floats beside them, 0.0, a negative
+    point, and points past 2^53 (where float(n) rounds)."""
+    kinks = [v for k in (2.0, 4.0, 16.0, 65536.0)
+             for v in (math.nextafter(k, 0.0), k, math.nextafter(k, math.inf))]
+    far = [float(2**53 + d) for d in (-2, -1, 0, 1, 2, 3)] + [2.0**60 + 2.0**8, 2.0**100]
+    return np.array([*range(1, TOP + 1), *kinks, 0.0, -3.5, *far], dtype=float)
+
+
+MOMENT_XS = moment_points()
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 5])
+def test_log_nu_at_equals_the_scalar_log_nu(nu):
+    xs = MOMENT_XS
+    got = log_nu_at(xs, nu)
+    assert got.dtype == np.float64
+    assert got.tolist() == [log_nu(x, nu) for x in xs.tolist()]
+    assert log_nu_at(xs[:0], nu).tolist() == []
+
+
+def test_log_nu_at_refuses_nu_below_one():
+    with pytest.raises(ValueError, match="nu must be a positive integer"):
+        log_nu_at(MOMENT_XS, 0)
+
+
+@pytest.mark.parametrize("nu", [None, 1, 2, 3])
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 1.5])
+def test_moment_function_at_equals_eval(p, nu):
+    # np.log2 differs from math.log2, and np.power from **, on some of these points
+    g = MomentFunction(power=p, log_factor_nu=nu)
+    got = g.at(MOMENT_XS)
+    assert got.dtype == np.float64
+    assert got.tolist() == [g.eval(x) for x in MOMENT_XS.tolist()]
+
+
+def test_moment_function_at_overflow_raises_as_eval():
+    g = MomentFunction(power=1.5)
+    with pytest.raises(OverflowError):
+        g.eval(1e300)
+    with pytest.raises(OverflowError):
+        g.at(np.array([2.0, 1e300]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +243,44 @@ def test_c0_equals_the_row_sum_loop(name, n_sup):
     else:
         got = w.c0(n_sup)
         assert got == want and type(got[0]) is float and type(got[1]) is int
+
+
+@pytest.mark.parametrize("name", ["example-2.1", "wlln-counterexample"])
+def test_closed_c0_is_the_row_scan_at_every_top(name):
+    w = load(name).weights
+    scan = dataclasses.replace(w, closed_c0=None)
+    for top in (*range(1, 301), 10_000):
+        got, want = w.closed_c0(top), scan.c0(top)
+        assert got == want == ref_c0(w, top)
+        assert got[0].hex() == want[0].hex() and type(got[1]) is int
+        assert w.c0(top) == got
+
+
+# a scheme with no closed C0 asked for 10^11 row sums: the request is sized
+# before the first row is read, so it fails at once under the cap
+_C0_TOO_LARGE = """
+from llnlab import model
+rows_read = []
+w = model.explicit_weights(lambda n, lo, hi: rows_read.append(n) or 1.0, lambda n: n)
+try:
+    w.c0(10**11)
+except MemoryError:
+    print(len(rows_read))
+"""
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_c0_scan_too_large_fails_before_reading_a_row():
+    src = str(Path(model.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _C0_TOO_LARGE],
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def _counting_c0(monkeypatch):

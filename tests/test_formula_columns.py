@@ -68,9 +68,12 @@ def assert_formula_is_the_cell(fx, lo, hi):
     cell = paper_cell(fx)
     want = [cell(i) for i in range(lo, hi + 1)]
     mags, probs = fx.arr.cell_steps(lo, hi)
-    assert all(type(v) is float for v in (*mags, *probs))
-    assert mags == [d.magnitude for d in want] and probs == [d.prob for d in want]
-    assert [fx.arr.sequence_cell(i) for i in (lo, hi)] == [cell(lo), cell(hi)]
+    assert mags.dtype == probs.dtype == np.float64
+    assert mags.tolist() == [d.magnitude for d in want]
+    assert probs.tolist() == [d.prob for d in want]
+    ends = [fx.arr.sequence_cell(i) for i in (lo, hi)]
+    assert ends == [cell(lo), cell(hi)]
+    assert all(type(v) is float for d in ends for v in (d.magnitude, d.prob))
 
 
 @pytest.mark.parametrize("nu", NU)
@@ -100,7 +103,9 @@ def test_x2m_formula_columns_match_the_cell_walk(p):
 @pytest.mark.parametrize("name", ["example-4.1", "x2m-example"])
 def test_empty_run(name):
     arr = load(name).arr
-    assert arr.cell_steps(5, 4) == ([], [])
+    mags, probs = arr.cell_steps(5, 4)
+    assert mags.dtype == probs.dtype == np.float64
+    assert (mags.tolist(), probs.tolist()) == ([], [])
     law, others, mag, prob, layout = model.step_columns(arr, 5, 4)
     assert len(law) == len(others) == len(mag) == len(prob) == 0 and layout is None
 

@@ -159,7 +159,7 @@ def test_a_weight_scheme_is_its_range_sums():
     from llnlab.fixtures import load
 
     assert [f.name for f in dataclasses.fields(model.WeightScheme)] == [
-        "kind", "row_length", "range_sum_fn", "closed_weighted_sup", "n_max"]
+        "kind", "row_length", "range_sum_fn", "closed_weighted_sup", "closed_c0", "n_max"]
     cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
              for n in (1, 2) for i in range(1, n + 1)]
     values = [{"n": c["n"], "i": c["i"], "c": 1.0} for c in cells]

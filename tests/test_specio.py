@@ -146,6 +146,75 @@ def test_entries_outside_the_rows_or_repeated_are_errors(doc, what):
         specio.load_spec_obj(doc)
 
 
+def _with_entry(doc, what, cell, **change):
+    """``doc`` with the entry for ``cell`` (n, i) changed and moved to the end."""
+    entries = doc["cells"] if what == "cell" else doc["weights"]["values"]
+    j = next(j for j, e in enumerate(entries) if (e["n"], e["i"]) == cell)
+    entries.append({**entries.pop(j), **change})
+    return doc
+
+
+# each doc and the kind of its last entry, which names its cell by a value
+# that is not a JSON integer; int() would have read each as a cell of the rows
+BAD_INDEX_CASES = {
+    "cell-row-fraction": (_with_entry(_rows_to_4(), "cell", (2, 1), n=2.7), "cell"),
+    "cell-row-integral-float": (_with_entry(_rows_to_4(), "cell", (2, 1), n=2.0), "cell"),
+    "cell-row-string": (_with_entry(_rows_to_4(), "cell", (2, 1), n="2"), "cell"),
+    "cell-row-true": (_with_entry(_rows_to_4(), "cell", (1, 1), n=True), "cell"),
+    "cell-index-fraction": (_with_entry(_rows_to_4(), "cell", (3, 1), i=1.7), "cell"),
+    "cell-index-true": (_with_entry(_rows_to_4(), "cell", (3, 1), i=True), "cell"),
+    "weight-row-string": (
+        _with_entry(_rows_to_4(values=[]), "weight", (4, 2), n="4"), "weight"),
+    "weight-index-fraction": (
+        _with_entry(_rows_to_4(values=[]), "weight", (4, 2), i=2.5), "weight"),
+    "c-weight-index-true": (_with_entry(_rows_to_4(values=[], kind="c-normalized"),
+                                        "weight", (2, 1), i=True), "weight"),
+}
+
+NAN, INF = float("nan"), float("inf")
+
+# each doc and its last weight entry, whose value a(n, i) may not take
+BAD_WEIGHT_CASES = {
+    "a-negative": _with_entry(_rows_to_4(values=[]), "weight", (2, 1), a=-1.0),
+    "a-infinite": _with_entry(_rows_to_4(values=[]), "weight", (2, 1), a=INF),
+    "a-nan": _with_entry(_rows_to_4(values=[]), "weight", (2, 1), a=NAN),
+    "a-string": _with_entry(_rows_to_4(values=[]), "weight", (2, 1), a="0.25"),
+    "a-true": _with_entry(_rows_to_4(values=[]), "weight", (2, 1), a=True),
+    "c-sum-negative": _with_entry(_rows_to_4(values=[], kind="c-normalized"),
+                                  "weight", (3, 1), c=-0.1),
+    "c-sum-infinite": _with_entry(_rows_to_4(values=[], kind="c-normalized"),
+                                  "weight", (3, 1), c=INF),
+    "c-sum-sq-nan": _with_entry(_rows_to_4(values=[], kind="c-normalized"),
+                                "weight", (3, 1), c=NAN),
+}
+BAD_WEIGHT_CASES["c-sum-sq-nan"]["weights"]["flavor"] = "sum-sq"
+
+
+@pytest.mark.parametrize("doc,what", BAD_INDEX_CASES.values(), ids=BAD_INDEX_CASES.keys())
+def test_entry_indices_must_be_integers(doc, what):
+    entries = doc["cells"] if what == "cell" else doc["weights"]["values"]
+    bad = entries[-1]
+    with pytest.raises(SpecError, match=f"^bad {what} entry {re.escape(repr(bad))}: "
+                                        "'n' and 'i' must be integers"):
+        specio.load_spec_obj(doc)
+
+
+@pytest.mark.parametrize("doc", BAD_WEIGHT_CASES.values(), ids=BAD_WEIGHT_CASES.keys())
+def test_weights_must_be_finite_nonnegative_numbers(doc):
+    bad = doc["weights"]["values"][-1]
+    with pytest.raises(SpecError, match=f"^bad weight entry {re.escape(repr(bad))}: "
+                                        "'[ac]' must be a (finite )?number"):
+        specio.load_spec_obj(doc)
+
+
+def test_negative_c_is_a_weight_under_sum_sq():
+    # a(n, i) = c^2 / A_n: the sign of c is lost
+    doc = _with_entry(_rows_to_4(values=[], kind="c-normalized"), "weight", (3, 1), c=-0.25)
+    doc["weights"]["flavor"] = "sum-sq"
+    w = specio.load_spec_obj(doc).weights
+    assert w.range_sum(3, 1, 3) == 1.0 and w.range_sum(3, 1, 1) == w.range_sum(3, 2, 2)
+
+
 def test_complete_entry_tables_load():
     for kind in ("explicit", "c-normalized"):
         spec = specio.load_spec_obj(_rows_to_4(values=[], kind=kind))
