@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, model
 from .conditions import CONDITIONS, MAX_N, run_condition
-from .errors import LlnLabError, RepsError, SpecError
+from .errors import LlnLabError, NotApplicableError, RepsError, SpecError
 from .fixtures import FIXTURE_NAMES, Problem, load as load_fixture
 from .model import DEFAULT_N_SUP
 from .simulate import (
@@ -150,6 +150,8 @@ def cmd_check(args, argv: list[str]) -> int:
         if not names:
             raise SpecError(f"--conditions names no condition: {args.conditions!r}")
         results = [run_condition(name, spec, args.n_sup, args.n) for name in names]
+        if all(r["outcome"] == "n/a" for r in results):  # nothing to report
+            raise NotApplicableError(results[0]["detail"]["reason"])
     except UNUSABLE as exc:
         return _unusable(exc)
     ok = all(r["match"] for r in results)

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domination import cesaro_sup_fn, dominating_cdf, weighted_sup_fn
-from .errors import SpecError
+from .errors import NotApplicableError, SpecError
 from .model import (
     ArraySpec,
     NormalizingSequence,
@@ -53,8 +53,8 @@ from .numerics import (
 from .svf import SlowlyVaryingSpec
 
 FLAT_SLOPE_TOL = 0.15
-SERIES_CHUNK = 2**13  # cells per series pass: bounds memory; the bytes do not depend on it
-MAX_N = 1 << 26  # largest series/ratio budget N: the chunked series scan grows linearly in it
+SERIES_CHUNK = 2**13  # n per pass of the series and ratio scans; the bytes do not depend on it
+MAX_N = 1 << 26  # largest series/ratio budget N: both scans take time linear in N, memory O(chunk)
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,24 @@ def chandra_ghosal_integral(
 # ---------------------------------------------------------------------------
 
 
+def _chunks(N: int, edge: Callable[[int], int]):
+    """Runs [lo, hi) covering n = 1..N, at most ``SERIES_CHUNK`` long, each
+    ending at or before ``edge(lo)``."""
+    lo = 1
+    while lo <= N:
+        hi = min(lo + SERIES_CHUNK, edge(lo), N + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _carried_cumsum(terms: np.ndarray, total: float) -> float:
+    """Partial sums of ``terms`` in place, continuing from ``total``; returns the
+    last.  Each adds the terms in n order, bit for bit as a scalar loop does."""
+    terms[0] += total
+    np.cumsum(terms, out=terms)
+    return float(terms[-1])
+
+
 def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVerdict:
     """Partial sums of P(|X_n|^p > n) for a sequence-shaped array.
 
@@ -225,7 +243,7 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     flat fitted slope over the last windows certifies divergence.
     """
     if not arr.is_sequence:
-        raise ValueError("series condition needs a sequence-shaped array")
+        raise NotApplicableError("series condition needs a sequence-shaped array")
     if arr.n_max is not None:
         N = min(N, arr.n_max)
     if N < 1:
@@ -236,9 +254,7 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     increments: list[float] = []
     total = 0.0
     last_cp_total = 0.0
-    lo = 1
-    while lo <= N:
-        hi = min(lo + SERIES_CHUNK, 1 << lo.bit_length(), N + 1)  # inside lo's block
+    for lo, hi in _chunks(N, lambda lo: 1 << lo.bit_length()):  # inside lo's block
         law, others, mag, prob, _ = step_columns(arr, lo, hi - 1)
         x = float_powers(lo, hi - 1, inv)
         # a non-step law has m = inf > x_n and q = 0 here, then its tail at x_n
@@ -248,16 +264,13 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
         tails = [tail_of(d).fn for d in others]
         for j in np.flatnonzero(law >= n_steps).tolist():
             terms[j] = tails[law[j] - n_steps](float(x[j]))
-        terms[0] += total
-        np.cumsum(terms, out=terms)
+        total = _carried_cumsum(terms, total)
         if (lo & (lo - 1)) == 0:  # n = lo is a checkpoint
             cp_total = float(terms[0])
             checkpoints.append(lo)
             partials.append(cp_total)
             increments.append(cp_total - last_cp_total)
             last_cp_total = cp_total
-        total = float(terms[-1])
-        lo = hi
     full_blocks = list(increments)
     if checkpoints[-1] != N:
         checkpoints.append(N)
@@ -295,61 +308,88 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
 # ---------------------------------------------------------------------------
 
 
-def _ratio_verdict(name: str, ratio: np.ndarray, N: int) -> ConditionVerdict:
+def _ratio_scan(name: str, b: NormalizingSequence, N: int, *, squared: bool) -> ConditionVerdict:
+    """The verdict on r_n = (sum_{i<=n} t_i/i^2) / (t_n/n), t = b or b^2, n = 1..N.
+
+    One pass over ``_chunks`` split at n = N//2 + 1, so each chunk lies in the
+    first or the last half.  The running sum is a carried ``np.cumsum`` and the
+    maxima are taken chunk by chunk, NaN-propagating as ``np.max`` and
+    ``np.argmax`` over all of r would be: the bytes are those of the
+    whole-array computation, in O(``SERIES_CHUNK``) memory.  A b_n that is not
+    positive, or below b_(n-1), raises ``ValueError`` once every b_n has been
+    read, so an error of ``b.floats`` anywhere takes precedence.
+    """
+    if N < 2:  # the verdict compares the first and the last half
+        raise ValueError(f"norming-ratio check needs N >= 2, got {N}")
     half = N // 2
-    first_max = float(ratio[:half].max())
-    last_max = float(ratio[half:].max())
+    sub = np.unique(np.geomspace(1, N, num=min(64, N)).astype(int))
+    at_sub: list[float] = []
+    total, last_b = 0.0, -math.inf
+    nonpositive = decreasing = False
+    half_max = [-math.inf, -math.inf]  # over n <= half, over n > half; every r_n > -inf
+    best, arg, prev = -math.inf, 0, None  # running max, its first n; last ratio of the last half
+    monotone_growth = True
+    for lo, hi in _chunks(N, lambda lo: half + 1 if lo <= half else N + 1):
+        bv = b.floats(lo, hi - 1)
+        nonpositive |= bool(np.any(bv <= 0.0))
+        decreasing |= bool(np.any(np.diff(bv, prepend=last_b) < 0.0))
+        last_b = bv[-1]
+        if nonpositive or decreasing:
+            continue
+        idx = np.arange(lo, hi, dtype=float)
+        top = bv**2 if squared else bv
+        ratio = top / idx**2
+        total = _carried_cumsum(ratio, total)
+        ratio /= top / idx
+        m = ratio.max()
+        side = int(lo > half)
+        half_max[side] = np.maximum(half_max[side], m)
+        if not (np.isnan(best) or m <= best):  # a NaN wins and stays
+            best, arg = m, lo + int(np.argmax(ratio))
+        if side and monotone_growth:
+            tail = ratio if prev is None else np.concatenate(([prev], ratio))
+            monotone_growth = bool(np.all(
+                np.diff(tail) >= -1e-12 * np.maximum(1.0, np.abs(tail[:-1]))))
+            prev = ratio[-1]
+        i, j = np.searchsorted(sub, (lo, hi))
+        at_sub += ratio[sub[i:j] - lo].tolist()
+    if nonpositive:
+        raise ValueError("normalizing sequence must be positive")
+    if decreasing:
+        raise ValueError("normalizing sequence must be nondecreasing")
+    first_max, last_max = float(half_max[0]), float(half_max[1])
     plateaued = last_max <= first_max * 1.01
-    tail = ratio[half:]
-    diffs = np.diff(tail)
-    monotone_growth = bool(np.all(diffs >= -1e-12 * np.maximum(1.0, np.abs(tail[:-1]))))
     if plateaued:
         verdict, rule = "holds", "last-half ratio max within 1% of first-half max"
     elif monotone_growth and last_max > first_max * 1.01:
         verdict, rule = "fails", "ratio grows monotonically over the last half"
     else:
         verdict, rule = "inconclusive", "ratio neither plateaued nor monotone growing"
-    sub = np.unique(np.geomspace(1, N, num=min(64, N)).astype(int))
     return ConditionVerdict(
         name=name,
         verdict=verdict,
         rule=rule,
-        value=float(ratio.max()),
+        value=float(best),
         evidence={
             "N": N,
-            "max_ratio": float(ratio.max()),
-            "argmax": int(np.argmax(ratio)) + 1,
+            "max_ratio": float(best),
+            "argmax": arg,
             "first_half_max": first_max,
             "last_half_max": last_max,
             "checkpoints": sub.tolist(),
-            "ratio_at_checkpoints": ratio[sub - 1].tolist(),
+            "ratio_at_checkpoints": at_sub,
         },
     )
 
 
-def _ratio_sequence(b: NormalizingSequence, N: int, *, squared: bool) -> np.ndarray:
-    if N < 2:  # the verdict compares the first and the last half
-        raise ValueError(f"norming-ratio check needs N >= 2, got {N}")
-    idx = np.arange(1, N + 1, dtype=float)
-    bv = b.floats(N)
-    if np.any(bv <= 0.0):
-        raise ValueError("normalizing sequence must be positive")
-    if np.any(np.diff(bv) < 0.0):
-        raise ValueError("normalizing sequence must be nondecreasing")
-    top = bv**2 if squared else bv
-    csum = np.cumsum(top / idx**2)
-    denom = top / idx
-    return csum / denom
-
-
 def norming_ratio_bound(b: NormalizingSequence, N: int = 100_000) -> ConditionVerdict:
     """Is sum_{i<=n} b_i/i^2 = O(b_n/n)?  Ratio plateau => holds."""
-    return _ratio_verdict("norming-ratio", _ratio_sequence(b, N, squared=False), N)
+    return _ratio_scan("norming-ratio", b, N, squared=False)
 
 
 def norming_ratio_bound_sq(b: NormalizingSequence, N: int = 100_000) -> ConditionVerdict:
     """Is sum_{i<=n} b_i^2/i^2 = O(b_n^2/n)?  Same machinery with b squared."""
-    return _ratio_verdict("norming-ratio-sq", _ratio_sequence(b, N, squared=True), N)
+    return _ratio_scan("norming-ratio-sq", b, N, squared=True)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +526,16 @@ CONDITIONS: dict[str, Callable] = {
 def run_condition(name: str, spec, n_sup: int, n: int) -> dict:
     """One named condition on a problem, with the problem's expectation.
 
-    ``n_sup`` bounds the row scans, ``n`` is the series and ratio budget.
+    ``n_sup`` bounds the row scans, ``n`` is the series and ratio budget.  A
+    condition that does not apply to the array has outcome ``n/a``, with the
+    reason in its detail; it matches only when the problem expects nothing.
     """
     if name not in CONDITIONS:
         raise SpecError(f"unknown condition {name!r}")
-    outcome, detail = CONDITIONS[name](spec, n_sup, n)
+    try:
+        outcome, detail = CONDITIONS[name](spec, n_sup, n)
+    except NotApplicableError as exc:
+        outcome, detail = "n/a", {"reason": str(exc)}
     expected = spec.expected.get(name)
     return {
         "condition": name,

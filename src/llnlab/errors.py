@@ -9,6 +9,10 @@ class SpecError(LlnLabError, ValueError):
     """A JSON problem description is malformed or inconsistent."""
 
 
+class NotApplicableError(LlnLabError, ValueError):
+    """A condition does not apply to the array, e.g. the series to a non-sequence array."""
+
+
 class RowRangeError(LlnLabError, IndexError):
     """A row index lies outside the declared range of an array or weight scheme."""
 

@@ -642,12 +642,12 @@ class NormalizingSequence:
     """Positive nondecreasing b_n with the convention b_0 = 0.
 
     ``fn`` may return exact ints for int input (used by closed-form checks far
-    beyond float range).  ``floats(N)`` gives float(b_n) for n = 1..N as one
-    array, bitwise equal to those scalar values.
+    beyond float range).  ``floats(lo, hi)`` gives float(b_n) for n = lo..hi
+    as one array, bitwise equal to those scalar values.
     """
 
     fn: Callable[[int], float]
-    floats: Callable[[int], np.ndarray]
+    floats: Callable[[int, int], np.ndarray]
 
     def eval(self, n):
         if n == 0:
@@ -686,8 +686,8 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
     """b_n = n^(1/p) * Lt(n^(1/p)), Lt the conjugate ``conj`` (None for 1).
 
     With a trivial conjugate and integral 1/p = e the map is integer-exact,
-    n**e; its float values are one int64 power while N^e < 2^53, where the
-    ints and their floats agree exactly.  A power of more than
+    n**e; the float values of a run lo..hi are one int64 power while hi^e <
+    2^53, where the ints and their floats agree exactly.  A power of more than
     ``EXACT_POWER_BITS`` bits raises ``OverflowError``.  Otherwise the bases are
     :func:`float_powers`, each times Lt of itself under a nontrivial
     conjugate.
@@ -702,10 +702,11 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
                 raise OverflowError(f"b_{n} = {n}^(1/p) has over {EXACT_POWER_BITS} bits")
             return n**e
 
-        def int_floats(N):
-            if int_fn(N) < 2**53:
-                return (np.arange(1, N + 1, dtype=np.int64) ** e).astype(float)
-            return np.fromiter(map(float, map(int_fn, range(1, N + 1))), dtype=float, count=N)
+        def int_floats(lo, hi):
+            if int_fn(hi) < 2**53:
+                return (np.arange(lo, hi + 1, dtype=np.int64) ** e).astype(float)
+            return np.fromiter(map(float, map(int_fn, range(lo, hi + 1))), dtype=float,
+                               count=hi - lo + 1)
 
         return NormalizingSequence(fn=int_fn, floats=int_floats)
 
@@ -713,11 +714,12 @@ def power_norming(p: float, conj=None) -> NormalizingSequence:
         base = float(n) ** inv
         return base if trivial else base * conj.eval(base)
 
-    def floats(N):
-        bases = float_powers(1, N, inv)
+    def floats(lo, hi):
+        bases = float_powers(lo, hi, inv)
         if trivial:
             return bases
-        return np.fromiter((b * conj.eval(b) for b in bases.tolist()), dtype=float, count=N)
+        return np.fromiter((b * conj.eval(b) for b in bases.tolist()), dtype=float,
+                           count=len(bases))
 
     return NormalizingSequence(fn=fn, floats=floats)
 
@@ -730,10 +732,10 @@ def explicit_norming(values: Sequence[float]) -> NormalizingSequence:
             raise RowRangeError(f"b_{n} beyond declared table of {len(vals)}")
         return vals[n - 1]
 
-    def floats(N):
-        if N > len(vals):
+    def floats(lo, hi):
+        if hi > len(vals):
             raise RowRangeError(f"b_{len(vals) + 1} beyond declared table of {len(vals)}")
-        return np.array(vals[:N], dtype=float)
+        return np.array(vals[lo - 1:hi], dtype=float)
 
     return NormalizingSequence(fn=fn, floats=floats)
 

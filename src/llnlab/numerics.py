@@ -185,9 +185,8 @@ def slope_certified_decay(values: Sequence[float]) -> bool:
     if not nonincreasing(v, tol=1e-12 * max(1.0, float(v[0]))):
         return False
     half = len(v) // 2
-    idx = np.arange(1, len(v) + 1, dtype=float)[half:]
-    ys = np.log(v[half:])
-    xs = np.log(idx)
+    ys = np.array([math.log(x) for x in v[half:].tolist()])  # libm's log on every CPU
+    xs = np.array([math.log(j) for j in range(half + 1, len(v) + 1)])
     if np.ptp(xs) <= 0:
         return False
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -215,7 +214,7 @@ def fitted_block_slope(blocks: Sequence[float]) -> float | None:
     b = [x for x in blocks if x > 0.0]
     if len(b) < FLAT_RUN:
         return None
-    window = np.log2(np.asarray(b[-FLAT_RUN:]))
+    window = np.array([math.log2(x) for x in b[-FLAT_RUN:]])  # libm's log2 on every CPU
     xs = np.arange(FLAT_RUN, dtype=float)
     slope, _ = np.polyfit(xs, window, 1)
     return float(slope)

@@ -105,11 +105,13 @@ def parse_dist(obj: dict) -> DistSpec:
             return _PM1
         if kind == "symmetric-two-point":
             return SymmetricTwoPoint(
-                magnitude=float(obj["magnitude"]), prob=float(obj.get("prob", 1.0))
+                magnitude=float(_as_number(obj["magnitude"], "'magnitude'")),
+                prob=float(_number(obj, "prob", 1.0)),
             )
         if kind == "pareto":
             return ParetoTail(
-                alpha=float(obj["alpha"]), cutoff=float(obj.get("cutoff", 1.0))
+                alpha=float(_as_number(obj["alpha"], "'alpha'")),
+                cutoff=float(_number(obj, "cutoff", 1.0)),
             )
     except (KeyError, ValueError, TypeError) as exc:
         raise SpecError(f"bad distribution spec {obj!r}: {exc}") from exc

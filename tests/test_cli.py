@@ -457,6 +457,41 @@ def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
     assert not (tmp_path / "o.json").exists()
 
 
+def test_a_condition_that_does_not_apply_keeps_the_other_verdicts(tmp_path, capsys):
+    # example-2.1 has grouped rows, so the series does not apply to it
+    rc = run(["check", "--fixture", "example-2.1", "--conditions", "cesaro-domination,series",
+              "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 0, err
+    assert "check example-2.1 series: n/a" in err
+    results = json.loads((tmp_path / "o.json").read_text())["results"]
+    assert [r["outcome"] for r in results] == ["invalid", "n/a"]
+    assert results[1]["detail"] == {"reason": "series condition needs a sequence-shaped array"}
+    assert results[1]["match"] is True and results[1]["expected"] is None
+
+
+@pytest.mark.parametrize("fixture", ["example-2.1", "wlln-counterexample"])
+def test_no_requested_condition_applies_exits_2(tmp_path, capsys, fixture):
+    rc = run(["check", "--fixture", fixture, "--conditions", "series,series",
+              "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: series condition needs a sequence-shaped array\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_ratio_checks_at_2_to_the_25_run_in_bounded_memory(tmp_path):
+    # the ratio scan reads b in chunks: 2^25 terms fit under the 1 GiB cap (the
+    # whole-array check held about nine arrays of 2^25 floats and ran out)
+    proc = _cli_capped(["check", "--fixture", "example-4.1", "--conditions",
+                        "b-regularity-wlln,b-regularity-l2", "--n", str(2**25),
+                        "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stderr
+    for result in json.loads((tmp_path / "o.json").read_text())["results"]:
+        assert result["outcome"] == "holds"
+        assert result["detail"]["N"] == 2**25 and result["detail"]["checkpoints"][-1] == 2**25
+
+
 def test_check_c0_past_any_scan_ends_valid(tmp_path):
     # example-2.1's C0 and weighted sup are closed: 10^11 rows are never read
     proc = _cli_capped(["check", "--fixture", "example-2.1", "--conditions",
@@ -634,6 +669,15 @@ SPEC_CASES = {
                           "weights": {"kind": "c-normalized", "values": [
                               {"n": 1, "i": 1, "c": 1.0}, {"n": 2, "i": 1, "c": -1.0},
                               {"n": 2, "i": 2, "c": 3.0}]}},
+    # float() would read these as 2.0, 0.5, 3.0 and 1.0
+    "two-point-magnitude-string": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "symmetric-two-point", "magnitude": "2.0"}}]},
+    "two-point-prob-string": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "symmetric-two-point", "magnitude": 2.0, "prob": "0.5"}}]},
+    "pareto-alpha-string": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "pareto", "alpha": "3"}}]},
+    "pareto-cutoff-bool": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "pareto", "alpha": 3.0, "cutoff": True}}]},
     "cell-row-fraction": {"cells": [{"n": 1.7, "i": 1, "dist": {"kind": "symmetric-pm1"}}]},
     "cell-index-string": {"cells": [{"n": 1, "i": "1", "dist": {"kind": "symmetric-pm1"}}]},
 }

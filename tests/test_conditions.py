@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from llnlab import conditions, model, numerics, svf
+from llnlab.errors import NotApplicableError
 from llnlab.fixtures import load
 from llnlab.model import explicit_norming, power_norming
 
@@ -103,8 +105,25 @@ def test_series_terms_match_occurrence_rates():
 
 def test_series_requires_sequence_shape():
     fx = load("example-2.1")
-    with pytest.raises(ValueError):
+    with pytest.raises(NotApplicableError):
         conditions.exceedance_series(fx.arr, fx.p, N=100)
+
+
+def test_a_condition_that_does_not_apply_is_n_a():
+    fx = load("example-2.1")  # grouped rows: no series
+    r = conditions.run_condition("series", fx, 64, 100)
+    assert r == {"condition": "series", "outcome": "n/a", "expected": None, "match": True,
+                 "detail": {"reason": "series condition needs a sequence-shaped array"}}
+    # against a pinned expectation n/a is a mismatch
+    pinned = dataclasses.replace(fx, expected={**fx.expected, "series": "fails"})
+    r = conditions.run_condition("series", pinned, 64, 100)
+    assert r["outcome"] == "n/a" and r["expected"] == "fails" and r["match"] is False
+
+
+def test_only_applicability_errors_become_n_a():
+    # any other unusable input still raises: a ratio check past float range
+    with pytest.raises(OverflowError):
+        conditions.run_condition("b-regularity-wlln", load("example-4.1", p=0.01), 64, 2000)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Each kernel must give the bytes of its scalar reference, compared with
 from Python's ``**`` and ``math.log2`` for some integers) fails here.
 
 * ``model.float_powers``: float(n) ** inv over a range of n.
-* ``NormalizingSequence.floats``: float(b(n)) for n = 1..N, for
+* ``NormalizingSequence.floats``: float(b(n)) for n = 1..N (``floats(1, N)``), for
   ``power_norming`` with and without a slowly varying conjugate and for
   ``explicit_norming``.
 * example-4.1's formula ``cell_steps``: the paper's scalar cell expression.
@@ -81,14 +81,14 @@ def scalar_floats(b, N):
 def test_power_norming_floats_equal_the_scalar_values(p, conj):
     b = model.power_norming(p, conj)
     N = 50_000
-    got = b.floats(N)
+    got = b.floats(1, N)
     assert got.dtype == np.float64 and got.tolist() == scalar_floats(b, N)
 
 
 def test_power_norming_constant_conjugate_is_the_trivial_one():
     for p in PS:
         b, ref = model.power_norming(p, constant_one()), model.power_norming(p)
-        assert b.floats(5000).tolist() == ref.floats(5000).tolist() \
+        assert b.floats(1, 5000).tolist() == ref.floats(1, 5000).tolist() \
             == scalar_floats(ref, 5000)
 
 
@@ -101,7 +101,7 @@ def test_int_norming_floats_on_both_sides_of_2_to_the_53(N):
     assert CUBE_EDGE**3 < 2**53 <= (CUBE_EDGE + 1) ** 3
     b = model.power_norming(1.0 / 3.0)
     assert b(N) == N**3  # the exact-int path
-    assert b.floats(N).tolist() == scalar_floats(b, N)
+    assert b.floats(1, N).tolist() == scalar_floats(b, N)
 
 
 def test_int_norming_past_float_range_raises_as_the_scalar_values():
@@ -109,18 +109,30 @@ def test_int_norming_past_float_range_raises_as_the_scalar_values():
     with pytest.raises(OverflowError):
         scalar_floats(b, 2000)
     with pytest.raises(OverflowError):
-        b.floats(2000)
+        b.floats(1, 2000)
 
 
 def test_explicit_norming_floats():
     vals = [0.5 * k + 1.0 / 3.0 for k in range(1, 101)]
     b = model.explicit_norming(vals)
     for N in (1, 57, 100):
-        assert b.floats(N).tolist() == scalar_floats(b, N)
+        assert b.floats(1, N).tolist() == scalar_floats(b, N)
     with pytest.raises(RowRangeError) as scalar:
         scalar_floats(b, 101)
     with pytest.raises(RowRangeError, match=re.escape(str(scalar.value))):
-        b.floats(101)
+        b.floats(1, 101)
+
+
+@pytest.mark.parametrize("b", [
+    model.power_norming(0.5),  # int64 powers
+    model.power_norming(1.0 / 3.0),  # int64 powers below CUBE_EDGE, scalar ints above
+    model.power_norming(0.7),
+    model.power_norming(0.7, log_power(-1.5).conjugate()),
+    model.explicit_norming([0.5 * k + 1.0 / 3.0 for k in range(1, CUBE_EDGE + 10)]),
+], ids=["int", "int-across-2^53", "float", "log-power", "explicit"])
+def test_norming_floats_of_a_run_are_the_scalar_values(b):
+    for lo, hi in ((1, 1), (2, 9), (CUBE_EDGE - 5, CUBE_EDGE + 5)):
+        assert b.floats(lo, hi).tolist() == [float(b(n)) for n in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------

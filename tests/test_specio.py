@@ -67,6 +67,32 @@ def test_bad_dist_params():
         specio.parse_dist({"kind": "pareto", "alpha": "wide"})
 
 
+@pytest.mark.parametrize("dist", [
+    {"kind": "symmetric-two-point", "magnitude": "2.0"},
+    {"kind": "symmetric-two-point", "magnitude": True},
+    {"kind": "symmetric-two-point", "magnitude": 2.0, "prob": "0.5"},
+    {"kind": "symmetric-two-point", "magnitude": 2.0, "prob": True},
+    {"kind": "pareto", "alpha": "3"},
+    {"kind": "pareto", "alpha": True},
+    {"kind": "pareto", "alpha": 3.0, "cutoff": "1.5"},
+    {"kind": "pareto", "alpha": 3.0, "cutoff": False},
+    {"kind": "pareto", "alpha": 3.0, "cutoff": None},
+], ids=["magnitude-string", "magnitude-bool", "prob-string", "prob-bool", "alpha-string",
+        "alpha-bool", "cutoff-string", "cutoff-bool", "cutoff-null"])
+def test_dist_numbers_must_be_numbers(dist):
+    # float() would take "2.0" and true; a spec states numbers as JSON numbers
+    key = [k for k in dist if k != "kind"][-1]
+    with pytest.raises(SpecError, match=f"'{key}' must be a number"):
+        specio.parse_dist(dist)
+
+
+def test_dist_numbers_accept_ints_and_floats():
+    assert specio.parse_dist({"kind": "symmetric-two-point", "magnitude": 2, "prob": 1}) \
+        == specio.parse_dist({"kind": "symmetric-two-point", "magnitude": 2.0})
+    assert specio.parse_dist({"kind": "pareto", "alpha": 3}) \
+        == specio.parse_dist({"kind": "pareto", "alpha": 3.0, "cutoff": 1.0})
+
+
 def test_pareto_and_dependence_parsing():
     doc = explicit_doc()
     doc["cells"][0]["dist"] = {"kind": "pareto", "alpha": 3.0}

@@ -26,10 +26,6 @@ ALLOWED = {
     "model.quantile_of.pareto_q np.power":
         "the Pareto quantile's power: its draws reach the simulate goldens (open: "
         "a correctly rounded path, ROADMAP item 4)",
-    "numerics.slope_certified_decay np.log":
-        "fitted decay slope: an evidence float of a verdict gate (open: ROADMAP item 4)",
-    "numerics.fitted_block_slope np.log2":
-        "fitted block slope: an evidence float of a verdict gate (open: ROADMAP item 4)",
 }
 
 
