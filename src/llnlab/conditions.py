@@ -20,6 +20,7 @@ grids the same way whether it came from a fixture or a spec.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -55,6 +56,7 @@ from .svf import SlowlyVaryingSpec
 FLAT_SLOPE_TOL = 0.15
 SERIES_CHUNK = 2**13  # n per pass of the series and ratio scans; the bytes do not depend on it
 MAX_N = 1 << 26  # largest series/ratio budget N: both scans take time linear in N, memory O(chunk)
+SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
 @dataclass(frozen=True)
@@ -317,7 +319,9 @@ def _ratio_scan(name: str, b: NormalizingSequence, N: int, *, squared: bool) -> 
     ``np.argmax`` over all of r would be: the bytes are those of the
     whole-array computation, in O(``SERIES_CHUNK``) memory.  A b_n that is not
     positive, or below b_(n-1), raises ``ValueError`` once every b_n has been
-    read, so an error of ``b.floats`` anywhere takes precedence.
+    read, so an error of ``b.floats`` anywhere takes precedence.  Then, with
+    ``squared``, a finite b_n whose square leaves float range raises
+    ``OverflowError`` naming the first such n; nothing is squared past it.
     """
     if N < 2:  # the verdict compares the first and the last half
         raise ValueError(f"norming-ratio check needs N >= 2, got {N}")
@@ -326,6 +330,7 @@ def _ratio_scan(name: str, b: NormalizingSequence, N: int, *, squared: bool) -> 
     at_sub: list[float] = []
     total, last_b = 0.0, -math.inf
     nonpositive = decreasing = False
+    overflow = 0  # the first n whose finite b_n^2 is inf, with ``squared``
     half_max = [-math.inf, -math.inf]  # over n <= half, over n > half; every r_n > -inf
     best, arg, prev = -math.inf, 0, None  # running max, its first n; last ratio of the last half
     monotone_growth = True
@@ -334,7 +339,10 @@ def _ratio_scan(name: str, b: NormalizingSequence, N: int, *, squared: bool) -> 
         nonpositive |= bool(np.any(bv <= 0.0))
         decreasing |= bool(np.any(np.diff(bv, prepend=last_b) < 0.0))
         last_b = bv[-1]
-        if nonpositive or decreasing:
+        if squared and not overflow:
+            big = np.flatnonzero((bv > SQUARE_MAX) & (bv < math.inf))
+            overflow = lo + int(big[0]) if big.size else 0
+        if nonpositive or decreasing or overflow:
             continue
         idx = np.arange(lo, hi, dtype=float)
         top = bv**2 if squared else bv
@@ -357,6 +365,8 @@ def _ratio_scan(name: str, b: NormalizingSequence, N: int, *, squared: bool) -> 
         raise ValueError("normalizing sequence must be positive")
     if decreasing:
         raise ValueError("normalizing sequence must be nondecreasing")
+    if overflow:
+        raise OverflowError(f"b_n^2 is past the largest float from n = {overflow}")
     first_max, last_max = float(half_max[0]), float(half_max[1])
     plateaued = last_max <= first_max * 1.01
     if plateaued:

@@ -828,14 +828,91 @@ def rng_for(seed: int, *key: int) -> Generator:
     return Generator(Philox(key=stream_keys(seed, key[:-1], key[-1])))
 
 
+# cephes ndtr.c's tables (Moshier 1989), highest power first: erfc(x) =
+# exp(-x^2) P(x)/Q(x) for 1 <= x < 8, R(x)/S(x) in place of P/Q from 8 up, and
+# erf(x) = x T(x^2)/U(x^2) for |x| < 1; Q, S and U have a leading 1 left out
+_NDTR_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_NDTR_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_NDTR_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_NDTR_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_NDTR_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+           7.00332514112805075473E3, 5.55923013010394962768E4)
+_NDTR_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+           2.26290000613890934246E4, 4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996732E2  # cephes' log(DBL_MAX): erfc is 0 once x^2 exceeds it
+_SQRT1_2 = 7.07106781186547524401E-1
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """cephes polevl: coef[0] x^N + ... + coef[N] by Horner, a step at a time."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """cephes p1evl: ``_polevl`` with a leading coefficient 1 left out of ``coef``."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal cdf of each entry of ``a``, as cephes ``ndtr`` computes it.
+
+    With x = a/sqrt(2) and z = x^2: 0.5 + 0.5 erf(x) where z < 1, and
+    otherwise 0.5 erfc(|x|), or 1 minus it for x > 0.  Each polynomial keeps
+    cephes' order of operations and exp(-z) is ``math.exp``, the libm exp
+    cephes calls, so the values equal ``scipy.special.ndtr``'s bit for bit
+    (``tests/test_simulate.py::test_ndtr_is_scipy_ndtr_bitwise``) on any CPU:
+    numpy picks its own ``exp`` kernel by CPU.  NaN gives NaN.
+    """
+    x = np.ravel(a) * _SQRT1_2
+    z = x * x
+    far = np.flatnonzero(z >= 1.0)  # NaN stays with erf, and comes out NaN
+    xf, zf = x[far], z[far]
+    np.minimum(z, 1.0, out=z)  # erf of the far entries is overwritten: keep it finite
+    y = _polevl(z, _NDTR_T)
+    y *= x
+    y /= _p1evl(z, _NDTR_U)
+    y *= 0.5
+    y += 0.5
+    erfc = np.zeros(len(far))
+    live = np.flatnonzero(zf <= _MAXLOG)
+    t = np.abs(xf[live])
+    e = np.fromiter(map(math.exp, (-zf[live]).tolist()), dtype=float, count=len(live))
+    num, den = _polevl(t, _NDTR_P), _p1evl(t, _NDTR_Q)
+    big = np.flatnonzero(t >= 8.0)  # |a| >= 8 sqrt(2): no normal draw in 10^14 gets here
+    num[big], den[big] = _polevl(t[big], _NDTR_R), _p1evl(t[big], _NDTR_S)
+    e *= num
+    e /= den
+    erfc[live] = e
+    erfc *= 0.5
+    y[far] = np.where(xf > 0, 1.0 - erfc, erfc)
+    return y.reshape(np.shape(a))
+
+
 class RowSampler:
     """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
     Step cells keep per-cell thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
     magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``: the
-    +-m/0 values of ``quantile_of``, bit for bit.  Every other law keeps the indexes of its cells, and its quantile
-    runs once per draw on them, and a row with no step law skips the sign
-    select.  Uniforms follow the array's dependence.
+    +-m/0 values of ``quantile_of``, bit for bit.  Every other law keeps the
+    indexes of its cells, and its quantile runs once per draw on them, and a
+    row with no step law skips the sign select.  Uniforms follow the array's
+    dependence: a ``GaussianNA`` row maps its mixed normals through
+    :func:`ndtr`, the cephes port, so drawing loads no scipy module.
     """
 
     def __init__(self, arr: ArraySpec, n: int):
@@ -843,11 +920,6 @@ class RowSampler:
             raise SamplingError(f"unsupported dependence {arr.dependence!r}")
         self.k = k = arr.k(n)
         self._arr = arr
-        self._ndtr = None
-        if isinstance(arr.dependence, GaussianNA):
-            # imported on first use: importing the package loads no scipy module
-            from scipy.special import ndtr
-            self._ndtr = ndtr
         if arr.is_sequence:
             law, others, mag, prob, _ = step_columns(arr, 1, k)
         else:
@@ -924,7 +996,7 @@ class RowSampler:
             np.multiply(w[:, 1:], th, out=u)
             u += w[:, :-1]
             u /= math.sqrt(1.0 + th * th)
-            self._ndtr(u, out=u)
+            u[...] = ndtr(u)
         other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
         if self._mag is not None:
             np.greater_equal(u, self._hi, out=x)

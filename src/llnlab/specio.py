@@ -182,8 +182,8 @@ def _parse_dependence(obj):
         return INDEPENDENT
     if obj.get("kind") == "gaussian-na":
         try:
-            return GaussianNA(correlation=float(obj["correlation"]))
-        except (KeyError, ValueError, TypeError) as exc:
+            return GaussianNA(correlation=float(_as_number(obj["correlation"], "'correlation'")))
+        except (KeyError, ValueError) as exc:
             raise SpecError(f"bad gaussian-na dependence: {exc}") from exc
     raise SpecError(f"unknown dependence kind {obj.get('kind')!r}")
 

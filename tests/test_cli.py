@@ -444,16 +444,20 @@ def test_simulate_worker_fault_exits_2(tmp_path, fault, message, mode):
       "--reps", "2"], "leaves float range"),
     (["check", "--fixture", "example-4.1", "--p", "0.01", "--conditions",
       "b-regularity-wlln,b-regularity-l2", "--n", "100000"], "leaves float range"),
+    # b_n = n^32 is in range, but its square is not from n = 2^16
+    (["check", "--fixture", "x2m-example", "--p", "0.03125", "--conditions",
+      "b-regularity-l2", "--n", "100000"], "b_n^2 is past the largest float from n = 65536"),
 ], ids=["check-scan-too-large", "verify-scan-too-large", "check-kG-spikes-overflow",
-        "check-series-spikes-overflow", "simulate-spikes-overflow", "check-norming-overflow"])
+        "check-series-spikes-overflow", "simulate-spikes-overflow", "check-norming-overflow",
+        "check-norming-square-overflow"])
 def test_scan_too_large_or_past_float_range_exits_2(tmp_path, argv, message):
-    # the spike magnitudes (i+1)^(1/p) leave float range at these p
+    # the spike magnitudes (i+1)^(1/p), or b_n, leave float range at these p
     if argv[0] != "verify-fixtures":
         argv = argv + ["--out", str(tmp_path / "o")]
     proc = _cli_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert "error: " in proc.stderr and message in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "o.json").exists()
 
 
@@ -680,6 +684,8 @@ SPEC_CASES = {
         "kind": "pareto", "alpha": 3.0, "cutoff": True}}]},
     "cell-row-fraction": {"cells": [{"n": 1.7, "i": 1, "dist": {"kind": "symmetric-pm1"}}]},
     "cell-index-string": {"cells": [{"n": 1, "i": "1", "dist": {"kind": "symmetric-pm1"}}]},
+    "na-correlation-string": {"dependence": {"kind": "gaussian-na", "correlation": "-0.3"}},
+    "na-correlation-bool": {"dependence": {"kind": "gaussian-na", "correlation": False}},
 }
 
 
@@ -794,6 +800,20 @@ def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
         argv = argv + ["--out", str(tmp_path / "o")]
     loaded = _modules_loaded_by(argv)
     assert not loaded & {"scipy.integrate", "scipy.special"}, sorted(loaded)
+
+
+@pytest.mark.parametrize("mode", ["wlln", "slln-path", "replay"])
+def test_gaussian_na_runs_load_no_scipy(tmp_path, mode):
+    # a gaussian-na row maps its normals through the cephes ndtr port, not scipy's
+    spec = tmp_path / "na.json"
+    spec.write_text(json.dumps(dict(PARETO_SPEC, dependence={"kind": "gaussian-na",
+                                                             "correlation": -0.3})))
+    argv = ["simulate", "--spec", str(spec), "--mode", "wlln" if mode == "replay" else mode,
+            "--rows", "1..8", "--reps", "20", "--out", str(tmp_path / "o")]
+    if mode == "replay":
+        assert run(argv) == 0
+        argv = ["replay", str(tmp_path / "o.manifest.json")]
+    assert _modules_loaded_by(argv) == set()
 
 
 def test_quadrature_loads_scipy_integrate_on_first_use(tmp_path):

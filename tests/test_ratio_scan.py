@@ -10,6 +10,7 @@ exception, at chunk edges, at the split n = N//2 + 1 and past float range.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +41,10 @@ def reference_ratio_sequence(b, N, *, squared):
         raise ValueError("normalizing sequence must be positive")
     if np.any(np.diff(bv) < 0.0):
         raise ValueError("normalizing sequence must be nondecreasing")
+    if squared:  # a finite b_n past sqrt(max float) squares to inf
+        big = np.flatnonzero(np.isfinite(bv) & (bv > math.sqrt(sys.float_info.max)))
+        if big.size:
+            raise OverflowError(f"b_n^2 is past the largest float from n = {big[0] + 1}")
     top = bv**2 if squared else bv
     csum = np.cumsum(top / idx**2)
     denom = top / idx
@@ -136,14 +141,17 @@ def test_each_fixture_b_equals_the_whole_array_verdict(name, flavour):
         assert_scan_equals_reference(load(name, p=p).b, 100_000, flavour)
 
 
-def test_x2m_overflowing_square_propagates_nan_as_the_whole_array():
-    # b_n = n^32: b_n^2 is inf from n = 2^16 on, and r_n = inf/inf is NaN there
+def test_x2m_overflowing_square_raises_naming_its_first_n():
+    # b_n = n^32: b_n^2 is inf from n = 2^16 on; the scan raises there rather
+    # than read the NaN ratios inf/inf as data, and squares nothing past it
     b = load("x2m-example", p=1.0 / 32.0).b
+    with np.errstate(all="raise"):
+        with pytest.raises(OverflowError, match="from n = 65536$"):
+            conditions.norming_ratio_bound_sq(b, 100_000)
     got = assert_scan_equals_reference(b, 100_000, "l2")
-    detail = json.loads(got)
-    assert detail["argmax"] == 65536 and math.isnan(detail["max_ratio"])
-    assert math.isnan(detail["last_half_max"]) and not math.isnan(detail["first_half_max"])
-    assert assert_scan_equals_reference(b, 100_000, "wlln") != got
+    assert got == (OverflowError, "b_n^2 is past the largest float from n = 65536")
+    assert assert_scan_equals_reference(b, 65_535, "l2")[0] != OverflowError
+    assert json.loads(assert_scan_equals_reference(b, 100_000, "wlln"))["verdict"] == "holds"
 
 
 @pytest.mark.parametrize("flavour", list(FLAVOURS))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma
+from scipy.special import digamma, ndtr
 
 from llnlab import model, simulate, specio
 from llnlab.fixtures import load
@@ -42,6 +42,44 @@ def test_harmonic_is_digamma_bitwise():
                          rng.integers(1, 2**53, size=20_000).tolist())
     bad = [n for n in ns if simulate.harmonic(n) != float(digamma(n + 1)) + simulate.EULER_GAMMA]
     assert bad == []
+
+
+def _around(edge: float, ulps: int = 200) -> list:
+    """``edge`` and the ``ulps`` floats on each side of it, with their negatives."""
+    lo = hi = edge
+    pts = [edge]
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        pts += [lo, hi]
+    return pts + [-x for x in pts]
+
+
+def test_ndtr_is_scipy_ndtr_bitwise():
+    # the cephes ndtr port must give scipy's bits: on the sampler's own mixed
+    # normals, across (-40, 40), on both sides of each branch edge (|x| = 1 and
+    # 8, the exp underflow at x^2 = MAXLOG) and at the special values
+    rng = np.random.default_rng(11)
+    inputs = []
+    for rho in (-0.5, -0.3, 0.0):
+        th = model.GaussianNA(rho).theta()
+        w = rng.standard_normal(10**6 + 1)
+        u = np.multiply(w[1:], th)
+        u += w[:-1]
+        u /= math.sqrt(1.0 + th * th)
+        inputs.append(u)
+    inputs.append(rng.uniform(-40.0, 40.0, 10**6))
+    edges = (math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * model._MAXLOG))
+    inputs.append(np.array([x for e in edges for x in _around(e)]))
+    inputs.append(np.array([0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf, math.nan]))
+    for a in inputs:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = model.ndtr(a)
+        want = ndtr(a)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        bad = got[~nan].view(np.uint64) != want[~nan].view(np.uint64)
+        assert not bad.any(), (a[~nan][bad][:5], got[~nan][bad][:5], want[~nan][bad][:5])
+    assert model.ndtr(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_counterexample_statistic_exact_values():

@@ -102,6 +102,26 @@ def test_pareto_and_dependence_parsing():
     assert isinstance(spec.arr.cell(1, 1), model.ParetoTail)
 
 
+@pytest.mark.parametrize("value", ["-0.3", False, True, None, [-0.3]],
+                         ids=["string", "false", "true", "null", "list"])
+def test_gaussian_na_correlation_must_be_a_number(value):
+    # float() would take "-0.3" and false; a spec states numbers as JSON numbers
+    doc = explicit_doc()
+    doc["dependence"] = {"kind": "gaussian-na", "correlation": value}
+    with pytest.raises(SpecError, match="'correlation' must be a number"):
+        specio.load_spec_obj(doc)
+
+
+def test_gaussian_na_correlation_accepts_ints_and_floats():
+    doc = explicit_doc()
+    for value in (0, -0.5):
+        doc["dependence"] = {"kind": "gaussian-na", "correlation": value}
+        assert specio.load_spec_obj(doc).arr.dependence == model.GaussianNA(float(value))
+    doc["dependence"] = {"kind": "gaussian-na", "correlation": -0.6}
+    with pytest.raises(SpecError, match="correlation must lie in"):
+        specio.load_spec_obj(doc)
+
+
 def test_explicit_weights_parsing():
     doc = explicit_doc()
     doc["weights"] = {
