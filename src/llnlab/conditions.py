@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .domination import cesaro_sup_fn, dominating_cdf, weighted_sup_fn
-from .errors import NotApplicableError, SpecError
+from .errors import NotApplicableError, RowRangeError, SpecError
 from .model import (
     ArraySpec,
     NormalizingSequence,
@@ -430,8 +430,8 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
     Exact integer grids are honoured: when ``b`` maps ints to ints and G
     returns a Fraction, the products stay exact far beyond float range.  The
     grid stops at the first k where b_k, G(b_k) or their product overflows a
-    float (``grid_stop`` in the evidence); :func:`limit_verdict` reads the
-    points before it.
+    float, or b_k lies past an explicit table's end (``grid_stop`` in the
+    evidence); :func:`limit_verdict` reads the points before it.
     """
     g, _ = _as_tail_callable(source)
     values = []
@@ -439,7 +439,7 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
     for k in k_grid:
         try:
             v = _exact_product(k, g(b(k)))
-        except OverflowError:
+        except (OverflowError, RowRangeError):
             stop = {"grid_stop": int(k) if isinstance(k, int) else float(k)}
             break
         values.append(v)

@@ -42,7 +42,7 @@ from .model import (
     tail_of,
     uniform_weights,
 )
-from .moments import truncated_abs_moment
+from .moments import MomentFunction, truncated_abs_moment
 from .numerics import DECAY_EPS, decay_gate, geometric_grid
 
 
@@ -239,8 +239,7 @@ def truncated_moment_bounds(
     cesaro_precheck(arr, y_tail, n_sup=n_sup)
     table = row_table(arr, uniform_weights(arr.row_length), n_sup)
     # a step law's truncated moment is m^r q on the side of x where m lies, 0 on the other
-    mass = np.fromiter((m**r for m in table.mag.tolist()), dtype=float,
-                       count=len(table.mag)) * table.prob
+    mass = MomentFunction(power=r).at(table.mag) * table.prob
     above = less_than(x, table.mag)
 
     def lhs(side: str, steps: np.ndarray) -> float:

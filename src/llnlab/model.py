@@ -418,40 +418,6 @@ def explicit_weights(
     )
 
 
-def c_normalized_weights(
-    c_fn: Callable[[int, int], float],
-    row_length: Callable[[int], int],
-    *,
-    flavor: str = "sum",
-    growth_constant: Optional[float] = None,
-    n_max: Optional[int] = None,
-) -> WeightScheme:
-    """a(n,i) = c(n,i)/A_n with A_n = sum c, or c(n,i)^2/A_n with A_n = sum c^2;
-    a range sum is the ``math.fsum`` of its cells' a(n, i)."""
-    if flavor not in ("sum", "sum-sq"):
-        raise ValueError("flavor must be 'sum' or 'sum-sq'")
-
-    @functools.cache
-    def a_norm(n: int) -> float:
-        k = row_length(n)
-        if flavor == "sum":
-            norm = math.fsum(c_fn(n, i) for i in range(1, k + 1))
-        else:
-            norm = math.fsum(c_fn(n, i) ** 2 for i in range(1, k + 1))
-        if not norm > 0.0:
-            raise ValueError(f"A_{n} = {norm} must be positive")
-        if growth_constant is not None and norm > growth_constant * n:
-            raise ValueError(f"A_{n} = {norm} exceeds declared bound {growth_constant}*n")
-        return norm
-
-    def range_sum(n: int, lo: int, hi: int) -> float:
-        norm = a_norm(n)
-        cs = (c_fn(n, i) for i in range(lo, hi + 1))
-        return math.fsum((c if flavor == "sum" else c * c) / norm for c in cs)
-
-    return explicit_weights(range_sum, row_length, n_max=n_max)
-
-
 # ---------------------------------------------------------------------------
 # Row tables: the one layout behind every sup_n scan
 # ---------------------------------------------------------------------------

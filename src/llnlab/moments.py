@@ -22,10 +22,10 @@ any other callable, which also needs a ``derivative`` where a law without
 atoms is integrated (and may list its kinks in ``breakpoints()``).
 
 The module also houses the weighted moment scans used by the domination and
-condition checks: bounded weighted moments, weighted uniform integrability,
-superlinear witness functions, and the rescaled tail-decay sequence.  The
-scans take a :class:`MomentFunction`, evaluated at every step magnitude of a
-row table in one array pass (:meth:`MomentFunction.at`).
+condition checks: bounded weighted moments, weighted uniform integrability and
+superlinear witness functions.  The scans take a :class:`MomentFunction`,
+evaluated at every step magnitude of a row table in one array pass
+(:meth:`MomentFunction.at`).
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from .model import (
     row_table,
     tail_of,
 )
-from .numerics import MAX_BLOCKS, _exact_product, finite_integral, integrate_tail_blocks
-from .svf import SlowlyVaryingSpec
+from .numerics import MAX_BLOCKS, finite_integral, integrate_tail_blocks
 
 
 class ExpectationValue(float):
@@ -266,10 +265,8 @@ def pareto_power_mass(law: ParetoTail, h: MomentFunction, x: float) -> float:
 
 
 def cell_moment(dist: DistSpec, g) -> float:
-    """E g(|X|) for a single cell; closed form for the step laws and for the
-    Pareto power moments (:func:`pareto_power_mass`)."""
-    if isinstance(dist, SymmetricTwoPoint):
-        return g(dist.magnitude) * dist.prob
+    """E g(|X|) for a single cell; closed form for the Pareto power moments
+    (:func:`pareto_power_mass`), an atom sum for the step laws."""
     if _pareto_power(dist, g):
         return pareto_power_mass(dist, g, 0.0)
     return float(expectation_via_tail(tail_of(dist), g))
@@ -459,29 +456,3 @@ def dlvp_witness(
     if not (increasing_tail and ratios[-1] > 10.0 * max(ratios[0], 1e-300)):
         raise SuperlinearityError("witness fails g(x)/x -> infinity on the scan grid")
     return bounded_moment_condition(arr, w, g, n_sup=n_sup)
-
-
-def tail_along_norming(
-    tail: TailFunction,
-    p: float,
-    conj: Optional[SlowlyVaryingSpec],
-    x_grid: Sequence,
-) -> list[float]:
-    """Sequence x * P(|X| > x^(1/p) * Lt(x)^(1/p)) over the grid.
-
-    Integer grid points are kept exact when the norming map allows it, so the
-    sequence can be evaluated far beyond float range for closed-form tails.
-    """
-    inv = 1.0 / p
-    trivial = conj is None or conj.family == "constant"
-    int_exact = trivial and float(inv).is_integer()
-    out = []
-    for x in x_grid:
-        if int_exact and isinstance(x, int):
-            arg = x ** int(inv)
-        else:
-            arg = float(x) ** inv
-            if not trivial:
-                arg *= conj.eval(float(x)) ** inv
-        out.append(_exact_product(x, tail.fn(arg)))
-    return out

@@ -31,9 +31,14 @@ Schema sketch (full documentation in the repository README):
 Explicit cells must cover every (n, i) with 1 <= i <= k_n for the declared
 rows; the largest declared n becomes the array's row bound.  A cell or weight
 entry outside those rows, a second entry for one (n, i), an ``n`` or ``i``
-that is not a JSON integer, and a weight that is not a finite JSON number or
-(an ``a``, or a ``c`` of flavor ``sum``) is negative are each a SpecError
-naming the entry.
+that is not a JSON integer, and a weight that (an ``a``, or a ``c`` of flavor
+``sum``) is negative are each a SpecError naming the entry.
+
+Every number of a spec is a JSON number that is not a bool and is finite
+(:func:`_as_number`); ``nu`` is an integer >= 1.  A ``c-normalized`` table is
+normalised here, at load, into the same (n, i) -> a table an ``explicit`` one
+fills, for rows 1 through its last row; a row whose A_n is not > 0 or exceeds
+``growth_constant`` * n is a SpecError.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from .model import (
     ParetoTail,
     SymmetricTwoPoint,
     WeightScheme,
-    c_normalized_weights,
     explicit_norming,
     explicit_weights,
     power_norming,
@@ -74,10 +78,13 @@ def _section(doc: dict, key: str) -> Optional[dict]:
     return obj
 
 
-def _as_number(value, what: str):
+def _as_number(value, what: str) -> float:
+    """A JSON number that is not a bool and is finite, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{what} must be a number, got {value!r}")
-    return value
+    if not abs(value) <= sys.float_info.max:  # false for nan, inf and ints past float range
+        raise SpecError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _number(doc: dict, key: str, default=None):
@@ -86,11 +93,11 @@ def _number(doc: dict, key: str, default=None):
 
 
 def _exponent(doc: dict, key: str, default: float) -> float:
-    """The finite positive number under ``key`` (an exponent p), as a float."""
+    """The number under ``key`` (an exponent p), which must be > 0."""
     value = _number(doc, key, default)
-    if not 0 < value <= sys.float_info.max:  # false for nan, inf and ints past float range
+    if not value > 0:
         raise SpecError(f"'{key}' must be a finite number > 0, got {value!r}")
-    return float(value)
+    return value
 
 
 _PM1 = SymmetricTwoPoint(1.0)  # frozen, so one object serves every +-1 cell
@@ -105,25 +112,17 @@ def parse_dist(obj: dict) -> DistSpec:
             return _PM1
         if kind == "symmetric-two-point":
             return SymmetricTwoPoint(
-                magnitude=float(_as_number(obj["magnitude"], "'magnitude'")),
-                prob=float(_number(obj, "prob", 1.0)),
+                magnitude=_as_number(obj["magnitude"], "'magnitude'"),
+                prob=_number(obj, "prob", 1.0),
             )
         if kind == "pareto":
             return ParetoTail(
-                alpha=float(_as_number(obj["alpha"], "'alpha'")),
-                cutoff=float(_number(obj, "cutoff", 1.0)),
+                alpha=_as_number(obj["alpha"], "'alpha'"),
+                cutoff=_number(obj, "cutoff", 1.0),
             )
     except (KeyError, ValueError, TypeError) as exc:
         raise SpecError(f"bad distribution spec {obj!r}: {exc}") from exc
     raise SpecError(f"unknown distribution kind {kind!r}")
-
-
-def _gamma(obj: dict) -> float:
-    """The finite number under ``gamma`` (an svf exponent), as a float."""
-    value = _number(obj, "gamma", 1.0)
-    if not abs(value) <= sys.float_info.max:  # false for nan, inf and ints past float range
-        raise SpecError(f"'gamma' must be a finite number, got {value!r}")
-    return float(value)
 
 
 def parse_svf(obj: Optional[dict]) -> Optional[SlowlyVaryingSpec]:
@@ -133,9 +132,9 @@ def parse_svf(obj: Optional[dict]) -> Optional[SlowlyVaryingSpec]:
     if fam == "constant":
         return constant_one()
     if fam == "log-power":
-        return log_power(_gamma(obj))
+        return log_power(_number(obj, "gamma", 1.0))
     if fam == "loglog-power":
-        return loglog_power(_gamma(obj))
+        return loglog_power(_number(obj, "gamma", 1.0))
     raise SpecError(f"unknown svf family {fam!r}")
 
 
@@ -182,7 +181,7 @@ def _parse_dependence(obj):
         return INDEPENDENT
     if obj.get("kind") == "gaussian-na":
         try:
-            return GaussianNA(correlation=float(_as_number(obj["correlation"], "'correlation'")))
+            return GaussianNA(correlation=_as_number(obj["correlation"], "'correlation'"))
         except (KeyError, ValueError) as exc:
             raise SpecError(f"bad gaussian-na dependence: {exc}") from exc
     raise SpecError(f"unknown dependence kind {obj.get('kind')!r}")
@@ -231,29 +230,33 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
     if kind not in ("explicit", "c-normalized"):
         raise SpecError(f"unknown weights kind {kind!r}")
     flavor = doc.get("flavor", "sum")
+    if kind == "c-normalized" and flavor not in ("sum", "sum-sq"):
+        raise SpecError(f"c-normalized flavor must be 'sum' or 'sum-sq', got {flavor!r}")
     field = "a" if kind == "explicit" else "c"
     signed = flavor == "sum-sq" and kind == "c-normalized"  # a(n, i) = c^2 / A_n
 
     def weight(value) -> float:
-        if type(value) not in (int, float):  # a bool or str is no weight
-            raise TypeError(f"'{field}' must be a number, got {value!r}")
-        w = float(value)
-        if not (math.isfinite(w) and (signed or w >= 0.0)):
-            bound = "" if signed else " >= 0"
-            raise ValueError(f"'{field}' must be a finite number{bound}, got {value!r}")
+        w = _as_number(value, f"'{field}'")
+        if not (signed or w >= 0.0):
+            raise ValueError(f"'{field}' must be a finite number >= 0, got {value!r}")
         return w
 
     table, n_max = _entries(doc.get("values"), "weight", field, weight, arr.row_length,
                             arr.n_max)
-    if kind == "c-normalized":
+    if kind == "c-normalized":  # a(n, i) = c/A_n or c^2/A_n; a missing c is 0.0
         gc = _number(doc, "growth_constant")
-        return c_normalized_weights(
-            lambda n, i: table.get((n, i), 0.0),
-            arr.row_length,
-            flavor=flavor,
-            growth_constant=None if gc is None else float(gc),
-            n_max=n_max,
-        )
+        for n in range(1, n_max + 1):
+            cs = [table.get((n, i), 0.0) for i in range(1, arr.row_length(n) + 1)]
+            try:
+                norm = math.fsum(cs) if flavor == "sum" else math.fsum(c ** 2 for c in cs)
+            except OverflowError as exc:  # a c^2 or a partial sum past float range
+                raise SpecError(f"A_{n} leaves float range: {exc}") from None
+            if not norm > 0.0:
+                raise SpecError(f"A_{n} = {norm} must be positive")
+            if gc is not None and norm > gc * n:
+                raise SpecError(f"A_{n} = {norm} exceeds declared bound {gc}*n")
+            for i, c in enumerate(cs, start=1):
+                table[(n, i)] = (c if flavor == "sum" else c * c) / norm
 
     def range_sum(n: int, lo: int, hi: int) -> float:
         try:
@@ -275,20 +278,24 @@ def _norming_from_doc(doc: Optional[dict], p: float) -> Optional[NormalizingSequ
         vals = doc.get("values")
         if not isinstance(vals, list) or not vals:
             raise SpecError("explicit norming needs a nonempty 'values' list")
-        return explicit_norming([float(_as_number(v, "'b.values' entry")) for v in vals])
+        values = [_as_number(v, "'b.values' entry") for v in vals]
+        bad = [v for v in values if not v > 0.0]
+        if bad:
+            raise SpecError(f"'b.values' entry must be a finite number > 0, got {bad[0]!r}")
+        return explicit_norming(values)
     raise SpecError(f"unknown norming kind {kind!r}")
 
 
 def load_spec_obj(doc: dict) -> fixtures_mod.Problem:
     if not isinstance(doc, dict):
         raise SpecError("top-level spec must be a JSON object")
+    nu = fixtures_mod.iterated_log_order(doc.get("nu", 1))  # its own rule: an integer >= 1
     if "fixture" in doc:
-        fx = fixtures_mod.load(doc["fixture"], p=_number(doc, "p"), nu=_number(doc, "nu"))
+        fx = fixtures_mod.load(doc["fixture"], p=_number(doc, "p"), nu=nu)
         return dataclasses.replace(fx, sv=parse_svf(_section(doc, "svf")))
     if "cells" not in doc:
         raise SpecError("spec needs a 'fixture' name or explicit 'cells'")
     p = _exponent(doc, "p", 1.0)
-    nu = fixtures_mod.iterated_log_order(_number(doc, "nu", 1))
     arr = _array_from_cells(doc)
     return fixtures_mod.Problem(
         label=doc.get("label", "explicit"),

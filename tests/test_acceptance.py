@@ -347,7 +347,8 @@ def test_criterion_08_round_trip():
     for name, tail, p, grid, ui_vals in direction_two:
         if not _sequence_decays(ui_vals):
             continue  # hypothesis empty: nothing to conclude
-        decay = moments.tail_along_norming(tail, p, None, grid)
+        decay = conditions.count_tail_vanishes(
+            tail, model.power_norming(p), grid).evidence["values"]
         if not _sequence_decays(decay):
             counterexamples.append(f"{name}: UI decays but rescaled tail does not")
     report(8, "uniform-integrability round trip: zero counterexamples",

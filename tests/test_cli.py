@@ -30,6 +30,21 @@ def test_check_power_spikes_conditions_match(tmp_path):
     assert by_name == {"kG": "holds", "chandra-ghosal": "fails"}
 
 
+def test_kg_grid_stops_at_the_end_of_an_explicit_b_table(tmp_path):
+    # b_1..b_100 are declared; the grid 1, 2, 4, ... stops at k = 128, as it does
+    # where b_k leaves float range, and the verdict reads k = 1..64
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in range(1, 9) for i in range(1, n + 1)]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "p": 1.0, "cells": cells,
+                                "b": {"kind": "explicit", "values": list(range(1, 101))}}))
+    out = tmp_path / "kg"
+    rc = run(["check", "--spec", str(spec), "--conditions", "kG,kG-hat", "--out", str(out)])
+    assert rc == 0
+    results = json.loads(out.with_suffix(".json").read_text())["results"]
+    assert [r["detail"]["grid_stop"] for r in results] == [128, 128]
+
+
 def test_check_two_block_cesaro_domination(tmp_path):
     rc = run([
         "check", "--fixture", "example-2.1",
@@ -686,6 +701,22 @@ SPEC_CASES = {
     "cell-index-string": {"cells": [{"n": 1, "i": "1", "dist": {"kind": "symmetric-pm1"}}]},
     "na-correlation-string": {"dependence": {"kind": "gaussian-na", "correlation": "-0.3"}},
     "na-correlation-bool": {"dependence": {"kind": "gaussian-na", "correlation": False}},
+    # b_n > 0, finite laws and a finite growth constant: each of these loaded, and
+    # simulate then wrote p-hat 0.0 (nan or negative b) or 1.0 (b = 0) on every row
+    "b-values-nan": {"b": {"kind": "explicit", "values": [float("nan")]}},
+    "b-values-infinite": {"b": {"kind": "explicit", "values": [float("inf")]}},
+    "b-values-past-float-range": {"b": {"kind": "explicit", "values": [10**999]}},
+    "b-values-zero": {"b": {"kind": "explicit", "values": [0]}},
+    "b-values-negative": {"b": {"kind": "explicit", "values": [-1]}},
+    "pareto-alpha-infinite": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "pareto", "alpha": float("inf")}}]},
+    "pareto-cutoff-infinite": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "pareto", "alpha": 3.0, "cutoff": float("inf")}}]},
+    "growth-constant-nan": {"weights": {"kind": "c-normalized", "growth_constant": float("nan"),
+                                        "values": [{"n": 1, "i": 1, "c": 1.0}]}},
+    "growth-constant-infinite": {"weights": {"kind": "c-normalized",
+                                             "growth_constant": float("inf"),
+                                             "values": [{"n": 1, "i": 1, "c": 1.0}]}},
 }
 
 
@@ -694,7 +725,7 @@ SPEC_CASES = {
     ["simulate", "--rows", "1", "--reps", "2"],
 ], ids=["check", "simulate"])
 @pytest.mark.parametrize("extra", SPEC_CASES.values(), ids=SPEC_CASES.keys())
-def test_malformed_spec_sections_exit_2(tmp_path, capsys, command, extra):
+def test_malformed_spec_sections_exit_2(tmp_path, capsys, recwarn, command, extra):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(
         {"cells": [{"n": 1, "i": 1, "dist": {"kind": "symmetric-pm1"}}], **extra}))
@@ -702,6 +733,7 @@ def test_malformed_spec_sections_exit_2(tmp_path, capsys, command, extra):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert "error:" in err and "Traceback" not in err
+    assert not recwarn.list, [str(w.message) for w in recwarn]  # e.g. numpy's divide by zero
     assert not (tmp_path / "o.json").exists()
 
 

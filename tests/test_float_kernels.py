@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llnlab import cli, model
+from llnlab import cli, model, specio
 from llnlab.errors import RowRangeError
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
@@ -223,6 +223,16 @@ def _schemes():
     def range_sum(n, lo, hi):
         return math.fsum(a_fn(n, i) for i in range(lo, hi + 1))
 
+    # a c-normalized spec of 500 rows (k_n = n), c(n, i) = 1 + (i mod 3), normalised at
+    # load; the spec format has no shorter rows, so those read each row's first k_n weights
+    full = [(n, i) for n in range(1, 501) for i in range(1, n + 1)]
+    c_normalized = specio.load_spec_obj({
+        "rows": {"k": "n"},
+        "cells": [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}} for n, i in full],
+        "weights": {"kind": "c-normalized",
+                    "values": [{"n": n, "i": i, "c": 1.0 + (i % 3)} for n, i in full]},
+    }).weights.range_sum_fn
+
     lengths = {"n": lambda n: n, "n-5": lambda n: max(n - 5, 0), "empty": lambda n: 0}
     for name, k in lengths.items():
         # a spec's explicit table: one weight per cell, a range summed by math.fsum
@@ -235,8 +245,7 @@ def _schemes():
             tag = f"{name}-nmax{n_max}"
             yield f"closed-{tag}", model.explicit_weights(range_sum, k, n_max=n_max)
             yield f"loop-{tag}", model.explicit_weights(table_sum, k, n_max=n_max)
-            yield f"c-normalized-{tag}", model.c_normalized_weights(
-                lambda n, i: 1.0 + (i % 3), k, n_max=n_max)
+            yield f"c-normalized-{tag}", model.explicit_weights(c_normalized, k, n_max=n_max)
     yield "example-2.1", load("example-2.1").weights
 
 

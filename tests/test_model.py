@@ -155,6 +155,17 @@ def test_row_out_of_declared_range():
         row_sum(w, 6)
 
 
+def _c_normalized(c, rows: int, **weights) -> model.WeightScheme:
+    """The weights of a spec of rows 1..rows (k_n = n), ``c-normalized`` by c(n, i)."""
+    full = [(n, i) for n in range(1, rows + 1) for i in range(1, n + 1)]
+    return specio.load_spec_obj({
+        "rows": {"k": "n"},
+        "cells": [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}} for n, i in full],
+        "weights": {"kind": "c-normalized", **weights,
+                    "values": [{"n": n, "i": i, "c": c(n, i)} for n, i in full]},
+    }).weights
+
+
 def test_a_weight_scheme_is_its_range_sums():
     from llnlab.fixtures import load
 
@@ -165,7 +176,7 @@ def test_a_weight_scheme_is_its_range_sums():
     values = [{"n": c["n"], "i": c["i"], "c": 1.0} for c in cells]
     spec = specio.load_spec_obj({"cells": cells,
                                  "weights": {"kind": "c-normalized", "values": values}})
-    c_norm = model.c_normalized_weights(lambda n, i: float(i), lambda n: n)
+    c_norm = _c_normalized(lambda n, i: float(i), 4)
     for w in (spec.weights, load("example-2.1").weights, load("wlln-counterexample").weights,
               c_norm):
         assert w.kind == "explicit" and w.range_sum_fn is not None
@@ -174,20 +185,15 @@ def test_a_weight_scheme_is_its_range_sums():
 
 
 def test_c_normalized_rows_sum_to_one_exactly():
-    w = model.c_normalized_weights(
-        lambda n, i: float(i), lambda n: n, flavor="sum", growth_constant=None
-    )
+    w = _c_normalized(lambda n, i: float(i), 100, flavor="sum")
     for n in (1, 2, 7, 100):
         assert abs(row_sum(w, n) - 1.0) < 1e-12
 
 
 def test_c_normalized_growth_bound_enforced():
-    w = model.c_normalized_weights(
-        lambda n, i: float(n), lambda n: n, flavor="sum", growth_constant=1.0
-    )
-    for _ in range(2):  # a norm past the bound is not kept: every read raises
-        with pytest.raises(ValueError):
-            row_sum(w, 3)  # A_3 = 9 > 1 * 3
+    # A_2 = 4 > 1 * 2: the table is normalised at load, so the load raises
+    with pytest.raises(ValueError):
+        _c_normalized(lambda n, i: float(n), 3, flavor="sum", growth_constant=1.0)
 
 
 def test_array_cell_lookup_and_bounds():

@@ -42,7 +42,6 @@ UNREACHED = {
     "moments.dlvp_witness": "paper construction waiting for a check runner",
     "moments.transformed_array": "paper construction waiting for a check runner",
     "simulate.condition_h_probe": "paper construction waiting for a check runner",
-    "moments.tail_along_norming": "acceptance criterion 07",
     "svf.conjugate_residual": "acceptance criterion 07",
     "model.identical_array": "test builder",
     "model.sample_row": "test builder",

@@ -1,4 +1,7 @@
+import functools
 import json
+import math
+import random
 import re
 
 import pytest
@@ -261,6 +264,84 @@ def test_negative_c_is_a_weight_under_sum_sq():
     assert w.range_sum(3, 1, 3) == 1.0 and w.range_sum(3, 1, 1) == w.range_sum(3, 2, 2)
 
 
+def _lazy_c_normalized(c_fn, row_length, flavor, n_max):
+    """The normaliser ``c-normalized`` weights had before they were normalised at
+    load: A_n of a row on its first read, each range summed from the raw c."""
+
+    @functools.cache
+    def a_norm(n):
+        cs = [c_fn(n, i) for i in range(1, row_length(n) + 1)]
+        norm = math.fsum(cs) if flavor == "sum" else math.fsum(c ** 2 for c in cs)
+        if not norm > 0.0:
+            raise ValueError(f"A_{n} = {norm} must be positive")
+        return norm
+
+    def range_sum(n, lo, hi):
+        norm = a_norm(n)
+        cs = (c_fn(n, i) for i in range(lo, hi + 1))
+        return math.fsum((c if flavor == "sum" else c * c) / norm for c in cs)
+
+    return model.explicit_weights(range_sum, row_length, n_max=n_max)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("flavor", ["sum", "sum-sq"])
+def test_c_normalized_table_matches_the_lazy_normaliser(flavor, seed):
+    # random c of mixed magnitudes, a third of the entries missing (c = 0.0)
+    rng = random.Random(seed)
+    k = rng.choice(["n", 1, 5])
+    n_max = rng.randint(1, 30)
+    row_length = (lambda n: n) if k == "n" else (lambda n: k)
+    full = [(n, i) for n in range(1, n_max + 1) for i in range(1, row_length(n) + 1)]
+    table = {}
+    for n, i in full:
+        if i == 1 or rng.random() < 2 / 3:  # i = 1 keeps every A_n > 0
+            c = rng.uniform(0.5, 10.0) * 10.0 ** rng.randint(-3, 3)
+            table[(n, i)] = -c if flavor == "sum-sq" and rng.random() < 0.5 else c
+    loaded = specio.load_spec_obj({
+        "rows": {"k": k},
+        "cells": [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}} for n, i in full],
+        "weights": {"kind": "c-normalized", "flavor": flavor,
+                    "values": [{"n": n, "i": i, "c": c} for (n, i), c in table.items()]},
+    }).weights
+    lazy = _lazy_c_normalized(lambda n, i: table.get((n, i), 0.0), row_length, flavor, n_max)
+    for n in range(1, n_max + 1):
+        for lo in range(1, row_length(n) + 1):
+            for hi in range(lo, row_length(n) + 1):
+                assert loaded.range_sum(n, lo, hi).hex() == lazy.range_sum(n, lo, hi).hex()
+    for n_sup in (1, 7, 64):
+        assert loaded.c0(n_sup) == lazy.c0(n_sup)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({"flavor": "sum", "values": [{"n": 1, "i": 1, "c": 1.0}, {"n": 2, "i": 2, "c": 0}]},
+     "A_2 = 0.0 must be positive"),
+    ({"flavor": "sum-sq", "values": [{"n": 1, "i": 1, "c": 1.0}, {"n": 2, "i": 2, "c": 1e300}]},
+     "A_2 leaves float range"),
+    ({"flavor": "sum", "growth_constant": 1.0,
+      "values": [{"n": 2, "i": 1, "c": 3.0}, {"n": 1, "i": 1, "c": 1.0}]},
+     r"A_2 = 3.0 exceeds declared bound 1.0\*n"),
+    ({"flavor": "sum-of-squares", "values": [{"n": 1, "i": 1, "c": 1.0}]},
+     "flavor must be 'sum' or 'sum-sq'"),
+], ids=["zero-row", "overflow", "growth-bound", "unknown-flavor"])
+def test_bad_c_normalized_table_fails_at_load(weights, message):
+    # checked when the spec loads, though no weight is ever read
+    doc = {"cells": [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+                     for n in (1, 2) for i in range(1, n + 1)],
+           "weights": {"kind": "c-normalized", **weights}}
+    with pytest.raises(SpecError, match=message):
+        specio.load_spec_obj(doc)
+
+
+def test_b_value_literal_past_float_range_is_a_spec_error(tmp_path):
+    # JSON reads 1e999 as inf
+    (tmp_path / "s.json").write_text('{"cells": [{"n": 1, "i": 1, "dist": {"kind": '
+                                     '"symmetric-pm1"}}], "b": {"kind": "explicit", '
+                                     '"values": [1, 1e999]}}')
+    with pytest.raises(SpecError, match="'b.values' entry must be a finite number, got inf"):
+        specio.load_spec(tmp_path / "s.json")
+
+
 def test_complete_entry_tables_load():
     for kind in ("explicit", "c-normalized"):
         spec = specio.load_spec_obj(_rows_to_4(values=[], kind=kind))
@@ -326,6 +407,22 @@ SECTION_AND_NUMBER_CASES = {
     "nu-bool": {"nu": True},
     "nu-nan": {"nu": float("nan")},
     "nu-infinite": {"nu": float("inf")},
+    # b_n > 0, finite laws and a finite growth constant: each of these loaded, and
+    # simulate then wrote p-hat 0.0 (nan or negative b) or 1.0 (b = 0) on every row
+    "b-values-nan": {"b": {"kind": "explicit", "values": [float("nan")]}},
+    "b-values-infinite": {"b": {"kind": "explicit", "values": [float("inf")]}},
+    "b-values-past-float-range": {"b": {"kind": "explicit", "values": [10**999]}},
+    "b-values-zero": {"b": {"kind": "explicit", "values": [0]}},
+    "b-values-negative": {"b": {"kind": "explicit", "values": [-1]}},
+    "pareto-alpha-infinite": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "pareto", "alpha": float("inf")}}]},
+    "pareto-cutoff-infinite": {"cells": [{"n": 1, "i": 1, "dist": {
+        "kind": "pareto", "alpha": 3.0, "cutoff": float("inf")}}]},
+    "growth-constant-nan": {"weights": {"kind": "c-normalized", "growth_constant": float("nan"),
+                                        "values": [{"n": 1, "i": 1, "c": 1.0}]}},
+    "growth-constant-infinite": {"weights": {"kind": "c-normalized",
+                                             "growth_constant": float("inf"),
+                                             "values": [{"n": 1, "i": 1, "c": 1.0}]}},
 }
 
 
