@@ -18,7 +18,8 @@ class RowRangeError(LlnLabError, IndexError):
 
 
 class SamplingError(LlnLabError, ValueError):
-    """A distribution/dependence combination cannot be sampled (e.g. missing quantile)."""
+    """An array cannot be sampled: an unsupported dependence, or paths of an array
+    that is not sequence-shaped."""
 
 
 class DominationPrecheckError(LlnLabError, ValueError):

@@ -12,19 +12,20 @@ x -> P(|X| > x), with the strict inequality: a unit atom at 5 gives tail 0 at
 x = 5.  Purely discrete distributions carry their atom list so expectations
 can be computed exactly downstream.
 
-A step law, the symmetric two-point law (+-1 is magnitude 1, prob 1), is
-its (magnitude, prob) pair.  ``RowTable`` (the sup_n row scans),
-``RowSampler`` and the series check read cells through one law table
-(``step_columns``): step laws as (magnitude, prob) columns, every other law
-through one tail or quantile.  A sequence array of step laws may give only
-its formula (``cell_steps``); its cells are then read from the formula, a run
-of them as columns, one cell as a ``SymmetricTwoPoint``.
+A cell's law is a step law or a Pareto law (``DistSpec``).  A step law, the
+symmetric two-point law (+-1 is magnitude 1, prob 1), is its (magnitude,
+prob) pair.  ``RowTable`` (the sup_n row scans), ``RowSampler`` and the
+series check read cells through one law table (``step_columns``): step laws
+as (magnitude, prob) columns, each Pareto law through its tail or quantile.
+A sequence array of step laws may give only its formula (``cell_steps``);
+its cells are then read from the formula, a run of them as columns, one cell
+as a ``SymmetricTwoPoint``.
 
 Sampling is deterministic per (seed, n, ...) address via counter-based Philox
 streams, so rows can be drawn concurrently without shared state; the keys of
 a row's addresses come from one vectorised pass (``stream_keys``).
 ``RowSampler`` lays a row out once and then maps each draw's uniforms to cell
-values by a sign select (step cells) and one quantile call per other law.
+values by a sign select (step cells) and one quantile call per Pareto law.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class TailFunction:
     """Queryable survival function x -> P(|X| > x).
 
     ``atoms`` lists (magnitude, probability) pairs when |X| is purely discrete;
-    ``support_hint`` is an upper endpoint beyond which the tail is exactly 0;
     ``knot_fn(lo, hi)`` enumerates discontinuities inside (lo, hi) for step
     tails whose atom list is unbounded (used to split quadrature segments).
     ``step`` marks a step envelope: ``fn`` is constant between consecutive
@@ -63,7 +63,6 @@ class TailFunction:
     """
 
     fn: Callable[[float], float]
-    support_hint: Optional[float] = None
     atoms: Optional[tuple[tuple[float, float], ...]] = None
     knot_fn: Optional[Callable[[float, float], tuple[float, ...]]] = None
     step: bool = False
@@ -114,15 +113,7 @@ class ParetoTail:
             raise ValueError("cutoff must be >= 1")
 
 
-@dataclass(frozen=True)
-class CustomDist:
-    """Arbitrary law given by its |X| tail and a quantile function for X."""
-
-    tail: TailFunction
-    quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-
-DistSpec = Union[SymmetricTwoPoint, ParetoTail, CustomDist]
+DistSpec = Union[SymmetricTwoPoint, ParetoTail]
 
 
 def tail_of(spec: DistSpec) -> TailFunction:
@@ -136,7 +127,7 @@ def tail_of(spec: DistSpec) -> TailFunction:
             return q if x < m else 0.0
 
         atoms = ((m, q),) if q == 1.0 else ((0.0, 1.0 - q), (m, q))
-        return TailFunction(fn=two_point_tail, support_hint=m, atoms=atoms)
+        return TailFunction(fn=two_point_tail, atoms=atoms)
     if isinstance(spec, ParetoTail):
         a, c = spec.alpha, spec.cutoff
 
@@ -146,8 +137,6 @@ def tail_of(spec: DistSpec) -> TailFunction:
             return (x / c) ** (-a)
 
         return TailFunction(fn=pareto_tail)
-    if isinstance(spec, CustomDist):
-        return spec.tail
     raise TypeError(f"not a DistSpec: {spec!r}")
 
 
@@ -171,10 +160,6 @@ def quantile_of(spec: DistSpec) -> Callable[[np.ndarray], np.ndarray]:
             return np.where(u < 0.5, -mag, mag)
 
         return pareto_q
-    if isinstance(spec, CustomDist):
-        if spec.quantile is None:
-            raise SamplingError("custom distribution has no quantile function")
-        return spec.quantile
     raise TypeError(f"not a DistSpec: {spec!r}")
 
 
@@ -874,7 +859,7 @@ class RowSampler:
 
     Step cells keep per-cell thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
     magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``: the
-    +-m/0 values of ``quantile_of``, bit for bit.  Every other law keeps the
+    +-m/0 values of ``quantile_of``, bit for bit.  Every Pareto law keeps the
     indexes of its cells, and its quantile runs once per draw on them, and a
     row with no step law skips the sign select.  Uniforms follow the array's
     dependence: a ``GaussianNA`` row maps its mixed normals through

@@ -7,19 +7,23 @@ h(0) = 0, differentiable off a finite set of breakpoints,
     E(h(xi) 1(xi <= x)) = int_0^x h'(t) T(t) dt - h(x) T(x),
     E(h(xi) 1(xi > x)) = h(x) T(x) + int_x^inf h'(t) T(t) dt.
 
-Every expectation of a law goes through one kernel.  A law with atoms sums
-h(m) p over its atoms m in the range, correctly rounded (``math.fsum``); any
-other law integrates the caller's integrand h'(t) T(t) by adaptive quadrature
-split at the tail's knots, with the dyadic block rule of
-:mod:`llnlab.numerics` standing in for an infinite upper limit.  Divergent
-integrals return an inf marker that still carries the partial value at the
-cutoff.  The one closed form is a Pareto cell's power moment, x^s or
-x^s log x (:func:`pareto_power_mass`), which :func:`cell_moment` and
-:func:`cell_transformed_tail_mass` take in place of the quadrature.
+Every expectation of a tail goes through one kernel: a cell's law (a step
+law or a Pareto law) or a tail that is no cell's law, such as an array's
+Cesaro sup.  A tail with atoms sums h(m) p over its atoms m in the range,
+correctly rounded (``math.fsum``); any other tail integrates the caller's
+integrand h'(t) T(t) by adaptive quadrature split at the tail's knots, with
+the dyadic block rule of :mod:`llnlab.numerics` standing in for an infinite
+upper limit.  Divergent integrals return an inf marker that still carries
+the partial value at the cutoff.  The one closed form is a Pareto cell's
+power moment, x^s or x^s log x (:func:`pareto_power_mass`), which
+:func:`cell_moment` and :func:`cell_transformed_tail_mass` take in place of
+the quadrature.
 
 Every h, g and t passed in is called directly: a :class:`MomentFunction` or
 any other callable, which also needs a ``derivative`` where a law without
 atoms is integrated (and may list its kinks in ``breakpoints()``).
+:func:`transformed_array` maps step cells under any t and Pareto cells under
+a power t only, each to a law of the same kind.
 
 The module also houses the weighted moment scans used by the domination and
 condition checks: bounded weighted moments, weighted uniform integrability and
@@ -37,13 +41,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import numerics as _numerics
 from . import svf as _svf
 from .errors import SuperlinearityError
 from .model import (
     ArraySpec,
     CellGroup,
-    CustomDist,
     DistSpec,
     ParetoTail,
     SymmetricTwoPoint,
@@ -162,8 +164,8 @@ def _tail_integral(
     """head + int_lo^hi f for the caller's integrand f(t) = h'(t) P(|X| > t).
 
     Pieces split at the tail's knots and at ``extra``.  A finite ``hi`` is one
-    adaptive quadrature; hi = inf walks dyadic blocks up to the tail's support
-    and gives the inf marker when they never certify convergence.
+    adaptive quadrature; hi = inf walks dyadic blocks and gives the inf marker
+    when they never certify convergence.
     """
 
     def breaks(a: float, b: float) -> tuple[float, ...]:
@@ -171,9 +173,7 @@ def _tail_integral(
 
     if not math.isinf(hi):
         return ExpectationValue(head + finite_integral(f, lo, hi, breakpoints=breaks(lo, hi)))
-    res = integrate_tail_blocks(
-        f, lo, breakpoints_in=breaks, upper=tail.support_hint, max_blocks=max_blocks
-    )
+    res = integrate_tail_blocks(f, lo, breakpoints_in=breaks, max_blocks=max_blocks)
     if not res.converged:
         return ExpectationValue(math.inf, partial=head + res.partial, converged=False)
     return ExpectationValue(head + res.value)
@@ -275,8 +275,9 @@ def cell_moment(dist: DistSpec, g) -> float:
 def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
     """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0.
 
-    The mass lies above x_a = t^-1(a) (bisection); a Pareto power t takes it
-    from :func:`pareto_power_mass`, any other law from the tail kernel.
+    The mass lies above x_a = t^-1(a) (bisection).  A Pareto cell takes it
+    from :func:`pareto_power_mass` under a power t, from the tail kernel under
+    any other t.
     """
     if isinstance(dist, SymmetricTwoPoint):
         v = t(dist.magnitude)
@@ -313,24 +314,6 @@ def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def clamped_mean(dist: DistSpec, a: float) -> float:
-    """E of X clamped to [-a, a], as the integral of the clamped quantile
-    over u in [0, 1]; exactly zero for the symmetric built-ins."""
-    if isinstance(dist, (SymmetricTwoPoint, ParetoTail)):
-        return 0.0
-    if isinstance(dist, CustomDist):
-        if dist.quantile is None:
-            raise ValueError("custom distribution has no quantile for clamped mean")
-        q = dist.quantile
-
-        def f(u: float) -> float:
-            return max(-a, min(a, float(np.asarray(q(np.array([u])))[0])))
-
-        val, _ = _numerics.quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
-        return val
-    raise TypeError(f"not a DistSpec: {dist!r}")
-
-
 def clamped_square_mean(dist: DistSpec, a: float) -> float:
     """E (X clamped to [-a,a])^2 = E(|X|^2 1(|X|<=a)) + a^2 P(|X|>a)."""
     tail = tail_of(dist)
@@ -346,25 +329,21 @@ def clamped_square_mean(dist: DistSpec, a: float) -> float:
 def transformed_array(arr: ArraySpec, t) -> ArraySpec:
     """Array of t(|X[n,i]|) cells for strictly increasing t with t(0) = 0.
 
-    Discrete cells map exactly (atom at t(m)); others become custom tail cells
-    with the composed survival function.  The array keeps its rows, row bound
+    A step cell maps exactly under any t: its atom moves to t(m).  A Pareto
+    cell maps exactly under a pure power t = x^s (a ``MomentFunction`` with
+    no log factor): P(|X|^s > y) = (y / c^s)^(-alpha/s) beyond c^s >= 1, the
+    law ``ParetoTail(alpha/s, c**s)``.  Any other t on a Pareto cell is a
+    ValueError when the cell is read.  The array keeps its rows, row bound
     and dependence; its closed Cesaro sup and its formula (``cell_steps``)
     describe the untransformed laws, so they are dropped.
     """
     def map_dist(d: DistSpec) -> DistSpec:
         if isinstance(d, SymmetricTwoPoint):
             return SymmetricTwoPoint(magnitude=t(d.magnitude), prob=d.prob)
-        base = tail_of(d)
-
-        def composed(x: float) -> float:
-            if x < 0.0:
-                return 1.0
-            return base.fn(_numeric_inverse(t, x))
-
-        sup = None
-        if base.support_hint is not None:
-            sup = t(base.support_hint)
-        return CustomDist(tail=TailFunction(fn=composed, support_hint=sup))
+        if isinstance(t, MomentFunction) and t.log_factor_nu is None:
+            return ParetoTail(d.alpha / t.power, d.cutoff ** t.power)
+        raise ValueError(f"{d!r} has no closed-form law under {t!r}: only a pure "
+                         "power x^s maps a Pareto cell")
 
     cell, groups = arr.sequence_cell, arr.groups_fn
     return replace(

@@ -26,7 +26,7 @@ reading its thresholds from one named constant:
   ``DECAY_EPS``.
 
 :func:`quad` is the single quadrature entry of the package: every adaptive
-integral, here and in ``moments``, calls it, and it imports
+integral goes through :func:`finite_integral`, its one caller, and it imports
 ``scipy.integrate`` on its first call, so a run that integrates nothing
 never loads scipy: ``verify-fixtures`` and the checks of step and Pareto
 cells at nu <= 1 do not.
@@ -114,35 +114,25 @@ def integrate_tail_blocks(
     start: float,
     *,
     breakpoints_in: Callable[[float, float], Sequence[float]] = lambda lo, hi: (),
-    upper: float | None = None,
     max_blocks: int = MAX_BLOCKS,
 ) -> BlockIntegral:
     """Sum integral(f) over dyadic blocks from ``start`` toward infinity.
 
-    ``upper`` short-circuits the block walk when the integrand is known to
-    vanish beyond it (compact support).
+    An integrand that vanishes past some point stops the walk at the first
+    block of it: a zero block certifies convergence like any block below
+    ``BLOCK_TOL``.
     """
-    start = max(start, 0.0)
-    if upper is not None and upper <= start:
-        return BlockIntegral(0.0, 0.0, True, ())
-    lo = start
+    lo = max(start, 0.0)
     total = 0.0
     blocks: list[float] = []
     # first partial block up to the next power of two
     first_hi = 2.0 ** math.ceil(math.log2(lo)) if lo > 0 else 1.0
     if first_hi <= lo:
         first_hi = 2.0 * lo
-    if upper is not None:
-        first_hi = min(first_hi, upper)
-    if first_hi > lo:
-        total += finite_integral(f, lo, first_hi, breakpoints=breakpoints_in(lo, first_hi))
+    total += finite_integral(f, lo, first_hi, breakpoints=breakpoints_in(lo, first_hi))
     lo = first_hi
     for _ in range(max_blocks):
-        if upper is not None and lo >= upper:
-            return BlockIntegral(total, total, True, tuple(blocks))
         hi = 2.0 * lo
-        if upper is not None:
-            hi = min(hi, upper)
         b = finite_integral(f, lo, hi, breakpoints=breakpoints_in(lo, hi))
         blocks.append(b)
         total += b

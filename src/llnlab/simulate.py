@@ -38,7 +38,7 @@ from numpy.random import Generator, Philox
 from .errors import RepsError, SamplingError, WorkerError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
                     power_norming, step_columns, stream_keys)
-from .moments import clamped_mean, clamped_square_mean
+from .moments import clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
 EULER_GAMMA = 0.5772156649015328606
@@ -484,20 +484,20 @@ def condition_h_probe(
     """Monte Carlo estimate of the maximal-inequality constant for one row.
 
     Ratio of E(max_k |sum_{i<=k} (clamped X_i - E clamped X_i)|)^2 to
-    sum_i E(clamped X_i)^2 at clamp level ``a``.
+    sum_i E(clamped X_i)^2 at clamp level ``a``.  Every law is symmetric, so
+    the clamped means E clamped X_i vanish and the partial sums run over the
+    clamped draws themselves.
     """
     sampler = RowSampler(arr, n)
     squares, counts = _group_values(arr, n, lambda d: clamped_square_mean(d, a))
     rhs = float(np.cumsum(counts * squares)[-1])  # in group order, as a scalar loop adds
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
-    centers = np.repeat(*_group_values(arr, n, lambda d: clamped_mean(d, a)))
     gen, store = Generator(Philox(key=0)), []
     acc = 0.0
     for _, keys in _key_chunks(seed, n, sampler.k, 0, reps):
         x = sampler.draw_rows(keys, gen, sampler.buffers(len(keys), store))
         np.clip(x, -a, a, out=x)
-        x -= centers
         for m in max_partial_sums(x).tolist():  # Python floats, in replication order
             acc += m ** 2
     return (acc / reps) / rhs

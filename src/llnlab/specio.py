@@ -29,16 +29,18 @@ Schema sketch (full documentation in the repository README):
     }
 
 Explicit cells must cover every (n, i) with 1 <= i <= k_n for the declared
-rows; the largest declared n becomes the array's row bound.  A cell or weight
-entry outside those rows, a second entry for one (n, i), an ``n`` or ``i``
-that is not a JSON integer, and a weight that (an ``a``, or a ``c`` of flavor
-``sum``) is negative are each a SpecError naming the entry.
+rows; the largest declared n becomes the array's row bound.  An ``explicit``
+weight table must cover every (n, i) of rows 1 through its last row.  A cell
+or weight entry outside those rows, a second entry for one (n, i), an ``n``
+or ``i`` that is not a JSON integer, and a weight that (an ``a``, or a ``c``
+of flavor ``sum``) is negative are each a SpecError naming the entry.
 
 Every number of a spec is a JSON number that is not a bool and is finite
-(:func:`_as_number`); ``nu`` is an integer >= 1.  A ``c-normalized`` table is
-normalised here, at load, into the same (n, i) -> a table an ``explicit`` one
-fills, for rows 1 through its last row; a row whose A_n is not > 0 or exceeds
-``growth_constant`` * n is a SpecError.
+(:func:`_as_number`); ``nu`` is an integer >= 1, ``rows.k`` an integer >= 1
+(not a bool) or ``"n"``, ``sequence`` a JSON bool and ``label`` a string.  A
+``c-normalized`` table is normalised here, at load, into the same (n, i) -> a
+table an ``explicit`` one fills, for rows 1 through its last row; a row whose
+A_n is not > 0 or exceeds ``growth_constant`` * n is a SpecError.
 """
 
 from __future__ import annotations
@@ -142,9 +144,9 @@ def _parse_rows(obj: Optional[dict]):
     k = "n" if obj is None else obj.get("k", "n")
     if k == "n":
         return lambda n: n
-    if isinstance(k, int) and k >= 1:
+    if type(k) is int and k >= 1:  # a bool or a float is no row length
         return lambda n: k
-    raise SpecError(f"rows.k must be 'n' or a positive integer, got {k!r}")
+    raise SpecError(f"rows.k must be a positive integer or 'n', got {k!r}")
 
 
 def _entries(entries, what: str, field: str, parse, row_length,
@@ -176,6 +178,12 @@ def _entries(entries, what: str, field: str, parse, row_length,
     return table, max(n for n, _ in table)
 
 
+def _first_gap(table: dict, n_max: int, row_length) -> Optional[tuple[int, int]]:
+    """The first (n, i) of rows 1..``n_max`` that ``table`` lacks; None if none."""
+    return next(((n, i) for n in range(1, n_max + 1) for i in range(1, row_length(n) + 1)
+                 if (n, i) not in table), None)
+
+
 def _parse_dependence(obj):
     if obj is None or obj.get("kind", "independent") == "independent":
         return INDEPENDENT
@@ -190,13 +198,15 @@ def _parse_dependence(obj):
 def _array_from_cells(doc: dict) -> ArraySpec:
     row_length = _parse_rows(_section(doc, "rows"))
     table, n_max = _entries(doc["cells"], "cell", "dist", parse_dist, row_length)
-    for n in range(1, n_max + 1):
-        for i in range(1, row_length(n) + 1):
-            if (n, i) not in table:
-                raise SpecError(f"cell (n={n}, i={i}) missing from 'cells'")
+    gap = _first_gap(table, n_max, row_length)
+    if gap is not None:
+        raise SpecError("cell (n={}, i={}) missing from 'cells'".format(*gap))
 
+    sequence = doc.get("sequence", False)
+    if not isinstance(sequence, bool):
+        raise SpecError(f"'sequence' must be a JSON bool, got {sequence!r}")
     sequence_cell = groups = None
-    if doc.get("sequence"):
+    if sequence:
         if any(row_length(n) != n for n in range(1, n_max + 1)):
             raise SpecError("'sequence': true needs rows of k_n = n cells (rows.k = 'n')")
         # X[n,i] = X_i: every column must be constant below the diagonal
@@ -243,7 +253,11 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
 
     table, n_max = _entries(doc.get("values"), "weight", field, weight, arr.row_length,
                             arr.n_max)
-    if kind == "c-normalized":  # a(n, i) = c/A_n or c^2/A_n; a missing c is 0.0
+    if kind == "explicit":  # complete at load, as the cells are
+        gap = _first_gap(table, n_max, arr.row_length)
+        if gap is not None:
+            raise SpecError("weight (n={}, i={}) missing".format(*gap))
+    else:  # a(n, i) = c/A_n or c^2/A_n; a missing c is 0.0
         gc = _number(doc, "growth_constant")
         for n in range(1, n_max + 1):
             cs = [table.get((n, i), 0.0) for i in range(1, arr.row_length(n) + 1)]
@@ -259,11 +273,7 @@ def _weights_from_doc(doc: Optional[dict], arr: ArraySpec) -> WeightScheme:
                 table[(n, i)] = (c if flavor == "sum" else c * c) / norm
 
     def range_sum(n: int, lo: int, hi: int) -> float:
-        try:
-            return math.fsum(table[(n, i)] for i in range(lo, hi + 1))
-        except KeyError as exc:
-            _, i = exc.args[0]
-            raise SpecError(f"weight (n={n}, i={i}) missing") from None
+        return math.fsum(table[(n, i)] for i in range(lo, hi + 1))
 
     return explicit_weights(range_sum, arr.row_length, n_max=n_max)
 
@@ -296,9 +306,12 @@ def load_spec_obj(doc: dict) -> fixtures_mod.Problem:
     if "cells" not in doc:
         raise SpecError("spec needs a 'fixture' name or explicit 'cells'")
     p = _exponent(doc, "p", 1.0)
+    label = doc.get("label", "explicit")
+    if not isinstance(label, str):
+        raise SpecError(f"'label' must be a string, got {label!r}")
     arr = _array_from_cells(doc)
     return fixtures_mod.Problem(
-        label=doc.get("label", "explicit"),
+        label=label,
         arr=arr,
         weights=_weights_from_doc(_section(doc, "weights"), arr),
         p=p,

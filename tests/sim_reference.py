@@ -15,7 +15,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from llnlab.errors import SamplingError
 from llnlab.model import RowSampler
-from llnlab.moments import clamped_mean, clamped_square_mean
+from llnlab.moments import clamped_square_mean
 from llnlab.simulate import _group_values, max_partial_sums
 
 
@@ -48,11 +48,9 @@ def reference_condition_h_probe(arr, a: float, n: int, reps: int, seed: int) -> 
     sampler = RowSampler(arr, n)
     squares, counts = _group_values(arr, n, lambda d: clamped_square_mean(d, a))
     rhs = float(np.cumsum(counts * squares)[-1])
-    centers = np.repeat(*_group_values(arr, n, lambda d: clamped_mean(d, a)))
     bufs = sampler.buffers()
     acc = 0.0
     for rep in range(reps):
         row = sampler.draw(reference_rng(seed, n, rep), bufs)
-        clamped = np.clip(row, -a, a) - centers
-        acc += max_partial_sums(clamped) ** 2
+        acc += max_partial_sums(np.clip(row, -a, a)) ** 2
     return (acc / reps) / rhs

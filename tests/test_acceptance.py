@@ -194,9 +194,7 @@ def test_criterion_05_expectation_engine_exactness():
             worst = max(worst, abs(got - direct))
     atoms_ok = worst <= 1e-12
 
-    u01 = model.TailFunction(
-        fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x), support_hint=1.0
-    )
+    u01 = model.TailFunction(fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x))
     sq = MomentFunction(power=2.0)
     uniform_ok = abs(float(moments.expectation_via_tail(u01, sq)) - 1.0 / 3.0) <= 1e-9
 

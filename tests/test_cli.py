@@ -717,6 +717,20 @@ SPEC_CASES = {
     "growth-constant-infinite": {"weights": {"kind": "c-normalized",
                                              "growth_constant": float("inf"),
                                              "values": [{"n": 1, "i": 1, "c": 1.0}]}},
+    # a flag is a JSON bool, a row length an integer and a label a string: "false"
+    # and 1 each loaded as a sequence array, and k_n = True as one cell a row
+    "sequence-string": {"sequence": "false"},
+    "sequence-int": {"sequence": 1},
+    "rows-k-bool": {"rows": {"k": True}},
+    "rows-k-float": {"rows": {"k": 1.0}},
+    "label-int": {"label": 5},
+    # an explicit weight table is complete at load: cesaro-domination and simulate
+    # never read the missing entry, and exited 0
+    "weight-a-missing": {"cells": [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+                                   for n in range(1, 5) for i in range(1, n + 1)],
+                         "weights": {"kind": "explicit", "values": [
+                             {"n": n, "i": i, "a": 1.0 / n} for n in range(1, 5)
+                             for i in range(1, n + 1) if (n, i) != (3, 2)]}},
 }
 
 

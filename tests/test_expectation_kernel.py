@@ -3,10 +3,10 @@
 Before the kernel, ``expectation_via_tail``, ``truncated_abs_moment`` and
 ``cell_transformed_tail_mass`` each wrote out the tail-integral identity
 E h(|X|) = int h'(t) P(|X| > t) dt themselves, atoms went through a
-telescoped walk (``_discrete_expectation``), and ``clamped_mean`` carried a
-quantile quadrature.  The ``ref_*`` functions below are those bodies.  On every law without atoms the kernel must
-give the same bits, ``partial`` and ``converged``; on step laws it gives the
-correctly rounded atom sum, which the telescoped walk missed in the last bit.
+telescoped walk (``_discrete_expectation``).  The ``ref_*`` functions below
+are those bodies.  On every tail without atoms the kernel must give the same
+bits, ``partial`` and ``converged``; on step laws it gives the correctly
+rounded atom sum, which the telescoped walk missed in the last bit.
 A Pareto cell under a power (with at most one log factor) has its exact
 antiderivative instead, which meets the quadrature to ``QUAD_ABS_TOL`` where
 that converges.
@@ -15,9 +15,7 @@ that converges.
 import itertools
 import math
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from llnlab import model, moments, numerics
 from llnlab.fixtures import load
@@ -63,10 +61,7 @@ def ref_expectation_via_tail(tail, h, A=0.0, *, max_blocks=MAX_BLOCKS):
     def block_breaks(lo, hi):
         return tuple(p for p in brk if lo < p < hi) + tail.knots_in(lo, hi)
 
-    res = integrate_tail_blocks(
-        integrand, A, breakpoints_in=block_breaks, upper=tail.support_hint,
-        max_blocks=max_blocks,
-    )
+    res = integrate_tail_blocks(integrand, A, breakpoints_in=block_breaks, max_blocks=max_blocks)
     if not res.converged:
         return ExpectationValue(math.inf, partial=below + res.partial, converged=False)
     return ExpectationValue(below + res.value)
@@ -89,9 +84,7 @@ def ref_truncated_abs_moment(tail, r, x, side):
         val = finite_integral(integrand, 0.0, x, breakpoints=tail.knots_in(0.0, x))
         return ExpectationValue(val - x**r * tail.fn(x))
     res = integrate_tail_blocks(
-        integrand, x, breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi),
-        upper=tail.support_hint,
-    )
+        integrand, x, breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi))
     head = x**r * tail.fn(x)
     if not res.converged:
         return ExpectationValue(math.inf, partial=head + res.partial, converged=False)
@@ -110,28 +103,9 @@ def ref_cell_transformed_tail_mass(dist, t, a):
         return t.derivative(x) * tail.fn(x)
 
     res = integrate_tail_blocks(
-        integrand, x_a, breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi),
-        upper=tail.support_hint,
-    )
+        integrand, x_a, breakpoints_in=lambda lo, hi: tail.knots_in(lo, hi))
     head = t_eval(x_a) * tail.fn(x_a)
     return head + (res.value if res.converged else math.inf)
-
-
-def ref_clamped_mean(dist, a):
-    if isinstance(dist, (model.SymmetricTwoPoint, model.ParetoTail)):
-        return 0.0
-    if isinstance(dist, model.CustomDist):
-        if dist.quantile is None:
-            raise ValueError("custom distribution has no quantile for clamped mean")
-        q = dist.quantile
-
-        def f(u):
-            v = float(np.asarray(q(np.array([u])))[0])
-            return max(-a, min(a, v))
-
-        val, _ = quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)
-        return val
-    raise TypeError(f"not a DistSpec: {dist!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +115,7 @@ def ref_clamped_mean(dist, a):
 XS = (0.0, 0.5, 1.0, 2.0, 10.0, 2.0**20)  # split points A, truncation points x, levels a
 RS = (0.5, 1.0, 2.0, 3.5)
 
-U01 = model.TailFunction(fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x), support_hint=1.0)
+U01 = model.TailFunction(fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x))
 
 
 def _tails():
@@ -222,10 +196,8 @@ def test_truncated_abs_moment_on_steps_matches_reference(step):
 @pytest.mark.parametrize("dist", [
     model.ParetoTail(alpha=1.0),
     model.ParetoTail(alpha=2.5),
-    model.CustomDist(tail=U01),
-    model.CustomDist(tail=TAILS["x2m"]),
     model.SymmetricTwoPoint(3.0, 0.5),
-], ids=["pareto-1", "pareto-2.5", "uniform", "x2m", "step"])
+], ids=["pareto-1", "pareto-2.5", "step"])
 def test_cell_transformed_tail_mass_matches_reference(dist):
     transforms = (MomentFunction(power=0.5), MomentFunction(power=2.0),
                   MomentFunction(power=1.0, log_factor_nu=1))
@@ -240,24 +212,9 @@ def test_cell_transformed_tail_mass_matches_reference(dist):
         same(got, want)
 
 
-def test_quantile_means_match_reference():
-    # an asymmetric custom law: X = Exp(1) - 1/2
-    law = model.CustomDist(
-        tail=U01, quantile=lambda u: -np.log1p(-np.asarray(u, dtype=float)) - 0.5
-    )
-    for a in (0.25, 0.5, 1.0, 2.0, 10.0):
-        same(moments.clamped_mean(law, a), ref_clamped_mean(law, a))
-    with pytest.raises(ValueError, match="clamped mean"):
-        moments.clamped_mean(model.CustomDist(tail=U01), 1.0)
-
-
 def test_every_quadrature_goes_through_numerics_quad(monkeypatch):
-    # numerics.quad is the one patch point: the quantile quadrature of moments and
-    # the block quadrature of numerics both fail once it is gone
+    # numerics.quad is the one patch point: the block quadrature fails once it is gone
     monkeypatch.setattr(numerics, "quad", None)
-    law = model.CustomDist(tail=U01, quantile=lambda u: np.asarray(u, dtype=float))
-    with pytest.raises(TypeError):
-        moments.clamped_mean(law, 0.5)
     with pytest.raises(TypeError):
         moments.expectation_via_tail(U01, MomentFunction(power=2.0))
 

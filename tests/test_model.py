@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llnlab import model, specio
-from llnlab.errors import RowRangeError, SamplingError
+from llnlab.errors import RowRangeError
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +73,6 @@ def test_sampler_tail_agreement(dist):
         p = tail.fn(x)
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(np.mean(np.abs(samples) > x) - p) <= 3 * se + 1e-9
-
-
-def test_custom_dist_requires_quantile_for_sampling():
-    tail = model.TailFunction(fn=lambda x: max(0.0, 1.0 - x) if x >= 0 else 1.0)
-    spec = model.CustomDist(tail=tail, quantile=None)
-    with pytest.raises(SamplingError):
-        model.quantile_of(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,7 @@ from llnlab.moments import MomentFunction
 
 
 def uniform01_tail() -> model.TailFunction:
-    return model.TailFunction(
-        fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x),
-        support_hint=1.0,
-    )
+    return model.TailFunction(fn=lambda x: 1.0 if x < 0 else max(0.0, 1.0 - x))
 
 
 # ---------------------------------------------------------------------------
@@ -301,4 +298,24 @@ def test_transformed_array_composes_continuous_tails():
     transformed = moments.transformed_array(arr, t)
     tail = model.tail_of(transformed.cell(1, 1))
     # P(|X|^2 > y) = P(|X| > sqrt(y)) = y^-1 beyond 1
-    assert tail.fn(9.0) == pytest.approx(1.0 / 9.0, rel=1e-6)
+    assert tail.fn(9.0) == 1.0 / 9.0
+
+
+@pytest.mark.parametrize("alpha, cutoff, s", [(2.0, 1.0, 2.0), (3.0, 1.5, 0.5), (0.8, 4.0, 1.5)])
+def test_transformed_array_maps_pareto_under_a_power_exactly(alpha, cutoff, s):
+    # P(|X|^s > y) = (y / c^s)^(-alpha/s) beyond c^s
+    for arr in (model.identical_array(model.ParetoTail(alpha, cutoff)),
+                model.sequence_array(lambda i: model.ParetoTail(alpha, cutoff))):
+        transformed = moments.transformed_array(arr, MomentFunction(power=s))
+        assert transformed.cell(5, 3) == model.ParetoTail(alpha / s, cutoff**s)
+
+
+@pytest.mark.parametrize("t", [MomentFunction(power=2.0, log_factor_nu=1), lambda x: x * x],
+                         ids=["log-factor", "callable"])
+def test_transformed_array_refuses_other_transforms_of_pareto_cells(t):
+    arr = model.identical_array(model.ParetoTail(2.0))
+    with pytest.raises(ValueError, match="ParetoTail"):
+        moments.transformed_array(arr, t).cell(1, 1)
+    # a step cell maps under any t
+    step = moments.transformed_array(model.identical_array(model.SymmetricTwoPoint(3.0, 0.5)), t)
+    assert step.cell(1, 1) == model.SymmetricTwoPoint(t(3.0), 0.5)

@@ -51,7 +51,6 @@ UNREACHED = {
 }
 
 UNSET = {
-    "model.CustomDist.quantile": "test builder: the sampler's generic-law path",
     "moments.expectation_via_tail.A": "set by tests/test_acceptance.py (A-invariance)",
     "moments.expectation_via_tail.max_blocks": "set by tests/test_acceptance.py",
     "simulate.max_partial_sums.weights": "set by tests/test_acceptance.py",

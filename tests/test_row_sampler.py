@@ -56,17 +56,14 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-CAUCHY = model.CustomDist(
-    tail=model.TailFunction(fn=lambda x: 1.0 - 2.0 * math.atan(max(x, 0.0)) / math.pi),
-    quantile=lambda u: np.tan(np.pi * (np.asarray(u) - 0.5)),
-)
+HEAVY = model.ParetoTail(1.0)  # a second Pareto law, with no mean
 
 LAWS = {
     "pm1": model.SymmetricTwoPoint(1.0),
     "two-point": model.SymmetricTwoPoint(3.5, 0.4),
     "two-point-prob-1": model.SymmetricTwoPoint(2.0, 1.0),
     "pareto": model.ParetoTail(2.5, 1.5),
-    "custom": CAUCHY,
+    "custom": HEAVY,
 }
 DEPENDENCE = {"independent": model.INDEPENDENT, "gaussian-na": model.GaussianNA(-0.4)}
 
@@ -92,7 +89,7 @@ def mixed_array(dependence, seed=3, n_max=40):
 
 def mixed_sequence(dependence):
     cycle = [model.SymmetricTwoPoint(1.0), model.ParetoTail(3.0), model.SymmetricTwoPoint(2.0, 0.3),
-             CAUCHY, model.ParetoTail(2.2), model.SymmetricTwoPoint(5.0, 1.0)]
+             HEAVY, model.ParetoTail(2.2), model.SymmetricTwoPoint(5.0, 1.0)]
     return dataclasses.replace(model.sequence_array(lambda i: cycle[(i * i) % len(cycle)]),
                                dependence=dependence)
 
@@ -150,13 +147,13 @@ def test_sequence_rows_match_the_group_loop(dep):
 
 
 def no_step_rows(dependence):
-    """Rows of Pareto and custom cells only: one law, or several in groups."""
-    groups = {n: (model.CellGroup(n // 2, LAWS["pareto"]), model.CellGroup(1, CAUCHY),
+    """Rows of Pareto cells only: one law, or several in groups."""
+    groups = {n: (model.CellGroup(n // 2, LAWS["pareto"]), model.CellGroup(1, HEAVY),
                   model.CellGroup(n - n // 2 - 1, model.ParetoTail(3.0)))
               for n in range(1, 41)}
     return (model.identical_array(LAWS["pareto"], dependence=dependence),
-            model.identical_array(CAUCHY, dependence=dependence),
-            dataclasses.replace(model.sequence_array(lambda i: (CAUCHY, LAWS["pareto"])[i % 2]),
+            model.identical_array(HEAVY, dependence=dependence),
+            dataclasses.replace(model.sequence_array(lambda i: (HEAVY, LAWS["pareto"])[i % 2]),
                                 dependence=dependence),
             model.ArraySpec(row_length=lambda n: n, dependence=dependence, n_max=40,
                             groups_fn=lambda n: tuple(g for g in groups[n] if g.count)))
@@ -223,9 +220,8 @@ def test_sampler_checks_rows_and_quantiles():
     arr = mixed_array(model.INDEPENDENT, n_max=5)
     with pytest.raises(model.RowRangeError):
         RowSampler(arr, 6)
-    no_quantile = model.CustomDist(tail=CAUCHY.tail, quantile=None)
-    with pytest.raises(model.SamplingError):
-        RowSampler(model.identical_array(no_quantile), 4)
+    with pytest.raises(model.SamplingError, match="unsupported dependence"):
+        RowSampler(dataclasses.replace(arr, dependence="negative"), 4)
 
 
 def reference_wlln_row(plan, n):

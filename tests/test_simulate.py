@@ -493,15 +493,10 @@ def test_condition_h_probe_equals_the_per_replication_loop(monkeypatch, dep, a, 
 
 
 def test_condition_h_probe_degenerate_cells_rejected():
-    zero = model.CustomDist(
-        tail=model.TailFunction(
-            fn=lambda x: 1.0 if x < 0 else 0.0, atoms=((0.0, 1.0),), support_hint=0.0
-        ),
-        quantile=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-    )
-    arr = model.identical_array(zero)
-    with pytest.raises(ValueError):
-        simulate.condition_h_probe(arr, 2.0, 4, reps=10, seed=1)
+    # clamped to [0, 0], every cell is 0: sum_i E(clamped X_i)^2 = 0
+    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    with pytest.raises(ValueError, match="degenerate"):
+        simulate.condition_h_probe(arr, 0.0, 4, reps=10, seed=1)
 
 
 # ---------------------------------------------------------------------------

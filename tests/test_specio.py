@@ -348,6 +348,24 @@ def test_complete_entry_tables_load():
         assert spec.arr.n_max == 4 and spec.weights.n_max == 4
 
 
+def _without(doc, *cells):
+    doc["weights"]["values"] = [v for v in doc["weights"]["values"]
+                                if (v["n"], v["i"]) not in cells]
+    return doc
+
+
+def test_explicit_weight_table_is_complete_at_load():
+    # a gap fails when the spec loads, not when a scan first reads the entry
+    with pytest.raises(SpecError, match=r"^weight \(n=3, i=2\) missing$"):
+        specio.load_spec_obj(_without(_rows_to_4(values=[]), (3, 2)))
+    # rows 1..2 are complete, and the table ends there
+    short = _without(_rows_to_4(values=[]), (3, 1), (3, 2), (3, 3), *((4, i) for i in range(1, 5)))
+    assert specio.load_spec_obj(short).weights.n_max == 2
+    # a c of a c-normalized table that is left out is 0
+    spec = specio.load_spec_obj(_without(_rows_to_4(values=[], kind="c-normalized"), (3, 2)))
+    assert spec.weights.range_sum(3, 2, 2) == 0.0 and spec.weights.range_sum(3, 1, 3) == 1.0
+
+
 def test_svf_parsing():
     assert specio.parse_svf(None) is None
     assert specio.parse_svf({"family": "constant"}).family == "constant"
@@ -423,6 +441,14 @@ SECTION_AND_NUMBER_CASES = {
     "growth-constant-infinite": {"weights": {"kind": "c-normalized",
                                              "growth_constant": float("inf"),
                                              "values": [{"n": 1, "i": 1, "c": 1.0}]}},
+    "sequence-string": {"sequence": "false"},
+    "sequence-int": {"sequence": 1},
+    "sequence-null": {"sequence": None},
+    "rows-k-bool": {"rows": {"k": True}},
+    "rows-k-float": {"rows": {"k": 1.0}},
+    "rows-k-zero": {"rows": {"k": 0}},
+    "label-int": {"label": 5},
+    "label-null": {"label": None},
 }
 
 
