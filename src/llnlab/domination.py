@@ -25,7 +25,7 @@ once and close over it (:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -163,39 +163,6 @@ def dominating_cdf(
         closed_form=_closed_sup(arr, w) is not None,
         details={"eps_lim": DECAY_EPS},
     )
-
-
-def equivalence_transfer(
-    arr: ArraySpec,
-    w: WeightScheme,
-    y_tail: TailFunction,
-    c: float,
-    *,
-    n_sup: int = DEFAULT_N_SUP,
-) -> DominationReport:
-    """Check S(x) <= C * P(|Y| > x) on the grid and transfer to the canonical X.
-
-    A failing hypothesis is reported (valid=False with the offending points),
-    not raised.  When it holds, the constructed X is built and the pointwise
-    identity S(x) = C0 * P(X > x) is verified on the grid.
-    """
-    if not c > 0.0:
-        raise ValueError("transfer constant must be positive")
-    rep = dominating_cdf(arr, w, n_sup=n_sup)
-    bounds = [c * y_tail.fn(x) for x in rep.grid]
-    violations = [(x, s, b) for x, s, b in zip(rep.grid, rep.values, bounds) if s > b + 1e-12]
-    if violations:
-        return replace(rep, valid=False, cdf=None, closed_form=False, details={
-            "hypothesis_holds": False, "violations": violations[:5]})
-    identity_err = 0.0
-    if rep.cdf is not None:
-        identity_err = max(
-            abs(s - rep.c0 * rep.cdf.fn(x)) for x, s in zip(rep.grid, rep.values))
-    return replace(rep, details={
-        "hypothesis_holds": True,
-        "transfer_constant": c,
-        "identity_max_error": identity_err,
-    })
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,12 @@ class RowRangeError(LlnLabError, IndexError):
 
 
 class SamplingError(LlnLabError, ValueError):
-    """An array cannot be sampled: an unsupported dependence, or paths of an array
-    that is not sequence-shaped."""
+    """An array cannot be sampled: an unsupported dependence, paths of an array
+    that is not sequence-shaped, or a partial sum that leaves float range."""
 
 
 class DominationPrecheckError(LlnLabError, ValueError):
     """A truncated-moment bound was requested for an array the given tail does not dominate."""
-
-
-class SuperlinearityError(LlnLabError, ValueError):
-    """A witness function fails the required g(x)/x -> infinity growth."""
 
 
 class WorkerError(LlnLabError, RuntimeError):

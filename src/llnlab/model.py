@@ -277,22 +277,6 @@ class ArraySpec:
         raise RowRangeError(f"cell ({n},{i}) not covered by groups")
 
 
-def identical_array(
-    dist: DistSpec,
-    *,
-    row_length: Callable[[int], int] = lambda n: n,
-    dependence: Dependence = INDEPENDENT,
-) -> ArraySpec:
-    """All cells share one distribution; the Cesaro sup reduces to its tail."""
-    tail = tail_of(dist)
-    return ArraySpec(
-        row_length=row_length,
-        groups_fn=lambda n: (CellGroup(row_length(n), dist),),
-        dependence=dependence,
-        closed_cesaro_sup=tail.fn,
-    )
-
-
 def sequence_array(
     cell: Optional[Callable[[int], DistSpec]] = None,
     *,

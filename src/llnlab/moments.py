@@ -22,30 +22,25 @@ the quadrature.
 Every h, g and t passed in is called directly: a :class:`MomentFunction` or
 any other callable, which also needs a ``derivative`` where a law without
 atoms is integrated (and may list its kinks in ``breakpoints()``).
-:func:`transformed_array` maps step cells under any t and Pareto cells under
-a power t only, each to a law of the same kind.
 
 The module also houses the weighted moment scans used by the domination and
-condition checks: bounded weighted moments, weighted uniform integrability and
-superlinear witness functions.  The scans take a :class:`MomentFunction`,
-evaluated at every step magnitude of a row table in one array pass
-(:meth:`MomentFunction.at`).
+condition checks: bounded weighted moments and weighted uniform
+integrability.  The scans take a :class:`MomentFunction`, evaluated at every
+step magnitude of a row table in one array pass (:meth:`MomentFunction.at`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import svf as _svf
-from .errors import SuperlinearityError
 from .model import (
     ArraySpec,
-    CellGroup,
     DistSpec,
     ParetoTail,
     SymmetricTwoPoint,
@@ -322,41 +317,6 @@ def clamped_square_mean(dist: DistSpec, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Array transforms
-# ---------------------------------------------------------------------------
-
-
-def transformed_array(arr: ArraySpec, t) -> ArraySpec:
-    """Array of t(|X[n,i]|) cells for strictly increasing t with t(0) = 0.
-
-    A step cell maps exactly under any t: its atom moves to t(m).  A Pareto
-    cell maps exactly under a pure power t = x^s (a ``MomentFunction`` with
-    no log factor): P(|X|^s > y) = (y / c^s)^(-alpha/s) beyond c^s >= 1, the
-    law ``ParetoTail(alpha/s, c**s)``.  Any other t on a Pareto cell is a
-    ValueError when the cell is read.  The array keeps its rows, row bound
-    and dependence; its closed Cesaro sup and its formula (``cell_steps``)
-    describe the untransformed laws, so they are dropped.
-    """
-    def map_dist(d: DistSpec) -> DistSpec:
-        if isinstance(d, SymmetricTwoPoint):
-            return SymmetricTwoPoint(magnitude=t(d.magnitude), prob=d.prob)
-        if isinstance(t, MomentFunction) and t.log_factor_nu is None:
-            return ParetoTail(d.alpha / t.power, d.cutoff ** t.power)
-        raise ValueError(f"{d!r} has no closed-form law under {t!r}: only a pure "
-                         "power x^s maps a Pareto cell")
-
-    cell, groups = arr.sequence_cell, arr.groups_fn
-    return replace(
-        arr,
-        sequence_cell=None if cell is None else lambda i: map_dist(cell(i)),
-        groups_fn=None if groups is None else lambda n: tuple(
-            CellGroup(g.count, map_dist(g.dist)) for g in groups(n)),
-        closed_cesaro_sup=None,
-        cell_steps=None,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Weighted scans
 # ---------------------------------------------------------------------------
 
@@ -419,19 +379,3 @@ def ui_check(
         for a in a_grid
     ]
 
-
-def dlvp_witness(
-    arr: ArraySpec, w: WeightScheme, g: MomentFunction, *, n_sup: int = DEFAULT_N_SUP
-) -> SupValue:
-    """sup_n sum_i a(n,i) E g(|X[n,i]|) for a superlinear witness g.
-
-    Finiteness certifies weighted uniform integrability of the raw cells by
-    the de La Vallee Poussin criterion; g must satisfy g(x)/x -> inf, checked
-    on a geometric grid before any scanning.
-    """
-    ratios = [g(2.0**j) / 2.0**j for j in range(0, 41)]
-    half = ratios[len(ratios) // 2 :]
-    increasing_tail = all(b >= a - 1e-12 for a, b in zip(half[:-1], half[1:]))
-    if not (increasing_tail and ratios[-1] > 10.0 * max(ratios[0], 1e-300)):
-        raise SuperlinearityError("witness fails g(x)/x -> infinity on the scan grid")
-    return bounded_moment_condition(arr, w, g, n_sup=n_sup)

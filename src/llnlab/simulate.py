@@ -286,15 +286,23 @@ def _replication_maxima(spans: _Spans, reps: int, threads: int) -> list[np.ndarr
     in forked worker processes, which inherit the kernel (it holds the plan's
     functions, which do not pickle); otherwise one span per row runs here.
     Every replication's stream is addressed by its index, so no byte depends
-    on the split.
+    on the split.  A maximum that is not finite (a draw or partial sum past
+    the largest float, or +inf and -inf summed to NaN) is a ``SamplingError``
+    naming its row: no exceedance frequency can be read from it.
     """
     workers = _workers(threads, reps)
+    maxima = None
     if workers > 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            return _pooled(spans, reps, workers, multiprocessing.get_context("fork"))
-    return [spans(i, 0, reps) for i in range(len(spans.rows))]
+            maxima = _pooled(spans, reps, workers, multiprocessing.get_context("fork"))
+    if maxima is None:
+        maxima = [spans(i, 0, reps) for i in range(len(spans.rows))]
+    for n, m in zip(spans.rows, maxima):
+        if not math.isfinite(m.max()):  # a NaN maximum propagates through max
+            raise SamplingError(f"row {n}: a partial sum leaves float range")
+    return maxima
 
 
 def _pooled(spans: _Spans, reps: int, workers: int, ctx) -> list[np.ndarray]:

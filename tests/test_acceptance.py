@@ -18,6 +18,7 @@ from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
 from llnlab.numerics import decay_gate, slope_certified_decay
 from llnlab.simulate import SimPlan
+from builders import identical_array
 from sim_reference import sequence_paths
 
 
@@ -219,8 +220,8 @@ def test_criterion_06_truncated_moment_sweep():
     x2m = load("x2m-example")
     wlln = load("wlln-counterexample")
     cases = [
-        (model.identical_array(model.SymmetricTwoPoint(1.0)), model.tail_of(model.SymmetricTwoPoint(1.0))),
-        (model.identical_array(model.ParetoTail(alpha=3.0)),
+        (identical_array(model.SymmetricTwoPoint(1.0)), model.tail_of(model.SymmetricTwoPoint(1.0))),
+        (identical_array(model.ParetoTail(alpha=3.0)),
          model.tail_of(model.ParetoTail(alpha=3.0))),
         (x2m.arr, x2m.cesaro_tail()),
         (wlln.arr, wlln.cesaro_tail()),
@@ -303,7 +304,7 @@ def test_criterion_08_round_trip():
     else:
         counterexamples.append("two-block: constructed moment did not converge")
 
-    par_arr = model.identical_array(model.ParetoTail(alpha=3.0))
+    par_arr = identical_array(model.ParetoTail(alpha=3.0))
     par_tail = model.tail_of(model.ParetoTail(alpha=3.0))
     if math.isfinite(float(moments.expectation_via_tail(par_tail, half))):
         ui_par = moments.ui_check(

@@ -617,6 +617,22 @@ def test_simulate_unusable_input_exits_2(tmp_path, capsys, extra):
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("mode", ["wlln", "slln-series", "slln-path"])
+def test_simulate_partial_sums_past_float_range_exit_2(tmp_path, capsys, recwarn, mode, threads):
+    # every Pareto(1e-300) draw is +-inf: a row holding both sums to NaN, which
+    # is above no epsilon and would read as no exceedance
+    cells = [{"n": n, "i": i, "dist": {"kind": "pareto", "alpha": 1e-300, "cutoff": 1.0}}
+             for n in range(1, 5) for i in range(1, n + 1)]
+    spec = tmp_path / "tiny-alpha.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "sequence": True, "cells": cells}))
+    rc = run(["simulate", "--spec", str(spec), "--mode", mode, "--rows", "1..4",
+              "--reps", "20", "--threads", threads, "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "error: row " in capsys.readouterr().err
+    assert not list(tmp_path.glob("s.*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--fixture", "example-4.1", "--conditions", "series", "--n", "0"],
     ["check", "--fixture", "example-4.1", "--conditions", "series", "--n", "-5"],

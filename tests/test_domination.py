@@ -8,6 +8,7 @@ from llnlab import domination, model, moments
 from llnlab.errors import DominationPrecheckError
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
+from builders import identical_array
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +31,7 @@ def test_cesaro_sup_never_below_half_beyond_one():
 def test_cesaro_sup_negative_argument():
     fx = load("example-2.1")
     assert domination.cesaro_tail_sup(fx.arr, -3.0) == 1.0
-    arr = model.identical_array(model.ParetoTail(alpha=2.0))
+    arr = identical_array(model.ParetoTail(alpha=2.0))
     assert domination.cesaro_tail_sup(arr, -0.5) == 1.0
 
 
@@ -63,7 +64,7 @@ def test_closed_forms_match_scans():
 
 def test_uniform_weights_reduce_to_cesaro():
     arr = _scanned(
-        model.identical_array(model.ParetoTail(alpha=2.0), row_length=lambda n: 2 * n))
+        identical_array(model.ParetoTail(alpha=2.0), row_length=lambda n: 2 * n))
     w = model.uniform_weights(arr.row_length)
     for x in (0.5, 1.0, 3.0, 10.0):
         assert (domination.weighted_tail_sup(arr, w, x, n_sup=40)
@@ -107,13 +108,31 @@ def test_constructed_cdf_basic_shape():
 
 
 def test_single_distribution_cdf_right_continuous():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     rep = domination.dominating_cdf(arr, model.uniform_weights())
     assert rep.valid
     F = lambda x: 1.0 - rep.cdf.fn(x)
     assert F(1.0 - 1e-9) == 0.0
     assert F(1.0) == 1.0
     assert F(1.0 + 1e-9) == 1.0
+
+
+def test_transfer_evaluates_the_sup_once(monkeypatch):
+    # one row table and one C0 scan serve the grid values and the constructed X
+    model.row_table.cache_clear()  # the memos outlive a test
+    model.command_c0.cache_clear()
+    builds, c0_calls = [], []
+    init, c0 = model.RowTable.__init__, model.WeightScheme.c0
+    monkeypatch.setattr(model.RowTable, "__init__",
+                        lambda self, *a: builds.append(a) or init(self, *a))
+    monkeypatch.setattr(model.WeightScheme, "c0",
+                        lambda self, *a: c0_calls.append(a) or c0(self, *a))
+    fx = load("example-2.1")
+    arr, w = _scanned(fx.arr, fx.weights)
+    rep = domination.dominating_cdf(arr, w, n_sup=200)
+    assert rep.valid and not rep.closed_form
+    assert rep.cdf.fn(4.0) == min(1.0, rep.values[rep.grid.index(4.0)] / rep.c0)
+    assert len(builds) == len(c0_calls) == 1
 
 
 def test_report_serialization_roundtrip():
@@ -131,66 +150,12 @@ def test_report_serialization_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# equivalence transfer
-# ---------------------------------------------------------------------------
-
-
-def test_transfer_necessity_half_with_own_tail():
-    fx = load("example-2.1")
-    rep = domination.dominating_cdf(fx.arr, fx.weights)
-    tr = domination.equivalence_transfer(fx.arr, fx.weights, rep.cdf, rep.c0)
-    assert tr.details["hypothesis_holds"]
-    assert tr.valid
-    # the reconstructed variable reproduces the original tail on the grid
-    for x in (1.0, 2.0, 1024.0):
-        assert tr.cdf.fn(x) == pytest.approx(rep.cdf.fn(x), abs=1e-12)
-
-
-def test_transfer_with_heavy_tail_bound():
-    fx = load("example-2.1")
-    y = model.tail_of(model.ParetoTail(alpha=1.0))
-    tr = domination.equivalence_transfer(fx.arr, fx.weights, y, 1.0)
-    assert tr.details["hypothesis_holds"]
-    assert tr.valid
-    assert tr.details["identity_max_error"] <= 1e-9
-
-
-def test_transfer_evaluates_the_sup_once(monkeypatch):
-    # one row table and one C0 scan serve both the Y bound and the constructed X
-    model.row_table.cache_clear()  # the memos outlive a test
-    model.command_c0.cache_clear()
-    builds, c0_calls = [], []
-    init, c0 = model.RowTable.__init__, model.WeightScheme.c0
-    monkeypatch.setattr(model.RowTable, "__init__",
-                        lambda self, *a: builds.append(a) or init(self, *a))
-    monkeypatch.setattr(model.WeightScheme, "c0",
-                        lambda self, *a: c0_calls.append(a) or c0(self, *a))
-    fx = load("example-2.1")
-    arr, w = _scanned(fx.arr, fx.weights)
-    y = model.tail_of(model.ParetoTail(alpha=1.0))
-    tr = domination.equivalence_transfer(arr, w, y, 1.0, n_sup=200)
-    assert tr.details["hypothesis_holds"] and tr.valid and not tr.closed_form
-    assert len(builds) == len(c0_calls) == 1
-
-
-def test_transfer_hypothesis_failure_is_reported_not_raised():
-    fx = load("example-2.1")
-    bounded = model.tail_of(model.SymmetricTwoPoint(1.5, 1.0))  # support below cell sizes
-    tr = domination.equivalence_transfer(fx.arr, fx.weights, bounded, 1.0)
-    assert not tr.details["hypothesis_holds"]
-    assert not tr.valid
-    assert tr.details["violations"]
-    x, lhs, rhs = tr.details["violations"][0]
-    assert lhs > rhs
-
-
-# ---------------------------------------------------------------------------
 # truncated moment bounds
 # ---------------------------------------------------------------------------
 
 
 def test_truncated_bounds_equality_for_single_distribution():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     y = model.tail_of(model.SymmetricTwoPoint(1.0))
     tb = domination.truncated_moment_bounds(arr, y, 2.0, 2.0, n_sup=50)
     assert tb.below == (1.0, 1.0)
@@ -198,7 +163,7 @@ def test_truncated_bounds_equality_for_single_distribution():
 
 
 def test_truncated_bounds_pareto_values():
-    arr = model.identical_array(model.ParetoTail(alpha=3.0))
+    arr = identical_array(model.ParetoTail(alpha=3.0))
     y = model.tail_of(model.ParetoTail(alpha=3.0))
     tb = domination.truncated_moment_bounds(arr, y, 1.0, 10.0, n_sup=50)
     assert tb.below[0] == pytest.approx(1.485, abs=1e-9)
@@ -218,7 +183,7 @@ def test_truncated_bounds_refuses_undominated_array():
 def test_truncated_bounds_refuse_a_negative_level(r):
     # E(|X|^r 1(|X| <= x)) at x < 0 is no truncation: at r = 0.5 the Pareto
     # integrand went complex, at r = 2 it read below = -4.0 and above = 7.0
-    arr = model.identical_array(model.ParetoTail(alpha=3.0))
+    arr = identical_array(model.ParetoTail(alpha=3.0))
     y = model.tail_of(model.ParetoTail(alpha=3.0))
     with pytest.raises(ValueError, match="x must be >= 0, got -2.0"):
         domination.truncated_moment_bounds(arr, y, r, -2.0, n_sup=50)
@@ -227,9 +192,9 @@ def test_truncated_bounds_refuse_a_negative_level(r):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_truncated_bounds_sweep_no_violations(r):
     cases = [
-        (model.identical_array(model.SymmetricTwoPoint(1.0)), model.tail_of(model.SymmetricTwoPoint(1.0))),
+        (identical_array(model.SymmetricTwoPoint(1.0)), model.tail_of(model.SymmetricTwoPoint(1.0))),
         (
-            model.identical_array(model.ParetoTail(alpha=3.0)),
+            identical_array(model.ParetoTail(alpha=3.0)),
             model.tail_of(model.ParetoTail(alpha=3.0)),
         ),
     ]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from llnlab import model, specio
 from llnlab.errors import RowRangeError
+from builders import identical_array
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def test_c_normalized_growth_bound_enforced():
 
 
 def test_array_cell_lookup_and_bounds():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     assert arr.cell(4, 2) == model.SymmetricTwoPoint(1.0)
     with pytest.raises(RowRangeError):
         arr.cell(3, 4)
@@ -225,7 +226,7 @@ def test_norming_with_conjugate_factor():
 
 
 def test_sample_row_support_and_determinism():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     r1 = model.sample_row(arr, 64, seed=9)
     r2 = model.sample_row(arr, 64, seed=9)
     assert np.array_equal(r1, r2)

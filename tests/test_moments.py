@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from llnlab import conditions, model, moments, specio, svf
-from llnlab.errors import SuperlinearityError
+from llnlab import conditions, model, moments
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
+from builders import identical_array
 
 
 def uniform01_tail() -> model.TailFunction:
@@ -155,7 +155,7 @@ def test_bounded_moment_rare_spikes_finite():
 
 
 def test_ui_check_bounded_cells_truncation_empties():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     vals = moments.ui_check(
         arr, model.uniform_weights(), MomentFunction(power=1.0), [2.0, 4.0], n_sup=50
     )
@@ -191,33 +191,6 @@ def test_ui_closed_forms_match_scan_at_small_levels():
         assert closed2(a) == pytest.approx(s, rel=1e-9)
 
 
-def test_dlvp_witness_requires_superlinear_growth():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
-    with pytest.raises(SuperlinearityError):
-        moments.dlvp_witness(arr, model.uniform_weights(), MomentFunction(power=1.0), n_sup=10)
-
-
-def test_dlvp_witness_on_transformed_counterexample_cells():
-    fx = load("wlln-counterexample")
-    transformed = moments.transformed_array(fx.arr, MomentFunction(power=fx.p))
-    g = MomentFunction(power=1.0, log_factor_nu=1)  # xi * log2(xi): superlinear
-    witness = moments.dlvp_witness(
-        transformed, model.uniform_weights(), g, n_sup=2000
-    )
-    same = moments.bounded_moment_condition(
-        transformed, model.uniform_weights(), g, n_sup=2000
-    )
-    assert math.isfinite(float(witness))
-    assert float(witness) == float(same)
-
-
-def test_dlvp_witness_identical_cells_is_single_cell_moment():
-    arr = model.identical_array(model.SymmetricTwoPoint(3.0, 0.5))
-    g = MomentFunction(power=2.0)
-    witness = moments.dlvp_witness(arr, model.uniform_weights(), g, n_sup=30)
-    assert float(witness) == pytest.approx(moments.cell_moment(arr.cell(1, 1), g), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # rescaled tail decay
 # ---------------------------------------------------------------------------
@@ -239,83 +212,3 @@ def test_tail_along_norming_boundary_constant():
     tail = model.TailFunction(fn=lambda x: 1.0 if x <= 1 else x ** (-p))
     vals = _rescaled_tail(tail, p, [2.0, 8.0, 32.0, 128.0])
     assert vals == pytest.approx([1.0, 1.0, 1.0, 1.0], rel=1e-12)
-
-
-def test_transformed_array_maps_two_point_exactly():
-    fx = load("wlln-counterexample")
-    t = MomentFunction(power=fx.p)
-    transformed = moments.transformed_array(fx.arr, t)
-    cell = transformed.cell(16, 16)
-    assert cell.magnitude == pytest.approx(16.0 / math.log2(16.0) , rel=1e-12)
-
-
-def _two_point_spec(sequence: bool, dependence=None):
-    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-two-point",
-                                       "magnitude": float(1 + i % 3), "prob": 0.5}}
-             for n in range(1, 9) for i in range(1, n + 1)]
-    doc = {"rows": {"k": "n"}, "p": 1.0, "sequence": sequence, "cells": cells}
-    if dependence is not None:
-        doc["dependence"] = dependence
-    return specio.load_spec_obj(doc).arr
-
-
-def test_transformed_sequence_array_keeps_its_row_bound():
-    # the spec declares 8 rows; a scan to n_sup = 100 stops there, before and
-    # after the transform (a transform that dropped n_max read cell (8, 9))
-    arr = _two_point_spec(sequence=True)
-    transformed = moments.transformed_array(arr, MomentFunction(power=2.0))
-    got = moments.bounded_moment_condition(
-        transformed, model.uniform_weights(), MomentFunction(power=1.0), n_sup=100)
-    want = moments.bounded_moment_condition(
-        arr, model.uniform_weights(), MomentFunction(power=2.0), n_sup=100)
-    assert float(got) == float(want) and got.attained_at == want.attained_at
-    assert transformed.n_max == 8
-
-
-@pytest.mark.parametrize("sequence", [True, False])
-def test_transformed_array_keeps_dependence(sequence):
-    na = {"kind": "gaussian-na", "correlation": -0.3}
-    arr = _two_point_spec(sequence, dependence=na)
-    transformed = moments.transformed_array(arr, MomentFunction(power=2.0))
-    assert transformed.dependence == model.GaussianNA(-0.3)
-    assert (transformed.n_max, transformed.is_sequence) == (8, sequence)
-    assert transformed.cell(8, 4).magnitude == 4.0  # |X[8,4]| = 2, squared
-
-
-def test_transformed_array_drops_the_untransformed_closed_forms():
-    fx = load("x2m-example")
-    assert fx.arr.cell_steps is not None and fx.arr.closed_cesaro_sup is not None
-    t = MomentFunction(power=2.0)
-    transformed = moments.transformed_array(fx.arr, t)
-    assert transformed.cell_steps is None and transformed.closed_cesaro_sup is None
-    cell = fx.arr.cell(40, 40)
-    assert transformed.cell(40, 40) == model.SymmetricTwoPoint(t(cell.magnitude), cell.prob)
-
-
-def test_transformed_array_composes_continuous_tails():
-    arr = model.identical_array(model.ParetoTail(alpha=2.0))
-    t = MomentFunction(power=2.0)
-    transformed = moments.transformed_array(arr, t)
-    tail = model.tail_of(transformed.cell(1, 1))
-    # P(|X|^2 > y) = P(|X| > sqrt(y)) = y^-1 beyond 1
-    assert tail.fn(9.0) == 1.0 / 9.0
-
-
-@pytest.mark.parametrize("alpha, cutoff, s", [(2.0, 1.0, 2.0), (3.0, 1.5, 0.5), (0.8, 4.0, 1.5)])
-def test_transformed_array_maps_pareto_under_a_power_exactly(alpha, cutoff, s):
-    # P(|X|^s > y) = (y / c^s)^(-alpha/s) beyond c^s
-    for arr in (model.identical_array(model.ParetoTail(alpha, cutoff)),
-                model.sequence_array(lambda i: model.ParetoTail(alpha, cutoff))):
-        transformed = moments.transformed_array(arr, MomentFunction(power=s))
-        assert transformed.cell(5, 3) == model.ParetoTail(alpha / s, cutoff**s)
-
-
-@pytest.mark.parametrize("t", [MomentFunction(power=2.0, log_factor_nu=1), lambda x: x * x],
-                         ids=["log-factor", "callable"])
-def test_transformed_array_refuses_other_transforms_of_pareto_cells(t):
-    arr = model.identical_array(model.ParetoTail(2.0))
-    with pytest.raises(ValueError, match="ParetoTail"):
-        moments.transformed_array(arr, t).cell(1, 1)
-    # a step cell maps under any t
-    step = moments.transformed_array(model.identical_array(model.SymmetricTwoPoint(3.0, 0.5)), t)
-    assert step.cell(1, 1) == model.SymmetricTwoPoint(t(3.0), 0.5)

@@ -1,10 +1,9 @@
 """+-1 is the two-point law (1.0, 1.0).
 
-``tail_of``, ``quantile_of``, ``step_law``, ``cell_moment``,
-``cell_transformed_tail_mass`` and ``transformed_array`` once had a branch
-of their own for a +-1 law.  Those
-branches are kept here as the reference: ``SymmetricTwoPoint(1.0)`` must give
-their bits through each function.
+``tail_of``, ``quantile_of``, ``step_law``, ``cell_moment`` and
+``cell_transformed_tail_mass`` once had a branch of their own for a +-1 law.
+Those branches are kept here as the reference: ``SymmetricTwoPoint(1.0)``
+must give their bits through each function.
 """
 
 import math
@@ -42,11 +41,6 @@ def ref_cell_transformed_tail_mass(t, a):
     return v if v > a else 0.0
 
 
-def ref_transformed_cell(t):
-    t_eval = t.eval if hasattr(t, "eval") else t
-    return model.SymmetricTwoPoint(magnitude=t_eval(1.0), prob=1.0)
-
-
 def same_bits(a, b):
     return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
@@ -75,8 +69,3 @@ def test_moments(g):
     for a in LEVELS:
         assert same_bits(moments.cell_transformed_tail_mass(PM1, g, a),
                          ref_cell_transformed_tail_mass(g, a)), a
-    arr = moments.transformed_array(model.identical_array(PM1), g)
-    got, want = arr.cell(3, 2), ref_transformed_cell(g)
-    assert got == want and same_bits(got.magnitude, want.magnitude)
-    seq = moments.transformed_array(model.sequence_array(lambda i: PM1), g)
-    assert seq.sequence_cell(5) == want

@@ -23,28 +23,30 @@ read is not reached.  ``UNREACHED`` lists the names and methods that are not
 reached yet, and ``UNSET`` the options that are not set yet, each with its
 reason; the options of a name in ``UNREACHED`` are exempt.  Each list has a
 ratchet test that fails once an entry is reached, set or deleted, so the
-lists can only shrink.
+lists can only shrink.  A reason that cites ``perfbench/spans.py`` is checked
+against that file's text: the functions it names as wrapped must appear there.
 """
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import llnlab
 
 SRC = Path(llnlab.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 UNREACHED = {
     "domination.cesaro_tail_sup": "perfbench/spans.py wraps it",
     "domination.weighted_tail_sup": "perfbench/spans.py wraps it",
     "domination.truncated_moment_bounds": "acceptance criterion 06",
-    "domination.equivalence_transfer": "paper construction waiting for a check runner",
-    "moments.dlvp_witness": "paper construction waiting for a check runner",
-    "moments.transformed_array": "paper construction waiting for a check runner",
-    "simulate.condition_h_probe": "paper construction waiting for a check runner",
+    "simulate.condition_h_probe": "paper construction (the maximal-inequality constant), "
+                                  "and the only caller of simulate.max_partial_sums, "
+                                  "which perfbench/spans.py wraps",
     "svf.conjugate_residual": "acceptance criterion 07",
-    "model.identical_array": "test builder",
-    "model.sample_row": "test builder",
+    "model.sample_row": "test builder, and the only caller of model.rng_for and "
+                        "model.sample_row_with, which perfbench/spans.py wraps",
     "conditions.ConditionVerdict.holds": "read by tests/test_acceptance.py",
     "conditions.ConditionVerdict.fails": "read by tests/test_acceptance.py",
     "model.ArraySpec.cell": "read by tests/test_acceptance.py",
@@ -259,3 +261,22 @@ def test_unset_list_only_shrinks():
 def test_every_entry_carries_a_reason():
     blank = sorted(q for q, why in {**UNREACHED, **UNSET}.items() if not why.strip())
     assert not blank, f"entries without a reason: {blank}"
+
+
+def test_every_spans_reason_names_a_wrapped_function():
+    # "perfbench/spans.py wraps it" names the entry itself; "the only caller of
+    # A and B, which perfbench/spans.py wraps" names A and B.  Once spans.py
+    # drops a wrapper, the function it named has to go.
+    spans = SPANS.read_text()
+    named = set()
+    for qual, why in UNREACHED.items():
+        if "perfbench/spans.py" not in why:
+            continue
+        if why.endswith("perfbench/spans.py wraps it"):
+            named.add(qual)
+        else:
+            assert why.endswith(", which perfbench/spans.py wraps"), (qual, why)
+            listed = why.rsplit("caller of ", 1)[1].rsplit(", which", 1)[0]
+            named.update(re.findall(r"\w+\.\w+", listed))
+    unwrapped = sorted(fn for fn in named if f'"{fn}"' not in spans)
+    assert not unwrapped, f"named as wrapped but not in perfbench/spans.py: {unwrapped}"

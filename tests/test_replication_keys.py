@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from llnlab import model, simulate
+from builders import identical_array
 from sim_reference import reference_rng
 
 
@@ -65,9 +66,9 @@ def keyed_arrays():
     arrays = {}
     for dep in (model.Independent(), model.GaussianNA(-0.4)):
         name = type(dep).__name__
-        arrays[f"{name} step"] = model.identical_array(model.SymmetricTwoPoint(2.0, 0.5),
+        arrays[f"{name} step"] = identical_array(model.SymmetricTwoPoint(2.0, 0.5),
                                                        dependence=dep)
-        arrays[f"{name} pareto"] = model.identical_array(model.ParetoTail(1.5), dependence=dep)
+        arrays[f"{name} pareto"] = identical_array(model.ParetoTail(1.5), dependence=dep)
         arrays[f"{name} mixed"] = dataclasses.replace(
             model.sequence_array(lambda i: mixed[i % 3]), dependence=dep)
     return arrays

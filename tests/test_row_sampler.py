@@ -17,6 +17,7 @@ from scipy.special import ndtr
 
 from llnlab import model, simulate
 from llnlab.model import RowSampler
+from builders import identical_array
 
 
 def reference_uniforms(dep, k, rng):
@@ -98,7 +99,7 @@ def mixed_sequence(dependence):
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_each_law_matches_the_group_loop(law, dep):
     arrays = (
-        model.identical_array(LAWS[law], dependence=DEPENDENCE[dep]),
+        identical_array(LAWS[law], dependence=DEPENDENCE[dep]),
         dataclasses.replace(model.sequence_array(lambda i: LAWS[law]),
                             dependence=DEPENDENCE[dep]),
     )
@@ -151,8 +152,8 @@ def no_step_rows(dependence):
     groups = {n: (model.CellGroup(n // 2, LAWS["pareto"]), model.CellGroup(1, HEAVY),
                   model.CellGroup(n - n // 2 - 1, model.ParetoTail(3.0)))
               for n in range(1, 41)}
-    return (model.identical_array(LAWS["pareto"], dependence=dependence),
-            model.identical_array(HEAVY, dependence=dependence),
+    return (identical_array(LAWS["pareto"], dependence=dependence),
+            identical_array(HEAVY, dependence=dependence),
             dataclasses.replace(model.sequence_array(lambda i: (HEAVY, LAWS["pareto"])[i % 2]),
                                 dependence=dependence),
             model.ArraySpec(row_length=lambda n: n, dependence=dependence, n_max=40,
@@ -204,7 +205,7 @@ def test_thresholds_match_quantile_of_at_the_boundaries(law):
     edges = [0.0, q / 2.0, 1.0 - q / 2.0, 0.5, 1.0 - 2.0**-53]
     u = sorted({v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))
                 if 0.0 <= v < 1.0})
-    arr = model.identical_array(dist)
+    arr = identical_array(dist)
     got = RowSampler(arr, len(u)).draw(FixedUniforms(u))
     assert_same_bits(got, model.quantile_of(dist)(np.asarray(u)))
 

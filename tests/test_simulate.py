@@ -15,6 +15,7 @@ from llnlab import model, simulate, specio
 from llnlab.fixtures import load
 from llnlab.model import power_norming
 from llnlab.simulate import SimPlan
+from builders import identical_array
 from sim_reference import reference_condition_h_probe, reference_suffix_sups, sequence_paths
 from test_sim_golden import NA, mixed_spec
 
@@ -438,7 +439,7 @@ def exact_probe_ratio_pm1(n: int) -> float:
 
 
 def test_condition_h_probe_matches_enumeration():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     exact = exact_probe_ratio_pm1(8)
     est = simulate.condition_h_probe(arr, 1.0, 8, reps=3000, seed=17)
     assert est == pytest.approx(exact, rel=0.1)
@@ -446,7 +447,7 @@ def test_condition_h_probe_matches_enumeration():
 
 def test_condition_h_probe_single_cell_bounded_by_one():
     # exact ratio is variance / second moment = 1; allow 4-se sampling slack
-    arr = model.identical_array(model.SymmetricTwoPoint(2.0, 0.5))
+    arr = identical_array(model.SymmetricTwoPoint(2.0, 0.5))
     reps = 20_000
     est = simulate.condition_h_probe(arr, 3.0, 1, reps=reps, seed=3)
     se = (2.0 / math.sqrt(reps)) / 2.0  # sd(X^2)=2, rhs=2
@@ -454,7 +455,7 @@ def test_condition_h_probe_single_cell_bounded_by_one():
 
 
 def test_condition_h_probe_iid_doob_range():
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     est = simulate.condition_h_probe(arr, 1.0, 100, reps=800, seed=23)
     assert 0.5 <= est <= 4.5
 
@@ -494,7 +495,7 @@ def test_condition_h_probe_equals_the_per_replication_loop(monkeypatch, dep, a, 
 
 def test_condition_h_probe_degenerate_cells_rejected():
     # clamped to [0, 0], every cell is 0: sum_i E(clamped X_i)^2 = 0
-    arr = model.identical_array(model.SymmetricTwoPoint(1.0))
+    arr = identical_array(model.SymmetricTwoPoint(1.0))
     with pytest.raises(ValueError, match="degenerate"):
         simulate.condition_h_probe(arr, 0.0, 4, reps=10, seed=1)
 
