@@ -413,8 +413,11 @@ def limit_verdict(values: Sequence[float]) -> tuple[str, str]:
     ``holds`` fires on the eps decay gate, or on the power-law decay
     certificate for positive nonincreasing sequences whose true rate (e.g.
     1/log k) cannot cross eps on any float-feasible grid; ``fails`` fires on
+    an infinite last value (a ``ui`` mass of a law without that moment) or on
     the growth gate.
     """
+    if values and values[-1] == math.inf:
+        return "fails", "the last grid value is infinite"
     if decay_gate(values):
         return "holds", f"last {DECAY_WINDOW} grid values below {DECAY_EPS} and nonincreasing"
     if slope_certified_decay(values):
@@ -510,8 +513,11 @@ def _bounded_moment(spec, n_sup: int, n: int) -> tuple[str, dict]:
     sup = bounded_moment_condition(
         spec.arr, uniform_weights(spec.arr.row_length), g, n_sup=n_sup
     )
-    return ("growing" if sup.growing else "finite"), {
-        "sup": float(sup), "attained_at": sup.attained_at}
+    detail = {"sup": float(sup), "attained_at": sup.attained_at}
+    if sup.growing or sup.settled:
+        return ("growing" if sup.growing else "finite"), detail
+    rule = "a finite moment's tail blocks did not settle: sup is a lower bound"
+    return "inconclusive", {"rule": rule, **detail}
 
 
 # name -> runner(spec, n_sup, n) -> (outcome, detail); runners look library

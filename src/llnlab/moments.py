@@ -11,17 +11,18 @@ Every expectation of a tail goes through one kernel: a cell's law (a step
 law or a Pareto law) or a tail that is no cell's law, such as an array's
 Cesaro sup.  A tail with atoms sums h(m) p over its atoms m in the range,
 correctly rounded (``math.fsum``); any other tail integrates the caller's
-integrand h'(t) T(t) by adaptive quadrature split at the tail's knots, with
-the dyadic block rule of :mod:`llnlab.numerics` standing in for an infinite
-upper limit.  Divergent integrals return an inf marker that still carries
-the partial value at the cutoff.  The one closed form is a Pareto cell's
-power moment, x^s or x^s log x (:func:`pareto_power_mass`), which
-:func:`cell_moment` and :func:`cell_transformed_tail_mass` take in place of
-the quadrature.
+integrand, h'(t) T(t) or h times a density, by adaptive quadrature split at
+the tail's knots, with the dyadic block rule of :mod:`llnlab.numerics`
+standing in for an infinite upper limit.  Divergent integrals return an inf
+marker that still carries the partial value at the cutoff.  A Pareto cell's
+power moments, x^s and x^s log x, have one closed form
+(:func:`pareto_power_mass`), also above the level a^(1/s) of a ``ui`` mass;
+its other log-chain moments integrate g against the law's density, so no
+log chain is ever differentiated.
 
-Every h, g and t passed in is called directly: a :class:`MomentFunction` or
-any other callable, which also needs a ``derivative`` where a law without
-atoms is integrated (and may list its kinks in ``breakpoints()``).
+Every h and g passed in is called directly: a :class:`MomentFunction` or
+any other callable, which also needs a ``derivative`` where a tail without
+atoms is integrated.  A ``ui`` transform t is a power x^s.
 
 The module also houses the weighted moment scans used by the domination and
 condition checks: bounded weighted moments and weighted uniform
@@ -72,15 +73,18 @@ class ExpectationValue(float):
 
 
 class SupValue(float):
-    """sup over a scanned row range, with the attaining row and a growth flag."""
+    """sup over a scanned row range, with the attaining row and a growth flag;
+    not ``settled`` when some law's tail blocks never certified its moment."""
 
     attained_at: int
     growing: bool
+    settled: bool
 
-    def __new__(cls, value, attained_at=0, growing=False):
+    def __new__(cls, value, attained_at=0, growing=False, settled=True):
         obj = super().__new__(cls, value)
         obj.attained_at = int(attained_at)
         obj.growing = bool(growing)
+        obj.settled = bool(settled)
         return obj
 
 
@@ -128,19 +132,13 @@ class MomentFunction:
         return out
 
     def derivative(self, x: float) -> float:
+        """s x^(s-1): the power rule; a log factor is never differentiated."""
+        if self.log_factor_nu is not None:
+            raise ValueError("a log-factor moment function has no derivative here")
         x = float(x)
         if x <= 0.0:
             return 0.0
-        d = self.power * x ** (self.power - 1.0)
-        nu = self.log_factor_nu
-        if nu is None:
-            return d
-        return d * _svf.log_nu(x, nu) + _svf.log_nu_derivative(x, nu) * x**self.power
-
-    def breakpoints(self) -> tuple[float, ...]:
-        if self.log_factor_nu is not None:
-            return _svf.LOG_CHAIN_KINKS
-        return ()
+        return self.power * x ** (self.power - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +177,8 @@ def expectation_via_tail(
 ) -> ExpectationValue:
     """E h(|X|) by the tail-integral decomposition split at A.
 
-    ``h`` is a :class:`MomentFunction` or any callable with ``derivative``
-    (``breakpoints`` optional).  The result is A-invariant for h
+    ``h`` is a :class:`MomentFunction` or any callable; a tail without atoms
+    also needs ``h.derivative``.  The result is A-invariant for h
     differentiable on [0, inf).  ``max_blocks`` extends the dyadic budget for
     tails that converge too slowly for the default ``MAX_BLOCKS``.
     """
@@ -188,13 +186,12 @@ def expectation_via_tail(
         return ExpectationValue(_atom_sum(tail.atoms, h))
 
     h_deriv = h.derivative
-    brk = tuple(h.breakpoints()) if hasattr(h, "breakpoints") else ()
 
     def integrand(t: float) -> float:
         return h_deriv(t) * tail.fn(t)
 
-    below = float(_tail_integral(tail, integrand, 0.0, A, extra=brk)) if A > 0.0 else 0.0
-    return _tail_integral(tail, integrand, A, head=below, extra=brk, max_blocks=max_blocks)
+    below = float(_tail_integral(tail, integrand, 0.0, A)) if A > 0.0 else 0.0
+    return _tail_integral(tail, integrand, A, head=below, max_blocks=max_blocks)
 
 
 def truncated_abs_moment(
@@ -221,13 +218,6 @@ def truncated_abs_moment(
 # ---------------------------------------------------------------------------
 # Per-cell helpers (exact for discrete specs)
 # ---------------------------------------------------------------------------
-
-
-def _pareto_power(dist: DistSpec, h) -> bool:
-    """Whether E h(|X|) of ``dist`` has the closed form of :func:`pareto_power_mass`:
-    a Pareto law and h = x^s or x^s log x (a ``MomentFunction`` with nu <= 1)."""
-    return (isinstance(dist, ParetoTail) and isinstance(h, MomentFunction)
-            and h.log_factor_nu in (None, 1))
 
 
 def pareto_power_mass(law: ParetoTail, h: MomentFunction, x: float) -> float:
@@ -260,53 +250,40 @@ def pareto_power_mass(law: ParetoTail, h: MomentFunction, x: float) -> float:
 
 
 def cell_moment(dist: DistSpec, g) -> float:
-    """E g(|X|) for a single cell; closed form for the Pareto power moments
-    (:func:`pareto_power_mass`), an atom sum for the step laws."""
-    if _pareto_power(dist, g):
+    """E g(|X|) for a single cell: an atom sum for a step law.  A Pareto law
+    takes x^s and x^s log x from :func:`pareto_power_mass` (inf when alpha <=
+    s); any other log chain integrates g against its density, an
+    :class:`ExpectationValue` split at the chain's kinks."""
+    if not isinstance(dist, ParetoTail):
+        return float(expectation_via_tail(tail_of(dist), g))
+    if g.log_factor_nu in (None, 1) or dist.alpha <= g.power:
         return pareto_power_mass(dist, g, 0.0)
-    return float(expectation_via_tail(tail_of(dist), g))
+    alpha, c = dist.alpha, dist.cutoff
+
+    def integrand(u: float) -> float:
+        return g(u) * (alpha / c) * (u / c) ** (-alpha - 1.0)
+
+    return _tail_integral(tail_of(dist), integrand, c, extra=_svf.LOG_CHAIN_KINKS)
 
 
 def cell_transformed_tail_mass(dist: DistSpec, t, a: float) -> float:
-    """E(t(|X|) 1(t(|X|) > a)) for one cell; t strictly increasing, t(0) = 0.
+    """E(t(|X|) 1(t(|X|) > a)) for one cell under a power t = x^s.
 
-    The mass lies above x_a = t^-1(a) (bisection).  A Pareto cell takes it
-    from :func:`pareto_power_mass` under a power t, from the tail kernel under
-    any other t.
+    A step law gives t(m) q when t(m) > a.  A Pareto law's mass lies above
+    x_a = a^(1/s), where :func:`pareto_power_mass` gives it in closed form.
+    A :class:`MomentFunction` with a log factor is refused: no ``ui`` run
+    transforms by one.
     """
+    if getattr(t, "log_factor_nu", None) is not None:
+        raise ValueError("the transform must be a power x^s, without a log factor")
     if isinstance(dist, SymmetricTwoPoint):
         v = t(dist.magnitude)
         return v * dist.prob if v > a else 0.0
-    x_a = _numeric_inverse(t, a)
-    if _pareto_power(dist, t):
-        return pareto_power_mass(dist, t, x_a)
-    tail = tail_of(dist)
-
-    def integrand(x: float) -> float:
-        return t.derivative(x) * tail.fn(x)
-
-    return float(_tail_integral(tail, integrand, x_a, head=t(x_a) * tail.fn(x_a)))
-
-
-def _numeric_inverse(f: Callable[[float], float], y: float) -> float:
-    """Inverse of an increasing f with f(0) = 0: bisection in a geometric
-    bracket, stopped once the bracket is within 1e-14 relative."""
-    if y <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while f(hi) <= y:
-        hi *= 2.0
-        if hi > 1e300:
-            return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    try:
+        x_a = max(a, 0.0) ** (1.0 / t.power)
+    except OverflowError:  # a^(1/s) past float range: the mass above inf
+        x_a = math.inf
+    return pareto_power_mass(dist, t, x_a)
 
 
 def clamped_square_mean(dist: DistSpec, a: float) -> float:
@@ -321,16 +298,16 @@ def clamped_square_mean(dist: DistSpec, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sup_with_growth(values: np.ndarray) -> SupValue:
+def _sup_with_growth(values: np.ndarray, settled: bool = True) -> SupValue:
     if np.any(np.isinf(values)):
         n = int(np.argmax(np.isinf(values))) + 1
-        return SupValue(math.inf, attained_at=n, growing=True)
+        return SupValue(math.inf, attained_at=n, growing=True, settled=settled)
     idx = int(np.argmax(values))
     half = len(values) // 2
     growing = False
     if half >= 1:
         growing = values[half:].max() > values[:half].max() * 1.01 + 1e-300
-    return SupValue(float(values[idx]), attained_at=idx + 1, growing=growing)
+    return SupValue(float(values[idx]), attained_at=idx + 1, growing=growing, settled=settled)
 
 
 def bounded_moment_condition(
@@ -339,11 +316,20 @@ def bounded_moment_condition(
     """sup_n sum_i a(n,i) E g(|X[n,i]|) over the scan range.
 
     The float result carries ``attained_at`` and a ``growing`` flag; growth
-    across the scan is how divergence shows up (no exception).
+    across the scan is how divergence shows up (no exception).  A law whose
+    moment is finite but whose tail blocks never certified it enters with its
+    partial sum, and the result is not ``settled``.
     """
     table = row_table(arr, w, n_sup)
     steps = g.at(table.mag) * table.prob
-    return _sup_with_growth(table.split_row_values(steps, lambda d: cell_moment(d, g)))
+    laws = []  # each other law's moment, an ExpectationValue where integrated
+
+    def law_moment(d: DistSpec) -> float:
+        laws.append(cell_moment(d, g))
+        return getattr(laws[-1], "partial", laws[-1])
+
+    values = table.split_row_values(steps, law_moment)
+    return _sup_with_growth(values, all(getattr(m, "converged", True) for m in laws))
 
 
 def ui_check(
@@ -363,7 +349,7 @@ def ui_check(
     evaluated once per step law, in one array pass (``MomentFunction.at``),
     and a level's step values are
     ``where(t(m) > a, t(m) * q, 0.0)``, the values of
-    :func:`cell_transformed_tail_mass`; only the other laws go through that
+    :func:`cell_transformed_tail_mass`; only the Pareto laws go through that
     function, once per level.
     """
     if closed_sup is not None:

@@ -247,13 +247,15 @@ class _Spans:
             (c(n, j) for j in range(1, sampler.k + 1)), dtype=float, count=sampler.k)
         starts = np.array([0, *(() if self.ends is None else self.ends[:-1])])
         out = _maxima(self.plan.reps, hi - lo, len(starts))
-        for r, keys in _key_chunks(self.plan.seed, n, sampler.k, lo, hi):
-            x = sampler.draw_rows(keys, self._gen, sampler.buffers(len(keys), self._store))
-            if weights is not None:
-                np.multiply(weights, x, out=x)
-            np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
-            np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
-                                out=out[r - lo:r - lo + len(keys)])
+        # past float range a draw or sum is inf or NaN, which the caller refuses: no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r, keys in _key_chunks(self.plan.seed, n, sampler.k, lo, hi):
+                x = sampler.draw_rows(keys, self._gen, sampler.buffers(len(keys), self._store))
+                if weights is not None:
+                    np.multiply(weights, x, out=x)
+                np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+                np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
+                                    out=out[r - lo:r - lo + len(keys)])
         return out
 
 

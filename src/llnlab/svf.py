@@ -21,8 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-_LN2 = math.log(2.0)
-
 # x-values where successive clamped-log factors switch on: log x leaves its
 # clamp at 2, log log x at 4, log log log x at 16, then 2^16.
 LOG_CHAIN_KINKS = (2.0, 4.0, 16.0, 65536.0)
@@ -31,24 +29,6 @@ LOG_CHAIN_KINKS = (2.0, 4.0, 16.0, 65536.0)
 def clog2(x: float) -> float:
     """Base-2 log of max(2, x)."""
     return math.log2(x) if x > 2.0 else 1.0
-
-
-def _log_chain(x: float, nu: int) -> tuple[list[float], list[float]]:
-    """Iterated clamped-log factors and their derivatives w.r.t. x, up to the
-    first clamped factor (1.0, derivative 0.0): all later ones are the same."""
-    factors: list[float] = []
-    derivs: list[float] = []
-    f = float(x)
-    df = 1.0
-    for _ in range(nu):
-        if not f > 2.0:
-            factors.append(1.0)
-            derivs.append(0.0)
-            break
-        f, df = math.log2(f), df / (f * _LN2)
-        factors.append(f)
-        derivs.append(df)
-    return factors, derivs
 
 
 def log_nu(x: float, nu: int) -> float:
@@ -87,22 +67,6 @@ def log_nu_at(xs: np.ndarray, nu: int) -> np.ndarray:
         f = logs
         out *= f
     return out
-
-
-def log_nu_derivative(x: float, nu: int) -> float:
-    """d/dx of the log_nu product; zero inside clamp plateaus.
-
-    The chain stops at its first clamped factor, (1.0, 0.0): every later
-    factor is the same."""
-    factors, derivs = _log_chain(x, nu)
-    total = 0.0
-    for j in range(len(factors)):
-        prod = 1.0
-        for i, f in enumerate(factors):
-            if i != j:
-                prod *= f
-        total += prod * derivs[j]
-    return total
 
 
 @dataclass(frozen=True)

@@ -150,9 +150,11 @@ CHECK_DIGESTS = {
         "fe1fdeda645cb2cffd82e8a4552b66b5845e8c05d89e9b202d71f1cc7c365f52",
     # re-recorded when Pareto power moments became an exact antiderivative: the
     # quadrature's error showed from 4.6e-14 relative at level 1 to 2.1e-2 at the
-    # last levels (values near 1e-20); same outcome
+    # last levels (values near 1e-20); same outcome.  Re-recorded again when the
+    # level a mapped to a^(1/p) in closed form, not by bisection: 1.2499999999999947
+    # became 1.25, and no value moved by more than 7.1e-15 relative; same outcome
     ("mixed", "ui"):
-        "a5da1a9950eedc9e786535774c291fe69cba9a0a0c19fdaa13951d4361fe4e00",
+        "7f9f3ad32e638ec7fd74c5e523f8bb77fb3a9d4fcbd47d43562c71b690a0dc5f",
     # re-recorded for the exact Pareto moments: the sup moved by 5.8e-14 relative,
     # and rows 2 and 6, equal up to rounding, swapped as attained_at; same outcome
     ("mixed", "bounded-moment"):

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import resource
@@ -273,6 +274,49 @@ def test_explicit_spec_through_cli(tmp_path):
     assert rc == 0
     out = json.loads((tmp_path / "o.json").read_text())
     assert out["results"][0]["outcome"] == "holds"
+
+
+def _pareto_pm1_results(tmp_path, alpha, nu, conditions):
+    """``check`` results of a sequence spec at p = 1: Pareto(alpha, cutoff 1) in the
+    odd columns, +-1 in the even ones."""
+    cells = [{"n": n, "i": i, "dist": {"kind": "pareto", "alpha": alpha, "cutoff": 1.0}
+              if i % 2 else {"kind": "symmetric-pm1"}} for n in range(1, 9) for i in range(1, n + 1)]
+    spec = tmp_path / "pareto.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "p": 1.0, "nu": nu, "sequence": True,
+                                "cells": cells}))
+    out = tmp_path / "o"
+    assert run(["check", "--spec", str(spec), "--conditions", conditions, "--n-sup", "64",
+                "--out", str(out)]) == 0
+    return json.loads(out.with_suffix(".json").read_text())["results"]
+
+
+def test_ui_of_a_pareto_cell_without_its_p_th_moment_diverges(tmp_path):
+    # alpha = 0.8 <= p: every level's mass is inf, so the ui limit is not 0; the
+    # growth gate reads inf - inf = NaN, so the infinite last value decides
+    results = _pareto_pm1_results(tmp_path, 0.8, 1, "ui,bounded-moment")
+    assert [r["outcome"] for r in results] == ["diverges", "growing"]
+    assert results[1]["detail"]["sup"] == math.inf
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+@pytest.mark.parametrize("alpha", [1.2, 1.5])
+def test_bounded_moment_whose_blocks_do_not_settle_is_inconclusive(tmp_path, alpha, nu):
+    # E|X| log_nu|X| is finite for alpha > 1, but the dyadic blocks fall like
+    # 2^((1 - alpha) j) and never certify it: not growing, and no value either
+    (result,) = _pareto_pm1_results(tmp_path, alpha, nu, "bounded-moment")
+    assert result["outcome"] == "inconclusive"
+    assert "did not settle" in result["detail"]["rule"]
+    assert 1.0 < result["detail"]["sup"] < math.inf  # the partial sums: a lower bound
+
+
+def test_bounded_moment_of_pareto_cells_keeps_growing_and_finite(tmp_path):
+    (grows,) = _pareto_pm1_results(tmp_path, 0.8, 2, "bounded-moment")
+    assert grows["outcome"] == "growing" and grows["detail"]["sup"] == math.inf
+    (finite,) = _pareto_pm1_results(tmp_path, 3.0, 2, "bounded-moment")
+    assert finite["outcome"] == "finite"
+    # row 1 is the Pareto(3) cell alone: E|X| log|X| loglog|X| by the tail form
+    # int h'(t) P(|X| > t) dt, which the density integral meets within 1e-13
+    assert finite["detail"]["sup"] == pytest.approx(1.895327872851141, rel=1e-13)
 
 
 def test_sequence_spec_mixing_pm1_and_its_two_point_form_runs(tmp_path):
@@ -619,17 +663,22 @@ def test_simulate_unusable_input_exits_2(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("mode", ["wlln", "slln-series", "slln-path"])
-def test_simulate_partial_sums_past_float_range_exit_2(tmp_path, capsys, recwarn, mode, threads):
+def test_simulate_partial_sums_past_float_range_exit_2(tmp_path, mode, threads):
     # every Pareto(1e-300) draw is +-inf: a row holding both sums to NaN, which
-    # is above no epsilon and would read as no exceedance
+    # is above no epsilon and would read as no exceedance.  A subprocess, so
+    # stderr holds what the workers print too: the error line and no numpy warning
     cells = [{"n": n, "i": i, "dist": {"kind": "pareto", "alpha": 1e-300, "cutoff": 1.0}}
              for n in range(1, 5) for i in range(1, n + 1)]
     spec = tmp_path / "tiny-alpha.json"
     spec.write_text(json.dumps({"rows": {"k": "n"}, "sequence": True, "cells": cells}))
-    rc = run(["simulate", "--spec", str(spec), "--mode", mode, "--rows", "1..4",
-              "--reps", "20", "--threads", threads, "--out", str(tmp_path / "s")])
-    assert rc == 2
-    assert "error: row " in capsys.readouterr().err
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "llnlab.cli", "simulate", "--spec", str(spec), "--mode", mode,
+         "--rows", "1..4", "--reps", "20", "--threads", threads, "--out", str(tmp_path / "s")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "error: row " in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     assert not list(tmp_path.glob("s.*"))
 
 

@@ -268,6 +268,11 @@ def test_count_tail_slow_decay_certified_by_slope():
     assert "power-law" in v.rule
 
 
+def test_limit_of_an_infinite_last_value_fails():
+    # inf - inf is NaN, so the growth gate never fires on an all-inf grid
+    assert conditions.limit_verdict([math.inf] * 8) == ("fails", "the last grid value is infinite")
+
+
 def test_count_tail_constant_sequence_fails():
     tail = lambda x: min(1.0, 1.0 / float(x))  # k * G(k) = 1 forever
     v = conditions.count_tail_vanishes(tail, power_norming(1.0), [2**j for j in range(0, 30)])

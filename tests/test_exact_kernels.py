@@ -7,7 +7,7 @@
   breakpoints: in example-2.1 only in blocks of at most 130 knots.
 * A Pareto law's power moments E(|X|^s L(|X|) 1(|X| > x)), L = 1 or the
   clamped log2, are one antiderivative (``moments.pareto_power_mass``); the
-  reference is the tail-integral quadrature of h'(t) P(|X| > t).
+  reference is the quadrature of h against the law's density.
 """
 
 import dataclasses
@@ -23,7 +23,7 @@ from llnlab import conditions, model, moments, numerics
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction, pareto_power_mass
 from llnlab.numerics import QUAD_ABS_TOL, integrate_tail_blocks
-from llnlab.svf import log_power
+from llnlab.svf import LOG_CHAIN_KINKS, log_power
 
 PS = (0.5, 1.0, 1.5)
 FIXTURES = {(name, p): load(name, p=p) for name in ("example-2.1", "x2m-example") for p in PS}
@@ -114,13 +114,12 @@ LEVELS = (0.0, 0.5, 1.2, 2.0, 2.5, 7.0, 1e3)  # about the cutoffs and the log ki
 
 
 def quadrature_mass(law, h, x):
-    """h(x) P(|X| > x) + int_x^inf h'(t) P(|X| > t) dt, split at c and the log kinks."""
-    tail = model.tail_of(law)
-    kinks = (law.cutoff, *h.breakpoints())
-    res = integrate_tail_blocks(lambda t: h.derivative(t) * tail.fn(t), x,
-                                breakpoints_in=lambda lo, hi: tuple(k for k in kinks
-                                                                    if lo < k < hi))
-    return h(x) * tail.fn(x) + res.value, res.partial
+    """int h(u) alpha c^alpha u^(-alpha-1) du over (max(c, x), inf), split at the log kinks."""
+    alpha, c = law.alpha, law.cutoff
+    res = integrate_tail_blocks(lambda u: h(u) * alpha * c**alpha * u ** (-alpha - 1.0),
+                                max(c, x), breakpoints_in=lambda lo, hi: tuple(
+                                    k for k in LOG_CHAIN_KINKS if lo < k < hi))
+    return res.value, res.partial
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda d: f"a{d.alpha}-c{d.cutoff}")
@@ -144,13 +143,40 @@ def test_cell_helpers_take_the_pareto_kernel():
     for h in HS:
         assert moments.cell_moment(law, h) == pareto_power_mass(law, h, 0.0)
         for a in (0.5, 4.0, 30.0):
-            x_a = moments._numeric_inverse(h, a)
+            if h.log_factor_nu is not None:  # a ui transform is a power
+                with pytest.raises(ValueError):
+                    moments.cell_transformed_tail_mass(law, h, a)
+                continue
             assert moments.cell_transformed_tail_mass(law, h, a) == \
-                pareto_power_mass(law, h, x_a)
+                pareto_power_mass(law, h, a ** (1.0 / h.power))
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 3.0])
+def test_ui_mass_of_a_pareto_cell_is_the_kernel_at_the_level_root(alpha):
+    # the level a of x^s is the level a^(1/s) of |X|, bit for bit; a <= 0 is level 0
+    law = model.ParetoTail(alpha=alpha)
+    for s in (0.5, 1.0, 2.0):
+        t = MomentFunction(power=s)
+        for a in (0.0, 0.25, 1.0, 1.7, 2.0**20, 1e100, math.inf):
+            got = moments.cell_transformed_tail_mass(law, t, a)
+            assert got.hex() == pareto_power_mass(law, t, a ** (1.0 / s)).hex(), (s, a)
+            assert math.isinf(got) == (alpha <= s), (s, a)
+        assert moments.cell_transformed_tail_mass(law, t, -3.0) == pareto_power_mass(law, t, 0.0)
+    # a^(1/s) past float range, for a float and an int level: no mass above it
+    for a in (1e300, 2**4200):
+        assert moments.cell_transformed_tail_mass(law, MomentFunction(power=0.5), a) == 0.0
 
 
 def test_other_moment_functions_keep_the_quadrature():
+    # nu = 2 integrates h against the density; the reference is scipy's quad
+    # of the same density, split at the log chain's kinks
+    from scipy.integrate import quad
+
     law = model.ParetoTail(alpha=3.0)
     h = MomentFunction(power=1.0, log_factor_nu=2)
-    assert moments.cell_moment(law, h) == \
-        float(moments.expectation_via_tail(model.tail_of(law), h))
+    edges = (1.0, *LOG_CHAIN_KINKS, math.inf)
+    want = math.fsum(quad(lambda u: h(u) * 3.0 * u**-4.0, lo, hi, epsabs=1e-14)[0]
+                     for lo, hi in zip(edges, edges[1:]))
+    got = moments.cell_moment(law, h)
+    assert isinstance(got, moments.ExpectationValue) and got.converged
+    assert got == pytest.approx(want, rel=0, abs=QUAD_ABS_TOL)
