@@ -2,9 +2,10 @@
 
 Outputs are JSON (verdicts, reports) and CSV (simulation tables); progress
 goes to stderr.  Every run writes a manifest next to its outputs, with the
-argv and the Python, numpy and scipy versions; ``replay`` re-executes a
-manifest's command line and reproduces the outputs bitwise (seeds are
-explicit everywhere).
+argv and the Python, numpy and scipy versions (scipy's null when the run
+loaded no scipy module); ``replay`` re-executes a manifest's command line
+and reproduces the outputs bitwise (seeds are explicit everywhere).  A
+non-finite float is written as the string "inf", "-inf" or "nan".
 
 Exit codes: 0 = ran and matched attached expectations (fixtures), 1 = some
 expectation failed, 2 = unusable input (parse error), a row too large to
@@ -14,8 +15,8 @@ hold, or a simulation worker process that died.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,24 +86,30 @@ def _load(args) -> Problem:
     return load_spec(args.spec)
 
 
+def _finite(obj):
+    """``obj`` with each non-finite float written as "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Standard JSON (RFC 8259 has no ``Infinity`` or ``NaN`` token)."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-@functools.cache
 def _versions() -> dict:
-    """Python, numpy and scipy versions, read from the installed distributions'
-    metadata: recording them imports no scipy module.  Read once per process,
-    as each lookup scans ``sys.path`` (about 3 ms)."""
-    from importlib.metadata import PackageNotFoundError, version
+    """Python, numpy and scipy versions, read from the loaded modules.  scipy's
+    is None when no scipy module is loaded: such a run cannot depend on it."""
+    import numpy
 
-    found = {"python": sys.version.split()[0]}
-    for name in ("numpy", "scipy"):
-        try:
-            found[name] = version(name)
-        except PackageNotFoundError:
-            found[name] = None
-    return found
+    scipy = sys.modules.get("scipy")
+    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
+            "scipy": None if scipy is None else scipy.__version__}
 
 
 def _write_outputs(out: str, argv: list[str], texts: dict[str, str]) -> int:

@@ -35,12 +35,14 @@ import math
 import operator
 from itertools import chain
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import RowRangeError, SamplingError
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 DEFAULT_N_SUP = 10_000
 
@@ -751,6 +753,18 @@ def stream_keys(seed: int, head: Sequence[int], last) -> np.ndarray:
     return np.stack(state, axis=-1).view("<u8").astype(np.uint64)
 
 
+def philox_generator(key=0) -> Generator:
+    """``Generator(Philox(key=key))``, which ``RowSampler.draw_rows`` re-keys.
+
+    The package's one run-time import of ``numpy.random``: it loads when a
+    sampler is built, so a run that draws nothing (``check``,
+    ``verify-fixtures``) never loads it.
+    """
+    from numpy.random import Generator, Philox
+
+    return Generator(Philox(key=key))
+
+
 def rng_for(seed: int, *key: int) -> Generator:
     """Counter-based generator for one (seed, key...) address, order-independent.
 
@@ -760,7 +774,7 @@ def rng_for(seed: int, *key: int) -> Generator:
     """
     if not key:
         raise ValueError("an address needs at least one key part after the seed")
-    return Generator(Philox(key=stream_keys(seed, key[:-1], key[-1])))
+    return philox_generator(stream_keys(seed, key[:-1], key[-1]))
 
 
 # cephes ndtr.c's tables (Moshier 1989), highest power first: erfc(x) =

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
 DECAY_EPS = 1e-3
 DECAY_WINDOW = 5
 BLOCK_TOL = 1e-12
@@ -169,19 +167,17 @@ def slope_certified_decay(values: Sequence[float]) -> bool:
     certifies v_j -> 0 even when the values never cross the eps threshold on
     a feasible grid.
     """
-    v = np.asarray([float(x) for x in values])
-    if len(v) < SLOPE_MIN_POINTS or np.any(v <= 0.0):
+    v = [float(x) for x in values]
+    if len(v) < SLOPE_MIN_POINTS or any(x <= 0.0 for x in v):
         return False
-    if not nonincreasing(v, tol=1e-12 * max(1.0, float(v[0]))):
+    if not nonincreasing(v, tol=1e-12 * max(1.0, v[0])):
         return False
     half = len(v) // 2
-    ys = np.array([math.log(x) for x in v[half:].tolist()])  # libm's log on every CPU
-    xs = np.array([math.log(j) for j in range(half + 1, len(v) + 1)])
-    if np.ptp(xs) <= 0:
-        return False
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    return slope <= SLOPE_MAX and float(np.max(np.abs(resid))) <= SLOPE_MAX_RESIDUAL
+    ys = [math.log(x) for x in v[half:]]  # libm's log on every CPU
+    xs = [math.log(j) for j in range(half + 1, len(v) + 1)]
+    slope, intercept = line_fit(xs, ys)
+    resid = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
+    return slope <= SLOPE_MAX and resid <= SLOPE_MAX_RESIDUAL
 
 
 def growth_gate(values: Sequence[float]) -> bool:
@@ -204,7 +200,21 @@ def fitted_block_slope(blocks: Sequence[float]) -> float | None:
     b = [x for x in blocks if x > 0.0]
     if len(b) < FLAT_RUN:
         return None
-    window = np.array([math.log2(x) for x in b[-FLAT_RUN:]])  # libm's log2 on every CPU
-    xs = np.arange(FLAT_RUN, dtype=float)
-    slope, _ = np.polyfit(xs, window, 1)
-    return float(slope)
+    window = [math.log2(x) for x in b[-FLAT_RUN:]]  # libm's log2 on every CPU
+    return line_fit(range(FLAT_RUN), window)[0]
+
+
+def line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (xs, ys), at least
+    two distinct xs.
+
+    slope = sum (x - mean x)(y - mean y) / sum (x - mean x)^2 and intercept =
+    mean y - slope mean x, every sum by ``math.fsum``: plain float operations,
+    so the bits depend on no BLAS or LAPACK kernel and hence on no CPU.
+    """
+    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - x_bar for x in xs]
+    slope = (math.fsum(d * (y - y_bar) for d, y in zip(dx, ys))
+             / math.fsum(d * d for d in dx))
+    return slope, y_bar - slope * x_bar

@@ -33,11 +33,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import RepsError, SamplingError, WorkerError
 from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
-                    power_norming, step_columns, stream_keys)
+                    philox_generator, power_norming, step_columns, stream_keys)
 from .moments import clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
@@ -237,7 +236,7 @@ class _Spans:
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
         self.plan, self.rows, self.ends = plan, rows, ends
-        self._gen = Generator(Philox(key=0))
+        self._gen = philox_generator()
         self._store: list = []
 
     def __call__(self, i: int, lo: int, hi: int) -> np.ndarray:
@@ -503,7 +502,7 @@ def condition_h_probe(
     rhs = float(np.cumsum(counts * squares)[-1])  # in group order, as a scalar loop adds
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
-    gen, store = Generator(Philox(key=0)), []
+    gen, store = philox_generator(), []
     acc = 0.0
     for _, keys in _key_chunks(seed, n, sampler.k, 0, reps):
         x = sampler.draw_rows(keys, gen, sampler.buffers(len(keys), store))

@@ -141,16 +141,44 @@ def test_simulate_writes_manifest_and_replay_reproduces(tmp_path):
     assert out.with_suffix(".csv").read_bytes() == first
 
 
+# a fresh interpreter runs each argv through ``cli.main`` in turn and prints the
+# manifests, with whether scipy.integrate had loaded after each run
+MANIFEST_PROBE = """
+import json, sys
+from llnlab import cli
+done = []
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) in (0, 1)
+    manifest = json.loads(open(argv[-1] + ".manifest.json").read())
+    done.append([manifest, "scipy.integrate" in sys.modules])
+print(json.dumps(done))
+"""
+
+
 def test_manifest_records_versions(tmp_path):
+    # scipy's version is the loaded module's, or null when the run loaded no scipy:
+    # a scipy-free check, then in the same process a Pareto-spec chandra-ghosal
+    # run, which integrates through scipy.integrate
     import numpy
     import scipy
 
-    out = tmp_path / "chk"
-    assert run(["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64",
-                "--out", str(out)]) in (0, 1)
-    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-    assert manifest["python"] == sys.version.split()[0]
-    assert (manifest["numpy"], manifest["scipy"]) == (numpy.__version__, scipy.__version__)
+    spec = tmp_path / "pareto.json"
+    spec.write_text(json.dumps(PARETO_SPEC))
+    runs = [["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64",
+             "--out", str(tmp_path / "free")],
+            ["check", "--spec", str(spec), "--conditions", "chandra-ghosal", "--n-sup", "64",
+             "--out", str(tmp_path / "quad")]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", MANIFEST_PROBE, json.dumps(runs)],
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (free, free_quad), (quad, quad_quad) = json.loads(proc.stdout.splitlines()[-1])
+    assert (free_quad, quad_quad) == (False, True)
+    for manifest in (free, quad):
+        assert manifest["python"] == sys.version.split()[0]
+        assert manifest["numpy"] == numpy.__version__
+    assert (free["scipy"], quad["scipy"]) == (None, scipy.__version__)
 
 
 OUT_COMMANDS = {
@@ -276,6 +304,11 @@ def test_explicit_spec_through_cli(tmp_path):
     assert out["results"][0]["outcome"] == "holds"
 
 
+def reject_constant(token: str):
+    """``json.loads``' hook for Infinity, -Infinity and NaN, which RFC 8259 lacks."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def _pareto_pm1_results(tmp_path, alpha, nu, conditions):
     """``check`` results of a sequence spec at p = 1: Pareto(alpha, cutoff 1) in the
     odd columns, +-1 in the even ones."""
@@ -287,7 +320,8 @@ def _pareto_pm1_results(tmp_path, alpha, nu, conditions):
     out = tmp_path / "o"
     assert run(["check", "--spec", str(spec), "--conditions", conditions, "--n-sup", "64",
                 "--out", str(out)]) == 0
-    return json.loads(out.with_suffix(".json").read_text())["results"]
+    return json.loads(out.with_suffix(".json").read_text(),
+                      parse_constant=reject_constant)["results"]
 
 
 def test_ui_of_a_pareto_cell_without_its_p_th_moment_diverges(tmp_path):
@@ -295,7 +329,7 @@ def test_ui_of_a_pareto_cell_without_its_p_th_moment_diverges(tmp_path):
     # growth gate reads inf - inf = NaN, so the infinite last value decides
     results = _pareto_pm1_results(tmp_path, 0.8, 1, "ui,bounded-moment")
     assert [r["outcome"] for r in results] == ["diverges", "growing"]
-    assert results[1]["detail"]["sup"] == math.inf
+    assert results[1]["detail"]["sup"] == "inf"  # standard JSON has no Infinity token
 
 
 @pytest.mark.parametrize("nu", [2, 3])
@@ -311,7 +345,7 @@ def test_bounded_moment_whose_blocks_do_not_settle_is_inconclusive(tmp_path, alp
 
 def test_bounded_moment_of_pareto_cells_keeps_growing_and_finite(tmp_path):
     (grows,) = _pareto_pm1_results(tmp_path, 0.8, 2, "bounded-moment")
-    assert grows["outcome"] == "growing" and grows["detail"]["sup"] == math.inf
+    assert grows["outcome"] == "growing" and grows["detail"]["sup"] == "inf"
     (finite,) = _pareto_pm1_results(tmp_path, 3.0, 2, "bounded-moment")
     assert finite["outcome"] == "finite"
     # row 1 is the Pareto(3) cell alone: E|X| log|X| loglog|X| by the tail form
@@ -844,16 +878,18 @@ def test_fixture_parameters_with_spec_exit_2(tmp_path, capsys, command, flag):
 
 
 # a fresh interpreter runs ``cli.main(argv)`` (or only imports the CLI when argv
-# is empty) and prints the modules of the named packages it loaded; the test
-# process itself has imported them already
+# is empty) and prints the modules it loaded of the named packages (a package
+# and its submodules: "numpy.random" names numpy.random and numpy.random.*); the
+# test process itself has imported them already
 MODULE_PROBE = """
 import json, sys
 from llnlab import cli
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
-packages = sys.argv[1].split(",")
+packages = tuple(sys.argv[1].split(","))
 rc = cli.main(sys.argv[2:]) if sys.argv[2:] else 0
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] in packages)))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in packages or m.startswith(tuple(p + "." for p in packages)))))
 sys.exit(rc)
 """
 
@@ -900,8 +936,8 @@ SCIPY_FREE = {
 }
 
 
-@pytest.mark.parametrize("name", list(SCIPY_FREE))
-def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
+def _probe_argv(tmp_path, name):
+    """``SCIPY_FREE[name]`` with its spec written, a simulate grid and an --out base."""
     spec = tmp_path / "pareto.json"
     spec.write_text(json.dumps(PARETO_SPEC))
     argv = [str(spec) if a == "{spec}" else a for a in SCIPY_FREE[name]]
@@ -909,8 +945,30 @@ def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
         argv = argv + ["--rows", "2^4..2^5", "--reps", "4", "--eps", "0.5"]
     if argv[0] != "verify-fixtures":
         argv = argv + ["--out", str(tmp_path / "o")]
-    loaded = _modules_loaded_by(argv)
+    return argv
+
+
+@pytest.mark.parametrize("name", list(SCIPY_FREE))
+def test_step_law_runs_load_no_quadrature_or_special_functions(tmp_path, name):
+    loaded = _modules_loaded_by(_probe_argv(tmp_path, name))
     assert not loaded & {"scipy.integrate", "scipy.special"}, sorted(loaded)
+
+
+# the sampler's numpy.random loads only when a sampler is built, and the
+# manifest's versions come from the loaded modules, not a metadata scan
+NOT_DRAWING = ["import", *(name for name, argv in SCIPY_FREE.items() if argv[0] != "simulate")]
+
+
+@pytest.mark.parametrize("name", NOT_DRAWING)
+def test_condition_runs_load_no_sampler_or_metadata(tmp_path, name):
+    argv = [] if name == "import" else _probe_argv(tmp_path, name)
+    assert _modules_loaded_by(argv, "numpy.random,importlib.metadata") == set()
+
+
+def test_simulate_loads_the_sampler(tmp_path):
+    # the probe sees the deferred import: a run that draws loads numpy.random
+    loaded = _modules_loaded_by(_probe_argv(tmp_path, "wlln"), "numpy.random,importlib.metadata")
+    assert "numpy.random" in loaded and "importlib.metadata" not in loaded, sorted(loaded)
 
 
 @pytest.mark.parametrize("mode", ["wlln", "slln-path", "replay"])

@@ -1,13 +1,16 @@
-"""No CPU-dispatched transcendental numpy ufunc in ``llnlab`` outside a short list.
+"""No CPU-dependent numpy call in ``llnlab`` outside a short list.
 
 numpy chooses its ``power``, ``exp``, ``log`` and trigonometric kernels by
 CPU, and on some CPUs they round differently from libm in the last bit, so a
-value that reaches a pinned output must not pass through one.  The scan
-parses each module of the package and records every call of such a ufunc
-through ``np.`` or ``numpy.`` (or imported from numpy by name), keyed by the
-module, the innermost enclosing function and the ufunc.  ``ALLOWED`` lists
-the keys that are allowed for now, each with its reason.  The ratchet test
-fails once one of them is gone, so the list can only shrink.
+value that reaches a pinned output must not pass through one.  BLAS and LAPACK
+(OpenBLAS in numpy's wheels) pick their kernels by CPU too, so the same holds
+for a matrix product, a least-squares solve or any ``numpy.linalg`` routine.  The scan
+parses each module of the package and records every call of such a function
+through ``np.`` or ``numpy.`` (or imported from numpy by name), and every ``@``
+operator, keyed by the module, the innermost enclosing function and the call.
+``ALLOWED`` and ``BLAS_ALLOWED`` list the keys that are allowed for now, each
+with its reason.  The ratchet tests fail once one of them is gone, so the
+lists can only shrink.
 """
 
 import ast
@@ -22,34 +25,59 @@ TRIG = {f"{arc}{fn}{hyp}" for arc in ("", "arc") for fn in ("sin", "cos", "tan")
 UFUNCS = frozenset({"power", "float_power", "exp", "exp2", "expm1", "log", "log2",
                     "log10", "log1p", "logaddexp", "logaddexp2", "arctan2", *TRIG})
 
+BLAS = frozenset({"polyfit", "lstsq", "dot", "matmul", "inner", "einsum", "tensordot"})
+
 ALLOWED = {
     "model.quantile_of.pareto_q np.power":
         "the Pareto quantile's power: its draws reach the simulate goldens (open: "
         "a correctly rounded path, ROADMAP item 4)",
 }
 
+BLAS_ALLOWED: dict = {}
 
-def calls_in(module: str, tree: ast.Module) -> set:
-    """``module.function np.ufunc`` of each transcendental ufunc call in ``tree``."""
-    names = {  # local name -> ufunc, for ufuncs imported from numpy by name
-        alias.asname or alias.name: alias.name for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
-        for alias in node.names if alias.name in UFUNCS
-    }
+
+def is_blas(name: str) -> bool:
+    return name in BLAS or name.startswith("linalg.")
+
+
+def calls_in(module: str, tree: ast.Module, kind: str = "ufunc") -> set:
+    """``module.function np.name`` of each call in ``tree`` of a transcendental
+    ufunc (``kind`` "ufunc") or of a BLAS/LAPACK routine (``kind`` "blas"),
+    whose keys also hold ``module.function @`` for each ``@`` operator."""
+    wanted = UFUNCS.__contains__ if kind == "ufunc" else is_blas
+    names = {}  # local name -> numpy name, for names imported from numpy
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            prefix = "" if node.module == "numpy" else "linalg."
+            names.update((alias.asname or alias.name, prefix + alias.name)
+                         for alias in node.names)
     found = set()
+
+    def numpy_name(fn):
+        if isinstance(fn, ast.Name):
+            return names.get(fn.id)
+        if not isinstance(fn, ast.Attribute):
+            return None
+        base = fn.value
+        if isinstance(base, ast.Name) and base.id in ("np", "numpy"):
+            return fn.attr
+        if (isinstance(base, ast.Name) and names.get(base.id) == "linalg"
+                or isinstance(base, ast.Attribute) and base.attr == "linalg"
+                and isinstance(base.value, ast.Name) and base.value.id in ("np", "numpy")):
+            return f"linalg.{fn.attr}"
+        return None
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
+        where = ".".join((module, *scope))
         if isinstance(node, ast.Call):
-            fn, name = node.func, None
-            if (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
-                    and fn.value.id in ("np", "numpy")):
-                name = fn.attr
-            elif isinstance(fn, ast.Name):
-                name = names.get(fn.id)
-            if name in UFUNCS:
-                found.add(f"{'.'.join((module, *scope))} np.{name}")
+            name = numpy_name(node.func)
+            if name is not None and wanted(name):
+                found.add(f"{where} np.{name}")
+        if (kind == "blas" and isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.add(f"{where} @")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -57,8 +85,10 @@ def calls_in(module: str, tree: ast.Module) -> set:
     return found
 
 
-CALLS = set().union(*(calls_in(path.stem, ast.parse(path.read_text(), filename=str(path)))
-                      for path in sorted(SRC.glob("*.py"))))
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+CALLS = set().union(*(calls_in(module, tree) for module, tree in TREES.items()))
+BLAS_CALLS = set().union(*(calls_in(module, tree, "blas") for module, tree in TREES.items()))
 
 
 def test_no_transcendental_ufunc_outside_the_allow_list():
@@ -77,3 +107,24 @@ def test_the_scan_sees_each_kind_of_call():
             "class C:\n    def g(self, x):\n        return numpy.arctan2(x, 1.0)\n")
     assert calls_in("m", ast.parse(code)) == {"m.f np.sin", "m.f np.exp",
                                               "m.C.g np.arctan2"}
+
+
+def test_no_blas_or_lapack_call_outside_the_allow_list():
+    extra = sorted(BLAS_CALLS - BLAS_ALLOWED.keys())
+    assert not extra, f"BLAS/LAPACK calls in src/llnlab: {extra}"
+
+
+def test_blas_allow_list_only_shrinks():
+    gone = sorted(BLAS_ALLOWED.keys() - BLAS_CALLS)
+    assert not gone, f"entries no call needs, to drop from BLAS_ALLOWED: {gone}"
+
+
+def test_the_blas_scan_sees_each_kind_of_call():
+    code = ("import numpy as np\nimport numpy\nfrom numpy import dot as d\n"
+            "from numpy import linalg\nfrom numpy.linalg import solve\n"
+            "def f(a, b):\n    return np.polyfit(a, b, 1) + d(a, b) + a @ b + np.sum(a)\n"
+            "class C:\n    def g(self, a, b):\n        a @= b\n"
+            "        return numpy.linalg.norm(a) + linalg.det(a) + solve(a, b)\n")
+    assert calls_in("m", ast.parse(code), "blas") == {
+        "m.f np.polyfit", "m.f np.dot", "m.f @", "m.C.g @", "m.C.g np.linalg.norm",
+        "m.C.g np.linalg.det", "m.C.g np.linalg.solve"}
