@@ -13,6 +13,7 @@ import pytest
 from llnlab import cli
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
+from test_check_golden import reject_constant
 
 
 def run(args):
@@ -142,7 +143,7 @@ def test_simulate_writes_manifest_and_replay_reproduces(tmp_path):
 
 
 # a fresh interpreter runs each argv through ``cli.main`` in turn and prints the
-# manifests, with whether scipy.integrate had loaded after each run
+# manifests, with whether a scipy module had loaded after each run
 MANIFEST_PROBE = """
 import json, sys
 from llnlab import cli
@@ -150,35 +151,36 @@ done = []
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) in (0, 1)
     manifest = json.loads(open(argv[-1] + ".manifest.json").read())
-    done.append([manifest, "scipy.integrate" in sys.modules])
+    done.append([manifest, "scipy" in sys.modules])
 print(json.dumps(done))
 """
 
 
 def test_manifest_records_versions(tmp_path):
-    # scipy's version is the loaded module's, or null when the run loaded no scipy:
-    # a scipy-free check, then in the same process a Pareto-spec chandra-ghosal
-    # run, which integrates through scipy.integrate
+    # the installed packages' versions, whatever the process ran before: a
+    # scipy-free check records scipy's without loading it, and the same check
+    # records the same manifest after a Pareto-spec chandra-ghosal run in the
+    # same process has loaded scipy.integrate
     import numpy
     import scipy
 
     spec = tmp_path / "pareto.json"
     spec.write_text(json.dumps(PARETO_SPEC))
-    runs = [["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64",
-             "--out", str(tmp_path / "free")],
-            ["check", "--spec", str(spec), "--conditions", "chandra-ghosal", "--n-sup", "64",
-             "--out", str(tmp_path / "quad")]]
+    free = ["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "64",
+            "--out", str(tmp_path / "free")]
+    quad = ["check", "--spec", str(spec), "--conditions", "chandra-ghosal", "--n-sup", "64",
+            "--out", str(tmp_path / "quad")]
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", MANIFEST_PROBE, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", MANIFEST_PROBE, json.dumps([free, quad, free])],
                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (free, free_quad), (quad, quad_quad) = json.loads(proc.stdout.splitlines()[-1])
-    assert (free_quad, quad_quad) == (False, True)
-    for manifest in (free, quad):
+    (first, first_scipy), (after, after_scipy), (again, _) = json.loads(proc.stdout.splitlines()[-1])
+    assert (first_scipy, after_scipy) == (False, True)
+    for manifest in (first, after):
         assert manifest["python"] == sys.version.split()[0]
-        assert manifest["numpy"] == numpy.__version__
-    assert (free["scipy"], quad["scipy"]) == (None, scipy.__version__)
+        assert (manifest["numpy"], manifest["scipy"]) == (numpy.__version__, scipy.__version__)
+    assert again == first
 
 
 OUT_COMMANDS = {
@@ -302,11 +304,6 @@ def test_explicit_spec_through_cli(tmp_path):
     assert rc == 0
     out = json.loads((tmp_path / "o.json").read_text())
     assert out["results"][0]["outcome"] == "holds"
-
-
-def reject_constant(token: str):
-    """``json.loads``' hook for Infinity, -Infinity and NaN, which RFC 8259 lacks."""
-    raise ValueError(f"non-standard JSON token {token}")
 
 
 def _pareto_pm1_results(tmp_path, alpha, nu, conditions):

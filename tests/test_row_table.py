@@ -369,15 +369,7 @@ def test_the_memo_keeps_the_tables_of_the_two_last_problems(monkeypatch):
 
 
 def _files(d):
-    """Each file's bytes; a manifest's without its scipy version, which records
-    whether the process had loaded scipy (this test process always has)."""
-    files = {f.name: f.read_bytes() for f in sorted(d.iterdir())}
-    for name in files:
-        if name.endswith(".manifest.json"):
-            manifest = json.loads(files[name])
-            manifest.pop("scipy")
-            files[name] = json.dumps(manifest, sort_keys=True).encode()
-    return files
+    return {f.name: f.read_bytes() for f in sorted(d.iterdir())}
 
 
 def test_commands_in_one_process_write_what_fresh_processes_write(tmp_path, monkeypatch,
