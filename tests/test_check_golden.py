@@ -8,6 +8,11 @@ progress lines shows up as a different digest.  The inputs are the four
 fixtures and one sequence spec of mixed +-1, two-point and Pareto cells
 under explicit weights.  Each fixture is also checked through a spec file
 that names it, against the same digest: both routes load one problem.
+
+``GRID_DIGESTS`` pin two grid (non-sequence) specs under the five conditions
+the benchmark checks on its generated spec, recorded before explicit cells
+were held as law and weight columns: one of the generated spec's shape, and
+one under explicit weights that spells equal laws in several ways.
 """
 
 import hashlib
@@ -39,6 +44,75 @@ def mixed_spec(seed: int = 11, n_rows: int = 12) -> dict:
     return {"label": "mixed", "rows": {"k": "n"}, "p": 1.0, "sequence": True,
             "cells": cells, "weights": {"kind": "explicit", "values": weights}}
 
+
+def grid_spec(seed: int = 13, n_rows: int = 16) -> dict:
+    """The benchmark spec's shape: rows of seeded +-1, two-point and Pareto cells
+    (a third each), gaussian-na dependence and ``c-normalized`` weights."""
+    rng = random.Random(seed)
+    two_point = [{"kind": "symmetric-two-point", "magnitude": round(rng.uniform(1.5, 4.0), 6),
+                  "prob": round(rng.uniform(0.2, 0.9), 6)} for _ in range(4)]
+    pareto = [{"kind": "pareto", "alpha": round(rng.uniform(2.5, 3.5), 6), "cutoff": 1.0}
+              for _ in range(4)]
+    cells, weights = [], []
+    for n in range(1, n_rows + 1):
+        kinds = [i % 3 for i in range(n)]
+        rng.shuffle(kinds)
+        for i, kind in enumerate(kinds, start=1):
+            dist = ({"kind": "symmetric-pm1"} if kind == 0
+                    else rng.choice(two_point if kind == 1 else pareto))
+            cells.append({"n": n, "i": i, "dist": dist})
+            weights.append({"n": n, "i": i, "c": round(rng.uniform(0.5, 1.5), 6)})
+    return {"label": "grid", "p": 1.0, "rows": {"k": "n"}, "cells": cells,
+            "dependence": {"kind": "gaussian-na", "correlation": -0.3},
+            "weights": {"kind": "c-normalized", "flavor": "sum", "values": weights,
+                        "growth_constant": 2.0},
+            "b": {"kind": "power", "p": 1.0}}
+
+
+def spelled_grid_spec(seed: int = 17, n_rows: int = 10) -> dict:
+    """A grid under ``explicit`` weights whose equal laws are spelled apart: +-1 as
+    ``symmetric-pm1`` and as the two-point (1, 1) in ints, Pareto alpha 3 and
+    3.0, and one weight -0.0."""
+    rng = random.Random(seed)
+    laws = [{"kind": "symmetric-pm1"},
+            {"kind": "symmetric-two-point", "magnitude": 1, "prob": 1},
+            {"kind": "symmetric-two-point", "magnitude": 2.5, "prob": 0.4},
+            {"kind": "pareto", "alpha": 3},
+            {"kind": "pareto", "alpha": 3.0, "cutoff": 1.0}]
+    full = [(n, i) for n in range(1, n_rows + 1) for i in range(1, n + 1)]
+    cells = [{"n": n, "i": i, "dist": rng.choice(laws)} for n, i in full]
+    weights = [{"n": n, "i": i, "a": round(rng.uniform(0.5, 1.5) / n, 6)} for n, i in full]
+    weights[7]["a"] = -0.0
+    return {"label": "spelled", "p": 1.0, "rows": {"k": "n"}, "cells": cells,
+            "weights": {"kind": "explicit", "values": weights}}
+
+
+GRID_SPECS = {"grid": grid_spec, "spelled": spelled_grid_spec}
+GRID_CONDITIONS = ("weighted-domination", "cesaro-domination", "ui", "bounded-moment",
+                   "kG-hat")
+
+GRID_DIGESTS = {
+    ("grid", "weighted-domination"):
+        "3af7da9882d8e02a667b8dcf3e0db1fbfa734571eb5310fca05d439e7cbdef45",
+    ("grid", "cesaro-domination"):
+        "2e95c398c6f56ea2effecec2b75f86c1c94962d6531462afd0a22ff05059931a",
+    ("grid", "ui"):
+        "1a0557f3ee6c89b954207a6aa14356213f50ec7b798acafd5e53d3cd9af6c2f5",
+    ("grid", "bounded-moment"):
+        "ee74da7020cc8e65725c1fa77cfb5de52ca9dc75380af113e0f308fc4ba6bf74",
+    ("grid", "kG-hat"):
+        "e3ea7965449c91b4c6e3c42a4775b15b8413cb31855f772cc9dc378722f5b67f",
+    ("spelled", "weighted-domination"):
+        "509bccfc765dddbf52c74f3ea79a2419e9db52183ec1d1beb7cb01f4b9723b57",
+    ("spelled", "cesaro-domination"):
+        "b4adca724967e86cca0b9d800f8f3c7ead24cf05a8fbbd4d5832611a4adafc18",
+    ("spelled", "ui"):
+        "d15f4ea5336b9b61c99630bfc2f27dfcf2775ec0ee81a6aea5d174ce0cd2a11f",
+    ("spelled", "bounded-moment"):
+        "a98aa6f5775ba66e12608488d1fcf917692f7657560aec9eb53e3dc9bdb9a61c",
+    ("spelled", "kG-hat"):
+        "610944002f4a96d8d8a9ea7f10dcc454efca27c49500b8c9070f56978316f921",
+}
 
 CHECK_DIGESTS = {
     ("example-2.1", "cesaro-domination"):
@@ -172,9 +246,11 @@ def digest(rc: int, err: str, report=None) -> str:
 
 
 def check_digest(tmp_path, capsys, source: str, condition: str, via_spec: bool) -> str:
-    if source == "mixed" or via_spec:
+    if source == "mixed" or source in GRID_SPECS or via_spec:
+        doc = (mixed_spec() if source == "mixed" else GRID_SPECS[source]()
+               if source in GRID_SPECS else {"fixture": source})
         spec = tmp_path / f"{source}.json"
-        spec.write_text(json.dumps(mixed_spec() if source == "mixed" else {"fixture": source}))
+        spec.write_text(json.dumps(doc))
         args = ["--spec", str(spec)]
     else:
         args = ["--fixture", source]
@@ -199,6 +275,21 @@ ROUTES = [pytest.param(s, c, False, id=f"{s}-{c}") for s, c in sorted(CHECK_DIGE
 def test_check_golden_digest(tmp_path, capsys, source, condition, via_spec):
     got = check_digest(tmp_path, capsys, source, condition, via_spec)
     assert got == CHECK_DIGESTS[source, condition]
+
+
+@pytest.mark.parametrize("source,condition", sorted(GRID_DIGESTS),
+                         ids=[f"{s}-{c}" for s, c in sorted(GRID_DIGESTS)])
+def test_grid_spec_check_golden_digest(tmp_path, capsys, source, condition):
+    assert check_digest(tmp_path, capsys, source, condition, True) == \
+        GRID_DIGESTS[source, condition]
+
+
+def test_grid_specs_spell_equal_laws_apart():
+    doc = spelled_grid_spec()
+    spellings = {json.dumps(c["dist"]) for c in doc["cells"]}
+    assert len(spellings) == 5
+    assert [w["a"] for w in doc["weights"]["values"]].count(-0.0) >= 1
+    assert set(GRID_DIGESTS) == {(s, c) for s in GRID_SPECS for c in GRID_CONDITIONS}
 
 
 def test_check_golden_covers_every_condition_and_input():
