@@ -3,9 +3,12 @@
 The central object is a triangular array {X[n,i], 1 <= i <= k_n} described
 row-by-row as groups of identically distributed cells.  Grouping keeps row
 scans cheap: a row with half +-1 cells and half +-n cells is two groups, not n
-cells.  Sequence-shaped arrays (X[n,i] = X_i with k_n = n) are marked as such
-so that downstream scans can use prefix sums and path simulation can realize a
-whole path from the longest row.
+cells.  An array given cell by cell (a spec's explicit cells) is held as
+columns instead (``LawColumns``): a law index per cell into one tuple of
+distinct laws, so nothing reads it a cell at a time.  Sequence-shaped arrays
+(X[n,i] = X_i with k_n = n) are marked as such so that downstream scans can
+use prefix sums and path simulation can realize a whole path from the
+longest row.
 
 Tail functions always mean the survival function of the absolute value,
 x -> P(|X| > x), with the strict inequality: a unit atom at 5 gives tail 0 at
@@ -33,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from itertools import chain
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
@@ -224,6 +226,36 @@ class CellGroup:
     dist: DistSpec
 
 
+@dataclass(frozen=True, eq=False)
+class LawColumns:
+    """The cells of rows 1..n_max held as columns, as ``specio`` loads explicit cells.
+
+    ``laws`` lists each distinct law once.  ``law[j]`` indexes in ``laws``
+    the law of cell j, the cells counted in (n, i) order, and ``offsets[n -
+    1]`` is the j of cell (n, 1), so row n is ``law[offsets[n - 1]:offsets[n]]``
+    (``offsets`` has n_max + 1 entries).  Compared and hashed by identity,
+    as its arrays are.
+    """
+
+    laws: tuple[DistSpec, ...]
+    law: np.ndarray
+    offsets: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The law index of each cell of rows lo..hi, and its (n, i, 1) layout entry."""
+        off = self.offsets[lo - 1:max(hi, lo - 1) + 1]
+        k = np.diff(off)
+        j = np.arange(off[0], off[-1])
+        layout = np.column_stack((np.repeat(np.arange(lo, lo + len(k)), k),
+                                  j - np.repeat(off[:-1], k) + 1, np.ones_like(j)))
+        return self.law[j], layout
+
+    def cells(self, lo: int, hi: int) -> np.ndarray:
+        """The law index of X_lo..X_hi of a sequence array: cells lo..hi of its last row."""
+        last = int(self.offsets[-2])
+        return self.law[last + lo - 1:last + hi]
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Triangular array of cells given per-row as groups of identical cells.
@@ -234,6 +266,11 @@ class ArraySpec:
     of the one-cell run i..i (``sequence_array`` builds it), and
     ``step_columns`` reads a run of cells from the formula without building
     a cell object per cell.
+
+    An array given cell by cell is its ``law_columns`` (a sequence one also
+    has a ``sequence_cell``, read from the columns): ``step_columns`` reads
+    its rows, or the cells of a sequence, from the columns with no cell
+    object, and ``row_groups`` gives one group per cell.
     """
 
     row_length: Callable[[int], int]
@@ -243,10 +280,11 @@ class ArraySpec:
     n_max: Optional[int] = None
     closed_cesaro_sup: Optional[Callable[[float], float]] = None
     cell_steps: Optional[Callable[[int, int], tuple[np.ndarray, np.ndarray]]] = None
+    law_columns: Optional[LawColumns] = None
 
     def __post_init__(self):
-        if self.groups_fn is None and self.sequence_cell is None:
-            raise ValueError("array needs groups_fn or sequence_cell")
+        if self.groups_fn is None and self.sequence_cell is None and self.law_columns is None:
+            raise ValueError("array needs groups_fn, sequence_cell or law_columns")
 
     @property
     def is_sequence(self) -> bool:
@@ -259,6 +297,9 @@ class ArraySpec:
         k = self.k(n)
         if self.groups_fn is not None:
             groups = self.groups_fn(n)
+        elif self.law_columns is not None:
+            cols = self.law_columns
+            groups = tuple(CellGroup(1, cols.laws[j]) for j in cols.rows(n, n)[0].tolist())
         else:
             groups = tuple(CellGroup(1, self.sequence_cell(i)) for i in range(1, k + 1))
         if sum(g.count for g in groups) != k:
@@ -307,12 +348,29 @@ def sequence_array(
 # ---------------------------------------------------------------------------
 
 
+class WeightColumn:
+    """Explicit weights a(n, i) of rows 1..n_max held as one column, a
+    ``range_sum_fn`` that sums a slice of it with ``math.fsum``.
+
+    a(n, i) is ``values[offsets[n - 1] + i - 1]``, the cells counted in (n, i)
+    order as in ``LawColumns``.  Compared and hashed by identity.
+    """
+
+    def __init__(self, values: np.ndarray, offsets: np.ndarray):
+        self.values, self.offsets = values, offsets
+
+    def __call__(self, n: int, lo: int, hi: int) -> float:
+        start = int(self.offsets[n - 1]) - 1
+        return math.fsum(self.values[start + lo:start + hi + 1].tolist())
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Nonnegative weights a(n, i) tied to a row-length map, given by their sums.
 
     ``range_sum_fn(n, lo, hi)`` is the sum of a(n, i) over lo <= i <= hi, for
-    1 <= lo <= hi <= k_n; uniform weights (a = 1/k_n) have none.
+    1 <= lo <= hi <= k_n; uniform weights (a = 1/k_n) have none.  A spec's
+    table is a ``WeightColumn``, which C0 and ``RowTable`` read as a column.
     ``closed_weighted_sup`` is an exact sup_n sum_i a(n,i) P(|X[n,i]| > x) for
     the array this scheme was built for, and ``closed_c0(top)`` the exact
     (sup, first attaining row) of the row sums over rows 1..top (fixtures
@@ -343,7 +401,7 @@ class WeightScheme:
         none, so only the rows up to the first nonempty one are read.  Any
         other row is summed as ``range_sum(n, 1, k)`` sums it, the row bound
         checked once for the whole scan: ``range_sum_fn(n, 1, k)``, and 0.0 for
-        a row with no cells.
+        a row with no cells; a ``WeightColumn`` sums its row slices.
         """
         rows = range(1, scan_top(n_sup, self.n_max) + 1)  # inside 1..n_max
         if rows and self.closed_c0 is not None:
@@ -358,8 +416,13 @@ class WeightScheme:
                 k = k_of(n)
                 return closed(n, 1, k) if k >= 1 else 0.0
 
-            # sized before the first row is read: a scan too large to hold fails at once
-            sums = np.fromiter(map(row_sum, rows), dtype=float, count=len(rows))
+            if isinstance(closed, WeightColumn):  # one math.fsum over each row's slice
+                vals, off = closed.values.tolist(), closed.offsets.tolist()
+                sums = np.array([math.fsum(vals[off[n - 1]:off[n - 1] + k_of(n)]) for n in rows],
+                                dtype=float)
+            else:
+                # sized before the first row is read: a scan too large to hold fails at once
+                sums = np.fromiter(map(row_sum, rows), dtype=float, count=len(rows))
             best_n = int(np.argmax(sums)) + 1 if len(sums) else 0
             best = float(sums[best_n - 1]) if len(sums) else -math.inf
         if not (best > 0.0 and math.isfinite(best)):
@@ -406,6 +469,24 @@ def step_law(dist: DistSpec) -> Optional[tuple[float, float]]:
     return None
 
 
+def _row_laws(arr: ArraySpec, lo: int, hi: int):
+    """(law index per entry, laws, layout) of rows lo..hi: the array's columns,
+    or its cell groups numbered by one pass over them, each distinct law once."""
+    if arr.law_columns is not None:
+        law, layout = arr.law_columns.rows(lo, hi)
+        return law, arr.law_columns.laws, layout
+    ids: dict[DistSpec, int] = {}
+    law, layout = [], []
+    for n in range(lo, hi + 1):
+        pos = 0
+        for g in arr.row_groups(n):
+            law.append(ids.setdefault(g.dist, len(ids)))
+            layout.append((n, pos + 1, g.count))
+            pos += g.count
+    return (np.array(law, dtype=np.intp), tuple(ids),
+            np.array(layout, dtype=np.int64).reshape(-1, 3))
+
+
 def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
     """The one law table: the laws of a run of entries, read once.
 
@@ -419,30 +500,32 @@ def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
     ``len(mag)``).  ``layout`` is None for cells, else one (row, first cell,
     count) per entry.
 
-    A run of cells of an array with ``cell_steps`` takes its pairs from that
-    formula and builds no cell object.  A run of cells sizes ``law`` before
-    reading a cell, so a run too long to hold fails at once.
+    Entries arrive as one law index each into a tuple of distinct laws
+    (:func:`_row_laws` for rows; the ``law_columns`` of a sequence array for
+    cells), so ``step_law`` runs once per law.  A run of cells of an array
+    with ``cell_steps`` takes its pairs from that formula and builds no cell
+    object.  A run of cells sizes its law index before reading a cell, so a
+    run too long to hold fails at once.
     """
+    layout = None
     if by_row:
-        dists, layout = [], []
-        for n in range(lo, hi + 1):
-            pos = 0
-            for g in arr.row_groups(n):
-                dists.append(g.dist)
-                layout.append((n, pos + 1, g.count))
-                pos += g.count
-        law = np.empty(len(dists), dtype=np.intp)
-        layout = np.array(layout, dtype=np.int64).reshape(-1, 3)
-    else:
-        law = np.empty(hi - lo + 1, dtype=np.intp)
-        dists = None if arr.cell_steps else list(map(arr.sequence_cell, range(lo, hi + 1)))
-        layout = None
-    if dists is None:  # every cell is a step law, read from the formula
+        idx, laws, layout = _row_laws(arr, lo, hi)
+    elif arr.law_columns is not None:
+        idx, laws = arr.law_columns.cells(lo, hi), arr.law_columns.laws
+    elif arr.cell_steps is None:
+        ids: dict[DistSpec, int] = {}
+        idx = np.fromiter((ids.setdefault(d, len(ids))
+                           for d in map(arr.sequence_cell, range(lo, hi + 1))),
+                          dtype=np.intp, count=max(hi - lo + 1, 0))
+        laws = tuple(ids)
+    else:  # every cell is a step law, read from the formula
+        idx = None
+    law = np.empty(hi - lo + 1 if idx is None else len(idx), dtype=np.intp)
+    if idx is None:
         pairs = np.column_stack(arr.cell_steps(lo, hi))
     else:
-        pairs = np.fromiter(chain.from_iterable(step_law(d) or (math.nan, math.nan)
-                                                for d in dists),
-                            dtype=float, count=2 * len(dists)).reshape(-1, 2)
+        pairs = np.array([step_law(d) or (math.nan, math.nan) for d in laws],
+                         dtype=float).reshape(-1, 2)[idx]
     is_step = pairs[:, 0] == pairs[:, 0]
     step = np.flatnonzero(is_step)
     step = step[np.lexsort((pairs[step, 1], pairs[step, 0]))]
@@ -451,10 +534,15 @@ def step_columns(arr: ArraySpec, lo: int, hi: int, *, by_row: bool = False):
     new[1:] = (mag[1:] != mag[:-1]) | (prob[1:] != prob[:-1])
     law[step] = np.cumsum(new) - 1
     n_steps = int(np.count_nonzero(new))
-    others: dict[DistSpec, int] = {}
-    for j in np.flatnonzero(~is_step).tolist():  # none on a formula's run
-        law[j] = n_steps + others.setdefault(dists[j], len(others))
-    return law, tuple(others), mag[new], prob[new], layout
+    other, others = np.flatnonzero(~is_step), ()  # none on a formula's run
+    if len(other):
+        found, first, back = np.unique(idx[other], return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the other laws by their first entry
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        law[other] = n_steps + rank[back]
+        others = tuple(laws[j] for j in found[order].tolist())
+    return law, others, mag[new], prob[new], layout
 
 
 def less_than(x, mags: np.ndarray) -> np.ndarray:
@@ -526,8 +614,14 @@ class RowTable:
             self._factor = counts.astype(float)
             self._div = np.bincount(self._entry_row, weights=counts, minlength=top)
         else:
-            self._factor = np.array([weights.range_sum(n, i, i + c - 1)
-                                     for n, i, c in layout.tolist()], dtype=float)
+            col = weights.range_sum_fn
+            if isinstance(col, WeightColumn) and np.all(counts == 1):
+                # a spec's weight column, an entry per cell: the math.fsum of one
+                # finite value is that value, but -0.0 comes out 0.0
+                self._factor = col.values[col.offsets[self._entry_row] + layout[:, 1] - 1] + 0.0
+            else:
+                self._factor = np.array([weights.range_sum(n, i, i + c - 1)
+                                         for n, i, c in layout.tolist()], dtype=float)
             self._div = None
 
     def _law_tails(self, x) -> np.ndarray:

@@ -9,11 +9,17 @@ entry's law, not the raw index: a step entry must point at its pair in the
 any other entry at its law in ``others``, listed once by its first entry.
 """
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from llnlab import conditions, model
+from llnlab import conditions, model, specio
 from llnlab.fixtures import FIXTURE_NAMES, load
+from spec_reference import reference_problem, spec_docs
 from test_step_columns import _tie_array, ref_series_evidence
 
 
@@ -45,9 +51,11 @@ def entries(arr, lo, hi, by_row):
     return out
 
 
-def check_table(arr, lo, hi, by_row=False):
+def check_table(arr, lo, hi, by_row=False, ref=None):
+    """``step_columns`` of ``arr`` against the old renumbering of the entries of
+    ``ref`` (``arr`` itself when None), read cell by cell."""
     law, others, mag, prob, layout = model.step_columns(arr, lo, hi, by_row=by_row)
-    want = entries(arr, lo, hi, by_row)
+    want = entries(arr if ref is None else ref, lo, hi, by_row)
     dists = [d for d, _ in want]
     ref_law, ref_laws, ref_mag, ref_prob = ref_renumbering(dists)
     n_steps = len(mag)
@@ -182,3 +190,81 @@ def test_each_other_law_is_looked_up_once_per_table_and_sampler(monkeypatch):
         assert len(quantiles) == len(set(quantiles)) == len(sampler._others) <= 3
         quantiles.clear()
     assert tails == []
+
+
+# ---------------------------------------------------------------------------
+# explicit-cell specs: law columns against the cells read one by one
+# ---------------------------------------------------------------------------
+
+
+def assert_same_table(got, want):
+    (law, others, mag, prob, layout), (rlaw, rothers, rmag, rprob, rlayout) = got, want
+    assert law.dtype == rlaw.dtype and np.array_equal(law, rlaw)
+    assert others == rothers
+    assert mag.tobytes() == rmag.tobytes() and prob.tobytes() == rprob.tobytes()
+    if rlayout is None:
+        assert layout is None
+    else:
+        assert layout.dtype == rlayout.dtype and np.array_equal(layout, rlayout)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_docs())
+def test_spec_columns_match_the_cell_by_cell_tables(doc):
+    arr = specio.load_spec_obj(doc).arr
+    ref, _ = reference_problem(doc)
+    assert arr.law_columns is not None and arr.groups_fn is None
+    top = arr.n_max
+    runs = [(1, top), (top, top), (1, 1), (2, top), (1, 0)]
+    for lo, hi in runs:
+        check_table(arr, lo, hi, by_row=True, ref=ref)
+        assert_same_table(model.step_columns(arr, lo, hi, by_row=True),
+                          model.step_columns(ref, lo, hi, by_row=True))
+    if arr.is_sequence:
+        for lo, hi in runs:
+            check_table(arr, lo, hi, ref=ref)
+            assert_same_table(model.step_columns(arr, lo, hi),
+                              model.step_columns(ref, lo, hi))
+        assert [arr.sequence_cell(i) for i in range(1, top + 1)] == \
+            [ref.sequence_cell(i) for i in range(1, top + 1)]
+    for n in range(1, top + 1):
+        assert arr.row_groups(n) == ref.row_groups(n)
+
+
+def _specgen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "specgen.py"
+    spec = importlib.util.spec_from_file_location("specgen", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _count(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_a_spec_loads_and_lays_out_with_no_walk_per_cell(tmp_path, monkeypatch):
+    # the benchmark's generated spec: 64 rows, 2,080 cells, 17 laws
+    path = tmp_path / "spec.json"
+    _specgen().write_spec(path, 7)
+    dists = {json.dumps(c["dist"]) for c in json.loads(path.read_text())["cells"]}
+    calls = {}
+    for owner, name in ((specio, "parse_dist"), (model, "CellGroup"), (model, "step_law"),
+                        (model.WeightScheme, "range_sum"), (model.WeightColumn, "__call__")):
+        _count(monkeypatch, owner, name, calls)
+    sp = specio.load_spec(path)
+    assert calls == {"parse_dist": len(dists)} and len(dists) == 17
+    calls.clear()
+    for weights in (model.uniform_weights(sp.arr.row_length), sp.weights):
+        model.RowTable(sp.arr, weights, 10_000)
+    assert sp.weights.c0(10_000)[1] >= 1
+    assert calls == {"step_law": 2 * len(sp.arr.law_columns.laws)}
+    calls.clear()
+    model.RowSampler(sp.arr, 64)
+    assert calls == {"step_law": len(sp.arr.law_columns.laws)}

@@ -58,7 +58,7 @@ UNSET = {
     "simulate.max_partial_sums.weights": "set by tests/test_acceptance.py",
     "model.RowSampler.draw.bufs": "test reference: tests/sim_reference.py",
     "model.sequence_array.cell": "test builder: every package array is a formula "
-                                 "(cell_steps) or a grouped array",
+                                 "(cell_steps), a grouped array or law columns",
 }
 
 

@@ -16,12 +16,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from numpy.random import Generator, Philox
 
 from llnlab import cli, domination, model
 from llnlab.fixtures import load
 from llnlab.moments import (MomentFunction, cell_moment, cell_transformed_tail_mass,
                             truncated_abs_moment)
 from llnlab.specio import load_spec_obj
+from spec_reference import reference_problem, spec_docs
+from test_row_sampler import assert_same_bits, reference_row
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,44 @@ def test_uniform_row_mean_of_one_is_one(name, arr, w, n_sup):
 @pytest.mark.parametrize("name,arr,w,n_sup", CASES, ids=IDS)
 def test_c0_equals_scalar_loop(name, arr, w, n_sup):
     assert w.c0(n_sup) == ref_c0(w, n_sup)
+
+
+def _c0_or_error(w, n_sup):
+    """C0, or the message of the ValueError of a table whose rows all sum to 0."""
+    try:
+        return w.c0(n_sup)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_docs())
+def test_spec_columns_equal_the_scalar_loops_on_the_cell_by_cell_spec(doc):
+    sp = load_spec_obj(doc)
+    ref_arr, ref_w = reference_problem(doc)
+    g = MomentFunction(power=0.5, log_factor_nu=1)  # finite for every law of the palette
+    for n_sup in (1, 5, 10_000):
+        for x in (-1.0, 0.0, 1.0, 1.5, 2.0, 2.5, 7.0, 1e6):
+            assert domination.cesaro_tail_sup(sp.arr, x, n_sup=n_sup) == \
+                ref_cesaro_tail_sup(ref_arr, x, n_sup)
+            assert domination.weighted_tail_sup(sp.arr, sp.weights, x, n_sup=n_sup) == \
+                ref_weighted_tail_sup(ref_arr, ref_w, x, n_sup)
+        for w, rw in ((sp.weights, ref_w), (model.uniform_weights(sp.arr.row_length),
+                                            model.uniform_weights(ref_arr.row_length))):
+            got = law_row_values(model.RowTable(sp.arr, w, n_sup), lambda d: cell_moment(d, g))
+            want = ref_row_values(ref_arr, rw, lambda d: cell_moment(d, g), n_sup)
+            assert got.tobytes() == want.tobytes()
+        c0 = _c0_or_error(sp.weights, n_sup)
+        assert c0 == _c0_or_error(ref_w, n_sup)
+        assert isinstance(c0, str) or c0 == ref_c0(ref_w, n_sup)
+    for dep in (model.INDEPENDENT, model.GaussianNA(-0.3)):
+        arr, ref = (dataclasses.replace(a, dependence=dep) for a in (sp.arr, ref_arr))
+        for n in range(1, arr.n_max + 1):
+            sampler = model.RowSampler(arr, n)
+            keys = model.stream_keys(3, (n,), np.arange(4))
+            got = sampler.draw_rows(keys, Generator(Philox(key=0)), sampler.buffers(4))
+            for rep, key in enumerate(keys):
+                assert_same_bits(got[rep], reference_row(ref, n, Generator(Philox(key=key))))
 
 
 def test_example_41_full_scan_range():
