@@ -298,8 +298,8 @@ class ArraySpec:
         if self.groups_fn is not None:
             groups = self.groups_fn(n)
         elif self.law_columns is not None:
-            cols = self.law_columns
-            groups = tuple(CellGroup(1, cols.laws[j]) for j in cols.rows(n, n)[0].tolist())
+            laws, law, off = self.law_columns.laws, self.law_columns.law, self.law_columns.offsets
+            groups = tuple(CellGroup(1, laws[j]) for j in law[off[n - 1]:off[n]].tolist())
         else:
             groups = tuple(CellGroup(1, self.sequence_cell(i)) for i in range(1, k + 1))
         if sum(g.count for g in groups) != k:
