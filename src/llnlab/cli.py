@@ -339,17 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call of the process, built on first use:
-    parsing, even a parse that fails or prints ``--version``, leaves it as it was."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # a row table or C0 read again within the command comes from the memos of

@@ -25,7 +25,6 @@ The four names:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -394,16 +393,6 @@ _UI_TERM = _UI_D <= _UI_CAP  # the spike lies at or above m_a
 _UI_SCALE = np.ldexp(1.0, -_UI_D)
 
 
-@functools.lru_cache(maxsize=1024)
-def _ui_spike_sup(m_a: int) -> float:
-    """max over the caps m_a..m_a+80 of sum_d 2^-d / (cap - d), d <= min(cap - m_a, 60),
-    added in d order along each cap.  Every ui check of the fixture reads the
-    same levels, so each m_a is worked out once per process."""
-    div = np.where(_UI_TERM, m_a + _UI_CAP - _UI_D, 1)
-    terms = np.where(_UI_TERM, _UI_SCALE / div, 0.0)
-    return float(np.cumsum(terms, axis=1)[:, -1].max())
-
-
 def _build_x2m(p: float, nu: int) -> Problem:
     half = p == 0.5
 
@@ -462,7 +451,12 @@ def _build_x2m(p: float, nu: int) -> Problem:
         else:
             m_a = _first_spike_index_exceeding(a)
             base = 0.0
-        return base + _ui_spike_sup(m_a)
+        # term 2^-d / (cap - d) for the caps m_a..m_a+80 and d <= min(cap - m_a, 60),
+        # added in d order along each row
+        div = np.where(_UI_TERM, m_a + _UI_CAP - _UI_D, 1)
+        terms = np.where(_UI_TERM, _UI_SCALE / div, 0.0)
+        best = float(np.cumsum(terms, axis=1)[:, -1].max())
+        return base + best
 
     arr = sequence_array(closed_cesaro_sup=cesaro_sup, cell_steps=cell_steps)
     return Problem(

@@ -353,7 +353,8 @@ class WeightColumn:
     ``range_sum_fn`` that sums a slice of it with ``math.fsum``.
 
     a(n, i) is ``values[offsets[n - 1] + i - 1]``, the cells counted in (n, i)
-    order as in ``LawColumns``.  Compared and hashed by identity.
+    order as in ``LawColumns``; ``specio`` builds one only beside the law
+    columns of the same cells.  Compared and hashed by identity.
     """
 
     def __init__(self, values: np.ndarray, offsets: np.ndarray):
@@ -370,7 +371,7 @@ class WeightScheme:
 
     ``range_sum_fn(n, lo, hi)`` is the sum of a(n, i) over lo <= i <= hi, for
     1 <= lo <= hi <= k_n; uniform weights (a = 1/k_n) have none.  A spec's
-    table is a ``WeightColumn``, which C0 and ``RowTable`` read as a column.
+    table is a ``WeightColumn``, which ``RowTable`` reads as a column.
     ``closed_weighted_sup`` is an exact sup_n sum_i a(n,i) P(|X[n,i]| > x) for
     the array this scheme was built for, and ``closed_c0(top)`` the exact
     (sup, first attaining row) of the row sums over rows 1..top (fixtures
@@ -401,7 +402,7 @@ class WeightScheme:
         none, so only the rows up to the first nonempty one are read.  Any
         other row is summed as ``range_sum(n, 1, k)`` sums it, the row bound
         checked once for the whole scan: ``range_sum_fn(n, 1, k)``, and 0.0 for
-        a row with no cells; a ``WeightColumn`` sums its row slices.
+        a row with no cells.
         """
         rows = range(1, scan_top(n_sup, self.n_max) + 1)  # inside 1..n_max
         if rows and self.closed_c0 is not None:
@@ -416,13 +417,8 @@ class WeightScheme:
                 k = k_of(n)
                 return closed(n, 1, k) if k >= 1 else 0.0
 
-            if isinstance(closed, WeightColumn):  # one math.fsum over each row's slice
-                vals, off = closed.values.tolist(), closed.offsets.tolist()
-                sums = np.array([math.fsum(vals[off[n - 1]:off[n - 1] + k_of(n)]) for n in rows],
-                                dtype=float)
-            else:
-                # sized before the first row is read: a scan too large to hold fails at once
-                sums = np.fromiter(map(row_sum, rows), dtype=float, count=len(rows))
+            # sized before the first row is read: a scan too large to hold fails at once
+            sums = np.fromiter(map(row_sum, rows), dtype=float, count=len(rows))
             best_n = int(np.argmax(sums)) + 1 if len(sums) else 0
             best = float(sums[best_n - 1]) if len(sums) else -math.inf
         if not (best > 0.0 and math.isfinite(best)):
@@ -615,9 +611,9 @@ class RowTable:
             self._div = np.bincount(self._entry_row, weights=counts, minlength=top)
         else:
             col = weights.range_sum_fn
-            if isinstance(col, WeightColumn) and np.all(counts == 1):
-                # a spec's weight column, an entry per cell: the math.fsum of one
-                # finite value is that value, but -0.0 comes out 0.0
+            if isinstance(col, WeightColumn):
+                # a spec's weight column, on its law columns' one entry per cell: the
+                # math.fsum of one finite value is that value, but -0.0 comes out 0.0
                 self._factor = col.values[col.offsets[self._entry_row] + layout[:, 1] - 1] + 0.0
             else:
                 self._factor = np.array([weights.range_sum(n, i, i + c - 1)

@@ -14,7 +14,6 @@ from llnlab import cli
 from llnlab.conditions import MAX_N
 from llnlab.fixtures import FIXTURE_NAMES
 from test_check_golden import reject_constant
-from test_row_table import _files
 
 
 def run(args):
@@ -990,35 +989,3 @@ def test_quadrature_loads_scipy_integrate_on_first_use(tmp_path):
                                  "chandra-ghosal", "--n-sup", "64",
                                  "--out", str(tmp_path / "o")])
     assert "scipy.integrate" in loaded
-
-
-def test_one_parser_serves_a_process_as_fresh_ones_would(tmp_path, monkeypatch, capsys):
-    # the parser is built on the first call and kept: a parse error and --version
-    # (both leave argparse through SystemExit) must leave nothing behind for the next
-    runs = [
-        ["check", "--fixture", "example-2.1", "--conditions", "kG", "--n-sup", "zero"],
-        ["--version"],
-        ["check", "--fixture", "example-2.1", "--conditions", "kG,weighted-domination",
-         "--n-sup", "64", "--n", "1000", "--out", "run"],
-    ]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    fresh = []
-    for j, argv in enumerate(runs):
-        cwd = tmp_path / f"fresh{j}"
-        cwd.mkdir()
-        proc = subprocess.run([sys.executable, "-m", "llnlab.cli", *argv], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=120)
-        fresh.append((proc.returncode, proc.stdout, proc.stderr, _files(cwd)))
-    assert [f[0] for f in fresh] == [2, 0, 0] and len(fresh[2][3]) == 2
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    cli._parser.cache_clear()
-    for j, argv in enumerate(runs):
-        cwd = tmp_path / f"in{j}"
-        cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        rc = cli.main(argv)
-        out, err = capsys.readouterr()
-        assert (rc, out, err, _files(cwd)) == fresh[j], argv
-    assert len(builds) == 1

@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from llnlab import domination, fixtures, model
@@ -174,25 +173,3 @@ def test_expected_verdict_tables_are_wellformed():
         fx = load(name)
         assert set(fx.expected) <= known
         assert fx.expected  # every fixture states at least one expectation
-
-
-def _direct_ui_spike_sup(m_a):
-    """x2m-example's closed ui sup before it was memoised: the 81 x 61 table of
-    spike terms 2^-d / (cap - d), built anew for each level."""
-    cap, d = np.arange(81)[:, None], np.arange(61)
-    term = d <= cap
-    div = np.where(term, m_a + cap - d, 1)
-    terms = np.where(term, np.ldexp(1.0, -d) / div, 0.0)
-    return float(np.cumsum(terms, axis=1)[:, -1].max())
-
-
-def test_x2m_ui_spike_sup_memo_is_the_direct_table():
-    fixtures._ui_spike_sup.cache_clear()
-    for m_a in range(1, 201):
-        want = _direct_ui_spike_sup(m_a).hex()
-        assert fixtures._ui_spike_sup(m_a).hex() == want  # built
-        assert fixtures._ui_spike_sup(m_a).hex() == want  # read back
-    assert fixtures._ui_spike_sup.cache_info().hits == 200
-    ui = load("x2m-example").closed["ui_cesaro_pow_p"]
-    assert ui(0.5) == 1.0 + _direct_ui_spike_sup(1)
-    assert ui(2**40) == _direct_ui_spike_sup(fixtures._first_spike_index_exceeding(2**40))

@@ -263,8 +263,10 @@ def test_a_spec_loads_and_lays_out_with_no_walk_per_cell(tmp_path, monkeypatch):
     calls.clear()
     for weights in (model.uniform_weights(sp.arr.row_length), sp.weights):
         model.RowTable(sp.arr, weights, 10_000)
-    assert sp.weights.c0(10_000)[1] >= 1
     assert calls == {"step_law": 2 * len(sp.arr.law_columns.laws)}
+    calls.clear()
+    assert sp.weights.c0(10_000)[1] >= 1  # one math.fsum of a column slice per row
+    assert calls == {"__call__": sp.arr.n_max}
     calls.clear()
     model.RowSampler(sp.arr, 64)
     assert calls == {"step_law": len(sp.arr.law_columns.laws)}
