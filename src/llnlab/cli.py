@@ -22,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, model
+from . import __version__
 from .conditions import CONDITIONS, MAX_N, run_condition
 from .errors import LlnLabError, NotApplicableError, RepsError, SpecError
 from .fixtures import FIXTURE_NAMES, Problem, load as load_fixture
@@ -61,11 +61,13 @@ def _unusable(exc: Exception, where: str = "") -> int:
 
 def _parse_rows(text: str) -> tuple[int, ...]:
     def one(tok: str) -> int:
-        tok = tok.strip()
-        if "^" in tok:
-            base, exp = tok.split("^")
-            return int(base) ** int(exp)
-        return int(tok)
+        base, hat, exp = tok.strip().partition("^")
+        # a row is at most 2^63 - 1, which |base| >= 2 passes from exp = 63: not worked out
+        big = hat and abs(int(base)) > 1 and int(exp) >= 63
+        value = math.inf if big else int(base) ** int(exp) if hat else int(base)
+        if value > 2**63 - 1:
+            raise SpecError(f"--rows {tok.strip()!r} passes the largest row, 2^63 - 1")
+        return value
 
     if ".." in text:
         lo, hi = (one(t) for t in text.split(".."))
@@ -241,7 +243,7 @@ def cmd_verify_fixtures(args, argv: list[str]) -> int:
             if not r["match"]:
                 failures.append(f"{name}:{cname}")
         if "c0" in fx.expected:
-            c0, at = model.command_c0(fx.weights, args.n_sup)
+            c0, at = fx.weights.c0(args.n_sup)
             ok = abs(c0 - fx.expected["c0"]) < 1e-12
             _log(f"{name} :: c0: {c0} (row {at}) [{'ok' if ok else 'MISMATCH'}]")
             if not ok:
@@ -346,8 +348,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # a row table or C0 read again within the command comes from the memos of
-    # model.row_table and model.command_c0, as in any library call
+    # a row table read again within the command comes from the memo of
+    # model.row_table, as in any library call
     return args.fn(args, argv)
 
 

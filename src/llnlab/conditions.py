@@ -91,29 +91,20 @@ class ConditionVerdict:
         return out
 
 
-def _as_tail_callable(source) -> tuple[Callable[[float], float], Callable]:
-    """Accept a TailFunction or a plain callable."""
-    if isinstance(source, TailFunction):
-        return source.fn, source.knots_in
-    if callable(source):
-        return source, lambda lo, hi: ()
-    raise TypeError(f"cannot interpret {source!r} as a tail-like map")
-
-
 # ---------------------------------------------------------------------------
 # Integral condition
 # ---------------------------------------------------------------------------
 
 
 def chandra_ghosal_integral(
-    source, p: float, sv: Optional[SlowlyVaryingSpec] = None
+    source: TailFunction, p: float, sv: Optional[SlowlyVaryingSpec] = None
 ) -> ConditionVerdict:
     """Convergence verdict for the moment integral of x^(p-1) L^p(x) G(x).
 
-    ``source`` supplies the nonincreasing map G (a tail function or a
-    callable), integrated as a head on [0, 1] and dyadic blocks from 1 on.
+    ``source`` is the ``TailFunction`` of the nonincreasing map G, integrated
+    as a head on [0, 1] and dyadic blocks from 1 on.
 
-    A step source -- an atom tail, or a step envelope such as a scanned
+    A ``step`` source -- an atom tail, or a step envelope such as a scanned
     ``weighted_sup_fn`` or a fixture's closed Cesaro sup -- is summed piece
     by piece with no quadrature of G: the head and each block are cut at G's
     knots, G is read once per piece at its midpoint, and the piece weights
@@ -129,13 +120,13 @@ def chandra_ghosal_integral(
     divergent lower envelope; ``MAX_BLOCKS`` blocks without either is
     inconclusive.
     """
-    g, knots_in = _as_tail_callable(source)
+    g, knots_in = source.fn, source.knots_in
     notes = []
     if not (1.0 <= p < 2.0):
         notes.append(f"p={p} outside [1,2); checked anyway")
     inv = 1.0 / p
 
-    if isinstance(source, TailFunction) and (source.step or source.atoms is not None):
+    if source.step:
         if sv is None or sv.family == "constant":
 
             def weight(a: float, b: float) -> float:
@@ -427,8 +418,9 @@ def limit_verdict(values: Sequence[float]) -> tuple[str, str]:
     return "inconclusive", "no decay or growth certificate fired"
 
 
-def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> ConditionVerdict:
-    """Verdict for lim_k k * G(b_k) = 0 along the given k grid.
+def count_tail_vanishes(source: TailFunction, b: NormalizingSequence,
+                        k_grid: Sequence) -> ConditionVerdict:
+    """Verdict for lim_k k * G(b_k) = 0 along the given k grid, G = ``source.fn``.
 
     Exact integer grids are honoured: when ``b`` maps ints to ints and G
     returns a Fraction, the products stay exact far beyond float range.  The
@@ -436,7 +428,7 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
     float, or b_k lies past an explicit table's end (``grid_stop`` in the
     evidence); :func:`limit_verdict` reads the points before it.
     """
-    g, _ = _as_tail_callable(source)
+    g = source.fn
     values = []
     stop = {}
     for k in k_grid:
@@ -463,15 +455,12 @@ def count_tail_vanishes(source, b: NormalizingSequence, k_grid: Sequence) -> Con
 # ---------------------------------------------------------------------------
 
 
-def _cesaro_source(spec, n_sup: int):
-    """The closed Cesaro sup with its knots where the array has one, else a scan's sup.
-
-    A closed sup is a step source only under a constant L.  A slowly varying
-    L would cost one quadrature per piece, and example-2.1's sup has 2^(j-1)
-    pieces in block j, so there it is integrated by quadrature.
-    """
+def _cesaro_source(spec, n_sup: int) -> TailFunction:
+    """The closed Cesaro sup with its knots where the array has one
+    (``Problem.cesaro_tail``, which picks steps or knots from the problem's L),
+    else a scan's sup."""
     if spec.arr.closed_cesaro_sup is not None:
-        return spec.cesaro_tail(step=spec.sv is None or spec.sv.family == "constant")
+        return spec.cesaro_tail()
     return cesaro_sup_fn(spec.arr, n_sup=n_sup)
 
 

@@ -20,12 +20,13 @@ always used; reports state the range used.  A scan reads one
 :class:`~llnlab.model.RowTable` per (array, weights, n_sup) from
 :func:`~llnlab.model.row_table`, which keeps the two last built, and
 evaluates it at each x, so callers that need S at many points read the table
-once and close over it (:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`).
+once and close over it (:func:`cesaro_sup_fn`, :func:`weighted_sup_fn`, each
+one ``TailFunction``, closed or scanned).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +37,6 @@ from .model import (
     TailFunction,
     WeightScheme,
     DEFAULT_N_SUP,
-    command_c0,
     less_than,
     row_table,
     tail_of,
@@ -57,7 +57,6 @@ class DominationReport:
     valid: bool
     cdf: Optional[TailFunction] = None  # tail of the constructed X, when valid
     closed_form: bool = False
-    details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
         return {
@@ -67,12 +66,8 @@ class DominationReport:
             "c0": self.c0,
             "scan_n": self.scan_n,
             "closed_form": self.closed_form,
-            **{k: v for k, v in self.details.items() if _jsonable(v)},
+            "eps_lim": DECAY_EPS,  # the decay gate's threshold
         }
-
-
-def _jsonable(v) -> bool:
-    return isinstance(v, (int, float, str, bool, list, tuple)) or v is None
 
 
 # ---------------------------------------------------------------------------
@@ -88,39 +83,39 @@ def _closed_sup(arr: ArraySpec, w: WeightScheme) -> Optional[Callable]:
     return arr.closed_cesaro_sup if w.kind == "uniform" else None
 
 
-def cesaro_sup_fn(arr: ArraySpec, *, n_sup: int = DEFAULT_N_SUP) -> Callable[[float], float]:
+def cesaro_sup_fn(arr: ArraySpec, *, n_sup: int = DEFAULT_N_SUP) -> TailFunction:
     """x -> sup_n (1/k_n) sum_i P(|X[n,i]| > x): the closed form or one row table."""
     return weighted_sup_fn(arr, uniform_weights(arr.row_length), n_sup=n_sup)
 
 
 def weighted_sup_fn(
     arr: ArraySpec, w: WeightScheme, *, n_sup: int = DEFAULT_N_SUP
-) -> Callable[[float], float]:
-    """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x): the closed form or one row table.
+) -> TailFunction:
+    """x -> sup_n sum_i a(n,i) P(|X[n,i]| > x) as one ``TailFunction``.
 
-    A scan is a ``TailFunction`` over ``RowTable.sup`` carrying the table's
-    step magnitudes as knots.  When every scanned law is a step law it is
-    marked ``step``: the sup is constant between those knots, and
-    ``chandra_ghosal_integral`` sums it piece by piece.  A table that also
-    holds other laws stays a plain tail whose knots only split quadrature.
+    A closed form is wrapped bare: no knots, not ``step``.  A scan reads
+    ``RowTable.sup`` with the table's step magnitudes as knots, and is
+    ``step`` when every scanned law is a step law: the sup is constant
+    between those knots, and ``chandra_ghosal_integral`` sums it piece by
+    piece.  A table that also holds other laws only splits quadrature there.
     """
     closed = _closed_sup(arr, w)
     if closed is not None:
-        return closed
+        return TailFunction(fn=closed)
     table = row_table(arr, w, n_sup)
     return TailFunction(fn=table.sup, knot_fn=table.knots_in, step=not table.others)
 
 
 def cesaro_tail_sup(arr: ArraySpec, x: float, *, n_sup: int = DEFAULT_N_SUP) -> float:
     """sup_n (1/k_n) sum_i P(|X[n,i]| > x) over the scan range (or closed form)."""
-    return cesaro_sup_fn(arr, n_sup=n_sup)(x)
+    return cesaro_sup_fn(arr, n_sup=n_sup).fn(x)
 
 
 def weighted_tail_sup(
     arr: ArraySpec, w: WeightScheme, x: float, *, n_sup: int = DEFAULT_N_SUP
 ) -> float:
     """sup_n sum_i a(n,i) P(|X[n,i]| > x) over the scan range (or closed form)."""
-    return weighted_sup_fn(arr, w, n_sup=n_sup)(x)
+    return weighted_sup_fn(arr, w, n_sup=n_sup).fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +135,9 @@ def dominating_cdf(
     equality.  An invalid limit is an outcome, not an exception.
     """
     xs = geometric_grid()
-    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup)
+    sup_fn = weighted_sup_fn(arr, w, n_sup=n_sup).fn
     values = tuple(sup_fn(x) for x in xs)
-    c0, _ = command_c0(w, n_sup)
+    c0, _ = w.c0(n_sup)
     valid = decay_gate(values)
     cdf = None
     if valid:
@@ -161,7 +156,6 @@ def dominating_cdf(
         valid=valid,
         cdf=cdf,
         closed_form=_closed_sup(arr, w) is not None,
-        details={"eps_lim": DECAY_EPS},
     )
 
 
@@ -180,7 +174,7 @@ def cesaro_precheck(
     arr: ArraySpec, y_tail: TailFunction, *, n_sup: int = DEFAULT_N_SUP
 ) -> None:
     """Raise unless the Cesaro tail sup sits below P(|Y| > x) on ``geometric_grid(0, 40)``."""
-    sup_fn = cesaro_sup_fn(arr, n_sup=n_sup)
+    sup_fn = cesaro_sup_fn(arr, n_sup=n_sup).fn
     for x in geometric_grid(0, 40):
         s = sup_fn(x)
         if s > y_tail.fn(x) + 1e-12:

@@ -73,16 +73,17 @@ class Problem:
     ui_grid: tuple = tuple(2.0**j for j in range(0, 41, 2))
     kg_grid: tuple = tuple(2**j for j in range(0, 41))
 
-    def cesaro_tail(self, step: bool = True) -> TailFunction:
+    def cesaro_tail(self) -> TailFunction:
         """Tail of the canonical Cesaro dominating variable (closed form).
 
-        Where ``closed["cesaro_steps"]`` lists every point at which it steps,
-        in any range, it is a step envelope with those knots.  With
-        ``step=False``, or without that list, its knots are
-        ``closed["cesaro_knots"]``: quadrature breakpoints, which may leave
-        out the steps of a wide range.
+        Under a constant L, where ``closed["cesaro_steps"]`` lists every point
+        at which it steps, in any range, it is a step envelope with those
+        knots.  Otherwise its knots are ``closed["cesaro_knots"]``: quadrature
+        breakpoints, which may leave out the steps of a wide range.  (Summed
+        as steps under a slowly varying L, each piece would cost a quadrature.)
         """
-        steps = self.closed.get("cesaro_steps") if step else None
+        constant_l = self.sv is None or self.sv.family == "constant"
+        steps = self.closed.get("cesaro_steps") if constant_l else None
         if steps is not None:
             return TailFunction(fn=self.arr.closed_cesaro_sup, knot_fn=steps, step=True)
         return TailFunction(fn=self.arr.closed_cesaro_sup,
@@ -205,7 +206,7 @@ def _build_example_41(p: float, nu: int) -> Problem:
     return Problem(
         label="example-4.1",
         arr=arr,
-        weights=uniform_weights(),
+        weights=uniform_weights(arr.row_length),  # the runners' Cesaro weights
         p=p,
         nu=nu,
         b=power_norming(p),
@@ -462,7 +463,7 @@ def _build_x2m(p: float, nu: int) -> Problem:
     return Problem(
         label="x2m-example",
         arr=arr,
-        weights=uniform_weights(),
+        weights=uniform_weights(arr.row_length),  # the runners' Cesaro weights
         p=p,
         nu=nu,
         b=power_norming(p),
@@ -504,8 +505,8 @@ def load(name: str, *, p: Optional[float] = None, nu: Optional[int] = None) -> P
             f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
         )
     pp = _DEFAULT_P if p is None else float(p)
-    if not (0.0 < pp < 2.0):
-        raise SpecError(f"fixture p must lie in (0, 2), got {pp}")
+    if not (0.0 < pp < 2.0 and math.isfinite(1.0 / pp)):  # b_n = n^(1/p)
+        raise SpecError(f"fixture p must lie in (0, 2) with 1/p finite, got {pp}")
     return _BUILDERS[name](pp, _DEFAULT_NU if nu is None else iterated_log_order(nu))
 
 

@@ -61,9 +61,10 @@ class TailFunction:
     ``atoms`` lists (magnitude, probability) pairs when |X| is purely discrete;
     ``knot_fn(lo, hi)`` enumerates discontinuities inside (lo, hi) for step
     tails whose atom list is unbounded (used to split quadrature segments).
-    ``step`` marks a step envelope: ``fn`` is constant between consecutive
-    ``knots_in``, so an integral of it is a sum over those pieces.  An atom
-    list is a step function by construction; knots alone mark nothing.
+    ``step`` is the one piecewise-constant flag (``tail_of`` sets it on atom
+    tails): ``fn`` is constant between consecutive ``knots_in``, so an
+    integral of it is a sum over those pieces.  Every sup a condition reads is
+    one of these, closed or scanned.
     """
 
     fn: Callable[[float], float]
@@ -131,7 +132,7 @@ def tail_of(spec: DistSpec) -> TailFunction:
             return q if x < m else 0.0
 
         atoms = ((m, q),) if q == 1.0 else ((0.0, 1.0 - q), (m, q))
-        return TailFunction(fn=two_point_tail, atoms=atoms)
+        return TailFunction(fn=two_point_tail, atoms=atoms, step=True)
     if isinstance(spec, ParetoTail):
         a, c = spec.alpha, spec.cutoff
 
@@ -552,13 +553,6 @@ def less_than(x, mags: np.ndarray) -> np.ndarray:
         # x was rounded to xf: a magnitude equal to xf needs the exact compare
         lt |= (mags == xf) & (x < xf)
     return lt
-
-
-@functools.lru_cache(maxsize=2)
-def command_c0(weights: WeightScheme, n_sup: int) -> tuple[float, int]:
-    """``weights.c0(n_sup)``, memoised: example-2.1's weighted-domination check
-    and verify-fixtures' c0 line read one C0.  The two last read are kept."""
-    return weights.c0(n_sup)
 
 
 @functools.lru_cache(maxsize=2)

@@ -106,10 +106,10 @@ def _number(doc: dict, key: str, default=None):
 
 
 def _exponent(doc: dict, key: str, default: float) -> float:
-    """The number under ``key`` (an exponent p), which must be > 0."""
+    """The number under ``key`` (an exponent p), which must be > 0 with 1/p finite."""
     value = _number(doc, key, default)
-    if not value > 0:
-        raise SpecError(f"'{key}' must be a finite number > 0, got {value!r}")
+    if not (value > 0 and math.isfinite(1.0 / value)):  # b_n = n^(1/p)
+        raise SpecError(f"'{key}' must be a number > 0 with 1/{key} finite, got {value!r}")
     return value
 
 

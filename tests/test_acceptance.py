@@ -68,7 +68,8 @@ def test_criterion_02_dominant_cell_exactness():
         closed_sup=fx.closed["ui_cesaro_pow_p"],
     )
     ui_ok = decay_gate(ui_vals)
-    kg = conditions.count_tail_vanishes(fx.weights.closed_weighted_sup, fx.b, fx.kg_grid)
+    kg = conditions.count_tail_vanishes(
+        model.TailFunction(fn=fx.weights.closed_weighted_sup), fx.b, fx.kg_grid)
     kg_exact = kg.evidence["values"] == [float(k) for k in fx.kg_grid]
     stats = []
     for n in (16, 256):
@@ -104,7 +105,7 @@ def test_criterion_03_power_spike_conclusions():
     def envelope(x):
         return 1.0 if x <= 1.0 else min(1.0, eps0 / (x**p * math.log2(max(2.0, x))))
 
-    integral_env = conditions.chandra_ghosal_integral(envelope, p)
+    integral_env = conditions.chandra_ghosal_integral(model.TailFunction(fn=envelope), p)
     integral_exact = conditions.chandra_ghosal_integral(fx.cesaro_tail(), p)
     integral_ok = integral_env.fails and integral_exact.fails
 

@@ -396,12 +396,12 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _cli_capped(argv):
+def _cli_capped(argv, timeout=60):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, "-m", "llnlab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=_limit_memory,
     )
 
@@ -416,6 +416,17 @@ def test_simulate_bad_row_range_exits_2(tmp_path, rows):
     proc = _simulate_capped(tmp_path, rows)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("rows", ["2^1000000000", "10^100000000", "2^10000000000",
+                                  "3..2^1000000000"])
+def test_simulate_rows_past_2_to_the_63_exit_2_before_the_power(tmp_path, rows):
+    # each power would take seconds to minutes and its digits or doubling list
+    # gigabytes: it is refused from its exponent, before it is worked out
+    proc = _cli_capped(["simulate", "--fixture", "x2m-example", "--rows", rows,
+                        "--reps", "5", "--out", str(tmp_path / "s")], timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert "error: --rows" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_simulate_row_too_large_to_hold_exits_2(tmp_path):
@@ -989,3 +1000,29 @@ def test_quadrature_loads_scipy_integrate_on_first_use(tmp_path):
                                  "chandra-ghosal", "--n-sup", "64",
                                  "--out", str(tmp_path / "o")])
     assert "scipy.integrate" in loaded
+
+
+def _pm1_spec_args(tmp_path, **keys):
+    cells = [{"n": n, "i": i, "dist": {"kind": "symmetric-pm1"}}
+             for n in range(1, 9) for i in range(1, n + 1)]
+    spec = tmp_path / "pm1.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "cells": cells, **keys}))
+    return ["--spec", str(spec)]
+
+
+@pytest.mark.parametrize("case", ["fixture", "spec-p", "spec-b-p"])
+def test_a_p_whose_inverse_overflows_exits_2(tmp_path, case):
+    # 1/5e-324 is inf and 2.0 ** inf is inf, so b_n would be inf: NaN ratios,
+    # or a p-hat of 0.0 on every row
+    src = {"fixture": lambda: ["--fixture", "example-4.1", "--p", "5e-324"],
+           "spec-p": lambda: _pm1_spec_args(tmp_path, p=5e-324),
+           "spec-b-p": lambda: _pm1_spec_args(tmp_path, b={"kind": "power", "p": 5e-324})}[case]()
+    check = _cli_capped(["check", *src, "--conditions",
+                         "b-regularity-wlln,b-regularity-l2,kG,series,ui",
+                         "--n-sup", "64", "--n", "100", "--out", str(tmp_path / "c")])
+    sim = _cli_capped(["simulate", *src, "--rows", "2..8", "--reps", "5",
+                       "--out", str(tmp_path / "s")])
+    for proc in (check, sim):
+        assert proc.returncode == 2, proc.stderr
+        assert "with 1/p finite" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr

@@ -17,7 +17,7 @@ from llnlab.model import explicit_norming, power_norming
 
 def test_integral_holds_with_exact_value():
     g = lambda x: min(1.0, x**-2.0) if x > 0 else 1.0
-    v = conditions.chandra_ghosal_integral(g, 1.0)
+    v = conditions.chandra_ghosal_integral(model.TailFunction(fn=g), 1.0)
     assert v.holds
     # oracle: int_0^1 1 dx + int_1^inf x^-2 dx = 2
     assert v.value == pytest.approx(2.0, abs=1e-6)
@@ -42,7 +42,7 @@ def test_integral_fails_on_inverse_log_envelope():
             return 1.0
         return min(1.0, eps0 / (x**p * math.log2(max(2.0, x))))
 
-    v = conditions.chandra_ghosal_integral(envelope, p)
+    v = conditions.chandra_ghosal_integral(model.TailFunction(fn=envelope), p)
     assert v.fails
     assert "slope" in v.rule
 
@@ -215,7 +215,8 @@ def test_ratio_machinery_rejects_bad_sequences():
 def test_count_tail_trivial_inverse_law_holds():
     p = 0.5
     tail = lambda x: min(1.0, float(x) ** (-2 * p))
-    v = conditions.count_tail_vanishes(tail, power_norming(p), [2**j for j in range(0, 40, 2)])
+    v = conditions.count_tail_vanishes(model.TailFunction(fn=tail), power_norming(p),
+                                       [2**j for j in range(0, 40, 2)])
     assert v.holds
     assert "below" in v.rule
 
@@ -223,7 +224,7 @@ def test_count_tail_trivial_inverse_law_holds():
 def test_count_tail_counterexample_fails_exactly():
     fx = load("wlln-counterexample")
     v = conditions.count_tail_vanishes(
-        fx.weights.closed_weighted_sup, fx.b, [2**j for j in range(0, 41)]
+        model.TailFunction(fn=fx.weights.closed_weighted_sup), fx.b, [2**j for j in range(0, 41)]
     )
     assert v.fails
     assert v.evidence["values"] == [float(2**j) for j in range(0, 41)]
@@ -275,7 +276,8 @@ def test_limit_of_an_infinite_last_value_fails():
 
 def test_count_tail_constant_sequence_fails():
     tail = lambda x: min(1.0, 1.0 / float(x))  # k * G(k) = 1 forever
-    v = conditions.count_tail_vanishes(tail, power_norming(1.0), [2**j for j in range(0, 30)])
+    v = conditions.count_tail_vanishes(model.TailFunction(fn=tail), power_norming(1.0),
+                                       [2**j for j in range(0, 30)])
     assert v.fails
 
 

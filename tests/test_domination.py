@@ -6,8 +6,9 @@ import pytest
 
 from llnlab import domination, model, moments
 from llnlab.errors import DominationPrecheckError
-from llnlab.fixtures import load
+from llnlab.fixtures import FIXTURE_NAMES, load
 from llnlab.moments import MomentFunction
+from llnlab.specio import load_spec_obj
 from builders import identical_array
 
 
@@ -48,6 +49,30 @@ def _scanned(arr, w=None):
     if w is None:
         return arr
     return arr, dataclasses.replace(w, closed_weighted_sup=None)
+
+
+def _sup_shapes():
+    cells = [{"n": n, "i": i, "dist": {"kind": "pareto", "alpha": 3.0} if i % 2
+              else {"kind": "symmetric-pm1"}} for n in range(1, 9) for i in range(1, n + 1)]
+    specs = [load_spec_obj({"fixture": "x2m-example"}),  # closed
+             load_spec_obj({"rows": {"k": "n"}, "cells": cells})]  # scanned
+    for pr in [load(name) for name in FIXTURE_NAMES] + specs:
+        for w in (model.uniform_weights(pr.arr.row_length), pr.weights):
+            for a in (pr.arr, _scanned(pr.arr)):
+                yield pr.label, a, w
+
+
+def test_every_sup_is_one_tail_function():
+    # closed or scanned, under uniform weights or the problem's own
+    shapes = set()
+    for label, arr, w in _sup_shapes():
+        sup = domination.weighted_sup_fn(arr, w, n_sup=64)
+        assert isinstance(sup, model.TailFunction), label
+        assert sup(2.5) == sup.fn(2.5) == domination.weighted_tail_sup(arr, w, 2.5, n_sup=64)
+        shapes.add(domination._closed_sup(arr, w) is None)
+    assert shapes == {True, False}
+    assert model.tail_of(model.SymmetricTwoPoint(1.0)).step
+    assert not model.tail_of(model.ParetoTail(alpha=2.0)).step
 
 
 def test_closed_forms_match_scans():
@@ -119,8 +144,7 @@ def test_single_distribution_cdf_right_continuous():
 
 def test_transfer_evaluates_the_sup_once(monkeypatch):
     # one row table and one C0 scan serve the grid values and the constructed X
-    model.row_table.cache_clear()  # the memos outlive a test
-    model.command_c0.cache_clear()
+    model.row_table.cache_clear()  # the memo outlives a test
     builds, c0_calls = [], []
     init, c0 = model.RowTable.__init__, model.WeightScheme.c0
     monkeypatch.setattr(model.RowTable, "__init__",

@@ -81,7 +81,8 @@ def test_x2m_knots_reach_past_where_two_to_the_m_overflows():
 @pytest.mark.parametrize("key", list(STEP_SOURCES), ids=IDS)
 def test_exact_blocks_keep_the_quadrature_verdicts(key, monkeypatch):
     tail, p = STEP_SOURCES[key], key[1]
-    quadrature = FIXTURES[key].cesaro_tail(step=False)
+    fx = FIXTURES[key]
+    quadrature = model.TailFunction(fn=fx.arr.closed_cesaro_sup, knot_fn=fx.closed["cesaro_knots"])
     assert not quadrature.step and tail.step
     before = conditions.chandra_ghosal_integral(quadrature, p)
     monkeypatch.setattr(numerics, "quad", None)  # the step sums integrate nothing

@@ -12,7 +12,7 @@ from Python's ``**`` and ``math.log2`` for some integers) fails here.
 * ``svf.log_nu_at`` and ``MomentFunction.at``: ``log_nu`` and
   ``MomentFunction.eval`` at each element.
 * ``WeightScheme.c0``: the per-row ``range_sum(n, 1, k)`` loop, rows with no cells
-  included; ``model.command_c0`` keeps the two last read.  A fixture's
+  included.  A fixture's
   ``closed_c0`` is that loop's answer at every scan top, and a scheme without
   one sizes the loop before its first row.
 """
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llnlab import cli, model, specio
+from llnlab import model, specio
 from llnlab.errors import RowRangeError
 from llnlab.fixtures import load
 from llnlab.moments import MomentFunction
@@ -302,37 +302,3 @@ def test_c0_scan_too_large_fails_before_reading_a_row():
                           preexec_fn=_cap_memory)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
-
-
-def _counting_c0(monkeypatch):
-    """The C0 scans from here on, by weight kind.  The memo outlives a test, so it
-    starts empty."""
-    model.command_c0.cache_clear()
-    calls = []
-    real = model.WeightScheme.c0
-    monkeypatch.setattr(model.WeightScheme, "c0",
-                        lambda self, *a: calls.append(self.kind) or real(self, *a))
-    return calls
-
-
-def test_a_command_reads_each_c0_once(monkeypatch, capsys):
-    calls = _counting_c0(monkeypatch)
-    argv = ["verify-fixtures", "--only", "example-2.1", "--n-sup", "64", "--n", "1000"]
-    assert cli.main(argv) == 0
-    # weighted-domination and the c0 line share one explicit C0
-    assert sorted(calls) == ["explicit", "uniform"]
-    assert "c0: 1.25 (row 2) [ok]" in capsys.readouterr().err
-    calls.clear()
-    # the next command loads the fixture anew: its weights are new keys
-    assert cli.main(argv) == 0
-    assert sorted(calls) == ["explicit", "uniform"]
-    assert model.command_c0.cache_info().currsize == 2  # all that outlives the commands
-
-
-def test_c0_outside_a_command_is_read_once(monkeypatch):
-    calls = _counting_c0(monkeypatch)
-    w = load("example-2.1").weights
-    assert model.command_c0(w, 64) == model.command_c0(w, 64) == (1.25, 2)
-    assert calls == ["explicit"]
-    assert model.command_c0(w, 65) == (1.25, 2)  # another n_sup is another entry
-    assert calls == ["explicit", "explicit"]

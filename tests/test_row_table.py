@@ -389,6 +389,16 @@ def test_a_command_lays_each_table_out_once(tmp_path, monkeypatch, capsys):
     assert model.row_table.cache_info().currsize == 2  # all that outlives the commands
 
 
+def test_a_fixtures_own_uniform_weights_share_the_runners_table(tmp_path, monkeypatch):
+    # example-4.1's weights are the Cesaro weights the runners build on
+    # arr.row_length, so its Cesaro and weighted scans are one table
+    builds = _count_builds(monkeypatch)
+    rc = cli.main(["check", "--fixture", "example-4.1", "--conditions",
+                   "cesaro-domination,weighted-domination,kG-hat",
+                   "--n-sup", "200", "--out", str(tmp_path / "a")])
+    assert rc == 0 and len(builds) == 1
+
+
 def test_tables_are_shared_by_n_sup_up_to_the_memo_bound(monkeypatch):
     builds = _count_builds(monkeypatch)
     sp = _random_spec(4)  # 24 rows: a scan top is min(n_sup, 24)
