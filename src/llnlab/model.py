@@ -27,8 +27,11 @@ as a ``SymmetricTwoPoint``.
 Sampling is deterministic per (seed, n, ...) address via counter-based Philox
 streams, so rows can be drawn concurrently without shared state; the keys of
 a row's addresses come from one vectorised pass (``stream_keys``).
-``RowSampler`` lays a row out once and then maps each draw's uniforms to cell
-values by a sign select (step cells) and one quantile call per Pareto law.
+``RowSampler`` lays a row out once.  One replication of an independent row
+reads its stream as raw words: first one fair bit per sure-magnitude cell
+(a step law with prob 1), then one word per other cell, standing for a
+uniform, which a sign select (step cells) and one quantile call per Pareto
+law map to values.
 """
 
 from __future__ import annotations
@@ -936,15 +939,56 @@ def ndtr(a: np.ndarray) -> np.ndarray:
     return y.reshape(np.shape(a))
 
 
+RAW_BLOCK = 1 << 13  # raw words per random_raw call on a long row: no row-sized temporary
+
+
+def _raw_words(bit, out: np.ndarray) -> None:
+    """Fill ``out`` with the next raw words of the bit generator ``bit``."""
+    for a in range(0, len(out), RAW_BLOCK):
+        part = out[a:a + RAW_BLOCK]
+        part[...] = bit.random_raw(len(part))
+
+
+def _word_threshold(t: np.ndarray) -> np.ndarray:
+    """ceil(t 2^53) 2^11 for each t in [0, 1], as uint64 (2^64 wraps to 0): the
+    uniform (w >> 11) 2^-53 of a raw word w is below t iff w is below it."""
+    t = np.ldexp(t, 53)
+    np.ceil(t, out=t)
+    words = t.astype(np.uint64)  # exact: integers of at most 53 bits
+    words <<= np.uint64(11)
+    return words
+
+
+def _cells_where(mask: np.ndarray):
+    """The cells where ``mask`` holds: a slice when they form one run, else their indexes."""
+    count = int(np.count_nonzero(mask))
+    first = int(np.argmax(mask)) if count else 0
+    if mask[first:first + count].all():
+        return slice(first, first + count)
+    return np.flatnonzero(mask)
+
+
 class RowSampler:
     """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
-    Step cells keep per-cell thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
-    magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``: the
-    +-m/0 values of ``quantile_of``, bit for bit.  Every Pareto law keeps the
-    indexes of its cells, and its quantile runs once per draw on them, and a
-    row with no step law skips the sign select.  Uniforms follow the array's
-    dependence: a ``GaussianNA`` row maps its mixed normals through
+    A replication of an independent row reads its stream in one layout.  Its
+    s sure-magnitude cells (step laws with prob 1: a magnitude m times a fair
+    sign) come first, one bit each: ceil(s/64) raw 64-bit words, read
+    little-endian, so bit i of word j, ``(w >> i) & 1``, is the sign of the
+    (64j + i)-th sure cell in cell order, +m for 1 and -m for 0.  The row's
+    other cells follow, one word each, in cell order.
+
+    Those other step cells keep per-cell thresholds ``lo = q/2``, ``hi = 1 -
+    q/2`` and magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u <
+    lo))``: the +-m/0 values of ``quantile_of``, bit for bit.  An independent
+    row compares the raw words themselves: the uniform of a word w is ``u =
+    (w >> 11) * 2**-53``, as Philox's ``Generator.random`` forms it, so u <
+    lo iff w < ceil(lo 2^53) 2^11, and u >= hi iff w > ceil(hi 2^53) 2^11 - 1;
+    only a Pareto cell's word is turned into its float uniform.  Every Pareto
+    law keeps the indexes of its cells, and its quantile runs once per draw
+    on them, and a row with no such step cell skips the sign select.  A
+    ``GaussianNA`` row's signs are not independent, so it has no sure cells:
+    every cell takes a uniform, from mixed normals mapped through
     :func:`ndtr`, the cephes port, so drawing loads no scipy module.
     """
 
@@ -953,33 +997,54 @@ class RowSampler:
             raise SamplingError(f"unsupported dependence {arr.dependence!r}")
         self.k = k = arr.k(n)
         self._arr = arr
+        count = None  # cells per entry: entries are cells, or the groups of a row
         if arr.is_sequence:
             law, others, mag, prob, _ = step_columns(arr, 1, k)
         else:
             law, others, mag, prob, layout = step_columns(arr, n, n, by_row=True)
-            law = np.repeat(law, layout[:, 2])  # one entry per cell
+            count = layout[:, 2]
+
+        def cells(values, keep):  # the values of the kept entries, one per cell
+            return values[keep] if count is None else np.repeat(values[keep], count[keep])
+
         n_steps = len(mag)
-        self._mag = None  # a row with no step law keeps no per-cell step arrays
-        if n_steps:
-            pad = np.zeros(len(others))
-            self._mag = np.concatenate((mag, pad))[law]
-            half = np.concatenate((prob / 2.0, pad))[law]
-            self._lo, self._hi = half, 1.0 - half
-        # the cells of each other law, in cell order
+        pad = np.zeros(len(others))
+        mag, prob = np.concatenate((mag, pad)), np.concatenate((prob, pad))  # by law
+        independent = isinstance(arr.dependence, Independent)
+        sure = ((prob == 1.0) & independent)[law]  # by entry
+        self._sure_mag = cells(mag[law], sure)
+        self._n_sure = len(self._sure_mag)
+        self._words = -(-self._n_sure // 64)
+        sure_cell = sure if count is None else np.repeat(sure, count)
+        self._sure, self._rest = _cells_where(sure_cell), _cells_where(~sure_cell)
+        law = cells(law, ~sure)  # the law of each other cell, numbered as its word
+        self._mag = None  # a row with no other step cell keeps no per-cell step arrays
+        if (law < n_steps).any():
+            half = prob / 2.0
+            lo, hi = half, 1.0 - half
+            if independent:  # the thresholds of the words: see the class docstring
+                lo, hi = _word_threshold(lo), _word_threshold(hi)
+                hi -= np.uint64(1)  # w > hi iff u >= hi; 2^64, wrapped to 0, ends at 2^64 - 1
+            self._mag, self._lo, self._hi = mag[law], lo[law], hi[law]
         other = np.flatnonzero(law >= n_steps)
         other = other[np.argsort(law[other], kind="stable")]
         cuts = np.searchsorted(law[other], np.arange(n_steps + 1, n_steps + len(others)))
         self._others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
 
     def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
-        """Caller-owned (uniforms, draws, normals or None) for ``reps`` rows.
+        """Caller-owned (words, draws, normals or None) for ``reps`` rows.
 
-        With ``store``, a list of flat arrays the caller keeps (start with
-        ``[]``), they are views of its arrays, grown in place when short, so
-        one store serves the rows of every length.
+        A row of ``words`` holds one replication's raw Philox words (a
+        ``'<u8'`` view reads them); for a ``GaussianNA`` row it holds the
+        uniforms computed from the k + 1 normals.  With ``store``, a list of
+        flat arrays the caller keeps (start with ``[]``), they are views of
+        its arrays, grown in place when short, so one store serves the rows
+        of every length.
         """
-        widths = (self.k, self.k, None if isinstance(self._arr.dependence, Independent)
-                  else self.k + 1)
+        if isinstance(self._arr.dependence, Independent):
+            widths = (self._words + self.k - self._n_sure, self.k, None)
+        else:
+            widths = (self.k, self.k, self.k + 1)
         store = [] if store is None else store
         store.extend(np.empty(0) for _ in range(len(widths) - len(store)))
         for i, w in enumerate(widths):
@@ -994,49 +1059,90 @@ class RowSampler:
         ``keys`` is a block of Philox keys, shape (m, 2) with m at most the
         buffers' rows.  ``gen``, a Philox ``Generator`` the caller keeps, is
         re-keyed at counter 0 for each row with its buffered words dropped,
-        so earlier draws from it leave no trace.
+        so earlier draws from it leave no trace.  An independent row takes
+        its words in one ``random_raw`` call, or ``RAW_BLOCK`` at a time.
         """
-        raw = bufs[0] if bufs[2] is None else bufs[2]
         keys = np.asarray(keys, dtype=np.uint64).tolist()
-        if len(keys) > len(raw):
-            raise ValueError(f"{len(keys)} keys for {len(raw)} buffer rows")
-        fill = gen.random if bufs[2] is None else gen.standard_normal
+        if len(keys) > len(bufs[1]):
+            raise ValueError(f"{len(keys)} keys for {len(bufs[1])} buffer rows")
         bit = gen.bit_generator
         state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for i, key in enumerate(keys):
-            state["state"]["key"] = key
-            bit.state = state
-            fill(out=raw[i])
+        if bufs[2] is None:
+            words, width = bufs[0].view("<u8"), bufs[0].shape[1]
+            for i, key in enumerate(keys):
+                state["state"]["key"] = key
+                bit.state = state
+                if width <= RAW_BLOCK:
+                    words[i] = bit.random_raw(width)
+                else:
+                    _raw_words(bit, words[i])
+        else:
+            fill, normals = gen.standard_normal, bufs[2]
+            for i, key in enumerate(keys):
+                state["state"]["key"] = key
+                bit.state = state
+                fill(out=normals[i])
         return self._values(len(keys), bufs)
 
     def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
-        """One realization of the row from ``rng``, into ``bufs`` when given."""
+        """One realization of the row from ``rng``, into ``bufs`` when given.
+
+        An independent row reads ``rng.bit_generator.random_raw`` words; a
+        word w stands for the uniform ``(w >> 11) * 2**-53``, the one
+        ``rng.random`` forms from it when ``rng`` draws from Philox.
+        """
         bufs = self.buffers() if bufs is None else bufs
         if bufs[2] is None:
-            rng.random(out=bufs[0][0])
+            _raw_words(rng.bit_generator, bufs[0].view("<u8")[0])
         else:
             rng.standard_normal(out=bufs[2][0])
         return self._values(1, bufs)[0]
 
     def _values(self, m: int, bufs: tuple) -> np.ndarray:
-        """The first m rows of draws, from the uniforms (or, for GaussianNA
-        rows, the k + 1 normals, whose neighbours are mixed and mapped
-        through the normal cdf) the caller filled."""
-        u, x = bufs[0][:m], bufs[1][:m]
-        if bufs[2] is not None:
-            w, th = bufs[2][:m], self._arr.dependence.theta()
-            np.multiply(w[:, 1:], th, out=u)
-            u += w[:, :-1]
+        """The first m rows of draws, from the words (or, for GaussianNA rows,
+        the k + 1 normals, whose neighbours are mixed and mapped through the
+        normal cdf) the caller filled."""
+        x, w, rest = bufs[1][:m], self._words, self.k - self._n_sure
+        if w:
+            words = bufs[0][:m, :w].view("<u8").view(np.uint8)
+            sign = np.unpackbits(words, axis=1, count=self._n_sure, bitorder="little")
+            sign = sign.view(np.int8)
+            sign += sign
+            sign -= 1  # bit 1 is +1, bit 0 is -1
+            if isinstance(self._sure, slice):
+                np.multiply(sign, self._sure_mag, out=x[:, self._sure])
+            else:
+                x[:, self._sure] = sign * self._sure_mag
+        if not rest:
+            return x
+        y = x[:, self._rest] if isinstance(self._rest, slice) else np.empty((m, rest))
+        if bufs[2] is None:
+            u = bufs[0][:m, w:].view("<u8")  # the words, compared as they are
+            other = []
+            for q, idx in self._others:
+                col = u[:, idx].ravel()
+                np.right_shift(col, 11, out=col)
+                other.append(q(np.multiply(col, 2.0 ** -53, out=col.view(float))))
+            if self._mag is not None:
+                sign = np.greater(u, self._hi).view(np.int8)
+                sign -= np.less(u, self._lo).view(np.int8)
+                np.multiply(sign, self._mag, out=y)
+        else:
+            u, z, th = bufs[0][:m], bufs[2][:m], self._arr.dependence.theta()
+            np.multiply(z[:, 1:], th, out=u)
+            u += z[:, :-1]
             u /= math.sqrt(1.0 + th * th)
             u[...] = ndtr(u)
-        other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
-        if self._mag is not None:
-            np.greater_equal(u, self._hi, out=x)
-            x -= np.less(u, self._lo, out=u)
-            x *= self._mag
+            other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
+            if self._mag is not None:
+                np.greater_equal(u, self._hi, out=y)
+                y -= np.less(u, self._lo, out=u)
+                y *= self._mag
         for (_, idx), vals in zip(self._others, other):
-            x[:, idx] = np.reshape(vals, (m, len(idx)))
+            y[:, idx] = np.reshape(vals, (m, len(idx)))
+        if not isinstance(self._rest, slice):
+            x[:, self._rest] = y
         return x
 
 

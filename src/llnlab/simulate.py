@@ -11,12 +11,17 @@ a contiguous range of one row's replications, whose keys are derived
 when it starts, in whichever process draws it.  Each chunk of at most
 ``TASK_CELLS`` cells is one key block, drawn by
 ``model.RowSampler.draw_rows`` through one Philox generator re-keyed per
-replication into one buffer store, both kept for the whole command.  For
-each replication the kernel returns max_j |S_j| at each segment end of the
-row: a WLLN row is one weighted segment ending at k_n, a path one segment
-per sampled row.  ``threads`` > 1 cuts each row into one span per forked
-worker process (``_replication_maxima``).  Reports are therefore bitwise
-identical across runs, worker counts and schedules.
+replication into one buffer store, both kept for the whole command.  Each
+replication of an independent row reads its stream in one layout: first
+ceil(s/64) raw 64-bit words for the row's s sure-magnitude cells (prob 1),
+little-endian, bit i of word j the sign of the (64j + i)-th of them (+m for
+1, -m for 0), then one word per other cell in cell order, standing for the
+uniform ``(w >> 11) * 2**-53``.  For each replication the kernel returns
+max_j |S_j| at each segment end of the row: a WLLN row is one weighted
+segment ending at k_n, a path one segment per sampled row.  ``threads`` > 1
+cuts each row into one span per forked worker process
+(``_replication_maxima``).  Reports are therefore bitwise identical across
+runs, worker counts and schedules.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are

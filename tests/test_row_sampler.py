@@ -2,13 +2,17 @@
 
 ``reference_row`` is the per-group ``quantile_of`` loop of the generic
 sampler; ``reference_two_point`` is the nested ``np.where`` chain of the old
-shortcut for independent sequences of +-1 and two-point cells.  Draws must
-agree bit for bit, signs of zeros included.
+shortcut for independent sequences of +-1 and two-point cells.  Both read an
+independent row's sure-magnitude cells (prob 1) from sign bits first, as
+``reference_bits`` reads them from the raw words, and take uniforms for the
+other cells after them.  Draws must agree bit for bit, signs of zeros
+included.
 """
 
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +20,10 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtr
 
 from llnlab import model, simulate
+from llnlab.fixtures import load
 from llnlab.model import RowSampler
 from builders import identical_array
+from sim_reference import reference_rng
 
 
 def reference_uniforms(dep, k, rng):
@@ -28,13 +34,35 @@ def reference_uniforms(dep, k, rng):
     return ndtr((w[:k] + th * w[1:]) / math.sqrt(1.0 + th * th))
 
 
+def sure_magnitude(dist):
+    """m of a sure-magnitude law (+-m, each with probability 1/2), else None."""
+    law = model.step_law(dist)
+    return law[0] if law is not None and law[1] == 1.0 else None
+
+
+def reference_bits(rng, s):
+    """The sign bits of s sure cells: bit i % 64 of raw word i // 64, one at a time."""
+    words = rng.bit_generator.random_raw(-(-s // 64)) if s else []
+    return [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(s)]
+
+
 def reference_row(arr, n, rng):
     k = arr.k(n)
-    u = reference_uniforms(arr.dependence, k, rng)
+    groups = arr.row_groups(n)
+    independent = isinstance(arr.dependence, model.Independent)
+    sure = [independent and sure_magnitude(g.dist) is not None for g in groups]
+    bits = iter(reference_bits(rng, sum(g.count for g, s in zip(groups, sure) if s)))
+    u = reference_uniforms(arr.dependence, k - sum(g.count for g, s in zip(groups, sure) if s),
+                           rng)
     out = np.empty(k, dtype=float)
-    pos = 0
-    for g in arr.row_groups(n):
-        out[pos : pos + g.count] = model.quantile_of(g.dist)(u[pos : pos + g.count])
+    pos = at = 0
+    for g, is_sure in zip(groups, sure):
+        if is_sure:
+            m = sure_magnitude(g.dist)
+            out[pos : pos + g.count] = [m if next(bits) else -m for _ in range(g.count)]
+        else:
+            out[pos : pos + g.count] = model.quantile_of(g.dist)(u[at : at + g.count])
+            at += g.count
         pos += g.count
     return out
 
@@ -43,9 +71,14 @@ def reference_two_point(arr, n, rng):
     laws = [model.step_law(arr.sequence_cell(i)) for i in range(1, n + 1)]
     mags = np.array([m for m, _ in laws])
     probs = np.array([q for _, q in laws])
-    u = rng.random(n)
-    half = probs / 2.0
-    return np.where(u < half, -mags, np.where(u >= 1.0 - half, mags, 0.0))
+    sure = probs == 1.0
+    bits = np.array(reference_bits(rng, int(np.count_nonzero(sure))), dtype=bool)
+    u = rng.random(n - len(bits))
+    half = probs[~sure] / 2.0
+    out = np.empty(n)
+    out[sure] = np.where(bits, mags[sure], -mags[sure])
+    out[~sure] = np.where(u < half, -mags[~sure], np.where(u >= 1.0 - half, mags[~sure], 0.0))
+    return out
 
 
 GEN = Generator(Philox(key=0))  # re-keyed by every draw_rows call
@@ -188,26 +221,86 @@ def test_draw_rows_matches_single_draws(dep):
         assert_same_bits(again[0], reference_row(arr, n, model.rng_for(1, n, 9)))
 
 
-class FixedUniforms:
-    """Generator stand-in that hands out chosen uniforms."""
+SURE_COUNTS = (1, 63, 64, 65, 130)  # one word, a word short, full, one bit over, three words
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=float)
 
-    def random(self, out):
-        out[:] = self.u
+def sure_rows():
+    """Rows (array, n) with each of SURE_COUNTS sure cells, alone or mixed."""
+    cycle = [model.SymmetricTwoPoint(1.0), model.SymmetricTwoPoint(2.0, 0.4), HEAVY,
+             model.SymmetricTwoPoint(0.75, 1.0), model.ParetoTail(3.0)]
+    mixed_seq = model.sequence_array(lambda i: cycle[(i - 1) % 5])  # 2 sure cells in 5
+    spikes = model.sequence_array(lambda i: model.SymmetricTwoPoint(float(i), 1.0))
+    grouped = model.ArraySpec(
+        row_length=lambda n: 2 * n + 3, dependence=model.INDEPENDENT,
+        groups_fn=lambda n: (model.CellGroup(1, HEAVY), model.CellGroup(n - n // 2, LAWS["pm1"]),
+                             model.CellGroup(2, LAWS["two-point"]),
+                             model.CellGroup(n // 2, LAWS["two-point-prob-1"]),
+                             model.CellGroup(n, LAWS["pareto"])))
+    for s in SURE_COUNTS:
+        yield pytest.param(identical_array(LAWS["pm1"]), s, id=f"pm1-{s}")
+        yield pytest.param(spikes, s, id=f"spikes-{s}")
+        yield pytest.param(mixed_seq, 5 * (s // 2) + (s % 2), id=f"mixed-sequence-{s}")
+        yield pytest.param(grouped, s, id=f"mixed-groups-{s}")
+    ex41 = load("example-4.1").arr  # cell 1 is its one sure cell
+    for n in (1, 2, 64, 300):
+        yield pytest.param(ex41, n, id=f"example-4.1-{n}")
+
+
+@pytest.mark.parametrize("arr, n", sure_rows())
+def test_sure_cells_read_one_bit_each(arr, n):
+    """draw_rows and draw against the scalar loop: the sure cells' sign bits
+    from the replication's raw words first, then a uniform per other cell."""
+    sampler = RowSampler(arr, n)
+    rows = sampler.draw_rows(model.stream_keys(9, (n,), np.arange(4)), GEN, sampler.buffers(4))
+    for rep in range(4):
+        want = reference_row(arr, n, reference_rng(9, n, rep))
+        assert_same_bits(rows[rep], want)
+        assert_same_bits(sampler.draw(reference_rng(9, n, rep)), want)
+
+
+@pytest.mark.parametrize("name", ["x2m-example", "example-2.1", "wlln-counterexample"])
+def test_rows_of_sure_cells_keep_no_uniforms_and_no_thresholds(name):
+    arr = load(name).arr
+    for n in (1, 63, 64, 65, 1000):
+        sampler = RowSampler(arr, n)
+        assert sampler._mag is None
+        assert not hasattr(sampler, "_lo") and not hasattr(sampler, "_hi")
+        words, draws, normals = sampler.buffers(3)
+        assert words.shape == (3, -(-sampler.k // 64)) and normals is None
+        keys = model.stream_keys(2, (n,), np.arange(3))
+        rows = sampler.draw_rows(keys, GEN, (words, draws, None))
+        for rep in range(3):
+            assert_same_bits(rows[rep], reference_row(arr, n, reference_rng(2, n, rep)))
+
+
+class FixedWords:
+    """Generator stand-in whose bit generator hands out chosen raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = SimpleNamespace(
+            random_raw=lambda size: np.array(words, dtype=np.uint64)[:size])
 
 
 @pytest.mark.parametrize("law", ["pm1", "two-point", "two-point-prob-1", "pareto", "custom"])
 def test_thresholds_match_quantile_of_at_the_boundaries(law):
+    """Words on each side of every edge map as ``quantile_of`` maps their
+    uniforms (w >> 11) 2^-53, whatever their 11 low bits."""
     dist = LAWS[law]
+    if sure_magnitude(dist) is not None:  # a sure law has no threshold: its cell is one bit
+        words = [0, 2**64 - 1, 1, 2**63, 0x5555555555555555, 0x8000000000000001]
+        bits = np.array([(w >> i) & 1 for w in words for i in range(64)])
+        got = RowSampler(identical_array(dist), len(bits)).draw(FixedWords(words))
+        # bit b stands for a uniform in [b/2, (b+1)/2)
+        assert_same_bits(got, model.quantile_of(dist)((bits + 0.5) / 2.0))
+        return
     q = model.step_law(dist)[1] if model.step_law(dist) else 0.5
     edges = [0.0, q / 2.0, 1.0 - q / 2.0, 0.5, 1.0 - 2.0**-53]
-    u = sorted({v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))
-                if 0.0 <= v < 1.0})
-    arr = identical_array(dist)
-    got = RowSampler(arr, len(u)).draw(FixedUniforms(u))
-    assert_same_bits(got, model.quantile_of(dist)(np.asarray(u)))
+    v = sorted({min(max(math.ceil(e * 2**53) + d, 0), 2**53 - 1)
+                for e in edges for d in (-1, 0, 1)})
+    words = [x << 11 | low for x in v for low in (0, 0x7FF)]
+    got = RowSampler(identical_array(dist), len(words)).draw(FixedWords(words))
+    u = np.array([(w >> 11) * 2.0**-53 for w in words])
+    assert_same_bits(got, model.quantile_of(dist)(u))
 
 
 def test_sample_row_with_is_the_sampler():

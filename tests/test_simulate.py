@@ -258,31 +258,74 @@ def test_path_rows_may_repeat():
 # ---------------------------------------------------------------------------
 
 
-def max_abs_walk_exceedance_exact(n: int, t: int) -> float:
-    """P(max_k |S_k| > t) for a +-1 walk by dynamic programming."""
-    # state: distribution over S_k restricted to |S| <= t
-    probs = {0: 1.0}
-    escaped = 0.0
+def walk_exceedance_count(n: int, t: int) -> int:
+    """Paths, out of the 2^n of a fair +-1 walk, with max_{j<=n} |S_j| >= t (t >= 1).
+
+    An exact forward pass in integers over the positions -t+1..t-1, absorbing
+    at +-t (Feller, vol. 1, ch. III): ``inside[x + t - 1]`` counts the paths
+    at x that have not reached +-t.
+    """
+    inside = np.zeros(2 * t - 1, dtype=object)
+    inside[t - 1] = 1
     for _ in range(n):
-        nxt: dict[int, float] = {}
-        for s, p in probs.items():
-            for step in (-1, 1):
-                v = s + step
-                if abs(v) > t:
-                    escaped += 0.5 * p
-                else:
-                    nxt[v] = nxt.get(v, 0.0) + 0.5 * p
-        probs = nxt
-    return escaped
+        step = np.zeros_like(inside)
+        step[:-1] += inside[1:]
+        step[1:] += inside[:-1]
+        inside = step
+    return 2**n - int(inside.sum())
+
+
+def exceedance_level(b: float, eps: float) -> int:
+    """The least integer M with M / b > eps in floats, as the estimator compares."""
+    m = max(int(eps * b) - 2, 0)
+    while not m / b > eps:
+        m += 1
+    return m
+
+
+def binomial_region(reps: int, p: float, alpha: float = 1e-9) -> tuple[int, int]:
+    """Counts [lo, hi] of Binomial(reps, p) with at most alpha/2 of mass past each end."""
+    logs = [math.lgamma(reps + 1) - math.lgamma(c + 1) - math.lgamma(reps - c + 1)
+            + c * math.log(p) + (reps - c) * math.log1p(-p) for c in range(reps + 1)]
+    pmf = [math.exp(v) for v in logs]
+    ends = []
+    for order in (range(reps + 1), range(reps, -1, -1)):
+        tail = 0.0
+        for c in order:
+            if tail + pmf[c] > alpha / 2:
+                ends.append(c)
+                break
+            tail += pmf[c]
+    return ends[0], ends[1]
+
+
+def test_walk_exceedance_count_small_cases():
+    assert walk_exceedance_count(1, 1) == 2
+    assert walk_exceedance_count(3, 2) == 4  # the walks inside (-2, 2) are at 0 at step 2
+    assert walk_exceedance_count(4, 3) == 4  # +++ and --- then either step
+    # by brute force over every path
+    for n, t in ((6, 2), (8, 3), (9, 4)):
+        paths = itertools.product((-1, 1), repeat=n)
+        want = sum(max(abs(v) for v in itertools.accumulate(path)) >= t for path in paths)
+        assert walk_exceedance_count(n, t) == want
 
 
 def test_wlln_estimate_matches_exact_walk_probability():
-    plan = _pm1_plan(rows=(64,), eps=(0.5,), reps=2000, seed=21)
-    rep = simulate.wlln_estimate(plan)
-    p_hat = rep.p_hat(64, 0.5)
-    exact = max_abs_walk_exceedance_exact(64, 32)  # stat > 0.5 means max|S| > 32
-    se = math.sqrt(exact * (1 - exact) / 2000) + 1e-9
-    assert abs(p_hat - exact) <= 4 * se
+    """Counts of max_j |S_j| / sqrt(n) > eps for fair +-1 signs, rows 2^6..2^12,
+    inside the binomial regions of the exact walk law (false alarm 1e-9 a cell),
+    at one and two worker processes."""
+    plan = _pm1_plan(rows=tuple(2**j for j in range(6, 13)), eps=(0.75, 1.25, 2.0),
+                     reps=2000, seed=21, b=power_norming(2.0))
+    reports = [simulate.wlln_estimate(plan, threads=t) for t in (1, 2)]
+    assert reports[0] == reports[1]
+    for n in plan.rows:
+        for eps in plan.eps:
+            t = exceedance_level(float(plan.b(n)), eps)
+            p = walk_exceedance_count(n, t) / 2**n
+            assert 0.05 < p < 0.95, (n, eps)
+            lo, hi = binomial_region(plan.reps, p)
+            count = round(reports[0].p_hat(n, eps) * plan.reps)
+            assert lo <= count <= hi, (n, eps, count, p * plan.reps)
 
 
 def test_wlln_estimate_large_row_exceedance_negligible():
@@ -313,7 +356,7 @@ def test_series_estimate_iid_walk_bounded():
     assert contributions[-1] <= 1e-6
     # sanity of the block estimate at a sampled row vs the exact walk value
     p64 = rep.p_hat(64, 0.5)
-    exact = max_abs_walk_exceedance_exact(64, 32)
+    exact = walk_exceedance_count(64, 33) / 2**64  # stat > 0.5 means max|S| >= 33
     assert abs(p64 - exact) <= 4 * math.sqrt(exact * (1 - exact) / 400) + 1e-9
 
 
