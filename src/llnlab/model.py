@@ -942,11 +942,36 @@ def ndtr(a: np.ndarray) -> np.ndarray:
 RAW_BLOCK = 1 << 13  # raw words per random_raw call on a long row: no row-sized temporary
 
 
+def _philox_state(counter: int) -> dict:
+    """A Philox state at ``counter`` with an empty buffer; its "key" is set per stream."""
+    return {"bit_generator": "Philox", "state": {"counter": (counter, 0, 0, 0), "key": None},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _raw_words(bit, out: np.ndarray) -> None:
     """Fill ``out`` with the next raw words of the bit generator ``bit``."""
     for a in range(0, len(out), RAW_BLOCK):
         part = out[a:a + RAW_BLOCK]
         part[...] = bit.random_raw(len(part))
+
+
+def fair_signs(octets: np.ndarray, axis: int, count: int) -> np.ndarray:
+    """+-1 as int8 for the first ``count`` bits along ``axis`` of ``octets``, the
+    bytes of little-endian raw words: bit i of byte b is sign 8b + i, and bit
+    1 is +1, bit 0 is -1."""
+    sign = np.unpackbits(octets, axis=axis, count=count, bitorder="little").view(np.int8)
+    sign += sign
+    sign -= 1
+    return sign
+
+
+def store_array(store: list, i: int, size: int) -> np.ndarray:
+    """The first ``size`` floats of flat array i of ``store``, a list of flat
+    arrays the caller keeps, grown in place when short."""
+    store.extend(np.empty(0) for _ in range(i + 1 - len(store)))
+    if store[i].size < size:
+        store[i] = np.empty(size)
+    return store[i][:size]
 
 
 def _word_threshold(t: np.ndarray) -> np.ndarray:
@@ -1012,9 +1037,9 @@ class RowSampler:
         mag, prob = np.concatenate((mag, pad)), np.concatenate((prob, pad))  # by law
         independent = isinstance(arr.dependence, Independent)
         sure = ((prob == 1.0) & independent)[law]  # by entry
-        self._sure_mag = cells(mag[law], sure)
-        self._n_sure = len(self._sure_mag)
-        self._words = -(-self._n_sure // 64)
+        self.sure_mag = cells(mag[law], sure)  # in cell order
+        self.n_sure = len(self.sure_mag)
+        self._words = -(-self.n_sure // 64)
         sure_cell = sure if count is None else np.repeat(sure, count)
         self._sure, self._rest = _cells_where(sure_cell), _cells_where(~sure_cell)
         law = cells(law, ~sure)  # the law of each other cell, numbered as its word
@@ -1042,16 +1067,12 @@ class RowSampler:
         of every length.
         """
         if isinstance(self._arr.dependence, Independent):
-            widths = (self._words + self.k - self._n_sure, self.k, None)
+            widths = (self._words + self.k - self.n_sure, self.k, None)
         else:
             widths = (self.k, self.k, self.k + 1)
         store = [] if store is None else store
-        store.extend(np.empty(0) for _ in range(len(widths) - len(store)))
-        for i, w in enumerate(widths):
-            if w is not None and store[i].size < reps * w:
-                store[i] = np.empty(reps * w)
-        return tuple(None if w is None else a[:reps * w].reshape(reps, w)
-                     for a, w in zip(store, widths))
+        return tuple(None if w is None else store_array(store, i, reps * w).reshape(reps, w)
+                     for i, w in enumerate(widths))
 
     def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple) -> np.ndarray:
         """Row i as ``Generator(Philox(key=keys[i]))`` draws it, as a view of the draws.
@@ -1060,30 +1081,44 @@ class RowSampler:
         buffers' rows.  ``gen``, a Philox ``Generator`` the caller keeps, is
         re-keyed at counter 0 for each row with its buffered words dropped,
         so earlier draws from it leave no trace.  An independent row takes
-        its words in one ``random_raw`` call, or ``RAW_BLOCK`` at a time.
+        its words through ``draw_words``.
         """
-        keys = np.asarray(keys, dtype=np.uint64).tolist()
         if len(keys) > len(bufs[1]):
             raise ValueError(f"{len(keys)} keys for {len(bufs[1])} buffer rows")
-        bit = gen.bit_generator
-        state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         if bufs[2] is None:
-            words, width = bufs[0].view("<u8"), bufs[0].shape[1]
-            for i, key in enumerate(keys):
-                state["state"]["key"] = key
-                bit.state = state
-                if width <= RAW_BLOCK:
-                    words[i] = bit.random_raw(width)
-                else:
-                    _raw_words(bit, words[i])
+            self.draw_words(keys, gen, bufs[0].view("<u8"))
         else:
-            fill, normals = gen.standard_normal, bufs[2]
-            for i, key in enumerate(keys):
+            bit, fill, normals = gen.bit_generator, gen.standard_normal, bufs[2]
+            state = _philox_state(0)
+            for i, key in enumerate(np.asarray(keys, dtype=np.uint64).tolist()):
                 state["state"]["key"] = key
                 bit.state = state
                 fill(out=normals[i])
         return self._values(len(keys), bufs)
+
+    @staticmethod
+    def draw_words(keys: np.ndarray, gen: Generator, out: np.ndarray,
+                   first_word: int = 0) -> None:
+        """Fill row i of ``out`` (uint64, any strides) with raw words first_word,
+        first_word + 1, ... of the stream ``Generator(Philox(key=keys[i]))``.
+
+        ``gen``'s Philox is re-keyed for each row at counter first_word / 4
+        with its buffer empty: Philox adds one to its counter before it fills
+        its four-word buffer, so word 4c + j of a stream is word j of counter
+        c + 1, and ``first_word`` must be a multiple of 4.  A row takes its
+        words in one ``random_raw`` call, or ``RAW_BLOCK`` at a time.
+        """
+        if first_word % 4:
+            raise ValueError(f"first word {first_word} is not a multiple of 4")
+        bit, width = gen.bit_generator, out.shape[1]
+        state = _philox_state(first_word // 4)
+        for i, key in enumerate(np.asarray(keys, dtype=np.uint64).tolist()):
+            state["state"]["key"] = key
+            bit.state = state
+            if width <= RAW_BLOCK:
+                out[i] = bit.random_raw(width)
+            else:
+                _raw_words(bit, out[i])
 
     def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
         """One realization of the row from ``rng``, into ``bufs`` when given.
@@ -1103,17 +1138,13 @@ class RowSampler:
         """The first m rows of draws, from the words (or, for GaussianNA rows,
         the k + 1 normals, whose neighbours are mixed and mapped through the
         normal cdf) the caller filled."""
-        x, w, rest = bufs[1][:m], self._words, self.k - self._n_sure
+        x, w, rest = bufs[1][:m], self._words, self.k - self.n_sure
         if w:
-            words = bufs[0][:m, :w].view("<u8").view(np.uint8)
-            sign = np.unpackbits(words, axis=1, count=self._n_sure, bitorder="little")
-            sign = sign.view(np.int8)
-            sign += sign
-            sign -= 1  # bit 1 is +1, bit 0 is -1
+            sign = fair_signs(bufs[0][:m, :w].view("<u8").view(np.uint8), 1, self.n_sure)
             if isinstance(self._sure, slice):
-                np.multiply(sign, self._sure_mag, out=x[:, self._sure])
+                np.multiply(sign, self.sure_mag, out=x[:, self._sure])
             else:
-                x[:, self._sure] = sign * self._sure_mag
+                x[:, self._sure] = sign * self.sure_mag
         if not rest:
             return x
         y = x[:, self._rest] if isinstance(self._rest, slice) else np.empty((m, rest))

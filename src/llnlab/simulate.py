@@ -23,6 +23,16 @@ cuts each row into one span per forked worker process
 (``_replication_maxima``).  Reports are therefore bitwise identical across
 runs, worker counts and schedules.
 
+A span sums its rows by one of two kernels, picked per span.  The row kernel
+draws whole rows and runs ``np.cumsum`` along each.  A span of at least
+``COLUMN_REPS`` replications of a row whose cells are all sure-magnitude
+cells runs the column kernel instead: it sums up to ``COLUMN_GROUP``
+replications side by side, S_j = S_(j-1) + x_j as one vector add per cell,
+64 cells (one sign word per replication) at a time.  Each replication still
+gets cumsum's IEEE adds in cumsum's order, on the same x_j = c_j (sigma_j m_j),
+and its maxima are exact, so both kernels give the same bytes; a NaN sum
+propagates through ``np.maximum`` in both.
+
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
 approximated by a labeled proxy: the per-path suffix supremum of the same
@@ -40,8 +50,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RepsError, SamplingError, WorkerError
-from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
-                    philox_generator, power_norming, step_columns, stream_keys)
+from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint, fair_signs,
+                    philox_generator, power_norming, step_columns, store_array, stream_keys)
 from .moments import clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
@@ -191,6 +201,8 @@ class SimReport:
 
 TASK_CELLS = 1 << 15  # cells drawn per replication chunk of a span
 KEY_REPS = 1 << 12  # replications of a span whose keys are derived in one pass (64 KiB)
+COLUMN_REPS = 256  # the fewest replications of a span of sure cells that sums across them
+COLUMN_GROUP = 512  # replications summed side by side, at most, in the column kernel
 
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +249,25 @@ class _Spans:
     with one Philox generator and one buffer store, kept for the whole
     command (a forked worker draws through its own copies).  Each call lays
     its row out itself.
+
+    The row kernel draws a chunk's rows and runs ``np.cumsum`` along each.
+    When every cell of the row is a sure-magnitude cell (``RowSampler.n_sure
+    == k``) and the span has at least ``COLUMN_REPS`` replications, the
+    column kernel runs instead, on groups of G <= ``COLUMN_GROUP``
+    consecutive replications (the span cut evenly).  A group reads its sign
+    words W at a time per replication (``RowSampler.draw_words``; W a
+    multiple of 4, at least 4, else the most with G·W <= ``TASK_CELLS``)
+    into a (W, G) array, so that
+    the word of one 64-cell block is one row of it.  Each block turns its
+    word's bits into a (cells, G) block of +-1.0, times the magnitudes
+    unless they are all 1, times the weights, as the row kernel forms
+    ``c * (sigma * m)``; adds S_(j-1) to x_j row by row from the sum carried
+    in from the previous block; and folds each segment's share of the
+    block's |S_j| into the group's (segments, G) maxima.  A replication gets
+    the adds of ``np.cumsum`` in its order, and the maxima are exact, so the
+    bytes are those of the row kernel.  Both arrays come from the buffer
+    store the row kernel uses: about 0.5 MB at G = 512, against the row
+    kernel's 0.25 MB of draws.
     """
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
@@ -253,6 +284,9 @@ class _Spans:
         out = _maxima(self.plan.reps, hi - lo, len(starts))
         # past float range a draw or sum is inf or NaN, which the caller refuses: no warning
         with np.errstate(over="ignore", invalid="ignore"):
+            if sampler.n_sure == sampler.k and hi - lo >= COLUMN_REPS:
+                self._columns(n, sampler, weights, starts, lo, hi, out)
+                return out
             for r, keys in _key_chunks(self.plan.seed, n, sampler.k, lo, hi):
                 x = sampler.draw_rows(keys, self._gen, sampler.buffers(len(keys), self._store))
                 if weights is not None:
@@ -261,6 +295,55 @@ class _Spans:
                 np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
                                     out=out[r - lo:r - lo + len(keys)])
         return out
+
+    def _columns(self, n: int, sampler: RowSampler, weights, starts, lo: int, hi: int,
+                 out: np.ndarray) -> None:
+        """The column kernel: ``out``'s maxima of replications lo..hi-1 of row
+        n, a row of sure cells, summed across up to ``COLUMN_GROUP`` of them at once."""
+        k, mag = sampler.k, sampler.sure_mag[:, None]
+        words_in_row = -(-k // 64)
+        groups = -(-(hi - lo) // COLUMN_GROUP)
+        cuts = [lo + (hi - lo) * g // groups for g in range(groups + 1)]
+        size = -(-(hi - lo) // groups)  # the largest group
+        # words per replication per pass: a multiple of 4, the words of one Philox counter
+        width = min(max(4, TASK_CELLS // size // 4 * 4), -(-words_in_row // 4) * 4)
+        bounds = np.append(starts, k).tolist()
+        scaled = np.logical_or.reduceat(sampler.sure_mag != 1.0, np.arange(0, k, 64)).tolist()
+        # per 64-cell block: its first add (x_1 is S_1, as cumsum starts), cells,
+        # magnitudes (None when all are 1), weights and share of each segment
+        blocks = []
+        for c0, scale in zip(range(0, k, 64), scaled):
+            c1 = min(c0 + 64, k)
+            blocks.append((int(c0 == 0), c1 - c0, mag[c0:c1] if scale else None,
+                           None if weights is None else weights[c0:c1, None],
+                           [(s, max(bounds[s], c0) - c0, min(bounds[s + 1], c1) - c0)
+                            for s in range(len(starts)) if bounds[s] < c1 and bounds[s + 1] > c0]))
+        add, maximum = np.add, np.maximum
+        for a, b in zip(cuts, cuts[1:]):
+            m = b - a
+            keys = stream_keys(self.plan.seed, (n,), np.arange(a, b))
+            words = store_array(self._store, 0, width * m).view("<u8").reshape(width, m)
+            block = store_array(self._store, 1, 65 * m).reshape(65, m)
+            # row 0 carries S from block to block, rows 1.. hold a block's sums
+            chain = list(zip(block, block[1:]))
+            acc = out[a - lo:b - lo].T  # (segments, m)
+            acc[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
+            for w0 in range(0, words_in_row, width):
+                passed = min(width, words_in_row - w0)
+                sampler.draw_words(keys, self._gen, words[:passed].T, w0)
+                for word, (first, cells, scale, c, parts) in zip(words, blocks[w0:w0 + passed]):
+                    x = block[1:cells + 1]
+                    np.copyto(x, fair_signs(word.view(np.uint8).reshape(m, 8).T, 0, cells))
+                    if scale is not None:  # sigma * m, as the row kernel multiplies
+                        np.multiply(x, scale, out=x)
+                    if c is not None:
+                        np.multiply(c, x, out=x)
+                    for prev, cur in chain[first:cells]:  # S_j = S_(j-1) + x_j, as cumsum adds
+                        add(prev, cur, cur)
+                    block[0] = x[-1]
+                    np.abs(x, out=x)
+                    for s, i, j in parts:
+                        maximum(acc[s], maximum.reduce(x[i:j], axis=0), out=acc[s])
 
 
 def _workers(threads: int, reps: int) -> int:

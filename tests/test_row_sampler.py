@@ -273,6 +273,20 @@ def test_rows_of_sure_cells_keep_no_uniforms_and_no_thresholds(name):
             assert_same_bits(rows[rep], reference_row(arr, n, reference_rng(2, n, rep)))
 
 
+def test_draw_words_starts_at_any_counter():
+    # words w0.. of each key's stream, as a fresh Generator(Philox(key)) gives
+    # them, written through a transposed (strided) view; w0 must start a counter
+    keys = model.stream_keys(5, (7,), np.arange(3))
+    whole = [Generator(Philox(key=k)).bit_generator.random_raw(24) for k in keys]
+    for w0, width in ((0, 24), (4, 9), (8, 4), (20, 4)):
+        out = np.empty((width, 3), dtype=np.uint64)
+        RowSampler.draw_words(keys, GEN, out.T, w0)
+        for i in range(3):
+            np.testing.assert_array_equal(out[:, i], whole[i][w0:w0 + width])
+    with pytest.raises(ValueError, match="multiple of 4"):
+        RowSampler.draw_words(keys, GEN, np.empty((3, 4), dtype=np.uint64), 6)
+
+
 class FixedWords:
     """Generator stand-in whose bit generator hands out chosen raw words."""
 

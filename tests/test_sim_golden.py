@@ -115,6 +115,14 @@ def test_simulate_golden_digest(tmp_path, name):
     assert run_digest(tmp_path, name) == RUNS[name][1]
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_simulate_golden_digest_through_the_column_kernel(tmp_path, monkeypatch, name):
+    # every span of a row of sure cells sums across its replications, in
+    # forked workers too: the digests recorded through the row kernel hold
+    monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
+    assert run_digest(tmp_path, name) == RUNS[name][1]
+
+
 def test_condition_h_probe_golden_values():
     na_rows = model.ArraySpec(
         row_length=lambda n: n,

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma, ndtr
 
 from llnlab import model, simulate, specio
+from llnlab.cli import main as cli_main
 from llnlab.fixtures import load
 from llnlab.model import power_norming
 from llnlab.simulate import SimPlan
@@ -208,16 +210,66 @@ def _na_spec_plan():
                    seed=17, c=lambda n, i: 1.0 + (i % 3) / n)
 
 
+def _x2m_block_edges_plan():
+    # rows of 1, 63, 64, 65, 130 and 700 sure cells: path ends inside a
+    # 64-cell block and on a block edge, and a row of 11 sign words
+    fx = load("x2m-example", p=1.0)
+    return SimPlan(arr=fx.arr, b=fx.b, rows=(1, 63, 64, 65, 130, 700), reps=37,
+                   eps=(0.1, 0.5, 1.0), seed=43)
+
+
+def _x2m_weighted_plan():
+    fx = load("x2m-example", p=1.0)
+    return SimPlan(arr=fx.arr, b=fx.b, rows=(65, 130, 300), reps=37, eps=(0.1, 0.5, 1.0),
+                   seed=47, c=lambda n, i: 1.0 + (i % 3) / n)
+
+
+def _ex21_plan():
+    # grouped rows: n // 2 cells of +-1, then cells of +-n
+    fx = load("example-2.1")
+    return SimPlan(arr=fx.arr, b=fx.b, rows=(1, 4, 65, 130), reps=37, eps=(0.5, 1.0), seed=7)
+
+
+def _counterexample_plan():
+    fx = load("wlln-counterexample")
+    return SimPlan(arr=fx.arr, b=fx.b, rows=(16, 64, 130), reps=37, eps=(0.5, 1.0), seed=9,
+                   c=fx.c_fn)
+
+
 KERNEL_PLANS = {"x2m-example": _x2m_plan, "example-4.1": _ex41_plan,
-                "gaussian-na-spec": _na_spec_plan}
+                "gaussian-na-spec": _na_spec_plan, "x2m-block-edges": _x2m_block_edges_plan,
+                "x2m-weighted": _x2m_weighted_plan, "example-2.1": _ex21_plan,
+                "wlln-counterexample": _counterexample_plan}
+# its weights put all their mass on a row's last cell: every p_hat is 0 or 1
+DETERMINISTIC = {"wlln-counterexample"}
 
 
 def _mode_bytes(plan, threads):
     wlln = simulate.wlln_estimate(plan, threads=threads)
     series = simulate.slln_series_estimate(plan, None, 1.0, threads=threads)
-    path = simulate.slln_path_diagnostic(plan, threads=threads)
+    path = None  # paths need a sequence-shaped array
+    if plan.arr.is_sequence:
+        path = simulate.slln_path_diagnostic(plan, threads=threads).suffix_sups.tobytes()
     return (json.dumps(wlln.to_json_obj(), sort_keys=True),
-            json.dumps(series.to_json_obj(), sort_keys=True), path.suffix_sups.tobytes())
+            json.dumps(series.to_json_obj(), sort_keys=True), path)
+
+
+def _sure_rows(plan) -> set:
+    """The rows of ``plan`` whose cells are all sure-magnitude cells."""
+    return {n for n in plan.rows
+            if (s := model.RowSampler(plan.arr, n)).n_sure == s.k}
+
+
+def _column_rows(monkeypatch) -> list:
+    """Record the row of every span the column kernel sums in this process."""
+    rows, inner = [], simulate._Spans._columns
+
+    def spy(self, n, *args):
+        rows.append(n)
+        return inner(self, n, *args)
+
+    monkeypatch.setattr(simulate._Spans, "_columns", spy)
+    return rows
 
 
 @pytest.mark.skipif(not FORK, reason="worker processes need the fork start method")
@@ -225,16 +277,23 @@ def _mode_bytes(plan, threads):
 @pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
 def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, task_cells):
     # three workers even on a two-CPU host; 48 cells cut every span into chunks
-    # of one to three replications, forked workers inheriting the patch
+    # of one to three replications, forked workers inheriting the patch.  37
+    # replications stay below COLUMN_REPS, so every span runs the row kernel;
+    # with COLUMN_REPS at 1 every span of sure cells runs the column kernel,
+    # at one worker in groups of 9 and 10 (at 48 cells, in passes of 4 words)
     _usable_cpus(monkeypatch, 4)
     if task_cells is not None:
         monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
     plan = KERNEL_PLANS[case]()
     runs = {k: _mode_bytes(plan, k) for k in (1, 2, 3)}
     assert runs[1] == runs[2] == runs[3]
-    assert runs[1][2] == reference_suffix_sups(plan).tobytes()
+    monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
+    monkeypatch.setattr(simulate, "COLUMN_GROUP", 10)
+    assert all(_mode_bytes(plan, k) == runs[1] for k in (1, 2, 3))
+    if plan.arr.is_sequence:
+        assert runs[1][2] == reference_suffix_sups(plan).tobytes()
     doc = json.loads(runs[1][0])
-    assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"])
+    assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"]) or case in DETERMINISTIC
 
 
 @pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
@@ -245,6 +304,61 @@ def test_key_blocks_do_not_move_the_bytes(monkeypatch, case):
     monkeypatch.setattr(simulate, "KEY_REPS", 5)
     monkeypatch.setattr(simulate, "TASK_CELLS", 48)
     assert _mode_bytes(plan, 1) == whole
+    # and the column kernel at each (TASK_CELLS, COLUMN_GROUP): passes of 4
+    # words in groups of 9 and 10 replications; of 4 words again, where
+    # 60 // 10 = 6 words would not start at a Philox counter; of 24 words in
+    # groups of 6 and 7; and one group of all 37 with every word in one pass
+    monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
+    columns = _column_rows(monkeypatch)
+    for task_cells, group in ((48, 10), (60, 10), (170, 7), (1 << 15, 512)):
+        monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
+        monkeypatch.setattr(simulate, "COLUMN_GROUP", group)
+        columns.clear()
+        assert _mode_bytes(plan, 1) == whole, (task_cells, group)
+        assert set(columns) == _sure_rows(plan)
+
+
+def test_column_kernel_runs_from_column_reps_on():
+    # a span of COLUMN_REPS replications of a row of sure cells sums across
+    # them; one replication fewer, or a row with a two-point cell, does not
+    x2m, ex41 = load("x2m-example", p=1.0), load("example-4.1")
+    for arr, reps, ran in ((x2m.arr, simulate.COLUMN_REPS, [64]),
+                           (x2m.arr, simulate.COLUMN_REPS - 1, []),
+                           (ex41.arr, simulate.COLUMN_REPS, [])):
+        with pytest.MonkeyPatch.context() as mp:
+            columns = _column_rows(mp)
+            spans = simulate._Spans(SimPlan(arr=arr, b=power_norming(1.0), rows=(64,),
+                                            reps=reps), (64,))
+            spans(0, 0, reps)
+            assert columns == ran
+
+
+@pytest.mark.parametrize("reps", [simulate.COLUMN_REPS, 20])
+def test_sums_past_float_range_exit_2_through_either_kernel(tmp_path, capsys, monkeypatch, reps):
+    # sure cells of magnitude 1e308: two of one sign sum to +-inf.  Weighted
+    # by 1e10 every draw is +-inf, and +inf + -inf is NaN.  COLUMN_REPS
+    # replications sum across them, 20 run the row kernel
+    columns = _column_rows(monkeypatch)
+    big = {"kind": "symmetric-two-point", "magnitude": 1e308, "prob": 1.0}
+    cells = [{"n": n, "i": i, "dist": big} for n in range(1, 5) for i in range(1, n + 1)]
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"rows": {"k": "n"}, "sequence": True, "cells": cells,
+                                "b": {"kind": "explicit", "values": [1.0, 2.0, 3.0, 4.0]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        for mode in ("wlln", "slln-path"):
+            rc = cli_main(["simulate", "--spec", str(spec), "--mode", mode, "--rows", "1..4",
+                           "--reps", str(reps), "--out", str(tmp_path / mode)])
+            assert rc == 2
+            assert "a partial sum leaves float range" in capsys.readouterr().err
+            assert not list(tmp_path.glob(mode + ".*"))
+        arr = model.sequence_array(lambda i: model.SymmetricTwoPoint(1e300))
+        plan = SimPlan(arr=arr, b=power_norming(1.0), rows=(70,), reps=reps, c=lambda n, i: 1e10)
+        maxima = simulate._Spans(plan, plan.rows)(0, 0, reps)
+        assert np.isnan(maxima).all()  # every row holds both signs within 70 cells
+        with pytest.raises(simulate.SamplingError, match="row 70: a partial sum leaves"):
+            simulate.wlln_estimate(plan)
+    assert bool(columns) == (reps >= simulate.COLUMN_REPS)
 
 
 def test_path_rows_may_repeat():
