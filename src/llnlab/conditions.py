@@ -39,21 +39,18 @@ from .model import (
 )
 from .moments import MomentFunction, bounded_moment_condition, ui_check
 from .numerics import (
-    BLOCK_TOL,
     DECAY_EPS,
     DECAY_WINDOW,
-    FLAT_RUN,
-    MAX_BLOCKS,
     _exact_product,
     decay_gate,
     finite_integral,
-    fitted_block_slope,
     growth_gate,
+    judge_blocks,
     slope_certified_decay,
+    walk_blocks,
 )
 from .svf import SlowlyVaryingSpec
 
-FLAT_SLOPE_TOL = 0.15
 SERIES_CHUNK = 2**13  # n per pass of the series and ratio scans; the bytes do not depend on it
 MAX_N = 1 << 26  # largest series/ratio budget N: both scans take time linear in N, memory O(chunk)
 SQUARE_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
@@ -112,13 +109,8 @@ def chandra_ghosal_integral(
     quadrature of that smooth factor alone (in u = x^p).  A block is the
     ``math.fsum`` of G times the weights, exact up to rounding.  Any other
     source is integrated by adaptive quadrature to ``QUAD_ABS_TOL``, the
-    blocks split at its knots.
-
-    A block below ``BLOCK_TOL`` certifies convergence; a fitted local
-    exponent of x^p L^p(x) G(x) at or above flat (block log-slope >=
-    -``FLAT_SLOPE_TOL``) over ``FLAT_RUN`` consecutive blocks certifies a
-    divergent lower envelope; ``MAX_BLOCKS`` blocks without either is
-    inconclusive.
+    blocks split at its knots.  ``numerics.walk_blocks`` judges the blocks,
+    the slope rule on.
     """
     g, knots_in = source.fn, source.knots_in
     notes = []
@@ -164,26 +156,7 @@ def chandra_ghosal_integral(
         def block(lo: float, hi: float) -> float:
             return finite_integral(integrand, lo, hi, breakpoints=knots_in(lo, hi))
 
-    blocks: list[float] = []
-    total = head
-    lo = 1.0
-    verdict, rule = "inconclusive", "budget exhausted without certificate"
-    for _ in range(MAX_BLOCKS):
-        hi = 2.0 * lo
-        b = block(lo, hi)
-        blocks.append(b)
-        total += b
-        lo = hi
-        if abs(b) < BLOCK_TOL:
-            verdict, rule = "holds", f"block below {BLOCK_TOL}"
-            break
-        slope = fitted_block_slope(blocks)
-        if slope is not None and slope >= -FLAT_SLOPE_TOL:
-            verdict, rule = (
-                "fails",
-                f"fitted block slope {slope:.3f} >= -{FLAT_SLOPE_TOL} over {FLAT_RUN} blocks",
-            )
-            break
+    verdict, rule, blocks, total = walk_blocks(block, 1.0, head, slope=True)
     return ConditionVerdict(
         name="moment-integral",
         verdict=verdict,
@@ -231,9 +204,9 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
     total carried so far, so every partial sum adds the terms in n order,
     bit for bit as a scalar loop does.
 
-    Dyadic block increments play the role of the integral blocks: three
-    consecutive increments below the block tolerance certify convergence, a
-    flat fitted slope over the last windows certifies divergence.
+    ``numerics.judge_blocks`` judges the dyadic block increments once, when
+    all of them to N are in: the last 3, a trailing partial block included,
+    for the quiet rule, and the full blocks alone for the slope.
     """
     if not arr.is_sequence:
         raise NotApplicableError("series condition needs a sequence-shaped array")
@@ -270,17 +243,10 @@ def exceedance_series(arr: ArraySpec, p: float, N: int = 100_000) -> ConditionVe
         partials.append(total)
         increments.append(total - last_cp_total)  # trailing partial block
 
-    verdict, rule = "inconclusive", "no certificate within N"
-    if all(abs(d) < BLOCK_TOL for d in increments[-3:]):
-        verdict, rule = "holds", f"last 3 block increments below {BLOCK_TOL}"
-    else:
-        # the slope fit uses only full dyadic blocks
-        slope = fitted_block_slope(full_blocks)
-        if slope is not None and slope >= -FLAT_SLOPE_TOL:
-            verdict, rule = (
-                "fails",
-                f"fitted increment slope {slope:.3f} >= -{FLAT_SLOPE_TOL}",
-            )
+    verdict, rule = judge_blocks(increments, 3, full_blocks, (
+        "last {quiet} block increments below {tol}",
+        "fitted increment slope {slope:.3f} >= -{flat}",
+    )) or ("inconclusive", "no certificate within N")
     return ConditionVerdict(
         name="exceedance-series",
         verdict=verdict,

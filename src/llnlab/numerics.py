@@ -3,17 +3,9 @@
 The symbol "infinity" is replaced everywhere by stated stopping rules, each
 reading its thresholds from one named constant:
 
-* Integrals over [A, inf) are summed over dyadic blocks [2^j, 2^(j+1)], each
-  by adaptive quadrature to ``QUAD_ABS_TOL`` (1e-9), where no closed form
-  serves: the chandra-ghosal blocks of a step source are exact sums over its
-  pieces, and a Pareto law's power moments one antiderivative
-  (``moments.pareto_power_mass``).  A block
-  below ``BLOCK_TOL`` (1e-12) certifies convergence for nonincreasing integrands;
-  ``MAX_BLOCKS`` (60) blocks without that certificate yield a divergence
-  marker carrying the partial value.
-* A fitted log2-slope of the last ``FLAT_RUN`` (10) positive blocks at or
-  above -``conditions.FLAT_SLOPE_TOL`` (-0.15) certifies a divergent integral
-  or series (:func:`fitted_block_slope`).
+* Integrals over [A, inf) and the exceedance series are sums of dyadic blocks,
+  integrals by adaptive quadrature to ``QUAD_ABS_TOL`` (1e-9) where no closed
+  form serves; :func:`judge_blocks` holds the one copy of the block rules.
 * "Decays to 0" for a sequence on a geometric grid means: last
   ``DECAY_WINDOW`` (5) values below ``DECAY_EPS`` (1e-3) and nonincreasing.
   A second certificate accepts sequences of at least ``SLOPE_MIN_POINTS`` (8)
@@ -46,6 +38,7 @@ BLOCK_TOL = 1e-12
 MAX_BLOCKS = 60
 QUAD_ABS_TOL = 1e-9
 FLAT_RUN = 10
+FLAT_SLOPE_TOL = 0.15
 SLOPE_MAX = -0.5
 SLOPE_MAX_RESIDUAL = 1.0
 SLOPE_MIN_POINTS = 8
@@ -107,6 +100,45 @@ class BlockIntegral:
     blocks: tuple[float, ...]
 
 
+def judge_blocks(blocks: Sequence[float], quiet_run: int, fit: Sequence[float] | None,
+                 wording: tuple[str, str]) -> tuple[str, str] | None:
+    """(verdict, rule) of the block rules on finished ``blocks``, or None: the one decider.
+
+    ``holds`` when the last ``quiet_run`` blocks all lie below ``BLOCK_TOL``;
+    else ``fails`` when the slope :func:`fitted_block_slope` of ``fit``, unless
+    None, is >= -``FLAT_SLOPE_TOL``.  ``wording`` is the two rule templates,
+    filled from the fields tol, quiet, slope, flat and run.
+    """
+    if all(abs(b) < BLOCK_TOL for b in blocks[-quiet_run:]):
+        return "holds", wording[0].format(tol=BLOCK_TOL, quiet=quiet_run)
+    slope = None if fit is None else fitted_block_slope(fit)
+    if slope is not None and slope >= -FLAT_SLOPE_TOL:
+        return "fails", wording[1].format(slope=slope, flat=FLAT_SLOPE_TOL, run=FLAT_RUN)
+    return None
+
+
+def walk_blocks(block: Callable[[float, float], float], lo: float, total: float, *,
+                slope: bool = False, budget: int = MAX_BLOCKS) -> tuple:
+    """(verdict, rule, blocks, total) of the blocks ``block(lo, 2 lo)``,
+    ``block(2 lo, 4 lo)``, ..., added in order to ``total``.
+
+    :func:`judge_blocks` reads each new block alone, and with ``slope`` fits
+    all blocks so far: the walk stops at its first quiet block.  ``budget``
+    blocks without a verdict are ``inconclusive``.
+    """
+    blocks: list[float] = []
+    for _ in range(budget):
+        b = block(lo, 2.0 * lo)
+        blocks.append(b)
+        total += b
+        lo *= 2.0
+        decided = judge_blocks(blocks, 1, blocks if slope else None, (
+            "block below {tol}", "fitted block slope {slope:.3f} >= -{flat} over {run} blocks"))
+        if decided is not None:
+            return (*decided, blocks, total)
+    return "inconclusive", "budget exhausted without certificate", blocks, total
+
+
 def integrate_tail_blocks(
     f: Callable[[float], float],
     start: float,
@@ -114,30 +146,20 @@ def integrate_tail_blocks(
     breakpoints_in: Callable[[float, float], Sequence[float]] = lambda lo, hi: (),
     max_blocks: int = MAX_BLOCKS,
 ) -> BlockIntegral:
-    """Sum integral(f) over dyadic blocks from ``start`` toward infinity.
-
-    An integrand that vanishes past some point stops the walk at the first
-    block of it: a zero block certifies convergence like any block below
-    ``BLOCK_TOL``.
-    """
+    """Sum integral(f) from ``start`` toward infinity: a first partial block up
+    to the next power of two, then :func:`walk_blocks` with no slope rule."""
     lo = max(start, 0.0)
-    total = 0.0
-    blocks: list[float] = []
-    # first partial block up to the next power of two
     first_hi = 2.0 ** math.ceil(math.log2(lo)) if lo > 0 else 1.0
     if first_hi <= lo:
         first_hi = 2.0 * lo
-    total += finite_integral(f, lo, first_hi, breakpoints=breakpoints_in(lo, first_hi))
-    lo = first_hi
-    for _ in range(max_blocks):
-        hi = 2.0 * lo
-        b = finite_integral(f, lo, hi, breakpoints=breakpoints_in(lo, hi))
-        blocks.append(b)
-        total += b
-        lo = hi
-        if abs(b) < BLOCK_TOL:
-            return BlockIntegral(total, total, True, tuple(blocks))
-    return BlockIntegral(math.inf, total, False, tuple(blocks))
+
+    def block(a: float, b: float) -> float:
+        return finite_integral(f, a, b, breakpoints=breakpoints_in(a, b))
+
+    verdict, _, blocks, total = walk_blocks(block, first_hi, block(lo, first_hi),
+                                            budget=max_blocks)
+    converged = verdict == "holds"
+    return BlockIntegral(total if converged else math.inf, total, converged, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
