@@ -33,6 +33,20 @@ gets cumsum's IEEE adds in cumsum's order, on the same x_j = c_j (sigma_j m_j),
 and its maxima are exact, so both kernels give the same bytes; a NaN sum
 propagates through ``np.maximum`` in both.
 
+The column kernel skips the float adds of a run of up to ``RUN_BLOCKS``
+consecutive full blocks of +-1 cells, unweighted and inside one segment,
+where it can prove they are exact.  Tables of 16-bit chunks of sign bits
+give each replication's walk over the run: its end t_end, prefix maximum
+t_max and prefix minimum t_min.  From the carried sum c, the run's largest
+|S_j| is max(|c + t_max|, |c + t_min|) and the next carry c + t_end, once
+both c + t_max and c + t_min are exact (Knuth's TwoSum error is 0) and at
+most 2^52 in magnitude.  Adding an integer keeps the lowest set bit of a c
+with a fraction, so whether c + t is a float is monotone in |c + t|, and
+every integer up to 2^53 is a float: every S_j of the run is a float, each
+IEEE add returns it exactly, and the bytes are those of the adds.  A
+replication whose run is not certified takes the float adds from c, in
+cumsum's order.
+
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
 approximated by a labeled proxy: the per-path suffix supremum of the same
@@ -42,6 +56,8 @@ statistic over a sampled row grid.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -203,6 +219,7 @@ TASK_CELLS = 1 << 15  # cells drawn per replication chunk of a span
 KEY_REPS = 1 << 12  # replications of a span whose keys are derived in one pass (64 KiB)
 COLUMN_REPS = 256  # the fewest replications of a span of sure cells that sums across them
 COLUMN_GROUP = 512  # replications summed side by side, at most, in the column kernel
+RUN_BLOCKS = 8  # 64-cell blocks of +-1 cells summed as one certified integer walk, at most
 
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
@@ -258,16 +275,21 @@ class _Spans:
     words W at a time per replication (``RowSampler.draw_words``; W a
     multiple of 4, at least 4, else the most with G·W <= ``TASK_CELLS``)
     into a (W, G) array, so that
-    the word of one 64-cell block is one row of it.  Each block turns its
+    the word of one 64-cell block is one row of it.  Consecutive full blocks
+    of +-1 cells, unweighted and in one segment, form runs of at most
+    ``RUN_BLOCKS`` inside a pass, each summed as integer walks by
+    ``_walk_run``.  Each other block turns its
     word's bits into a (cells, G) block of +-1.0, times the magnitudes
     unless they are all 1, times the weights, as the row kernel forms
     ``c * (sigma * m)``; adds S_(j-1) to x_j row by row from the sum carried
     in from the previous block; and folds each segment's share of the
     block's |S_j| into the group's (segments, G) maxima.  A replication gets
-    the adds of ``np.cumsum`` in its order, and the maxima are exact, so the
+    the adds of ``np.cumsum`` in its order, or a run certified to equal
+    them, and the maxima are exact, so the
     bytes are those of the row kernel.  Both arrays come from the buffer
     store the row kernel uses: about 0.5 MB at G = 512, against the row
-    kernel's 0.25 MB of draws.
+    kernel's 0.25 MB of draws.  A run reads the walk table (128 KiB, built
+    on first use) into the block's rows 1.., which it does not otherwise use.
     """
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
@@ -318,6 +340,19 @@ class _Spans:
                            None if weights is None else weights[c0:c1, None],
                            [(s, max(bounds[s], c0) - c0, min(bounds[s + 1], c1) - c0)
                             for s in range(len(starts)) if bounds[s] < c1 and bounds[s + 1] > c0]))
+        # steps (first block, last block + 1, segment): a run of at most RUN_BLOCKS
+        # full, unweighted blocks of +-1 cells in one segment and one pass, or
+        # one other block (segment None), summed cell by cell
+        steps = []
+        for b, (_, cells, scale, c, parts) in enumerate(blocks):
+            unit = cells == 64 and scale is None and c is None and len(parts) == 1
+            seg = parts[0][0] if unit else None
+            b0, b1, run = steps[-1] if steps else (0, 0, None)
+            if seg is not None and run == seg and b1 == b and b - b0 < RUN_BLOCKS and b % width:
+                steps[-1] = (b0, b + 1, seg)
+            else:
+                steps.append((b, b + 1, seg))
+        passes = [list(p) for _, p in itertools.groupby(steps, lambda step: step[0] // width)]
         add, maximum = np.add, np.maximum
         for a, b in zip(cuts, cuts[1:]):
             m = b - a
@@ -326,14 +361,20 @@ class _Spans:
             block = store_array(self._store, 1, 65 * m).reshape(65, m)
             # row 0 carries S from block to block, rows 1.. hold a block's sums
             chain = list(zip(block, block[1:]))
+            block[0] = 0.0  # S_0, where a run that starts the row starts
             acc = out[a - lo:b - lo].T  # (segments, m)
             acc[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
-            for w0 in range(0, words_in_row, width):
+            for w0, pass_steps in zip(range(0, words_in_row, width), passes):
                 passed = min(width, words_in_row - w0)
                 sampler.draw_words(keys, self._gen, words[:passed].T, w0)
-                for word, (first, cells, scale, c, parts) in zip(words, blocks[w0:w0 + passed]):
+                for b0, b1, seg in pass_steps:
+                    u = b0 - w0
+                    if seg is not None:
+                        _walk_run(words[u:u + b1 - b0], block[0], acc[seg], block[1:])
+                        continue
+                    first, cells, scale, c, parts = blocks[b0]
                     x = block[1:cells + 1]
-                    np.copyto(x, fair_signs(word.view(np.uint8).reshape(m, 8).T, 0, cells))
+                    np.copyto(x, fair_signs(words[u].view(np.uint8).reshape(m, 8).T, 0, cells))
                     if scale is not None:  # sigma * m, as the row kernel multiplies
                         np.multiply(x, scale, out=x)
                     if c is not None:
@@ -344,6 +385,108 @@ class _Spans:
                     np.abs(x, out=x)
                     for s, i, j in parts:
                         maximum(acc[s], maximum.reduce(x[i:j], axis=0), out=acc[s])
+
+
+@functools.cache
+def _walk_table() -> np.ndarray:
+    """The +-1 walk of each 16-bit chunk of sign bits, bit i its step i + 1
+    (+1 for 1), as ``fair_signs`` reads them: one ``'<u2'`` per chunk value
+    whose bytes are the walk's end and prefix maximum over steps 1..16
+    (int8).  The chunk's prefix minimum is minus the prefix maximum of its
+    complement, whose every step is flipped.  Built on first use: 128 KiB."""
+    walk = np.cumsum(fair_signs(np.arange(256, dtype=np.uint8)[:, None], 1, 8), axis=1,
+                     dtype=np.int8)
+    end, top = walk[:, -1], walk.max(axis=1)
+    table = np.zeros(1 << 16, dtype="<u2")
+    lanes = table.view(np.int8).reshape(256, 256, 2)  # [high byte, low byte]: low steps first
+    np.add(end, end[:, None], out=lanes[..., 0])
+    np.maximum(top, np.add(end, top[:, None], out=lanes[..., 1]), out=lanes[..., 1])
+    return table
+
+
+def _walk_stats(words: np.ndarray, scratch: np.ndarray):
+    """(end, maximum, minimum) as floats of each replication's +-1 walk t_1,
+    t_2, ... over its sign words, in ``fair_signs``' order.
+
+    ``words`` (B, m), ``'<u8'`` with contiguous rows, holds word w of
+    replication r at (w, r); ``scratch``, contiguous, of at least 24 B m
+    bytes, takes the table reads.  Two reads a 16-bit chunk, of it and of
+    its complement; then pairs of chunks, pairs of pairs, and the words in
+    order.
+    """
+    b, m = words.shape
+    chunks, table = words.view("<u2"), _walk_table()
+    n, flat = chunks.size, scratch.reshape(-1).view("<u2")
+    up = np.take(table, chunks, out=flat[:n].reshape(chunks.shape), mode="clip")
+    flipped = np.invert(chunks, out=flat[2 * n:3 * n].reshape(chunks.shape))
+    down = np.take(table, flipped, out=flat[n:2 * n].reshape(chunks.shape), mode="clip")
+    # (word, replication, chunk, lane); drop is minus the minimum
+    up, down = (x.view(np.int8).reshape(b, m, 4, 2) for x in (up, down))
+    end, top, drop = up[..., 0], up[..., 1], down[..., 1]
+    for _ in range(2):  # the walk from a pair's first chunk into its second
+        first = end[..., 0::2]
+        top = np.maximum(top[..., 0::2], top[..., 1::2] + first)
+        drop = np.maximum(drop[..., 0::2], drop[..., 1::2] - first)
+        end = first + end[..., 1::2]
+    end, top, drop = (np.asarray(x[..., 0], dtype=float) for x in (end, top, drop))
+    before = np.zeros(m)  # the walk before each word
+    for w in range(b):
+        np.add(top[w], before, out=top[w])
+        np.subtract(drop[w], before, out=drop[w])
+        np.add(before, end[w], out=before)
+    return before, np.max(top, axis=0), -np.max(drop, axis=0)
+
+
+def _exact(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Where the float sum s = a + b is the exact sum: Knuth's TwoSum error
+    (a - (s - b')) + (b - b'), b' = s - a, is 0.  Never at an inf or NaN."""
+    b_virtual = s - a
+    return (a - (s - b_virtual)) + (b - b_virtual) == 0.0
+
+
+def _certified(carry: np.ndarray, top: np.ndarray, bottom: np.ndarray):
+    """(max(|carry + top|, |carry + bottom|), certified) per replication.
+
+    Certified means both sums are exact and at most 2^52 in magnitude.  Then
+    carry + t is exact for every integer t in [bottom, top]: adding an
+    integer keeps the lowest set bit of a carry that has a fraction, so such
+    a sum is exact iff its magnitude is below a bound, and an integer sum is
+    exact up to 2^53.  So a +-1 walk from the carry between those ends gets
+    exact float adds, and its largest |S_j| is the first value.
+    """
+    high, low = carry + top, carry + bottom
+    ok = _exact(carry, top, high)
+    ok &= _exact(carry, bottom, low)
+    peak = np.maximum(np.abs(high, out=high), np.abs(low, out=low), out=high)
+    ok &= peak <= 2.0 ** 52
+    return peak, ok
+
+
+def _walk_run(words: np.ndarray, carry: np.ndarray, acc: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """Sum a run of full blocks of +-1 cells from S = ``carry`` as integer walks.
+
+    ``words`` (B, m) holds each replication's B sign words.  A replication
+    whose walk ``_certified`` certifies takes max_j |S_j| = max(|c + t_max|,
+    |c + t_min|) and carries c + t_end; the others take cumsum's float adds
+    from the carry.  Either way ``carry`` and ``acc`` (a segment's maxima)
+    get the bytes of the float adds.  ``scratch`` is as ``_walk_stats``'.
+    """
+    end, top, bottom = _walk_stats(words, scratch)
+    peak, ok = _certified(carry, top, bottom)
+    bad = np.flatnonzero(~ok)
+    if len(bad):  # the carry as S_0, then the run's cells: one replication a row
+        path = np.empty((len(bad), 64 * len(words) + 1))
+        path[:, 0] = carry[bad]
+        octets = np.ascontiguousarray(words[:, bad].T).view(np.uint8)
+        path[:, 1:] = fair_signs(octets, 1, path.shape[1] - 1)
+        np.cumsum(path, axis=1, out=path)  # adds along a row in the order of a 1-D cumsum
+        last = path[:, -1].copy()
+        peak[bad] = np.max(np.abs(path[:, 1:], out=path[:, 1:]), axis=1)
+    np.add(carry, end, out=carry)
+    if len(bad):
+        carry[bad] = last
+    np.maximum(acc, peak, out=acc)
 
 
 def _workers(threads: int, reps: int) -> int:

@@ -252,9 +252,11 @@ def test_series_rejects_empty_range(N):
         conditions.exceedance_series(load("example-4.1").arr, 0.5, N)
 
 
-def test_series_block_tolerance_unchanged():
+def test_x2m_series_holds_on_its_last_three_increments():
+    # the increments the verdict reads, and the verdict and rule the decider reads from them
     v = conditions.exceedance_series(load("x2m-example").arr, 0.5, 4096)
     assert all(abs(d) < BLOCK_TOL for d in v.evidence["increments"][-3:])
+    assert (v.verdict, v.rule) == ("holds", "last 3 block increments below 1e-12")
 
 
 # ---------------------------------------------------------------------------
