@@ -5,42 +5,46 @@ replication is the counter-based Philox stream keyed by (master seed, row n,
 replication index), and results land in slots indexed by replication.
 
 Every mode runs through one replication-span kernel (``_Spans``): a span is
-a contiguous range of one row's replications, whose keys are derived
+a contiguous range of one row's replications.  Every kernel, and
+``condition_h_probe``, takes its keys from ``_key_blocks``: they are derived
 ``KEY_REPS`` replications at a time in one vectorised pass
-(``model.stream_keys``).  A span lays its row out (``model.RowSampler``)
-when it starts, in whichever process draws it.  Each chunk of at most
-``TASK_CELLS`` cells is one key block, drawn by
-``model.RowSampler.draw_rows`` through one Philox generator re-keyed per
-replication into one buffer store, both kept for the whole command.  Each
-replication of an independent row reads its stream in one layout: first
-ceil(s/64) raw 64-bit words for the row's s sure-magnitude cells (prob 1),
-little-endian, bit i of word j the sign of the (64j + i)-th of them (+m for
-1, -m for 0), then one word per other cell in cell order, standing for the
-uniform ``(w >> 11) * 2**-53``.  For each replication the kernel returns
-max_j |S_j| at each segment end of the row: a WLLN row is one weighted
-segment ending at k_n, a path one segment per sampled row.  ``threads`` > 1
-cuts each row into one span per forked worker process
-(``_replication_maxima``).  Reports are therefore bitwise identical across
-runs, worker counts and schedules.
+(``model.stream_keys``), and each key block is cut evenly into the fewest
+parts of at most a kernel's size.  A span lays its row out
+(``model.RowSampler``) when it starts, in whichever process draws it, and
+draws through one Philox generator re-keyed per replication into one buffer
+store, both kept for the whole command.  Each replication of an independent
+row reads its stream in one layout: first ceil(s/64) raw 64-bit words for the
+row's s sure-magnitude cells (prob 1), little-endian, bit i of word j the sign
+of the (64j + i)-th of them (+m for 1, -m for 0), then one word per other
+cell in cell order, standing for the uniform ``(w >> 11) * 2**-53``.  For
+each replication the kernel returns max_j |S_j| at each segment end of the
+row: a WLLN row is one weighted segment ending at k_n, a path one segment per
+sampled row.  ``threads`` > 1 cuts each row into one span per forked worker
+process (``_replication_maxima``).  Reports are therefore bitwise identical
+across runs, worker counts and schedules.
 
 A span sums its rows by one of two kernels, picked per span.  The row kernel
-draws whole rows and runs ``np.cumsum`` along each.  A span of at least
+draws parts of at most ``TASK_CELLS`` cells, x_j = c_j (s_j m_j) for the sign
+s_j, and runs ``np.cumsum`` along each row.  A span of at least
 ``COLUMN_REPS`` replications of a row whose cells are all sure-magnitude
-cells runs the column kernel instead: it sums up to ``COLUMN_GROUP``
-replications side by side, S_j = S_(j-1) + x_j as one vector add per cell,
-64 cells (one sign word per replication) at a time.  Each replication still
-gets cumsum's IEEE adds in cumsum's order, on the same x_j = c_j (sigma_j m_j),
-and its maxima are exact, so both kernels give the same bytes; a NaN sum
-propagates through ``np.maximum`` in both.
+cells runs the column kernel instead: it sums parts of at most
+``COLUMN_GROUP`` replications side by side, S_j = S_(j-1) + x_j from S_0 =
+0 as one vector add per cell, 64 cells (one sign word per replication) at a
+time.  It forms x_j = s_j (c_j m_j), bitwise the row kernel's x_j for s_j =
++-1 (zeros, infinities and NaNs included), and starting from S_0 = 0 moves
+an S_j of cumsum's only in the sign of a zero, which |S_j| drops.  So each
+replication gets cumsum's IEEE adds in cumsum's order, its maxima are exact,
+and both kernels give the same bytes; a NaN sum propagates through
+``np.maximum`` in both.
 
 The column kernel skips the float adds of a run of up to ``RUN_BLOCKS``
-consecutive full blocks of +-1 cells, unweighted and inside one segment,
-where it can prove they are exact.  Tables of 16-bit chunks of sign bits
-give each replication's walk over the run: its end t_end, prefix maximum
-t_max and prefix minimum t_min.  From the carried sum c, the run's largest
-|S_j| is max(|c + t_max|, |c + t_min|) and the next carry c + t_end, once
-both c + t_max and c + t_min are exact (Knuth's TwoSum error is 0) and at
-most 2^52 in magnitude.  Adding an integer keeps the lowest set bit of a c
+consecutive full blocks whose weighted magnitudes c_j m_j are all 1, inside
+one segment, where it can prove they are exact.  Tables of 16-bit chunks of
+sign bits give each replication's walk over the run: its end t_end, prefix
+maximum t_max and prefix minimum t_min.  From the carried sum c, the run's
+largest |S_j| is max(|c + t_max|, |c + t_min|) and the next carry c + t_end,
+once both c + t_max and c + t_min are exact (Knuth's TwoSum error is 0) and
+at most 2^52 in magnitude.  Adding an integer keeps the lowest set bit of a c
 with a fraction, so whether c + t is a float is monotone in |c + t|, and
 every integer up to 2^53 is a float: every S_j of the run is a float, each
 IEEE add returns it exactly, and the bytes are those of the adds.  A
@@ -215,7 +219,7 @@ class SimReport:
 # The replication-span kernel and its scheduler
 # ---------------------------------------------------------------------------
 
-TASK_CELLS = 1 << 15  # cells drawn per replication chunk of a span
+TASK_CELLS = 1 << 15  # cells of a row-kernel part, and words of a column-kernel pass, at most
 KEY_REPS = 1 << 12  # replications of a span whose keys are derived in one pass (64 KiB)
 COLUMN_REPS = 256  # the fewest replications of a span of sure cells that sums across them
 COLUMN_GROUP = 512  # replications summed side by side, at most, in the column kernel
@@ -238,19 +242,15 @@ def _maxima(reps: int, count: int, segments: int) -> np.ndarray:
         raise RepsError(f"--reps {reps} too large to hold in memory: {exc}") from None
 
 
-def _chunks(k: int, reps: int) -> list[tuple[int, int]]:
-    """Replication ranges [lo, hi) of at most TASK_CELLS cells of k-cell rows."""
-    step = max(1, TASK_CELLS // k)
-    return [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-
-
-def _key_chunks(seed: int, n: int, k: int, lo: int, hi: int):
-    """(first replication, Philox keys) of each ``_chunks`` range of
-    replications lo..hi-1 of row n (k cells), keys derived KEY_REPS
-    replications at a time."""
+def _key_blocks(seed: int, n: int, lo: int, hi: int, size: int):
+    """(first replication, Philox keys) of each part of replications lo..hi-1
+    of row n: keys derived KEY_REPS replications at a time, each key block
+    cut evenly into the fewest parts of at most ``size`` replications."""
     for r in range(lo, hi, KEY_REPS):
         keys = stream_keys(seed, (n,), np.arange(r, min(r + KEY_REPS, hi)))
-        for a, b in _chunks(k, len(keys)):
+        parts = -(-len(keys) // size)
+        cuts = [len(keys) * p // parts for p in range(parts + 1)]
+        for a, b in zip(cuts, cuts[1:]):
             yield r + a, keys[a:b]
 
 
@@ -261,35 +261,32 @@ class _Spans:
     is one segment, j = 1..k_n, summed with the plan's weights; given
     ``ends`` (distinct, ascending, the last k_n) segment s is the j in
     (ends[s-1], ends[s]], unweighted, so a running maximum over the segments
-    gives max_{j <= e} |S_j| at each end e.  A span is drawn in chunks of
-    ``TASK_CELLS`` cells, each one key block passed to ``RowSampler.draw_rows``
-    with one Philox generator and one buffer store, kept for the whole
-    command (a forked worker draws through its own copies).  Each call lays
-    its row out itself.
+    gives max_{j <= e} |S_j| at each end e.  Both kernels draw with one
+    Philox generator and one buffer store, kept for the whole command (a
+    forked worker draws through its own copies).  Each call lays its row out
+    itself.
 
-    The row kernel draws a chunk's rows and runs ``np.cumsum`` along each.
-    When every cell of the row is a sure-magnitude cell (``RowSampler.n_sure
-    == k``) and the span has at least ``COLUMN_REPS`` replications, the
-    column kernel runs instead, on groups of G <= ``COLUMN_GROUP``
-    consecutive replications (the span cut evenly).  A group reads its sign
-    words W at a time per replication (``RowSampler.draw_words``; W a
-    multiple of 4, at least 4, else the most with G·W <= ``TASK_CELLS``)
-    into a (W, G) array, so that
-    the word of one 64-cell block is one row of it.  Consecutive full blocks
-    of +-1 cells, unweighted and in one segment, form runs of at most
-    ``RUN_BLOCKS`` inside a pass, each summed as integer walks by
-    ``_walk_run``.  Each other block turns its
-    word's bits into a (cells, G) block of +-1.0, times the magnitudes
-    unless they are all 1, times the weights, as the row kernel forms
-    ``c * (sigma * m)``; adds S_(j-1) to x_j row by row from the sum carried
-    in from the previous block; and folds each segment's share of the
-    block's |S_j| into the group's (segments, G) maxima.  A replication gets
-    the adds of ``np.cumsum`` in its order, or a run certified to equal
-    them, and the maxima are exact, so the
-    bytes are those of the row kernel.  Both arrays come from the buffer
-    store the row kernel uses: about 0.5 MB at G = 512, against the row
-    kernel's 0.25 MB of draws.  A run reads the walk table (128 KiB, built
-    on first use) into the block's rows 1.., which it does not otherwise use.
+    The row kernel draws each part of at most ``TASK_CELLS`` cells into
+    buffers taken once per span and runs ``np.cumsum`` along each row.  When
+    every cell of the row is a sure-magnitude cell (``RowSampler.n_sure ==
+    k``) and the span has at least ``COLUMN_REPS`` replications, the column
+    kernel runs instead, on the groups of G <= ``COLUMN_GROUP`` replications
+    ``_key_blocks`` cuts.
+    The row's weights are folded into its magnitudes once per span.  A
+    group reads its sign words W at a time per replication
+    (``RowSampler.draw_words``; W a multiple of 4, at least 4, else the most
+    with G·W <= ``TASK_CELLS`` for the largest group) into a (W, G) array, so
+    that the word of one 64-cell block is one row of it.  Consecutive full
+    blocks of magnitude 1 in one segment form runs of at most ``RUN_BLOCKS``
+    inside a pass, each summed by ``_walk_run`` (see the module docstring).
+    Each other block turns its word's bits into a (cells, G) block of +-1.0,
+    times the magnitudes unless they are all 1; adds S_(j-1) to x_j row by
+    row from the sum carried in from the previous block; and folds each
+    segment's share of the block's |S_j| into the group's (segments, G)
+    maxima.  Both arrays come from the buffer store the row kernel uses:
+    about 0.5 MB at G = 512, against the row kernel's 0.25 MB of draws.  A
+    run reads the walk table (128 KiB, built on first use) into the block's
+    rows 1.., which it does not otherwise use.
     """
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
@@ -309,8 +306,10 @@ class _Spans:
             if sampler.n_sure == sampler.k and hi - lo >= COLUMN_REPS:
                 self._columns(n, sampler, weights, starts, lo, hi, out)
                 return out
-            for r, keys in _key_chunks(self.plan.seed, n, sampler.k, lo, hi):
-                x = sampler.draw_rows(keys, self._gen, sampler.buffers(len(keys), self._store))
+            size = max(1, TASK_CELLS // sampler.k)
+            bufs = sampler.buffers(min(size, hi - lo), self._store)  # rows for every part
+            for r, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
+                x = sampler.draw_rows(keys, self._gen, bufs)
                 if weights is not None:
                     np.multiply(weights, x, out=x)
                 np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
@@ -322,30 +321,30 @@ class _Spans:
                  out: np.ndarray) -> None:
         """The column kernel: ``out``'s maxima of replications lo..hi-1 of row
         n, a row of sure cells, summed across up to ``COLUMN_GROUP`` of them at once."""
-        k, mag = sampler.k, sampler.sure_mag[:, None]
-        words_in_row = -(-k // 64)
-        groups = -(-(hi - lo) // COLUMN_GROUP)
-        cuts = [lo + (hi - lo) * g // groups for g in range(groups + 1)]
-        size = -(-(hi - lo) // groups)  # the largest group
+        k, words_in_row = sampler.k, -(-sampler.k // 64)
+        # s (c m) is the row kernel's c (s m), bit for bit, for a sign s = +-1
+        mag = sampler.sure_mag if weights is None else weights * sampler.sure_mag
+        # the largest group the key blocks give: of a full key block, or of the last
+        size = max(-(-m // -(-m // COLUMN_GROUP))
+                   for m in (min(KEY_REPS, hi - lo), (hi - lo - 1) % KEY_REPS + 1))
         # words per replication per pass: a multiple of 4, the words of one Philox counter
         width = min(max(4, TASK_CELLS // size // 4 * 4), -(-words_in_row // 4) * 4)
         bounds = np.append(starts, k).tolist()
-        scaled = np.logical_or.reduceat(sampler.sure_mag != 1.0, np.arange(0, k, 64)).tolist()
-        # per 64-cell block: its first add (x_1 is S_1, as cumsum starts), cells,
-        # magnitudes (None when all are 1), weights and share of each segment
+        scaled = np.logical_or.reduceat(mag != 1.0, np.arange(0, k, 64)).tolist()
+        # per 64-cell block: its cells, magnitudes (None when all are 1) and
+        # share of each segment
         blocks = []
         for c0, scale in zip(range(0, k, 64), scaled):
             c1 = min(c0 + 64, k)
-            blocks.append((int(c0 == 0), c1 - c0, mag[c0:c1] if scale else None,
-                           None if weights is None else weights[c0:c1, None],
+            blocks.append((c1 - c0, mag[c0:c1, None] if scale else None,
                            [(s, max(bounds[s], c0) - c0, min(bounds[s + 1], c1) - c0)
                             for s in range(len(starts)) if bounds[s] < c1 and bounds[s + 1] > c0]))
         # steps (first block, last block + 1, segment): a run of at most RUN_BLOCKS
-        # full, unweighted blocks of +-1 cells in one segment and one pass, or
-        # one other block (segment None), summed cell by cell
+        # full blocks of +-1 cells in one segment and one pass, or one other
+        # block (segment None), summed cell by cell
         steps = []
-        for b, (_, cells, scale, c, parts) in enumerate(blocks):
-            unit = cells == 64 and scale is None and c is None and len(parts) == 1
+        for b, (cells, scale, parts) in enumerate(blocks):
+            unit = cells == 64 and scale is None and len(parts) == 1
             seg = parts[0][0] if unit else None
             b0, b1, run = steps[-1] if steps else (0, 0, None)
             if seg is not None and run == seg and b1 == b and b - b0 < RUN_BLOCKS and b % width:
@@ -354,15 +353,14 @@ class _Spans:
                 steps.append((b, b + 1, seg))
         passes = [list(p) for _, p in itertools.groupby(steps, lambda step: step[0] // width)]
         add, maximum = np.add, np.maximum
-        for a, b in zip(cuts, cuts[1:]):
-            m = b - a
-            keys = stream_keys(self.plan.seed, (n,), np.arange(a, b))
+        for a, keys in _key_blocks(self.plan.seed, n, lo, hi, COLUMN_GROUP):
+            m = len(keys)
             words = store_array(self._store, 0, width * m).view("<u8").reshape(width, m)
             block = store_array(self._store, 1, 65 * m).reshape(65, m)
             # row 0 carries S from block to block, rows 1.. hold a block's sums
             chain = list(zip(block, block[1:]))
-            block[0] = 0.0  # S_0, where a run that starts the row starts
-            acc = out[a - lo:b - lo].T  # (segments, m)
+            block[0] = 0.0  # S_0: 0 + x_1 is cumsum's S_1 but for the sign of a zero
+            acc = out[a - lo:a - lo + m].T  # (segments, m)
             acc[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
             for w0, pass_steps in zip(range(0, words_in_row, width), passes):
                 passed = min(width, words_in_row - w0)
@@ -372,14 +370,12 @@ class _Spans:
                     if seg is not None:
                         _walk_run(words[u:u + b1 - b0], block[0], acc[seg], block[1:])
                         continue
-                    first, cells, scale, c, parts = blocks[b0]
+                    cells, scale, parts = blocks[b0]
                     x = block[1:cells + 1]
                     np.copyto(x, fair_signs(words[u].view(np.uint8).reshape(m, 8).T, 0, cells))
-                    if scale is not None:  # sigma * m, as the row kernel multiplies
+                    if scale is not None:
                         np.multiply(x, scale, out=x)
-                    if c is not None:
-                        np.multiply(c, x, out=x)
-                    for prev, cur in chain[first:cells]:  # S_j = S_(j-1) + x_j, as cumsum adds
+                    for prev, cur in chain[:cells]:  # S_j = S_(j-1) + x_j, as cumsum adds
                         add(prev, cur, cur)
                     block[0] = x[-1]
                     np.abs(x, out=x)
@@ -733,10 +729,11 @@ def condition_h_probe(
     rhs = float(np.cumsum(counts * squares)[-1])  # in group order, as a scalar loop adds
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
-    gen, store = philox_generator(), []
+    size = max(1, TASK_CELLS // sampler.k)
+    gen, bufs = philox_generator(), sampler.buffers(min(size, reps))
     acc = 0.0
-    for _, keys in _key_chunks(seed, n, sampler.k, 0, reps):
-        x = sampler.draw_rows(keys, gen, sampler.buffers(len(keys), store))
+    for _, keys in _key_blocks(seed, n, 0, reps, size):
+        x = sampler.draw_rows(keys, gen, bufs)
         np.clip(x, -a, a, out=x)
         for m in max_partial_sums(x).tolist():  # Python floats, in replication order
             acc += m ** 2

@@ -91,15 +91,21 @@ def test_keyed_rows_equal_seed_sequence_rows():
 
 
 def test_keyed_rows_across_chunk_and_key_boundaries_equal_seed_sequence_rows():
+    # 12-cell rows: the first key block of KEY_REPS is cut evenly into two
+    # parts of at most TASK_CELLS cells, then one replication starts a key block
     seed, n, reps = 5, 12, simulate.KEY_REPS + 1
-    starts = [r for r, _ in simulate._key_chunks(seed, n, n, 0, reps)]
-    assert simulate.TASK_CELLS // n in starts and simulate.KEY_REPS in starts
+    parts = list(simulate._key_blocks(seed, n, 0, reps, simulate.TASK_CELLS // n))
+    edges = [0, simulate.KEY_REPS // 2, simulate.KEY_REPS]
+    assert [r for r, _ in parts] == edges
+    for r, keys in parts:  # the keys on each side of a part edge and a key-block edge
+        for rep in {r, r + len(keys) - 1}:
+            assert keys[rep - r].tolist() == reference_key(seed, n, rep).tolist(), rep
     gen, store = Generator(Philox(key=0)), []
     for label in ("Independent mixed", "GaussianNA mixed"):
         arr = KEYED[label]
         sampler = model.RowSampler(arr, n)
         rows = np.empty((reps, n))
-        for r, keys in simulate._key_chunks(seed, n, n, 0, reps):
+        for r, keys in parts:
             rows[r:r + len(keys)] = sampler.draw_rows(
                 keys, gen, sampler.buffers(len(keys), store))
         bufs = sampler.buffers()

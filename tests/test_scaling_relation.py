@@ -15,16 +15,30 @@ same uniforms.  So:
 
 Only k >= 0 applies, because a Pareto cutoff must be >= 1.  ``specgen``
 shares one dict among the cells of a law, so each scaled cell gets its own.
+
+Scaling the weights by 2^k instead scales each weighted row sum exactly:
+
+* ``simulate --mode wlln`` of the weighted ``KERNEL_PLANS`` of
+  ``tests/test_simulate.py``, with every c and b_n times 2^k, writes the
+  same bytes through the row kernel and through the column kernel, which
+  folds the weights into the magnitudes;
+* the same specs with an explicit weight table a = their c, every a times
+  2^k (k may be negative here: nothing is a cutoff), give C0, every
+  ``weighted-domination`` grid value and the last ``kG-hat`` value times
+  2^k, and keep both outcomes.
 """
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from llnlab import cli, conditions
+from llnlab import cli, conditions, simulate
+from llnlab.model import NormalizingSequence
 from llnlab.specio import load_spec_obj
+from test_simulate import KERNEL_PLANS
 
 ROWS = 16
 SEEDS = (7, 11)
@@ -107,3 +121,51 @@ def test_the_chandra_ghosal_value_scales_by_2_to_the_k(seed, k):
     assert base["outcome"] == "holds"
     assert got["outcome"] == "holds", got["detail"]["rule"]
     assert got["detail"]["value"] == pytest.approx(2.0**k * base["detail"]["value"], rel=1e-9)
+
+
+WEIGHTED_PLANS = ("x2m-weighted", "wlln-counterexample")
+
+
+def _weighted_wlln(case: str, k: int) -> str:
+    """The wlln report of a weighted kernel plan with every c and b_n times 2^k."""
+    plan, f = KERNEL_PLANS[case](), 2.0**k
+    b, c = plan.b, plan.c
+    scaled = dataclasses.replace(
+        plan, c=lambda n, i: f * c(n, i),
+        b=NormalizingSequence(lambda n: f * float(b(n)), lambda lo, hi: f * b.floats(lo, hi)))
+    return json.dumps(simulate.wlln_estimate(scaled).to_json_obj(), sort_keys=True)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("case", WEIGHTED_PLANS)
+def test_scaled_weights_write_the_same_bytes_through_either_kernel(monkeypatch, case, k):
+    # 37 replications run the row kernel; with COLUMN_REPS at 1 the column kernel
+    base = _weighted_wlln(case, 0)
+    assert _weighted_wlln(case, k) == base
+    monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
+    assert _weighted_wlln(case, k) == base
+
+
+def weighted_doc(seed: int, k: int) -> dict:
+    """The generated spec with an explicit weight table a = c * 2^k."""
+    doc = _specgen().generate(seed, ROWS)
+    values = [{"n": w["n"], "i": w["i"], "a": w["c"] * 2.0**k} for w in doc["weights"]["values"]]
+    return {**doc, "weights": {"kind": "explicit", "values": values}}
+
+
+def _weighted_run(seed: int, k: int, name: str) -> dict:
+    return conditions.run_condition(name, load_spec_obj(weighted_doc(seed, k)), 10_000, 1000)
+
+
+@pytest.mark.parametrize("k", [-3, 3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaled_weights_scale_c0_and_the_weighted_sup(seed, k):
+    f = 2.0**k
+    base = _weighted_run(seed, 0, "weighted-domination")
+    got = _weighted_run(seed, k, "weighted-domination")
+    assert got["outcome"] == base["outcome"]
+    assert got["detail"]["c0"] == f * base["detail"]["c0"]
+    assert got["detail"]["values"] == [f * v for v in base["detail"]["values"]]
+    base, got = _weighted_run(seed, 0, "kG-hat"), _weighted_run(seed, k, "kG-hat")
+    assert got["outcome"] == base["outcome"]
+    assert got["detail"]["last_value"] == f * base["detail"]["last_value"]

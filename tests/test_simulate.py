@@ -145,11 +145,28 @@ def test_reports_byte_equal_across_threads_and_chunks(chunk_offset):
 
 
 def test_chunks_cover_every_replication_once():
-    for k, reps in ((1, 5), (64, 2000), (1 << 14, 2000), (1 << 17, 3), (3000, 22)):
-        chunks = simulate._chunks(k, reps)
-        assert chunks[0][0] == 0 and chunks[-1][1] == reps
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert all(0 < (hi - lo) * k <= max(k, simulate.TASK_CELLS) for lo, hi in chunks)
+    # the parts _key_blocks gives a kernel: every replication once and in
+    # order, at most TASK_CELLS cells (one replication of a longer row) or
+    # COLUMN_GROUP replications, no part across a key-block edge, and each
+    # key block cut evenly into the fewest parts
+    key_reps = simulate.KEY_REPS
+    for k, lo, hi in ((1, 0, 5), (64, 0, 2000), (1 << 14, 0, 2000), (1 << 17, 0, 3),
+                      (3000, 0, 22), (12, 7, 2 * key_reps + 3), (64, key_reps - 1, key_reps + 600)):
+        row = max(1, simulate.TASK_CELLS // k)
+        for size in (row, simulate.COLUMN_GROUP):
+            parts = [(r, r + len(keys)) for r, keys in simulate._key_blocks(0, k, lo, hi, size)]
+            assert parts[0][0] == lo and parts[-1][1] == hi
+            assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+            assert all(0 < b - a <= size for a, b in parts)
+            if size == row:
+                assert all((b - a) * k <= max(k, simulate.TASK_CELLS) for a, b in parts)
+            blocks = itertools.groupby(parts, lambda part: (part[0] - lo) // key_reps)
+            for j, block in blocks:
+                lengths = [b - a for a, b in block]
+                whole = min(hi, lo + (j + 1) * key_reps) - (lo + j * key_reps)
+                assert sum(lengths) == whole  # so no part ends past its key block
+                assert len(lengths) == -(-whole // size)
+                assert max(lengths) - min(lengths) <= 1
 
 
 def test_replication_doubling_consistency():
@@ -301,20 +318,30 @@ def test_key_blocks_do_not_move_the_bytes(monkeypatch, case):
     # keys derived five replications at a time, in chunks cut at 48 cells
     plan = KERNEL_PLANS[case]()
     whole = _mode_bytes(plan, 1)
+    key_reps, inner = simulate.KEY_REPS, model.RowSampler.draw_words
     monkeypatch.setattr(simulate, "KEY_REPS", 5)
     monkeypatch.setattr(simulate, "TASK_CELLS", 48)
     assert _mode_bytes(plan, 1) == whole
-    # and the column kernel at each (TASK_CELLS, COLUMN_GROUP): passes of 4
-    # words in groups of 9 and 10 replications; of 4 words again, where
-    # 60 // 10 = 6 words would not start at a Philox counter; of 24 words in
-    # groups of 6 and 7; and one group of all 37 with every word in one pass
+    # and the column kernel at each (TASK_CELLS, COLUMN_GROUP, KEY_REPS), its
+    # groups cut from key blocks: passes of 4 words in groups of 9 and 10
+    # replications; of 4 words again, where 60 // 10 = 6 words would not start
+    # at a Philox counter; of 24 words in groups of 6 and 7; one group of all
+    # 37 with every word in one pass; and groups of 7 from key blocks of 14,
+    # then of 9 from the last block of 9, sized to 4 words by the 9
     monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
     columns = _column_rows(monkeypatch)
-    for task_cells, group in ((48, 10), (60, 10), (170, 7), (1 << 15, 512)):
-        monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
-        monkeypatch.setattr(simulate, "COLUMN_GROUP", group)
+
+    def draw_words(keys, gen, out, first_word=0):  # G·W words at most, or 4 a replication
+        assert out.size <= max(simulate.TASK_CELLS, 4 * len(out), out.shape[1])
+        inner(keys, gen, out, first_word)
+
+    monkeypatch.setattr(model.RowSampler, "draw_words", staticmethod(draw_words))
+    for setting in ((48, 10, key_reps), (60, 10, key_reps), (170, 7, key_reps),
+                    (1 << 15, 512, key_reps), (60, 10, 14)):
+        for name, value in zip(("TASK_CELLS", "COLUMN_GROUP", "KEY_REPS"), setting):
+            monkeypatch.setattr(simulate, name, value)
         columns.clear()
-        assert _mode_bytes(plan, 1) == whole, (task_cells, group)
+        assert _mode_bytes(plan, 1) == whole, setting
         assert set(columns) == _sure_rows(plan)
 
 

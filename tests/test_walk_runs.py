@@ -5,7 +5,9 @@ walk statistics (end, prefix maximum, prefix minimum, read from 16-bit
 tables) and certified by Knuth's TwoSum before its float adds are skipped.
 These tests check the statistics against a plain cumsum, the exactness test
 and the certificate against ``fractions.Fraction``, and the kernel's bytes
-against the row kernel's where runs must fall back to the float adds.
+against the row kernel's where runs must fall back to the float adds.  The
+column kernel folds a row's weights into its magnitudes, s (c m) for the row
+kernel's c (s m), so a weighted block whose c m are all 1 walks too.
 """
 
 import subprocess
@@ -232,8 +234,9 @@ def test_most_runs_of_x2m_example_are_certified(monkeypatch):
 
 
 def test_weighted_rows_and_spike_blocks_run_no_walk(monkeypatch):
-    # wlln-counterexample's weights, and a row with a spike in every block,
-    # leave every block to the float adds
+    # wlln-counterexample's weights (0 but n on a row's last cell, so no
+    # weighted magnitude is 1), and a row with a spike in every block, leave
+    # every block to the float adds
     ran = []
     inner = simulate._Spans._columns
 
@@ -250,3 +253,42 @@ def test_weighted_rows_and_spike_blocks_run_no_walk(monkeypatch):
     simulate.wlln_estimate(SimPlan(arr=spiky, b=power_norming(1.0), rows=(1024,), reps=256))
     assert ran == [1024, 1024]
     assert blocks == []
+
+
+# ---------------------------------------------------------------------------
+# weights folded into the magnitudes
+# ---------------------------------------------------------------------------
+
+FOLD_VALUES = [0.0, 5e-324, 1e-308, 0.5, 1.0, 3.0, 1e308, np.inf, np.nan]
+
+
+def test_a_sign_times_the_weighted_magnitude_is_the_weighted_signed_magnitude():
+    # c (s m) and s (c m) are the same float for s = +-1, since a sign flip is
+    # exact and rounding to nearest is symmetric: checked on signed zeros,
+    # subnormals, overflow to inf, 0 * inf and NaN (NaNs compared as NaNs)
+    values = FOLD_VALUES + [-v for v in FOLD_VALUES]
+    c, m = (np.array(x) for x in zip(*[(c, m) for c in values for m in values]))
+    for s in (-1.0, 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row, column = c * (s * m), s * (c * m)
+        nan = np.isnan(row)
+        assert (np.isnan(column) == nan).all()
+        assert (row[~nan].view(np.uint64) == column[~nan].view(np.uint64)).all(), s
+
+
+def test_weights_that_cancel_the_magnitudes_run_certified_walks(monkeypatch):
+    # magnitudes 2^j and weights 2^-j: every c m is 1, so each whole 64-cell
+    # block of rows of 128 and 640 cells walks, certified from a carry of 0,
+    # and the column kernel writes the row kernel's maxima bytes
+    power = lambda i: 2.0 ** (i % 7 - 3)
+    arr = model.sequence_array(lambda i: model.SymmetricTwoPoint(power(i)))
+    rows, reps = (128, 640), 40
+    plan = SimPlan(arr=arr, b=power_norming(1.0), rows=rows, reps=reps, seed=13,
+                   c=lambda n, i: 1.0 / power(i))
+    by_row = [simulate._Spans(plan, rows)(i, 0, reps).tobytes() for i in range(len(rows))]
+    seen, blocks = _certificates(monkeypatch), _run_blocks(monkeypatch)
+    monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
+    assert [simulate._Spans(plan, rows)(i, 0, reps).tobytes()
+            for i in range(len(rows))] == by_row
+    assert sum(blocks) == sum(rows) // 64
+    assert all(ok.all() for ok in seen)
