@@ -26,16 +26,16 @@ as a ``SymmetricTwoPoint``.
 
 Sampling is deterministic per (seed, n, ...) address via counter-based Philox
 streams, so rows can be drawn concurrently without shared state; the keys of
-a row's addresses come from one vectorised pass (``stream_keys``).
-``RowSampler`` lays a row out once.  One replication of an independent row
-reads its stream as raw words: first one fair bit per sure-magnitude cell
-(a step law with prob 1), then one word per other cell, standing for a
-uniform, which a sign select (step cells) and one quantile call per Pareto
-law map to values.
+a row's addresses come from one vectorised pass (``stream_keys``), one
+stream a block of ``BLOCK_REPS`` replications.  ``RowSampler`` lays a row
+out once: a replication of an independent row reads one fair bit per
+sure-magnitude cell (a step law with prob 1), then one word per other cell,
+standing for a uniform, which a sign select or a quantile maps to a value.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
@@ -940,12 +940,13 @@ def ndtr(a: np.ndarray) -> np.ndarray:
 
 
 RAW_BLOCK = 1 << 13  # raw words per random_raw call on a long row: no row-sized temporary
+BLOCK_REPS = 64  # replications of a row keyed by one Philox stream
 
 
-def _philox_state(counter: int) -> dict:
-    """A Philox state at ``counter`` with an empty buffer; its "key" is set per stream."""
-    return {"bit_generator": "Philox", "state": {"counter": (counter, 0, 0, 0), "key": None},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+def _rekey(bit, key: list, counter: int = 0) -> None:
+    """Set the Philox ``bit`` to ``key`` at ``counter`` with its buffer empty."""
+    bit.state = {"bit_generator": "Philox", "state": {"counter": (counter, 0, 0, 0), "key": key},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _raw_words(bit, out: np.ndarray) -> None:
@@ -996,25 +997,25 @@ def _cells_where(mask: np.ndarray):
 class RowSampler:
     """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
-    A replication of an independent row reads its stream in one layout.  Its
-    s sure-magnitude cells (step laws with prob 1: a magnitude m times a fair
-    sign) come first, one bit each: ceil(s/64) raw 64-bit words, read
-    little-endian, so bit i of word j, ``(w >> i) & 1``, is the sign of the
-    (64j + i)-th sure cell in cell order, +m for 1 and -m for 0.  The row's
-    other cells follow, one word each, in cell order.
+    Replication r is lane r mod B of block r div B (B = ``BLOCK_REPS``),
+    whose stream the caller keys.  A ``GaussianNA`` row is replication-major:
+    lane i takes the block's normals i(k + 1) .. i(k + 1) + k.  An independent
+    row is word-major: word w of lane i is word w B + i of the stream.  Its s
+    sure-magnitude cells (step laws with prob 1: a magnitude m times a fair
+    sign) take words 0 .. ceil(s/64) - 1, read little-endian, so bit i of word
+    j, ``(w >> i) & 1``, is the sign of the (64j + i)-th sure cell in cell
+    order, +m for 1 and -m for 0; its other cells follow, a word each.
 
-    Those other step cells keep per-cell thresholds ``lo = q/2``, ``hi = 1 -
-    q/2`` and magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u <
-    lo))``: the +-m/0 values of ``quantile_of``, bit for bit.  An independent
-    row compares the raw words themselves: the uniform of a word w is ``u =
-    (w >> 11) * 2**-53``, as Philox's ``Generator.random`` forms it, so u <
-    lo iff w < ceil(lo 2^53) 2^11, and u >= hi iff w > ceil(hi 2^53) 2^11 - 1;
-    only a Pareto cell's word is turned into its float uniform.  Every Pareto
-    law keeps the indexes of its cells, and its quantile runs once per draw
-    on them, and a row with no such step cell skips the sign select.  A
-    ``GaussianNA`` row's signs are not independent, so it has no sure cells:
-    every cell takes a uniform, from mixed normals mapped through
-    :func:`ndtr`, the cephes port, so drawing loads no scipy module.
+    Other step cells keep thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
+    magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``, the
+    +-m/0 of ``quantile_of`` bit for bit.  An independent row compares the
+    words themselves: a word w stands for ``u = (w >> 11) * 2**-53``, as
+    Philox's ``Generator.random`` forms it, so u < lo iff w < ceil(lo 2^53)
+    2^11, and u >= hi iff w > ceil(hi 2^53) 2^11 - 1; only a Pareto cell's
+    word becomes a float uniform, and each Pareto law's quantile runs once per
+    draw on its cells.  A ``GaussianNA`` row has no sure cells (its signs are
+    not independent): each cell's uniform comes from mixed normals mapped
+    through :func:`ndtr`, the cephes port, so drawing loads no scipy module.
     """
 
     def __init__(self, arr: ArraySpec, n: int):
@@ -1039,9 +1040,10 @@ class RowSampler:
         sure = ((prob == 1.0) & independent)[law]  # by entry
         self.sure_mag = cells(mag[law], sure)  # in cell order
         self.n_sure = len(self.sure_mag)
-        self._words = -(-self.n_sure // 64)
-        sure_cell = sure if count is None else np.repeat(sure, count)
-        self._sure, self._rest = _cells_where(sure_cell), _cells_where(~sure_cell)
+        self._words, self._bit = -(-self.n_sure // 64), 0  # sign words; the first sign's bit
+        self._spans = ((0, 0, self._words + k - self.n_sure),)  # (buffer column, word, words)
+        self._sure_cell = sure if count is None else np.repeat(sure, count)
+        self._sure, self._rest = _cells_where(self._sure_cell), _cells_where(~self._sure_cell)
         law = cells(law, ~sure)  # the law of each other cell, numbered as its word
         self._mag = None  # a row with no other step cell keeps no per-cell step arrays
         if (law < n_steps).any():
@@ -1056,16 +1058,33 @@ class RowSampler:
         cuts = np.searchsorted(law[other], np.arange(n_steps + 1, n_steps + len(others)))
         self._others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
 
-    def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
-        """Caller-owned (words, draws, normals or None) for ``reps`` rows.
+    def slabs(self, cells: int) -> list:
+        """Samplers of the row's runs of ``cells`` cells, each reading its own
+        words of the row's layout; the row itself if shorter, or ``GaussianNA``."""
+        if cells >= self.k or not isinstance(self._arr.dependence, Independent):
+            return [self]
+        out, a, p = [], 0, 0  # the sure and the other cells before the slab
+        for c0 in range(0, self.k, cells):
+            s, sure = copy.copy(self), self._sure_cell[c0:c0 + cells]
+            s._sure, s._rest = _cells_where(sure), _cells_where(~sure)
+            s.k, s.n_sure, s._bit = len(sure), int(np.count_nonzero(sure)), a % 64
+            s.sure_mag, rest = self.sure_mag[a:a + s.n_sure], s.k - s.n_sure
+            s._words = -(-(s._bit + s.n_sure) // 64) if s.n_sure else 0
+            s._spans = tuple(span for span in ((0, a // 64, s._words),
+                                               (s._words, self._words + p, rest)) if span[2])
+            if self._mag is not None:
+                s._mag, s._lo, s._hi = (v[p:p + rest] for v in (self._mag, self._lo, self._hi))
+            cuts = ((q, idx, np.searchsorted(idx, (p, p + rest))) for q, idx in self._others)
+            s._others = tuple((q, idx[i:j] - p) for q, idx, (i, j) in cuts if j > i)
+            out.append(s)
+            a, p = a + s.n_sure, p + rest
+        return out
 
-        A row of ``words`` holds one replication's raw Philox words (a
-        ``'<u8'`` view reads them); for a ``GaussianNA`` row it holds the
-        uniforms computed from the k + 1 normals.  With ``store``, a list of
-        flat arrays the caller keeps (start with ``[]``), they are views of
-        its arrays, grown in place when short, so one store serves the rows
-        of every length.
-        """
+    def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
+        """Caller-owned (words, draws, normals or None) for ``reps`` rows: a
+        row of ``words`` holds one replication's raw Philox words (a ``'<u8'``
+        view reads them), or a ``GaussianNA`` row's uniforms.  With ``store``,
+        a list the caller keeps, they are views of its arrays (``store_array``)."""
         if isinstance(self._arr.dependence, Independent):
             widths = (self._words + self.k - self.n_sure, self.k, None)
         else:
@@ -1074,51 +1093,43 @@ class RowSampler:
         return tuple(None if w is None else store_array(store, i, reps * w).reshape(reps, w)
                      for i, w in enumerate(widths))
 
-    def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple) -> np.ndarray:
-        """Row i as ``Generator(Philox(key=keys[i]))`` draws it, as a view of the draws.
+    def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple, m: int,
+                  first: int = 0) -> np.ndarray:
+        """Draws of replications first .. first + m - 1 of the blocks keyed by
+        ``keys`` (shape (blocks, 2); ``first`` a lane of the first), as a view.
 
-        ``keys`` is a block of Philox keys, shape (m, 2) with m at most the
-        buffers' rows.  ``gen``, a Philox ``Generator`` the caller keeps, is
-        re-keyed at counter 0 for each row with its buffered words dropped,
-        so earlier draws from it leave no trace.  An independent row takes
-        its words through ``draw_words``.
+        ``gen``, a Philox ``Generator`` the caller keeps, is re-keyed at each
+        block with its buffer dropped, but a ``GaussianNA`` row with ``first``
+        past 0 goes on drawing the block ``gen`` drew last: draw those in order.
         """
-        if len(keys) > len(bufs[1]):
-            raise ValueError(f"{len(keys)} keys for {len(bufs[1])} buffer rows")
+        if m > len(bufs[1]):
+            raise ValueError(f"{m} replications for {len(bufs[1])} buffer rows")
         if bufs[2] is None:
-            self.draw_words(keys, gen, bufs[0].view("<u8"))
+            for at, w0, w in self._spans:
+                self.draw_words(keys, gen, bufs[0][:m, at:at + w].view("<u8").T, w0, first)
+        elif first:
+            gen.standard_normal(out=bufs[2][:m])
         else:
-            bit, fill, normals = gen.bit_generator, gen.standard_normal, bufs[2]
-            state = _philox_state(0)
-            for i, key in enumerate(np.asarray(keys, dtype=np.uint64).tolist()):
-                state["state"]["key"] = key
-                bit.state = state
-                fill(out=normals[i])
-        return self._values(len(keys), bufs)
+            for j, key in enumerate(keys.tolist()):
+                _rekey(gen.bit_generator, key)
+                gen.standard_normal(out=bufs[2][j * BLOCK_REPS:min((j + 1) * BLOCK_REPS, m)])
+        return self._values(m, bufs)
 
     @staticmethod
-    def draw_words(keys: np.ndarray, gen: Generator, out: np.ndarray,
-                   first_word: int = 0) -> None:
-        """Fill row i of ``out`` (uint64, any strides) with raw words first_word,
-        first_word + 1, ... of the stream ``Generator(Philox(key=keys[i]))``.
-
-        ``gen``'s Philox is re-keyed for each row at counter first_word / 4
-        with its buffer empty: Philox adds one to its counter before it fills
-        its four-word buffer, so word 4c + j of a stream is word j of counter
-        c + 1, and ``first_word`` must be a multiple of 4.  A row takes its
-        words in one ``random_raw`` call, or ``RAW_BLOCK`` at a time.
-        """
-        if first_word % 4:
-            raise ValueError(f"first word {first_word} is not a multiple of 4")
-        bit, width = gen.bit_generator, out.shape[1]
-        state = _philox_state(first_word // 4)
-        for i, key in enumerate(np.asarray(keys, dtype=np.uint64).tolist()):
-            state["state"]["key"] = key
-            bit.state = state
-            if width <= RAW_BLOCK:
-                out[i] = bit.random_raw(width)
-            else:
-                _raw_words(bit, out[i])
+    def draw_words(keys: np.ndarray, gen: Generator, out: np.ndarray, first_word: int = 0,
+                   first: int = 0) -> None:
+        """Fill column i of ``out`` (uint64 (W, m), any strides) with words
+        first_word.. of replication first + i of the blocks keyed by ``keys``:
+        a block's are W B words of ``Generator(Philox(key=key))``, shaped (W,
+        B), from counter first_word B / 4 (word 4c + j is word j of counter c
+        + 1), drawn whole in one call whichever lanes ``out`` keeps."""
+        bit, (width, m) = gen.bit_generator, out.shape
+        for j, key in enumerate(keys.tolist()):
+            _rekey(bit, key, first_word * BLOCK_REPS // 4)
+            lane = j * BLOCK_REPS - first  # the column of the block's lane 0
+            cols = slice(max(lane, 0), min(lane + BLOCK_REPS, m))
+            words = bit.random_raw(width * BLOCK_REPS).reshape(width, BLOCK_REPS)
+            out[:, cols] = words[:, cols.start - lane:cols.stop - lane]
 
     def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
         """One realization of the row from ``rng``, into ``bufs`` when given.
@@ -1140,7 +1151,8 @@ class RowSampler:
         normal cdf) the caller filled."""
         x, w, rest = bufs[1][:m], self._words, self.k - self.n_sure
         if w:
-            sign = fair_signs(bufs[0][:m, :w].view("<u8").view(np.uint8), 1, self.n_sure)
+            octets = bufs[0][:m, :w].view("<u8").view(np.uint8)
+            sign = fair_signs(octets, 1, self._bit + self.n_sure)[:, self._bit:]
             if isinstance(self._sure, slice):
                 np.multiply(sign, self.sure_mag, out=x[:, self._sure])
             else:

@@ -1,41 +1,28 @@
 """Monte Carlo engine for partial-sum laws of large numbers.
 
-Replication randomness is addressed, not streamed: the stream of one
-replication is the counter-based Philox stream keyed by (master seed, row n,
-replication index), and results land in slots indexed by replication.
+Replication randomness is addressed, not streamed: replication r of row n is
+lane r mod B of block r div B (B = ``BLOCK_REPS`` = 64), block b reads the
+counter-based Philox stream keyed by (master seed, n, b), word-major for an
+independent row and replication-major for a ``GaussianNA`` row
+(``model.RowSampler``), and results land in slots indexed by replication.
+So no draw depends on ``--reps``, the worker count or the schedule, and
+reports are bitwise identical across them.  Every mode runs through one
+replication-span kernel (``_Spans``) on spans of a row that start on block
+edges, one per row or per forked worker (``_replication_maxima``).  A span
+derives its blocks' keys in one pass and cuts them into parts
+(``_key_blocks``), lays its row out, and draws through one Philox generator
+and one buffer store, both kept for the whole command.  For each replication
+it returns max_j |S_j| at each segment end of the row: a WLLN row is one
+weighted segment ending at k_n, a path one segment per sampled row.
 
-Every mode runs through one replication-span kernel (``_Spans``): a span is
-a contiguous range of one row's replications.  Every kernel, and
-``condition_h_probe``, takes its keys from ``_key_blocks``: they are derived
-``KEY_REPS`` replications at a time in one vectorised pass
-(``model.stream_keys``), and each key block is cut evenly into the fewest
-parts of at most a kernel's size.  A span lays its row out
-(``model.RowSampler``) when it starts, in whichever process draws it, and
-draws through one Philox generator re-keyed per replication into one buffer
-store, both kept for the whole command.  Each replication of an independent
-row reads its stream in one layout: first ceil(s/64) raw 64-bit words for the
-row's s sure-magnitude cells (prob 1), little-endian, bit i of word j the sign
-of the (64j + i)-th of them (+m for 1, -m for 0), then one word per other
-cell in cell order, standing for the uniform ``(w >> 11) * 2**-53``.  For
-each replication the kernel returns max_j |S_j| at each segment end of the
-row: a WLLN row is one weighted segment ending at k_n, a path one segment per
-sampled row.  ``threads`` > 1 cuts each row into one span per forked worker
-process (``_replication_maxima``).  Reports are therefore bitwise identical
-across runs, worker counts and schedules.
-
-A span sums its rows by one of two kernels, picked per span.  The row kernel
-draws parts of at most ``TASK_CELLS`` cells, x_j = c_j (s_j m_j) for the sign
-s_j, and runs ``np.cumsum`` along each row.  A span of at least
-``COLUMN_REPS`` replications of a row whose cells are all sure-magnitude
-cells runs the column kernel instead: it sums parts of at most
-``COLUMN_GROUP`` replications side by side, S_j = S_(j-1) + x_j from S_0 =
-0 as one vector add per cell, 64 cells (one sign word per replication) at a
-time.  It forms x_j = s_j (c_j m_j), bitwise the row kernel's x_j for s_j =
-+-1 (zeros, infinities and NaNs included), and starting from S_0 = 0 moves
-an S_j of cumsum's only in the sign of a zero, which |S_j| drops.  So each
-replication gets cumsum's IEEE adds in cumsum's order, its maxima are exact,
-and both kernels give the same bytes; a NaN sum propagates through
-``np.maximum`` in both.
+A span of at least ``COLUMN_REPS`` replications of a row whose cells are
+all sure-magnitude cells runs the column kernel, which sums replications
+side by side, S_j = S_(j-1) + x_j from S_0 = 0, one vector add per cell.
+Its x_j = s_j (c_j m_j) is bitwise the row kernel's c_j (s_j m_j) for s_j =
++-1 (zeros, infinities and NaNs included), and S_0 = 0 moves an S_j of
+cumsum's only in the sign of a zero, which |S_j| drops.  So each replication
+gets cumsum's IEEE adds in cumsum's order, and both kernels give the same
+bytes; a NaN sum propagates through ``np.maximum`` in both.
 
 The column kernel skips the float adds of a run of up to ``RUN_BLOCKS``
 consecutive full blocks whose weighted magnitudes c_j m_j are all 1, inside
@@ -70,8 +57,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RepsError, SamplingError, WorkerError
-from .model import (ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint, fair_signs,
-                    philox_generator, power_norming, step_columns, store_array, stream_keys)
+from .model import (BLOCK_REPS, ArraySpec, NormalizingSequence, RowSampler, SymmetricTwoPoint,
+                    fair_signs, philox_generator, power_norming, step_columns, store_array,
+                    stream_keys)
 from .moments import clamped_square_mean
 from .svf import SlowlyVaryingSpec
 
@@ -132,7 +120,7 @@ def max_partial_sums(row: np.ndarray, weights: Optional[np.ndarray] = None):
 # ---------------------------------------------------------------------------
 
 
-MAX_REPS = 1 << 32  # a replication index is one 32-bit word of its stream key
+MAX_REPS = 1 << 32  # replication indexes stay below 2^32; a block index is one 32-bit key word
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,7 @@ class SimPlan:
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.reps > MAX_REPS:
-            raise ValueError(f"--reps must be at most 2^32 (a replication index is one "
+            raise ValueError(f"--reps must be at most 2^32 (a block index is one "
                              f"32-bit word of its stream key), got {self.reps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -220,7 +208,6 @@ class SimReport:
 # ---------------------------------------------------------------------------
 
 TASK_CELLS = 1 << 15  # cells of a row-kernel part, and words of a column-kernel pass, at most
-KEY_REPS = 1 << 12  # replications of a span whose keys are derived in one pass (64 KiB)
 COLUMN_REPS = 256  # the fewest replications of a span of sure cells that sums across them
 COLUMN_GROUP = 512  # replications summed side by side, at most, in the column kernel
 RUN_BLOCKS = 8  # 64-cell blocks of +-1 cells summed as one certified integer walk, at most
@@ -243,54 +230,51 @@ def _maxima(reps: int, count: int, segments: int) -> np.ndarray:
 
 
 def _key_blocks(seed: int, n: int, lo: int, hi: int, size: int):
-    """(first replication, Philox keys) of each part of replications lo..hi-1
-    of row n: keys derived KEY_REPS replications at a time, each key block
-    cut evenly into the fewest parts of at most ``size`` replications."""
-    for r in range(lo, hi, KEY_REPS):
-        keys = stream_keys(seed, (n,), np.arange(r, min(r + KEY_REPS, hi)))
-        parts = -(-len(keys) // size)
-        cuts = [len(keys) * p // parts for p in range(parts + 1)]
-        for a, b in zip(cuts, cuts[1:]):
-            yield r + a, keys[a:b]
+    """(first replication, end, keys of its blocks) of each part of
+    replications lo..hi-1 of row n, lo a block edge: keys derived in one pass
+    (16 bytes a block, against 8 a replication of maxima), cut evenly into the
+    fewest parts of at most ``size``, whole blocks when it holds one."""
+    if lo % BLOCK_REPS:
+        raise ValueError(f"replication {lo} does not start a block")
+    b0, b1, per = lo // BLOCK_REPS, -(-hi // BLOCK_REPS), size // BLOCK_REPS
+    keys = stream_keys(seed, (n,), np.arange(b0, b1))
+    if per:
+        parts = -(-(b1 - b0) // per)
+        cuts = [(b0 + (b1 - b0) * p // parts) * BLOCK_REPS for p in range(parts + 1)]
+    else:
+        cuts = [b * BLOCK_REPS + m * p // parts for b in range(b0, b1)
+                for m in [min(hi - b * BLOCK_REPS, BLOCK_REPS)]
+                for parts in [-(-m // size)] for p in range(parts)] + [b1 * BLOCK_REPS]
+    for a, z in zip(cuts, cuts[1:]):
+        yield a, min(z, hi), keys[a // BLOCK_REPS - b0:-(-z // BLOCK_REPS) - b0]
 
 
 class _Spans:
     """Maxima of |S_j| over each segment of a row, for replications lo..hi-1.
 
-    Row ``i`` is row ``rows[i]`` of the plan's array.  Without ``ends`` it
-    is one segment, j = 1..k_n, summed with the plan's weights; given
-    ``ends`` (distinct, ascending, the last k_n) segment s is the j in
-    (ends[s-1], ends[s]], unweighted, so a running maximum over the segments
-    gives max_{j <= e} |S_j| at each end e.  Both kernels draw with one
-    Philox generator and one buffer store, kept for the whole command (a
-    forked worker draws through its own copies).  Each call lays its row out
-    itself.
+    Row ``i`` is row ``rows[i]`` of the plan's array, and lo is a block
+    edge.  Without ``ends`` it is one segment, j = 1..k_n, summed with the
+    plan's weights; given ``ends`` (distinct, ascending, the last k_n)
+    segment s is the j in (ends[s-1], ends[s]], unweighted, so a running
+    maximum over the segments gives max_{j <= e} |S_j| at each end e.
+    ``clip``, given without weights, clamps each draw to [-clip, clip] first.
 
-    The row kernel draws each part of at most ``TASK_CELLS`` cells into
-    buffers taken once per span and runs ``np.cumsum`` along each row.  When
-    every cell of the row is a sure-magnitude cell (``RowSampler.n_sure ==
-    k``) and the span has at least ``COLUMN_REPS`` replications, the column
-    kernel runs instead, on the groups of G <= ``COLUMN_GROUP`` replications
-    ``_key_blocks`` cuts.
-    The row's weights are folded into its magnitudes once per span.  A
-    group reads its sign words W at a time per replication
-    (``RowSampler.draw_words``; W a multiple of 4, at least 4, else the most
-    with G·W <= ``TASK_CELLS`` for the largest group) into a (W, G) array, so
-    that the word of one 64-cell block is one row of it.  Consecutive full
-    blocks of magnitude 1 in one segment form runs of at most ``RUN_BLOCKS``
-    inside a pass, each summed by ``_walk_run`` (see the module docstring).
-    Each other block turns its word's bits into a (cells, G) block of +-1.0,
-    times the magnitudes unless they are all 1; adds S_(j-1) to x_j row by
-    row from the sum carried in from the previous block; and folds each
-    segment's share of the block's |S_j| into the group's (segments, G)
-    maxima.  Both arrays come from the buffer store the row kernel uses:
-    about 0.5 MB at G = 512, against the row kernel's 0.25 MB of draws.  A
-    run reads the walk table (128 KiB, built on first use) into the block's
-    rows 1.., which it does not otherwise use.
+    The row kernel draws parts of at most ``TASK_CELLS`` cells and runs
+    ``np.cumsum`` along each row.  An independent row of more than
+    ``TASK_CELLS // BLOCK_REPS`` cells is drawn a block at a time in slabs of
+    that many (``RowSampler.slabs``), each adding the sum carried from the
+    last into its first draw: cumsum's adds in cumsum's order.  The column
+    kernel sums groups of at most ``COLUMN_GROUP`` replications, the row's
+    weights folded into its magnitudes, from W = ``TASK_CELLS // COLUMN_GROUP``
+    sign words at a time in a (W, G) array.  Runs of full 64-cell blocks of
+    magnitude 1 in one segment go to ``_walk_run``; each other block turns its
+    word's bits into a (cells, G) block of +-1.0, times the magnitudes unless
+    all are 1, adds S_(j-1) to x_j row by row from the carried sum, and folds
+    each segment's share into the group's (segments, G) maxima.
     """
 
-    def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None):
-        self.plan, self.rows, self.ends = plan, rows, ends
+    def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None, clip=None):
+        self.plan, self.rows, self.ends, self.clip = plan, rows, ends, clip
         self._gen = philox_generator()
         self._store: list = []
 
@@ -303,18 +287,33 @@ class _Spans:
         out = _maxima(self.plan.reps, hi - lo, len(starts))
         # past float range a draw or sum is inf or NaN, which the caller refuses: no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            if sampler.n_sure == sampler.k and hi - lo >= COLUMN_REPS:
+            if sampler.n_sure == sampler.k and hi - lo >= COLUMN_REPS and self.clip is None:
                 self._columns(n, sampler, weights, starts, lo, hi, out)
                 return out
-            size = max(1, TASK_CELLS // sampler.k)
-            bufs = sampler.buffers(min(size, hi - lo), self._store)  # rows for every part
-            for r, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
-                x = sampler.draw_rows(keys, self._gen, bufs)
-                if weights is not None:
-                    np.multiply(weights, x, out=x)
-                np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
-                np.maximum.reduceat(np.abs(x, out=x), starts, axis=1,
-                                    out=out[r - lo:r - lo + len(keys)])
+            slabs = sampler.slabs(max(1, TASK_CELLS // BLOCK_REPS))
+            size = max(1, TASK_CELLS // slabs[0].k)
+            parts, c0 = [], 0  # per slab: first cell, buffers, segments and their starts in it
+            for slab in slabs:
+                segs = slice(np.searchsorted(starts, c0, "right") - 1,
+                             np.searchsorted(starts, c0 + slab.k))
+                parts.append((c0, slab.buffers(min(size, hi - lo), self._store), segs,
+                              np.maximum(starts[segs] - c0, 0)))
+                c0 += slab.k
+            out[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
+            for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
+                acc, carry = out[a - lo:z - lo], None
+                for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
+                    x = slab.draw_rows(keys, self._gen, bufs, z - a, a % BLOCK_REPS)
+                    if weights is not None:
+                        np.multiply(weights[c0:c0 + slab.k], x, out=x)
+                    if self.clip is not None:
+                        np.clip(x, -self.clip, self.clip, out=x)
+                    if carry is not None:
+                        x[:, 0] += carry  # S_(c0) + x_(c0 + 1), as cumsum adds
+                    np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+                    carry = x[:, -1].copy()
+                    top = np.maximum.reduceat(np.abs(x, out=x), cuts, axis=1)
+                    np.maximum(acc[:, segs], top, out=acc[:, segs])
         return out
 
     def _columns(self, n: int, sampler: RowSampler, weights, starts, lo: int, hi: int,
@@ -324,11 +323,7 @@ class _Spans:
         k, words_in_row = sampler.k, -(-sampler.k // 64)
         # s (c m) is the row kernel's c (s m), bit for bit, for a sign s = +-1
         mag = sampler.sure_mag if weights is None else weights * sampler.sure_mag
-        # the largest group the key blocks give: of a full key block, or of the last
-        size = max(-(-m // -(-m // COLUMN_GROUP))
-                   for m in (min(KEY_REPS, hi - lo), (hi - lo - 1) % KEY_REPS + 1))
-        # words per replication per pass: a multiple of 4, the words of one Philox counter
-        width = min(max(4, TASK_CELLS // size // 4 * 4), -(-words_in_row // 4) * 4)
+        width = max(1, TASK_CELLS // COLUMN_GROUP)  # words per replication per pass
         bounds = np.append(starts, k).tolist()
         scaled = np.logical_or.reduceat(mag != 1.0, np.arange(0, k, 64)).tolist()
         # per 64-cell block: its cells, magnitudes (None when all are 1) and
@@ -353,8 +348,8 @@ class _Spans:
                 steps.append((b, b + 1, seg))
         passes = [list(p) for _, p in itertools.groupby(steps, lambda step: step[0] // width)]
         add, maximum = np.add, np.maximum
-        for a, keys in _key_blocks(self.plan.seed, n, lo, hi, COLUMN_GROUP):
-            m = len(keys)
+        for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, COLUMN_GROUP):
+            m = z - a
             words = store_array(self._store, 0, width * m).view("<u8").reshape(width, m)
             block = store_array(self._store, 1, 65 * m).reshape(65, m)
             # row 0 carries S from block to block, rows 1.. hold a block's sums
@@ -364,7 +359,7 @@ class _Spans:
             acc[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
             for w0, pass_steps in zip(range(0, words_in_row, width), passes):
                 passed = min(width, words_in_row - w0)
-                sampler.draw_words(keys, self._gen, words[:passed].T, w0)
+                sampler.draw_words(keys, self._gen, words[:passed], w0, a % BLOCK_REPS)
                 for b0, b1, seg in pass_steps:
                     u = b0 - w0
                     if seg is not None:
@@ -486,12 +481,12 @@ def _walk_run(words: np.ndarray, carry: np.ndarray, acc: np.ndarray,
 
 
 def _workers(threads: int, reps: int) -> int:
-    """Worker processes for ``threads``: at most one per usable CPU and per replication."""
+    """Worker processes for ``threads``: at most one per usable CPU and per block."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    return max(1, min(threads, cpus, reps))
+    return max(1, min(threads, cpus, -(-reps // BLOCK_REPS)))
 
 
 _WORKER_SPANS: Optional[_Spans] = None  # the command's kernel, in a worker process
@@ -510,14 +505,11 @@ def _replication_maxima(spans: _Spans, reps: int, threads: int) -> list[np.ndarr
     """Per row of ``spans``, its (reps, segments) maxima in replication order.
 
     With more than one worker (``_workers``) and the fork start method, each
-    row's replications are cut into one contiguous span per worker and drawn
-    in forked worker processes, which inherit the kernel (it holds the plan's
-    functions, which do not pickle); otherwise one span per row runs here.
-    Every replication's stream is addressed by its index, so no byte depends
-    on the split.  A maximum that is not finite (a draw or partial sum past
-    the largest float, or +inf and -inf summed to NaN) is a ``SamplingError``
-    naming its row: no exceedance frequency can be read from it.
-    """
+    row is cut on block edges into one span per forked worker process, which
+    inherits the kernel (it holds the plan's functions, which do not pickle);
+    otherwise one span per row runs here.  No byte depends on the split.  A
+    maximum that is not finite (a draw or partial sum past the largest float,
+    or +inf and -inf summed to NaN) is a ``SamplingError`` naming its row."""
     workers = _workers(threads, reps)
     maxima = None
     if workers > 1:
@@ -539,7 +531,8 @@ def _pooled(spans: _Spans, reps: int, workers: int, ctx) -> list[np.ndarray]:
 
     # fork, not spawn: a spawned worker would need the plan pickled.  The
     # executor forks every worker before it starts its own manager thread.
-    cuts = [reps * w // workers for w in range(workers + 1)]
+    cuts = [min(-(-reps // BLOCK_REPS) * w // workers * BLOCK_REPS, reps)
+            for w in range(workers + 1)]
     segments = 1 if spans.ends is None else len(spans.ends)
     pool = ProcessPoolExecutor(workers, mp_context=ctx, initializer=_install,
                                initargs=(spans,))
@@ -724,17 +717,12 @@ def condition_h_probe(
     the clamped means E clamped X_i vanish and the partial sums run over the
     clamped draws themselves.
     """
-    sampler = RowSampler(arr, n)
     squares, counts = _group_values(arr, n, lambda d: clamped_square_mean(d, a))
     rhs = float(np.cumsum(counts * squares)[-1])  # in group order, as a scalar loop adds
     if rhs == 0.0:
         raise ValueError("all cells degenerate at 0: probe ratio undefined")
-    size = max(1, TASK_CELLS // sampler.k)
-    gen, bufs = philox_generator(), sampler.buffers(min(size, reps))
+    plan = SimPlan(arr=arr, b=power_norming(1.0), rows=(n,), reps=reps, seed=seed)
     acc = 0.0
-    for _, keys in _key_blocks(seed, n, 0, reps, size):
-        x = sampler.draw_rows(keys, gen, bufs)
-        np.clip(x, -a, a, out=x)
-        for m in max_partial_sums(x).tolist():  # Python floats, in replication order
-            acc += m ** 2
+    for m in _Spans(plan, plan.rows, clip=a)(0, 0, reps)[:, 0].tolist():  # in replication order
+        acc += m ** 2
     return (acc / reps) / rhs

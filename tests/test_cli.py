@@ -522,7 +522,7 @@ def test_simulate_worker_fault_exits_2(tmp_path, fault, message, mode):
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _WORKER_FAULT, fault, "simulate", "--fixture", "x2m-example",
-         "--mode", mode, "--rows", "2^4..2^8", "--reps", "50", "--threads", "2",
+         "--mode", mode, "--rows", "2^4..2^8", "--reps", "200", "--threads", "2",
          "--out", str(tmp_path / "s")],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )

@@ -41,9 +41,8 @@ UNREACHED = {
     "domination.cesaro_tail_sup": "perfbench/spans.py wraps it",
     "domination.weighted_tail_sup": "perfbench/spans.py wraps it",
     "domination.truncated_moment_bounds": "acceptance criterion 06",
-    "simulate.condition_h_probe": "paper construction (the maximal-inequality constant), "
-                                  "and the only caller of simulate.max_partial_sums, "
-                                  "which perfbench/spans.py wraps",
+    "simulate.condition_h_probe": "paper construction (the maximal-inequality constant)",
+    "simulate.max_partial_sums": "perfbench/spans.py wraps it",
     "svf.conjugate_residual": "acceptance criterion 07",
     "model.sample_row": "test builder, and the only caller of model.rng_for and "
                         "model.sample_row_with, which perfbench/spans.py wraps",
@@ -55,7 +54,6 @@ UNREACHED = {
 UNSET = {
     "moments.expectation_via_tail.A": "set by tests/test_acceptance.py (A-invariance)",
     "moments.expectation_via_tail.max_blocks": "set by tests/test_acceptance.py",
-    "simulate.max_partial_sums.weights": "set by tests/test_acceptance.py",
     "model.RowSampler.draw.bufs": "test reference: tests/sim_reference.py",
     "model.sequence_array.cell": "test builder: every package array is a formula "
                                  "(cell_steps), a grouped array or law columns",

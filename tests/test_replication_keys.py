@@ -1,10 +1,12 @@
 """Replication keys against numpy's SeedSequence, kept here as the reference.
 
-``model.stream_keys`` derives the Philox key of every address (seed, n, rep)
-of a row in one pass, and ``model.RowSampler.draw_rows`` draws a block of
-keys through one generator re-keyed per key.  Both must reproduce
-``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(n, rep))))`` bit for
-bit, so output bytes do not depend on which path addressed a replication.
+``model.stream_keys`` derives the Philox key of every address (seed, n, b)
+of a row's blocks in one pass, and ``model.RowSampler.draw_rows`` draws
+blocks of ``BLOCK_REPS`` replications through one generator re-keyed per
+block.  Both must reproduce
+``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(n, b))))``, read
+lane by lane as ``sim_reference.ReplicationStream`` reads it, bit for bit, so
+output bytes do not depend on which path addressed a replication.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from llnlab import model, simulate
 from builders import identical_array
-from sim_reference import reference_rng
+from sim_reference import ReplicationStream, reference_rng
 
 
 def reference_key(seed, *key):
@@ -78,39 +80,41 @@ KEYED = keyed_arrays()
 
 
 def test_keyed_rows_equal_seed_sequence_rows():
+    # two blocks: replications 0..69, the second block's lanes 0..5 only
     seed, n = 2**64 + 9, 12
     gen = Generator(Philox(key=0))
     for label, arr in KEYED.items():
         sampler = model.RowSampler(arr, n)
-        bufs = sampler.buffers(8)  # more rows than keys: the block draws only its own
-        rows = sampler.draw_rows(model.stream_keys(seed, (n,), np.arange(6)), gen, bufs)
-        assert rows.shape == (6, n), label
-        for rep in range(6):
-            assert np.array_equal(rows[rep], sampler.draw(reference_rng(seed, n, rep))), label
-        assert len({r.tobytes() for r in rows}) == 6, label
+        bufs = sampler.buffers(80)  # more rows than replications: the blocks fill only theirs
+        rows = sampler.draw_rows(model.stream_keys(seed, (n,), np.arange(2)), gen, bufs, 70)
+        assert rows.shape == (70, n), label
+        for rep in (0, 1, 5, 62, 63, 64, 65, 69):
+            assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep))), \
+                (label, rep)
+        assert len({r.tobytes() for r in rows[:6]}) == 6, label
 
 
 def test_keyed_rows_across_chunk_and_key_boundaries_equal_seed_sequence_rows():
-    # 12-cell rows: the first key block of KEY_REPS is cut evenly into two
-    # parts of at most TASK_CELLS cells, then one replication starts a key block
-    seed, n, reps = 5, 12, simulate.KEY_REPS + 1
-    parts = list(simulate._key_blocks(seed, n, 0, reps, simulate.TASK_CELLS // n))
-    edges = [0, simulate.KEY_REPS // 2, simulate.KEY_REPS]
-    assert [r for r, _ in parts] == edges
-    for r, keys in parts:  # the keys on each side of a part edge and a key-block edge
-        for rep in {r, r + len(keys) - 1}:
-            assert keys[rep - r].tolist() == reference_key(seed, n, rep).tolist(), rep
+    # 12-cell rows in parts of at most 128 replications: six blocks cut
+    # evenly into three parts of two, the last ending inside its second block
+    # at 323 = 5 * 64 + 3
+    seed, n, reps = 5, 12, 5 * 64 + 3
+    parts = list(simulate._key_blocks(seed, n, 0, reps, 128))
+    assert [(a, z, len(keys)) for a, z, keys in parts] == [(0, 128, 2), (128, 256, 2),
+                                                           (256, 323, 2)]
+    for a, _, keys in parts:  # the keys on each side of a part edge
+        for b, key in enumerate(keys.tolist(), start=a // 64):
+            assert key == reference_key(seed, n, b).tolist(), b
     gen, store = Generator(Philox(key=0)), []
     for label in ("Independent mixed", "GaussianNA mixed"):
         arr = KEYED[label]
         sampler = model.RowSampler(arr, n)
         rows = np.empty((reps, n))
-        for r, keys in parts:
-            rows[r:r + len(keys)] = sampler.draw_rows(
-                keys, gen, sampler.buffers(len(keys), store))
+        for a, z, keys in parts:
+            rows[a:z] = sampler.draw_rows(keys, gen, sampler.buffers(z - a, store), z - a)
         bufs = sampler.buffers()
-        for rep in range(reps):
-            assert np.array_equal(rows[rep], sampler.draw(reference_rng(seed, n, rep), bufs)), \
+        for rep in (0, 63, 64, 127, 128, 255, 256, 319, 320, 322):
+            assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep), bufs)), \
                 (label, rep)
 
 
@@ -123,7 +127,7 @@ MID_BUFFER = {
 
 def test_keyed_rows_through_a_mid_buffer_generator_draw_as_fresh_ones():
     seed, n = 7, 10
-    keys = model.stream_keys(seed, (n,), np.arange(3))
+    keys = model.stream_keys(seed, (n,), np.arange(1))
     for label, arr in KEYED.items():
         sampler = model.RowSampler(arr, n)
         for name, (spend, left) in MID_BUFFER.items():
@@ -131,26 +135,30 @@ def test_keyed_rows_through_a_mid_buffer_generator_draw_as_fresh_ones():
             spend(gen)
             state = gen.bit_generator.state
             assert {k: state[k] for k in left} == left, name  # the words a re-key must drop
-            rows = sampler.draw_rows(keys, gen, sampler.buffers(3))
+            rows = sampler.draw_rows(keys, gen, sampler.buffers(3), 3)
             for rep in range(3):
-                assert np.array_equal(rows[rep], sampler.draw(reference_rng(seed, n, rep))), \
+                assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep))), \
                     (label, name, rep)
-            # the generator goes on as a fresh one that drew the last row
-            ref = reference_rng(seed, n, 2)
-            sampler.draw(ref)
+            # the generator goes on as the block's fresh stream that drew the
+            # block's words of a replication (W a lane), or three lanes' normals
+            ref = reference_rng(seed, n, 0)
+            if label.startswith("Independent"):
+                ref.bit_generator.random_raw(64 * sampler.buffers()[0].shape[1])
+            else:
+                ref.standard_normal(3 * (n + 1))
             assert np.array_equal(gen.integers(2**32, size=3, dtype=np.uint32),
                                   ref.integers(2**32, size=3, dtype=np.uint32)), (label, name)
             assert np.array_equal(gen.random(5), ref.random(5)), (label, name)
 
 
 def test_a_key_block_longer_than_the_buffers_raises():
-    keys = model.stream_keys(1, (8,), np.arange(4))
+    keys = model.stream_keys(1, (8,), np.arange(1))
     gen = Generator(Philox(key=0))
     for label, arr in KEYED.items():
         sampler = model.RowSampler(arr, 8)
         with pytest.raises(ValueError):
-            sampler.draw_rows(keys, gen, sampler.buffers(3))
-        assert sampler.draw_rows(keys, gen, sampler.buffers(4)).shape == (4, 8), label
+            sampler.draw_rows(keys, gen, sampler.buffers(3), 4)
+        assert sampler.draw_rows(keys, gen, sampler.buffers(4), 4).shape == (4, 8), label
 
 
 def test_rng_for_draws_equal_seed_sequence_generator():

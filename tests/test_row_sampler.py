@@ -23,7 +23,7 @@ from llnlab import model, simulate
 from llnlab.fixtures import load
 from llnlab.model import RowSampler
 from builders import identical_array
-from sim_reference import reference_rng
+from sim_reference import ReplicationStream
 
 
 def reference_uniforms(dep, k, rng):
@@ -81,7 +81,8 @@ def reference_two_point(arr, n, rng):
     return out
 
 
-GEN = Generator(Philox(key=0))  # re-keyed by every draw_rows call
+GEN = Generator(Philox(key=0))  # re-keyed by every draw_rows call from a block's lane 0
+BLOCK0 = np.arange(1)  # the first block of replications, 0..63
 
 
 def assert_same_bits(a, b):
@@ -202,9 +203,9 @@ def test_rows_without_step_laws_keep_no_step_arrays(dep):
             assert not hasattr(sampler, "_lo") and not hasattr(sampler, "_hi")
             bufs = sampler.buffers(4)
             bufs[1][:] = np.nan  # every draw must be written by a quantile
-            rows = sampler.draw_rows(model.stream_keys(3, (n,), np.arange(4)), GEN, bufs)
+            rows = sampler.draw_rows(model.stream_keys(3, (n,), BLOCK0), GEN, bufs, 4)
             for rep in range(4):
-                assert_same_bits(rows[rep], reference_row(arr, n, model.rng_for(3, n, rep)))
+                assert_same_bits(rows[rep], reference_row(arr, n, ReplicationStream(3, n, rep)))
 
 
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
@@ -212,13 +213,18 @@ def test_draw_rows_matches_single_draws(dep):
     for arr, n in ((mixed_array(DEPENDENCE[dep]), 33), (mixed_sequence(DEPENDENCE[dep]), 90)):
         sampler = RowSampler(arr, n)
         bufs = sampler.buffers(7)
-        rows = sampler.draw_rows(model.stream_keys(1, (n,), np.arange(5)), GEN, bufs)
+        rows = sampler.draw_rows(model.stream_keys(1, (n,), BLOCK0), GEN, bufs, 5)
         assert rows.shape == (5, n)
         for rep in range(5):
-            assert_same_bits(rows[rep], reference_row(arr, n, model.rng_for(1, n, rep)))
-        # buffers are reused: a second, shorter batch overwrites the first rows
-        again = sampler.draw_rows(model.stream_keys(1, (n,), np.arange(9, 10)), GEN, bufs)
-        assert_same_bits(again[0], reference_row(arr, n, model.rng_for(1, n, 9)))
+            assert_same_bits(rows[rep], reference_row(arr, n, ReplicationStream(1, n, rep)))
+        # buffers are reused: a second, shorter batch overwrites the first rows.
+        # Lanes 5 and 6 go on from lane 5 (a GaussianNA row's generator goes
+        # on drawing the block), then the first of block 1 is replication 64
+        for first, block, reps in ((5, [], (5, 6)), (0, [1], (64,))):
+            keys = model.stream_keys(1, (n,), np.array(block or [0]))
+            again = sampler.draw_rows(keys, GEN, bufs, len(reps), first)
+            for row, rep in zip(again, reps):
+                assert_same_bits(row, reference_row(arr, n, ReplicationStream(1, n, rep)))
 
 
 SURE_COUNTS = (1, 63, 64, 65, 130)  # one word, a word short, full, one bit over, three words
@@ -251,11 +257,11 @@ def test_sure_cells_read_one_bit_each(arr, n):
     """draw_rows and draw against the scalar loop: the sure cells' sign bits
     from the replication's raw words first, then a uniform per other cell."""
     sampler = RowSampler(arr, n)
-    rows = sampler.draw_rows(model.stream_keys(9, (n,), np.arange(4)), GEN, sampler.buffers(4))
+    rows = sampler.draw_rows(model.stream_keys(9, (n,), BLOCK0), GEN, sampler.buffers(4), 4)
     for rep in range(4):
-        want = reference_row(arr, n, reference_rng(9, n, rep))
+        want = reference_row(arr, n, ReplicationStream(9, n, rep))
         assert_same_bits(rows[rep], want)
-        assert_same_bits(sampler.draw(reference_rng(9, n, rep)), want)
+        assert_same_bits(sampler.draw(ReplicationStream(9, n, rep)), want)
 
 
 @pytest.mark.parametrize("name", ["x2m-example", "example-2.1", "wlln-counterexample"])
@@ -267,24 +273,24 @@ def test_rows_of_sure_cells_keep_no_uniforms_and_no_thresholds(name):
         assert not hasattr(sampler, "_lo") and not hasattr(sampler, "_hi")
         words, draws, normals = sampler.buffers(3)
         assert words.shape == (3, -(-sampler.k // 64)) and normals is None
-        keys = model.stream_keys(2, (n,), np.arange(3))
-        rows = sampler.draw_rows(keys, GEN, (words, draws, None))
+        keys = model.stream_keys(2, (n,), BLOCK0)
+        rows = sampler.draw_rows(keys, GEN, (words, draws, None), 3)
         for rep in range(3):
-            assert_same_bits(rows[rep], reference_row(arr, n, reference_rng(2, n, rep)))
+            assert_same_bits(rows[rep], reference_row(arr, n, ReplicationStream(2, n, rep)))
 
 
 def test_draw_words_starts_at_any_counter():
-    # words w0.. of each key's stream, as a fresh Generator(Philox(key)) gives
-    # them, written through a transposed (strided) view; w0 must start a counter
+    # words w0.. of each replication, as its block's stream gives them, written
+    # through a strided view: any w0, a lane past 0, blocks whose lanes out
+    # keeps only in part, and a partial last block
     keys = model.stream_keys(5, (7,), np.arange(3))
-    whole = [Generator(Philox(key=k)).bit_generator.random_raw(24) for k in keys]
-    for w0, width in ((0, 24), (4, 9), (8, 4), (20, 4)):
-        out = np.empty((width, 3), dtype=np.uint64)
-        RowSampler.draw_words(keys, GEN, out.T, w0)
-        for i in range(3):
-            np.testing.assert_array_equal(out[:, i], whole[i][w0:w0 + width])
-    with pytest.raises(ValueError, match="multiple of 4"):
-        RowSampler.draw_words(keys, GEN, np.empty((3, 4), dtype=np.uint64), 6)
+    for w0, width, first, m in ((0, 24, 0, 150), (6, 9, 0, 150), (3, 4, 60, 70), (21, 3, 63, 2)):
+        out = np.empty((m, width), dtype=np.uint64)
+        RowSampler.draw_words(keys[:-(-(first + m) // 64)], GEN, out.T, w0, first)
+        for i in {0, m - 1, *range(min(m, 64 - first), min(m, 66 - first))}:
+            ref = ReplicationStream(5, 7, first + i)
+            ref.random_raw(w0)
+            np.testing.assert_array_equal(out[i], ref.random_raw(width), err_msg=str(i))
 
 
 class FixedWords:
@@ -340,7 +346,7 @@ def reference_wlln_row(plan, n):
     counts = np.zeros(len(plan.eps), dtype=np.int64)
     stat_sum = 0.0
     for rep in range(plan.reps):
-        row = reference_row(plan.arr, n, model.rng_for(plan.seed, n, rep))
+        row = reference_row(plan.arr, n, ReplicationStream(plan.seed, n, rep))
         r = row if cvec is None else cvec * row
         stat = float(np.max(np.abs(np.cumsum(r)))) / bn
         stat_sum += stat

@@ -4,11 +4,15 @@ The digests were recorded with the per-group quantile sampler and the
 two-point shortcut that ``model.RowSampler`` replaced, on numpy 2.4.6 and
 scipy 1.17.1.  The runs with independent sure-magnitude cells (prob 1) were
 re-recorded once when each such cell came to take one fair bit of a raw
-Philox word in place of a uniform; ``counterexample-wlln`` kept its digest,
-as its weights put all their mass on the row's last cell.  Any change in the
-draws, their order or the report formatting shows up as a different SHA-256.
-The runs cover independent and negatively associated sequences, grouped
-arrays, explicit cells with Pareto laws, weights and every simulate mode.
+Philox word in place of a uniform, and every run once more when one Philox
+key came to serve 64 replications; ``counterexample-wlln`` kept its digest
+both times, as its weights put all their mass on the row's last cell.  Any
+change in the draws, their order or the report formatting shows up as a
+different SHA-256.  The runs cover independent and negatively associated
+sequences, grouped arrays, explicit cells with Pareto laws, weights and every
+simulate mode.  The ``-blocks`` runs cross block edges in both layouts: 200
+replications are three full blocks and a partial one, and x2m-example's 300
+go through the column kernel at one thread and the row kernel at two.
 """
 
 import dataclasses
@@ -63,36 +67,44 @@ RUNS = {
     "x2m-wlln": (["--fixture", "x2m-example", "--p", "1", "--mode", "wlln",
                   "--rows", "2^4..2^9", "--reps", "70", "--eps", "0.1,0.5,1.0",
                   "--threads", "2"],
-                 "e05047bfc787ec32e27702a71dfea3280759e5903f2ac5f75a7ced2c049ecc0a"),
+                 "07024fe0c96dca503d8224aaaecdb75973229ae0bc52b5743dc2019b21b735b7"),
     "ex41-series": (["--fixture", "example-4.1", "--mode", "slln-series",
                      "--rows", "2^3..2^8", "--reps", "60"],
-                    "5a0aedcb8a86896091cf1f464062e9b5d7a9c9830406a961ceca8c87e9550d46"),
+                    "42ee7d08e151fef057377746aa0fa06da12ab8f214a9c0cf035cf08b6c9f1b1e"),
     "x2m-path": (["--fixture", "x2m-example", "--p", "1", "--mode", "slln-path",
                   "--rows", "2^4..2^9", "--reps", "30", "--eps", "0.05,0.1,0.2"],
-                 "191e5c3a988b9c346415b7efa31af8ed0ba5c01f665224115cbb1f4bd0613154"),
+                 "d573d82bab295d28fb0e757db8067e9e85dbaa2ad6f7642c5f6028e839f407bd"),
     "ex21-wlln": (["--fixture", "example-2.1", "--mode", "wlln",
                    "--rows", "2^2..2^7", "--reps", "50", "--eps", "0.5,1.0"],
-                  "813bc5b21e5b94c4feef2525222371916eca431d92ecd8f6ef5b60e16b042622"),
+                  "a6fefbadf6e13de6028671eb8a4e7605c5e0186d6621dac90da2ee931486ee2e"),
     "counterexample-wlln": (["--fixture", "wlln-counterexample", "--mode", "wlln",
                              "--rows", "2^4..2^8", "--reps", "20"],
                             "c91354943c51abafa6608a8317678eacc058cbb4b2d5ec8eb33aedc2b680628d"),
     "grid-na-wlln": (["--spec", "{grid-na}", "--mode", "wlln", "--rows", "1..24",
                       "--reps", "90", "--eps", "0.2,0.5"],
-                     "8afaf1ad92559580b042dd0964259bb6bb21bacf1ddb4d99e02cd617d695b392"),
+                     "b880848dcbbe95639dd2a9705b3fa7228bdf4663325b0cb6d1448b2a31ac3aea"),
     "seq-ind-wlln": (["--spec", "{seq-ind}", "--mode", "wlln", "--rows", "3..40",
                       "--reps", "90", "--eps", "0.2,0.5"],
-                     "4d762f3430145bc9e1cb0ee256b44ae858eb30e70a3c979adeb858c2b29d2d7f"),
+                     "58e24f4ae39ca0f830b36b5956528d6370acf8fdbfa59f7788fdf58f6952534e"),
     "seq-na-series": (["--spec", "{seq-na}", "--mode", "slln-series", "--rows", "1..32",
                        "--reps", "80", "--eps", "0.2,0.5"],
-                      "9ac6e682207f222b32598d1e7628f9ca8344dc25d162d861663be209cbbecf53"),
+                      "82e8b82d9d072dc3636ca14c3dee6ce7eb771e3d454193f1b94542a215eec7d7"),
     "seq-na-path": (["--spec", "{seq-na}", "--mode", "slln-path", "--rows", "2..40",
                      "--reps", "40", "--eps", "0.2,0.5"],
-                    "a543544cfb5b345903491a41a1a32c597efbf05786ef81b9e85bc152164b3b94"),
+                    "4b0b879908da55b63531ddedc75cf193abacaeddcd9c8e2238bd859fabc30f48"),
+    "seq-na-wlln-blocks": (["--spec", "{seq-na}", "--mode", "wlln", "--rows", "3..40",
+                            "--reps", "200", "--eps", "0.2,0.5"],
+                           "e90985b7331ee4377ada4964b98962bc8c0f2306655440c6a34b35da41f155da"),
+    "x2m-wlln-blocks": (["--fixture", "x2m-example", "--p", "1", "--mode", "wlln",
+                         "--rows", "2^4..2^10", "--reps", "300", "--eps", "0.1,0.5,1.0"],
+                        "ce5340ba44f7e454a470f6b99b6635599702110092082ec94f2c2cf31f552691"),
 }
+BLOCK_RUNS = sorted(name for name in RUNS if name.endswith("-blocks"))
 
 
-def run_digest(tmp_path, name: str) -> str:
-    """SHA-256 over the CSV and JSON outputs of one recorded run."""
+def run_digest(tmp_path, name: str, *extra: str) -> str:
+    """SHA-256 over the CSV and JSON outputs of one recorded run, its argv
+    followed by ``extra``."""
     specs = {}
     for key, kw in SPECS.items():
         path = tmp_path / f"{key}.json"
@@ -100,7 +112,7 @@ def run_digest(tmp_path, name: str) -> str:
         specs[key] = str(path)
     argv, _ = RUNS[name]
     out = tmp_path / name
-    argv = [a.format(**specs) for a in argv]
+    argv = [a.format(**specs) for a in (*argv, *extra)]
     assert cli_main(["simulate", *argv, "--seed", "17", "--out", str(out)]) == 0
     h = hashlib.sha256()
     for suffix in (".csv", ".json"):
@@ -123,6 +135,12 @@ def test_simulate_golden_digest_through_the_column_kernel(tmp_path, monkeypatch,
     assert run_digest(tmp_path, name) == RUNS[name][1]
 
 
+@pytest.mark.parametrize("name", BLOCK_RUNS)
+def test_block_edge_golden_digest_at_two_threads(tmp_path, name):
+    # spans cut on block edges: 128 + 72 and 128 + 172 replications
+    assert run_digest(tmp_path, name, "--threads", "2") == RUNS[name][1]
+
+
 def test_condition_h_probe_golden_values():
     na_rows = model.ArraySpec(
         row_length=lambda n: n,
@@ -135,5 +153,5 @@ def test_condition_h_probe_golden_values():
     ), dependence=model.GaussianNA(-0.4))
     got = (simulate.condition_h_probe(na_rows, 2.0, 30, reps=200, seed=4),
            simulate.condition_h_probe(na_seq, 1.5, 33, reps=200, seed=8))
-    assert got == (float.fromhex("0x1.442d36bc8e07fp+0"),
-                   float.fromhex("0x1.a707531f603dcp-1"))
+    assert got == (float.fromhex("0x1.4a52ebb45ddf1p+0"),
+                   float.fromhex("0x1.b8853ab4f7a7bp-1"))

@@ -146,27 +146,38 @@ def test_reports_byte_equal_across_threads_and_chunks(chunk_offset):
 
 def test_chunks_cover_every_replication_once():
     # the parts _key_blocks gives a kernel: every replication once and in
-    # order, at most TASK_CELLS cells (one replication of a longer row) or
-    # COLUMN_GROUP replications, no part across a key-block edge, and each
-    # key block cut evenly into the fewest parts
-    key_reps = simulate.KEY_REPS
+    # order, each with the keys of exactly the blocks it touches.  From a
+    # block's size up, parts of whole blocks that start on a block edge, at
+    # most TASK_CELLS cells (or COLUMN_GROUP replications), the span's blocks
+    # cut evenly into the fewest parts; below it, parts inside one block,
+    # each block cut evenly likewise
+    block = model.BLOCK_REPS
     for k, lo, hi in ((1, 0, 5), (64, 0, 2000), (1 << 14, 0, 2000), (1 << 17, 0, 3),
-                      (3000, 0, 22), (12, 7, 2 * key_reps + 3), (64, key_reps - 1, key_reps + 600)):
+                      (3000, 0, 22), (12, 64, 7 * block + 3), (64, 3 * block, 9 * block)):
         row = max(1, simulate.TASK_CELLS // k)
-        for size in (row, simulate.COLUMN_GROUP):
-            parts = [(r, r + len(keys)) for r, keys in simulate._key_blocks(0, k, lo, hi, size)]
+        for size in (row, simulate.COLUMN_GROUP, block, 5):
+            parts = list(simulate._key_blocks(0, k, lo, hi, size))
             assert parts[0][0] == lo and parts[-1][1] == hi
             assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
-            assert all(0 < b - a <= size for a, b in parts)
+            assert all(0 < z - a <= size for a, z, _ in parts)
+            for a, z, keys in parts:
+                blocks = np.arange(a // block, -(-z // block))
+                assert keys.tolist() == model.stream_keys(0, (k,), blocks).tolist()
+            if size < block:
+                assert all(a // block == (z - 1) // block for a, z, _ in parts)
+                for _, group in itertools.groupby(parts, lambda part: part[0] // block):
+                    lengths = [z - a for a, z, _ in group]
+                    assert len(lengths) == -(-sum(lengths) // size)
+                    assert max(lengths) - min(lengths) <= 1
+                continue
+            assert all(a % block == 0 for a, _, _ in parts)
             if size == row:
-                assert all((b - a) * k <= max(k, simulate.TASK_CELLS) for a, b in parts)
-            blocks = itertools.groupby(parts, lambda part: (part[0] - lo) // key_reps)
-            for j, block in blocks:
-                lengths = [b - a for a, b in block]
-                whole = min(hi, lo + (j + 1) * key_reps) - (lo + j * key_reps)
-                assert sum(lengths) == whole  # so no part ends past its key block
-                assert len(lengths) == -(-whole // size)
-                assert max(lengths) - min(lengths) <= 1
+                assert all((z - a) * k <= simulate.TASK_CELLS for a, z, _ in parts)
+            lengths = [-(-(z - a) // block) for a, z, _ in parts]
+            assert len(lengths) == -(-sum(lengths) // (size // block))
+            assert max(lengths) - min(lengths) <= 1
+    with pytest.raises(ValueError, match="does not start a block"):
+        next(simulate._key_blocks(0, 4, 5, 100, 64))
 
 
 def test_replication_doubling_consistency():
@@ -198,7 +209,8 @@ def test_worker_count_is_bounded_without_starting_workers(monkeypatch):
     # the rule alone: nothing here builds a pool
     _usable_cpus(monkeypatch, 4)
     assert simulate._workers(10**20, 2000) == 4
-    assert simulate._workers(10**20, 3) == 3
+    assert simulate._workers(10**20, 3) == 1  # one block of replications
+    assert simulate._workers(10**20, 129) == 3
     assert simulate._workers(2, 2000) == 2
     assert simulate._workers(1, 2000) == 1
     _usable_cpus(monkeypatch, 1)
@@ -315,30 +327,32 @@ def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, t
 
 @pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
 def test_key_blocks_do_not_move_the_bytes(monkeypatch, case):
-    # keys derived five replications at a time, in chunks cut at 48 cells
-    plan = KERNEL_PLANS[case]()
+    # 150 replications, two full blocks and a partial one, in parts cut at 48
+    # cells: one-cell slabs of 48 replications, or a few replications of a
+    # GaussianNA row
+    plan = dataclasses.replace(KERNEL_PLANS[case](), reps=150)
     whole = _mode_bytes(plan, 1)
-    key_reps, inner = simulate.KEY_REPS, model.RowSampler.draw_words
-    monkeypatch.setattr(simulate, "KEY_REPS", 5)
+    if FORK:  # and in spans of two blocks and one, or of one block each
+        _usable_cpus(monkeypatch, 4)
+        assert all(_mode_bytes(plan, t) == whole for t in (2, 3))
+    inner = model.RowSampler.draw_words
     monkeypatch.setattr(simulate, "TASK_CELLS", 48)
     assert _mode_bytes(plan, 1) == whole
-    # and the column kernel at each (TASK_CELLS, COLUMN_GROUP, KEY_REPS), its
-    # groups cut from key blocks: passes of 4 words in groups of 9 and 10
-    # replications; of 4 words again, where 60 // 10 = 6 words would not start
-    # at a Philox counter; of 24 words in groups of 6 and 7; one group of all
-    # 37 with every word in one pass; and groups of 7 from key blocks of 14,
-    # then of 9 from the last block of 9, sized to 4 words by the 9
+    # and the column kernel at each (TASK_CELLS, COLUMN_GROUP), in passes of
+    # TASK_CELLS // COLUMN_GROUP words: of 4 words in groups of 9 to 10 inside
+    # a block; of 6, which no Philox counter need start; of 24 in groups of
+    # 7; all 150 at once in passes of 64 words; and of 128 words in a group
+    # of one block, then one of a full block and the partial one
     monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
     columns = _column_rows(monkeypatch)
 
-    def draw_words(keys, gen, out, first_word=0):  # G·W words at most, or 4 a replication
-        assert out.size <= max(simulate.TASK_CELLS, 4 * len(out), out.shape[1])
-        inner(keys, gen, out, first_word)
+    def draw_words(keys, gen, out, first_word=0, first=0):  # G·W words at most
+        assert out.size <= simulate.TASK_CELLS
+        inner(keys, gen, out, first_word, first)
 
     monkeypatch.setattr(model.RowSampler, "draw_words", staticmethod(draw_words))
-    for setting in ((48, 10, key_reps), (60, 10, key_reps), (170, 7, key_reps),
-                    (1 << 15, 512, key_reps), (60, 10, 14)):
-        for name, value in zip(("TASK_CELLS", "COLUMN_GROUP", "KEY_REPS"), setting):
+    for setting in ((48, 10), (60, 10), (170, 7), (1 << 15, 512), (1 << 14, 128)):
+        for name, value in zip(("TASK_CELLS", "COLUMN_GROUP"), setting):
             monkeypatch.setattr(simulate, name, value)
         columns.clear()
         assert _mode_bytes(plan, 1) == whole, setting
