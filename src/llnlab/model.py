@@ -949,6 +949,12 @@ def _rekey(bit, key: list, counter: int = 0) -> None:
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
+def _position(bit) -> tuple:
+    """The key, counter and buffer position of the Philox ``bit``."""
+    state = bit.state
+    return state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
 def _raw_words(bit, out: np.ndarray) -> None:
     """Fill ``out`` with the next raw words of the bit generator ``bit``."""
     for a in range(0, len(out), RAW_BLOCK):
@@ -1021,8 +1027,7 @@ class RowSampler:
     def __init__(self, arr: ArraySpec, n: int):
         if not isinstance(arr.dependence, (Independent, GaussianNA)):
             raise SamplingError(f"unsupported dependence {arr.dependence!r}")
-        self.k = k = arr.k(n)
-        self._arr = arr
+        k, self._arr, self._resume = arr.k(n), arr, None
         count = None  # cells per entry: entries are cells, or the groups of a row
         if arr.is_sequence:
             law, others, mag, prob, _ = step_columns(arr, 1, k)
@@ -1038,46 +1043,52 @@ class RowSampler:
         mag, prob = np.concatenate((mag, pad)), np.concatenate((prob, pad))  # by law
         independent = isinstance(arr.dependence, Independent)
         sure = ((prob == 1.0) & independent)[law]  # by entry
-        self.sure_mag = cells(mag[law], sure)  # in cell order
-        self.n_sure = len(self.sure_mag)
-        self._words, self._bit = -(-self.n_sure // 64), 0  # sign words; the first sign's bit
-        self._spans = ((0, 0, self._words + k - self.n_sure),)  # (buffer column, word, words)
+        self._row_sure_mag = cells(mag[law], sure)  # in cell order
         self._sure_cell = sure if count is None else np.repeat(sure, count)
-        self._sure, self._rest = _cells_where(self._sure_cell), _cells_where(~self._sure_cell)
-        law = cells(law, ~sure)  # the law of each other cell, numbered as its word
-        self._mag = None  # a row with no other step cell keeps no per-cell step arrays
+        self._law = cells(law, ~sure)  # the law of each other cell, numbered as its word
+        half = prob / 2.0
+        lo, hi = half, 1.0 - half
+        if independent and (self._law < n_steps).any():  # the words' thresholds: see above
+            lo, hi = _word_threshold(lo), _word_threshold(hi)
+            hi -= np.uint64(1)  # w > hi iff u >= hi; 2^64, wrapped to 0, ends at 2^64 - 1
+        self._steps = (n_steps, mag, lo, hi)
+        other = np.flatnonzero(self._law >= n_steps)  # per non-step law, its words, ascending
+        other = other[np.argsort(self._law[other], kind="stable")]
+        cuts = np.searchsorted(self._law[other], np.arange(n_steps + 1, n_steps + len(others)))
+        self._row_others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
+        self._layout(0, k)
+
+    def _layout(self, c0: int, c1: int) -> None:
+        """Lay out cells c0 .. c1 - 1 on the words the whole row gives them:
+        the signs of its sure cells from bit a of the row's sign words, a
+        the sure cells before c0, and its other cells' words from word p of
+        the row's other words, p the other cells before c0."""
+        sure, a = self._sure_cell[c0:c1], int(np.count_nonzero(self._sure_cell[:c0]))
+        self.k, self.n_sure, self._bit = c1 - c0, int(np.count_nonzero(sure)), a % 64
+        self.sure_mag = self._row_sure_mag[a:a + self.n_sure]
+        self._sure, self._rest = _cells_where(sure), _cells_where(~sure)
+        self._words = -(-(self._bit + self.n_sure) // 64) if self.n_sure else 0  # sign words
+        p, rest = c0 - a, self.k - self.n_sure  # the other cells before the range, and in it
+        spans = ((0, a // 64, self._words),
+                 (self._words, -(-len(self._row_sure_mag) // 64) + p, rest))
+        if spans[0][1] + spans[0][2] == spans[1][1]:  # one run of the row's words
+            spans = ((0, a // 64, self._words + rest),)
+        self._spans = tuple(span for span in spans if span[2])  # (buffer column, word, words)
+        law, (n_steps, mag, lo, hi) = self._law[p:p + rest], self._steps
+        self._mag = None  # a range with no other step cell keeps no per-cell step arrays
         if (law < n_steps).any():
-            half = prob / 2.0
-            lo, hi = half, 1.0 - half
-            if independent:  # the thresholds of the words: see the class docstring
-                lo, hi = _word_threshold(lo), _word_threshold(hi)
-                hi -= np.uint64(1)  # w > hi iff u >= hi; 2^64, wrapped to 0, ends at 2^64 - 1
             self._mag, self._lo, self._hi = mag[law], lo[law], hi[law]
-        other = np.flatnonzero(law >= n_steps)
-        other = other[np.argsort(law[other], kind="stable")]
-        cuts = np.searchsorted(law[other], np.arange(n_steps + 1, n_steps + len(others)))
-        self._others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
+        cuts = ((q, idx, np.searchsorted(idx, (p, p + rest))) for q, idx in self._row_others)
+        self._others = tuple((q, idx[i:j] - p) for q, idx, (i, j) in cuts if j > i)
 
     def slabs(self, cells: int) -> list:
-        """Samplers of the row's runs of ``cells`` cells, each reading its own
-        words of the row's layout; the row itself if shorter, or ``GaussianNA``."""
+        """Samplers of the row's runs of ``cells`` cells, each laid out on the
+        row's words; the row itself if shorter, or ``GaussianNA``."""
         if cells >= self.k or not isinstance(self._arr.dependence, Independent):
             return [self]
-        out, a, p = [], 0, 0  # the sure and the other cells before the slab
-        for c0 in range(0, self.k, cells):
-            s, sure = copy.copy(self), self._sure_cell[c0:c0 + cells]
-            s._sure, s._rest = _cells_where(sure), _cells_where(~sure)
-            s.k, s.n_sure, s._bit = len(sure), int(np.count_nonzero(sure)), a % 64
-            s.sure_mag, rest = self.sure_mag[a:a + s.n_sure], s.k - s.n_sure
-            s._words = -(-(s._bit + s.n_sure) // 64) if s.n_sure else 0
-            s._spans = tuple(span for span in ((0, a // 64, s._words),
-                                               (s._words, self._words + p, rest)) if span[2])
-            if self._mag is not None:
-                s._mag, s._lo, s._hi = (v[p:p + rest] for v in (self._mag, self._lo, self._hi))
-            cuts = ((q, idx, np.searchsorted(idx, (p, p + rest))) for q, idx in self._others)
-            s._others = tuple((q, idx[i:j] - p) for q, idx, (i, j) in cuts if j > i)
-            out.append(s)
-            a, p = a + s.n_sure, p + rest
+        out = [copy.copy(self) for _ in range(0, self.k, cells)]
+        for slab, c0 in zip(out, range(0, self.k, cells)):
+            slab._layout(c0, min(c0 + cells, self.k))
         return out
 
     def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
@@ -1100,19 +1111,24 @@ class RowSampler:
 
         ``gen``, a Philox ``Generator`` the caller keeps, is re-keyed at each
         block with its buffer dropped, but a ``GaussianNA`` row with ``first``
-        past 0 goes on drawing the block ``gen`` drew last: draw those in order.
+        past 0 goes on drawing the block ``gen`` drew last, so it must follow
+        this sampler's draw of the lanes before ``first`` with no draw from
+        ``gen`` in between; else it raises ``ValueError``.
         """
         if m > len(bufs[1]):
             raise ValueError(f"{m} replications for {len(bufs[1])} buffer rows")
         if bufs[2] is None:
             for at, w0, w in self._spans:
                 self.draw_words(keys, gen, bufs[0][:m, at:at + w].view("<u8").T, w0, first)
-        elif first:
-            gen.standard_normal(out=bufs[2][:m])
-        else:
-            for j, key in enumerate(keys.tolist()):
+            return self._values(m, bufs)
+        if first and self._resume != (keys[0].tolist(), first, _position(gen.bit_generator)):
+            raise ValueError(f"lane {first} does not follow this row's last draw from gen")
+        for j, key in enumerate(keys.tolist()):
+            if not first:
                 _rekey(gen.bit_generator, key)
-                gen.standard_normal(out=bufs[2][j * BLOCK_REPS:min((j + 1) * BLOCK_REPS, m)])
+            gen.standard_normal(out=bufs[2][j * BLOCK_REPS:min((j + 1) * BLOCK_REPS - first, m)])
+        lane = (first + m) % BLOCK_REPS  # the lane a later part of this block starts at
+        self._resume = (keys[-1].tolist(), lane, _position(gen.bit_generator)) if lane else None
         return self._values(m, bufs)
 
     @staticmethod

@@ -569,23 +569,16 @@ def wlln_estimate(plan: SimPlan, threads: int = 1) -> SimReport:
     bvals = [float(plan.b(n)) for n in plan.rows]
     maxima = _replication_maxima(_Spans(plan, plan.rows), plan.reps, threads)
     eps_arr = np.asarray(plan.eps)
-    entries = []
-    ratio_means = []
+    entries, ratio_means = [], []
     for n, m, b in zip(plan.rows, maxima, bvals):
         row = m[:, 0] / b
         # cumsum adds one by one in replication order; np.sum adds pairwise
         ratio_means.append((n, float(np.cumsum(row)[-1] / plan.reps)))
         for eps, cnt in zip(plan.eps, np.count_nonzero(row[:, None] > eps_arr, axis=0)):
             p_hat = float(cnt) / plan.reps
-            entries.append(
-                RowEstimate(n, eps, p_hat, _binomial_se(p_hat, plan.reps), plan.reps)
-            )
-    return SimReport(
-        mode="wlln",
-        seed=plan.seed,
-        entries=tuple(entries),
-        ratio_means=tuple(ratio_means),
-    )
+            entries.append(RowEstimate(n, eps, p_hat, _binomial_se(p_hat, plan.reps), plan.reps))
+    return SimReport(mode="wlln", seed=plan.seed, entries=tuple(entries),
+                     ratio_means=tuple(ratio_means))
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +630,8 @@ def slln_series_estimate(
                 "diagnostic": diagnostic,
             }
         )
-    return SimReport(
-        mode="slln-series",
-        seed=plan.seed,
-        entries=rep.entries,
-        ratio_means=rep.ratio_means,
-        series=series,
-    )
+    return SimReport(mode="slln-series", seed=plan.seed, entries=rep.entries,
+                     ratio_means=rep.ratio_means, series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +681,8 @@ def slln_path_diagnostic(plan: SimPlan, threads: int = 1) -> PathReport:
     maxima = _replication_maxima(spans, plan.reps, threads)[0]
     stats = np.maximum.accumulate(maxima, axis=1)[:, slot] / bvals
     suffix = np.flip(np.maximum.accumulate(np.flip(stats, axis=1), axis=1), axis=1)
-    return PathReport(
-        rows=tuple(plan.rows),
-        eps=tuple(plan.eps),
-        seed=plan.seed,
-        reps=plan.reps,
-        suffix_sups=suffix,
-    )
+    return PathReport(rows=tuple(plan.rows), eps=tuple(plan.eps), seed=plan.seed,
+                      reps=plan.reps, suffix_sups=suffix)
 
 
 # ---------------------------------------------------------------------------

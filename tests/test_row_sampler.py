@@ -227,6 +227,32 @@ def test_draw_rows_matches_single_draws(dep):
                 assert_same_bits(row, reference_row(arr, n, ReplicationStream(1, n, rep)))
 
 
+def test_gaussian_na_lanes_past_zero_follow_the_last_draw():
+    # a GaussianNA row reads lanes past 0 from where its generator stands, so
+    # a draw that skips a lane, or comes after another draw from the
+    # generator, or names another block, raises instead of drawing
+    arr, n = mixed_array(DEPENDENCE["gaussian-na"]), 33
+    keys = model.stream_keys(1, (n,), np.arange(2))
+    sampler = RowSampler(arr, n)
+    bufs = sampler.buffers(67)
+    with pytest.raises(ValueError, match="does not follow"):
+        sampler.draw_rows(keys[:1], GEN, bufs, 2, 5)  # nothing drawn yet
+    for skip, other, block in ((1, False, 0), (0, True, 0), (0, False, 1)):
+        sampler.draw_rows(keys[:1], GEN, bufs, 5)
+        if other:
+            GEN.standard_normal(1)
+        with pytest.raises(ValueError, match="does not follow"):
+            sampler.draw_rows(keys[block:block + 1], GEN, bufs, 2, 5 + skip)
+    sampler.draw_rows(keys[:1], GEN, bufs, 5)
+    sampler.draw_rows(keys[:1], GEN, bufs, 59, 5)  # ends on the block's edge: no lane goes on
+    with pytest.raises(ValueError, match="does not follow"):
+        sampler.draw_rows(keys[:1], GEN, bufs, 2, 5)
+    sampler.draw_rows(keys, GEN, bufs, 67)  # ends at lane 3 of block 1, which goes on
+    again = sampler.draw_rows(keys[1:], GEN, bufs, 2, 3)
+    for row, rep in zip(again, (67, 68)):
+        assert_same_bits(row, reference_row(arr, n, ReplicationStream(1, n, rep)))
+
+
 SURE_COUNTS = (1, 63, 64, 65, 130)  # one word, a word short, full, one bit over, three words
 
 

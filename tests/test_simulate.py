@@ -125,9 +125,14 @@ def test_wlln_estimate_thread_count_invariant():
 
 
 @pytest.mark.parametrize("chunk_offset", [None, -1, 1])
-def test_reports_byte_equal_across_threads_and_chunks(chunk_offset):
-    # rows of 64, 256 and 1024 cells; reps 1 or the largest row's chunk +- 1
-    reps = 1 if chunk_offset is None else simulate.TASK_CELLS // 1024 + chunk_offset
+def test_reports_byte_equal_across_threads_and_chunks(monkeypatch, chunk_offset):
+    # rows of 64, 256 and 1024 cells (two slabs); reps 1, or three blocks +- 1,
+    # so that 2 and 3 threads fork that many workers on four usable CPUs, the
+    # last worker's span ending in a partial block
+    reps = 1 if chunk_offset is None else 3 * model.BLOCK_REPS + chunk_offset
+    _usable_cpus(monkeypatch, 4)
+    if reps > 1:
+        assert [simulate._workers(t, reps) for t in (1, 2, 3)] == [1, 2, 3]
     fx = load("x2m-example", p=1.0)
     plan = SimPlan(arr=fx.arr, b=fx.b, rows=(64, 256, 1024), reps=reps,
                    eps=(0.1, 0.5, 1.0), seed=41)
@@ -135,9 +140,9 @@ def test_reports_byte_equal_across_threads_and_chunks(chunk_offset):
         t: (json.dumps(simulate.wlln_estimate(plan, threads=t).to_json_obj(), sort_keys=True),
             json.dumps(simulate.slln_series_estimate(plan, None, 1.0, threads=t).to_json_obj(),
                        sort_keys=True))
-        for t in (1, 2, 8)
+        for t in (1, 2, 3)
     }
-    assert runs[1] == runs[2] == runs[8]
+    assert runs[1] == runs[2] == runs[3]
     if reps > 1:
         doc = json.loads(runs[1][0])
         assert any(0.0 < e["p_hat"] < 1.0 for e in doc["entries"])
@@ -305,15 +310,19 @@ def _column_rows(monkeypatch) -> list:
 @pytest.mark.parametrize("task_cells", [None, 48])
 @pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
 def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, task_cells):
-    # three workers even on a two-CPU host; 48 cells cut every span into chunks
-    # of one to three replications, forked workers inheriting the patch.  37
-    # replications stay below COLUMN_REPS, so every span runs the row kernel;
-    # with COLUMN_REPS at 1 every span of sure cells runs the column kernel,
-    # at one worker in groups of 9 and 10 (at 48 cells, in passes of 4 words)
+    # three workers even on a two-CPU host: 150 replications, two full blocks
+    # and a partial one, give 2 and 3 threads that many forked workers, which
+    # inherit the patches.  48 cells cut every span into one-cell slabs of 32
+    # or 22 replications, or parts of one replication of a GaussianNA row.
+    # 150 replications stay below COLUMN_REPS, so every span runs the row
+    # kernel; with COLUMN_REPS at 1 every span of sure cells runs the column
+    # kernel, in groups of 7 to 10 inside a block (at 48 cells, in passes of 4 words)
     _usable_cpus(monkeypatch, 4)
     if task_cells is not None:
         monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
-    plan = KERNEL_PLANS[case]()
+    plan = dataclasses.replace(KERNEL_PLANS[case](), reps=150)
+    assert [simulate._workers(t, plan.reps) for t in (1, 2, 3)] == [1, 2, 3]
+    assert plan.reps < simulate.COLUMN_REPS
     runs = {k: _mode_bytes(plan, k) for k in (1, 2, 3)}
     assert runs[1] == runs[2] == runs[3]
     monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
@@ -328,13 +337,10 @@ def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, t
 @pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
 def test_key_blocks_do_not_move_the_bytes(monkeypatch, case):
     # 150 replications, two full blocks and a partial one, in parts cut at 48
-    # cells: one-cell slabs of 48 replications, or a few replications of a
+    # cells: one-cell slabs of 32 or 22 replications, or a few replications of a
     # GaussianNA row
     plan = dataclasses.replace(KERNEL_PLANS[case](), reps=150)
     whole = _mode_bytes(plan, 1)
-    if FORK:  # and in spans of two blocks and one, or of one block each
-        _usable_cpus(monkeypatch, 4)
-        assert all(_mode_bytes(plan, t) == whole for t in (2, 3))
     inner = model.RowSampler.draw_words
     monkeypatch.setattr(simulate, "TASK_CELLS", 48)
     assert _mode_bytes(plan, 1) == whole
