@@ -939,7 +939,6 @@ def ndtr(a: np.ndarray) -> np.ndarray:
     return y.reshape(np.shape(a))
 
 
-RAW_BLOCK = 1 << 13  # raw words per random_raw call on a long row: no row-sized temporary
 BLOCK_REPS = 64  # replications of a row keyed by one Philox stream
 
 
@@ -947,19 +946,6 @@ def _rekey(bit, key: list, counter: int = 0) -> None:
     """Set the Philox ``bit`` to ``key`` at ``counter`` with its buffer empty."""
     bit.state = {"bit_generator": "Philox", "state": {"counter": (counter, 0, 0, 0), "key": key},
                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def _position(bit) -> tuple:
-    """The key, counter and buffer position of the Philox ``bit``."""
-    state = bit.state
-    return state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"]
-
-
-def _raw_words(bit, out: np.ndarray) -> None:
-    """Fill ``out`` with the next raw words of the bit generator ``bit``."""
-    for a in range(0, len(out), RAW_BLOCK):
-        part = out[a:a + RAW_BLOCK]
-        part[...] = bit.random_raw(len(part))
 
 
 def fair_signs(octets: np.ndarray, axis: int, count: int) -> np.ndarray:
@@ -1004,13 +990,14 @@ class RowSampler:
     """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
     Replication r is lane r mod B of block r div B (B = ``BLOCK_REPS``),
-    whose stream the caller keys.  A ``GaussianNA`` row is replication-major:
-    lane i takes the block's normals i(k + 1) .. i(k + 1) + k.  An independent
-    row is word-major: word w of lane i is word w B + i of the stream.  Its s
-    sure-magnitude cells (step laws with prob 1: a magnitude m times a fair
-    sign) take words 0 .. ceil(s/64) - 1, read little-endian, so bit i of word
-    j, ``(w >> i) & 1``, is the sign of the (64j + i)-th sure cell in cell
-    order, +m for 1 and -m for 0; its other cells follow, a word each.
+    whose stream the caller keys, and draw d of lane i is draw d B + i of the
+    stream: a raw word of an independent row, a normal of a ``GaussianNA``
+    row, whose k + 1 normals a block draws as one (k + 1, B) run.  An
+    independent row's s sure-magnitude cells (step laws with prob 1: a
+    magnitude m times a fair sign) take words 0 .. ceil(s/64) - 1, read
+    little-endian, so bit i of word j, ``(w >> i) & 1``, is the sign of the
+    (64j + i)-th sure cell in cell order, +m for 1 and -m for 0; its other
+    cells follow, a word each.
 
     Other step cells keep thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
     magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``, the
@@ -1027,7 +1014,7 @@ class RowSampler:
     def __init__(self, arr: ArraySpec, n: int):
         if not isinstance(arr.dependence, (Independent, GaussianNA)):
             raise SamplingError(f"unsupported dependence {arr.dependence!r}")
-        k, self._arr, self._resume = arr.k(n), arr, None
+        k, self._arr = arr.k(n), arr
         count = None  # cells per entry: entries are cells, or the groups of a row
         if arr.is_sequence:
             law, others, mag, prob, _ = step_columns(arr, 1, k)
@@ -1042,6 +1029,7 @@ class RowSampler:
         pad = np.zeros(len(others))
         mag, prob = np.concatenate((mag, pad)), np.concatenate((prob, pad))  # by law
         independent = isinstance(arr.dependence, Independent)
+        self._carry = None if independent else np.empty(BLOCK_REPS)  # a block's last normals
         sure = ((prob == 1.0) & independent)[law]  # by entry
         self._row_sure_mag = cells(mag[law], sure)  # in cell order
         self._sure_cell = sure if count is None else np.repeat(sure, count)
@@ -1064,7 +1052,7 @@ class RowSampler:
         the sure cells before c0, and its other cells' words from word p of
         the row's other words, p the other cells before c0."""
         sure, a = self._sure_cell[c0:c1], int(np.count_nonzero(self._sure_cell[:c0]))
-        self.k, self.n_sure, self._bit = c1 - c0, int(np.count_nonzero(sure)), a % 64
+        self._c0, self.k, self.n_sure, self._bit = c0, c1 - c0, int(np.count_nonzero(sure)), a % 64
         self.sure_mag = self._row_sure_mag[a:a + self.n_sure]
         self._sure, self._rest = _cells_where(sure), _cells_where(~sure)
         self._words = -(-(self._bit + self.n_sure) // 64) if self.n_sure else 0  # sign words
@@ -1083,8 +1071,8 @@ class RowSampler:
 
     def slabs(self, cells: int) -> list:
         """Samplers of the row's runs of ``cells`` cells, each laid out on the
-        row's words; the row itself if shorter, or ``GaussianNA``."""
-        if cells >= self.k or not isinstance(self._arr.dependence, Independent):
+        row's draws; the row itself if shorter."""
+        if cells >= self.k:
             return [self]
         out = [copy.copy(self) for _ in range(0, self.k, cells)]
         for slab, c0 in zip(out, range(0, self.k, cells)):
@@ -1094,77 +1082,89 @@ class RowSampler:
     def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
         """Caller-owned (words, draws, normals or None) for ``reps`` rows: a
         row of ``words`` holds one replication's raw Philox words (a ``'<u8'``
-        view reads them), or a ``GaussianNA`` row's uniforms.  With ``store``,
-        a list the caller keeps, they are views of its arrays (``store_array``)."""
+        view reads them), or a ``GaussianNA`` row's uniforms, whose block
+        draws normals 1 .. k of its lanes into ``normals``, shaped (k, B).
+        With ``store``, a list the caller keeps, they are views of its arrays
+        (``store_array``)."""
         if isinstance(self._arr.dependence, Independent):
-            widths = (self._words + self.k - self.n_sure, self.k, None)
+            shapes = ((reps, self._words + self.k - self.n_sure), (reps, self.k), None)
         else:
-            widths = (self.k, self.k, self.k + 1)
+            shapes = ((reps, self.k), (reps, self.k), (self.k, BLOCK_REPS))
         store = [] if store is None else store
-        return tuple(None if w is None else store_array(store, i, reps * w).reshape(reps, w)
-                     for i, w in enumerate(widths))
+        return tuple(None if s is None else store_array(store, i, s[0] * s[1]).reshape(s)
+                     for i, s in enumerate(shapes))
 
-    def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple, m: int,
-                  first: int = 0) -> np.ndarray:
-        """Draws of replications first .. first + m - 1 of the blocks keyed by
-        ``keys`` (shape (blocks, 2); ``first`` a lane of the first), as a view.
+    def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple, m: int) -> np.ndarray:
+        """Draws of replications 0 .. m - 1 of the blocks keyed by ``keys``
+        (shape (blocks, 2)), as a view.
 
         ``gen``, a Philox ``Generator`` the caller keeps, is re-keyed at each
-        block with its buffer dropped, but a ``GaussianNA`` row with ``first``
-        past 0 goes on drawing the block ``gen`` drew last, so it must follow
-        this sampler's draw of the lanes before ``first`` with no draw from
-        ``gen`` in between; else it raises ``ValueError``.
+        block with its buffer dropped, except by a later slab of a
+        ``GaussianNA`` row (``slabs``).  That slab draws one block, right
+        after the slab before it: it goes on from ``gen`` where that slab
+        stopped, and its lanes' first normals are the last that slab drew.
         """
         if m > len(bufs[1]):
             raise ValueError(f"{m} replications for {len(bufs[1])} buffer rows")
         if bufs[2] is None:
             for at, w0, w in self._spans:
-                self.draw_words(keys, gen, bufs[0][:m, at:at + w].view("<u8").T, w0, first)
+                self.draw_words(keys, gen, bufs[0][:m, at:at + w].view("<u8").T, w0)
             return self._values(m, bufs)
-        if first and self._resume != (keys[0].tolist(), first, _position(gen.bit_generator)):
-            raise ValueError(f"lane {first} does not follow this row's last draw from gen")
+        z, carry = bufs[2], self._carry
         for j, key in enumerate(keys.tolist()):
-            if not first:
+            if not self._c0:
                 _rekey(gen.bit_generator, key)
-            gen.standard_normal(out=bufs[2][j * BLOCK_REPS:min((j + 1) * BLOCK_REPS - first, m)])
-        lane = (first + m) % BLOCK_REPS  # the lane a later part of this block starts at
-        self._resume = (keys[-1].tolist(), lane, _position(gen.bit_generator)) if lane else None
+                gen.standard_normal(out=carry)
+            gen.standard_normal(out=z)
+            self._mix(carry, z, bufs[0][j * BLOCK_REPS:min((j + 1) * BLOCK_REPS, m)])
+            carry[...] = z[-1]
         return self._values(m, bufs)
 
     @staticmethod
-    def draw_words(keys: np.ndarray, gen: Generator, out: np.ndarray, first_word: int = 0,
-                   first: int = 0) -> None:
-        """Fill column i of ``out`` (uint64 (W, m), any strides) with words
-        first_word.. of replication first + i of the blocks keyed by ``keys``:
-        a block's are W B words of ``Generator(Philox(key=key))``, shaped (W,
+    def draw_words(keys: np.ndarray, gen: Generator, out: np.ndarray, first_word: int = 0) -> None:
+        """Fill column r of ``out`` (uint64 (W, m), any strides) with words
+        first_word.. of replication r of the blocks keyed by ``keys``: a
+        block's are W B words of ``Generator(Philox(key=key))``, shaped (W,
         B), from counter first_word B / 4 (word 4c + j is word j of counter c
         + 1), drawn whole in one call whichever lanes ``out`` keeps."""
         bit, (width, m) = gen.bit_generator, out.shape
         for j, key in enumerate(keys.tolist()):
             _rekey(bit, key, first_word * BLOCK_REPS // 4)
-            lane = j * BLOCK_REPS - first  # the column of the block's lane 0
-            cols = slice(max(lane, 0), min(lane + BLOCK_REPS, m))
+            cols = slice(j * BLOCK_REPS, min((j + 1) * BLOCK_REPS, m))
             words = bit.random_raw(width * BLOCK_REPS).reshape(width, BLOCK_REPS)
-            out[:, cols] = words[:, cols.start - lane:cols.stop - lane]
+            out[:, cols] = words[:, :cols.stop - cols.start]
+
+    def _mix(self, z0: np.ndarray, z: np.ndarray, u: np.ndarray) -> None:
+        """Fill ``u`` (lanes, k) with each lane's mixed neighbours z_j + theta
+        z_(j + 1), j < k, from its normals z_0 in ``z0`` and z_1 .. z_k down
+        its column of ``z`` (k, >= lanes)."""
+        lanes, th = len(u), self._arr.dependence.theta()
+        np.multiply(z[:, :lanes].T, th, out=u)
+        u[:, :1] += z0[:lanes, None]  # no column in a row of no cells
+        u[:, 1:] += z[:-1, :lanes].T
 
     def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
         """One realization of the row from ``rng``, into ``bufs`` when given.
 
-        An independent row reads ``rng.bit_generator.random_raw`` words; a
-        word w stands for the uniform ``(w >> 11) * 2**-53``, the one
-        ``rng.random`` forms from it when ``rng`` draws from Philox.
+        An independent row reads its words from one
+        ``rng.bit_generator.random_raw`` call; a word w stands for the
+        uniform ``(w >> 11) * 2**-53``, the one ``rng.random`` forms from it
+        when ``rng`` draws from Philox.  A ``GaussianNA`` row reads its k + 1
+        normals from one ``rng.standard_normal`` call.
         """
         bufs = self.buffers() if bufs is None else bufs
         if bufs[2] is None:
-            _raw_words(rng.bit_generator, bufs[0].view("<u8")[0])
+            words = bufs[0].view("<u8")[0]
+            words[...] = rng.bit_generator.random_raw(len(words))
         else:
-            rng.standard_normal(out=bufs[2][0])
+            z = rng.standard_normal(self.k + 1)
+            self._mix(z[:1], z[1:, None], bufs[0][:1])
         return self._values(1, bufs)[0]
 
     def _values(self, m: int, bufs: tuple) -> np.ndarray:
         """The first m rows of draws, from the words (or, for GaussianNA rows,
-        the k + 1 normals, whose neighbours are mixed and mapped through the
-        normal cdf) the caller filled."""
+        the mixed neighbours of the normals, mapped through the normal cdf)
+        the caller filled."""
         x, w, rest = bufs[1][:m], self._words, self.k - self.n_sure
         if w:
             octets = bufs[0][:m, :w].view("<u8").view(np.uint8)
@@ -1188,9 +1188,7 @@ class RowSampler:
                 sign -= np.less(u, self._lo).view(np.int8)
                 np.multiply(sign, self._mag, out=y)
         else:
-            u, z, th = bufs[0][:m], bufs[2][:m], self._arr.dependence.theta()
-            np.multiply(z[:, 1:], th, out=u)
-            u += z[:, :-1]
+            u, th = bufs[0][:m], self._arr.dependence.theta()
             u /= math.sqrt(1.0 + th * th)
             u[...] = ndtr(u)
             other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused

@@ -2,8 +2,8 @@
 
 Replication randomness is addressed, not streamed: replication r of row n is
 lane r mod B of block r div B (B = ``BLOCK_REPS`` = 64), block b reads the
-counter-based Philox stream keyed by (master seed, n, b), word-major for an
-independent row and replication-major for a ``GaussianNA`` row
+counter-based Philox stream keyed by (master seed, n, b), draw d of lane i
+being its draw dB + i, a raw word or, for a ``GaussianNA`` row, a normal
 (``model.RowSampler``), and results land in slots indexed by replication.
 So no draw depends on ``--reps``, the worker count or the schedule, and
 reports are bitwise identical across them.  Every mode runs through one
@@ -233,20 +233,17 @@ def _key_blocks(seed: int, n: int, lo: int, hi: int, size: int):
     """(first replication, end, keys of its blocks) of each part of
     replications lo..hi-1 of row n, lo a block edge: keys derived in one pass
     (16 bytes a block, against 8 a replication of maxima), cut evenly into the
-    fewest parts of at most ``size``, whole blocks when it holds one."""
+    fewest parts of whole blocks, at most ``size`` replications, at least one
+    block, each."""
     if lo % BLOCK_REPS:
         raise ValueError(f"replication {lo} does not start a block")
-    b0, b1, per = lo // BLOCK_REPS, -(-hi // BLOCK_REPS), size // BLOCK_REPS
-    keys = stream_keys(seed, (n,), np.arange(b0, b1))
-    if per:
-        parts = -(-(b1 - b0) // per)
-        cuts = [(b0 + (b1 - b0) * p // parts) * BLOCK_REPS for p in range(parts + 1)]
-    else:
-        cuts = [b * BLOCK_REPS + m * p // parts for b in range(b0, b1)
-                for m in [min(hi - b * BLOCK_REPS, BLOCK_REPS)]
-                for parts in [-(-m // size)] for p in range(parts)] + [b1 * BLOCK_REPS]
+    if size < BLOCK_REPS:
+        raise ValueError(f"parts of {size} replications hold no whole block")
+    b0, b1 = lo // BLOCK_REPS, -(-hi // BLOCK_REPS)
+    keys, parts = stream_keys(seed, (n,), np.arange(b0, b1)), -(-(b1 - b0) // (size // BLOCK_REPS))
+    cuts = [(b1 - b0) * p // parts for p in range(parts + 1)]
     for a, z in zip(cuts, cuts[1:]):
-        yield a, min(z, hi), keys[a // BLOCK_REPS - b0:-(-z // BLOCK_REPS) - b0]
+        yield (b0 + a) * BLOCK_REPS, min((b0 + z) * BLOCK_REPS, hi), keys[a:z]
 
 
 class _Spans:
@@ -259,8 +256,8 @@ class _Spans:
     maximum over the segments gives max_{j <= e} |S_j| at each end e.
     ``clip``, given without weights, clamps each draw to [-clip, clip] first.
 
-    The row kernel draws parts of at most ``TASK_CELLS`` cells and runs
-    ``np.cumsum`` along each row.  An independent row of more than
+    The row kernel draws parts of whole blocks, at most ``TASK_CELLS`` cells
+    or one block, and runs ``np.cumsum`` along each row.  A row of more than
     ``TASK_CELLS // BLOCK_REPS`` cells is drawn a block at a time in slabs of
     that many (``RowSampler.slabs``), each adding the sum carried from the
     last into its first draw: cumsum's adds in cumsum's order.  The column
@@ -291,7 +288,9 @@ class _Spans:
                 self._columns(n, sampler, weights, starts, lo, hi, out)
                 return out
             slabs = sampler.slabs(max(1, TASK_CELLS // BLOCK_REPS))
-            size = max(1, TASK_CELLS // slabs[0].k)
+            # whole blocks a part: a row of slabs (slabs[0].k = TASK_CELLS // BLOCK_REPS) in
+            # parts of exactly one, as the later slabs of a GaussianNA row draw them
+            size = max(BLOCK_REPS, TASK_CELLS // slabs[0].k)
             parts, c0 = [], 0  # per slab: first cell, buffers, segments and their starts in it
             for slab in slabs:
                 segs = slice(np.searchsorted(starts, c0, "right") - 1,
@@ -303,7 +302,7 @@ class _Spans:
             for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
                 acc, carry = out[a - lo:z - lo], None
                 for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
-                    x = slab.draw_rows(keys, self._gen, bufs, z - a, a % BLOCK_REPS)
+                    x = slab.draw_rows(keys, self._gen, bufs, z - a)
                     if weights is not None:
                         np.multiply(weights[c0:c0 + slab.k], x, out=x)
                     if self.clip is not None:
@@ -359,7 +358,7 @@ class _Spans:
             acc[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
             for w0, pass_steps in zip(range(0, words_in_row, width), passes):
                 passed = min(width, words_in_row - w0)
-                sampler.draw_words(keys, self._gen, words[:passed], w0, a % BLOCK_REPS)
+                sampler.draw_words(keys, self._gen, words[:passed], w0)
                 for b0, b1, seg in pass_steps:
                     u = b0 - w0
                     if seg is not None:

@@ -3,9 +3,9 @@
 One Philox stream serves a block of ``B`` = 64 replications of a row:
 block b of row n is ``Generator(Philox(SeedSequence(entropy=seed,
 spawn_key=(n, b))))``, and replication r is lane r mod B of block r div B.
-An independent row is word-major (word w of lane i is word w B + i of the
-block's stream), a ``GaussianNA`` row replication-major (lane i takes the
-block's normals i(k + 1) .. i(k + 1) + k).  ``ReplicationStream`` hands one
+Draw d of lane i is draw d B + i of the block's stream, a raw word of an
+independent row or a normal of a ``GaussianNA`` row: lane i reads column i
+of the block's draws shaped (rows, B).  ``ReplicationStream`` hands one
 replication its draws as a generator would, built here from numpy's
 ``SeedSequence`` alone, so it shares no keying code with the kernels it
 checks.  ``reference_suffix_sups`` is the per-path loop that
@@ -36,15 +36,15 @@ _BLOCK: dict = {}  # the draws of the block read last, which its next lanes read
 
 
 def block_draws(key, kind: str, first: int, size: int) -> np.ndarray:
-    """Words first..first+size-1 of every lane of the block at ``key`` =
-    (seed, n, b), shaped (size, B), or (kind "normals") its first B·size
-    normals, shaped (B, size)."""
+    """Rows first..first+size-1 of the (rows, B) words, or (kind "normals")
+    normals, of the block at ``key`` = (seed, n, b): draws first·B ..
+    (first + size)·B - 1 of its stream."""
     if _BLOCK.get("key") != key:
         _BLOCK.clear()
         _BLOCK["key"] = key
     if (kind, first, size) not in _BLOCK:
         if kind == "normals":
-            draws = reference_rng(*key).standard_normal((B, size))
+            draws = reference_rng(*key).standard_normal((first + size, B))[first:]
         else:  # counter c of a fresh Philox fills words 4(c - 1) .. 4c - 1 of its stream
             bit = reference_rng(*key).bit_generator
             bit.advance(first * B // 4)
@@ -55,23 +55,26 @@ def block_draws(key, kind: str, first: int, size: int) -> np.ndarray:
 
 class ReplicationStream:
     """Replication ``rep`` of row n of ``seed``, as a generator hands it out:
-    ``random_raw`` and ``random`` calls read its words in order, and one
-    ``standard_normal`` call of k + 1 normals reads its normals: column rep
-    mod B of its block's words, or row rep mod B of its block's normals."""
+    ``random_raw`` and ``random`` calls read its words in order, and
+    ``standard_normal`` calls its normals, from column rep mod B of its
+    block's words or normals."""
 
     def __init__(self, seed, n, rep):
         self._key, self._lane, self._used = (seed, n, rep // B), rep % B, 0
         self.bit_generator = SimpleNamespace(random_raw=self.random_raw)
 
-    def random_raw(self, size):
+    def _column(self, kind: str, size: int) -> np.ndarray:
         self._used += size
-        return block_draws(self._key, "words", self._used - size, size)[:, self._lane]
+        return block_draws(self._key, kind, self._used - size, size)[:, self._lane]
+
+    def random_raw(self, size):
+        return self._column("words", size)
 
     def random(self, size):
         return (self.random_raw(size) >> np.uint64(11)) * 2.0**-53
 
     def standard_normal(self, size=None, out=None):
-        z = block_draws(self._key, "normals", 0, size or out.size)[self._lane]
+        z = self._column("normals", size or out.size)
         if out is None:
             return z.copy()
         out[...] = z

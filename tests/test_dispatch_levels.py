@@ -6,9 +6,9 @@ numpy picks a kernel for some ufuncs by the CPU's SIMD level at import, and
 without AVX-512 too, so a CPU without it writes the same bytes.  One
 defect is known and pinned here by name (ROADMAP item 4): ``np.power`` in
 ``model.quantile_of``'s Pareto quantile rounds some draws differently
-without AVX-512, which moves the digest of the ``seq-na-wlln-blocks`` run in
-each of its three golden tests.  A libm power gives that run the same
-digest at both levels.
+without AVX-512, which moves the digest of the ``seq-na-series`` run in
+both of its golden tests.  A libm power gives that run the same digest at
+both levels.
 """
 
 import os
@@ -24,10 +24,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = Path(llnlab.__file__).resolve().parents[1]
 
 KNOWN_FAILURES = {
-    "tests/test_sim_golden.py::test_simulate_golden_digest[seq-na-wlln-blocks]",
+    "tests/test_sim_golden.py::test_simulate_golden_digest[seq-na-series]",
     "tests/test_sim_golden.py::test_simulate_golden_digest_through_the_column_kernel"
-    "[seq-na-wlln-blocks]",
-    "tests/test_sim_golden.py::test_block_edge_golden_digest_at_two_threads[seq-na-wlln-blocks]",
+    "[seq-na-series]",
 }
 
 

@@ -1,13 +1,14 @@
 """Blocks of replications: one Philox stream per ``BLOCK_REPS`` replications.
 
 Replication r of row n is lane r mod 64 of block r div 64, whose stream is
-keyed by (seed, n, block).  An independent row reads its block word-major, a
-``GaussianNA`` row replication-major; ``sim_reference.ReplicationStream``
-reads one lane of either from numpy's ``SeedSequence`` alone.  These tests
-draw across block edges and partial last blocks through every kernel shape
-(the row kernel whole and in slabs, a long ``GaussianNA`` row a few lanes at
-a time, the column kernel), check that fewer replications are a prefix of
-more, and that worker spans start on block edges.
+keyed by (seed, n, block), and draw d of lane i is draw 64d + i of it: a raw
+word of an independent row, a normal of a ``GaussianNA`` row.
+``sim_reference.ReplicationStream`` reads one lane of either from numpy's
+``SeedSequence`` alone.  These tests draw across block edges and partial
+last blocks through every kernel shape (the row kernel whole and in slabs of
+either kind of row, the column kernel), check that fewer replications are a
+prefix of more, that worker spans start on block edges, and that no draw
+buffer outgrows a part.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from llnlab import model, simulate
 from llnlab.fixtures import load
 from llnlab.simulate import SimPlan
 from sim_reference import ReplicationStream
+from test_row_sampler import assert_same_bits, reference_row
 
 EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 129)  # 130 replications: two blocks and two lanes
 
@@ -36,6 +38,7 @@ ROWS = {  # (array, row): short rows, rows of several slabs, rows of sure cells 
     "example-4.1-700": (load("example-4.1").arr, 700),
     "x2m-1300": (load("x2m-example", p=1.0).arr, 1300),
     "na-mixed-40": (na(MIXED), 40),
+    "na-mixed-600": (na(MIXED), 600),
     "na-mixed-1100": (na(MIXED), 1100),
 }
 
@@ -87,15 +90,52 @@ def test_a_slab_reads_its_own_words():
 
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_draw_buffers_stay_within_a_part(name):
-    # words and draws of at most TASK_CELLS cells, or one row of a longer
-    # row; the normals of a GaussianNA part, one more per replication
+    # words, draws and a GaussianNA block's normals past its first: at most
+    # TASK_CELLS cells, or one row of a longer row
     arr, n = ROWS[name]
     plan = SimPlan(arr=arr, b=model.power_norming(1.0), rows=(n,), reps=200, seed=1)
     spans = simulate._Spans(plan, plan.rows)
     spans(0, 0, 100)  # the row kernel: fewer than COLUMN_REPS replications
-    bound = max(simulate.TASK_CELLS, n)
-    assert all(a.size <= bound for a in spans._store[:2])
-    assert all(a.size <= bound + max(1, simulate.TASK_CELLS // n) for a in spans._store[2:])
+    assert all(a.size <= max(simulate.TASK_CELLS, n) for a in spans._store)
+
+
+@pytest.mark.parametrize("reps", [63, 64, 65, 130])
+@pytest.mark.parametrize("n", [600, 1100])
+def test_long_gaussian_na_rows_are_drawn_in_slabs_of_their_lanes(n, reps):
+    # two and three slabs of 512 cells, the last one partial, a block at a
+    # time: the row kernel's parts, drawn slab after slab, are the lanes'
+    # rows as the scalar loop draws them, and its maxima theirs
+    arr = na(MIXED)
+    sampler = model.RowSampler(arr, n)
+    slabs = sampler.slabs(simulate.TASK_CELLS // model.BLOCK_REPS)
+    assert [s.k for s in slabs] == [512] * (n // 512) + [n % 512]
+    gen, store, rows = model.philox_generator(), [], np.empty((reps, n))
+    parts = list(simulate._key_blocks(4, n, 0, reps, model.BLOCK_REPS))
+    assert len(parts) == -(-reps // model.BLOCK_REPS)
+    for a, z, keys in parts:
+        c0 = 0
+        for slab in slabs:
+            bufs = slab.buffers(z - a, store)
+            rows[a:z, c0:c0 + slab.k] = slab.draw_rows(keys, gen, bufs, z - a)
+            c0 += slab.k
+    for r in range(reps):
+        assert_same_bits(rows[r], reference_row(arr, n, ReplicationStream(4, n, r)))
+    plan = SimPlan(arr=arr, b=model.power_norming(1.0), rows=(n,), reps=reps, seed=4)
+    got = simulate._Spans(plan, plan.rows)(0, 0, reps)[:, 0]
+    assert got.tobytes() == np.max(np.abs(np.cumsum(rows, axis=1)), axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", [600, 1100])
+def test_long_gaussian_na_rows_are_byte_equal_across_workers(monkeypatch, n):
+    # 200 replications, four blocks: 2 and 3 threads fork that many workers,
+    # each starting its span's slabs on a block edge
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    plan = SimPlan(arr=na(MIXED), b=model.power_norming(1.0), rows=(n,), reps=200, seed=6)
+    spans = simulate._Spans(plan, plan.rows)
+    assert [simulate._workers(t, plan.reps) for t in (1, 2, 3)] == [1, 2, 3]
+    runs = [simulate._replication_maxima(spans, plan.reps, t)[0].tobytes() for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 class InlinePool:

@@ -91,8 +91,10 @@ def test_keyed_rows_equal_seed_sequence_rows():
         for rep in range(70):
             assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep))), \
                 (label, rep)
-        draws = bufs[0][:70] if bufs[2] is None else bufs[2][:70]  # words, or normals
-        assert len({r.tobytes() for r in draws}) == 70, label  # every lane read once
+        # words, or the draws of a GaussianNA row (distinct at this seed): every
+        # lane read once
+        draws = bufs[0][:70] if bufs[2] is None else rows
+        assert len({r.tobytes() for r in draws}) == 70, label
 
 
 def test_keyed_rows_across_chunk_and_key_boundaries_equal_seed_sequence_rows():
@@ -141,12 +143,12 @@ def test_keyed_rows_through_a_mid_buffer_generator_draw_as_fresh_ones():
                 assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep))), \
                     (label, name, rep)
             # the generator goes on as the block's fresh stream that drew the
-            # block's words of a replication (W a lane), or three lanes' normals
+            # block's draws of a replication (W words or n + 1 normals a lane)
             ref = reference_rng(seed, n, 0)
             if label.startswith("Independent"):
                 ref.bit_generator.random_raw(64 * sampler.buffers()[0].shape[1])
             else:
-                ref.standard_normal(3 * (n + 1))
+                ref.standard_normal(64 * (n + 1))
             assert np.array_equal(gen.integers(2**32, size=3, dtype=np.uint32),
                                   ref.integers(2**32, size=3, dtype=np.uint32)), (label, name)
             assert np.array_equal(gen.random(5), ref.random(5)), (label, name)

@@ -81,7 +81,7 @@ def reference_two_point(arr, n, rng):
     return out
 
 
-GEN = Generator(Philox(key=0))  # re-keyed by every draw_rows call from a block's lane 0
+GEN = Generator(Philox(key=0))  # re-keyed by draw_rows at every block
 BLOCK0 = np.arange(1)  # the first block of replications, 0..63
 
 
@@ -217,40 +217,10 @@ def test_draw_rows_matches_single_draws(dep):
         assert rows.shape == (5, n)
         for rep in range(5):
             assert_same_bits(rows[rep], reference_row(arr, n, ReplicationStream(1, n, rep)))
-        # buffers are reused: a second, shorter batch overwrites the first rows.
-        # Lanes 5 and 6 go on from lane 5 (a GaussianNA row's generator goes
-        # on drawing the block), then the first of block 1 is replication 64
-        for first, block, reps in ((5, [], (5, 6)), (0, [1], (64,))):
-            keys = model.stream_keys(1, (n,), np.array(block or [0]))
-            again = sampler.draw_rows(keys, GEN, bufs, len(reps), first)
-            for row, rep in zip(again, reps):
-                assert_same_bits(row, reference_row(arr, n, ReplicationStream(1, n, rep)))
-
-
-def test_gaussian_na_lanes_past_zero_follow_the_last_draw():
-    # a GaussianNA row reads lanes past 0 from where its generator stands, so
-    # a draw that skips a lane, or comes after another draw from the
-    # generator, or names another block, raises instead of drawing
-    arr, n = mixed_array(DEPENDENCE["gaussian-na"]), 33
-    keys = model.stream_keys(1, (n,), np.arange(2))
-    sampler = RowSampler(arr, n)
-    bufs = sampler.buffers(67)
-    with pytest.raises(ValueError, match="does not follow"):
-        sampler.draw_rows(keys[:1], GEN, bufs, 2, 5)  # nothing drawn yet
-    for skip, other, block in ((1, False, 0), (0, True, 0), (0, False, 1)):
-        sampler.draw_rows(keys[:1], GEN, bufs, 5)
-        if other:
-            GEN.standard_normal(1)
-        with pytest.raises(ValueError, match="does not follow"):
-            sampler.draw_rows(keys[block:block + 1], GEN, bufs, 2, 5 + skip)
-    sampler.draw_rows(keys[:1], GEN, bufs, 5)
-    sampler.draw_rows(keys[:1], GEN, bufs, 59, 5)  # ends on the block's edge: no lane goes on
-    with pytest.raises(ValueError, match="does not follow"):
-        sampler.draw_rows(keys[:1], GEN, bufs, 2, 5)
-    sampler.draw_rows(keys, GEN, bufs, 67)  # ends at lane 3 of block 1, which goes on
-    again = sampler.draw_rows(keys[1:], GEN, bufs, 2, 3)
-    for row, rep in zip(again, (67, 68)):
-        assert_same_bits(row, reference_row(arr, n, ReplicationStream(1, n, rep)))
+        # buffers are reused: a second, shorter batch overwrites the first
+        # rows, the first of block 1 being replication 64
+        again = sampler.draw_rows(model.stream_keys(1, (n,), np.array([1])), GEN, bufs, 1)
+        assert_same_bits(again[0], reference_row(arr, n, ReplicationStream(1, n, 64)))
 
 
 SURE_COUNTS = (1, 63, 64, 65, 130)  # one word, a word short, full, one bit over, three words
@@ -307,14 +277,13 @@ def test_rows_of_sure_cells_keep_no_uniforms_and_no_thresholds(name):
 
 def test_draw_words_starts_at_any_counter():
     # words w0.. of each replication, as its block's stream gives them, written
-    # through a strided view: any w0, a lane past 0, blocks whose lanes out
-    # keeps only in part, and a partial last block
+    # through a strided view: any w0, and a partial last block
     keys = model.stream_keys(5, (7,), np.arange(3))
-    for w0, width, first, m in ((0, 24, 0, 150), (6, 9, 0, 150), (3, 4, 60, 70), (21, 3, 63, 2)):
+    for w0, width, m in ((0, 24, 150), (6, 9, 150), (3, 4, 70), (21, 3, 2)):
         out = np.empty((m, width), dtype=np.uint64)
-        RowSampler.draw_words(keys[:-(-(first + m) // 64)], GEN, out.T, w0, first)
-        for i in {0, m - 1, *range(min(m, 64 - first), min(m, 66 - first))}:
-            ref = ReplicationStream(5, 7, first + i)
+        RowSampler.draw_words(keys[:-(-m // 64)], GEN, out.T, w0)
+        for i in {0, m - 1, *range(min(m, 63), min(m, 66))}:
+            ref = ReplicationStream(5, 7, i)
             ref.random_raw(w0)
             np.testing.assert_array_equal(out[i], ref.random_raw(width), err_msg=str(i))
 
@@ -383,7 +352,7 @@ def reference_wlln_row(plan, n):
 @pytest.mark.parametrize("dep", sorted(DEPENDENCE))
 @pytest.mark.parametrize("task_cells", [None, 64])
 def test_wlln_estimate_matches_the_replication_loop(monkeypatch, task_cells, dep):
-    if task_cells is not None:  # many small chunks per row, some of one replication
+    if task_cells is not None:  # one-cell slabs, drawn a block at a time
         monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
     arr = mixed_array(DEPENDENCE[dep], n_max=40)
     plan = simulate.SimPlan(

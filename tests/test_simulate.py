@@ -151,16 +151,16 @@ def test_reports_byte_equal_across_threads_and_chunks(monkeypatch, chunk_offset)
 
 def test_chunks_cover_every_replication_once():
     # the parts _key_blocks gives a kernel: every replication once and in
-    # order, each with the keys of exactly the blocks it touches.  From a
-    # block's size up, parts of whole blocks that start on a block edge, at
-    # most TASK_CELLS cells (or COLUMN_GROUP replications), the span's blocks
-    # cut evenly into the fewest parts; below it, parts inside one block,
-    # each block cut evenly likewise
+    # order, each with the keys of exactly the blocks it touches.  Parts of
+    # whole blocks that start on a block edge, at most TASK_CELLS cells of a
+    # row kernel's slab (or COLUMN_GROUP replications) and at least one
+    # block, the span's blocks cut evenly into the fewest parts
     block = model.BLOCK_REPS
+    slab = simulate.TASK_CELLS // block
     for k, lo, hi in ((1, 0, 5), (64, 0, 2000), (1 << 14, 0, 2000), (1 << 17, 0, 3),
                       (3000, 0, 22), (12, 64, 7 * block + 3), (64, 3 * block, 9 * block)):
-        row = max(1, simulate.TASK_CELLS // k)
-        for size in (row, simulate.COLUMN_GROUP, block, 5):
+        row = max(block, simulate.TASK_CELLS // min(k, slab))
+        for size in (row, simulate.COLUMN_GROUP, block, 3 * block - 1):
             parts = list(simulate._key_blocks(0, k, lo, hi, size))
             assert parts[0][0] == lo and parts[-1][1] == hi
             assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
@@ -168,21 +168,16 @@ def test_chunks_cover_every_replication_once():
             for a, z, keys in parts:
                 blocks = np.arange(a // block, -(-z // block))
                 assert keys.tolist() == model.stream_keys(0, (k,), blocks).tolist()
-            if size < block:
-                assert all(a // block == (z - 1) // block for a, z, _ in parts)
-                for _, group in itertools.groupby(parts, lambda part: part[0] // block):
-                    lengths = [z - a for a, z, _ in group]
-                    assert len(lengths) == -(-sum(lengths) // size)
-                    assert max(lengths) - min(lengths) <= 1
-                continue
             assert all(a % block == 0 for a, _, _ in parts)
             if size == row:
-                assert all((z - a) * k <= simulate.TASK_CELLS for a, z, _ in parts)
+                assert all((z - a) * min(k, slab) <= simulate.TASK_CELLS for a, z, _ in parts)
             lengths = [-(-(z - a) // block) for a, z, _ in parts]
             assert len(lengths) == -(-sum(lengths) // (size // block))
             assert max(lengths) - min(lengths) <= 1
     with pytest.raises(ValueError, match="does not start a block"):
         next(simulate._key_blocks(0, 4, 5, 100, 64))
+    with pytest.raises(ValueError, match="hold no whole block"):
+        next(simulate._key_blocks(0, 4, 0, 100, block - 1))
 
 
 def test_replication_doubling_consistency():
@@ -312,11 +307,11 @@ def _column_rows(monkeypatch) -> list:
 def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, task_cells):
     # three workers even on a two-CPU host: 150 replications, two full blocks
     # and a partial one, give 2 and 3 threads that many forked workers, which
-    # inherit the patches.  48 cells cut every span into one-cell slabs of 32
-    # or 22 replications, or parts of one replication of a GaussianNA row.
-    # 150 replications stay below COLUMN_REPS, so every span runs the row
-    # kernel; with COLUMN_REPS at 1 every span of sure cells runs the column
-    # kernel, in groups of 7 to 10 inside a block (at 48 cells, in passes of 4 words)
+    # inherit the patches.  48 cells cut every row into one-cell slabs, drawn
+    # a block at a time.  150 replications stay below COLUMN_REPS, so every
+    # span runs the row kernel; with COLUMN_REPS at 1 every span of sure cells
+    # runs the column kernel, in groups of one block (at 48 cells, in passes
+    # of one word)
     _usable_cpus(monkeypatch, 4)
     if task_cells is not None:
         monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
@@ -326,7 +321,7 @@ def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, t
     runs = {k: _mode_bytes(plan, k) for k in (1, 2, 3)}
     assert runs[1] == runs[2] == runs[3]
     monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
-    monkeypatch.setattr(simulate, "COLUMN_GROUP", 10)
+    monkeypatch.setattr(simulate, "COLUMN_GROUP", model.BLOCK_REPS)
     assert all(_mode_bytes(plan, k) == runs[1] for k in (1, 2, 3))
     if plan.arr.is_sequence:
         assert runs[1][2] == reference_suffix_sups(plan).tobytes()
@@ -336,28 +331,27 @@ def test_every_mode_is_byte_equal_across_workers_and_chunks(monkeypatch, case, t
 
 @pytest.mark.parametrize("case", sorted(KERNEL_PLANS))
 def test_key_blocks_do_not_move_the_bytes(monkeypatch, case):
-    # 150 replications, two full blocks and a partial one, in parts cut at 48
-    # cells: one-cell slabs of 32 or 22 replications, or a few replications of a
-    # GaussianNA row
+    # 150 replications, two full blocks and a partial one, cut at 48 cells
+    # into one-cell slabs, drawn a block at a time
     plan = dataclasses.replace(KERNEL_PLANS[case](), reps=150)
     whole = _mode_bytes(plan, 1)
     inner = model.RowSampler.draw_words
     monkeypatch.setattr(simulate, "TASK_CELLS", 48)
     assert _mode_bytes(plan, 1) == whole
     # and the column kernel at each (TASK_CELLS, COLUMN_GROUP), in passes of
-    # TASK_CELLS // COLUMN_GROUP words: of 4 words in groups of 9 to 10 inside
-    # a block; of 6, which no Philox counter need start; of 24 in groups of
-    # 7; all 150 at once in passes of 64 words; and of 128 words in a group
-    # of one block, then one of a full block and the partial one
+    # TASK_CELLS // COLUMN_GROUP words: of 4 words in groups of one block; of
+    # 6, which no Philox counter need start; of 24; all 150 at once in passes
+    # of 64 words; and of 128 words in a group of one block, then one of a
+    # full block and the partial one
     monkeypatch.setattr(simulate, "COLUMN_REPS", 1)
     columns = _column_rows(monkeypatch)
 
-    def draw_words(keys, gen, out, first_word=0, first=0):  # G·W words at most
+    def draw_words(keys, gen, out, first_word=0):  # G·W words at most
         assert out.size <= simulate.TASK_CELLS
-        inner(keys, gen, out, first_word, first)
+        inner(keys, gen, out, first_word)
 
     monkeypatch.setattr(model.RowSampler, "draw_words", staticmethod(draw_words))
-    for setting in ((48, 10), (60, 10), (170, 7), (1 << 15, 512), (1 << 14, 128)):
+    for setting in ((256, 64), (384, 64), (1536, 64), (1 << 15, 512), (1 << 14, 128)):
         for name, value in zip(("TASK_CELLS", "COLUMN_GROUP"), setting):
             monkeypatch.setattr(simulate, name, value)
         columns.clear()
@@ -689,7 +683,7 @@ PROBE_ARRAYS = {
 @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize("dep", sorted(PROBE_ARRAYS))
 def test_condition_h_probe_equals_the_per_replication_loop(monkeypatch, dep, a, task_cells):
-    # 48 cells cut the 21-cell row's replications into chunks of two
+    # 48 cells cut the 21-cell row into one-cell slabs, drawn a block at a time
     if task_cells is not None:
         monkeypatch.setattr(simulate, "TASK_CELLS", task_cells)
     arr = PROBE_ARRAYS[dep]
