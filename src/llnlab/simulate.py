@@ -38,6 +38,12 @@ IEEE add returns it exactly, and the bytes are those of the adds.  A
 replication whose run is not certified takes the float adds from c, in
 cumsum's order.
 
+A row of independent step laws expecting at most k / ``SPIKE_RATIO`` nonzero
+draws a replication runs the spike kernel, which sums those alone: a zero
+draw adds +0.0 in cumsum, leaving S_(j-1) as it is but for the sign of a
+zero, so the cumsum of each replication's nonzero draws in cell order gives
+every S_j at a nonzero cell with cumsum's adds, and the same maxima.
+
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
 approximated by a labeled proxy: the per-path suffix supremum of the same
@@ -211,6 +217,7 @@ TASK_CELLS = 1 << 15  # cells of a row-kernel part, and words of a column-kernel
 COLUMN_REPS = 256  # the fewest replications of a span of sure cells that sums across them
 COLUMN_GROUP = 512  # replications summed side by side, at most, in the column kernel
 RUN_BLOCKS = 8  # 64-cell blocks of +-1 cells summed as one certified integer walk, at most
+SPIKE_RATIO = 8  # cells per expected nonzero draw, at least, of a row the spike kernel sums
 
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +253,13 @@ def _key_blocks(seed: int, n: int, lo: int, hi: int, size: int):
         yield (b0 + a) * BLOCK_REPS, min((b0 + z) * BLOCK_REPS, hi), keys[a:z]
 
 
+def _spiky(sampler: RowSampler, weights, ends) -> bool:
+    """Whether a row takes the spike kernel: one segment, finite weights and
+    a ``RowSampler.spike_rate`` of at most k / ``SPIKE_RATIO``."""
+    return (ends is None and SPIKE_RATIO * sampler.spike_rate <= sampler.k
+            and (weights is None or bool(np.isfinite(weights).all())))
+
+
 class _Spans:
     """Maxima of |S_j| over each segment of a row, for replications lo..hi-1.
 
@@ -256,18 +270,24 @@ class _Spans:
     maximum over the segments gives max_{j <= e} |S_j| at each end e.
     ``clip``, given without weights, clamps each draw to [-clip, clip] first.
 
-    The row kernel draws parts of whole blocks, at most ``TASK_CELLS`` cells
-    or one block, and runs ``np.cumsum`` along each row.  A row of more than
-    ``TASK_CELLS // BLOCK_REPS`` cells is drawn a block at a time in slabs of
-    that many (``RowSampler.slabs``), each adding the sum carried from the
-    last into its first draw: cumsum's adds in cumsum's order.  The column
-    kernel sums groups of at most ``COLUMN_GROUP`` replications, the row's
-    weights folded into its magnitudes, from W = ``TASK_CELLS // COLUMN_GROUP``
-    sign words at a time in a (W, G) array.  Runs of full 64-cell blocks of
-    magnitude 1 in one segment go to ``_walk_run``; each other block turns its
-    word's bits into a (cells, G) block of +-1.0, times the magnitudes unless
-    all are 1, adds S_(j-1) to x_j row by row from the carried sum, and folds
-    each segment's share into the group's (segments, G) maxima.
+    A row of no cells has maxima 0.  The row kernel draws parts of whole
+    blocks, at most ``TASK_CELLS`` cells or one block, and runs ``np.cumsum``
+    along each row.  A row of more than ``TASK_CELLS // BLOCK_REPS`` cells is
+    drawn a block at a time in slabs of that many (``RowSampler.slabs``),
+    each adding the sum carried from the last into its first draw: cumsum's
+    adds in cumsum's order.  The spike kernel, for a row ``_spiky`` admits,
+    draws the same parts and slabs word-major (``RowSampler.draw_nonzero``),
+    packs each replication's nonzero draws of a slab in cell order to the
+    left of a zero-padded (m, K) array, K the most of any replication, adds
+    the carried sum into its first column and runs ``np.cumsum`` along it.
+    The column kernel sums groups of at most ``COLUMN_GROUP`` replications,
+    the row's weights folded into its magnitudes, from W = ``TASK_CELLS //
+    COLUMN_GROUP`` sign words at a time in a (W, G) array.  Runs of full
+    64-cell blocks of magnitude 1 in one segment go to ``_walk_run``; each
+    other block turns its word's bits into a (cells, G) block of +-1.0, times
+    the magnitudes unless all are 1, adds S_(j-1) to x_j row by row from the
+    carried sum, and folds each segment's share into the group's (segments,
+    G) maxima.
     """
 
     def __init__(self, plan: SimPlan, rows: tuple[int, ...], ends=None, clip=None):
@@ -282,6 +302,9 @@ class _Spans:
             (c(n, j) for j in range(1, sampler.k + 1)), dtype=float, count=sampler.k)
         starts = np.array([0, *(() if self.ends is None else self.ends[:-1])])
         out = _maxima(self.plan.reps, hi - lo, len(starts))
+        out[...] = 0.0  # the maximum over no partial sums, and below every |S_j| to fold in
+        if not sampler.k:
+            return out
         # past float range a draw or sum is inf or NaN, which the caller refuses: no warning
         with np.errstate(over="ignore", invalid="ignore"):
             if sampler.n_sure == sampler.k and hi - lo >= COLUMN_REPS and self.clip is None:
@@ -291,29 +314,63 @@ class _Spans:
             # whole blocks a part: a row of slabs (slabs[0].k = TASK_CELLS // BLOCK_REPS) in
             # parts of exactly one, as the later slabs of a GaussianNA row draw them
             size = max(BLOCK_REPS, TASK_CELLS // slabs[0].k)
-            parts, c0 = [], 0  # per slab: first cell, buffers, segments and their starts in it
-            for slab in slabs:
-                segs = slice(np.searchsorted(starts, c0, "right") - 1,
-                             np.searchsorted(starts, c0 + slab.k))
-                parts.append((c0, slab.buffers(min(size, hi - lo), self._store), segs,
-                              np.maximum(starts[segs] - c0, 0)))
-                c0 += slab.k
-            out[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
-            for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
-                acc, carry = out[a - lo:z - lo], None
-                for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
-                    x = slab.draw_rows(keys, self._gen, bufs, z - a)
-                    if weights is not None:
-                        np.multiply(weights[c0:c0 + slab.k], x, out=x)
-                    if self.clip is not None:
-                        np.clip(x, -self.clip, self.clip, out=x)
-                    if carry is not None:
-                        x[:, 0] += carry  # S_(c0) + x_(c0 + 1), as cumsum adds
-                    np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
-                    carry = x[:, -1].copy()
-                    top = np.maximum.reduceat(np.abs(x, out=x), cuts, axis=1)
-                    np.maximum(acc[:, segs], top, out=acc[:, segs])
+            if _spiky(sampler, weights, self.ends):
+                self._spikes(n, slabs, size, weights, lo, hi, out[:, 0])
+            else:
+                self._rows(n, slabs, size, weights, starts, lo, hi, out)
         return out
+
+    def _rows(self, n: int, slabs: list, size: int, weights, starts, lo: int, hi: int,
+              out: np.ndarray) -> None:
+        """The row kernel: ``out``'s maxima of replications lo..hi-1 of row n,
+        one ``np.cumsum`` along each slab of each part of ``size`` replications."""
+        parts, c0 = [], 0  # per slab: first cell, buffers, segments and their starts in it
+        for slab in slabs:
+            segs = slice(np.searchsorted(starts, c0, "right") - 1,
+                         np.searchsorted(starts, c0 + slab.k))
+            parts.append((c0, slab.buffers(min(size, hi - lo), self._store), segs,
+                          np.maximum(starts[segs] - c0, 0)))
+            c0 += slab.k
+        for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
+            acc, carry = out[a - lo:z - lo], None
+            for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
+                x = slab.draw_rows(keys, self._gen, bufs, z - a)
+                if weights is not None:
+                    np.multiply(weights[c0:c0 + slab.k], x, out=x)
+                if self.clip is not None:
+                    np.clip(x, -self.clip, self.clip, out=x)
+                if carry is not None:
+                    x[:, 0] += carry  # S_(c0) + x_(c0 + 1), as cumsum adds
+                np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+                carry = x[:, -1].copy()
+                top = np.maximum.reduceat(np.abs(x, out=x), cuts, axis=1)
+                np.maximum(acc[:, segs], top, out=acc[:, segs])
+
+    def _spikes(self, n: int, slabs: list, size: int, weights, lo: int, hi: int,
+                out: np.ndarray) -> None:
+        """The spike kernel: ``out``'s maxima of replications lo..hi-1 of row
+        n, one segment, from the nonzero draws of each slab of each part."""
+        for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
+            m, acc = z - a, out[a - lo:z - lo]
+            carry = np.zeros(m)  # each replication's S before the slab
+            for slab in slabs:
+                cell, rep, x = slab.draw_nonzero(keys, self._gen, m, self._store)
+                if not len(x):
+                    continue
+                if weights is not None:
+                    np.multiply(weights[cell], x, out=x)
+                if self.clip is not None:
+                    np.clip(x, -self.clip, self.clip, out=x)
+                order = np.lexsort((cell, rep))
+                rep, count = rep[order], np.bincount(rep, minlength=m)
+                # row r: r's nonzero draws in cell order, then zeros
+                sums = store_array(self._store, 1, m * int(count.max())).reshape(m, -1)
+                sums[...] = 0.0
+                sums[rep, np.arange(len(rep)) - (np.cumsum(count) - count)[rep]] = x[order]
+                sums[:, 0] += carry  # S before the slab + its first nonzero draw, as cumsum adds
+                np.cumsum(sums, axis=1, out=sums)  # a zero draw would only repeat S_(j-1)
+                carry[...] = sums[:, -1]
+                np.maximum(acc, np.max(np.abs(sums, out=sums), axis=1), out=acc)
 
     def _columns(self, n: int, sampler: RowSampler, weights, starts, lo: int, hi: int,
                  out: np.ndarray) -> None:
@@ -355,7 +412,6 @@ class _Spans:
             chain = list(zip(block, block[1:]))
             block[0] = 0.0  # S_0: 0 + x_1 is cumsum's S_1 but for the sign of a zero
             acc = out[a - lo:a - lo + m].T  # (segments, m)
-            acc[...] = 0.0  # below every |S_j|, so the folds below are exact; NaN still wins
             for w0, pass_steps in zip(range(0, words_in_row, width), passes):
                 passed = min(width, words_in_row - w0)
                 sampler.draw_words(keys, self._gen, words[:passed], w0)
