@@ -1040,10 +1040,9 @@ class RowSampler:
             lo, hi = _word_threshold(lo), _word_threshold(hi)
             hi -= np.uint64(1)  # w > hi iff u >= hi; 2^64, wrapped to 0, ends at 2^64 - 1
         self._steps = (n_steps, mag, lo, hi)
-        # expected nonzero draws a replication of an independent row of finite step laws
-        finite = independent and not others and bool(np.isfinite(mag).all())
+        # expected nonzero draws a replication of an independent row of step laws
         self.spike_rate = (len(self._row_sure_mag) + float(prob[self._law].sum())
-                           if finite else math.inf)
+                           if independent and not others else math.inf)
         other = np.flatnonzero(self._law >= n_steps)  # per non-step law, its words, ascending
         other = other[np.argsort(self._law[other], kind="stable")]
         cuts = np.searchsorted(self._law[other], np.arange(n_steps + 1, n_steps + len(others)))
@@ -1137,33 +1136,6 @@ class RowSampler:
             cols = slice(j * BLOCK_REPS, min((j + 1) * BLOCK_REPS, m))
             words = bit.random_raw(width * BLOCK_REPS).reshape(width, BLOCK_REPS)
             out[:, cols] = words[:, :cols.stop - cols.start]
-
-    def draw_nonzero(self, keys: np.ndarray, gen: Generator, m: int, store: list) -> tuple:
-        """(cells, replications, draws) of the nonzero draws of replications
-        0 .. m - 1 of the blocks keyed by ``keys``, cells counted from the
-        row's first, for a row of finite ``spike_rate`` or a slab of one: its
-        words go word-major into ``store``'s first array (``draw_words``).
-        A two-point cell's word w is nonzero iff (w - lo) mod 2^64 > hi - lo,
-        that is w < lo or w > hi, or for every w where lo = hi + 1 (prob 1 -
-        2^-53); its draw is +m iff the subtraction did not wrap."""
-        rest, cells, parts = self.k - self.n_sure, np.arange(self._c0, self._c0 + self.k), []
-        words = store_array(store, 0, (self._words + rest) * m).view("<u8").reshape(-1, m)
-        for at, w0, w in self._spans:
-            self.draw_words(keys, gen, words[at:at + w], w0)
-        if self._words:
-            octets = np.ascontiguousarray(words[:self._words].T).view(np.uint8)
-            x = fair_signs(octets, 1, self._bit + self.n_sure)[:, self._bit:] * self.sure_mag
-            parts.append((np.tile(cells[self._sure], m), np.repeat(np.arange(m), self.n_sure),
-                          x.ravel()))
-        if rest:
-            u, lo, hi = words[self._words:], self._lo[:, None], self._hi[:, None]
-            hit = np.greater(np.subtract(u, lo, out=u), hi - lo)
-            hit[self._lo > self._hi] = True
-            row, rep = np.divmod(np.flatnonzero(hit), m)
-            mag = self._mag[row]
-            parts.append((cells[self._rest][row], rep,
-                          np.where(u[row, rep] <= ~self._lo[row], mag, -mag)))
-        return tuple(map(np.concatenate, zip(*parts)))
 
     def _mix(self, z0: np.ndarray, z: np.ndarray, u: np.ndarray) -> None:
         """Fill ``u`` (lanes, k) with each lane's mixed neighbours z_j + theta

@@ -253,11 +253,10 @@ def _key_blocks(seed: int, n: int, lo: int, hi: int, size: int):
         yield (b0 + a) * BLOCK_REPS, min((b0 + z) * BLOCK_REPS, hi), keys[a:z]
 
 
-def _spiky(sampler: RowSampler, weights, ends) -> bool:
-    """Whether a row takes the spike kernel: one segment, finite weights and
-    a ``RowSampler.spike_rate`` of at most k / ``SPIKE_RATIO``."""
-    return (ends is None and SPIKE_RATIO * sampler.spike_rate <= sampler.k
-            and (weights is None or bool(np.isfinite(weights).all())))
+def _spiky(sampler: RowSampler, ends) -> bool:
+    """Whether a row takes the spike kernel: one segment and a
+    ``RowSampler.spike_rate`` of at most k / ``SPIKE_RATIO``."""
+    return ends is None and SPIKE_RATIO * sampler.spike_rate <= sampler.k
 
 
 class _Spans:
@@ -276,10 +275,9 @@ class _Spans:
     drawn a block at a time in slabs of that many (``RowSampler.slabs``),
     each adding the sum carried from the last into its first draw: cumsum's
     adds in cumsum's order.  The spike kernel, for a row ``_spiky`` admits,
-    draws the same parts and slabs word-major (``RowSampler.draw_nonzero``),
-    packs each replication's nonzero draws of a slab in cell order to the
-    left of a zero-padded (m, K) array, K the most of any replication, adds
-    the carried sum into its first column and runs ``np.cumsum`` along it.
+    is the row kernel but for what it sums: each replication's nonzero draws
+    of a slab (a NaN is not 0), packed in cell order to the left of a
+    zero-padded (m, K) array, K the most of any replication.
     The column kernel sums groups of at most ``COLUMN_GROUP`` replications,
     the row's weights folded into its magnitudes, from W = ``TASK_CELLS //
     COLUMN_GROUP`` sign words at a time in a (W, G) array.  Runs of full
@@ -314,63 +312,37 @@ class _Spans:
             # whole blocks a part: a row of slabs (slabs[0].k = TASK_CELLS // BLOCK_REPS) in
             # parts of exactly one, as the later slabs of a GaussianNA row draw them
             size = max(BLOCK_REPS, TASK_CELLS // slabs[0].k)
-            if _spiky(sampler, weights, self.ends):
-                self._spikes(n, slabs, size, weights, lo, hi, out[:, 0])
-            else:
-                self._rows(n, slabs, size, weights, starts, lo, hi, out)
-        return out
-
-    def _rows(self, n: int, slabs: list, size: int, weights, starts, lo: int, hi: int,
-              out: np.ndarray) -> None:
-        """The row kernel: ``out``'s maxima of replications lo..hi-1 of row n,
-        one ``np.cumsum`` along each slab of each part of ``size`` replications."""
-        parts, c0 = [], 0  # per slab: first cell, buffers, segments and their starts in it
-        for slab in slabs:
-            segs = slice(np.searchsorted(starts, c0, "right") - 1,
-                         np.searchsorted(starts, c0 + slab.k))
-            parts.append((c0, slab.buffers(min(size, hi - lo), self._store), segs,
-                          np.maximum(starts[segs] - c0, 0)))
-            c0 += slab.k
-        for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
-            acc, carry = out[a - lo:z - lo], None
-            for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
-                x = slab.draw_rows(keys, self._gen, bufs, z - a)
-                if weights is not None:
-                    np.multiply(weights[c0:c0 + slab.k], x, out=x)
-                if self.clip is not None:
-                    np.clip(x, -self.clip, self.clip, out=x)
-                if carry is not None:
-                    x[:, 0] += carry  # S_(c0) + x_(c0 + 1), as cumsum adds
-                np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
-                carry = x[:, -1].copy()
-                top = np.maximum.reduceat(np.abs(x, out=x), cuts, axis=1)
-                np.maximum(acc[:, segs], top, out=acc[:, segs])
-
-    def _spikes(self, n: int, slabs: list, size: int, weights, lo: int, hi: int,
-                out: np.ndarray) -> None:
-        """The spike kernel: ``out``'s maxima of replications lo..hi-1 of row
-        n, one segment, from the nonzero draws of each slab of each part."""
-        for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
-            m, acc = z - a, out[a - lo:z - lo]
-            carry = np.zeros(m)  # each replication's S before the slab
+            parts, c0 = [], 0  # per slab: first cell, buffers, segments and their starts in it
             for slab in slabs:
-                cell, rep, x = slab.draw_nonzero(keys, self._gen, m, self._store)
-                if not len(x):
-                    continue
-                if weights is not None:
-                    np.multiply(weights[cell], x, out=x)
-                if self.clip is not None:
-                    np.clip(x, -self.clip, self.clip, out=x)
-                order = np.lexsort((cell, rep))
-                rep, count = rep[order], np.bincount(rep, minlength=m)
-                # row r: r's nonzero draws in cell order, then zeros
-                sums = store_array(self._store, 1, m * int(count.max())).reshape(m, -1)
-                sums[...] = 0.0
-                sums[rep, np.arange(len(rep)) - (np.cumsum(count) - count)[rep]] = x[order]
-                sums[:, 0] += carry  # S before the slab + its first nonzero draw, as cumsum adds
-                np.cumsum(sums, axis=1, out=sums)  # a zero draw would only repeat S_(j-1)
-                carry[...] = sums[:, -1]
-                np.maximum(acc, np.max(np.abs(sums, out=sums), axis=1), out=acc)
+                segs = slice(np.searchsorted(starts, c0, "right") - 1,
+                             np.searchsorted(starts, c0 + slab.k))
+                parts.append((c0, slab.buffers(min(size, hi - lo), self._store), segs,
+                              np.maximum(starts[segs] - c0, 0)))
+                c0 += slab.k
+            spiky = _spiky(sampler, self.ends)
+            for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
+                acc, carry = out[a - lo:z - lo], None
+                for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
+                    x = slab.draw_rows(keys, self._gen, bufs, z - a)
+                    if weights is not None:
+                        np.multiply(weights[c0:c0 + slab.k], x, out=x)
+                    if self.clip is not None:
+                        np.clip(x, -self.clip, self.clip, out=x)
+                    if spiky:  # each replication's nonzero draws in cell order, then zeros
+                        at = np.flatnonzero(x != 0.0)
+                        count = np.bincount(at // slab.k, minlength=z - a)
+                        y = store_array(self._store, 3, (z - a) * int(count.max(initial=1)))
+                        y = y.reshape(z - a, -1)
+                        y[...] = 0.0
+                        y[np.arange(y.shape[1]) < count[:, None]] = x.ravel()[at]
+                        x = y
+                    if carry is not None:
+                        x[:, 0] += carry  # S_(c0) + x_(c0 + 1), as cumsum adds
+                    np.cumsum(x, axis=1, out=x)  # adds along a row in the order of a 1-D cumsum
+                    carry = x[:, -1].copy()
+                    top = np.maximum.reduceat(np.abs(x, out=x), cuts, axis=1)
+                    np.maximum(acc[:, segs], top, out=acc[:, segs])
+        return out
 
     def _columns(self, n: int, sampler: RowSampler, weights, starts, lo: int, hi: int,
                  out: np.ndarray) -> None:

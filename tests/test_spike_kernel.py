@@ -77,7 +77,7 @@ def test_example_41_maxima_equal_the_row_kernels(monkeypatch, p, nu, reps):
     assert (row[0] > 0).all()  # the sure first cell
 
 
-def test_the_extremes_are_the_edges_of_the_word_test():
+def test_the_rare_row_holds_the_probability_extremes():
     def thresholds(q):  # (lo, hi) as RowSampler keeps them: a word is 0 iff lo <= w <= hi
         lo, hi = model._word_threshold(np.array([q / 2, 1.0 - q / 2])).tolist()
         return lo, (hi - 1) % 2 ** 64
@@ -86,33 +86,8 @@ def test_the_extremes_are_the_edges_of_the_word_test():
     assert thresholds(NEAR_ONE) == (2 ** 63, 2 ** 63 - 1)  # every word is a hit
     rare = model.RowSampler(RARE, 1100)
     assert rare.n_sure == 6 and 0 < rare.spike_rate <= 1100 / simulate.SPIKE_RATIO
-
-
-def test_the_word_test_is_the_row_kernels_at_its_thresholds(monkeypatch):
-    # replication r reads word edges[j, r] at two-point cell j: each side of
-    # lo and of hi, and the ends of the words; the words of a draw that is
-    # one in 2^64 at most, so a comparison of drawn rows cannot see them
-    sampler = model.RowSampler(RARE, 300)
-    lo, hi = sampler._lo, sampler._hi
-    one = np.uint64(1)
-    edges = np.stack([lo - one, lo, lo + one, hi - one, hi, hi + one, lo ^ lo, ~(lo ^ lo)], axis=1)
-    signs = np.array([[0x5555555555555555, 0xAAAAAAAAAAAAAAAA] * 4], dtype=np.uint64)
-    words = np.vstack([signs, edges])  # word-major: the sign word, then a word a cell
-    m = words.shape[1]
-
-    def table(keys, gen, out, first_word=0):
-        out[...] = words[first_word:first_word + len(out)]
-
-    monkeypatch.setattr(model.RowSampler, "draw_words", staticmethod(table))
-    cell, rep, x = sampler.draw_nonzero(None, None, m, [])
-    bufs = sampler.buffers(m)
-    bufs[0].view("<u8")[...] = words.T
-    row = sampler._values(m, bufs)  # the row kernel's draws of the same words
-    order = np.lexsort((cell, rep))
-    want_rep, want_cell = np.nonzero(row)
-    assert (rep[order] == want_rep).all() and (cell[order] == want_cell).all()
-    assert x[order].tobytes() == row[want_rep, want_cell].tobytes()
-    assert 0 < len(x) < row.size
+    hi = rare._hi.astype(object) + 1
+    assert (rare._lo == 0).any() and (hi == 2 ** 64).any() and (rare._lo == hi).any()
 
 
 @pytest.mark.parametrize("reps", [1, 64, 65, 130])
@@ -142,13 +117,20 @@ def test_condition_h_probe_equals_the_row_kernels(monkeypatch):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """(kernel, row) of every span the kernels sum in this process."""
-    seen = []
-    for name in ("_rows", "_columns", "_spikes"):
-        def spy(self, n, *args, _inner=getattr(simulate._Spans, name), _name=name):
-            seen.append((_name, n))
-            return _inner(self, n, *args)
-        monkeypatch.setattr(simulate._Spans, name, spy)
+    """(kernel, cells) of every row the kernels sum in this process."""
+    seen, spiky, columns = [], simulate._spiky, simulate._Spans._columns
+
+    def spy_spiky(sampler, ends):
+        got = spiky(sampler, ends)
+        seen.append(("spike" if got else "row", sampler.k))
+        return got
+
+    def spy_columns(self, n, sampler, *args):
+        seen.append(("column", sampler.k))
+        return columns(self, n, sampler, *args)
+
+    monkeypatch.setattr(simulate, "_spiky", spy_spiky)
+    monkeypatch.setattr(simulate._Spans, "_columns", spy_columns)
     return seen
 
 
@@ -159,13 +141,13 @@ def test_example_41_rows_of_32_cells_and_more_take_the_spike_kernel(routes):
     rows = tuple(2 ** j for j in range(4, 13))
     assert model.RowSampler(fx.arr, 16).spike_rate > 16 / simulate.SPIKE_RATIO
     simulate.wlln_estimate(SimPlan(arr=fx.arr, b=fx.b, rows=rows, reps=64, seed=2))
-    assert routes == [("_rows", 16)] + [("_spikes", n) for n in rows[1:]]
+    assert routes == [("row", 16)] + [("spike", n) for n in rows[1:]]
 
 
 def test_other_rows_keep_their_kernels(routes):
     x2m = load("x2m-example", p=1.0)
     simulate.wlln_estimate(SimPlan(arr=x2m.arr, b=x2m.b, rows=(64, 256), reps=256, seed=2))
-    assert routes == [("_columns", 64), ("_columns", 256)]
+    assert routes == [("column", 64), ("column", 256)]
     routes.clear()
     na = KERNEL_PLANS["gaussian-na-spec"]()
     simulate.wlln_estimate(na)
@@ -176,7 +158,7 @@ def test_other_rows_keep_their_kernels(routes):
     # a path is one row of several segments
     fx = load("example-4.1")
     simulate.slln_path_diagnostic(SimPlan(arr=fx.arr, b=fx.b, rows=(64, 4096), reps=64))
-    assert routes == [("_rows", n) for n in (*na.rows, 1100, 4096)]
+    assert routes == [("row", n) for n in (*na.rows, 1100, 4096)]
 
 
 def _inf_steps(lo, hi):
@@ -187,21 +169,19 @@ def _inf_steps(lo, hi):
 
 
 @pytest.mark.parametrize("case", ["magnitude", "weight"])
-def test_an_infinite_magnitude_or_weight_takes_the_row_kernel(monkeypatch, routes, case):
-    # 0 x inf is NaN: the row kernel's zero draws of such a cell make every
-    # sum NaN, which the spike kernel, summing nonzero draws only, would miss
+def test_an_infinite_magnitude_or_weight_sums_as_the_row_kernel(monkeypatch, routes, case):
+    # 0 x inf is NaN, which is not 0: the spike kernel keeps the NaN draws of
+    # such a cell as it keeps any nonzero one, so its sums are NaN as well
     arr, c = RARE, lambda n, i: math.inf if i == 40 else 1.0
     if case == "magnitude":
         arr, c = model.sequence_array(cell_steps=_inf_steps), None
     plan = SimPlan(arr=arr, b=model.power_norming(1.0), rows=(700,), reps=130, seed=3, c=c)
-    assert math.isfinite(model.RowSampler(arr, 700).spike_rate) == (case == "weight")
     got = simulate._Spans(plan, plan.rows)(0, 0, plan.reps)
-    assert routes == [("_rows", 700)]
+    assert routes == [("spike", 700)]
     with pytest.raises(SamplingError, match="row 700"):
         simulate.wlln_estimate(plan)
-    row, spike = (_maxima(monkeypatch, plan, s)[0] for s in (False, True))
+    row = _maxima(monkeypatch, plan, False)[0]
     assert got.tobytes() == row.tobytes() and np.isnan(row).all()
-    assert not np.isnan(spike).all()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
