@@ -29,8 +29,9 @@ streams, so rows can be drawn concurrently without shared state; the keys of
 a row's addresses come from one vectorised pass (``stream_keys``), one
 stream a block of ``BLOCK_REPS`` replications.  ``RowSampler`` lays a row
 out once: a replication of an independent row reads one fair bit per
-sure-magnitude cell (a step law with prob 1), then one word per other cell,
-standing for a uniform, which a sign select or a quantile maps to a value.
+sure-magnitude cell (a step law with prob 1), a 16-bit chunk per other step
+cell, which a refinement word completes only when it ties a threshold, and
+a word per Pareto cell, standing for a uniform its quantile maps to a value.
 """
 
 from __future__ import annotations
@@ -986,29 +987,47 @@ def _cells_where(mask: np.ndarray):
     return np.flatnonzero(mask)
 
 
+def _at(cells, i):
+    """``cells[i]`` for cells given as ``_cells_where`` gives them and i a slice or indexes."""
+    if not isinstance(cells, slice):
+        return cells[i]
+    if isinstance(i, slice):
+        return slice(cells.start + i.start, cells.start + i.stop)
+    return i + cells.start
+
+
 class RowSampler:
     """Draws of one row, laid out once per (array, n) from its ``step_columns``.
 
     Replication r is lane r mod B of block r div B (B = ``BLOCK_REPS``),
     whose stream the caller keys, and draw d of lane i is draw d B + i of the
     stream: a raw word of an independent row, a normal of a ``GaussianNA``
-    row, whose k + 1 normals a block draws as one (k + 1, B) run.  An
-    independent row's s sure-magnitude cells (step laws with prob 1: a
-    magnitude m times a fair sign) take words 0 .. ceil(s/64) - 1, read
-    little-endian, so bit i of word j, ``(w >> i) & 1``, is the sign of the
-    (64j + i)-th sure cell in cell order, +m for 1 and -m for 0; its other
-    cells follow, a word each.
+    row, whose k + 1 normals a block draws as one (k + 1, B) run.
 
-    Other step cells keep thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
+    An independent row's words, in this order: its s sure-magnitude cells'
+    (step laws with prob 1: a magnitude m times a fair sign) take words 0 ..
+    ceil(s/64) - 1, read little-endian, so bit i of word j, ``(w >> i) & 1``,
+    is the sign of the (64j + i)-th sure cell in cell order, +m for 1 and -m
+    for 0; its T two-point cells (the other step cells) take a 16-bit chunk
+    each, two-point cell t being chunk t mod 4, little-endian, of the
+    (t div 4)-th chunk word; each of its other (Pareto) cells takes a word;
+    and two-point cell t has its refinement word at the fixed word R0 + t, R0
+    the words before the first, read only when its chunk needs it.
+
+    A two-point cell keeps thresholds ``lo = q/2``, ``hi = 1 - q/2`` and
     magnitude m, so a uniform u maps to ``m * ((u >= hi) - (u < lo))``, the
-    +-m/0 of ``quantile_of`` bit for bit.  An independent row compares the
-    words themselves: a word w stands for ``u = (w >> 11) * 2**-53``, as
-    Philox's ``Generator.random`` forms it, so u < lo iff w < ceil(lo 2^53)
-    2^11, and u >= hi iff w > ceil(hi 2^53) 2^11 - 1; only a Pareto cell's
-    word becomes a float uniform, and each Pareto law's quantile runs once per
-    draw on its cells.  A ``GaussianNA`` row has no sure cells (its signs are
-    not independent): each cell's uniform comes from mixed normals mapped
-    through :func:`ndtr`, the cephes port, so drawing loads no scipy module.
+    +-m/0 of ``quantile_of`` bit for bit.  An independent row compares words:
+    a word w stands for ``u = (w >> 11) * 2**-53``, as Philox's
+    ``Generator.random`` forms it, so u < lo iff w < ceil(lo 2^53) 2^11, and
+    u >= hi iff w > ceil(hi 2^53) 2^11 - 1.  A two-point cell's w is its
+    chunk times 2^48 plus the top 48 bits of its refinement word: a chunk
+    below the top 16 bits of its lo threshold is below lo, one above those of
+    hi is above hi, and only a chunk equal to either reads the refinement
+    word (``_hits``).  Only a Pareto cell's word becomes a float uniform, and
+    each Pareto law's quantile runs once per draw on its cells.  A
+    ``GaussianNA`` row has no sure cells (its signs are not independent):
+    each cell's uniform comes from mixed normals mapped through :func:`ndtr`,
+    the cephes port, so drawing loads no scipy module.
     """
 
     def __init__(self, arr: ArraySpec, n: int):
@@ -1033,69 +1052,130 @@ class RowSampler:
         sure = ((prob == 1.0) & independent)[law]  # by entry
         self._row_sure_mag = cells(mag[law], sure)  # in cell order
         self._sure_cell = sure if count is None else np.repeat(sure, count)
-        self._law = cells(law, ~sure)  # the law of each other cell, numbered as its word
+        self._law = cells(law, ~sure)  # the law of each other cell, in cell order
         half = prob / 2.0
-        lo, hi = half, 1.0 - half
+        lo, hi, tops = half, 1.0 - half, None
         if independent and (self._law < n_steps).any():  # the words' thresholds: see above
             lo, hi = _word_threshold(lo), _word_threshold(hi)
             hi -= np.uint64(1)  # w > hi iff u >= hi; 2^64, wrapped to 0, ends at 2^64 - 1
-        self._steps = (n_steps, mag, lo, hi)
-        # expected nonzero draws a replication of an independent row of step laws
+            tops = (lo >> 48).astype(np.uint16), (hi >> 48).astype(np.uint16)
+        self._steps = (n_steps, mag, lo, hi, tops)
+        # expected nonzero draws a replication of an independent row of step
+        # laws; a zero draw of an infinite magnitude is 0 inf, NaN, not 0
         self.spike_rate = (len(self._row_sure_mag) + float(prob[self._law].sum())
-                           if independent and not others else math.inf)
-        other = np.flatnonzero(self._law >= n_steps)  # per non-step law, its words, ascending
-        other = other[np.argsort(self._law[other], kind="stable")]
-        cuts = np.searchsorted(self._law[other], np.arange(n_steps + 1, n_steps + len(others)))
-        self._row_others = tuple(zip(map(quantile_of, others), np.split(other, cuts)))
+                           if independent and not others and np.isfinite(mag).all() else math.inf)
+        # per non-step law, its cells (numbered as the other cells) and, in an
+        # independent row, their words (numbered among the Pareto cells)
+        other = np.flatnonzero(self._law >= n_steps)
+        words = np.argsort(self._law[other], kind="stable")
+        other = other[words]
+        ends = np.searchsorted(self._law[other],
+                               np.arange(n_steps + 1, n_steps + len(others) + 1)).tolist()
+        self._row_others = tuple((quantile_of(d), other[i:j], words[i:j])
+                                 for d, i, j in zip(others, [0, *ends], ends))
+        chunked = len(self._law) - len(other) if tops is not None else 0
+        self._row_words = (-(-len(self._row_sure_mag) // 64), -(-chunked // 4), len(other))
         self._layout(0, k)
 
-    def _layout(self, c0: int, c1: int) -> None:
+    def _layout(self, c0: int, c1: int, a: int = 0) -> None:
         """Lay out cells c0 .. c1 - 1 on the words the whole row gives them:
         the signs of its sure cells from bit a of the row's sign words, a
-        the sure cells before c0, and its other cells' words from word p of
-        the row's other words, p the other cells before c0."""
-        sure, a = self._sure_cell[c0:c1], int(np.count_nonzero(self._sure_cell[:c0]))
+        the sure cells before c0, its two-point cells' chunks from chunk t0
+        of the row's chunk words and their refinement words from R0 + t0, t0
+        the two-point cells before c0, and its Pareto cells' words from word
+        p0 of the row's Pareto words, p0 the Pareto cells before c0."""
+        sure = self._sure_cell[c0:c1]
         self._c0, self.k, self.n_sure, self._bit = c0, c1 - c0, int(np.count_nonzero(sure)), a % 64
         self.sure_mag = self._row_sure_mag[a:a + self.n_sure]
-        self._sure, self._rest = _cells_where(sure), _cells_where(~sure)
+        self._sure, rest_at = _cells_where(sure), _cells_where(~sure)
         self._words = -(-(self._bit + self.n_sure) // 64) if self.n_sure else 0  # sign words
         p, rest = c0 - a, self.k - self.n_sure  # the other cells before the range, and in it
-        spans = ((0, a // 64, self._words),
-                 (self._words, -(-len(self._row_sure_mag) // 64) + p, rest))
-        if spans[0][1] + spans[0][2] == spans[1][1]:  # one run of the row's words
-            spans = ((0, a // 64, self._words + rest),)
-        self._spans = tuple(span for span in spans if span[2])  # (buffer column, word, words)
-        law, (n_steps, mag, lo, hi) = self._law[p:p + rest], self._steps
-        self._mag = None  # a range with no other step cell keeps no per-cell step arrays
-        if (law < n_steps).any():
-            self._mag, self._lo, self._hi = mag[law], lo[law], hi[law]
-        cuts = ((q, idx, np.searchsorted(idx, (p, p + rest))) for q, idx in self._row_others)
-        self._others = tuple((q, idx[i:j] - p) for q, idx, (i, j) in cuts if j > i)
+        law, (n_steps, mag, lo, hi, tops) = self._law[p:p + rest], self._steps
+        cuts = [(q, idx, words, *np.searchsorted(idx, (p, p + rest)).tolist())
+                for q, idx, words in self._row_others]
+        p0 = sum(i for *_, i, _ in cuts)  # the Pareto cells before the range
+        others = []
+        for q, idx, words, i, j in cuts:
+            if j > i:  # (law, cells, columns): a GaussianNA row's uniforms are by cell
+                at = _at(rest_at, idx[i:j] - p)
+                others.append((q, at, at if self._carry is not None else words[i:j] - p0))
+        self._others = tuple(others)
+        self._mag, t0, chunked = None, p - p0, 0  # no step cell: no per-cell step arrays
+        step = law < n_steps
+        if step.any() and self._carry is not None:  # every cell; a Pareto cell's is no hit
+            self._step, self._mag, self._lo, self._hi = rest_at, mag[law], lo[law], hi[law]
+        elif step.any():
+            where = _cells_where(step)
+            self._step, self._step_law = _at(rest_at, where), law[where]
+            self._mag, self._lo, self._hi = (x[self._step_law] for x in (mag, *tops))
+            chunked = -(-(t0 % 4 + len(self._mag)) // 4)
+        if self._carry is not None:  # a GaussianNA row draws normals, not words
+            return
+        signs, chunks, paretos = self._row_words  # the row's words of each kind
+        # buffer columns of the chunk words and the Pareto words, and the first chunk
+        self._chunks, self._pareto = (self._words, t0 % 4), self._words + chunked
+        self._r0 = signs + chunks + paretos + t0  # the refinement word of two-point cell 0
+        runs = []  # (buffer column, word, words): signs, chunks and Pareto words, runs merged
+        pareto = rest - int(np.count_nonzero(step))
+        for at, w0, w in ((0, a // 64, self._words), (self._words, signs + t0 // 4, chunked),
+                          (self._words + chunked, signs + chunks + p0, pareto)):
+            if w and runs and runs[-1][1] + runs[-1][2] == w0:
+                runs[-1] = (*runs[-1][:2], runs[-1][2] + w)
+            elif w:
+                runs.append((at, w0, w))
+        self._spans, self._width = tuple(runs), self._pareto + pareto
 
     def slabs(self, cells: int) -> list:
         """Samplers of the row's runs of ``cells`` cells, each laid out on the
         row's draws; the row itself if shorter."""
         if cells >= self.k:
             return [self]
-        out = [copy.copy(self) for _ in range(0, self.k, cells)]
+        out, a = [copy.copy(self) for _ in range(0, self.k, cells)], 0
         for slab, c0 in zip(out, range(0, self.k, cells)):
-            slab._layout(c0, min(c0 + cells, self.k))
+            slab._layout(c0, min(c0 + cells, self.k), a)
+            a += slab.n_sure  # the sure cells before the next slab
         return out
 
     def buffers(self, reps: int = 1, store: Optional[list] = None) -> tuple:
         """Caller-owned (words, draws, normals or None) for ``reps`` rows: a
-        row of ``words`` holds one replication's raw Philox words (a ``'<u8'``
-        view reads them), or a ``GaussianNA`` row's uniforms, whose block
-        draws normals 1 .. k of its lanes into ``normals``, shaped (k, B).
-        With ``store``, a list the caller keeps, they are views of its arrays
-        (``store_array``)."""
+        row of ``words`` holds one replication's raw Philox words but the
+        refinement words (a ``'<u8'`` view reads them), or a ``GaussianNA``
+        row's uniforms, whose block draws normals 1 .. k of its lanes into
+        ``normals``, shaped (k, B).  With ``store``, a list the caller keeps,
+        they are views of its arrays (``store_array``)."""
         if isinstance(self._arr.dependence, Independent):
-            shapes = ((reps, self._words + self.k - self.n_sure), (reps, self.k), None)
+            shapes = ((reps, self._width), (reps, self.k), None)
         else:
             shapes = ((reps, self.k), (reps, self.k), (self.k, BLOCK_REPS))
         store = [] if store is None else store
         return tuple(None if s is None else store_array(store, i, s[0] * s[1]).reshape(s)
                      for i, s in enumerate(shapes))
+
+    def _fill(self, keys: np.ndarray, gen: Generator, bufs: tuple, m: int) -> np.ndarray:
+        """The words of replications 0 .. m - 1 of an independent row's blocks
+        keyed by ``keys``, drawn into ``bufs``, as a ``'<u8'`` view."""
+        if m > len(bufs[1]):
+            raise ValueError(f"{m} replications for {len(bufs[1])} buffer rows")
+        for at, w0, w in self._spans:
+            self.draw_words(keys, gen, bufs[0][:m, at:at + w].view("<u8").T, w0)
+        return bufs[0][:m].view("<u8")
+
+    def _refiner(self, keys: np.ndarray, gen: Generator):
+        """The refinement words of (lanes, two-point cells t) of the blocks
+        keyed by ``keys``: word r0 + t of each lane, word (r0 + t) B + lane
+        mod B of its block's stream, from the Philox counter that holds it."""
+        bit = gen.bit_generator
+
+        def refine(lanes: np.ndarray, t: np.ndarray) -> np.ndarray:
+            out = np.empty(len(lanes), dtype=np.uint64)
+            block, lane = np.divmod(lanes, BLOCK_REPS)
+            word = (self._r0 + t) * BLOCK_REPS + lane
+            for j, (b, w) in enumerate(zip(block.tolist(), word.tolist())):
+                _rekey(bit, keys[b].tolist(), w // 4)
+                out[j] = bit.random_raw(4)[w % 4]
+            return out
+
+        return refine
 
     def draw_rows(self, keys: np.ndarray, gen: Generator, bufs: tuple, m: int) -> np.ndarray:
         """Draws of replications 0 .. m - 1 of the blocks keyed by ``keys``
@@ -1107,12 +1187,10 @@ class RowSampler:
         after the slab before it: it goes on from ``gen`` where that slab
         stopped, and its lanes' first normals are the last that slab drew.
         """
+        if bufs[2] is None:
+            return self._values(m, bufs, self._fill(keys, gen, bufs, m), self._refiner(keys, gen))
         if m > len(bufs[1]):
             raise ValueError(f"{m} replications for {len(bufs[1])} buffer rows")
-        if bufs[2] is None:
-            for at, w0, w in self._spans:
-                self.draw_words(keys, gen, bufs[0][:m, at:at + w].view("<u8").T, w0)
-            return self._values(m, bufs)
         z, carry = bufs[2], self._carry
         for j, key in enumerate(keys.tolist()):
             if not self._c0:
@@ -1122,6 +1200,22 @@ class RowSampler:
             self._mix(carry, z, bufs[0][j * BLOCK_REPS:min((j + 1) * BLOCK_REPS, m)])
             carry[...] = z[-1]
         return self._values(m, bufs)
+
+    def draw_nonzero(self, keys: np.ndarray, gen: Generator, bufs: tuple, m: int) -> tuple:
+        """(lanes, cells, values) of the draws of replications 0 .. m - 1 that
+        are not 0, in replication-then-cell order, as ``draw_rows`` would
+        draw them: every sure cell's and the two-point cells' hits
+        (``_hits``), of an independent row with no Pareto cells."""
+        words = self._fill(keys, gen, bufs, m)
+        lanes, cells, values = self._hits(words, self._refiner(keys, gen))
+        if self.n_sure:
+            sure = _at(self._sure, np.arange(self.n_sure))
+            lanes = np.concatenate((np.repeat(np.arange(m), self.n_sure), lanes))
+            cells = np.concatenate((np.tile(sure, m), cells))
+            values = np.concatenate(((self._signs(words) * self.sure_mag).ravel(), values))
+            order = np.argsort(lanes * self.k + cells, kind="stable")
+            lanes, cells, values = lanes[order], cells[order], values[order]
+        return lanes, cells, values
 
     @staticmethod
     def draw_words(keys: np.ndarray, gen: Generator, out: np.ndarray, first_word: int = 0) -> None:
@@ -1149,8 +1243,8 @@ class RowSampler:
     def draw(self, rng: Generator, bufs: Optional[tuple] = None) -> np.ndarray:
         """One realization of the row from ``rng``, into ``bufs`` when given.
 
-        An independent row reads its words from one
-        ``rng.bit_generator.random_raw`` call; a word w stands for the
+        An independent row reads its words, refinement words included, from
+        one ``rng.bit_generator.random_raw`` call; a word w stands for the
         uniform ``(w >> 11) * 2**-53``, the one ``rng.random`` forms from it
         when ``rng`` draws from Philox.  A ``GaussianNA`` row reads its k + 1
         normals from one ``rng.standard_normal`` call.
@@ -1158,51 +1252,87 @@ class RowSampler:
         bufs = self.buffers() if bufs is None else bufs
         if bufs[2] is None:
             words = bufs[0].view("<u8")[0]
-            words[...] = rng.bit_generator.random_raw(len(words))
-        else:
-            z = rng.standard_normal(self.k + 1)
-            self._mix(z[:1], z[1:, None], bufs[0][:1])
+            ties = len(self._mag) if self._mag is not None else 0  # a refinement word each
+            raw = rng.bit_generator.random_raw(self._r0 + ties)
+            words[...] = raw[:len(words)]
+            return self._values(1, bufs, words[None], lambda lanes, t: raw[self._r0 + t])[0]
+        z = rng.standard_normal(self.k + 1)
+        self._mix(z[:1], z[1:, None], bufs[0][:1])
         return self._values(1, bufs)[0]
 
-    def _values(self, m: int, bufs: tuple) -> np.ndarray:
-        """The first m rows of draws, from the words (or, for GaussianNA rows,
-        the mixed neighbours of the normals, mapped through the normal cdf)
-        the caller filled."""
-        x, w, rest = bufs[1][:m], self._words, self.k - self.n_sure
-        if w:
-            octets = bufs[0][:m, :w].view("<u8").view(np.uint8)
-            sign = fair_signs(octets, 1, self._bit + self.n_sure)[:, self._bit:]
-            if isinstance(self._sure, slice):
-                np.multiply(sign, self.sure_mag, out=x[:, self._sure])
-            else:
-                x[:, self._sure] = sign * self.sure_mag
-        if not rest:
-            return x
-        y = x[:, self._rest] if isinstance(self._rest, slice) else np.empty((m, rest))
-        if bufs[2] is None:
-            u = bufs[0][:m, w:].view("<u8")  # the words, compared as they are
-            other = []
-            for q, idx in self._others:
-                col = u[:, idx].ravel()
-                np.right_shift(col, 11, out=col)
-                other.append(q(np.multiply(col, 2.0 ** -53, out=col.view(float))))
-            if self._mag is not None:
-                sign = np.greater(u, self._hi).view(np.int8)
-                sign -= np.less(u, self._lo).view(np.int8)
-                np.multiply(sign, self._mag, out=y)
+    def _signs(self, words: np.ndarray) -> np.ndarray:
+        """+-1 (int8) of each replication's sure cells, from its sign words."""
+        octets = words[:, :self._words].view(np.uint8)
+        return fair_signs(octets, 1, self._bit + self.n_sure)[:, self._bit:]
+
+    def _hits(self, words: np.ndarray, refine) -> tuple:
+        """The chunk decoder: (lanes, cells, values) of the two-point cells'
+        draws that are not 0, in replication-then-cell order, from each
+        replication's ``words`` and ``refine(lanes, t)``, the refinement
+        words of two-point cells t of those lanes.
+
+        A chunk c stands for w = c 2^48 + the top 48 bits of its refinement
+        word.  c below the top 16 bits of lo makes w < lo and c above those
+        of hi makes w > hi; c equal to either is a tie, whose w is formed
+        and compared with the thresholds themselves.
+        """
+        if self._mag is None:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
+        col, first = self._chunks
+        size = len(self._mag)
+        chunks = words[:, col:].view("<u2")[:, first:first + size]
+        below = np.less_equal(chunks, self._lo)
+        above = np.greater_equal(chunks, self._hi)
+        at = np.flatnonzero(below | above)  # the candidates, in replication-then-cell order
+        lanes = at // size
+        t = at - lanes * size
+        sign = above.ravel()[at].view(np.int8) - below.ravel()[at].view(np.int8)
+        if 16 * len(at) < chunks.size:  # the ties among few candidates, or on the chunks
+            c = chunks[lanes, t]
+            tie = np.flatnonzero((c == self._lo[t]) | (c == self._hi[t]))
         else:
-            u, th = bufs[0][:m], self._arr.dependence.theta()
-            u /= math.sqrt(1.0 + th * th)
-            u[...] = ndtr(u)
-            other = [q(u[:, idx].ravel()) for q, idx in self._others]  # before u is reused
+            tie = np.searchsorted(at, np.flatnonzero((chunks == self._lo) | (chunks == self._hi)))
+        if len(tie):
+            law, (_, _, lo, hi, _) = self._step_law[t[tie]], self._steps
+            w = chunks[lanes[tie], t[tie]].astype(np.uint64) << 48
+            w |= refine(lanes[tie], t[tie]) >> 16
+            sign[tie] = np.greater(w, hi[law]).view(np.int8) - np.less(w, lo[law]).view(np.int8)
+            keep = np.flatnonzero(sign)
+            lanes, t, sign = lanes[keep], t[keep], sign[keep]
+        return lanes, _at(self._step, t), sign * self._mag[t]
+
+    def _values(self, m: int, bufs: tuple, words=None, refine=None) -> np.ndarray:
+        """The first m rows of draws, from the ``words`` and ``refine`` of an
+        independent row or, for a GaussianNA row, the mixed neighbours of the
+        normals the caller filled, mapped through the normal cdf."""
+        x = bufs[1][:m]
+        if words is not None:
+            if self._words:
+                sign = self._signs(words)
+                if isinstance(self._sure, slice):
+                    np.multiply(sign, self.sure_mag, out=x[:, self._sure])
+                else:
+                    x[:, self._sure] = sign * self.sure_mag
             if self._mag is not None:
-                np.greater_equal(u, self._hi, out=y)
-                y -= np.less(u, self._lo, out=u)
-                y *= self._mag
-        for (_, idx), vals in zip(self._others, other):
-            y[:, idx] = np.reshape(vals, (m, len(idx)))
-        if not isinstance(self._rest, slice):
-            x[:, self._rest] = y
+                x[:, self._step] = self._mag * 0.0  # a zero draw is 0 m: NaN at an infinite m
+                lanes, cells, values = self._hits(words, refine)
+                x.put(lanes * self.k + cells, values)
+            pareto = words[:, self._pareto:]
+            for q, cells, cols in self._others:
+                u = pareto[:, cols].ravel()
+                np.right_shift(u, 11, out=u)
+                x[:, cells] = q(np.multiply(u, 2.0 ** -53, out=u.view(float))).reshape(m, -1)
+            return x
+        u, th = bufs[0][:m], self._arr.dependence.theta()
+        u /= math.sqrt(1.0 + th * th)
+        u[...] = ndtr(u)
+        other = [q(u[:, cols].ravel()) for q, _, cols in self._others]  # before u is reused
+        if self._mag is not None:  # every cell: a Pareto cell's thresholds make it 0
+            np.greater_equal(u, self._hi, out=x)
+            x -= np.less(u, self._lo, out=u)
+            x *= self._mag
+        for (_, cells, _), vals in zip(self._others, other):
+            x[:, cells] = np.reshape(vals, (m, len(cells)))
         return x
 
 

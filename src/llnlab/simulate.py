@@ -39,10 +39,13 @@ replication whose run is not certified takes the float adds from c, in
 cumsum's order.
 
 A row of independent step laws expecting at most k / ``SPIKE_RATIO`` nonzero
-draws a replication runs the spike kernel, which sums those alone: a zero
+draws a replication runs the spike kernel, which sums those alone, as the
+row's one chunk decoder hands them out (``RowSampler.draw_nonzero``): a zero
 draw adds +0.0 in cumsum, leaving S_(j-1) as it is but for the sign of a
 zero, so the cumsum of each replication's nonzero draws in cell order gives
-every S_j at a nonzero cell with cumsum's adds, and the same maxima.
+every S_j at a nonzero cell with cumsum's adds, and the same maxima.  A
+row with an infinite magnitude or weight, whose zero draws are NaN, takes
+the row kernel.
 
 Estimates are exceedance frequencies of max_j |sum_{i<=j} c_i X_i| / b_n over
 epsilon levels, with binomial standard errors.  Almost-sure statements are
@@ -217,7 +220,7 @@ TASK_CELLS = 1 << 15  # cells of a row-kernel part, and words of a column-kernel
 COLUMN_REPS = 256  # the fewest replications of a span of sure cells that sums across them
 COLUMN_GROUP = 512  # replications summed side by side, at most, in the column kernel
 RUN_BLOCKS = 8  # 64-cell blocks of +-1 cells summed as one certified integer walk, at most
-SPIKE_RATIO = 8  # cells per expected nonzero draw, at least, of a row the spike kernel sums
+SPIKE_RATIO = 4  # cells per expected nonzero draw, at least, of a row the spike kernel sums
 
 
 def _group_values(arr: ArraySpec, n: int, fn) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +256,12 @@ def _key_blocks(seed: int, n: int, lo: int, hi: int, size: int):
         yield (b0 + a) * BLOCK_REPS, min((b0 + z) * BLOCK_REPS, hi), keys[a:z]
 
 
-def _spiky(sampler: RowSampler, ends) -> bool:
-    """Whether a row takes the spike kernel: one segment and a
-    ``RowSampler.spike_rate`` of at most k / ``SPIKE_RATIO``."""
-    return ends is None and SPIKE_RATIO * sampler.spike_rate <= sampler.k
+def _spiky(sampler: RowSampler, ends, weights) -> bool:
+    """Whether a row takes the spike kernel: one segment, a
+    ``RowSampler.spike_rate`` of at most k / ``SPIKE_RATIO`` and finite
+    weights (an infinite weight makes a zero draw NaN, not 0)."""
+    return (ends is None and SPIKE_RATIO * sampler.spike_rate <= sampler.k
+            and (weights is None or bool(np.isfinite(weights).all())))
 
 
 class _Spans:
@@ -276,8 +281,9 @@ class _Spans:
     each adding the sum carried from the last into its first draw: cumsum's
     adds in cumsum's order.  The spike kernel, for a row ``_spiky`` admits,
     is the row kernel but for what it sums: each replication's nonzero draws
-    of a slab (a NaN is not 0), packed in cell order to the left of a
-    zero-padded (m, K) array, K the most of any replication.
+    of a slab, decoded as (lane, cell, value) by ``RowSampler.draw_nonzero``,
+    weighted and clamped, packed in cell order to the left of a zero-padded
+    (m, K) array, K the most of any replication.
     The column kernel sums groups of at most ``COLUMN_GROUP`` replications,
     the row's weights folded into its magnitudes, from W = ``TASK_CELLS //
     COLUMN_GROUP`` sign words at a time in a (W, G) array.  Runs of full
@@ -319,22 +325,25 @@ class _Spans:
                 parts.append((c0, slab.buffers(min(size, hi - lo), self._store), segs,
                               np.maximum(starts[segs] - c0, 0)))
                 c0 += slab.k
-            spiky = _spiky(sampler, self.ends)
+            spiky = _spiky(sampler, self.ends, weights)
             for a, z, keys in _key_blocks(self.plan.seed, n, lo, hi, size):
                 acc, carry = out[a - lo:z - lo], None
                 for slab, (c0, bufs, segs, cuts) in zip(slabs, parts):
-                    x = slab.draw_rows(keys, self._gen, bufs, z - a)
+                    if spiky:  # each replication's nonzero draws in cell order, then zeros
+                        lanes, cells, x = slab.draw_nonzero(keys, self._gen, bufs, z - a)
+                    else:
+                        x = slab.draw_rows(keys, self._gen, bufs, z - a)
                     if weights is not None:
-                        np.multiply(weights[c0:c0 + slab.k], x, out=x)
+                        np.multiply(weights[c0 + cells] if spiky else weights[c0:c0 + slab.k], x,
+                                    out=x)
                     if self.clip is not None:
                         np.clip(x, -self.clip, self.clip, out=x)
-                    if spiky:  # each replication's nonzero draws in cell order, then zeros
-                        at = np.flatnonzero(x != 0.0)
-                        count = np.bincount(at // slab.k, minlength=z - a)
+                    if spiky:
+                        count = np.bincount(lanes, minlength=z - a)
                         y = store_array(self._store, 3, (z - a) * int(count.max(initial=1)))
                         y = y.reshape(z - a, -1)
                         y[...] = 0.0
-                        y[np.arange(y.shape[1]) < count[:, None]] = x.ravel()[at]
+                        y[np.arange(y.shape[1]) < count[:, None]] = x
                         x = y
                     if carry is not None:
                         x[:, 0] += carry  # S_(c0) + x_(c0 + 1), as cumsum adds

@@ -8,7 +8,10 @@ independent row or a normal of a ``GaussianNA`` row: lane i reads column i
 of the block's draws shaped (rows, B).  ``ReplicationStream`` hands one
 replication its draws as a generator would, built here from numpy's
 ``SeedSequence`` alone, so it shares no keying code with the kernels it
-checks.  ``reference_suffix_sups`` is the per-path loop that
+checks.  ``row_words`` reads an independent row's words from such a stream
+by the layout rule, one 64-bit word per cell, with no tie logic, and
+``count_ties`` counts the ties the kernels resolve.
+``reference_suffix_sups`` is the per-path loop that
 ``simulate.slln_path_diagnostic`` ran before paths were drawn in batches
 through the replication-span kernel; ``reference_condition_h_probe`` is the
 per-replication loop ``simulate.condition_h_probe`` ran before it drew key
@@ -79,6 +82,41 @@ class ReplicationStream:
             return z.copy()
         out[...] = z
         return out
+
+
+def row_words(rng, sure: int, two_point: int, pareto: int):
+    """(sign words, w per two-point cell, word per Pareto cell) of one
+    independent row, read from one ``random_raw`` call by the layout rule.
+
+    First ceil(sure/64) sign words; then ceil(two_point/4) chunk words,
+    two-point cell t reading 16-bit chunk t mod 4, little-endian, of chunk
+    word t div 4; then one word per Pareto cell; then a refinement word per
+    two-point cell, t's at the fixed word R0 + t, R0 the words before it.
+    Cell t's word is w = chunk 2^48 + the top 48 bits of its refinement word.
+    """
+    s, c = -(-sure // 64), -(-two_point // 4)
+    raw = [int(w) for w in rng.bit_generator.random_raw(s + c + pareto + two_point)]
+    chunks = [raw[s + t // 4] >> 16 * (t % 4) & 0xFFFF for t in range(two_point)]
+    refine = raw[s + c + pareto:]
+    w = [chunk << 48 | low >> 16 for chunk, low in zip(chunks, refine)]
+    return (np.array(raw[:s], dtype=np.uint64), np.array(w, dtype=np.uint64),
+            np.array(raw[s + c:s + c + pareto], dtype=np.uint64))
+
+
+def count_ties(monkeypatch) -> list:
+    """Patch ``RowSampler._hits`` to record how many refinement words (ties)
+    each call reads, in this process; returns the list it appends to."""
+    seen, hits = [], RowSampler._hits
+
+    def spy(self, words, refine):
+        def counted(lanes, t):
+            seen.append(len(lanes))
+            return refine(lanes, t)
+
+        return hits(self, words, counted)
+
+    monkeypatch.setattr(RowSampler, "_hits", spy)
+    return seen
 
 
 def sequence_paths(arr, length: int, reps: int, seed: int):

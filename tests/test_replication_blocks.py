@@ -20,7 +20,7 @@ import pytest
 from llnlab import model, simulate
 from llnlab.fixtures import load
 from llnlab.simulate import SimPlan
-from sim_reference import ReplicationStream
+from sim_reference import ReplicationStream, count_ties
 from test_row_sampler import assert_same_bits, reference_row
 
 EDGES = (0, 1, 62, 63, 64, 65, 127, 128, 129)  # 130 replications: two blocks and two lanes
@@ -75,17 +75,39 @@ def test_fewer_replications_are_a_prefix_of_more(monkeypatch, name, threads):
 
 
 def test_a_slab_reads_its_own_words():
-    # slabs of 100 cells of a mixed row: the sure cells' signs start mid-word
-    # in most slabs, and their words and the other cells' are drawn apart
+    # slabs of 100 cells of a mixed row: the sure cells' signs and the
+    # two-point cells' chunks start mid-word in most slabs, and the sign,
+    # chunk and Pareto words are drawn apart
     arr, n = MIXED, 1100
     sampler = model.RowSampler(arr, n)
     slabs = sampler.slabs(100)
     assert [s.k for s in slabs] == [100] * 11
-    assert any(s._bit for s in slabs) and all(len(s._spans) == 2 for s in slabs[1:])
+    assert any(s._bit for s in slabs) and any(s._chunks[1] for s in slabs)
+    assert all(len(s._spans) == 3 for s in slabs[1:])
     keys, gen = model.stream_keys(3, (n,), np.arange(3)), model.philox_generator()
     rows = np.hstack([s.draw_rows(keys, gen, s.buffers(130), 130).copy() for s in slabs])
     for r in EDGES:
         assert rows[r].tobytes() == sampler.draw(ReplicationStream(3, n, r)).tobytes(), r
+
+
+def test_ties_resolve_alike_in_any_slabs_spans_and_prefix(monkeypatch):
+    # example-4.1's row of 4096 cells (the spike kernel) at 200 replications:
+    # its refinement words sit at fixed words, so slabs of 512 or 100 cells,
+    # the spans of 2 and 3 workers and a prefix of 100 give the lanes' maxima
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    arr, n = load("example-4.1").arr, 4096
+    ties = count_ties(monkeypatch)
+    plan = SimPlan(arr=arr, b=model.power_norming(1.0), rows=(n,), reps=200, seed=21)
+    got = simulate._Spans(plan, plan.rows)(0, 0, 200)[:, 0]
+    assert sum(ties) > 0
+    assert got.tobytes() == reference_maxima(arr, n, 21, range(200)).tobytes()
+    spans = simulate._Spans(plan, plan.rows)
+    for threads in (2, 3):
+        assert simulate._workers(threads, 200) == threads
+        assert simulate._replication_maxima(spans, 200, threads)[0][:, 0].tobytes() == got.tobytes()
+    assert simulate._replication_maxima(spans, 100, 1)[0][:, 0].tobytes() == got[:100].tobytes()
+    monkeypatch.setattr(simulate, "TASK_CELLS", 64 * 100)
+    assert simulate._Spans(plan, plan.rows)(0, 0, 200)[:, 0].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ROWS))

@@ -19,7 +19,8 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from llnlab import model, simulate
 from builders import identical_array
-from sim_reference import ReplicationStream, reference_rng
+from llnlab.fixtures import load
+from sim_reference import ReplicationStream, count_ties, reference_rng
 
 
 def reference_key(seed, *key):
@@ -119,6 +120,20 @@ def test_keyed_rows_across_chunk_and_key_boundaries_equal_seed_sequence_rows():
         for rep in range(reps):
             assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep), bufs)), \
                 (label, rep)
+
+
+def test_keyed_ties_read_the_refinement_words_of_seed_sequence_rows(monkeypatch):
+    # example-4.1's row of 4096 cells over three blocks, the last partial: a
+    # chunk equal to the top of a threshold reads its refinement word from
+    # the Philox counter holding it, which must be the lane's word R0 + t
+    seed, n, reps = 2**64 + 9, 4096, 130
+    ties = count_ties(monkeypatch)
+    sampler = model.RowSampler(load("example-4.1").arr, n)
+    rows = sampler.draw_rows(model.stream_keys(seed, (n,), np.arange(3)), Generator(Philox(key=0)),
+                             sampler.buffers(reps), reps)
+    assert sum(ties) > 0
+    for rep in range(reps):
+        assert np.array_equal(rows[rep], sampler.draw(ReplicationStream(seed, n, rep))), rep
 
 
 MID_BUFFER = {

@@ -3,10 +3,10 @@
 ``reference_row`` is the per-group ``quantile_of`` loop of the generic
 sampler; ``reference_two_point`` is the nested ``np.where`` chain of the old
 shortcut for independent sequences of +-1 and two-point cells.  Both read an
-independent row's sure-magnitude cells (prob 1) from sign bits first, as
-``reference_bits`` reads them from the raw words, and take uniforms for the
-other cells after them.  Draws must agree bit for bit, signs of zeros
-included.
+independent row's words as ``sim_reference.row_words`` lays them out: the
+sure-magnitude cells (prob 1) from sign bits, as ``reference_bits`` reads
+them, and a uniform (w >> 11) 2^-53 for each other cell from its 64-bit
+word.  Draws must agree bit for bit, signs of zeros included.
 """
 
 import dataclasses
@@ -23,12 +23,14 @@ from llnlab import model, simulate
 from llnlab.fixtures import load
 from llnlab.model import RowSampler
 from builders import identical_array
-from sim_reference import ReplicationStream
+from sim_reference import ReplicationStream, row_words
+
+
+def uniforms(words):
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 def reference_uniforms(dep, k, rng):
-    if isinstance(dep, model.Independent):
-        return rng.random(k)
     w = rng.standard_normal(k + 1)
     th = dep.theta()
     return ndtr((w[:k] + th * w[1:]) / math.sqrt(1.0 + th * th))
@@ -40,9 +42,8 @@ def sure_magnitude(dist):
     return law[0] if law is not None and law[1] == 1.0 else None
 
 
-def reference_bits(rng, s):
-    """The sign bits of s sure cells: bit i % 64 of raw word i // 64, one at a time."""
-    words = rng.bit_generator.random_raw(-(-s // 64)) if s else []
+def reference_bits(words, s):
+    """The sign bits of s sure cells: bit i % 64 of sign word i // 64, one at a time."""
     return [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(s)]
 
 
@@ -51,18 +52,25 @@ def reference_row(arr, n, rng):
     groups = arr.row_groups(n)
     independent = isinstance(arr.dependence, model.Independent)
     sure = [independent and sure_magnitude(g.dist) is not None for g in groups]
-    bits = iter(reference_bits(rng, sum(g.count for g, s in zip(groups, sure) if s)))
-    u = reference_uniforms(arr.dependence, k - sum(g.count for g, s in zip(groups, sure) if s),
-                           rng)
+    # a uniform source per kind of cell: two-point cells, and the others
+    two = [independent and not s and model.step_law(g.dist) is not None
+           for g, s in zip(groups, sure)]
+    n_sure, n_two = (sum(g.count for g, f in zip(groups, flags) if f) for flags in (sure, two))
+    if independent:
+        signs, w_two, w_other = row_words(rng, n_sure, n_two, k - n_sure - n_two)
+        bits, u = iter(reference_bits(signs, n_sure)), (uniforms(w_two), uniforms(w_other))
+    else:
+        u = (None, reference_uniforms(arr.dependence, k, rng))
     out = np.empty(k, dtype=float)
-    pos = at = 0
-    for g, is_sure in zip(groups, sure):
+    pos, at = 0, [0, 0]
+    for g, is_sure, is_two in zip(groups, sure, two):
         if is_sure:
             m = sure_magnitude(g.dist)
             out[pos : pos + g.count] = [m if next(bits) else -m for _ in range(g.count)]
         else:
-            out[pos : pos + g.count] = model.quantile_of(g.dist)(u[at : at + g.count])
-            at += g.count
+            a = at[not is_two]
+            out[pos : pos + g.count] = model.quantile_of(g.dist)(u[not is_two][a : a + g.count])
+            at[not is_two] += g.count
         pos += g.count
     return out
 
@@ -72,8 +80,9 @@ def reference_two_point(arr, n, rng):
     mags = np.array([m for m, _ in laws])
     probs = np.array([q for _, q in laws])
     sure = probs == 1.0
-    bits = np.array(reference_bits(rng, int(np.count_nonzero(sure))), dtype=bool)
-    u = rng.random(n - len(bits))
+    signs, w, _ = row_words(rng, int(np.count_nonzero(sure)), n - int(np.count_nonzero(sure)), 0)
+    bits = np.array(reference_bits(signs, int(np.count_nonzero(sure))), dtype=bool)
+    u = uniforms(w)
     half = probs[~sure] / 2.0
     out = np.empty(n)
     out[sure] = np.where(bits, mags[sure], -mags[sure])
@@ -296,11 +305,22 @@ class FixedWords:
             random_raw=lambda size: np.array(words, dtype=np.uint64)[:size])
 
 
-@pytest.mark.parametrize("law", ["pm1", "two-point", "two-point-prob-1", "pareto", "custom"])
+EDGE_LAWS = {
+    **LAWS,
+    "prob-2^-15": model.SymmetricTwoPoint(1.5, 2.0**-15),  # lo and hi + 1 end in 48 zero bits
+    "prob-1/2": model.SymmetricTwoPoint(0.25, 0.5),  # so do these
+    "prob-5e-324": model.SymmetricTwoPoint(3.0, 5e-324),  # lo = 0, hi = 2^64 - 1: never a hit
+    "prob-1-2^-53": model.SymmetricTwoPoint(2.0, 1.0 - 2.0**-53),  # lo = hi + 1: always a hit
+}
+
+
+@pytest.mark.parametrize("law", sorted(EDGE_LAWS))
 def test_thresholds_match_quantile_of_at_the_boundaries(law):
     """Words on each side of every edge map as ``quantile_of`` maps their
-    uniforms (w >> 11) 2^-53, whatever their 11 low bits."""
-    dist = LAWS[law]
+    uniforms (w >> 11) 2^-53, whatever their 11 low bits.  A two-point cell
+    is handed its word w as the chunk w >> 48 and a refinement word whose
+    top 48 bits are w's low 48."""
+    dist = EDGE_LAWS[law]
     if sure_magnitude(dist) is not None:  # a sure law has no threshold: its cell is one bit
         words = [0, 2**64 - 1, 1, 2**63, 0x5555555555555555, 0x8000000000000001]
         bits = np.array([(w >> i) & 1 for w in words for i in range(64)])
@@ -312,10 +332,20 @@ def test_thresholds_match_quantile_of_at_the_boundaries(law):
     edges = [0.0, q / 2.0, 1.0 - q / 2.0, 0.5, 1.0 - 2.0**-53]
     v = sorted({min(max(math.ceil(e * 2**53) + d, 0), 2**53 - 1)
                 for e in edges for d in (-1, 0, 1)})
-    words = [x << 11 | low for x in v for low in (0, 0x7FF)]
-    got = RowSampler(identical_array(dist), len(words)).draw(FixedWords(words))
-    u = np.array([(w >> 11) * 2.0**-53 for w in words])
-    assert_same_bits(got, model.quantile_of(dist)(u))
+    edge = [x << 11 | low for x in v for low in (0, 0x7FF)]
+    # alone, and among 16 times as many words of u = 1/2, which few laws take as candidates
+    for words in (edge, edge + [1 << 63] * (16 * len(edge))):
+        raw = words
+        if model.step_law(dist):  # chunk words, four chunks a word, then the refinement words
+            tops = [w >> 48 for w in words]
+            raw = [sum(c << 16 * j for j, c in enumerate(tops[i:i + 4]))
+                   for i in range(0, len(tops), 4)]
+            raw += [(w & (2**48 - 1)) << 16 | 0xA5C3 for w in words]
+            cut = model.RowSampler(identical_array(dist), 1)._steps[2:4]
+            assert any(c == t >> 48 for c in tops for t in (int(cut[0][0]), int(cut[1][0])))
+        got = RowSampler(identical_array(dist), len(words)).draw(FixedWords(raw))
+        u = np.array([(w >> 11) * 2.0**-53 for w in words])
+        assert_same_bits(got, model.quantile_of(dist)(u))
 
 
 def test_sample_row_with_is_the_sampler():

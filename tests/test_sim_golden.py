@@ -9,7 +9,11 @@ key came to serve 64 replications; ``counterexample-wlln`` kept its digest
 both times, as its weights put all their mass on the row's last cell.  The
 ``gaussian-na`` runs and the ``condition_h_probe`` values were re-recorded
 once more when a block's normals came to be read cell-major (normal d of
-lane i is normal 64d + i of the block's stream).  Any
+lane i is normal 64d + i of the block's stream).  The independent runs with
+two-point cells, ``ex41-series`` and ``seq-ind-wlln``, were re-recorded once
+more when each two-point cell came to read a 16-bit chunk of a word, and a
+refinement word only on a tie, with the Pareto cells' words after the
+chunks.  Any
 change in the draws, their order or the report formatting shows up as a
 different SHA-256.  The runs cover independent and negatively associated
 sequences, grouped arrays, explicit cells with Pareto laws, weights and every
@@ -73,7 +77,7 @@ RUNS = {
                  "07024fe0c96dca503d8224aaaecdb75973229ae0bc52b5743dc2019b21b735b7"),
     "ex41-series": (["--fixture", "example-4.1", "--mode", "slln-series",
                      "--rows", "2^3..2^8", "--reps", "60"],
-                    "42ee7d08e151fef057377746aa0fa06da12ab8f214a9c0cf035cf08b6c9f1b1e"),
+                    "a6e83ea2a90d1dc78e5aaad50adcfa6ed662f5f7a83e93b03aa48724c9050e70"),
     "x2m-path": (["--fixture", "x2m-example", "--p", "1", "--mode", "slln-path",
                   "--rows", "2^4..2^9", "--reps", "30", "--eps", "0.05,0.1,0.2"],
                  "d573d82bab295d28fb0e757db8067e9e85dbaa2ad6f7642c5f6028e839f407bd"),
@@ -88,7 +92,7 @@ RUNS = {
                      "9d0138a37513e8c2e164e2f6b249531b6b91575b91e58b2febfdbb0ab0c21bbd"),
     "seq-ind-wlln": (["--spec", "{seq-ind}", "--mode", "wlln", "--rows", "3..40",
                       "--reps", "90", "--eps", "0.2,0.5"],
-                     "58e24f4ae39ca0f830b36b5956528d6370acf8fdbfa59f7788fdf58f6952534e"),
+                     "09722a8f6132345d50d7c89932b611d5124d08f34f9cdf08160afa0ce2b34cd0"),
     "seq-na-series": (["--spec", "{seq-na}", "--mode", "slln-series", "--rows", "1..32",
                        "--reps", "80", "--eps", "0.2,0.5"],
                       "7decb56d846ce11f77600c9b76758f12d407752a215bc678958b01b56f6ac006"),

@@ -25,6 +25,7 @@ from llnlab.errors import SamplingError
 from llnlab.fixtures import load
 from llnlab.simulate import SimPlan
 from builders import identical_array
+from sim_reference import count_ties
 from test_simulate import KERNEL_PLANS, _usable_cpus
 
 TINY = 5e-324  # the smallest positive prob: q/2 rounds to 0, so no word is a hit
@@ -77,6 +78,19 @@ def test_example_41_maxima_equal_the_row_kernels(monkeypatch, p, nu, reps):
     assert (row[0] > 0).all()  # the sure first cell
 
 
+@pytest.mark.parametrize("spike", [True, False])
+def test_both_kernels_resolve_ties(monkeypatch, spike):
+    # a chunk equal to the top 16 bits of a threshold is a tie, which reads
+    # its refinement word: both kernels decode the same chunks and ties
+    fx = load("example-4.1")
+    plan = SimPlan(arr=fx.arr, b=fx.b, rows=(2048, 4096), reps=130, seed=43)
+    ties = count_ties(monkeypatch)
+    got = _maxima(monkeypatch, plan, spike)
+    assert sum(ties) > 0
+    other = _maxima(monkeypatch, plan, not spike)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in other]
+
+
 def test_the_rare_row_holds_the_probability_extremes():
     def thresholds(q):  # (lo, hi) as RowSampler keeps them: a word is 0 iff lo <= w <= hi
         lo, hi = model._word_threshold(np.array([q / 2, 1.0 - q / 2])).tolist()
@@ -86,8 +100,9 @@ def test_the_rare_row_holds_the_probability_extremes():
     assert thresholds(NEAR_ONE) == (2 ** 63, 2 ** 63 - 1)  # every word is a hit
     rare = model.RowSampler(RARE, 1100)
     assert rare.n_sure == 6 and 0 < rare.spike_rate <= 1100 / simulate.SPIKE_RATIO
-    hi = rare._hi.astype(object) + 1
-    assert (rare._lo == 0).any() and (hi == 2 ** 64).any() and (rare._lo == hi).any()
+    lo, hi = (x[rare._step_law] for x in rare._steps[2:4])  # 64-bit, per two-point cell
+    hi = hi.astype(object) + 1
+    assert (lo == 0).any() and (hi == 2 ** 64).any() and (lo == hi).any()
 
 
 @pytest.mark.parametrize("reps", [1, 64, 65, 130])
@@ -120,8 +135,8 @@ def routes(monkeypatch):
     """(kernel, cells) of every row the kernels sum in this process."""
     seen, spiky, columns = [], simulate._spiky, simulate._Spans._columns
 
-    def spy_spiky(sampler, ends):
-        got = spiky(sampler, ends)
+    def spy_spiky(sampler, *args):
+        got = spiky(sampler, *args)
         seen.append(("spike" if got else "row", sampler.k))
         return got
 
@@ -134,14 +149,14 @@ def routes(monkeypatch):
     return seen
 
 
-def test_example_41_rows_of_32_cells_and_more_take_the_spike_kernel(routes):
-    # the benchmark's slln-series rows 2^5..2^12; a row of 16 cells expects
-    # about 2.3 nonzero draws, above 16 / 8
+def test_example_41_rows_of_16_cells_and_more_take_the_spike_kernel(routes):
+    # the benchmark's slln-series rows 2^5..2^12 and the row of 16 cells; a
+    # row of 8 cells expects about 2.08 nonzero draws, above 8 / 4
     fx = load("example-4.1")
-    rows = tuple(2 ** j for j in range(4, 13))
-    assert model.RowSampler(fx.arr, 16).spike_rate > 16 / simulate.SPIKE_RATIO
+    rows = tuple(2 ** j for j in range(3, 13))
+    assert model.RowSampler(fx.arr, 8).spike_rate > 8 / simulate.SPIKE_RATIO
     simulate.wlln_estimate(SimPlan(arr=fx.arr, b=fx.b, rows=rows, reps=64, seed=2))
-    assert routes == [("row", 16)] + [("spike", n) for n in rows[1:]]
+    assert routes == [("row", 8)] + [("spike", n) for n in rows[1:]]
 
 
 def test_other_rows_keep_their_kernels(routes):
@@ -170,18 +185,19 @@ def _inf_steps(lo, hi):
 
 @pytest.mark.parametrize("case", ["magnitude", "weight"])
 def test_an_infinite_magnitude_or_weight_sums_as_the_row_kernel(monkeypatch, routes, case):
-    # 0 x inf is NaN, which is not 0: the spike kernel keeps the NaN draws of
-    # such a cell as it keeps any nonzero one, so its sums are NaN as well
+    # 0 x inf is NaN, which is not 0: the spike kernel sums only the hits
+    # and sure draws it decodes, so such a row takes the row kernel
     arr, c = RARE, lambda n, i: math.inf if i == 40 else 1.0
     if case == "magnitude":
         arr, c = model.sequence_array(cell_steps=_inf_steps), None
     plan = SimPlan(arr=arr, b=model.power_norming(1.0), rows=(700,), reps=130, seed=3, c=c)
     got = simulate._Spans(plan, plan.rows)(0, 0, plan.reps)
-    assert routes == [("spike", 700)]
+    assert routes == [("row", 700)]
     with pytest.raises(SamplingError, match="row 700"):
         simulate.wlln_estimate(plan)
     row = _maxima(monkeypatch, plan, False)[0]
-    assert got.tobytes() == row.tobytes() and np.isnan(row).all()
+    # NaN, or inf where a replication draws the infinite cell's hit
+    assert got.tobytes() == row.tobytes() and not np.isfinite(row).any() and np.isnan(row).any()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
